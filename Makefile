@@ -5,7 +5,7 @@
 # `make staticcheck-version`; the workflow must not carry its own copy.
 STATICCHECK_VERSION := 2025.1
 
-.PHONY: all build test race bench bench-all bench-hotpath bench-network bench-remote bench-backends bins lint oramlint lint-report lint-parity staticcheck-version fuzz-smoke fmt
+.PHONY: all build test race bench bench-all bench-hotpath bench-network bench-backends bench-check bins lint oramlint lint-report lint-parity staticcheck-version fuzz-smoke fmt
 
 all: build lint test
 
@@ -35,23 +35,26 @@ bench-all:
 bench-hotpath:
 	./scripts/bench_hotpath.sh
 
-# Over-the-wire transport comparison — legacy single-block vs JSON batch
-# vs binary streaming frames at batch sizes 1 and 16 (the CI network-smoke
-# job); writes BENCH_network.json.
+# Over-the-wire transport comparison — JSON batch vs binary streaming
+# frames at batch sizes 1 and 16 (the CI network-smoke job); writes
+# BENCH_network.json.
 bench-network:
 	./scripts/bench_network.sh
-
-# Remote-memory RTT ladder — batched path I/O vs the -serial-path loops
-# against a live bucketd at 0/1/10/50 ms (the CI remote-smoke job); writes
-# BENCH_remote.json and gates on a 4x speedup at 10 ms.
-bench-remote:
-	./scripts/bench_remote.sh
 
 # Backend comparison matrix — path vs bhoram over map, file, and 10 ms-RTT
 # remote memories (the CI backend-bench job); writes BENCH_backends.json
 # and gates on every cell completing with zero failed ops.
 bench-backends:
 	./scripts/bench_backends.sh
+
+# The repo benchmark (BENCHMARK.json) lives in bench/, a module of its own
+# that `go build ./...` and `go test ./...` never see, yet it pins exported
+# names across mem, backend, bhoram, core, frame, store and client. Vet and
+# test it so a refactor cannot break the benchmark silently (the CI
+# bench-check job).
+bench-check:
+	go vet -C bench ./...
+	go test -C bench ./...
 
 # Link every cmd/ and examples/ binary (the CI bins job).
 bins:

@@ -9,25 +9,13 @@ import (
 	"time"
 )
 
-// Config parameterizes a Client. Exactly one of Transport and BaseURL is
-// required.
+// Config parameterizes a Client. Transport is required.
 type Config struct {
 	// Transport moves batches to the server: client.JSON(baseURL) for the
 	// HTTP POST /batch path, client.Binary(addr) for the streaming binary
 	// frame protocol, or any custom Transport. The Client owns it after
 	// New and closes it on Close.
 	Transport Transport
-	// BaseURL locates the server, e.g. "http://localhost:8080".
-	//
-	// Deprecated: BaseURL is an alias for Transport: JSON(BaseURL), kept
-	// for callers that predate the Transport API. Set Transport instead.
-	BaseURL string
-	// HTTPClient, if non-nil, overrides the underlying *http.Client of
-	// the BaseURL alias.
-	//
-	// Deprecated: honored only together with BaseURL. Set the HTTPClient
-	// field of a JSONTransport instead.
-	HTTPClient *http.Client
 	// MaxBatch flushes the pending batch when it reaches this many
 	// operations (default 16, capped at MaxOps). 1 disables cross-caller
 	// batching: every operation is its own POST.
@@ -101,13 +89,8 @@ type Client struct {
 // New validates cfg and returns a Client. It does not contact the server
 // (the binary transport dials lazily on first use).
 func New(cfg Config) (*Client, error) {
-	switch {
-	case cfg.Transport == nil && cfg.BaseURL == "":
-		return nil, errors.New("client: Config.Transport (or the deprecated BaseURL alias) is required")
-	case cfg.Transport != nil && cfg.BaseURL != "":
-		return nil, errors.New("client: set Config.Transport or the deprecated BaseURL alias, not both")
-	case cfg.Transport == nil:
-		cfg.Transport = &JSONTransport{BaseURL: cfg.BaseURL, HTTPClient: cfg.HTTPClient}
+	if cfg.Transport == nil {
+		return nil, errors.New("client: Config.Transport is required")
 	}
 	// The built-in transports validate their own configuration eagerly so
 	// a typo fails at New, not at the first operation.

@@ -37,7 +37,7 @@ func realServer(t *testing.T) (*httptest.Server, *store.Store) {
 
 func newClient(t *testing.T, url string, cfg client.Config) *client.Client {
 	t.Helper()
-	cfg.BaseURL = url
+	cfg.Transport = client.JSON(url)
 	c, err := client.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -268,13 +268,13 @@ func TestClientErrors(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	if _, err := client.New(client.Config{}); err == nil {
-		t.Fatal("empty BaseURL accepted")
+	if _, err := client.New(client.Config{Transport: client.JSON("")}); err == nil {
+		t.Fatal("empty JSON base URL accepted")
 	}
-	if _, err := client.New(client.Config{BaseURL: "http://x", MaxBatch: client.MaxOps + 1}); err == nil {
+	if _, err := client.New(client.Config{Transport: client.JSON("http://x"), MaxBatch: client.MaxOps + 1}); err == nil {
 		t.Fatal("MaxBatch over the wire cap accepted")
 	}
-	if _, err := client.New(client.Config{BaseURL: "http://x", FlushInterval: -time.Second}); err == nil {
+	if _, err := client.New(client.Config{Transport: client.JSON("http://x"), FlushInterval: -time.Second}); err == nil {
 		t.Fatal("negative FlushInterval accepted")
 	}
 }

@@ -29,10 +29,6 @@
 //	c, err := client.New(client.Config{Transport: client.JSON("http://localhost:8080")})
 //	c, err := client.New(client.Config{Transport: client.Binary("localhost:8081")})
 //
-// The deprecated Config.BaseURL field is an alias for
-// Transport: client.JSON(BaseURL), kept so pre-Transport callers compile
-// unchanged.
-//
 // # Basic use
 //
 //	c, err := client.New(client.Config{Transport: client.Binary("localhost:8081")})

@@ -1,10 +1,10 @@
 package main
 
 // The load generator: a transport-independent worker harness (runWorkers
-// over an executor — in-process store, single-block HTTP, or the batched
-// network client) plus the statistics primitives, extracted from runLoad
-// so their distributions are testable. Two bugs lived here historically and the
-// structure now rules them out by construction:
+// over an executor — in-process store or the batched network client) plus
+// the statistics primitives, extracted from runLoad so their distributions
+// are testable. Two bugs lived here historically and the structure now
+// rules them out by construction:
 //
 //   - the write/read coin was (lcgState % 1000) / 1000 — the low bits of
 //     an LCG have tiny periods, so the realized write fraction cycled
@@ -18,12 +18,8 @@ package main
 // Algorithm R with its own draw.
 
 import (
-	"bytes"
-	"fmt"
-	"io"
 	mathrand "math/rand"
 	"math/rand/v2"
-	"net/http"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -36,10 +32,10 @@ import (
 // --- executors --------------------------------------------------------------
 
 // executor abstracts who serves one load-generator operation, so one
-// harness benchmarks an in-process store, the single-block HTTP API, and
-// the batched network client with identical workloads. Implementations
-// must be safe for concurrent use; the batched client in particular RELIES
-// on concurrent callers — micro-batching gathers ops across workers.
+// harness benchmarks an in-process store and the batched network client
+// with identical workloads. Implementations must be safe for concurrent
+// use; the batched client in particular RELIES on concurrent callers —
+// micro-batching gathers ops across workers.
 type executor interface {
 	get(addr uint64) error
 	put(addr uint64, data []byte) error
@@ -70,48 +66,6 @@ func (e clientExec) get(addr uint64) error {
 
 func (e clientExec) put(addr uint64, data []byte) error {
 	return e.c.Put(addr, data)
-}
-
-// httpExec is the legacy single-block mode: one GET or PUT round-trip per
-// operation, the baseline the batch pipeline is measured against.
-type httpExec struct {
-	c    *http.Client
-	base string
-}
-
-func newHTTPExec(base string) httpExec {
-	return httpExec{c: &http.Client{Timeout: 10 * time.Second}, base: base}
-}
-
-func (e httpExec) get(addr uint64) error {
-	resp, err := e.c.Get(fmt.Sprintf("%s/block/%d", e.base, addr))
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET status %d", resp.StatusCode)
-	}
-	return nil
-}
-
-func (e httpExec) put(addr uint64, body []byte) error {
-	req, err := http.NewRequest(http.MethodPut,
-		fmt.Sprintf("%s/block/%d", e.base, addr), bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	resp, err := e.c.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, resp.Body)
-	if resp.StatusCode != http.StatusNoContent {
-		return fmt.Errorf("PUT status %d", resp.StatusCode)
-	}
-	return nil
 }
 
 // --- worker harness ---------------------------------------------------------

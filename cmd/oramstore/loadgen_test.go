@@ -168,7 +168,7 @@ func TestRunWorkersInProcess(t *testing.T) {
 }
 
 // TestRunWorkersNetworkBatch drives the harness through the batched client
-// against the production handler — the -target path end to end.
+// against the production handler — the -transport json path end to end.
 func TestRunWorkersNetworkBatch(t *testing.T) {
 	st, err := store.New(store.Config{
 		Shards: 2,
@@ -181,7 +181,7 @@ func TestRunWorkersNetworkBatch(t *testing.T) {
 	defer st.Close()
 	srv := httptest.NewServer(httpapi.New(st))
 	defer srv.Close()
-	c, err := client.New(client.Config{BaseURL: srv.URL, MaxBatch: 4, FlushInterval: time.Millisecond})
+	c, err := client.New(client.Config{Transport: client.JSON(srv.URL), MaxBatch: 4, FlushInterval: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,11 +51,6 @@
 //	                      process and drives it directly (the serving
 //	                      ceiling for the same workload)
 //
-// The legacy -inprocess/-url/-target flags are deprecated aliases:
-// -inprocess maps to -transport inprocess, -target URL to -transport
-// json -addr URL, and -url keeps its one-GET/PUT-per-op single-block
-// behavior for baseline comparisons.
-//
 // Examples:
 //
 //	oramstore -addr :8080 -shards 16 -blocks 20 -lightweight
@@ -119,7 +114,6 @@ func runServe(args []string) {
 	memKind := fs.String("mem", "map", "untrusted bucket memory: map (in-process) | remote (bucketd server)")
 	memAddr := fs.String("mem-addr", "", "remote mode: bucketd TCP address (host:port)")
 	memNS := fs.String("mem-namespace", "", "remote mode: bucketd namespace prefix (default \"store\")")
-	serialPath := fs.Bool("serial-path", false, "disable batched path I/O (serial per-bucket baseline)")
 	readLat := fs.Duration("read-latency", 0, "injected delay per untrusted-memory bucket read")
 	writeLat := fs.Duration("write-latency", 0, "injected delay per untrusted-memory bucket write")
 	queueDepth := fs.Int("queue-depth", 0, "per-shard request queue bound (0: store default)")
@@ -169,7 +163,6 @@ func runServe(args []string) {
 			Backend:      *backendKind,
 			BlockBytes:   *blockB,
 			Lightweight:  *lightweight,
-			SerialPathIO: *serialPath,
 			Seed:         *seed,
 			ReadLatency:  *readLat,
 			WriteLatency: *writeLat,
@@ -276,9 +269,6 @@ func runLoad(args []string) {
 	fs := flag.NewFlagSet("load", flag.ExitOnError)
 	transport := fs.String("transport", "json", "how ops reach the store: inprocess | json | binary")
 	addrFlag := fs.String("addr", "", `target address: base URL for json (default "http://localhost:8080"), host:port for binary (default "127.0.0.1:8081")`)
-	url := fs.String("url", "http://localhost:8080", "deprecated: legacy single-block mode against this server (one GET/PUT per op)")
-	target := fs.String("target", "", "deprecated: alias for -transport json -addr TARGET")
-	inproc := fs.Bool("inprocess", false, "deprecated: alias for -transport inprocess")
 	batch := fs.Int("batch", 16, "network mode: client micro-batch size (1 disables batching)")
 	flushInt := fs.Duration("flush-interval", 2*time.Millisecond, "network mode: client micro-batch flush interval")
 	conns := fs.Int("conns", 0, "binary mode: connection pool size (0: transport default)")
@@ -297,7 +287,6 @@ func runLoad(args []string) {
 	memKind := fs.String("mem", "map", "in-process mode: untrusted bucket memory, map | file | remote")
 	memAddr := fs.String("mem-addr", "", "in-process mode: bucketd TCP address for -mem remote")
 	dataDir := fs.String("data-dir", "", "in-process mode: per-shard bucket files under this directory for -mem file")
-	serialPath := fs.Bool("serial-path", false, "in-process mode: disable batched path I/O (serial baseline)")
 	jsonOut := fs.Bool("json", false, "emit one machine-readable JSON line instead of text")
 	fs.Parse(args)
 	if *dist != "uniform" && *dist != "zipf" {
@@ -318,33 +307,7 @@ func runLoad(args []string) {
 		seed:      *seed,
 	}
 
-	// The -inprocess/-url/-target trio predates -transport/-addr; each
-	// legacy flag still works as an alias for its new spelling, with a
-	// warning. An explicit -transport wins over all of them.
-	set := map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	mode, addr := *transport, *addrFlag
-	switch {
-	case set["transport"]:
-		if set["inprocess"] || set["url"] || set["target"] {
-			log.Print("warning: -inprocess/-url/-target are ignored when -transport is set")
-		}
-	case *inproc:
-		log.Print("warning: -inprocess is deprecated; use -transport inprocess")
-		mode = "inprocess"
-	case set["target"]:
-		log.Printf("warning: -target is deprecated; use -transport json -addr %s", *target)
-		mode = "json"
-		if !set["addr"] {
-			addr = *target
-		}
-	case set["url"]:
-		log.Printf("warning: -url is deprecated; use -transport json -addr %s (batched) — keeping legacy single-block mode", *url)
-		mode = "network-single"
-		if !set["addr"] {
-			addr = *url
-		}
-	}
 
 	var exec executor
 	switch mode {
@@ -386,12 +349,11 @@ func runLoad(args []string) {
 			MemAddr: *memAddr,
 			DataDir: fileDir,
 			ORAM: freecursive.Config{
-				Scheme:       sc,
-				Backend:      *backendKind,
-				BlockBytes:   *blockB,
-				Lightweight:  *lightweight,
-				SerialPathIO: *serialPath,
-				Seed:         *seed,
+				Scheme:      sc,
+				Backend:     *backendKind,
+				BlockBytes:  *blockB,
+				Lightweight: *lightweight,
+				Seed:        *seed,
 			},
 		})
 		if err != nil {
@@ -426,9 +388,6 @@ func runLoad(args []string) {
 		}
 		defer c.Close()
 		exec = clientExec{c}
-	case "network-single":
-		checkHealth(addr)
-		exec = newHTTPExec(addr)
 	default:
 		log.Fatalf("unknown -transport %q (want inprocess, json, or binary)", mode)
 	}

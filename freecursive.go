@@ -124,9 +124,6 @@ type Config struct {
 	// MemNamespace isolates this ORAM's buckets on a shared bucketd server
 	// (default derived from Seed). Two live ORAMs must not share one.
 	MemNamespace string
-	// SerialPathIO disables batched path I/O, forcing the per-bucket
-	// read/write loops — the honest serial baseline for benchmarks.
-	SerialPathIO bool
 	// ReadLatency and WriteLatency inject a fixed delay into every
 	// untrusted-memory bucket operation, simulating remote or disk-class
 	// storage. Incompatible with Lightweight.
@@ -194,7 +191,6 @@ func New(cfg Config) (*ORAM, error) {
 		DataDir:           cfg.DataDir,
 		MemAddr:           cfg.MemAddr,
 		MemNamespace:      cfg.MemNamespace,
-		SerialPathIO:      cfg.SerialPathIO,
 		ReadDelay:         cfg.ReadLatency,
 		WriteDelay:        cfg.WriteLatency,
 	})

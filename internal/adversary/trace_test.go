@@ -16,7 +16,7 @@ import (
 
 // tracedORAM builds a PathORAM over the given store with a fixed cipher key
 // so that two instances fed the same request stream stay in lockstep.
-func tracedORAM(t *testing.T, st mem.Backend, serial bool) *backend.PathORAM {
+func tracedORAM(t *testing.T, st mem.Backend) *backend.PathORAM {
 	t.Helper()
 	g, err := tree.NewGeometry(6, 4, 32)
 	if err != nil {
@@ -27,7 +27,7 @@ func tracedORAM(t *testing.T, st mem.Backend, serial bool) *backend.PathORAM {
 		t.Fatal(err)
 	}
 	p, err := backend.NewPathORAM(backend.Config{
-		Geometry: g, Store: st, Cipher: c, SerialPathIO: serial,
+		Geometry: g, Store: st, Cipher: c,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -37,20 +37,20 @@ func tracedORAM(t *testing.T, st mem.Backend, serial bool) *backend.PathORAM {
 
 // TestBatchedPathSameIndexMultiset is the protocol-equivalence half of the
 // obliviousness argument for the remote transport: what the network
-// adversary observes from a batched path request must be exactly what it
-// would have observed from the serial per-bucket loop. One controller runs
-// serially over a local store wiretapped with Hook(); its twin runs batched
-// over a live bucketd whose Trace callback is the network tap. After every
-// access the two bucket-index multisets must match.
+// adversary observes from a batched path request must be exactly what the
+// per-bucket bus probe observes on local memory. One controller runs over a
+// local store wiretapped with Hook() (which fires once per bucket); its
+// twin runs over a live bucketd whose Trace callback is the network tap.
+// After every access the two bucket-index multisets must match.
 func TestBatchedPathSameIndexMultiset(t *testing.T) {
-	// Serial reference: in-process bus probe on both read and write hooks.
+	// Local reference: in-process bus probe on both read and write hooks.
 	busTap := &IndexTrace{}
-	stSerial := mem.NewStore()
-	stSerial.SetOnRead(busTap.Hook())
-	stSerial.SetOnWrite(busTap.Hook())
-	serial := tracedORAM(t, stSerial, true)
+	stLocal := mem.NewStore()
+	stLocal.SetOnRead(busTap.Hook())
+	stLocal.SetOnWrite(busTap.Hook())
+	local := tracedORAM(t, stLocal)
 
-	// Batched twin: network tap on the untrusted server itself.
+	// Remote twin: network tap on the untrusted server itself.
 	netTap := &IndexTrace{}
 	srv := bucketd.New(bucketd.Config{
 		Trace: func(op byte, space, idx uint64) { netTap.Note(idx) },
@@ -68,9 +68,9 @@ func TestBatchedPathSameIndexMultiset(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rem.Close()
-	batched := tracedORAM(t, rem, false)
+	remote := tracedORAM(t, rem)
 
-	g := serial.Geometry()
+	g := local.Geometry()
 	rng := rand.New(rand.NewPCG(11, 7))
 	leaf := map[uint64]uint64{}
 	for i := 0; i < 150; i++ {
@@ -87,11 +87,11 @@ func TestBatchedPathSameIndexMultiset(t *testing.T) {
 			req.Data = make([]byte, g.BlockBytes)
 			binary.BigEndian.PutUint64(req.Data, rng.Uint64())
 		}
-		if _, err := serial.Access(req); err != nil {
-			t.Fatalf("step %d serial: %v", i, err)
+		if _, err := local.Access(req); err != nil {
+			t.Fatalf("step %d local: %v", i, err)
 		}
-		if _, err := batched.Access(req); err != nil {
-			t.Fatalf("step %d batched: %v", i, err)
+		if _, err := remote.Access(req); err != nil {
+			t.Fatalf("step %d remote: %v", i, err)
 		}
 
 		// The write-back is pipelined, so force it to the server before
@@ -99,7 +99,7 @@ func TestBatchedPathSameIndexMultiset(t *testing.T) {
 		// pending ack and is itself untraced.
 		rem.Stats()
 		if got, want := fmt.Sprint(netTap.Multiset()), fmt.Sprint(busTap.Multiset()); got != want {
-			t.Fatalf("step %d: network multiset %v, serial multiset %v", i, got, want)
+			t.Fatalf("step %d: network multiset %v, bus multiset %v", i, got, want)
 		}
 		if got, want := len(netTap.Indices()), len(busTap.Indices()); got != want {
 			t.Fatalf("step %d: trace lengths diverge: %d vs %d", i, got, want)

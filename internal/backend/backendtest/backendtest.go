@@ -46,8 +46,6 @@ type Options struct {
 	Store mem.Backend
 	// Encrypted seals buckets with the global-seed cipher.
 	Encrypted bool
-	// SerialPathIO disables batched path I/O.
-	SerialPathIO bool
 	// Counters receives statistics (optional).
 	Counters *stats.Counters
 	// StepBudget throttles a deamortizing backend's inline maintenance
@@ -78,8 +76,7 @@ func Kinds() []Kind {
 			New: func(t testing.TB, g tree.Geometry, opt Options) backend.Backend {
 				t.Helper()
 				cfg := backend.Config{
-					Geometry: g, Store: opt.Store,
-					SerialPathIO: opt.SerialPathIO, Counters: opt.Counters,
+					Geometry: g, Store: opt.Store, Counters: opt.Counters,
 				}
 				if opt.Encrypted {
 					cfg.Cipher = newCipher(t)
@@ -98,8 +95,7 @@ func Kinds() []Kind {
 				t.Helper()
 				cfg := bhoram.Config{
 					Geometry: g, Store: opt.Store, CacheCapacity: CacheCapacity,
-					SerialPathIO: opt.SerialPathIO, Counters: opt.Counters,
-					StepBudget: opt.StepBudget,
+					Counters: opt.Counters, StepBudget: opt.StepBudget,
 				}
 				if opt.Encrypted {
 					cfg.Cipher = newCipher(t)
@@ -166,8 +162,6 @@ type FaultStore struct {
 	Armed bool
 	// Faults counts injected failures.
 	Faults int
-	// pathBufs back the serial ReadPath fallback.
-	pathBufs [][]byte
 }
 
 // NewFaultStore wraps inner (nil means a fresh mem.NewStore()).
@@ -213,25 +207,7 @@ func (f *FaultStore) ReadPath(idxs []uint64, out [][]byte) error {
 	if err := f.fault(); err != nil {
 		return err
 	}
-	if pr, ok := f.Backend.(mem.PathReader); ok {
-		return pr.ReadPath(idxs, out)
-	}
-	for len(f.pathBufs) < len(idxs) {
-		f.pathBufs = append(f.pathBufs, nil)
-	}
-	for i, idx := range idxs {
-		data, err := f.Backend.Read(idx)
-		if err != nil {
-			return err
-		}
-		if data == nil {
-			out[i] = nil
-			continue
-		}
-		f.pathBufs[i] = append(f.pathBufs[i][:0], data...)
-		out[i] = f.pathBufs[i]
-	}
-	return nil
+	return f.Backend.ReadPath(idxs, out)
 }
 
 // WritePath implements mem.PathWriter.
@@ -241,19 +217,7 @@ func (f *FaultStore) WritePath(idxs []uint64, data [][]byte) error {
 	if err := f.fault(); err != nil {
 		return err
 	}
-	if pw, ok := f.Backend.(mem.PathWriter); ok {
-		return pw.WritePath(idxs, data)
-	}
-	for i, idx := range idxs {
-		if err := f.Backend.Write(idx, data[i]); err != nil {
-			return err
-		}
-	}
-	return nil
+	return f.Backend.WritePath(idxs, data)
 }
 
-var (
-	_ mem.Backend    = (*FaultStore)(nil)
-	_ mem.PathReader = (*FaultStore)(nil)
-	_ mem.PathWriter = (*FaultStore)(nil)
-)
+var _ mem.Backend = (*FaultStore)(nil)

@@ -26,17 +26,15 @@ func RunConformance(t *testing.T, k Kind) {
 }
 
 // runCorrectness checks random frontend-discipline traces against a flat
-// model across the encryption × path-I/O matrix.
+// model, plaintext and encrypted.
 func runCorrectness(t *testing.T, k Kind) {
 	for _, enc := range []bool{false, true} {
-		for _, serial := range []bool{false, true} {
-			t.Run(fmt.Sprintf("enc=%v/serial=%v", enc, serial), func(t *testing.T) {
-				g := Geom(t)
-				b := k.New(t, g, Options{Encrypted: enc, SerialPathIO: serial})
-				script := GenScript(41, 4000, 120, g.Leaves(), g.BlockBytes)
-				RunScript(t, b, script, IdentityAddr)
-			})
-		}
+		t.Run(fmt.Sprintf("enc=%v", enc), func(t *testing.T) {
+			g := Geom(t)
+			b := k.New(t, g, Options{Encrypted: enc})
+			script := GenScript(41, 4000, 120, g.Leaves(), g.BlockBytes)
+			RunScript(t, b, script, IdentityAddr)
+		})
 	}
 }
 

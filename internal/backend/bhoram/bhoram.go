@@ -111,13 +111,6 @@ type BucketHash struct {
 	hash  *crypt.PRF          // nil: non-cryptographic mixer (tests)
 	ctr   *stats.Counters
 
-	// pr/pw are the store's batched path interfaces, captured once at
-	// construction (nil when absent or when Config.SerialPathIO forces the
-	// per-bucket loops). Probes batch one bucket per active level into a
-	// single ReadPath; rebuild steps batch whole chunks.
-	pr mem.PathReader
-	pw mem.PathWriter
-
 	cacheCap int
 	levels   []level // levels[i] is construction level i+1
 
@@ -163,9 +156,6 @@ type Config struct {
 	Hash          *crypt.PRF
 	CacheCapacity int             // 0: DefaultCacheCapacity
 	Counters      *stats.Counters // nil: fresh counters
-	// SerialPathIO forces the per-bucket read/write loops even when the
-	// store implements mem.PathReader/PathWriter.
-	SerialPathIO bool
 	// StepBudget overrides the inline rebuild bucket-ops per access
 	// (0: max(8, 4·levels)).
 	StepBudget int
@@ -215,10 +205,6 @@ func New(cfg Config) (*BucketHash, error) {
 		n := levelBuckets(cfg.Geometry, cc, i+1)
 		b.levels[i] = level{buckets: n, base: base}
 		base += 2 * n
-	}
-	if !cfg.SerialPathIO {
-		b.pr, _ = st.(mem.PathReader)
-		b.pw, _ = st.(mem.PathWriter)
 	}
 	b.bodyBuf = make([]byte, 0, b.bodyBytes())
 	b.candBuf = make([]byte, b.geom.BlockBytes)
@@ -510,34 +496,22 @@ func (b *BucketHash) access(req backend.Request) (backend.Result, error) {
 		bestVer, bestTomb, found = best.version, best.tomb, true
 	}
 
-	// A probe-read fault aborts before any trusted mutation: nothing
-	// latches, the access can simply be retried.
+	// One bucket per active level batches into a single ReadPath. A
+	// probe-read fault aborts before any trusted mutation: nothing latches,
+	// the access can simply be retried.
 	if len(b.probeIdx) > 0 {
-		if b.pr != nil {
-			for len(b.probeBufs) < len(b.probeIdx) {
-				b.probeBufs = append(b.probeBufs, nil)
-			}
-			bufs := b.probeBufs[:len(b.probeIdx)]
-			if err := b.pr.ReadPath(b.probeIdx, bufs); err != nil {
-				return backend.Result{}, fmt.Errorf("bhoram: probe read: %w", err)
-			}
-			for i, idx := range b.probeIdx {
-				//oramlint:allow secretflow source: cached record version fetched by request Addr; sink: version-resolution branch in scanBucket — the probe set was fixed before any scan; picking the newest version among fixed probes is trusted-memory work (hash-ORAM version resolution)
-				ver, tomb, ok := b.scanBucket(idx, bufs[i], req.Addr, bestVer, found)
-				if ok {
-					bestVer, bestTomb, found = ver, tomb, true
-				}
-			}
-		} else {
-			for _, idx := range b.probeIdx {
-				sealed, err := b.store.Read(idx)
-				if err != nil {
-					return backend.Result{}, fmt.Errorf("bhoram: bucket %d: %w", idx, err)
-				}
-				ver, tomb, ok := b.scanBucket(idx, sealed, req.Addr, bestVer, found)
-				if ok {
-					bestVer, bestTomb, found = ver, tomb, true
-				}
+		for len(b.probeBufs) < len(b.probeIdx) {
+			b.probeBufs = append(b.probeBufs, nil)
+		}
+		bufs := b.probeBufs[:len(b.probeIdx)]
+		if err := b.store.ReadPath(b.probeIdx, bufs); err != nil {
+			return backend.Result{}, fmt.Errorf("bhoram: probe read: %w", err)
+		}
+		for i, idx := range b.probeIdx {
+			//oramlint:allow secretflow source: cached record version fetched by request Addr; sink: version-resolution branch in scanBucket — the probe set was fixed before any scan; picking the newest version among fixed probes is trusted-memory work (hash-ORAM version resolution)
+			ver, tomb, ok := b.scanBucket(idx, bufs[i], req.Addr, bestVer, found)
+			if ok {
+				bestVer, bestTomb, found = ver, tomb, true
 			}
 		}
 	}

@@ -21,10 +21,10 @@ func testGeom(t *testing.T) tree.Geometry {
 	return g
 }
 
-func newTestBackend(t *testing.T, encrypted, serial bool) *BucketHash {
+func newTestBackend(t *testing.T, encrypted bool) *BucketHash {
 	t.Helper()
 	g := testGeom(t)
-	cfg := Config{Geometry: g, CacheCapacity: 16, SerialPathIO: serial}
+	cfg := Config{Geometry: g, CacheCapacity: 16}
 	if encrypted {
 		ciph, err := crypt.NewBucketCipher([]byte("0123456789abcdef"), crypt.SeedGlobal)
 		if err != nil {
@@ -50,12 +50,10 @@ func newTestBackend(t *testing.T, encrypted, serial bool) *BucketHash {
 // including major ones.
 func TestRandomTraceAgainstModel(t *testing.T) {
 	for _, enc := range []bool{false, true} {
-		for _, serial := range []bool{false, true} {
-			t.Run(fmt.Sprintf("enc=%v/serial=%v", enc, serial), func(t *testing.T) {
-				b := newTestBackend(t, enc, serial)
-				driveAgainstModel(t, b, 4000, 99)
-			})
-		}
+		t.Run(fmt.Sprintf("enc=%v", enc), func(t *testing.T) {
+			b := newTestBackend(t, enc)
+			driveAgainstModel(t, b, 4000, 99)
+		})
 	}
 }
 
@@ -269,7 +267,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 // over a live block is a discipline violation; appending over a tombstone
 // (the state readrmv leaves) is the legal re-insertion.
 func TestAppendDuplicateRejected(t *testing.T) {
-	b := newTestBackend(t, false, false)
+	b := newTestBackend(t, false)
 	g := b.Geometry()
 	w := func(op backend.Op, addr, lf, nl uint64, data []byte) (backend.Result, error) {
 		return b.Access(backend.Request{Op: op, Addr: addr, Leaf: lf, NewLeaf: nl, Data: data})
@@ -301,7 +299,7 @@ func TestAppendDuplicateRejected(t *testing.T) {
 // into an untrusted level, read-removes it, pushes the tombstone down too,
 // and checks the stale copy never resurrects.
 func TestReadRmvTombstoneSuppressesStaleCopies(t *testing.T) {
-	b := newTestBackend(t, true, false)
+	b := newTestBackend(t, true)
 	g := b.Geometry()
 	rng := rand.New(rand.NewSource(3))
 	churn := func(n int, from uint64) {

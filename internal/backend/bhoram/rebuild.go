@@ -168,25 +168,15 @@ func (b *BucketHash) stepRead(budget int) (int, error) {
 	for w := r.srcBucket; w < r.srcBucket+chunk; w++ {
 		b.chunkIdx = append(b.chunkIdx, b.flatIndex(src, lv.parity, w))
 	}
-	if b.pr != nil {
-		for len(b.chunkBufs) < len(b.chunkIdx) {
-			b.chunkBufs = append(b.chunkBufs, nil)
-		}
-		bufs := b.chunkBufs[:len(b.chunkIdx)]
-		if err := b.pr.ReadPath(b.chunkIdx, bufs); err != nil {
-			return 0, fmt.Errorf("bhoram: rebuild read (level %d): %w", src+1, err)
-		}
-		for i, idx := range b.chunkIdx {
-			b.absorbSourceBucket(idx, bufs[i])
-		}
-	} else {
-		for _, idx := range b.chunkIdx {
-			sealed, err := b.store.Read(idx)
-			if err != nil {
-				return 0, fmt.Errorf("bhoram: rebuild read bucket %d: %w", idx, err)
-			}
-			b.absorbSourceBucket(idx, sealed)
-		}
+	for len(b.chunkBufs) < len(b.chunkIdx) {
+		b.chunkBufs = append(b.chunkBufs, nil)
+	}
+	bufs := b.chunkBufs[:len(b.chunkIdx)]
+	if err := b.store.ReadPath(b.chunkIdx, bufs); err != nil {
+		return 0, fmt.Errorf("bhoram: rebuild read (level %d): %w", src+1, err)
+	}
+	for i, idx := range b.chunkIdx {
+		b.absorbSourceBucket(idx, bufs[i])
 	}
 	b.chargeRebuild(chunk)
 	r.srcBucket += chunk
@@ -328,16 +318,8 @@ func (b *BucketHash) stepWrite(budget int) (int, error) {
 			b.chunkSealed[j] = append(b.chunkSealed[j][:0], body...)
 		}
 	}
-	if b.pw != nil {
-		if err := b.pw.WritePath(b.chunkIdx, b.chunkSealed[:chunk]); err != nil {
-			return 0, fmt.Errorf("bhoram: rebuild write (level %d): %w", r.target+1, err)
-		}
-	} else {
-		for j, idx := range b.chunkIdx {
-			if err := b.store.Write(idx, b.chunkSealed[j]); err != nil {
-				return 0, fmt.Errorf("bhoram: rebuild write bucket %d: %w", idx, err)
-			}
-		}
+	if err := b.store.WritePath(b.chunkIdx, b.chunkSealed[:chunk]); err != nil {
+		return 0, fmt.Errorf("bhoram: rebuild write (level %d): %w", r.target+1, err)
 	}
 	b.chargeRebuild(chunk)
 	r.wrBucket += chunk

@@ -1,12 +1,14 @@
 package backend
 
 import (
-	"bytes"
-	"encoding/binary"
 	"errors"
 	"math/rand/v2"
+	"net"
+	"sync"
 	"testing"
 
+	"freecursive/internal/bucketd"
+	"freecursive/internal/bucketwire"
 	"freecursive/internal/crypt"
 	"freecursive/internal/mem"
 )
@@ -14,9 +16,9 @@ import (
 // newORAMOn builds a PathORAM over an explicit store with a fixed cipher
 // key, so two instances with the same key and request stream are
 // bit-identical.
-func newORAMOn(t testing.TB, st mem.Backend, encrypted, serial bool) *PathORAM {
+func newORAMOn(t testing.TB, st mem.Backend, encrypted bool) *PathORAM {
 	t.Helper()
-	cfg := Config{Geometry: newGeom(t, 8, 4, 16), Store: st, SerialPathIO: serial}
+	cfg := Config{Geometry: newGeom(t, 8, 4, 16), Store: st}
 	if encrypted {
 		c, err := crypt.NewBucketCipher([]byte("0123456789abcdef"), crypt.SeedGlobal)
 		if err != nil {
@@ -31,64 +33,94 @@ func newORAMOn(t testing.TB, st mem.Backend, encrypted, serial bool) *PathORAM {
 	return p
 }
 
-// TestBatchedMatchesSerial drives two PathORAMs — one forced through the
-// serial per-bucket loops, one using the batched path interfaces — through
-// an identical request stream and asserts identical observable behavior:
-// every result, every final bucket image, and the same per-bucket
-// read/write counts. This is the refactor's equivalence proof.
-func TestBatchedMatchesSerial(t *testing.T) {
-	for _, encrypted := range []bool{false, true} {
-		name := "plaintext"
-		if encrypted {
-			name = "encrypted"
+// TestRemoteAccessIsTwoFrames pins, as a count rather than a timing, the
+// cost invariant batched path I/O exists for: over mem.Remote every
+// steady-state access is exactly two bucketd frames — one readpath, one
+// pipelined writepath — and the server sees the accessed path's bucket
+// indices root to leaf, in wire order, once per frame.
+func TestRemoteAccessIsTwoFrames(t *testing.T) {
+	type touch struct {
+		op  byte
+		idx uint64
+	}
+	var (
+		mu   sync.Mutex
+		wire []touch
+	)
+	srv := bucketd.New(bucketd.Config{Trace: func(op byte, _, idx uint64) {
+		mu.Lock()
+		wire = append(wire, touch{op, idx})
+		mu.Unlock()
+	}})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	defer srv.Close()
+	rem, err := mem.DialRemote(mem.RemoteConfig{Addr: ln.Addr().String(), Namespace: "backend/frames"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rem.Close()
+	p := newORAMOn(t, rem, true)
+	g := p.Geometry()
+
+	rng := rand.New(rand.NewPCG(17, 19))
+	leaf := map[uint64]uint64{}
+	access := func() uint64 {
+		addr := rng.Uint64() % 32
+		cur, ok := leaf[addr]
+		if !ok {
+			cur = rng.Uint64() % g.Leaves()
 		}
-		t.Run(name, func(t *testing.T) {
-			stSerial, stBatched := mem.NewStore(), mem.NewStore()
-			serial := newORAMOn(t, stSerial, encrypted, true)
-			batched := newORAMOn(t, stBatched, encrypted, false)
+		leaf[addr] = rng.Uint64() % g.Leaves()
+		if _, err := p.Access(Request{Op: OpRead, Addr: addr, Leaf: cur, NewLeaf: leaf[addr]}); err != nil {
+			t.Fatal(err)
+		}
+		return cur
+	}
+	// settle waits for every pipelined write-back to be applied without
+	// sending a frame of its own: Bounce drains the pending acks.
+	settle := func() {
+		if err := rem.Bounce(); err != nil {
+			t.Fatal(err)
+		}
+	}
 
-			g := serial.Geometry()
-			rng := rand.New(rand.NewPCG(3, 5))
-			leaf := map[uint64]uint64{}
-			for i := 0; i < 600; i++ {
-				addr := rng.Uint64() % 64
-				cur, ok := leaf[addr]
-				if !ok {
-					cur = rng.Uint64() % g.Leaves()
-				}
-				nl := rng.Uint64() % g.Leaves()
-				leaf[addr] = nl
-				req := Request{Op: OpRead, Addr: addr, Leaf: cur, NewLeaf: nl}
-				if rng.IntN(2) == 0 {
-					req.Op = OpWrite
-					req.Data = make([]byte, g.BlockBytes)
-					binary.BigEndian.PutUint64(req.Data, rng.Uint64())
-				}
-				rs, errS := serial.Access(req)
-				rb, errB := batched.Access(req)
-				if (errS == nil) != (errB == nil) {
-					t.Fatalf("step %d: serial err %v, batched err %v", i, errS, errB)
-				}
-				if rs.Found != rb.Found || !bytes.Equal(rs.Data, rb.Data) {
-					t.Fatalf("step %d: results diverge: %+v vs %+v", i, rs, rb)
-				}
-			}
+	for i := 0; i < 20; i++ { // warm-up: materialize buckets, grow scratch
+		access()
+	}
+	settle()
+	frames0 := srv.FramesServed()
+	mu.Lock()
+	wire = wire[:0]
+	mu.Unlock()
 
-			// Same per-store traffic…
-			cs, cb := stSerial.Stats(), stBatched.Stats()
-			if cs.Reads != cb.Reads || cs.Writes != cb.Writes {
-				t.Errorf("traffic diverges: serial %+v, batched %+v", cs, cb)
+	const n = 64
+	var want []touch
+	for i := 0; i < n; i++ {
+		path := g.PathIndices(access(), nil)
+		for _, op := range []byte{bucketwire.OpReadPath, bucketwire.OpWritePath} {
+			for _, idx := range path {
+				want = append(want, touch{op, idx})
 			}
-			// …and bit-identical untrusted memory (the global-seed cipher
-			// stream advances identically when the access loops are
-			// equivalent).
-			for idx := uint64(0); idx < g.Buckets(); idx++ {
-				a, b := stSerial.Peek(idx), stBatched.Peek(idx)
-				if (a == nil) != (b == nil) || !bytes.Equal(a, b) {
-					t.Fatalf("bucket %d diverges between serial and batched stores", idx)
-				}
-			}
-		})
+		}
+	}
+	settle()
+
+	if got := srv.FramesServed() - frames0; got != 2*n {
+		t.Errorf("%d accesses cost %d bucketd frames, want exactly %d", n, got, 2*n)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(wire) != len(want) {
+		t.Fatalf("bucketd saw %d bucket touches, want %d", len(wire), len(want))
+	}
+	for i := range want {
+		if wire[i] != want[i] {
+			t.Fatalf("bucket touch %d on the wire is %+v, want %+v", i, wire[i], want[i])
+		}
 	}
 }
 
@@ -98,32 +130,24 @@ func TestBatchedMatchesSerial(t *testing.T) {
 // working once the fault clears — errors are I/O faults, not tampering, so
 // nothing latches at this layer.
 func TestAccessPropagatesPathReadFault(t *testing.T) {
-	for _, serial := range []bool{false, true} {
-		name := "batched"
-		if serial {
-			name = "serial"
-		}
-		t.Run(name, func(t *testing.T) {
-			flaky := mem.WithFaults(mem.NewStore(), flakyTestSchedule())
-			p := newORAMOn(t, flaky, true, serial)
+	flaky := mem.WithFaults(mem.NewStore(), flakyTestSchedule())
+	p := newORAMOn(t, flaky, true)
 
-			// Drive accesses until the schedule injects; every failure must
-			// surface as an error wrapping mem.ErrIO rather than absorb
-			// garbage or wedge.
-			var faults int
-			for i := 0; i < 40; i++ {
-				_, err := p.Access(Request{Op: OpRead, Addr: 1, Leaf: 1, NewLeaf: 1})
-				if err != nil {
-					if !errors.Is(err, mem.ErrIO) {
-						t.Fatalf("fault is %v, want mem.ErrIO", err)
-					}
-					faults++
-				}
+	// Drive accesses until the schedule injects; every failure must
+	// surface as an error wrapping mem.ErrIO rather than absorb
+	// garbage or wedge.
+	var faults int
+	for i := 0; i < 40; i++ {
+		_, err := p.Access(Request{Op: OpRead, Addr: 1, Leaf: 1, NewLeaf: 1})
+		if err != nil {
+			if !errors.Is(err, mem.ErrIO) {
+				t.Fatalf("fault is %v, want mem.ErrIO", err)
 			}
-			if faults == 0 {
-				t.Fatal("injection schedule never fired")
-			}
-		})
+			faults++
+		}
+	}
+	if faults == 0 {
+		t.Fatal("injection schedule never fired")
 	}
 }
 
@@ -139,7 +163,7 @@ func flakyTestSchedule() mem.FlakyConfig {
 // backend itself must not corrupt the stash on a clean read-phase error.
 func TestBatchedSurvivesFaultThenRecovers(t *testing.T) {
 	flaky := mem.WithFaults(mem.NewStore(), mem.FlakyConfig{FailEvery: 7})
-	p := newORAMOn(t, flaky, true, false)
+	p := newORAMOn(t, flaky, true)
 	g := p.Geometry()
 
 	data := make([]byte, g.BlockBytes)

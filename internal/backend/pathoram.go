@@ -31,29 +31,19 @@ type PathORAM struct {
 	stash *stash.Stash
 	ctr   *stats.Counters
 
-	// pr/pw are the store's batched path interfaces, captured once at
-	// construction (nil when absent or when Config.SerialPathIO forces the
-	// per-bucket loops). With a remote store the batch is the whole game:
-	// the path read collapses from logN round trips to one, and the path
-	// write-back pipelines behind the next access.
-	pr mem.PathReader
-	pw mem.PathWriter
-
 	// Scratch buffers reused across accesses.
 	pathIdx []uint64
 	// seeds of buckets read this access, for per-bucket reseal.
 	pathSeeds []uint64
 	bodyBuf   []byte        // decrypted bucket body (path read)
 	encBuf    []byte        // plaintext bucket body (path write)
-	sealedBuf []byte        // sealed bucket (serial path write)
 	incoming  []stash.Block // blocks decoded from one bucket
 	resultBuf []byte        // Result.Data backing store
-	// Batched path I/O scratch: per-level receive slots for ReadPath and
-	// per-level sealed buckets for WritePath (each level needs its own
-	// buffer because the whole path is in flight at once).
+	// Path I/O scratch: per-level receive slots for ReadPath and per-level
+	// sealed buckets for WritePath (each level needs its own buffer because
+	// the whole path is in flight at once).
 	pathBufs   [][]byte
 	sealedBufs [][]byte
-	wireBufs   [][]byte
 	// freeData recycles block payload buffers (BlockBytes each): decoded
 	// path blocks take one, evicted/removed blocks give theirs back.
 	freeData [][]byte
@@ -66,10 +56,6 @@ type Config struct {
 	Cipher        *crypt.BucketCipher // nil: plaintext
 	StashCapacity int                 // 0: stash.DefaultCapacity
 	Counters      *stats.Counters     // nil: fresh counters
-	// SerialPathIO forces the per-bucket read/write loops even when the
-	// store implements mem.PathReader/PathWriter — the honest baseline for
-	// latency benchmarks and batched-vs-serial equivalence tests.
-	SerialPathIO bool
 }
 
 // NewPathORAM builds a functional backend.
@@ -96,13 +82,8 @@ func NewPathORAM(cfg Config) (*PathORAM, error) {
 		stash: stash.New(cap),
 		ctr:   ctr,
 	}
-	if !cfg.SerialPathIO {
-		p.pr, _ = st.(mem.PathReader)
-		p.pw, _ = st.(mem.PathWriter)
-	}
 	p.bodyBuf = make([]byte, 0, p.bodyBytes())
 	p.encBuf = make([]byte, p.bodyBytes())
-	p.sealedBuf = make([]byte, 0, crypt.SeedBytes+p.bodyBytes())
 	p.resultBuf = make([]byte, p.geom.BlockBytes)
 	return p, nil
 }
@@ -284,30 +265,18 @@ func (p *PathORAM) access(req Request) (Result, error) {
 	}
 	p.pathSeeds = p.pathSeeds[:len(p.pathIdx)]
 
-	if p.pr != nil {
-		// Batched: the whole path in one store operation (one round trip on
-		// a remote store). The PathReader contract keeps every level's
-		// bucket simultaneously valid while we absorb them in path order,
-		// so the observable effects — hook invocations, read counts, stash
-		// contents — match the serial loop bucket for bucket.
-		for len(p.pathBufs) < len(p.pathIdx) {
-			p.pathBufs = append(p.pathBufs, nil)
-		}
-		bufs := p.pathBufs[:len(p.pathIdx)]
-		if err := p.pr.ReadPath(p.pathIdx, bufs); err != nil {
-			return Result{}, fmt.Errorf("backend: path read: %w", err)
-		}
-		for i, idx := range p.pathIdx {
-			p.absorbBucket(i, idx, bufs[i])
-		}
-	} else {
-		for i, idx := range p.pathIdx {
-			sealed, err := p.store.Read(idx)
-			if err != nil {
-				return Result{}, fmt.Errorf("backend: bucket %d: %w", idx, err)
-			}
-			p.absorbBucket(i, idx, sealed)
-		}
+	// The whole path is one store operation (one round trip on a remote
+	// store). The PathReader contract keeps every level's bucket
+	// simultaneously valid while we absorb them in path order.
+	for len(p.pathBufs) < len(p.pathIdx) {
+		p.pathBufs = append(p.pathBufs, nil)
+	}
+	bufs := p.pathBufs[:len(p.pathIdx)]
+	if err := p.store.ReadPath(p.pathIdx, bufs); err != nil {
+		return Result{}, fmt.Errorf("backend: path read: %w", err)
+	}
+	for i, idx := range p.pathIdx {
+		p.absorbBucket(i, idx, bufs[i])
 	}
 
 	// Steps 3-4: find the block of interest. The result payload is copied
@@ -408,6 +377,14 @@ func (p *PathORAM) absorbBucket(i int, idx uint64, sealed []byte) {
 	}
 }
 
+// writePath evicts as much of the stash as fits back onto the path of leaf,
+// seals every level into its own scratch buffer and hands the whole path to
+// the store in one WritePath. Each level needs a private sealed copy
+// (encodeBucket reuses one body buffer, and the store may not retain our
+// slices but does read them all within the call); a PathWriter is allowed
+// to pipeline the write-back behind the next access, in which case a
+// deferred failure surfaces from a later store operation wrapping
+// mem.ErrIO.
 //
 //oram:hotpath
 func (p *PathORAM) writePath(leaf uint64) error {
@@ -416,45 +393,9 @@ func (p *PathORAM) writePath(leaf uint64) error {
 		func(blockLeaf uint64, level int) bool {
 			return p.geom.CanReside(blockLeaf, leaf, level)
 		})
-	if p.pw != nil {
-		return p.writePathBatched(perLevel)
-	}
-	for lev, blocks := range perLevel {
-		idx := p.pathIdx[lev]
-		body := p.encodeBucket(blocks)
-		if p.ciph != nil {
-			p.sealedBuf = p.ciph.SealTo(p.sealedBuf[:0], idx, p.pathSeeds[lev], body)
-			body = p.sealedBuf
-		}
-		if err := p.store.Write(idx, body); err != nil {
-			return fmt.Errorf("backend: bucket %d: %w", idx, err)
-		}
-		// The evicted blocks are serialized; their payload buffers go back
-		// into circulation for the next path read.
-		for _, b := range blocks {
-			p.recycleBlockBuf(b.Data)
-		}
-	}
-	return nil
-}
-
-// writePathBatched seals every level into its own scratch buffer and hands
-// the whole path to the store in one WritePath. Each level needs a private
-// sealed copy (encodeBucket reuses one body buffer, and the store may not
-// retain our slices but does read them all within the call); a PathWriter
-// is allowed to pipeline the write-back behind the next access, in which
-// case a deferred failure surfaces from a later store operation wrapping
-// mem.ErrIO.
-//
-//oram:hotpath
-func (p *PathORAM) writePathBatched(perLevel [][]stash.Block) error {
 	for len(p.sealedBufs) < len(perLevel) {
 		p.sealedBufs = append(p.sealedBufs, nil)
 	}
-	for len(p.wireBufs) < len(perLevel) {
-		p.wireBufs = append(p.wireBufs, nil)
-	}
-	wire := p.wireBufs[:len(perLevel)]
 	for lev, blocks := range perLevel {
 		idx := p.pathIdx[lev]
 		body := p.encodeBucket(blocks)
@@ -463,12 +404,13 @@ func (p *PathORAM) writePathBatched(perLevel [][]stash.Block) error {
 		} else {
 			p.sealedBufs[lev] = append(p.sealedBufs[lev][:0], body...)
 		}
-		wire[lev] = p.sealedBufs[lev]
+		// The evicted blocks are serialized; their payload buffers go back
+		// into circulation for the next path read.
 		for _, b := range blocks {
 			p.recycleBlockBuf(b.Data)
 		}
 	}
-	if err := p.pw.WritePath(p.pathIdx[:len(perLevel)], wire); err != nil {
+	if err := p.store.WritePath(p.pathIdx[:len(perLevel)], p.sealedBufs[:len(perLevel)]); err != nil {
 		return fmt.Errorf("backend: path write: %w", err)
 	}
 	return nil

@@ -22,9 +22,9 @@
 //
 // A response is not sent before Config.RTT has elapsed since its frame was
 // received, while later frames keep being read and applied — so pipelined
-// frames overlap their RTTs. That is the lever the latency-ladder bench
-// pulls: a serial bucket loop pays ~2·logN·RTT per ORAM access, the
-// batched path protocol ~1-2·RTT.
+// frames overlap their RTTs. That is the lever batched path I/O pulls: a
+// per-bucket loop would pay ~2·logN·RTT per ORAM access, the path protocol
+// pays ~1-2·RTT.
 //
 // On any malformed frame the connection is dropped: a framing error means
 // the stream position cannot be trusted (see bucketwire).

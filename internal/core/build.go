@@ -75,9 +75,6 @@ type Params struct {
 	// MemNamespace isolates this system's buckets on a shared bucketd
 	// (default "seed-<Seed>"). Two live systems MUST NOT share a namespace.
 	MemNamespace string
-	// SerialPathIO forces per-bucket loops even when the bucket store
-	// batches paths natively — the honest baseline for latency benchmarks.
-	SerialPathIO bool
 	// ReadDelay and WriteDelay, if positive, wrap each tree's bucket store
 	// in a latency injector (mem.WithLatency), simulating remote or
 	// disk-class untrusted memory. The delay is charged once per operation,
@@ -359,7 +356,6 @@ func Build(p Params) (*System, error) {
 				Hash:          hash,
 				CacheCapacity: p.StashCap,
 				Counters:      ctr,
-				SerialPathIO:  p.SerialPathIO,
 			})
 		}
 		return backend.NewPathORAM(backend.Config{
@@ -368,7 +364,6 @@ func Build(p Params) (*System, error) {
 			Cipher:        ciph,
 			StashCapacity: p.StashCap,
 			Counters:      ctr,
-			SerialPathIO:  p.SerialPathIO,
 		})
 	}
 

@@ -86,7 +86,6 @@ func comparableParams(p Params) Params {
 	p.DataDir = ""
 	p.MemAddr = ""
 	p.MemNamespace = ""
-	p.SerialPathIO = false
 	p.ReadDelay = 0
 	p.WriteDelay = 0
 	return p

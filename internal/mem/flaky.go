@@ -53,9 +53,6 @@ type Flaky struct {
 	cfg FlakyConfig
 	rng *rand.Rand
 	n   uint64 // data operations seen
-	// pathBufs back the ReadPath fallback when the inner backend has no
-	// PathReader (same contract as Latency's fallback).
-	pathBufs [][]byte
 }
 
 // WithFaults wraps inner with fault injection per cfg.
@@ -126,35 +123,13 @@ func (f *Flaky) ReadPath(idxs []uint64, out [][]byte) error {
 			// Serve the prefix through the real backend, then fail. The
 			// suffix of out is left untouched (stale), as a torn transport
 			// would leave it.
-			if perr := f.readPathInner(idxs[:n], out[:n]); perr != nil {
+			if perr := f.Backend.ReadPath(idxs[:n], out[:n]); perr != nil {
 				return perr
 			}
 		}
 		return err
 	}
-	return f.readPathInner(idxs, out)
-}
-
-func (f *Flaky) readPathInner(idxs []uint64, out [][]byte) error {
-	if pr, ok := f.Backend.(PathReader); ok {
-		return pr.ReadPath(idxs, out)
-	}
-	for len(f.pathBufs) < len(idxs) {
-		f.pathBufs = append(f.pathBufs, nil)
-	}
-	for i, idx := range idxs {
-		data, err := f.Backend.Read(idx)
-		if err != nil {
-			return err
-		}
-		if data == nil {
-			out[i] = nil
-			continue
-		}
-		f.pathBufs[i] = append(f.pathBufs[i][:0], data...)
-		out[i] = f.pathBufs[i]
-	}
-	return nil
+	return f.Backend.ReadPath(idxs, out)
 }
 
 // WritePath implements PathWriter with fault injection.
@@ -164,23 +139,11 @@ func (f *Flaky) WritePath(idxs []uint64, data [][]byte) error {
 	if err := f.step(); err != nil {
 		return err
 	}
-	if pw, ok := f.Backend.(PathWriter); ok {
-		return pw.WritePath(idxs, data)
-	}
-	for i, idx := range idxs {
-		if err := f.Backend.Write(idx, data[i]); err != nil {
-			return err
-		}
-	}
-	return nil
+	return f.Backend.WritePath(idxs, data)
 }
 
 // Ops returns how many data operations the wrapper has seen, so tests can
 // line assertions up with the injection schedule.
 func (f *Flaky) Ops() uint64 { return f.n }
 
-var (
-	_ Backend    = (*Flaky)(nil)
-	_ PathReader = (*Flaky)(nil)
-	_ PathWriter = (*Flaky)(nil)
-)
+var _ Backend = (*Flaky)(nil)

@@ -115,26 +115,3 @@ func TestFlakyDisconnect(t *testing.T) {
 		t.Errorf("bounces = %d, want 3", inner.bounces)
 	}
 }
-
-// TestFlakyPathDelegation pins that a healthy Flaky preserves batched path
-// semantics over a PathReader inner backend and falls back to serial loops
-// over one without.
-func TestFlakyPathDelegation(t *testing.T) {
-	st := NewStore()
-	if err := st.Write(1, []byte("one")); err != nil {
-		t.Fatal(err)
-	}
-	for name, inner := range map[string]Backend{
-		"pathreader": st,
-		"plain":      &bouncer{Backend: st}, // wraps away the PathReader
-	} {
-		f := WithFaults(inner, FlakyConfig{})
-		out := make([][]byte, 2)
-		if err := f.ReadPath([]uint64{1, 0}, out); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !bytes.Equal(out[0], []byte("one")) || out[1] != nil {
-			t.Errorf("%s: got %q, %q", name, out[0], out[1])
-		}
-	}
-}

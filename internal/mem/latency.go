@@ -16,10 +16,6 @@ type Latency struct {
 	Backend
 	readDelay  time.Duration
 	writeDelay time.Duration
-	// pathBufs back the ReadPath fallback when the inner backend has no
-	// PathReader: each level gets a private copy so all levels stay valid
-	// simultaneously, as the PathReader contract requires.
-	pathBufs [][]byte
 }
 
 // WithLatency wraps inner so every read operation sleeps readDelay and
@@ -52,62 +48,27 @@ func (l *Latency) Write(idx uint64, data []byte) error {
 	return l.Backend.Write(idx, data)
 }
 
-// ReadPath implements PathReader: one read delay for the whole path. When
-// the inner backend batches natively the call is delegated; otherwise each
-// bucket is read serially (with no further delay) and copied into per-level
-// scratch so the results are simultaneously valid.
+// ReadPath implements PathReader: one read delay for the whole path.
 //
 //oram:offhotpath latency-modeling wrapper whose injected delay dwarfs any allocation
 func (l *Latency) ReadPath(idxs []uint64, out [][]byte) error {
 	if l.readDelay > 0 {
 		time.Sleep(l.readDelay)
 	}
-	if pr, ok := l.Backend.(PathReader); ok {
-		return pr.ReadPath(idxs, out)
-	}
-	for len(l.pathBufs) < len(idxs) {
-		l.pathBufs = append(l.pathBufs, nil)
-	}
-	for i, idx := range idxs {
-		data, err := l.Backend.Read(idx)
-		if err != nil {
-			return err
-		}
-		if data == nil {
-			out[i] = nil
-			continue
-		}
-		l.pathBufs[i] = append(l.pathBufs[i][:0], data...)
-		out[i] = l.pathBufs[i]
-	}
-	return nil
+	return l.Backend.ReadPath(idxs, out)
 }
 
-// WritePath implements PathWriter: one write delay for the whole path,
-// delegated to the inner backend's PathWriter when present and unrolled
-// into serial Writes (no further delay) otherwise.
+// WritePath implements PathWriter: one write delay for the whole path.
 //
 //oram:offhotpath latency-modeling wrapper whose injected delay dwarfs any allocation
 func (l *Latency) WritePath(idxs []uint64, data [][]byte) error {
 	if l.writeDelay > 0 {
 		time.Sleep(l.writeDelay)
 	}
-	if pw, ok := l.Backend.(PathWriter); ok {
-		return pw.WritePath(idxs, data)
-	}
-	for i, idx := range idxs {
-		if err := l.Backend.Write(idx, data[i]); err != nil {
-			return err
-		}
-	}
-	return nil
+	return l.Backend.WritePath(idxs, data)
 }
 
 // Inner returns the wrapped backend.
 func (l *Latency) Inner() Backend { return l.Backend }
 
-var (
-	_ Backend    = (*Latency)(nil)
-	_ PathReader = (*Latency)(nil)
-	_ PathWriter = (*Latency)(nil)
-)
+var _ Backend = (*Latency)(nil)

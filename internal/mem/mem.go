@@ -70,9 +70,17 @@ type Stats struct {
 // serves exactly one single-threaded controller, matching the freecursive
 // concurrency contract.
 //
+// The path — not the bucket — is the unit of untrusted-memory I/O (§3.1:
+// one access reads a path and writes a path), so batched path I/O is part
+// of the contract: every Backend is a PathReader and a PathWriter, and the
+// ORAM backends above move sealed buckets only through those two methods.
+// Read and Write remain for tests, tools, and decorators.
+//
 // See the package comment for the slice-ownership and tamper-hook-ordering
 // contract every implementation must honor.
 type Backend interface {
+	PathReader
+	PathWriter
 	// Read returns the sealed bucket at idx, or nil if it has never been
 	// written. Errors are I/O faults only — tampered or torn contents are
 	// returned as-is for the layers above (decryption, PMMAC) to judge.

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"freecursive/internal/bucketd"
 	"freecursive/internal/tree"
 )
 
@@ -19,12 +20,14 @@ func testGeom(t testing.TB) tree.Geometry {
 	return g
 }
 
-// eachBackend runs f against every Backend implementation so the shared
-// contract (hook ordering, counters, Peek/Poke bypass) is enforced
-// uniformly.
-func eachBackend(t *testing.T, f func(t *testing.T, b Backend)) {
-	t.Run("map", func(t *testing.T) { f(t, NewStore()) })
-	t.Run("file", func(t *testing.T) {
+// implementations opens every Backend implementation in the package, each
+// empty and private to the calling test.
+var implementations = []struct {
+	name string
+	open func(t *testing.T) Backend
+}{
+	{"map", func(t *testing.T) Backend { return NewStore() }},
+	{"file", func(t *testing.T) Backend {
 		fs, err := OpenFile(FileConfig{
 			Path:      filepath.Join(t.TempDir(), "buckets"),
 			Geometry:  testGeom(t),
@@ -34,11 +37,25 @@ func eachBackend(t *testing.T, f func(t *testing.T, b Backend)) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { fs.Close() })
-		f(t, fs)
-	})
-	t.Run("latency", func(t *testing.T) {
-		f(t, WithLatency(NewStore(), time.Microsecond, time.Microsecond))
-	})
+		return fs
+	}},
+	{"latency", func(t *testing.T) Backend {
+		return WithLatency(NewStore(), time.Microsecond, time.Microsecond)
+	}},
+	{"flaky", func(t *testing.T) Backend { return WithFaults(NewStore(), FlakyConfig{}) }},
+	{"remote", func(t *testing.T) Backend {
+		addr, _ := startBucketd(t, bucketd.Config{})
+		return dialTest(t, addr, "t/contract")
+	}},
+}
+
+// eachBackend runs f against every Backend implementation so the shared
+// contract (hook ordering, counters, Peek/Poke bypass) is enforced
+// uniformly.
+func eachBackend(t *testing.T, f func(t *testing.T, b Backend)) {
+	for _, impl := range implementations {
+		t.Run(impl.name, func(t *testing.T) { f(t, impl.open(t)) })
+	}
 }
 
 func mustRead(t *testing.T, b Backend, idx uint64) []byte {
@@ -131,8 +148,9 @@ func TestReadHookSeesNil(t *testing.T) {
 }
 
 // TestWriteDoesNotRetain pins the hot-path ownership contract: after Write
-// returns, the caller owns its slice again and may scribble on it without
-// affecting the stored bucket. Every Backend must copy-or-persist before
+// or WritePath returns, the caller owns its slices again and may scribble
+// on them without affecting the stored buckets. Every Backend must
+// copy-or-persist (or, for a pipelined WritePath, put on the wire) before
 // returning.
 func TestWriteDoesNotRetain(t *testing.T) {
 	eachBackend(t, func(t *testing.T, s Backend) {
@@ -143,6 +161,18 @@ func TestWriteDoesNotRetain(t *testing.T) {
 		buf[0] = 0xEE // caller reuses its scratch buffer
 		if got := mustRead(t, s, 4); !bytes.Equal(got, []byte{1, 2, 3}) {
 			t.Fatalf("stored bucket changed with the caller's slice: %v", got)
+		}
+
+		path := [][]byte{{4, 5}, {6}}
+		if err := s.WritePath([]uint64{6, 7}, path); err != nil {
+			t.Fatal(err)
+		}
+		path[0][0], path[1][0] = 0xEE, 0xEE
+		if got := mustRead(t, s, 6); !bytes.Equal(got, []byte{4, 5}) {
+			t.Fatalf("bucket 6 changed with the caller's path slices: %v", got)
+		}
+		if got := mustRead(t, s, 7); !bytes.Equal(got, []byte{6}) {
+			t.Fatalf("bucket 7 changed with the caller's path slices: %v", got)
 		}
 	})
 }

@@ -13,8 +13,8 @@ import "errors"
 // with errors.Is.
 var ErrIO = errors.New("untrusted memory I/O fault")
 
-// PathReader is the batched read capability a Backend may additionally
-// implement: read every bucket of one tree path in a single operation.
+// PathReader is the batched read half of Backend: read every bucket of one
+// tree path in a single operation.
 //
 // ReadPath fills out[i] with the sealed bucket at idxs[i] (nil for a
 // never-written bucket); idxs and out have equal length. Unlike Backend.Read
@@ -32,8 +32,8 @@ type PathReader interface {
 	ReadPath(idxs []uint64, out [][]byte) error
 }
 
-// PathWriter is the batched write capability a Backend may additionally
-// implement: write every bucket of one tree path in a single operation.
+// PathWriter is the batched write half of Backend: write every bucket of
+// one tree path in a single operation.
 //
 // WritePath stores data[i] at idxs[i]; like Backend.Write it does NOT
 // retain the slices — the caller may reuse them as soon as it returns.
@@ -86,7 +86,24 @@ func (s *FileStore) ReadPath(idxs []uint64, out [][]byte) error {
 	return nil
 }
 
-var (
-	_ PathReader = (*Store)(nil)
-	_ PathReader = (*FileStore)(nil)
-)
+// WritePath implements PathWriter with a loop over Write, which already
+// copies each bucket into store-owned memory.
+func (s *Store) WritePath(idxs []uint64, data [][]byte) error {
+	for i, idx := range idxs {
+		if err := s.Write(idx, data[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// WritePath implements PathWriter with a loop over Write: one pwrite per
+// bucket, each assembled in the store's own slot buffer.
+func (s *FileStore) WritePath(idxs []uint64, data [][]byte) error {
+	for i, idx := range idxs {
+		if err := s.Write(idx, data[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}

@@ -62,8 +62,7 @@ type Remote struct {
 	// wireBufs stages WritePath payloads after the write hooks run, so a
 	// hook that substitutes slices cannot alias the caller's buffers.
 	wireBufs [][]byte
-	// pathIdx / pathOut back the Flaky wrapper's partial-path fallback and
-	// tests; no steady-state allocation either way.
+
 	reads  uint64
 	writes uint64
 	closed bool
@@ -88,8 +87,9 @@ type RemoteConfig struct {
 	// (defaults 50ms and 2s).
 	RedialMin time.Duration
 	RedialMax time.Duration
-	// OpTimeout bounds waiting for one response frame (default 30s): a
-	// blackholed connection surfaces as an ErrIO fault instead of wedging
+	// OpTimeout bounds writing one request frame and waiting for one
+	// response frame (default 30s): a blackholed connection, or a server
+	// that stopped reading, surfaces as an ErrIO fault instead of wedging
 	// the controller forever.
 	OpTimeout time.Duration
 }
@@ -194,7 +194,10 @@ func (r *Remote) dropConn(cause error) {
 	r.pending = r.pending[:0]
 }
 
-// send encodes and writes one request frame, returning its ID.
+// send encodes and writes one request frame, returning its ID. The
+// deadline covers the write too: a server that stops reading fills the
+// socket buffer, and a large WritePath would otherwise block here forever,
+// never reaching the ack drain that times out.
 func (r *Remote) send(req bucketwire.Request) (uint64, error) {
 	r.nextID++
 	id := r.nextID
@@ -202,6 +205,7 @@ func (r *Remote) send(req bucketwire.Request) (uint64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("mem: remote %s: %w: %w", r.cfg.Addr, ErrIO, err)
 	}
+	r.conn.SetDeadline(time.Now().Add(r.cfg.OpTimeout))
 	if _, err := r.conn.Write(b); err != nil {
 		err = fmt.Errorf("mem: remote %s: %w: %w", r.cfg.Addr, ErrIO, err)
 		r.dropConn(err)
@@ -307,8 +311,8 @@ func (r *Remote) Read(idx uint64) ([]byte, error) {
 	return data, nil
 }
 
-// Write implements Backend, synchronously: one full round trip per bucket.
-// This is the honest serial baseline; WritePath is the pipelined fast path.
+// Write implements Backend, synchronously: one full round trip per bucket
+// (WritePath is the pipelined path the ORAM backends use).
 //
 //oram:offhotpath the remote transport is RTT-bound by design; per-op heap work is noise next to a network round trip
 func (r *Remote) Write(idx uint64, data []byte) error {
@@ -452,8 +456,4 @@ func (r *Remote) Close() error {
 	return err
 }
 
-var (
-	_ Backend    = (*Remote)(nil)
-	_ PathReader = (*Remote)(nil)
-	_ PathWriter = (*Remote)(nil)
-)
+var _ Backend = (*Remote)(nil)

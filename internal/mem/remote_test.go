@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"freecursive/internal/bucketd"
+	"freecursive/internal/bucketwire"
 )
 
 // startBucketd runs an in-process bucketd on an ephemeral port and returns
@@ -293,6 +294,61 @@ func TestRemoteConnLossWithPendingWriteLatches(t *testing.T) {
 	// makes the tree unverifiable.
 	if _, err := r.Read(0); !errors.Is(err, ErrIO) {
 		t.Fatalf("fault did not latch: %v", err)
+	}
+}
+
+// TestRemoteWriteDeadline pins that a server which accepts and then stops
+// reading cannot wedge the controller. Once the socket buffers fill, the
+// frame write itself blocks — before the ack drain, which always had a
+// deadline, is ever reached — so OpTimeout must bound it too: the blocked
+// WritePath fails with ErrIO and, with an earlier write-back still
+// unacknowledged, the fault latches.
+func TestRemoteWriteDeadline(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := make(chan net.Conn, 1)
+	go func() {
+		if c, err := ln.Accept(); err == nil {
+			held <- c // kept open, never read
+		}
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		select {
+		case c := <-held:
+			c.Close()
+		default:
+		}
+	})
+
+	r, err := DialRemote(RemoteConfig{
+		Addr:         ln.Addr().String(),
+		Namespace:    "t/wedge",
+		OpTimeout:    200 * time.Millisecond,
+		DialAttempts: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+
+	if err := r.WritePath([]uint64{0}, [][]byte{[]byte("small")}); err != nil {
+		t.Fatalf("first pipelined write-back: %v", err)
+	}
+	// Stay below maxPendingAcks so no ack drain runs: 48 MiB into a socket
+	// nobody reads can only fail in the frame write.
+	big := make([]byte, bucketwire.MaxBucketBytes)
+	idxs, data := []uint64{1, 2}, [][]byte{big, big}
+	for i := 0; i < maxPendingAcks-2 && err == nil; i++ {
+		err = r.WritePath(idxs, data)
+	}
+	if !errors.Is(err, ErrIO) {
+		t.Fatalf("WritePath into a stalled server: %v, want ErrIO", err)
+	}
+	if _, err := r.Read(0); !errors.Is(err, ErrIO) || !strings.Contains(err.Error(), "unacknowledged") {
+		t.Fatalf("after the stalled write: %v, want the latched unacknowledged-write-back fault", err)
 	}
 }
 

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -66,6 +67,92 @@ func TestDurableStoreRoundTrip(t *testing.T) {
 		if len(trees) == 0 {
 			t.Fatalf("shard %d has no bucket files", i)
 		}
+	}
+}
+
+// TestResumeIgnoresRetiredSnapshotKeys pins forward compatibility of the
+// trusted-state files: a state.json written before a configuration knob
+// was removed still carries its key under "params" (every such key is
+// listed in testdata/retired_params.json), and both backends must resume
+// from it and read back every block rather than reject it.
+func TestResumeIgnoresRetiredSnapshotKeys(t *testing.T) {
+	var retired map[string]json.RawMessage
+	if raw, err := os.ReadFile("testdata/retired_params.json"); err != nil {
+		t.Fatal(err)
+	} else if err := json.Unmarshal(raw, &retired); err != nil || len(retired) == 0 {
+		t.Fatalf("retired_params.json: %d keys, %v", len(retired), err)
+	}
+	for _, kind := range []string{"path", "bhoram"} {
+		t.Run(kind, func(t *testing.T) {
+			cfg := durableCfg(t.TempDir())
+			cfg.ORAM.Backend = kind
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bb := s.BlockBytes()
+			addrs := make([]uint64, 48)
+			vals := make([][]byte, len(addrs))
+			for i := range addrs {
+				addrs[i] = uint64(i * 7)
+				vals[i] = val(addrs[i], bb)
+			}
+			if err := s.BatchPut(addrs, vals); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Snapshot(); err != nil {
+				t.Fatal(err)
+			}
+			shards := s.Shards()
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			for i := 0; i < shards; i++ {
+				path := filepath.Join(shardDir(cfg.DataDir, i), stateFile)
+				raw, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var snap, params map[string]json.RawMessage
+				if err := json.Unmarshal(raw, &snap); err != nil {
+					t.Fatal(err)
+				}
+				if err := json.Unmarshal(snap["params"], &params); err != nil {
+					t.Fatal(err)
+				}
+				for k, v := range retired {
+					if _, live := params[k]; live {
+						t.Fatalf("%q is listed as retired but snapshots still write it", k)
+					}
+					params[k] = v
+				}
+				if snap["params"], err = json.Marshal(params); err != nil {
+					t.Fatal(err)
+				}
+				if raw, err = json.Marshal(snap); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, raw, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			s, err = New(cfg)
+			if err != nil {
+				t.Fatalf("reopen over an old-format snapshot: %v", err)
+			}
+			defer s.Close()
+			got, err := s.BatchGet(addrs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range addrs {
+				if !bytes.Equal(got[i], vals[i]) {
+					t.Fatalf("block %d = %x after resume, want %x", addrs[i], got[i], vals[i])
+				}
+			}
+		})
 	}
 }
 

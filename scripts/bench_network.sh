@@ -5,17 +5,15 @@
 # -listen-binary frames), then drives the SAME zipf workload through each
 # transport and batch size:
 #
-#   single:   legacy one-GET/PUT-per-op HTTP     (load -url, deprecated path)
 #   json1:    JSON POST /batch, batch size 1     (load -transport json)
 #   json16:   JSON POST /batch, batch size 16
 #   binary1:  binary streaming frames, batch 1   (load -transport binary)
 #   binary16: binary streaming frames, batch 16
 #
 # — then scrapes /metrics and fails on any non-2xx response, zero completed
-# ops, a json16/single throughput ratio below BENCH_MIN_SPEEDUP (default
-# 1.5: batching must pay off over the wire), or a binary16/json16 ratio
-# below BENCH_MIN_BINARY_SPEEDUP (default 2.0: the binary transport must
-# decisively beat JSON at the same batch size, per-PR).
+# ops, or a binary16/json16 ratio below BENCH_MIN_BINARY_SPEEDUP (default
+# 2.0: the binary transport must decisively beat JSON at the same batch
+# size, per-PR).
 #
 # The worker count defaults to 128: enough offered concurrency that several
 # batches are in flight at once, which is the regime the pipelined binary
@@ -24,7 +22,7 @@
 #
 # Usage: scripts/bench_network.sh [oramstore-binary] [out.json]
 # Env:   BENCH_DURATION (default 3s), BENCH_WORKERS (128),
-#        BENCH_MIN_SPEEDUP (1.5), BENCH_MIN_BINARY_SPEEDUP (2.0),
+#        BENCH_MIN_BINARY_SPEEDUP (2.0),
 #        ORAMSTORE_ADDR (127.0.0.1:18080), ORAMSTORE_BIN_ADDR (127.0.0.1:18081)
 set -euo pipefail
 
@@ -34,7 +32,6 @@ ADDR=${ORAMSTORE_ADDR:-127.0.0.1:18080}
 BADDR=${ORAMSTORE_BIN_ADDR:-127.0.0.1:18081}
 DURATION=${BENCH_DURATION:-3s}
 WORKERS=${BENCH_WORKERS:-128}
-MIN_SPEEDUP=${BENCH_MIN_SPEEDUP:-1.5}
 MIN_BINARY_SPEEDUP=${BENCH_MIN_BINARY_SPEEDUP:-2.0}
 
 if [ -z "$BIN" ]; then
@@ -59,7 +56,6 @@ run() { # run MODE EXTRA-FLAGS...
   "$BIN" load -dist zipf -workers "$WORKERS" -duration "$DURATION" -json "$@"
 }
 
-single=$(run "single-block (legacy -url)" -url "http://$ADDR")
 json1=$(run "json, batch 1"    -transport json   -addr "http://$ADDR" -batch 1)
 json16=$(run "json, batch 16"  -transport json   -addr "http://$ADDR" -batch 16)
 binary1=$(run "binary, batch 1"  -transport binary -addr "$BADDR" -batch 1)
@@ -70,7 +66,7 @@ field() {
   printf '%s\n' "$2" | sed -n "s/.*\"$1\":\([0-9.eE+-]*\).*/\1/p"
 }
 
-for mode in single json1 json16 binary1 binary16; do
+for mode in json1 json16 binary1 binary16; do
   json=$(eval "printf '%s' \"\$$mode\"")
   printf '%s\n' "$json"
   ops=$(field ops "$json"); fails=$(field failures "$json")
@@ -100,17 +96,14 @@ coalesced=$(printf '%s\n' "$metrics" |
   awk '/^oramstore_shard_coalesced_reads_total/ { sum += $2 } END { print sum+0 }')
 
 ratio() { awk -v a="$1" -v b="$2" 'BEGIN { printf "%.2f", a / b }'; }
-batch_speedup=$(ratio "$(field ops_per_sec "$json16")" "$(field ops_per_sec "$single")")
 binary_speedup=$(ratio "$(field ops_per_sec "$binary16")" "$(field ops_per_sec "$json16")")
 binary_speedup1=$(ratio "$(field ops_per_sec "$binary1")" "$(field ops_per_sec "$json1")")
 
-printf '{\n  "workload": "zipf s=1.2, %s workers, %s, 8 shards, lightweight",\n  "single": %s,\n  "json_batch1": %s,\n  "json_batch16": %s,\n  "binary_batch1": %s,\n  "binary_batch16": %s,\n  "batch_speedup": %s,\n  "binary_speedup_batch1": %s,\n  "binary_speedup_batch16": %s,\n  "server_coalesced_reads": %s\n}\n' \
-  "$WORKERS" "$DURATION" "$single" "$json1" "$json16" "$binary1" "$binary16" \
-  "$batch_speedup" "$binary_speedup1" "$binary_speedup" "$coalesced" > "$OUT"
+printf '{\n  "workload": "zipf s=1.2, %s workers, %s, 8 shards, lightweight",\n  "json_batch1": %s,\n  "json_batch16": %s,\n  "binary_batch1": %s,\n  "binary_batch16": %s,\n  "binary_speedup_batch1": %s,\n  "binary_speedup_batch16": %s,\n  "server_coalesced_reads": %s\n}\n' \
+  "$WORKERS" "$DURATION" "$json1" "$json16" "$binary1" "$binary16" \
+  "$binary_speedup1" "$binary_speedup" "$coalesced" > "$OUT"
 cat "$OUT"
 
-awk -v sp="$batch_speedup" -v min="$MIN_SPEEDUP" 'BEGIN { exit !(sp >= min) }' ||
-  { echo "FAIL: json batch speedup ${batch_speedup}x below required ${MIN_SPEEDUP}x" >&2; exit 1; }
 awk -v sp="$binary_speedup" -v min="$MIN_BINARY_SPEEDUP" 'BEGIN { exit !(sp >= min) }' ||
   { echo "FAIL: binary transport is ${binary_speedup}x json at batch 16, below required ${MIN_BINARY_SPEEDUP}x" >&2; exit 1; }
-echo "OK: json batch 16 is ${batch_speedup}x single-block; binary is ${binary_speedup}x json at batch 16 (${binary_speedup1}x at batch 1; ${coalesced} reads coalesced)"
+echo "OK: binary is ${binary_speedup}x json at batch 16 (${binary_speedup1}x at batch 1; ${coalesced} reads coalesced)"

@@ -102,13 +102,15 @@ lint-parity:
 staticcheck-version:
 	@echo $(STATICCHECK_VERSION)
 
-# Short coverage-guided runs of every codec fuzz target, seeded from the
-# committed corpora under testdata/fuzz/ (the CI fuzz-smoke job).
+# Short coverage-guided runs of every fuzz target (the CI fuzz-smoke job):
+# the codecs, seeded from the committed corpora under testdata/fuzz/, and
+# the bucket keystream against the stdlib's AES-CTR.
 fuzz-smoke:
 	go test ./internal/frame -run='^$$' -fuzz='^FuzzDecodeRequest$$' -fuzztime=30s
 	go test ./internal/frame -run='^$$' -fuzz='^FuzzDecodeResponse$$' -fuzztime=30s
 	go test ./internal/bucketwire -run='^$$' -fuzz='^FuzzDecodeRequest$$' -fuzztime=30s
 	go test ./internal/bucketwire -run='^$$' -fuzz='^FuzzDecodeResponse$$' -fuzztime=30s
+	go test ./internal/crypt -run='^$$' -fuzz='^FuzzPadMatchesStdlibCTR$$' -fuzztime=30s
 
 fmt:
 	gofmt -s -w .

@@ -388,11 +388,7 @@ func (p *PathORAM) absorbBucket(i int, idx uint64, sealed []byte) {
 //
 //oram:hotpath
 func (p *PathORAM) writePath(leaf uint64) error {
-	perLevel := p.stash.EvictForPath(leaf, p.geom.L, p.geom.Z,
-		//oramlint:allow hotpathalloc the closure does not escape EvictForPath and stays on the stack; pinned by the AllocsPerRun gates
-		func(blockLeaf uint64, level int) bool {
-			return p.geom.CanReside(blockLeaf, leaf, level)
-		})
+	perLevel := p.stash.EvictForPath(p.geom, leaf)
 	for len(p.sealedBufs) < len(perLevel) {
 		p.sealedBufs = append(p.sealedBufs, nil)
 	}

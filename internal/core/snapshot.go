@@ -183,6 +183,11 @@ func (s *System) Restore(snap *Snapshot) error {
 				c.SetGlobalSeed(bs.GlobalSeed)
 			}
 			for _, b := range bs.Stash {
+				// Eviction places a block by its leaf's bits alone; every
+				// other way into the stash checks the label first.
+				if !p.Geometry().ValidLeaf(b.Leaf) {
+					return fmt.Errorf("core: snapshot backend %d holds a stash block whose leaf is outside the tree (L=%d)", i, p.Geometry().L)
+				}
 				//oramlint:allow secretflow source: snapshot stash entry's Addr; sink: stash map probe in Put — snapshot restore repopulates the trusted controller's on-chip stash; no adversary-visible I/O depends on the ordering
 				p.Stash().Put(stash.Block{Addr: b.Addr, Leaf: b.Leaf, Data: b.Data})
 			}

@@ -190,3 +190,30 @@ func TestSnapshotResumeAfterMutation(t *testing.T) {
 		t.Fatalf("resumed controller latched a violation: %v", sys2.Violation())
 	}
 }
+
+// TestRestoreRejectsStashLeafOutsideTree: a snapshot file is outside input.
+// A stash block whose leaf is not a label of the tree must fail the restore,
+// not enter a stash whose eviction would file it under the label's low bits.
+func TestRestoreRejectsStashLeafOutsideTree(t *testing.T) {
+	sys, err := Build(snapshotTestParams(""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	snap, err := sys.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaves := sys.Backends[0].(*backend.PathORAM).Geometry().Leaves()
+	snap.Backends[0].Stash = append(snap.Backends[0].Stash,
+		StashBlockState{Addr: 1 << 40, Leaf: leaves, Data: make([]byte, 8)})
+
+	sys2, err := Build(snapshotTestParams(""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys2.Close()
+	if err := sys2.Restore(snap); err == nil {
+		t.Fatal("restore accepted a stash block with an out-of-range leaf")
+	}
+}

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"crypto/aes"
 	"crypto/cipher"
+	"encoding/hex"
+	"encoding/json"
+	"os"
 	"testing"
 	"testing/quick"
 )
@@ -224,42 +227,120 @@ func TestGlobalSeedMonotonic(t *testing.T) {
 	}
 }
 
-// TestPadMatchesStdlibCTR pins the hand-rolled keystream loop to
-// cipher.NewCTR's output byte for byte, for every scheme and for bodies that
-// are shorter than, equal to, and longer than whole AES blocks. Sealed
-// buckets written by earlier builds (durable page files) must keep
-// decrypting, so this equivalence is part of the on-disk format.
-func TestPadMatchesStdlibCTR(t *testing.T) {
-	key := testKey(7)
+// stdlibPad is the bucket keystream as the format defines it, built only
+// from the stdlib: AES-CTR under IV = bucketID (48 bits, zero for the
+// global-seed scheme) || seed (48 bits) || 32-bit block counter from zero.
+func stdlibPad(tb testing.TB, key []byte, scheme SeedScheme, bucketID, seed uint64, body []byte) []byte {
+	tb.Helper()
 	blk, err := aes.NewCipher(key)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if scheme == SeedGlobal {
+		bucketID = 0
+	}
+	var iv [16]byte
+	for i := 0; i < 6; i++ {
+		iv[5-i] = byte(bucketID >> (8 * i))
+		iv[11-i] = byte(seed >> (8 * i))
+	}
+	out := make([]byte, len(body))
+	cipher.NewCTR(blk, iv[:]).XORKeyStream(out, body)
+	return out
+}
+
+// FuzzPadMatchesStdlibCTR pins pad's keystream to cipher.NewCTR's output
+// byte for byte, for both schemes, for IDs and seeds past the 48 bits the IV
+// keeps, and for bodies from empty to several keystream chunks with
+// unaligned tails. Sealed buckets written by earlier builds (durable page
+// files) must keep decrypting, so this equivalence is part of the on-disk
+// format.
+func FuzzPadMatchesStdlibCTR(f *testing.F) {
+	for _, n := range []int{0, 1, 15, 16, 17, 31, 32, 388, padChunk - 1, padChunk, padChunk + 1, 1000, 4096} {
+		f.Add(testKey(7), false, uint64(0x1234), uint64(0x9999), n)
+		f.Add(testKey(7), true, uint64(0x1234), uint64(0x9999), n)
+	}
+	// High bits the 48-bit IV fields drop, and a seed whose low word is
+	// about to carry into its high word.
+	f.Add(testKey(1), false, uint64(1)<<48|5, uint64(1)<<63|7, 100)
+	f.Add(testKey(1), true, ^uint64(0), ^uint64(0), 2*padChunk+3)
+	f.Add(testKey(2), false, uint64(0xffffffffffff), uint64(0xffffffff), 777)
+
+	f.Fuzz(func(t *testing.T, key []byte, global bool, bucketID, seed uint64, n int) {
+		if len(key) != 16 || n < 0 || n > 4096 {
+			t.Skip()
+		}
+		scheme := SeedPerBucket
+		if global {
+			scheme = SeedGlobal
+		}
+		bc, err := NewBucketCipher(key, scheme)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := make([]byte, n)
+		for i := range body {
+			body[i] = byte(i*31 + n)
+		}
+		got := make([]byte, n)
+		bc.pad(bucketID, seed, body, got)
+		if want := stdlibPad(t, key, scheme, bucketID, seed, body); !bytes.Equal(got, want) {
+			t.Fatalf("%v id=%#x seed=%#x n=%d: pad diverges from stdlib CTR", scheme, bucketID, seed, n)
+		}
+	})
+}
+
+// TestSealedGoldenVectors pins the sealed-bucket format — seed prefix, IV
+// layout, keystream — to bytes on disk, independently of the stdlib and of
+// pad's loop. testdata/sealed_golden.json was written by the per-block
+// keystream loop this package shipped with before pad batched its AES calls
+// (commit 3103223); it is a record of what page files and snapshots in the
+// field contain, so it is never regenerated from the code under test.
+func TestSealedGoldenVectors(t *testing.T) {
+	raw, err := os.ReadFile("testdata/sealed_golden.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, scheme := range []SeedScheme{SeedPerBucket, SeedGlobal} {
-		bc, _ := NewBucketCipher(key, scheme)
-		for _, n := range []int{0, 1, 15, 16, 17, 31, 32, 388, 1000} {
-			body := make([]byte, n)
-			for i := range body {
-				body[i] = byte(i*31 + n)
-			}
-			const bucketID, seed = 0x1234, 0x9999
-			got := make([]byte, n)
-			bc.pad(bucketID, seed, body, got)
-
-			ivID := uint64(bucketID)
-			if scheme == SeedGlobal {
-				ivID = 0
-			}
-			var iv [16]byte
-			putUint48(iv[0:6], ivID)
-			putUint48(iv[6:12], seed)
-			want := make([]byte, n)
-			cipher.NewCTR(blk, iv[:]).XORKeyStream(want, body)
-
-			if !bytes.Equal(got, want) {
-				t.Fatalf("%v n=%d: pad diverges from stdlib CTR", scheme, n)
-			}
+	var vecs []struct {
+		Name                           string
+		Scheme, Key, Plaintext, Sealed string
+		BucketID                       uint64 `json:"bucket_id"`
+		PrevSeed                       uint64 `json:"prev_seed"`
+		GlobalSeed                     uint64 `json:"global_seed"`
+	}
+	if err := json.Unmarshal(raw, &vecs); err != nil {
+		t.Fatal(err)
+	}
+	schemes := map[string]SeedScheme{SeedPerBucket.String(): SeedPerBucket, SeedGlobal.String(): SeedGlobal}
+	seen := map[SeedScheme]bool{}
+	for _, v := range vecs {
+		scheme, ok := schemes[v.Scheme]
+		if !ok {
+			t.Fatalf("%s: unknown scheme %q", v.Name, v.Scheme)
 		}
+		seen[scheme] = true
+		unhex := func(h string) []byte {
+			b, err := hex.DecodeString(h)
+			if err != nil {
+				t.Fatalf("%s: %v", v.Name, err)
+			}
+			return b
+		}
+		key, plain, sealed := unhex(v.Key), unhex(v.Plaintext), unhex(v.Sealed)
+		bc, err := NewBucketCipher(key, scheme)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bc.SetGlobalSeed(v.GlobalSeed)
+		if got := bc.Seal(v.BucketID, v.PrevSeed, plain); !bytes.Equal(got, sealed) {
+			t.Errorf("%s: Seal = %x, golden %x", v.Name, got, sealed)
+		}
+		if got, _, err := bc.Open(v.BucketID, sealed); err != nil || !bytes.Equal(got, plain) {
+			t.Errorf("%s: Open of the golden bucket = %x, %v; want the plaintext", v.Name, got, err)
+		}
+	}
+	if !seen[SeedPerBucket] || !seen[SeedGlobal] {
+		t.Fatalf("golden file covers %v, want both schemes", seen)
 	}
 }
 
@@ -333,17 +414,21 @@ func TestHotPathAllocs(t *testing.T) {
 		t.Fatalf("MAC AppendTag+Verify allocates %.1f/op, want 0", n)
 	}
 
+	// One keystream chunk (the flagship bucket) and several with a ragged
+	// tail: the chunk loop must stay inside the cipher's own scratch.
 	bc, _ := NewBucketCipher(testKey(7), SeedGlobal)
-	body := make([]byte, 388)
-	sealedBuf := make([]byte, 0, SeedBytes+len(body))
-	bodyBuf := make([]byte, 0, len(body))
-	if n := testing.AllocsPerRun(500, func() {
-		sealed := bc.SealTo(sealedBuf[:0], 3, 0, body)
-		if _, _, err := bc.OpenTo(bodyBuf[:0], 3, sealed); err != nil {
-			t.Fatal(err)
+	for _, size := range []int{benchBody, 3*padChunk + 5} {
+		body := make([]byte, size)
+		sealedBuf := make([]byte, 0, SeedBytes+len(body))
+		bodyBuf := make([]byte, 0, len(body))
+		if n := testing.AllocsPerRun(500, func() {
+			sealed := bc.SealTo(sealedBuf[:0], 3, 0, body)
+			if _, _, err := bc.OpenTo(bodyBuf[:0], 3, sealed); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Fatalf("SealTo+OpenTo of %d bytes allocates %.1f/op, want 0", size, n)
 		}
-	}); n != 0 {
-		t.Fatalf("SealTo+OpenTo allocates %.1f/op, want 0", n)
 	}
 }
 
@@ -353,5 +438,37 @@ func TestSeedSchemeString(t *testing.T) {
 	}
 	if SeedScheme(9).String() == "" {
 		t.Fatal("unknown scheme should still print")
+	}
+}
+
+// benchBody is the sealed-bucket body of the paper's flagship geometry
+// (Z=4 slots of 17 header + 80 payload bytes), the size every benchmark
+// workload moves.
+const benchBody = 388
+
+func BenchmarkSealTo(b *testing.B) {
+	bc, _ := NewBucketCipher(testKey(7), SeedGlobal)
+	body := make([]byte, benchBody)
+	sealed := make([]byte, 0, SeedBytes+len(body))
+	b.SetBytes(benchBody)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sealed = bc.SealTo(sealed[:0], uint64(i), 0, body)
+	}
+}
+
+func BenchmarkOpenTo(b *testing.B) {
+	bc, _ := NewBucketCipher(testKey(7), SeedGlobal)
+	sealed := bc.Seal(3, 0, make([]byte, benchBody))
+	body := make([]byte, 0, benchBody)
+	b.SetBytes(benchBody)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if body, _, err = bc.OpenTo(body[:0], 3, sealed); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

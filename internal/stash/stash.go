@@ -12,6 +12,8 @@ package stash
 import (
 	"fmt"
 	"slices"
+
+	"freecursive/internal/tree"
 )
 
 // Block is a stash-resident ORAM block: its logical address, the leaf it is
@@ -31,7 +33,6 @@ type Stash struct {
 	sorted    []uint64 // resident addresses, kept sorted incrementally
 	free      []*Block // recycled Block structs, so Put rarely allocates
 	evictOut  [][]Block
-	evictIter []uint64
 	maxSeen   int
 	overflows int
 }
@@ -144,51 +145,54 @@ func (s *Stash) Note() {
 	}
 }
 
-// EvictForPath selects up to z blocks per level that may legally reside on
-// the path to pathLeaf in a tree with leaf level L, removes them from the
-// stash, and returns them grouped by level (index 0 = root). Selection is
-// greedy from the deepest level up, the standard Path ORAM eviction order,
-// which maximizes how far blocks sink and keeps stash occupancy low.
+// EvictForPath selects up to g.Z blocks per level that may legally reside on
+// the path to pathLeaf in the tree g, removes them from the stash, and
+// returns them grouped by level (index 0 = root). Every resident block's
+// Leaf must be a valid label of g.
 //
-// canReside(blockLeaf, level) must report path-intersection legality; z is
-// the bucket capacity.
+// Selection is the standard greedy Path ORAM eviction, deepest level first
+// and candidates in ascending address order, which maximizes how far blocks
+// sink and keeps stash occupancy low. It is done in one pass over the
+// residents: a block's deepest legal level is where its path leaves
+// pathLeaf's, and the block goes to the deepest level at or above it that
+// still has a free slot. That is the same assignment as filling level L,
+// then L-1, ... each with its first Z candidates by address: a block reaches
+// a level only if every deeper legal level was filled by lower addresses,
+// which is exactly when the level-by-level scan would still find it
+// unplaced there.
 //
 // The returned slices (and the Blocks in them) are reusable scratch, valid
 // only until the next EvictForPath call; the Data slices are the payload
-// buffers the stash owned, now owned by the caller. Candidates are visited
-// in ascending address order, so eviction stays deterministic.
+// buffers the stash owned, now owned by the caller.
 //
 //oram:hotpath
-func (s *Stash) EvictForPath(pathLeaf uint64, levels, z int,
-	canReside func(blockLeaf uint64, level int) bool) [][]Block {
-
-	for len(s.evictOut) < levels+1 {
+func (s *Stash) EvictForPath(g tree.Geometry, pathLeaf uint64) [][]Block {
+	for len(s.evictOut) < g.L+1 {
 		s.evictOut = append(s.evictOut, nil)
 	}
-	out := s.evictOut[:levels+1]
-
-	// Snapshot the sorted index: eviction deletes from it mid-iteration.
-	s.evictIter = append(s.evictIter[:0], s.sorted...)
-
-	for lev := levels; lev >= 0; lev-- {
-		bucket := out[lev][:0]
-		for _, a := range s.evictIter {
-			b, ok := s.blocks[a]
-			if !ok {
-				continue // already evicted to a deeper level
-			}
-			if canReside(b.Leaf, lev) {
-				bucket = append(bucket, *b)
-				delete(s.blocks, a)
-				s.removeAddr(a)
-				s.recycle(b)
-				if len(bucket) == z {
-					break
-				}
-			}
-		}
-		out[lev] = bucket
+	out := s.evictOut[:g.L+1]
+	for lev := range out {
+		out[lev] = out[lev][:0]
 	}
+
+	// Survivors are compacted to the front of the sorted index as the scan
+	// passes them, so evicting costs no per-block index removal.
+	keep := s.sorted[:0]
+	for _, a := range s.sorted {
+		b := s.blocks[a]
+		lev := g.DeepestLegalLevel(b.Leaf, pathLeaf)
+		for lev >= 0 && len(out[lev]) == g.Z {
+			lev--
+		}
+		if lev < 0 {
+			keep = append(keep, a)
+			continue
+		}
+		out[lev] = append(out[lev], *b)
+		delete(s.blocks, a)
+		s.recycle(b)
+	}
+	s.sorted = keep
 	return out
 }
 

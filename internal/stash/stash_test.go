@@ -2,6 +2,7 @@ package stash
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -58,14 +59,6 @@ func TestAddressesSorted(t *testing.T) {
 	}
 }
 
-// evictAll runs EvictForPath with real tree geometry and returns the
-// per-level buckets.
-func evictAll(s *Stash, g tree.Geometry, pathLeaf uint64) [][]Block {
-	return s.EvictForPath(pathLeaf, g.L, g.Z, func(bl uint64, lev int) bool {
-		return g.CanReside(bl, pathLeaf, lev)
-	})
-}
-
 // TestEvictLegality (property): every evicted block lands in a bucket its
 // leaf path passes through; no bucket exceeds Z; every block left in the
 // stash genuinely had no remaining slot.
@@ -79,7 +72,7 @@ func TestEvictLegality(t *testing.T) {
 			s.Put(Block{Addr: uint64(i), Leaf: rng.Uint64() % g.Leaves()})
 		}
 		pathLeaf := rng.Uint64() % g.Leaves()
-		placed := evictAll(s, g, pathLeaf)
+		placed := s.EvictForPath(g, pathLeaf)
 
 		total := 0
 		for lev, bucket := range placed {
@@ -121,7 +114,7 @@ func TestEvictGreedyDepth(t *testing.T) {
 		for _, pathLeaf := range []uint64{0, 32, 63} {
 			s := New(0)
 			s.Put(Block{Addr: 1, Leaf: blockLeaf})
-			placed := evictAll(s, g, pathLeaf)
+			placed := s.EvictForPath(g, pathLeaf)
 			want := g.DeepestLegalLevel(blockLeaf, pathLeaf)
 			if len(placed[want]) != 1 {
 				t.Fatalf("block leaf=%d path=%d not at deepest level %d", blockLeaf, pathLeaf, want)
@@ -142,8 +135,8 @@ func TestEvictDeterministic(t *testing.T) {
 		}
 		return s
 	}
-	a := evictAll(build(), g, 9)
-	b := evictAll(build(), g, 9)
+	a := build().EvictForPath(g, 9)
+	b := build().EvictForPath(g, 9)
 	for lev := range a {
 		if len(a[lev]) != len(b[lev]) {
 			t.Fatalf("level %d differs", lev)
@@ -151,6 +144,86 @@ func TestEvictDeterministic(t *testing.T) {
 		for i := range a[lev] {
 			if a[lev][i].Addr != b[lev][i].Addr {
 				t.Fatalf("level %d slot %d differs", lev, i)
+			}
+		}
+	}
+}
+
+// evictByLevel is the reference eviction EvictForPath must reproduce: the
+// textbook loop that fills level L, then L-1, ... down to the root, each
+// with the first Z still-resident blocks, in ascending address order, whose
+// path shares that bucket. O(levels × occupants) map probes — which is why
+// the stash no longer runs it — but obviously the Path ORAM greedy order.
+func evictByLevel(s *Stash, g tree.Geometry, pathLeaf uint64) [][]Block {
+	out := make([][]Block, g.L+1)
+	for lev := g.L; lev >= 0; lev-- {
+		for _, a := range s.Addresses() {
+			if len(out[lev]) == g.Z {
+				break
+			}
+			if b := s.Get(a); g.CanReside(b.Leaf, pathLeaf, lev) {
+				out[lev] = append(out[lev], *b)
+				s.Remove(a)
+			}
+		}
+	}
+	return out
+}
+
+// TestEvictMatchesLevelByLevel (search): over randomized stashes — shallow
+// to deep trees, Z of 1 and 4, empty to past-capacity occupancy, leaves
+// drawn from a small pool so many blocks share one — the one-pass eviction
+// picks the same blocks for the same levels in the same order as the
+// level-by-level reference, and leaves the same survivors behind.
+func TestEvictMatchesLevelByLevel(t *testing.T) {
+	rng := rand.New(rand.NewPCG(15, 15))
+	for _, L := range []int{1, 4, 11, 14, 20} {
+		for _, Z := range []int{1, 4} {
+			g, err := tree.NewGeometry(L, Z, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for trial := 0; trial < 60; trial++ {
+				n := rng.IntN(251)
+				pool := 1 + rng.IntN(int(min(g.Leaves(), 64))) // distinct leaves in play
+				got, want := New(0), New(0)
+				for i := 0; i < n; i++ {
+					leaf := rng.Uint64() % g.Leaves()
+					if rng.IntN(2) == 0 {
+						leaf = uint64(rng.IntN(pool)) * (g.Leaves() / uint64(pool))
+					}
+					b := Block{Addr: rng.Uint64() % 1024, Leaf: leaf, Data: []byte{byte(i)}}
+					got.Put(b)
+					want.Put(b)
+				}
+				// Every path of a small tree, a sample of a big one.
+				paths := []uint64{0, g.Leaves() - 1, rng.Uint64() % g.Leaves()}
+				if g.Leaves() <= 16 {
+					paths = paths[:0]
+					for l := uint64(0); l < g.Leaves(); l++ {
+						paths = append(paths, l)
+					}
+				}
+				for _, pathLeaf := range paths {
+					a, b := got.EvictForPath(g, pathLeaf), evictByLevel(want, g, pathLeaf)
+					for lev := range b {
+						if !slices.EqualFunc(a[lev], b[lev], func(x, y Block) bool {
+							return x.Addr == y.Addr && x.Leaf == y.Leaf && &x.Data[0] == &y.Data[0]
+						}) {
+							t.Fatalf("L=%d Z=%d n=%d path=%d level %d: got %v, reference %v",
+								L, Z, n, pathLeaf, lev, a[lev], b[lev])
+						}
+					}
+					if !slices.Equal(got.Addresses(), want.Addresses()) || got.Len() != want.Len() {
+						t.Fatalf("L=%d Z=%d n=%d path=%d: survivors %v (len %d), reference %v",
+							L, Z, n, pathLeaf, got.Addresses(), got.Len(), want.Addresses())
+					}
+					for _, addr := range got.Addresses() {
+						if got.Get(addr) == nil {
+							t.Fatalf("index holds evicted address %#x", addr)
+						}
+					}
+				}
 			}
 		}
 	}
@@ -198,7 +271,7 @@ func TestSortedIndexConsistent(t *testing.T) {
 			delete(live, a)
 		case 4:
 			leaf := rng.Uint64() % g.Leaves()
-			for _, bucket := range evictAll(s, g, leaf) {
+			for _, bucket := range s.EvictForPath(g, leaf) {
 				for _, b := range bucket {
 					delete(live, b.Addr)
 				}
@@ -242,7 +315,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 		}
 		leaf := rng.Uint64() % g.Leaves()
 		n = 0
-		for _, bucket := range evictAll(s, g, leaf) {
+		for _, bucket := range s.EvictForPath(g, leaf) {
 			for _, b := range bucket {
 				if n < len(bufs) {
 					bufs[n] = b.Data
@@ -265,5 +338,32 @@ func TestString(t *testing.T) {
 	s.Put(Block{Addr: 1})
 	if s.String() == "" {
 		t.Fatal("empty String()")
+	}
+}
+
+// BenchmarkEvictForPath is one access's worth of stash work at the benchmark
+// workloads' shape (L=14, Z=4): the blocks of a freshly read path join a
+// small persistent stash (~60 occupants in all) and one path is evicted.
+func BenchmarkEvictForPath(b *testing.B) {
+	g, _ := tree.NewGeometry(14, 4, 80)
+	rng := rand.New(rand.NewPCG(4, 4))
+	s := New(0)
+	next := uint64(0)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		pathLeaf := rng.Uint64() % g.Leaves()
+		for s.Len() < 60 {
+			// Half the arrivals sat on the path just read, so they share a
+			// prefix with it; the rest are remapped to fresh leaves.
+			leaf := rng.Uint64() % g.Leaves()
+			if next%2 == 0 {
+				keep := uint(rng.IntN(g.L + 1))
+				mask := g.Leaves() - 1
+				leaf = pathLeaf&^(mask>>keep) | leaf&(mask>>keep)
+			}
+			s.Put(Block{Addr: next, Leaf: leaf})
+			next++
+		}
+		s.EvictForPath(g, pathLeaf)
 	}
 }

@@ -13,14 +13,18 @@ import (
 	"freecursive/internal/backend"
 )
 
-// gate blocks a shard's owner goroutine until release is called, so a test
-// can deterministically pile requests into one drain window.
+// gateShard blocks a shard's owner goroutine until release is called, so a
+// test can deterministically pile requests into one drain window. It
+// returns only once the owner is inside the gate: the owner runs a window
+// after it has stopped draining the queue into it, so nothing submitted
+// from then on can share the gate's window and split the pile in two.
 func gateShard(t *testing.T, sh *shard) (release func()) {
 	t.Helper()
-	ch := make(chan struct{})
-	if !sh.control(func(*freecursive.ORAM) { <-ch }) {
+	entered, ch := make(chan struct{}), make(chan struct{})
+	if !sh.control(func(*freecursive.ORAM) { close(entered); <-ch }) {
 		t.Fatal("gating a closed shard")
 	}
+	<-entered
 	return func() { close(ch) }
 }
 

@@ -3,12 +3,15 @@
 #
 # Runs the steady-state access benchmarks (BenchmarkAccessAllocs{Map,File})
 # and the sharded-store throughput suite (BenchmarkStoreParallel*) with
-# -benchmem, then serializes name/ns_per_op/b_per_op/allocs_per_op so the
-# allocation and latency trajectory of the hottest loop in the system is
-# tracked as a CI artifact from PR to PR.
+# -benchmem, plus the two kernels one backend access spends its time in —
+# bucket seal/open (internal/crypt) and path eviction (internal/stash) —
+# then serializes name/ns_per_op/b_per_op/allocs_per_op so the allocation
+# and latency trajectory of the hottest loop in the system is tracked as a
+# CI artifact from PR to PR.
 #
 # Usage: scripts/bench_hotpath.sh [out.json]
-# Env:   BENCH_TIME (default 200x)
+# Env:   BENCH_TIME (default 200x; the kernels, ~100x shorter than an
+#        access, run for go test's default second each instead)
 set -euo pipefail
 
 OUT=${1:-BENCH_hotpath.json}
@@ -19,6 +22,8 @@ trap 'rm -f "$tmp"' EXIT
 
 go test -run=NONE -bench='BenchmarkAccessAllocs|BenchmarkStoreParallel' \
   -benchmem -benchtime="$BENCH_TIME" . | tee "$tmp"
+go test -run=NONE -bench='BenchmarkSealTo|BenchmarkOpenTo|BenchmarkEvictForPath' \
+  -benchmem ./internal/crypt ./internal/stash | tee -a "$tmp"
 
 # Benchmark lines interleave standard metrics (ns/op, B/op, allocs/op) with
 # custom ones (%coalesced), so pick fields by their unit token instead of

@@ -18,9 +18,12 @@ test:
 # Race coverage is derived from `go list` (see scripts/race_pkgs.sh): every
 # package whose source or tests import a concurrency-bearing stdlib package
 # is in, so a new concurrent package cannot silently drop out the way the
-# old hand-maintained list allowed.
+# old hand-maintained list allowed. The fault tests of the in-flight window
+# (a fault lands while several accesses wait for memory) race a receiver
+# goroutine against a teardown, so they run twenty times over.
 race:
 	go test -race $$(./scripts/race_pkgs.sh)
+	go test -race -count=20 -run 'WindowFault' ./internal/mem ./internal/backend ./internal/store
 
 bench:
 	go test -run=NONE -bench=. -benchtime=1x .

@@ -160,6 +160,24 @@ type Stats struct {
 type ORAM struct {
 	sys *core.System
 	cfg Config
+	// split is the frontend when it can start and finish an access
+	// separately, else nil; held is then the result of the access Start had
+	// to run to completion, kept for Finish.
+	split splitFrontend
+	held  struct {
+		data []byte
+		err  error
+		ok   bool
+	}
+}
+
+// splitFrontend is what a frontend offers when one access can be started
+// and finished separately (core.PLBFrontend).
+type splitFrontend interface {
+	Start(addr uint64, write bool, data []byte) error
+	Finish() ([]byte, error)
+	Ready() bool
+	Wake() <-chan struct{}
 }
 
 // New builds an ORAM.
@@ -197,7 +215,8 @@ func New(cfg Config) (*ORAM, error) {
 	if err != nil {
 		return nil, fmt.Errorf("freecursive: %w", err)
 	}
-	return &ORAM{sys: sys, cfg: cfg}, nil
+	split, _ := sys.Frontend.(splitFrontend)
+	return &ORAM{sys: sys, cfg: cfg, split: split}, nil
 }
 
 // BlockBytes returns the block size.
@@ -220,6 +239,67 @@ func (o *ORAM) Read(addr uint64) ([]byte, error) {
 // returns its previous contents.
 func (o *ORAM) Write(addr uint64, data []byte) ([]byte, error) {
 	return o.sys.Frontend.Access(addr, true, data)
+}
+
+// Start and Finish are Read and Write in two halves, for serving layers
+// that overlap accesses: Start does everything up to the access's one wait
+// on untrusted memory — over remote memory it sends the path read and
+// returns — and Finish waits for it and returns the block's (previous)
+// contents. Several accesses may be started before the first is finished;
+// they finish in the order they were started, each seeing the writes
+// started before it. The overlap changes when path reads and write-backs
+// reach memory, by the caller's schedule alone; which paths, and what they
+// carry, is exactly what Read and Write would have produced.
+//
+// Wake reports whether overlapping is worth anything. It is nil when an
+// access never waits between Start and Finish (local memory, or a
+// configuration that cannot split an access): call Finish right after
+// Start. Otherwise it is a channel that receives when Ready — Finish would
+// return without waiting — may have become true.
+//
+// A Start that returns an error has no Finish. Data passed to Start is
+// consumed before it returns. Snapshot, Maintain and Stats may be called
+// with accesses started; the first two complete them first.
+func (o *ORAM) Start(addr uint64, write bool, data []byte) error {
+	if o.split != nil {
+		return o.split.Start(addr, write, data)
+	}
+	if o.held.ok {
+		return fmt.Errorf("freecursive: %s finishes one access at a time; Finish the started one first", o.SchemeName())
+	}
+	o.held.data, o.held.err = o.sys.Frontend.Access(addr, write, data)
+	o.held.ok = true
+	return nil
+}
+
+// Finish returns the result of the oldest started access. See Start.
+func (o *ORAM) Finish() ([]byte, error) {
+	if o.split != nil {
+		return o.split.Finish()
+	}
+	if !o.held.ok {
+		return nil, fmt.Errorf("freecursive: Finish without a started access")
+	}
+	data, err := o.held.data, o.held.err
+	o.held.data, o.held.err, o.held.ok = nil, nil, false
+	return data, err
+}
+
+// Ready reports whether Finish would return without waiting on memory.
+func (o *ORAM) Ready() bool {
+	if o.split != nil {
+		return o.split.Ready()
+	}
+	return o.held.ok
+}
+
+// Wake returns the channel hinting that Ready may have turned true, or nil
+// when accesses never wait between Start and Finish. See Start.
+func (o *ORAM) Wake() <-chan struct{} {
+	if o.split != nil {
+		return o.split.Wake()
+	}
+	return nil
 }
 
 // Stats returns a snapshot of the controller counters.

@@ -219,14 +219,20 @@ func (SeedRewinder) RewindAll(st mem.Backend, nBuckets uint64) int {
 // PadReuseDetector watches bucket writes and reports when the same
 // (bucket, seed) pair is sealed twice with different ciphertexts — the
 // observable signature of one-time-pad reuse the §6.4 adversary exploits.
+// It also counts Regressions: writes whose seed does not exceed the seed the
+// same bucket was last written under. An honest controller's seeds only
+// climb, under either scheme; a regression is the step before a reuse.
 type PadReuseDetector struct {
-	seen   map[[2]uint64][]byte // (bucket, seed) -> first ciphertext
-	Reuses int
+	seen        map[[2]uint64][]byte // (bucket, seed) -> first ciphertext
+	last        map[uint64]uint64    // bucket -> seed of its latest write
+	Reuses      int
+	Regressions int
 }
 
 // Install hooks the detector into a store's write path.
 func (d *PadReuseDetector) Install(st mem.Backend) {
 	d.seen = make(map[[2]uint64][]byte)
+	d.last = make(map[uint64]uint64)
 	st.SetOnWrite(func(idx uint64, data []byte) []byte {
 		if len(data) >= crypt.SeedBytes {
 			seed := uint64(0)
@@ -238,6 +244,10 @@ func (d *PadReuseDetector) Install(st mem.Backend) {
 				d.Reuses++
 			}
 			d.seen[key] = bytes.Clone(data)
+			if prev, ok := d.last[idx]; ok && seed <= prev {
+				d.Regressions++
+			}
+			d.last[idx] = seed
 		}
 		return data
 	})

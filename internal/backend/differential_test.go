@@ -20,6 +20,8 @@ import (
 	"testing"
 
 	"freecursive/internal/backend/backendtest"
+	"freecursive/internal/mem"
+	"freecursive/internal/mem/memtest"
 )
 
 func TestDifferentialBackendEquivalence(t *testing.T) {
@@ -81,6 +83,57 @@ func compareRuns(t *testing.T, refName string, ref []backendtest.StepResult, nam
 		}
 		if !bytes.Equal(ref[i].Data, got[i].Data) {
 			t.Fatalf("step %d: plaintext results diverge between %s and %s", i, refName, name)
+		}
+	}
+}
+
+// newWindowedPath builds the path backend over a split-phase memory.
+func newWindowedPath(t *testing.T, enc bool) (backendtest.Windowed, *memtest.Split) {
+	t.Helper()
+	st := memtest.NewSplit()
+	b := backendtest.Kinds()[0].New(t, backendtest.Geom(t), backendtest.Options{Store: st, Encrypted: enc})
+	w, ok := b.(backendtest.Windowed)
+	if !ok {
+		t.Fatalf("%T has no in-flight window", b)
+	}
+	return w, st
+}
+
+// TestDifferentialWindowDepths: the in-flight window is invisible in the
+// results. The path backend replays one script serially over a map store
+// (the reference), then through Begin and Complete over a split-phase memory
+// at every depth up to the store's, under several random interleavings of
+// begins and completions — readrmv and append included, and, in the script
+// over a handful of slots, with most windows holding several accesses to
+// one address. Every run returns the reference's values step for step, and
+// depth 1 leaves the very same sealed bytes in memory.
+func TestDifferentialWindowDepths(t *testing.T) {
+	const maxDepth = 4
+	g := backendtest.Geom(t)
+	scripts := map[string][]backendtest.Op{
+		"wide":   backendtest.GenScript(211, 2500, 96, g.Leaves(), g.BlockBytes),
+		"narrow": backendtest.GenScript(223, 2500, 6, g.Leaves(), g.BlockBytes),
+	}
+	for name, script := range scripts {
+		for _, enc := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/enc=%v", name, enc), func(t *testing.T) {
+				serialStore := mem.NewStore()
+				serial := backendtest.Kinds()[0].New(t, g, backendtest.Options{Store: serialStore, Encrypted: enc})
+				ref := backendtest.RunScript(t, serial, script, backendtest.IdentityAddr)
+				for depth := 1; depth <= maxDepth; depth++ {
+					for seed := uint64(1); seed <= 3; seed++ {
+						b, st := newWindowedPath(t, enc)
+						got := backendtest.RunScriptWindowed(t, b, script, backendtest.IdentityAddr, depth, seed, nil)
+						compareRuns(t, "serial", ref, fmt.Sprintf("depth %d seed %d", depth, seed), got)
+						if depth == 1 && !memtest.Equal(serialStore, st, g.Buckets()) {
+							t.Fatalf("depth 1 (seed %d) left different sealed bytes than the serial run", seed)
+						}
+						if n := b.Counters().StashOverflow; n != 0 {
+							t.Fatalf("depth %d seed %d: %d stash overflows", depth, seed, n)
+						}
+					}
+				}
+			})
 		}
 	}
 }

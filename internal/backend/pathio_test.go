@@ -1,9 +1,12 @@
 package backend
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"math/rand/v2"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 
@@ -37,8 +40,20 @@ func newORAMOn(t testing.TB, st mem.Backend, encrypted bool) *PathORAM {
 // cost invariant batched path I/O exists for: over mem.Remote every
 // steady-state access is exactly two bucketd frames — one readpath, one
 // pipelined writepath — and the server sees the accessed path's bucket
-// indices root to leaf, in wire order, once per frame.
+// indices root to leaf, in wire order, once per frame. It holds at every
+// occupancy of the in-flight window: the window is held at depth accesses
+// (depth 1 is plain Access), and the wire shows the same 2N full-path
+// frames, reordered only by the schedule — reads in the order the accesses
+// began, each access's writepath after its own readpath, where its Complete
+// fell among the Begins, and so before the read of any access begun after
+// it completed.
 func TestRemoteAccessIsTwoFrames(t *testing.T) {
+	for depth := 1; depth <= maxWindow; depth++ {
+		t.Run(fmt.Sprintf("depth=%d", depth), func(t *testing.T) { remoteAccessIsTwoFrames(t, depth) })
+	}
+}
+
+func remoteAccessIsTwoFrames(t *testing.T, depth int) {
 	type touch struct {
 		op  byte
 		idx uint64
@@ -66,48 +81,64 @@ func TestRemoteAccessIsTwoFrames(t *testing.T) {
 	p := newORAMOn(t, rem, true)
 	g := p.Geometry()
 
+	// want is the wire the schedule implies, built as the schedule runs:
+	// a full path of readpath touches per Begin, of writepath touches per
+	// Complete.
+	var want []touch
+	note := func(op byte, leaf uint64) {
+		for _, idx := range g.PathIndices(leaf, nil) {
+			want = append(want, touch{op, idx})
+		}
+	}
 	rng := rand.New(rand.NewPCG(17, 19))
 	leaf := map[uint64]uint64{}
-	access := func() uint64 {
+	var flying []uint64 // leaves of the accesses in flight, oldest first
+	begin := func() {
 		addr := rng.Uint64() % 32
 		cur, ok := leaf[addr]
 		if !ok {
 			cur = rng.Uint64() % g.Leaves()
 		}
 		leaf[addr] = rng.Uint64() % g.Leaves()
-		if _, err := p.Access(Request{Op: OpRead, Addr: addr, Leaf: cur, NewLeaf: leaf[addr]}); err != nil {
+		if err := p.Begin(Request{Op: OpRead, Addr: addr, Leaf: cur, NewLeaf: leaf[addr]}); err != nil {
 			t.Fatal(err)
 		}
-		return cur
+		note(bucketwire.OpReadPath, cur)
+		flying = append(flying, cur)
 	}
-	// settle waits for every pipelined write-back to be applied without
-	// sending a frame of its own: Bounce drains the pending acks.
-	settle := func() {
+	complete := func() {
+		if _, err := p.Complete(); err != nil {
+			t.Fatal(err)
+		}
+		note(bucketwire.OpWritePath, flying[0])
+		flying = flying[1:]
+	}
+	run := func(n int) {
+		for i := 0; i < n; i++ {
+			if len(flying) == depth {
+				complete()
+			}
+			begin()
+		}
+		for len(flying) > 0 {
+			complete()
+		}
+		// Wait for every pipelined write-back to be applied without
+		// sending a frame of our own: Bounce drains the pending acks.
 		if err := rem.Bounce(); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	for i := 0; i < 20; i++ { // warm-up: materialize buckets, grow scratch
-		access()
-	}
-	settle()
+	run(20) // warm-up: materialize buckets, grow scratch
 	frames0 := srv.FramesServed()
 	mu.Lock()
 	wire = wire[:0]
 	mu.Unlock()
+	want = want[:0]
 
 	const n = 64
-	var want []touch
-	for i := 0; i < n; i++ {
-		path := g.PathIndices(access(), nil)
-		for _, op := range []byte{bucketwire.OpReadPath, bucketwire.OpWritePath} {
-			for _, idx := range path {
-				want = append(want, touch{op, idx})
-			}
-		}
-	}
-	settle()
+	run(n)
 
 	if got := srv.FramesServed() - frames0; got != 2*n {
 		t.Errorf("%d accesses cost %d bucketd frames, want exactly %d", n, got, 2*n)
@@ -191,5 +222,61 @@ func TestBatchedSurvivesFaultThenRecovers(t *testing.T) {
 	}
 	if errs == 0 || oks == 0 {
 		t.Fatalf("degenerate run: %d errors, %d successes", errs, oks)
+	}
+}
+
+// TestWindowFaultOrphansYoungerAccesses: when an access of the window fails,
+// the accesses begun behind it fail with it — they skipped the buckets it
+// was to rewrite, so running them would lose what those buckets hold — but
+// their reads are still consumed, the memory's stream stays in step, and
+// the window that follows starts clean: nothing latches at this layer, and
+// blocks no failed access touched read back intact.
+func TestWindowFaultOrphansYoungerAccesses(t *testing.T) {
+	// Each access is two data frames (readpath, writepath). 40 warm-up
+	// accesses, then a window of three: its second read is frame 82.
+	const warm = 40
+	srv := bucketd.New(bucketd.Config{FailEvery: 2*warm + 2})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	defer srv.Close()
+	rem, err := mem.DialRemote(mem.RemoteConfig{Addr: ln.Addr().String(), Namespace: "backend/orphans"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rem.Close()
+	p := newORAMOn(t, rem, true)
+	g := p.Geometry()
+	data := func(a uint64) []byte { return bytes.Repeat([]byte{byte(a) + 1}, g.BlockBytes) }
+	leafOf := func(a uint64) uint64 { return a * 37 % g.Leaves() }
+	for a := uint64(0); a < warm; a++ {
+		if _, err := p.Access(Request{Op: OpWrite, Addr: a, Leaf: leafOf(a), NewLeaf: leafOf(a), Data: data(a)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for a := uint64(0); a < 3; a++ {
+		if err := p.Begin(Request{Op: OpRead, Addr: a, Leaf: leafOf(a), NewLeaf: leafOf(a)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if res, err := p.Complete(); err != nil || !bytes.Equal(res.Data, data(0)) {
+		t.Fatalf("access ahead of the fault: %v", err)
+	}
+	if _, err := p.Complete(); !errors.Is(err, mem.ErrIO) {
+		t.Fatalf("access whose read the server refused: %v, want mem.ErrIO", err)
+	}
+	if _, err := p.Complete(); !errors.Is(err, mem.ErrIO) || !strings.Contains(err.Error(), "abandoned") {
+		t.Fatalf("access begun behind the failed one: %v, want it abandoned with the same fault", err)
+	}
+	if p.InFlight() != 0 {
+		t.Fatalf("%d accesses left in the window", p.InFlight())
+	}
+	for a := uint64(3); a < warm; a++ {
+		res, err := p.Access(Request{Op: OpRead, Addr: a, Leaf: leafOf(a), NewLeaf: leafOf(a)})
+		if err != nil || !res.Found || !bytes.Equal(res.Data, data(a)) {
+			t.Fatalf("block %d after the faulted window: found=%v err=%v", a, res.Found, err)
+		}
 	}
 }

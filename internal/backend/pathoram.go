@@ -27,26 +27,50 @@ import (
 type PathORAM struct {
 	geom  tree.Geometry
 	store mem.Backend
+	split mem.SplitPathReader // store, when it can keep several path reads in flight; else nil
 	ciph  *crypt.BucketCipher // nil: plaintext buckets (fast functional mode)
 	stash *stash.Stash
 	ctr   *stats.Counters
 
+	// fly is the in-flight window: accesses begun and not yet completed,
+	// oldest first. freeFly recycles their records.
+	fly     []*flight
+	freeFly []*flight
+
 	// Scratch buffers reused across accesses.
-	pathIdx []uint64
-	// seeds of buckets read this access, for per-bucket reseal.
-	pathSeeds []uint64
 	bodyBuf   []byte        // decrypted bucket body (path read)
 	encBuf    []byte        // plaintext bucket body (path write)
 	incoming  []stash.Block // blocks decoded from one bucket
 	resultBuf []byte        // Result.Data backing store
-	// Path I/O scratch: per-level receive slots for ReadPath and per-level
-	// sealed buckets for WritePath (each level needs its own buffer because
-	// the whole path is in flight at once).
+	// Path I/O scratch: per-level receive slots for the path read and
+	// per-level sealed buckets for WritePath (each level needs its own buffer
+	// because the whole path is in flight at once).
 	pathBufs   [][]byte
 	sealedBufs [][]byte
 	// freeData recycles block payload buffers (BlockBytes each): decoded
 	// path blocks take one, evicted/removed blocks give theirs back.
 	freeData [][]byte
+}
+
+// flight is one access between Begin and Complete: everything Complete needs
+// that the accesses begun around it must not share.
+type flight struct {
+	req     Request
+	pathIdx []uint64
+	// seeds holds, per level, the seed the bucket was last sealed under as
+	// far as this access knows: read off the bucket for the levels it reads
+	// fresh, handed down by the older access that rewrote it for stale ones.
+	seeds []uint64
+	// stale counts the leading levels whose buckets an older in-flight
+	// access also reads: this access's copy predates that access's
+	// write-back, so it is ignored.
+	stale int
+	// payload is the OpWrite payload, copied at Begin (the caller reuses its
+	// buffer before Complete). It becomes the block's buffer in the stash.
+	payload []byte
+	// orphaned is set when an older access of the window failed: what this
+	// one assumed stale was never rewritten, so it must not run either.
+	orphaned error
 }
 
 // Config parameterizes a functional backend.
@@ -81,6 +105,9 @@ func NewPathORAM(cfg Config) (*PathORAM, error) {
 		ciph:  cfg.Cipher,
 		stash: stash.New(cap),
 		ctr:   ctr,
+	}
+	if sp, ok := st.(mem.SplitPathReader); ok && sp.ReadSignal() != nil {
+		p.split = sp
 	}
 	p.bodyBuf = make([]byte, 0, p.bodyBytes())
 	p.encBuf = make([]byte, p.bodyBytes())
@@ -211,22 +238,55 @@ func (p *PathORAM) decodeBucket(body []byte, dst []stash.Block) []stash.Block {
 }
 
 // --- access ---------------------------------------------------------------
+//
+// # In-flight window
+//
+// A path access is split at its one wait: Begin issues the path read,
+// Complete absorbs the path, serves the request, evicts and writes the path
+// back. Over a memory that can keep reads in flight (mem.SplitPathReader)
+// several accesses may sit between the two, completing strictly in the
+// order they began; over any other memory the read happens inside Complete
+// and only one access may be begun at a time. Access is Begin then Complete.
+//
+// The memory applies reads and write-backs in the order they were sent. So
+// when access j begins while an older access i is still in flight, j's read
+// is sent before i's write-back, and every bucket on both paths — the paths
+// share a prefix from the root — reaches j as it was BEFORE i rewrote it.
+// One rule keeps the tree consistent. Such a bucket is stale in j's read:
+//
+//   - j ignores it. Whatever real blocks it held were absorbed into the
+//     stash by the access that read it fresh, which completes before j.
+//   - i's eviction puts nothing in it (it is written all-dummy): j will
+//     overwrite it without having seen what i put there. Blocks that could
+//     only go there wait in the stash for one access — treetop caching of
+//     the shared prefix.
+//   - j inherits the seed i wrote it under. Resealing above the seed j
+//     read would reuse i's pad under the per-bucket scheme (§6.4).
+//
+// Every access still reads and writes its whole path, and which buckets are
+// stale is a function of the leaves in the window — public — alone. A second
+// access to the SAME address needs no special case: its block can only live
+// on the prefix its two paths share, so it is still in the stash when the
+// later access completes.
 
 // Access performs one backend operation. See the Op documentation for
 // semantics. The returned Result.Data is reusable scratch owned by the
-// backend: it is only valid until the next Access, and callers that retain
-// the payload must copy it.
+// backend: it is only valid until the next Access or Complete, and callers
+// that retain the payload must copy it. A path operation must not be mixed
+// into a window of begun accesses; OpAppend touches only the stash and may.
 //
 //oram:hotpath
 func (p *PathORAM) Access(req Request) (Result, error) {
-	switch req.Op {
-	case OpAppend:
+	if req.Op == OpAppend {
 		return p.append(req)
-	case OpRead, OpWrite, OpReadRmv:
-		return p.access(req)
-	default:
-		return Result{}, fmt.Errorf("backend: unknown op %v", req.Op)
 	}
+	if len(p.fly) > 0 {
+		return Result{}, fmt.Errorf("backend: Access with %d accesses in flight", len(p.fly))
+	}
+	if err := p.Begin(req); err != nil {
+		return Result{}, err
+	}
+	return p.Complete()
 }
 
 func (p *PathORAM) append(req Request) (Result, error) {
@@ -246,37 +306,147 @@ func (p *PathORAM) append(req Request) (Result, error) {
 	return Result{Found: true}, nil
 }
 
+// sharedLevels returns how many buckets, counted from the root, the paths
+// to leaves a and b have in common (at least the root).
 //
 //oram:hotpath
-func (p *PathORAM) access(req Request) (Result, error) {
+func (p *PathORAM) sharedLevels(a, b uint64) int {
+	return p.geom.DeepestLegalLevel(a, b) + 1
+}
+
+// Begin starts a read, write or readrmv: it validates the request, joins the
+// in-flight window and, over a split-phase memory, sends the path read. The
+// request's Data is copied; its Update runs inside Complete.
+//
+//oram:hotpath
+func (p *PathORAM) Begin(req Request) error {
+	switch req.Op {
+	case OpRead, OpWrite, OpReadRmv:
+	default:
+		return fmt.Errorf("backend: unknown op %v", req.Op)
+	}
 	if !p.geom.ValidLeaf(req.Leaf) {
-		return Result{}, fmt.Errorf("backend: leaf out of range (L=%d)", p.geom.L)
+		return fmt.Errorf("backend: leaf out of range (L=%d)", p.geom.L)
 	}
 	if req.Op != OpReadRmv && !p.geom.ValidLeaf(req.NewLeaf) {
-		return Result{}, fmt.Errorf("backend: new leaf out of range (L=%d)", p.geom.L)
+		return fmt.Errorf("backend: new leaf out of range (L=%d)", p.geom.L)
 	}
+	if p.split == nil && len(p.fly) > 0 {
+		return fmt.Errorf("backend: this memory reads paths synchronously; complete the access in flight first")
+	}
+
+	var f *flight
+	if n := len(p.freeFly); n > 0 {
+		f, p.freeFly = p.freeFly[n-1], p.freeFly[:n-1]
+	} else {
+		//oramlint:allow hotpathalloc one record per window slot, allocated the first time the window gets that deep and recycled ever after; pinned by the AllocsPerRun gates
+		f = new(flight)
+	}
+	f.req = req
+	f.pathIdx = p.geom.PathIndices(req.Leaf, f.pathIdx)
+	if cap(f.seeds) < len(f.pathIdx) {
+		//oramlint:allow hotpathalloc one-time scratch growth to path length; steady state reuses it, pinned by the AllocsPerRun gates
+		f.seeds = make([]uint64, len(f.pathIdx))
+	}
+	f.seeds = f.seeds[:len(f.pathIdx)]
+	clear(f.seeds)
+	f.stale, f.orphaned = 0, nil
+	for _, older := range p.fly {
+		f.stale = max(f.stale, p.sharedLevels(older.req.Leaf, req.Leaf))
+		if older.orphaned != nil {
+			f.orphaned = older.orphaned // it would plan around a write-back that will not happen
+		}
+	}
+	if p.split != nil {
+		if err := p.split.IssueReadPath(f.pathIdx); err != nil {
+			p.freeFly = append(p.freeFly, f)
+			return fmt.Errorf("backend: path read: %w", err)
+		}
+	}
+	if req.Op == OpWrite {
+		f.payload = p.newBlockBuf()
+		fillBlockBuf(f.payload, req.Data)
+	}
+	f.req.Data = nil
+	p.fly = append(p.fly, f)
+	return nil
+}
+
+// InFlight returns how many accesses are begun and not completed.
+func (p *PathORAM) InFlight() int { return len(p.fly) }
+
+// Ready reports whether Complete would return without waiting on memory.
+func (p *PathORAM) Ready() bool { return p.split == nil || p.split.ReadReady() }
+
+// Signal returns the memory's hint channel for Ready (see
+// mem.SplitPathReader.ReadSignal), or nil when the memory reads paths
+// synchronously — then at most one access can be in flight and Complete
+// never waits on anything but the read itself.
+func (p *PathORAM) Signal() <-chan struct{} {
+	if p.split == nil {
+		return nil
+	}
+	return p.split.ReadSignal()
+}
+
+// Complete finishes the oldest begun access and returns its result.
+//
+//oram:hotpath
+func (p *PathORAM) Complete() (Result, error) {
+	if len(p.fly) == 0 {
+		return Result{}, fmt.Errorf("backend: Complete without an access in flight")
+	}
+	f := p.fly[0]
+	p.fly = p.fly[:copy(p.fly, p.fly[1:])]
+	res, err := p.complete(f)
+	if err != nil {
+		// The accesses begun behind f planned around its write-back: they
+		// skip the buckets it was to rewrite and expect its blocks in the
+		// stash. They fail with it; the window then starts clean.
+		for _, younger := range p.fly {
+			if younger.orphaned == nil {
+				younger.orphaned = err
+			}
+		}
+	}
+	if f.payload != nil { // not handed to the stash: the access failed first
+		p.recycleBlockBuf(f.payload)
+		f.payload = nil
+	}
+	f.req = Request{}
+	p.freeFly = append(p.freeFly, f)
+	return res, err
+}
+
+//
+//oram:hotpath
+func (p *PathORAM) complete(f *flight) (Result, error) {
+	req := f.req
 
 	// Step 2 (§3.1): read and decrypt all buckets along the path; real
-	// blocks enter the stash.
-	p.pathIdx = p.geom.PathIndices(req.Leaf, p.pathIdx)
-	if cap(p.pathSeeds) < len(p.pathIdx) {
-		//oramlint:allow hotpathalloc one-time scratch growth to path length; steady state reuses it, pinned by the AllocsPerRun gates
-		p.pathSeeds = make([]uint64, len(p.pathIdx))
-	}
-	p.pathSeeds = p.pathSeeds[:len(p.pathIdx)]
-
-	// The whole path is one store operation (one round trip on a remote
-	// store). The PathReader contract keeps every level's bucket
-	// simultaneously valid while we absorb them in path order.
-	for len(p.pathBufs) < len(p.pathIdx) {
+	// blocks enter the stash. The whole path is one store operation (one
+	// round trip on a remote store). The PathReader contract keeps every
+	// level's bucket simultaneously valid while we absorb them in path
+	// order; stale levels are skipped.
+	for len(p.pathBufs) < len(f.pathIdx) {
 		p.pathBufs = append(p.pathBufs, nil)
 	}
-	bufs := p.pathBufs[:len(p.pathIdx)]
-	if err := p.store.ReadPath(p.pathIdx, bufs); err != nil {
+	bufs := p.pathBufs[:len(f.pathIdx)]
+	var err error
+	if p.split != nil {
+		err = p.split.CompleteReadPath(f.pathIdx, bufs)
+	} else {
+		err = p.store.ReadPath(f.pathIdx, bufs)
+	}
+	if err != nil {
 		return Result{}, fmt.Errorf("backend: path read: %w", err)
 	}
-	for i, idx := range p.pathIdx {
-		p.absorbBucket(i, idx, bufs[i])
+	if f.orphaned != nil {
+		// The read was consumed only to keep the memory's stream in step.
+		return Result{}, fmt.Errorf("backend: abandoned, an access begun earlier failed: %w", f.orphaned)
+	}
+	for i := f.stale; i < len(f.pathIdx); i++ {
+		p.absorbBucket(f, i, bufs[i])
 	}
 
 	// Steps 3-4: find the block of interest. The result payload is copied
@@ -315,17 +485,17 @@ func (p *PathORAM) access(req Request) (Result, error) {
 		blk.Leaf = req.NewLeaf
 	case OpWrite:
 		if blk == nil {
-			buf := p.newBlockBuf()
-			fillBlockBuf(buf, req.Data)
-			p.stash.Put(stash.Block{Addr: req.Addr, Leaf: req.NewLeaf, Data: buf})
+			p.stash.Put(stash.Block{Addr: req.Addr, Leaf: req.NewLeaf, Data: f.payload})
 		} else {
-			fillBlockBuf(blk.Data, req.Data)
+			p.recycleBlockBuf(blk.Data)
+			blk.Data = f.payload
 			blk.Leaf = req.NewLeaf
 		}
+		f.payload = nil
 	}
 
 	// Step 5: evict as much as possible back to the same path.
-	if err := p.writePath(req.Leaf); err != nil {
+	if err := p.writePath(f); err != nil {
 		return Result{}, err
 	}
 
@@ -341,15 +511,14 @@ func (p *PathORAM) access(req Request) (Result, error) {
 	return res, nil
 }
 
-// absorbBucket feeds one sealed bucket (level i, bucket index idx) through
+// absorbBucket feeds one sealed bucket of f's path (level i) through
 // decryption and decoding into the stash. A nil sealed bucket was never
 // written (all dummies); an undecryptable one contributes nothing —
 // structural garbage is the adversary's doing and is handled by the
 // integrity layers above, while errors stay reserved for real I/O faults.
 //
 //oram:hotpath
-func (p *PathORAM) absorbBucket(i int, idx uint64, sealed []byte) {
-	p.pathSeeds[i] = 0
+func (p *PathORAM) absorbBucket(f *flight, i int, sealed []byte) {
 	if sealed == nil {
 		return
 	}
@@ -357,12 +526,12 @@ func (p *PathORAM) absorbBucket(i int, idx uint64, sealed []byte) {
 	if p.ciph != nil {
 		var seed uint64
 		var err error
-		body, seed, err = p.ciph.OpenTo(p.bodyBuf[:0], idx, sealed)
+		body, seed, err = p.ciph.OpenTo(p.bodyBuf[:0], f.pathIdx[i], sealed)
 		if err != nil {
 			return
 		}
 		p.bodyBuf = body // keep any grown capacity for the next bucket
-		p.pathSeeds[i] = seed
+		f.seeds[i] = seed
 	}
 	p.incoming = p.decodeBucket(body, p.incoming[:0])
 	for _, b := range p.incoming {
@@ -377,26 +546,35 @@ func (p *PathORAM) absorbBucket(i int, idx uint64, sealed []byte) {
 	}
 }
 
-// writePath evicts as much of the stash as fits back onto the path of leaf,
-// seals every level into its own scratch buffer and hands the whole path to
-// the store in one WritePath. Each level needs a private sealed copy
+// writePath evicts as much of the stash as fits back onto f's path, seals
+// every level into its own scratch buffer and hands the whole path to the
+// store in one WritePath. Each level needs a private sealed copy
 // (encodeBucket reuses one body buffer, and the store may not retain our
 // slices but does read them all within the call); a PathWriter is allowed
 // to pipeline the write-back behind the next access, in which case a
 // deferred failure surfaces from a later store operation wrapping
 // mem.ErrIO.
 //
+// Every access still in the window began after f and before this
+// write-back, so the buckets f shares with it are stale in its read: they
+// take no blocks here, and it is told the seeds they are now sealed under.
+//
 //oram:hotpath
-func (p *PathORAM) writePath(leaf uint64) error {
-	perLevel := p.stash.EvictForPath(p.geom, leaf)
+func (p *PathORAM) writePath(f *flight) error {
+	minLevel := 0
+	for _, younger := range p.fly {
+		minLevel = max(minLevel, p.sharedLevels(younger.req.Leaf, f.req.Leaf))
+	}
+	perLevel := p.stash.EvictForPath(p.geom, f.req.Leaf, minLevel)
 	for len(p.sealedBufs) < len(perLevel) {
 		p.sealedBufs = append(p.sealedBufs, nil)
 	}
 	for lev, blocks := range perLevel {
-		idx := p.pathIdx[lev]
+		idx := f.pathIdx[lev]
 		body := p.encodeBucket(blocks)
 		if p.ciph != nil {
-			p.sealedBufs[lev] = p.ciph.SealTo(p.sealedBufs[lev][:0], idx, p.pathSeeds[lev], body)
+			p.sealedBufs[lev] = p.ciph.SealTo(p.sealedBufs[lev][:0], idx, f.seeds[lev], body)
+			f.seeds[lev] = binary.BigEndian.Uint64(p.sealedBufs[lev])
 		} else {
 			p.sealedBufs[lev] = append(p.sealedBufs[lev][:0], body...)
 		}
@@ -406,7 +584,11 @@ func (p *PathORAM) writePath(leaf uint64) error {
 			p.recycleBlockBuf(b.Data)
 		}
 	}
-	if err := p.store.WritePath(p.pathIdx[:len(perLevel)], p.sealedBufs[:len(perLevel)]); err != nil {
+	for _, younger := range p.fly {
+		n := p.sharedLevels(younger.req.Leaf, f.req.Leaf)
+		copy(younger.seeds[:n], f.seeds[:n])
+	}
+	if err := p.store.WritePath(f.pathIdx[:len(perLevel)], p.sealedBufs[:len(perLevel)]); err != nil {
 		return fmt.Errorf("backend: path write: %w", err)
 	}
 	return nil

@@ -183,6 +183,7 @@ type System struct {
 // backend) and reports whether any backend still has work queued.
 // Backends without a maintenance capability are skipped.
 func (s *System) Maintain(budget int) (bool, error) {
+	s.drain()
 	pending := false
 	for _, be := range s.Backends {
 		m, ok := be.(backend.Maintainer)
@@ -198,6 +199,14 @@ func (s *System) Maintain(budget int) (bool, error) {
 		}
 	}
 	return pending, nil
+}
+
+// drain completes the backend work of every access the frontend has started
+// and not finished, so that what follows sees no access half done.
+func (s *System) drain() {
+	if fe, ok := s.Frontend.(interface{ Drain() }); ok {
+		fe.Drain()
+	}
 }
 
 // MaintainPending reports whether any backend has maintenance work queued.

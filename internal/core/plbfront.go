@@ -17,6 +17,7 @@ import (
 // verification (§6). It drives an unmodified Position-based ORAM Backend.
 type PLBFrontend struct {
 	be     backend.Backend
+	split  splitBackend // be, when its accesses can be begun and completed separately; else nil
 	plb    *plb.PLB
 	format posmap.Format // layout of PosMap blocks (levels >= 1); nil iff H == 1
 	onchip *posmap.OnChip
@@ -34,6 +35,11 @@ type PLBFrontend struct {
 	violated  bool
 	violation error
 
+	// pend holds the started accesses whose results Finish has not handed
+	// out yet, oldest first; freePend recycles their records.
+	pend     []*pendingAccess
+	freePend []*pendingAccess
+
 	// Hot-path scratch. sealBuf backs seal's output (always consumed — i.e.
 	// copied — by the backend before the next seal call); writeBuf holds
 	// the zero-padded payload of a data write for the duration of one
@@ -47,6 +53,31 @@ type PLBFrontend struct {
 	// OnBackendAccess, if set, observes every unified-tree access (op and
 	// leaf) — the adversary's view used by the security tests.
 	OnBackendAccess func(op backend.Op, leaf uint64)
+}
+
+// splitBackend is the split-phase form of backend.Backend that
+// backend.PathORAM offers: Begin issues an access's path read, Complete
+// finishes the oldest begun access. Signal is nil when the memory under the
+// backend cannot keep reads in flight; Ready says whether Complete would
+// wait. A backend without it (bhoram, Accounting, a decorator that embeds
+// the plain interface) is simply accessed inside Start.
+type splitBackend interface {
+	Begin(req backend.Request) error
+	Complete() (backend.Result, error)
+	Ready() bool
+	Signal() <-chan struct{}
+}
+
+// pendingAccess is one data access between Start and Finish.
+type pendingAccess struct {
+	a0    uint64
+	write bool
+	m     mapping
+	out   []byte // the value Finish returns
+	err   error
+	// done: the backend access is over and out/err are final. Until then the
+	// access is in the backend's in-flight window.
+	done bool
 }
 
 // PLBConfig parameterizes a PLBFrontend.
@@ -163,8 +194,10 @@ func NewPLB(cfg PLBConfig) (*PLBFrontend, error) {
 	if ctr == nil {
 		ctr = cfg.Backend.Counters()
 	}
+	split, _ := cfg.Backend.(splitBackend)
 	return &PLBFrontend{
 		be:        cfg.Backend,
+		split:     split,
 		plb:       cache,
 		format:    cfg.Format,
 		onchip:    onchip,
@@ -235,7 +268,15 @@ func (fe *PLBFrontend) blocksAtLevel(level int) uint64 {
 	return TopEntries(fe.n, fe.logX, level+1)
 }
 
+// access performs one synchronous backend operation: a PosMap block fetch,
+// a PLB victim's append, a group-remap rewrite. It is a barrier — the data
+// accesses still in flight complete first, in order — because what it reads
+// or moves may be exactly what they are about to write.
 func (fe *PLBFrontend) access(req backend.Request) (backend.Result, error) {
+	fe.Drain()
+	if fe.violated {
+		return backend.Result{}, fe.violation
+	}
 	if fe.OnBackendAccess != nil {
 		fe.OnBackendAccess(req.Op, req.Leaf)
 	}
@@ -353,13 +394,34 @@ func (fe *PLBFrontend) mapFromParent(parent *plb.Entry, childTag uint64, j, chil
 	return m, nil
 }
 
-// Access implements Frontend: the §4.2.4 algorithm.
+// Access implements Frontend: the §4.2.4 algorithm, started and finished
+// back to back. It must not be mixed into a window of started accesses.
 func (fe *PLBFrontend) Access(a0 uint64, write bool, data []byte) ([]byte, error) {
+	if len(fe.pend) > 0 {
+		return nil, fmt.Errorf("core: Access with %d started accesses unfinished", len(fe.pend))
+	}
+	if err := fe.Start(a0, write, data); err != nil {
+		return nil, err
+	}
+	return fe.Finish()
+}
+
+// Start runs one access up to its one wait on memory: steps 1 and 2 of
+// §4.2.4 (PLB lookup; PosMap block fetches, each a synchronous backend
+// access that first completes the data accesses still in flight), then the
+// data block's mapping advance, then the issue of its path read. The PLB
+// and PosMap state it leaves is final, so the next Start may run before
+// this access's Finish: started accesses finish in the order they started,
+// and nothing about that order or their overlap depends on an address.
+// data is consumed before Start returns.
+//
+// An error means the access did not start and has no Finish.
+func (fe *PLBFrontend) Start(a0 uint64, write bool, data []byte) error {
 	if fe.violated {
-		return nil, fe.violation
+		return fe.violation
 	}
 	if a0 >= fe.n {
-		return nil, fmt.Errorf("core: address out of range (N=%d)", fe.n)
+		return fmt.Errorf("core: address out of range (N=%d)", fe.n)
 	}
 	fe.ctr.Accesses++
 
@@ -392,7 +454,7 @@ func (fe *PLBFrontend) Access(a0 uint64, write bool, data []byte) ([]byte, error
 		} else {
 			m, err = fe.mapFromParent(parent, t, ChildIndex(ai, fe.logX), lev)
 			if err != nil {
-				return nil, err
+				return err
 			}
 		}
 
@@ -401,14 +463,14 @@ func (fe *PLBFrontend) Access(a0 uint64, write bool, data []byte) ([]byte, error
 			Op: backend.OpReadRmv, Addr: t, Leaf: m.curLeaf, PosMap: true,
 		})
 		if err != nil {
-			return nil, err
+			return err
 		}
 		// The fetched PosMap block moves into the PLB, which owns its buffer
 		// until eviction; recycled victim buffers keep this allocation-free.
 		//oramlint:allow secretflow source: backend access result; sink: found-disposition check inside checkFetched — presence and MAC verification happen in trusted controller memory after the path I/O completed; both outcomes cost the same backend traffic
 		block, err := fe.checkFetched(fe.newBlockBuf(), t, m.curCounter, res.Data, res.Found)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		//oramlint:allow secretflow source: backend access result; sink: first-touch init branch — a block's first-ever access is derivable from the public access sequence; initialization happens in trusted memory
 		if !res.Found && fe.mac == nil {
@@ -421,7 +483,7 @@ func (fe *PLBFrontend) Access(a0 uint64, write bool, data []byte) ([]byte, error
 		fe.ctr.PLBRefills++
 		if evicted {
 			if err := fe.appendVictim(victim); err != nil {
-				return nil, err
+				return err
 			}
 		}
 		parent = inserted
@@ -435,67 +497,143 @@ func (fe *PLBFrontend) Access(a0 uint64, write bool, data []byte) ([]byte, error
 	} else {
 		m, err = fe.mapFromParent(parent, a0, ChildIndex(a0, fe.logX), 0)
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return fe.accessData(a0, write, data, m)
+	return fe.startData(a0, write, data, m)
 }
 
-func (fe *PLBFrontend) accessData(a0 uint64, write bool, data []byte, m mapping) ([]byte, error) {
+// startData issues the data block's backend access and queues its record
+// for Finish. Over a split-phase backend the access joins the in-flight
+// window; over any other it runs to completion here.
+func (fe *PLBFrontend) startData(a0 uint64, write bool, data []byte, m mapping) error {
+	var op *pendingAccess
+	if n := len(fe.freePend); n > 0 {
+		op, fe.freePend = fe.freePend[n-1], fe.freePend[:n-1]
+	} else {
+		op = new(pendingAccess)
+	}
+	*op = pendingAccess{a0: a0, write: write, m: m}
+
+	req := backend.Request{Op: backend.OpRead, Addr: a0, Leaf: m.curLeaf, NewLeaf: m.newLeaf}
 	if write {
 		fillPadded(fe.writeBuf, data)
+		req.Op = backend.OpWrite
+		req.Data = fe.seal(a0, m.newCounter, fe.writeBuf)
+	} else {
+		// Read: verify the fetched block and re-seal it under the new
+		// counter inside the same backend access (read-modify-write). The
+		// verified payload is copied into a fresh slice: it is the
+		// frontend's return value, owned by the caller (the Frontend
+		// contract).
+		req.Update = func(old []byte, found bool) []byte {
+			block, err := fe.checkFetched(nil, a0, m.curCounter, old, found)
+			if err != nil {
+				op.err = err
+				return old
+			}
+			op.out = block
+			return fe.seal(a0, m.newCounter, block)
+		}
+	}
+	if fe.OnBackendAccess != nil {
+		fe.OnBackendAccess(req.Op, req.Leaf)
+	}
+	if fe.split != nil {
+		if err := fe.split.Begin(req); err != nil {
+			fe.freePend = append(fe.freePend, op)
+			return err
+		}
+	} else {
 		//oramlint:allow secretflow source: curLeaf from the data ORAM's position map; sink: backend access request — the per-access leaf reveal is Path ORAM's deliberate disclosure (§3); the flagged witness is the Accounting reference backend's map
-		res, err := fe.access(backend.Request{
-			Op: backend.OpWrite, Addr: a0, Leaf: m.curLeaf, NewLeaf: m.newLeaf,
-			Data: fe.seal(a0, m.newCounter, fe.writeBuf),
-		})
-		if err != nil {
-			return nil, err
-		}
-		//oramlint:allow secretflow source: backend access result; sink: integrity-check branch — the MAC/presence verdict is computed in trusted controller memory after the path I/O; a failure aborts with a redacted error, it does not modulate backend traffic
-		if fe.mac != nil && !res.Found && m.curCounter != 0 {
-			return nil, fe.fail("core: fetched block absent despite a nonzero access counter")
-		}
+		res, err := fe.be.Access(req)
+		fe.settle(op, res, err)
+	}
+	fe.pend = append(fe.pend, op)
+	return nil
+}
+
+// complete finishes op's backend access, which must be the oldest one in
+// flight. A controller that has latched a violation touches memory no more.
+func (fe *PLBFrontend) complete(op *pendingAccess) {
+	if fe.violated {
+		op.err, op.done = fe.violation, true
+		return
+	}
+	res, err := fe.split.Complete()
+	fe.settle(op, res, err)
+}
+
+// settle turns a finished backend access into op's result.
+func (fe *PLBFrontend) settle(op *pendingAccess, res backend.Result, err error) {
+	op.done = true
+	switch {
+	case err != nil:
+		op.err = err
+	case !op.write:
+		// The Update callback already verified and copied the block out.
+	case fe.mac != nil && !res.Found && op.m.curCounter != 0:
+		op.err = fe.fail("core: fetched block absent despite a nonzero access counter")
+	default:
 		// The overwritten value is returned unverified: it is discarded by
 		// the processor, and the write installed a fresh MAC. The copy is
 		// deliberate — the Frontend contract returns an owned slice.
-		out := make([]byte, fe.dataBytes)
+		op.out = make([]byte, fe.dataBytes)
 		if res.Found {
 			old := res.Data
 			if fe.mac != nil {
 				old = old[fe.macBytes:]
 			}
-			copy(out, old)
+			copy(op.out, old)
 		}
-		return out, nil
 	}
+	if op.err != nil {
+		op.out = nil
+	}
+}
 
-	// Read: verify the fetched block and re-seal it under the new counter
-	// inside the same backend access (read-modify-write). The verified
-	// payload is copied into a fresh slice: it is the frontend's return
-	// value, owned by the caller (the Frontend contract).
-	var out []byte
-	var vErr error
-	res, err := fe.access(backend.Request{
-		Op: backend.OpRead, Addr: a0, Leaf: m.curLeaf, NewLeaf: m.newLeaf, PosMap: false,
-		Update: func(old []byte, found bool) []byte {
-			block, err := fe.checkFetched(nil, a0, m.curCounter, old, found)
-			if err != nil {
-				vErr = err
-				return old
-			}
-			out = block
-			return fe.seal(a0, m.newCounter, block)
-		},
-	})
-	if err != nil {
-		return nil, err
+// Finish returns the result of the oldest started access, completing its
+// backend access first if a barrier has not already.
+func (fe *PLBFrontend) Finish() ([]byte, error) {
+	if len(fe.pend) == 0 {
+		return nil, fmt.Errorf("core: Finish without a started access")
 	}
-	if vErr != nil {
-		return nil, vErr
+	op := fe.pend[0]
+	if !op.done {
+		fe.complete(op)
 	}
-	_ = res
-	return out, nil
+	fe.pend = fe.pend[:copy(fe.pend, fe.pend[1:])]
+	out, err := op.out, op.err
+	*op = pendingAccess{}
+	fe.freePend = append(fe.freePend, op)
+	return out, err
+}
+
+// Drain completes every started access's backend work, oldest first, and
+// keeps the results for Finish: the barrier behind synchronous backend
+// accesses, snapshots and maintenance.
+func (fe *PLBFrontend) Drain() {
+	for _, op := range fe.pend {
+		if !op.done {
+			fe.complete(op)
+		}
+	}
+}
+
+// Ready reports whether Finish would return without waiting on memory.
+func (fe *PLBFrontend) Ready() bool {
+	return len(fe.pend) > 0 && (fe.pend[0].done || fe.violated || fe.split.Ready())
+}
+
+// Wake returns the channel that hints Ready may have turned true, or nil
+// when accesses never wait between Start and Finish (the memory is
+// synchronous, or the backend is not split-phase): then starting a second
+// access before finishing the first gains nothing.
+func (fe *PLBFrontend) Wake() <-chan struct{} {
+	if fe.split == nil {
+		return nil
+	}
+	return fe.split.Signal()
 }
 
 // fillPadded copies src into dst, zero-filling the tail.

@@ -94,8 +94,11 @@ func comparableParams(p Params) Params {
 // Snapshot captures the system's trusted state. It requires functional
 // backends (the accounting backend has no real tree to persist against)
 // and refuses to snapshot a controller that has latched an integrity
-// violation — a poisoned controller must not be resurrected.
+// violation — a poisoned controller must not be resurrected. Accesses
+// started and not finished are completed first (their results wait for
+// Finish): a snapshot never describes a half-done access.
 func (s *System) Snapshot() (*Snapshot, error) {
+	s.drain()
 	snap := &Snapshot{
 		Version:  snapshotVersion,
 		Params:   comparableParams(s.Params),

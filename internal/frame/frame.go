@@ -387,14 +387,18 @@ func (d *Decoder) Response(p []byte) (id uint64, resp Response, err error) {
 // mid-frame returns io.ErrUnexpectedEOF. The declared length is validated
 // against MaxFrameBytes before any allocation.
 func ReadFrame(r io.Reader, buf []byte) (payload, scratch []byte, err error) {
-	var prefix [prefixLen]byte
-	if _, err := io.ReadFull(r, prefix[:]); err != nil {
+	// The prefix is read into buf itself: a local array handed to an
+	// interface method escapes, one allocation per frame.
+	if cap(buf) < prefixLen {
+		buf = make([]byte, prefixLen)
+	}
+	if _, err := io.ReadFull(r, buf[:prefixLen]); err != nil {
 		if errors.Is(err, io.ErrUnexpectedEOF) {
 			return nil, buf, fmt.Errorf("frame: %w: torn length prefix", io.ErrUnexpectedEOF)
 		}
 		return nil, buf, err
 	}
-	n := binary.LittleEndian.Uint32(prefix[:])
+	n := binary.LittleEndian.Uint32(buf[:prefixLen])
 	if n > MaxFrameBytes {
 		return nil, buf, fmt.Errorf("frame: %w: declared %d-byte payload", ErrTooLarge, n)
 	}

@@ -424,6 +424,8 @@ func TestMetrics(t *testing.T) {
 		`oramstore_shard_state{shard="1",state="quarantined"} 1`,
 		`oramstore_shard_state{shard="0",state="healthy"} 1`,
 		`oramstore_shard_coalesced_reads_total{shard="0"}`,
+		`oramstore_shard_overlapped_accesses_total{shard="0"} 0`,
+		`oramstore_shard_in_flight_accesses{shard="0"} 0`,
 		`oramstore_shard_queue_cap{shard="0"}`,
 	} {
 		if !strings.Contains(text, want) {

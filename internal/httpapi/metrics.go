@@ -109,6 +109,14 @@ func writeMetrics(w io.Writer, st *store.Store, transports []TransportStats) {
 	shardMetric("oramstore_shard_coalesced_reads_total", "counter",
 		"Reads served by fanning out another read's physical ORAM access.",
 		func(i store.ShardInfo) uint64 { return i.CoalescedReads })
+	// Like the coalescing counter, the next two are functions of request
+	// arrival timing only (leaksink: nothing address-derived reaches them).
+	shardMetric("oramstore_shard_overlapped_accesses_total", "counter",
+		"ORAM accesses started while an earlier one still waited for untrusted memory.",
+		func(i store.ShardInfo) uint64 { return i.OverlappedAccesses })
+	shardMetric("oramstore_shard_in_flight_accesses", "gauge",
+		"ORAM accesses started and waiting for untrusted memory.",
+		func(i store.ShardInfo) uint64 { return uint64(i.InFlight) })
 
 	states := make([]sample, 0, 3*len(infos))
 	for _, info := range infos {

@@ -50,15 +50,18 @@ type FlakyConfig struct {
 // fail-stop rather than reason about how far it got.
 type Flaky struct {
 	Backend
-	cfg FlakyConfig
-	rng *rand.Rand
-	n   uint64 // data operations seen
+	split SplitPathReader // the inner backend, if it can split path reads
+	cfg   FlakyConfig
+	rng   *rand.Rand
+	n     uint64 // data operations seen
 }
 
 // WithFaults wraps inner with fault injection per cfg.
 func WithFaults(inner Backend, cfg FlakyConfig) *Flaky {
+	split, _ := inner.(SplitPathReader)
 	return &Flaky{
 		Backend: inner,
+		split:   split,
 		cfg:     cfg,
 		rng:     rand.New(rand.NewSource(int64(cfg.Seed))),
 	}
@@ -132,6 +135,36 @@ func (f *Flaky) ReadPath(idxs []uint64, out [][]byte) error {
 	return f.Backend.ReadPath(idxs, out)
 }
 
+// IssueReadPath forwards SplitPathReader with fault injection: issuing is
+// the data operation (a fault means the read never left; PartialPath does
+// not apply, nothing has been served yet). Completion, readiness and the
+// signal belong to the inner backend untouched, and ReadSignal is nil when
+// the inner backend cannot split.
+//
+//oram:offhotpath fault-injection wrapper for crash tests, not a steady-state serving path
+func (f *Flaky) IssueReadPath(idxs []uint64) error {
+	if err := f.step(); err != nil {
+		return err
+	}
+	return f.split.IssueReadPath(idxs)
+}
+
+// CompleteReadPath forwards SplitPathReader.
+func (f *Flaky) CompleteReadPath(idxs []uint64, out [][]byte) error {
+	return f.split.CompleteReadPath(idxs, out)
+}
+
+// ReadReady forwards SplitPathReader.
+func (f *Flaky) ReadReady() bool { return f.split.ReadReady() }
+
+// ReadSignal forwards SplitPathReader.
+func (f *Flaky) ReadSignal() <-chan struct{} {
+	if f.split == nil {
+		return nil
+	}
+	return f.split.ReadSignal()
+}
+
 // WritePath implements PathWriter with fault injection.
 //
 //oram:offhotpath fault-injection wrapper for crash tests, not a steady-state serving path
@@ -146,4 +179,7 @@ func (f *Flaky) WritePath(idxs []uint64, data [][]byte) error {
 // line assertions up with the injection schedule.
 func (f *Flaky) Ops() uint64 { return f.n }
 
-var _ Backend = (*Flaky)(nil)
+var (
+	_ Backend         = (*Flaky)(nil)
+	_ SplitPathReader = (*Flaky)(nil)
+)

@@ -48,6 +48,36 @@ type PathWriter interface {
 	WritePath(idxs []uint64, data [][]byte) error
 }
 
+// SplitPathReader is the split-phase form of PathReader, for memories where
+// a path read is a round trip worth overlapping with other work: the read is
+// ISSUED (the request leaves now) and COMPLETED later (the buckets are handed
+// over), and several may be in flight at once. Reads complete strictly in
+// issue order, and the memory applies everything — issued reads and
+// WritePaths alike — in the order the calls were made, so a read issued
+// before a WritePath never observes it: the caller owns that staleness
+// (backend.PathORAM's in-flight window is the one caller).
+//
+// Only memories that gain from it implement it (Remote; Flaky forwards). A
+// nil ReadSignal means the implementation cannot actually split — callers
+// fall back to ReadPath.
+type SplitPathReader interface {
+	// IssueReadPath sends the read of idxs and returns without waiting.
+	IssueReadPath(idxs []uint64) error
+	// CompleteReadPath delivers the oldest issued read, which must have been
+	// issued for idxs, exactly as ReadPath would have: same hooks, same
+	// counters, same slice ownership. It waits for the answer if it has not
+	// arrived yet.
+	CompleteReadPath(idxs []uint64, out [][]byte) error
+	// ReadReady reports whether CompleteReadPath would return without
+	// waiting: the oldest issued read has fully arrived, or has failed.
+	ReadReady() bool
+	// ReadSignal returns a channel that receives after something arrived
+	// that may have made ReadReady true. A signal is a hint to ask
+	// ReadReady again, never a promise; it is the same channel for the
+	// memory's whole life.
+	ReadSignal() <-chan struct{}
+}
+
 // ReadPath implements PathReader with a loop over Read. The map store's
 // Read returns live bucket slices, which all remain valid while no write
 // happens — exactly the simultaneous-validity guarantee ReadPath adds.

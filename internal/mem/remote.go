@@ -3,6 +3,7 @@ package mem
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"net"
@@ -25,19 +26,27 @@ import (
 // tampering (which arrives as perfectly well-formed garbage and is caught
 // by decryption and PMMAC).
 //
-// # Batched and pipelined path I/O
+// # Batched, pipelined and split-phase path I/O
 //
-// Remote implements PathReader and PathWriter. ReadPath is one round trip
-// for the whole path: the decoded response payloads alias the connection's
-// receive buffer, which is exactly the PathReader contract (all levels
+// Requests are written by the controller's goroutine; responses are read by
+// one receiver goroutine per connection, which hands whole frames over in
+// wire order. What the server still owes is one FIFO (owed): an entry per
+// pipelined WritePath acknowledgement and per issued path read. Whoever
+// needs the next response consumes the FIFO from its head, so acknowledgements
+// are checked on the way to the read they precede and nothing is ever
+// matched out of order.
+//
+// ReadPath is one round trip for the whole path: IssueReadPath then
+// CompleteReadPath (the SplitPathReader pair, which lets a caller keep
+// several reads in flight). The decoded response payloads alias a receive
+// buffer, which is exactly the PathReader contract (all levels
 // simultaneously valid until the next operation, backend-owned). WritePath
 // is PIPELINED: the frame is written synchronously but the acknowledgement
-// is not awaited — it is drained at the start of the NEXT operation, where
-// the server's in-order processing guarantees it arrives before that
-// operation's response. A failed or lost acknowledgement latches an error
-// that every subsequent operation returns: by then the controller's state
-// diverged from remote memory in an unverifiable way, so the only safe
-// outcome is fail-stop (the store quarantines the shard).
+// is not awaited — it is consumed on the way to a later response. A failed
+// or lost acknowledgement, or a connection lost with a read in flight,
+// latches an error that every subsequent operation returns: by then the
+// controller's state diverged from remote memory in an unverifiable way, so
+// the only safe outcome is fail-stop (the store quarantines the shard).
 //
 // Hooks run client-side: the TamperFunc API models an adversary between
 // controller and memory, and with a real network the natural tap point is
@@ -49,15 +58,25 @@ type Remote struct {
 	cfg   RemoteConfig
 	space uint64
 
-	conn    net.Conn
-	br      *bufio.Reader
-	enc     bucketwire.Encoder
-	dec     bucketwire.Decoder
-	readBuf []byte
+	conn net.Conn
+	rx   *receiver // conn's reader goroutine; nil exactly when conn is
+	enc  bucketwire.Encoder
+	dec  bucketwire.Decoder
 
-	nextID  uint64
-	pending []uint64 // unacknowledged pipelined WritePath frame IDs
-	wbErr   error    // latched lost-write-back fault; sticky once set
+	nextID uint64
+	// owed is the ring of responses the server owes for frames already
+	// sent, in wire order: n entries starting at head, inFlight of them
+	// path reads.
+	owed     [owedCap]owedResp
+	head, n  int
+	inFlight int
+	// held is the receive buffer the last delivered response aliases; it
+	// goes back to the receiver when the next response is asked for.
+	held   []byte
+	failed error // latched fault; sticky once set
+
+	timer *time.Timer   // bounds each wait for a frame by OpTimeout
+	wake  chan struct{} // ReadSignal: a frame arrived (or the receiver died)
 
 	// wireBufs stages WritePath payloads after the write hooks run, so a
 	// hook that substitutes slices cannot alias the caller's buffers.
@@ -66,6 +85,73 @@ type Remote struct {
 	reads  uint64
 	writes uint64
 	closed bool
+}
+
+// owedResp is one response the server has yet to send.
+type owedResp struct {
+	id uint64
+	op byte // bucketwire.OpWritePath (an acknowledgement) or OpReadPath
+}
+
+const (
+	// maxPendingAcks bounds unacknowledged pipelined write-backs. The access
+	// loop alternates read/write phases, so in practice an ack rides behind
+	// the next path read; the bound only matters for unusual callers issuing
+	// many WritePaths back to back.
+	maxPendingAcks = 8
+	// owedCap sizes the response FIFO: the acknowledgements above plus as
+	// many path reads in flight.
+	owedCap = 2 * maxPendingAcks
+	// rxBufs is how many receive buffers a connection cycles through: one
+	// the controller is still reading from plus a few the receiver can fill
+	// ahead. Each grows to the largest frame it ever held (one path).
+	rxBufs = 4
+)
+
+// receiver is one connection's reader goroutine and the two channels it
+// shares with the controller. The controller returns spent buffers on free
+// and closes it to stop the goroutine; the goroutine sends each frame it
+// reads on frames, last of all the error that ended it.
+type receiver struct {
+	frames chan rxFrame  // capacity rxBufs: a buffer per queued frame, so the send never blocks
+	free   chan []byte   // capacity rxBufs: every buffer fits, so returning one never blocks
+	done   chan struct{} // closed when the goroutine has returned
+}
+
+type rxFrame struct {
+	payload []byte
+	err     error
+}
+
+func startReceiver(conn net.Conn, wake chan<- struct{}) *receiver {
+	rx := &receiver{
+		frames: make(chan rxFrame, rxBufs),
+		free:   make(chan []byte, rxBufs),
+		done:   make(chan struct{}),
+	}
+	for i := 0; i < rxBufs; i++ {
+		rx.free <- nil
+	}
+	go rx.run(bufio.NewReaderSize(conn, 1<<16), wake)
+	return rx
+}
+
+// run reads frames until the connection fails or the controller closes
+// free. It has no deadline of its own: an idle connection is healthy, and
+// the controller bounds its waits for a particular frame.
+func (rx *receiver) run(br *bufio.Reader, wake chan<- struct{}) {
+	defer close(rx.done)
+	for buf := range rx.free {
+		payload, _, err := frame.ReadFrame(br, buf)
+		rx.frames <- rxFrame{payload: payload, err: err}
+		select {
+		case wake <- struct{}{}:
+		default: // a signal is already waiting to be seen
+		}
+		if err != nil {
+			return
+		}
+	}
 }
 
 // RemoteConfig parameterizes DialRemote.
@@ -130,23 +216,38 @@ func DialRemote(cfg RemoteConfig) (*Remote, error) {
 		//oramlint:allow errwrap construction-time misuse, never crosses the storage boundary at runtime
 		return nil, fmt.Errorf("mem: remote backend needs an address")
 	}
-	r := &Remote{cfg: cfg, space: SpaceID(cfg.Namespace)}
+	r := &Remote{
+		cfg:   cfg,
+		space: SpaceID(cfg.Namespace),
+		timer: time.NewTimer(cfg.OpTimeout),
+		wake:  make(chan struct{}, 1),
+	}
+	r.timer.Stop()
 	if err := r.ensureConn(); err != nil {
 		return nil, err
 	}
 	return r, nil
 }
 
+// errClientClosed is the cause recorded when Bounce or Close drops a
+// connection that still owed a path read.
+var errClientClosed = errors.New("connection closed by the client")
+
+// ioErr wraps cause as this remote's I/O fault.
+func (r *Remote) ioErr(cause error) error {
+	return fmt.Errorf("mem: remote %s: %w: %w", r.cfg.Addr, ErrIO, cause)
+}
+
 // ensureConn makes sure a healthy connection exists, redialing with
-// exponential backoff if not. It also surfaces the latched write-back
-// fault: once a pipelined write's acknowledgement is lost, every future
-// operation fails (the remote tree's state is unverifiable).
+// exponential backoff if not. It also surfaces the latched fault: once a
+// response the controller depends on is lost, every future operation fails
+// (the remote tree's state is unverifiable).
 func (r *Remote) ensureConn() error {
 	if r.closed {
 		return fmt.Errorf("mem: remote %s: use after Close: %w", r.cfg.Addr, ErrIO)
 	}
-	if r.wbErr != nil {
-		return r.wbErr
+	if r.failed != nil {
+		return r.failed
 	}
 	if r.conn != nil {
 		return nil
@@ -170,121 +271,179 @@ func (r *Remote) ensureConn() error {
 			tc.SetNoDelay(true)
 		}
 		r.conn = conn
-		r.br = bufio.NewReaderSize(conn, 1<<16)
+		r.rx = startReceiver(conn, r.wake)
 		return nil
 	}
 	return fmt.Errorf("mem: remote %s unreachable after %d attempts: %w: %w",
 		r.cfg.Addr, r.cfg.DialAttempts, ErrIO, lastErr)
 }
 
-// dropConn tears the connection down after a fault. If pipelined writes
-// were still unacknowledged their outcome is unknowable, so the fault is
-// latched: the controller above must fail-stop, not retry into a tree
-// whose remote state may have diverged.
+// dropConn tears the connection down after a fault and waits for its
+// receiver to exit. If responses were still owed their outcome is
+// unknowable — a write-back may or may not have landed, an issued read's
+// access cannot be replayed — so the fault is latched: the controller above
+// must fail-stop, not retry into a tree whose remote state may have
+// diverged.
 func (r *Remote) dropConn(cause error) {
 	if r.conn != nil {
 		r.conn.Close()
-		r.conn = nil
-		r.br = nil
+		close(r.rx.free)
+		<-r.rx.done
+		r.conn, r.rx = nil, nil
 	}
-	if len(r.pending) > 0 && r.wbErr == nil {
-		r.wbErr = fmt.Errorf("mem: remote %s: connection lost with %d write-back(s) unacknowledged: %w: %w",
-			r.cfg.Addr, len(r.pending), ErrIO, cause)
+	if r.n > 0 && r.failed == nil {
+		r.failed = fmt.Errorf("mem: remote %s: connection lost with %d write-back(s) unacknowledged and %d path read(s) unanswered: %w: %w",
+			r.cfg.Addr, r.n-r.inFlight, r.inFlight, ErrIO, cause)
 	}
-	r.pending = r.pending[:0]
+	r.head, r.n, r.inFlight = 0, 0, 0
+	r.held = nil
 }
 
 // send encodes and writes one request frame, returning its ID. The
-// deadline covers the write too: a server that stops reading fills the
-// socket buffer, and a large WritePath would otherwise block here forever,
-// never reaching the ack drain that times out.
+// deadline covers the write: a server that stops reading fills the socket
+// buffer, and a large WritePath would otherwise block here forever, never
+// reaching a wait that times out.
 func (r *Remote) send(req bucketwire.Request) (uint64, error) {
 	r.nextID++
 	id := r.nextID
 	b, err := r.enc.Request(id, req)
 	if err != nil {
-		return 0, fmt.Errorf("mem: remote %s: %w: %w", r.cfg.Addr, ErrIO, err)
+		return 0, r.ioErr(err)
 	}
-	r.conn.SetDeadline(time.Now().Add(r.cfg.OpTimeout))
+	r.conn.SetWriteDeadline(time.Now().Add(r.cfg.OpTimeout))
 	if _, err := r.conn.Write(b); err != nil {
-		err = fmt.Errorf("mem: remote %s: %w: %w", r.cfg.Addr, ErrIO, err)
+		err = r.ioErr(err)
 		r.dropConn(err)
 		return 0, err
 	}
 	return id, nil
 }
 
-// recv reads and decodes one response frame. The returned Response's
-// payload slices alias r.readBuf: valid until the next recv.
-func (r *Remote) recv() (uint64, bucketwire.Response, error) {
-	r.conn.SetReadDeadline(time.Now().Add(r.cfg.OpTimeout))
-	payload, buf, err := frame.ReadFrame(r.br, r.readBuf)
-	if err != nil {
-		err = fmt.Errorf("mem: remote %s: %w: %w", r.cfg.Addr, ErrIO, err)
-		r.dropConn(err)
-		return 0, bucketwire.Response{}, err
+// push records that the server owes a response to frame id.
+func (r *Remote) push(id uint64, op byte) {
+	r.owed[(r.head+r.n)%owedCap] = owedResp{id: id, op: op}
+	r.n++
+	if op == bucketwire.OpReadPath {
+		r.inFlight++
 	}
-	r.readBuf = buf
-	id, resp, err := r.dec.Response(payload)
-	if err != nil {
-		err = fmt.Errorf("mem: remote %s: %w: %w", r.cfg.Addr, ErrIO, err)
-		r.dropConn(err)
-		return 0, bucketwire.Response{}, err
-	}
-	return id, resp, nil
 }
 
-// drainAcks consumes the responses of all pipelined writes. The server
-// answers in order, so these are exactly the next len(pending) frames.
-func (r *Remote) drainAcks() error {
-	for len(r.pending) > 0 {
-		want := r.pending[0]
-		r.pending = r.pending[1:]
-		id, resp, err := r.recv()
-		if err != nil {
-			return err
+// recv returns the next response frame in wire order; the previous one's
+// payloads die here. With wait it blocks for up to OpTimeout; without, ok
+// is false when nothing has arrived yet.
+func (r *Remote) recv(wait bool) (payload []byte, ok bool, err error) {
+	if r.held != nil {
+		r.rx.free <- r.held
+		r.held = nil
+	}
+	var f rxFrame
+	select {
+	case f = <-r.rx.frames:
+	default:
+		if !wait {
+			return nil, false, nil
 		}
-		if id != want || resp.Op != bucketwire.OpWritePath {
-			err := fmt.Errorf("mem: remote %s: response %d/op %d, want ack %d: %w",
-				r.cfg.Addr, id, resp.Op, want, ErrIO)
+		r.timer.Reset(r.cfg.OpTimeout)
+		select {
+		case f = <-r.rx.frames:
+			r.timer.Stop()
+		case <-r.timer.C:
+			err := fmt.Errorf("mem: remote %s: no response within %v: %w", r.cfg.Addr, r.cfg.OpTimeout, ErrIO)
 			r.dropConn(err)
+			return nil, false, err
+		}
+	}
+	if f.err != nil {
+		err := r.ioErr(f.err)
+		r.dropConn(err)
+		return nil, false, err
+	}
+	r.held = f.payload
+	return f.payload, true, nil
+}
+
+// decode parses a response frame and checks it answers request id of kind
+// op; anything else means the stream cannot be trusted, and the connection
+// is dropped.
+func (r *Remote) decode(payload []byte, id uint64, op byte) (bucketwire.Response, error) {
+	gotID, resp, err := r.dec.Response(payload)
+	switch {
+	case err != nil:
+		err = r.ioErr(err)
+	case gotID != id || resp.Op != op:
+		err = fmt.Errorf("mem: remote %s: response %d/op %d, want %d/op %d: %w",
+			r.cfg.Addr, gotID, resp.Op, id, op, ErrIO)
+	default:
+		return resp, nil
+	}
+	r.dropConn(err)
+	return bucketwire.Response{}, err
+}
+
+// response consumes the answer to the request at the head of owed: takes
+// the next frame, pops the entry and checks the two belong together. ok is
+// false only without wait, when the frame has not arrived.
+func (r *Remote) response(wait bool) (resp bucketwire.Response, ok bool, err error) {
+	payload, ok, err := r.recv(wait)
+	if !ok {
+		return resp, false, err
+	}
+	want := r.owed[r.head]
+	if resp, err = r.decode(payload, want.id, want.op); err != nil {
+		return resp, false, err
+	}
+	r.head = (r.head + 1) % owedCap
+	r.n--
+	if want.op == bucketwire.OpReadPath {
+		r.inFlight--
+	}
+	return resp, true, nil
+}
+
+// drainAcks consumes the write acknowledgements at the head of owed, up to
+// the first path read: all of them with wait, those already arrived without.
+func (r *Remote) drainAcks(wait bool) error {
+	for r.n > 0 && r.owed[r.head].op == bucketwire.OpWritePath {
+		resp, ok, err := r.response(wait)
+		if !ok {
 			return err
 		}
 		if resp.Status != 0 {
-			err := fmt.Errorf("mem: remote %s: write-back failed: server status %d: %s: %w",
-				r.cfg.Addr, resp.Status, resp.Err, ErrIO)
 			// The write-back did not land; remote state is unverifiable.
-			r.wbErr = err
-			return err
+			r.failed = fmt.Errorf("mem: remote %s: write-back failed: server status %d: %s: %w",
+				r.cfg.Addr, resp.Status, resp.Err, ErrIO)
+			return r.failed
 		}
 	}
-	r.pending = r.pending[:0]
 	return nil
 }
 
-// roundTrip performs one synchronous operation: connect if needed, drain
-// pipelined write acknowledgements, send, await the response. The returned
-// Response's payloads alias the receive buffer (valid until the next
-// operation on this backend).
+// roundTrip performs one synchronous operation: connect if needed, send,
+// consume the pipelined write acknowledgements ahead of it, await the
+// response. The returned Response's payloads alias the receive buffer (valid
+// until the next operation on this backend). It cannot overtake a path read
+// in flight, so it refuses to run beside one.
 func (r *Remote) roundTrip(req bucketwire.Request) (bucketwire.Response, error) {
 	if err := r.ensureConn(); err != nil {
 		return bucketwire.Response{}, err
+	}
+	if r.inFlight > 0 {
+		return bucketwire.Response{}, fmt.Errorf("mem: remote %s: synchronous op %d with %d path read(s) in flight: %w",
+			r.cfg.Addr, req.Op, r.inFlight, ErrIO)
 	}
 	id, err := r.send(req)
 	if err != nil {
 		return bucketwire.Response{}, err
 	}
-	if err := r.drainAcks(); err != nil {
+	if err := r.drainAcks(true); err != nil {
 		return bucketwire.Response{}, err
 	}
-	gotID, resp, err := r.recv()
+	payload, _, err := r.recv(true)
 	if err != nil {
 		return bucketwire.Response{}, err
 	}
-	if gotID != id || resp.Op != req.Op {
-		err := fmt.Errorf("mem: remote %s: response %d/op %d, want %d/op %d: %w",
-			r.cfg.Addr, gotID, resp.Op, id, req.Op, ErrIO)
-		r.dropConn(err)
+	resp, err := r.decode(payload, id, req.Op)
+	if err != nil {
 		return bucketwire.Response{}, err
 	}
 	if resp.Status != 0 {
@@ -326,15 +485,57 @@ func (r *Remote) Write(idx uint64, data []byte) error {
 	return nil
 }
 
-// ReadPath implements PathReader: the whole path in one round trip. Every
-// out[i] aliases the receive buffer, simultaneously valid until the next
-// operation.
+// ReadPath implements PathReader: the whole path in one round trip, issued
+// and completed back to back. Every out[i] aliases the receive buffer,
+// simultaneously valid until the next operation.
 //
 //oram:offhotpath the remote transport is RTT-bound by design; per-op heap work is noise next to a network round trip
 func (r *Remote) ReadPath(idxs []uint64, out [][]byte) error {
-	resp, err := r.roundTrip(bucketwire.Request{Op: bucketwire.OpReadPath, Space: r.space, Idxs: idxs})
+	if err := r.IssueReadPath(idxs); err != nil {
+		return err
+	}
+	return r.CompleteReadPath(idxs, out)
+}
+
+// IssueReadPath implements SplitPathReader: the readpath frame leaves now.
+//
+//oram:offhotpath the remote transport is RTT-bound by design; per-op heap work is noise next to a network round trip
+func (r *Remote) IssueReadPath(idxs []uint64) error {
+	if err := r.ensureConn(); err != nil {
+		return err
+	}
+	if r.inFlight == owedCap-maxPendingAcks {
+		return fmt.Errorf("mem: remote %s: %d path reads already in flight: %w", r.cfg.Addr, r.inFlight, ErrIO)
+	}
+	id, err := r.send(bucketwire.Request{Op: bucketwire.OpReadPath, Space: r.space, Idxs: idxs})
 	if err != nil {
 		return err
+	}
+	r.push(id, bucketwire.OpReadPath)
+	return nil
+}
+
+// CompleteReadPath implements SplitPathReader: it consumes the write
+// acknowledgements that precede the oldest issued read on the wire, then
+// the read's own response.
+//
+//oram:offhotpath the remote transport is RTT-bound by design; per-op heap work is noise next to a network round trip
+func (r *Remote) CompleteReadPath(idxs []uint64, out [][]byte) error {
+	if err := r.ensureConn(); err != nil {
+		return err
+	}
+	if err := r.drainAcks(true); err != nil {
+		return err
+	}
+	if r.inFlight == 0 {
+		return fmt.Errorf("mem: remote %s: no path read in flight to complete: %w", r.cfg.Addr, ErrIO)
+	}
+	resp, _, err := r.response(true)
+	if err != nil {
+		return err
+	}
+	if resp.Status != 0 {
+		return fmt.Errorf("mem: remote %s: server status %d: %s: %w", r.cfg.Addr, resp.Status, resp.Err, ErrIO)
 	}
 	if len(resp.Bufs) != len(idxs) {
 		err := fmt.Errorf("mem: remote %s: readpath returned %d buckets, want %d: %w",
@@ -353,15 +554,36 @@ func (r *Remote) ReadPath(idxs []uint64, out [][]byte) error {
 	return nil
 }
 
+// ReadReady implements SplitPathReader. It consumes whatever write
+// acknowledgements have arrived ahead of the oldest issued read and then
+// looks for that read's frame (only this goroutine takes frames off the
+// receiver, so one seen queued stays queued). A fault counts as ready:
+// CompleteReadPath then fails without waiting.
+func (r *Remote) ReadReady() bool {
+	if r.failed != nil || r.conn == nil || r.drainAcks(false) != nil {
+		return true
+	}
+	return r.n > 0 && r.owed[r.head].op == bucketwire.OpReadPath && len(r.rx.frames) > 0
+}
+
+// ReadSignal implements SplitPathReader.
+func (r *Remote) ReadSignal() <-chan struct{} { return r.wake }
+
 // WritePath implements PathWriter, pipelined: the frame is written now, the
-// acknowledgement is drained at the start of the next operation (where the
-// server's in-order processing places it before that operation's own
-// response). maxPendingAcks bounds how many write-backs may ride unawaited.
+// acknowledgement is consumed on the way to a later response (the server's
+// in-order processing places it before that response). maxPendingAcks
+// bounds how many write-backs may ride unawaited.
 //
 //oram:offhotpath the remote transport is RTT-bound by design; per-op heap work is noise next to a network round trip
 func (r *Remote) WritePath(idxs []uint64, data [][]byte) error {
 	if err := r.ensureConn(); err != nil {
 		return err
+	}
+	if r.n-r.inFlight >= maxPendingAcks {
+		// Only reachable with reads in flight ahead of that many writes,
+		// which no in-order caller produces.
+		return fmt.Errorf("mem: remote %s: %d write-backs unacknowledged behind a path read in flight: %w",
+			r.cfg.Addr, r.n-r.inFlight, ErrIO)
 	}
 	bufs := data
 	if r.onWrite != nil {
@@ -377,19 +599,13 @@ func (r *Remote) WritePath(idxs []uint64, data [][]byte) error {
 	if err != nil {
 		return err
 	}
-	r.pending = append(r.pending, id)
+	r.push(id, bucketwire.OpWritePath)
 	r.writes += uint64(len(idxs))
-	if len(r.pending) >= maxPendingAcks {
-		return r.drainAcks()
+	if r.n-r.inFlight >= maxPendingAcks {
+		return r.drainAcks(true)
 	}
 	return nil
 }
-
-// maxPendingAcks bounds unacknowledged pipelined write-backs. The access
-// loop alternates read/write phases, so in practice one ack rides behind
-// the next path read; the bound only matters for unusual callers issuing
-// many WritePaths back to back.
-const maxPendingAcks = 8
 
 // Peek implements Backend: a synchronous read that bypasses hooks and
 // counters, returning a mutable copy (the adversary tampers with it and
@@ -423,37 +639,46 @@ func (r *Remote) Stats() Stats {
 	return st
 }
 
+// settle consumes the pipelined write acknowledgements and drops the
+// connection, reporting what turns out lost only now: a write-back whose
+// acknowledgement fails, a path read still in flight (which latches). A
+// fault latched earlier has already been reported.
+func (r *Remote) settle() error {
+	if r.conn == nil {
+		return nil
+	}
+	known := r.failed
+	var err error
+	if known == nil {
+		err = r.drainAcks(true)
+	}
+	r.dropConn(errClientClosed)
+	if err == nil && r.failed != known {
+		err = r.failed
+	}
+	return err
+}
+
 // Bounce drains any pipelined acknowledgements and drops the connection,
 // forcing the next operation to redial: a clean connection loss between
 // operations, the disconnect the Flaky wrapper injects. The remote buckets
 // are untouched.
 //
 //oram:offhotpath the remote transport is RTT-bound by design; per-op heap work is noise next to a network round trip
-func (r *Remote) Bounce() error {
-	if r.conn == nil {
-		return nil
-	}
-	err := r.drainAcks()
-	r.dropConn(nil)
-	return err
-}
+func (r *Remote) Bounce() error { return r.settle() }
 
 // Close implements Backend: drains pipelined acknowledgements (best
-// effort — a lost final write-back surfaces here) and closes the
-// connection.
+// effort — a lost final write-back surfaces here), closes the connection
+// and waits for its receiver goroutine to exit.
 func (r *Remote) Close() error {
 	if r.closed {
 		return nil
 	}
-	var err error
-	if r.conn != nil {
-		err = r.drainAcks()
-		r.conn.Close()
-		r.conn = nil
-		r.br = nil
-	}
 	r.closed = true
-	return err
+	return r.settle()
 }
 
-var _ Backend = (*Remote)(nil)
+var (
+	_ Backend         = (*Remote)(nil)
+	_ SplitPathReader = (*Remote)(nil)
+)

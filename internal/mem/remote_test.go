@@ -2,8 +2,11 @@ package mem
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"io"
 	"net"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -385,5 +388,223 @@ func TestRemotePipelineOverlapsRTT(t *testing.T) {
 	serial := time.Duration(rounds) * 2 * time.Duration(len(idxs)) * rtt
 	if elapsed > serial/2 {
 		t.Errorf("batched path I/O took %v; serial estimate is %v — batching broken?", elapsed, serial)
+	}
+}
+
+// quietBucketd is a loopback stand-in for bucketd that answers readpath and
+// writepath frames from pre-encoded templates and allocates nothing per
+// frame, so an allocation count taken around it is the client's alone (the
+// real server clones every bucket it serves). Reads return width buckets of
+// 64 bytes each.
+func quietBucketd(t *testing.T, width int) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	var enc bucketwire.Encoder
+	bufs := make([][]byte, width)
+	for i := range bufs {
+		bufs[i] = bytes.Repeat([]byte{byte(i)}, 64)
+	}
+	template := func(resp bucketwire.Response) []byte {
+		b, err := enc.Response(0, resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bytes.Clone(b)
+	}
+	read := template(bucketwire.Response{Op: bucketwire.OpReadPath, Bufs: bufs})
+	ack := template(bucketwire.Response{Op: bucketwire.OpWritePath})
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		// Frame: 4-byte length, then magic(4) version kind reserved(2),
+		// the 8-byte id, the op byte. The id is echoed into the template.
+		const idAt, opAt = 8, 16
+		buf := make([]byte, 1<<16)
+		for {
+			if _, err := io.ReadFull(conn, buf[:4]); err != nil {
+				return
+			}
+			n := binary.LittleEndian.Uint32(buf[:4])
+			if _, err := io.ReadFull(conn, buf[:n]); err != nil {
+				return
+			}
+			out := ack
+			if buf[opAt] == bucketwire.OpReadPath {
+				out = read
+			}
+			copy(out[4+idAt:], buf[idAt:idAt+8])
+			if _, err := conn.Write(out); err != nil {
+				return
+			}
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// TestRemoteSteadyStateAllocs pins the response FIFO as a fixed ring: a
+// steady stream of path accesses — read then pipelined write-back, serial or
+// with a full window of reads in flight — allocates nothing on the client,
+// receiver goroutine included. (The parent's slice-backed ack queue lost a
+// slot of capacity per drained ack and so reallocated on every WritePath.)
+func TestRemoteSteadyStateAllocs(t *testing.T) {
+	const width = 11
+	r := dialTest(t, quietBucketd(t, width), "t/allocs")
+	idxs := make([]uint64, width)
+	data := make([][]byte, width)
+	for i := range idxs {
+		idxs[i] = uint64(i)
+		data[i] = bytes.Repeat([]byte{0xA5}, 64)
+	}
+	out := make([][]byte, width)
+	serial := func() {
+		if err := r.ReadPath(idxs, out); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.WritePath(idxs, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const window = 4
+	windowed := func() {
+		for i := 0; i < window; i++ {
+			if err := r.IssueReadPath(idxs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < window; i++ {
+			for !r.ReadReady() {
+				<-r.ReadSignal()
+			}
+			if err := r.CompleteReadPath(idxs, out); err != nil {
+				t.Fatal(err)
+			}
+			if err := r.WritePath(idxs, data); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for name, pair := range map[string]func(){"serial": serial, "windowed": windowed} {
+		for i := 0; i < 8; i++ { // grow the encoder, decoder and receive buffers
+			pair()
+		}
+		if avg := testing.AllocsPerRun(200, pair); avg != 0 {
+			t.Errorf("%s path access allocates %.2f times in steady state, want 0", name, avg)
+		}
+	}
+}
+
+// TestRemoteWindowFaultNoAnswer is TestRemoteWriteDeadline's shape with a
+// window of reads outstanding: the server takes the frames and never
+// answers. The oldest read fails with ErrIO once OpTimeout has passed — not
+// before, and not never — the fault latches, so the reads behind it and
+// everything after fail at once, Close returns, and the connection's
+// receiver goroutine does not outlive it.
+func TestRemoteWindowFaultNoAnswer(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sunk := make(chan struct{})
+	go func() {
+		defer close(sunk)
+		if c, err := ln.Accept(); err == nil {
+			io.Copy(io.Discard, c) // until the client hangs up
+			c.Close()
+		}
+	}()
+	const opTimeout = 150 * time.Millisecond
+	r, err := DialRemote(RemoteConfig{Addr: ln.Addr().String(), Namespace: "t/mute", OpTimeout: opTimeout, DialAttempts: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	idxs, out := []uint64{0, 1, 2}, make([][]byte, 3)
+	const window = 4
+	for i := 0; i < window; i++ {
+		if err := r.IssueReadPath(idxs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if r.ReadReady() {
+		t.Fatal("a read nobody answered is ready")
+	}
+	start := time.Now()
+	if err := r.CompleteReadPath(idxs, out); !errors.Is(err, ErrIO) {
+		t.Fatalf("oldest read: %v, want ErrIO", err)
+	}
+	if d := time.Since(start); d < opTimeout || d > 10*opTimeout {
+		t.Fatalf("oldest read failed after %v with OpTimeout %v", d, opTimeout)
+	}
+	start = time.Now()
+	for i := 1; i < window; i++ {
+		if !r.ReadReady() {
+			t.Fatalf("read %d behind the fault is not ready to fail", i)
+		}
+		if err := r.CompleteReadPath(idxs, out); !errors.Is(err, ErrIO) || !strings.Contains(err.Error(), "unanswered") {
+			t.Fatalf("read %d behind the fault: %v, want the latched lost-read fault", i, err)
+		}
+	}
+	if err := r.WritePath(idxs, [][]byte{{1}, {2}, {3}}); !errors.Is(err, ErrIO) {
+		t.Fatalf("write-back after the fault: %v, want ErrIO", err)
+	}
+	if err := r.IssueReadPath(idxs); !errors.Is(err, ErrIO) {
+		t.Fatalf("issue after the fault: %v, want ErrIO", err)
+	}
+	if d := time.Since(start); d > opTimeout {
+		t.Fatalf("operations behind a latched fault took %v: they waited", d)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatalf("close after the fault: %v", err)
+	}
+	ln.Close()
+	<-sunk
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, %d before Dial", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestRemoteWindowFaultDisconnect drops the connection between R_B and W_A
+// (Flaky bounces before the third data operation): B's read is lost with
+// the connection, which latches — A's write-back fails, B's completion
+// fails, and nothing is retried into a tree whose state is unknowable.
+func TestRemoteWindowFaultDisconnect(t *testing.T) {
+	addr, _ := startBucketd(t, bucketd.Config{RTT: 20 * time.Millisecond})
+	f := WithFaults(dialTest(t, addr, "t/cut"), FlakyConfig{DisconnectEvery: 3})
+	if f.ReadSignal() == nil {
+		t.Fatal("Flaky over Remote does not forward split-phase reads")
+	}
+	a, b, out := []uint64{0, 1}, []uint64{0, 2}, make([][]byte, 2)
+	if err := f.IssueReadPath(a); err != nil { // R_A
+		t.Fatal(err)
+	}
+	if err := f.IssueReadPath(b); err != nil { // R_B
+		t.Fatal(err)
+	}
+	if err := f.CompleteReadPath(a, out); err != nil {
+		t.Fatal(err)
+	}
+	err := f.WritePath(a, [][]byte{{1}, {2}}) // W_A: the connection drops first
+	if !errors.Is(err, ErrIO) || !strings.Contains(err.Error(), "unanswered") {
+		t.Fatalf("write-back across the disconnect: %v, want the latched lost-read fault", err)
+	}
+	if err := f.CompleteReadPath(b, out); !errors.Is(err, ErrIO) {
+		t.Fatalf("lost read: %v, want ErrIO", err)
+	}
+	if _, err := f.Read(0); !errors.Is(err, ErrIO) {
+		t.Fatalf("fault did not latch: %v", err)
+	}
+	if WithFaults(NewStore(), FlakyConfig{}).ReadSignal() != nil {
+		t.Fatal("Flaky over a map store claims split-phase reads")
 	}
 }

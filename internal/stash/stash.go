@@ -147,8 +147,11 @@ func (s *Stash) Note() {
 
 // EvictForPath selects up to g.Z blocks per level that may legally reside on
 // the path to pathLeaf in the tree g, removes them from the stash, and
-// returns them grouped by level (index 0 = root). Every resident block's
-// Leaf must be a valid label of g.
+// returns them grouped by level (index 0 = root). The levels before minLevel
+// are off limits — the caller's in-flight window has promised those buckets
+// to a later access — so they come back empty and a block that is legal only
+// there stays in the stash. Every resident block's Leaf must be a valid
+// label of g.
 //
 // Selection is the standard greedy Path ORAM eviction, deepest level first
 // and candidates in ascending address order, which maximizes how far blocks
@@ -166,7 +169,7 @@ func (s *Stash) Note() {
 // buffers the stash owned, now owned by the caller.
 //
 //oram:hotpath
-func (s *Stash) EvictForPath(g tree.Geometry, pathLeaf uint64) [][]Block {
+func (s *Stash) EvictForPath(g tree.Geometry, pathLeaf uint64, minLevel int) [][]Block {
 	for len(s.evictOut) < g.L+1 {
 		s.evictOut = append(s.evictOut, nil)
 	}
@@ -181,10 +184,10 @@ func (s *Stash) EvictForPath(g tree.Geometry, pathLeaf uint64) [][]Block {
 	for _, a := range s.sorted {
 		b := s.blocks[a]
 		lev := g.DeepestLegalLevel(b.Leaf, pathLeaf)
-		for lev >= 0 && len(out[lev]) == g.Z {
+		for lev >= minLevel && len(out[lev]) == g.Z {
 			lev--
 		}
-		if lev < 0 {
+		if lev < minLevel {
 			keep = append(keep, a)
 			continue
 		}

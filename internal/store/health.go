@@ -130,6 +130,13 @@ type ShardInfo struct {
 	// CoalescedReads counts reads served by fanning out another waiting
 	// read's physical ORAM access instead of issuing their own.
 	CoalescedReads uint64 `json:"coalesced_reads"`
+	// OverlappedAccesses counts ORAM accesses started while an earlier one
+	// was still waiting for untrusted memory, and InFlight is how many are
+	// waiting at the instant of the snapshot (always 0 or 1 over local
+	// memory). Both follow from when requests arrived, never from which
+	// addresses they named.
+	OverlappedAccesses uint64 `json:"overlapped_accesses"`
+	InFlight           int    `json:"in_flight"`
 	// Cause is the quarantine cause, empty while healthy.
 	Cause string `json:"cause,omitempty"`
 }

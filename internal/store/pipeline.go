@@ -26,6 +26,14 @@ import (
 // untrusted-memory traffic, and what the adversary learns is comparable to
 // what any cache in front of an ORAM already reveals (§4.1): the store
 // admits that *some* requests repeated, never which address they named.
+//
+// When the ORAM's memory is a round trip away (ORAM.Wake is non-nil) the
+// owner also overlaps accesses: it starts the next queued request while
+// earlier ones still wait for their path read, up to inFlightWindow of
+// them, and finishes them in the order they started. A request therefore
+// never queues behind another request's round trip. Whether two accesses
+// overlap depends on when requests arrive and how full the queue is —
+// timing the adversary already observes (§4.1) — never on an address.
 
 // result is what a request resolves to.
 type result struct {
@@ -96,11 +104,46 @@ type shard struct {
 	window    int // max requests coalesced per drain window
 	enqueued  atomic.Uint64
 	coalesced atomic.Uint64
+	// overlapped counts accesses started while another was in flight and
+	// occupancy is the number in flight now. Like coalesced they are
+	// functions of request arrival timing alone, so exporting them tells
+	// the adversary nothing the wire's interleaving does not.
+	overlapped atomic.Uint64
+	occupancy  atomic.Int32
+
+	// Owner-goroutine state. flights[first : first+flying] (mod its
+	// length) are the accesses started and not finished, oldest first;
+	// depth is how many there may be. cache is the coalescing window's
+	// view of the addresses read in it.
+	wake    <-chan struct{}
+	depth   int
+	flights [inFlightWindow]flight
+	first   int
+	flying  int
+	cache   map[uint64]cached
 
 	// finalStats is the ORAM's last counter snapshot, written by the owner
 	// goroutine just before it exits (happens-before close(done)), so
 	// ShardStats keeps working on a closed store.
 	finalStats freecursive.Stats
+}
+
+// inFlightWindow is how many accesses a shard keeps in flight when its
+// memory is a round trip away. It must not exceed the write-backs mem.Remote
+// lets ride unacknowledged (8): every access in the window may have one.
+const inFlightWindow = 4
+
+// flight is one started access and the futures its Finish resolves.
+type flight struct {
+	req       request
+	followers []*Future // reads of the same address coalesced onto it while in flight
+}
+
+// cached is the coalescing window's knowledge of one address: the value a
+// read of it returned, or — while val is nil — which flight is reading it.
+type cached struct {
+	val  []byte
+	slot int
 }
 
 func newShard(o *freecursive.ORAM, queueDepth, window int) *shard {
@@ -109,6 +152,12 @@ func newShard(o *freecursive.ORAM, queueDepth, window int) *shard {
 		reqs:   make(chan request, queueDepth),
 		done:   make(chan struct{}),
 		window: window,
+		wake:   o.Wake(),
+		depth:  1,
+		cache:  make(map[uint64]cached, window),
+	}
+	if sh.wake != nil {
+		sh.depth = inFlightWindow
 	}
 	go sh.run()
 	return sh
@@ -163,27 +212,11 @@ func (sh *shard) shutdown() {
 }
 
 // run is the owner goroutine: it drains the queue in windows and serves
-// each window with read coalescing. Between windows, while the queue is
-// empty and the backend has deamortized maintenance queued (bucket-hash
-// rebuild work), the owner runs bounded maintenance quanta — requests
-// always preempt at quantum granularity, so rebuilds drain off the
-// request path without ever blocking it.
+// each window with read coalescing, keeping up to depth accesses in flight.
 func (sh *shard) run() {
 	batch := make([]request, 0, sh.window)
-	cache := make(map[uint64][]byte, sh.window)
-	for {
-		var req request
-		var ok bool
-		if sh.maintainPending() {
-			select {
-			case req, ok = <-sh.reqs:
-			default:
-				sh.maintainStep()
-				continue
-			}
-		} else {
-			req, ok = <-sh.reqs
-		}
+	for open := true; open; {
+		req, ok := sh.await()
 		if !ok {
 			break
 		}
@@ -193,71 +226,174 @@ func (sh *shard) run() {
 	fill:
 		for len(batch) < sh.window {
 			select {
-			case more, open := <-sh.reqs:
+			case req, open = <-sh.reqs:
 				if !open {
-					sh.process(batch, cache)
-					sh.exit()
-					return
+					break fill
 				}
-				batch = append(batch, more)
+				batch = append(batch, req)
 			default:
 				break fill
 			}
 		}
-		sh.process(batch, cache)
+		// The cache is cleared between windows so a resolved caller's view
+		// can never go stale across them.
+		clear(sh.cache)
+		for _, req := range batch {
+			sh.serve(req)
+		}
 	}
-	sh.exit()
-}
-
-// exit records the final counters and signals completion. Runs exactly
-// once, after the queue is drained.
-func (sh *shard) exit() {
+	sh.drain()
 	sh.finalStats = sh.oram.Stats()
 	close(sh.done)
 }
 
-// process serves one drained window in arrival order. cache maps an
-// in-shard address to the value already read for it within this window;
-// it is cleared between windows so a resolved caller's view can never go
-// stale across them.
-func (sh *shard) process(batch []request, cache map[uint64][]byte) {
-	clear(cache)
-	for _, req := range batch {
+// await blocks until a request arrives; it reports false once the queue is
+// sealed and empty. While it waits it finishes in-flight accesses as their
+// reads arrive, and with nothing in flight, the queue empty and deamortized
+// backend maintenance queued (bucket-hash rebuild work) it runs bounded
+// maintenance quanta — requests always preempt at quantum granularity, so
+// rebuilds drain off the request path without ever blocking it.
+func (sh *shard) await() (request, bool) {
+	for {
+		sh.finishReady()
 		switch {
-		case req.fn != nil:
-			req.fn(sh.oram)
-			// A control op has exclusive ORAM access and may mutate state
-			// (snapshot restore hooks, test tampering); later reads in the
-			// window must not be served from before it ran.
-			clear(cache)
-		case sh.health.State() == StateQuarantined:
-			req.fut.resolve(nil, sh.health.err())
-		case req.write:
-			prev, err := sh.oram.Write(req.inner, req.data)
-			if err != nil {
-				err = sh.noteError(err)
+		case sh.flying > 0:
+			select {
+			case req, ok := <-sh.reqs:
+				return req, ok
+			case <-sh.wake:
 			}
-			// The block changed; later reads in this window must pay a
-			// real access (or coalesce among themselves afresh).
-			delete(cache, req.inner)
-			req.fut.resolve(prev, err)
+		case sh.maintainPending():
+			select {
+			case req, ok := <-sh.reqs:
+				return req, ok
+			default:
+				sh.maintainStep()
+			}
 		default:
-			if v, hit := cache[req.inner]; hit {
-				sh.coalesced.Add(1)
-				req.fut.resolve(bytes.Clone(v), nil)
-				continue
-			}
-			v, err := sh.oram.Read(req.inner)
-			if err != nil {
-				req.fut.resolve(nil, sh.noteError(err))
-				continue
-			}
-			//oramlint:allow bufferown ORAM.Read returns a caller-owned copy per the Frontend contract, not backend scratch; the window cache holds it deliberately
-			cache[req.inner] = v
+			req, ok := <-sh.reqs
+			return req, ok
+		}
+	}
+}
+
+// serve handles one request of a drained window, in arrival order: it
+// resolves it on the spot (control ops, a quarantined shard, a read the
+// window already knows) or starts its ORAM access.
+func (sh *shard) serve(req request) {
+	sh.finishReady()
+	switch {
+	case req.fn != nil:
+		// A control op has exclusive ORAM access — nothing in flight — and
+		// may mutate state (snapshot restore hooks, test tampering); later
+		// reads in the window must not be served from before it ran.
+		sh.drain()
+		req.fn(sh.oram)
+		clear(sh.cache)
+	case sh.health.State() == StateQuarantined:
+		req.fut.resolve(nil, sh.health.err())
+	case req.write:
+		// The block changes; later reads in this window must pay a real
+		// access (or coalesce among themselves afresh).
+		delete(sh.cache, req.inner)
+		sh.start(req)
+	default:
+		c, hit := sh.cache[req.inner]
+		switch {
+		case !hit:
+			sh.start(req)
+		case c.val != nil:
+			sh.coalesced.Add(1)
 			// Every waiter gets its own copy; the cached slice stays
 			// canonical for the rest of the window.
-			req.fut.resolve(bytes.Clone(v), nil)
+			req.fut.resolve(bytes.Clone(c.val), nil)
+		default:
+			sh.coalesced.Add(1)
+			fl := &sh.flights[c.slot]
+			fl.followers = append(fl.followers, req.fut)
 		}
+	}
+}
+
+// start begins req's ORAM access, first finishing the oldest access in
+// flight if the window is full. A read is entered in the window cache so
+// that duplicates arriving before it finishes can wait on it.
+func (sh *shard) start(req request) {
+	for sh.flying == sh.depth {
+		sh.finish()
+	}
+	if err := sh.oram.Start(req.inner, req.write, req.data); err != nil {
+		req.fut.resolve(nil, sh.noteError(err))
+		return
+	}
+	if sh.flying > 0 {
+		sh.overlapped.Add(1)
+	}
+	slot := (sh.first + sh.flying) % len(sh.flights)
+	sh.flights[slot].req = req
+	if !req.write {
+		sh.cache[req.inner] = cached{slot: slot}
+	}
+	sh.flying++
+	sh.occupancy.Store(int32(sh.flying))
+}
+
+// finish completes the oldest access in flight and resolves its futures.
+func (sh *shard) finish() {
+	slot := sh.first
+	fl := &sh.flights[slot]
+	sh.first = (sh.first + 1) % len(sh.flights)
+	sh.flying--
+	sh.occupancy.Store(int32(sh.flying))
+
+	v, err := sh.oram.Finish()
+	if err != nil {
+		err = sh.noteError(err)
+	}
+	req := fl.req
+	fl.req = request{}
+	// The window cache learns the value only if it still expects it from
+	// this flight: a write to the address, a control op or a new window
+	// since the read started all mean it must not.
+	c, expected := sh.cache[req.inner]
+	expected = expected && !req.write && c.val == nil && c.slot == slot
+	switch {
+	case err != nil:
+		if expected {
+			delete(sh.cache, req.inner)
+		}
+		req.fut.resolve(nil, err)
+	case expected:
+		sh.cache[req.inner] = cached{val: v}
+		req.fut.resolve(bytes.Clone(v), nil)
+	default:
+		req.fut.resolve(v, nil)
+	}
+	for i, f := range fl.followers {
+		if err != nil {
+			f.resolve(nil, err)
+		} else {
+			f.resolve(bytes.Clone(v), nil)
+		}
+		fl.followers[i] = nil
+	}
+	fl.followers = fl.followers[:0]
+}
+
+// finishReady finishes, oldest first, the accesses in flight whose path
+// read has arrived. Over synchronous memory that is every started access,
+// at once.
+func (sh *shard) finishReady() {
+	for sh.flying > 0 && sh.oram.Ready() {
+		sh.finish()
+	}
+}
+
+// drain finishes every access in flight: the barrier in front of control
+// ops and shutdown.
+func (sh *shard) drain() {
+	for sh.flying > 0 {
+		sh.finish()
 	}
 }
 

@@ -411,6 +411,9 @@ func (s *Store) ShardInfos() []ShardInfo {
 			QueueCap:       cap(sh.reqs),
 			Enqueued:       sh.enqueued.Load(),
 			CoalescedReads: sh.coalesced.Load(),
+
+			OverlappedAccesses: sh.overlapped.Load(),
+			InFlight:           int(sh.occupancy.Load()),
 		}
 		if cause := sh.health.Cause(); cause != nil {
 			info.Cause = cause.Error()

@@ -103,20 +103,15 @@ func (g Geometry) CanReside(blockLeaf, pathLeaf uint64, level int) bool {
 func (g Geometry) ValidLeaf(leaf uint64) bool { return leaf < g.Leaves() }
 
 // DeepestLegalLevel returns the deepest level on the path to pathLeaf where
-// a block mapped to blockLeaf may reside (0 if only the root is legal).
+// a block mapped to blockLeaf may reside (0 if only the root is legal): the
+// number of leading bits the two L-bit labels have in common. It is also one
+// less than the number of buckets the two paths share.
 func (g Geometry) DeepestLegalLevel(blockLeaf, pathLeaf uint64) int {
-	// Number of common leading bits of the two L-bit leaf labels.
-	x := (blockLeaf ^ pathLeaf) << uint(64-g.L)
-	common := bits.LeadingZeros64(x)
-	//oramlint:allow obliv both leaf labels are revealed to the adversary on every access by Path ORAM's design (§3.1); branching on them leaks nothing new
-	if g.L == 0 || x == 0 {
-		return g.L
-	}
-	//oramlint:allow obliv both leaf labels are revealed to the adversary on every access by Path ORAM's design (§3.1); branching on them leaks nothing new
-	if common > g.L {
-		common = g.L
-	}
-	return common
+	// The labels' difference goes to the top L bits; the bit set right
+	// below them ends the count at L when the labels are equal, and at 0
+	// when L is 0. No branch, so no label ever decides control flow here.
+	x := (blockLeaf^pathLeaf)<<uint(64-g.L) | 1<<uint(63-g.L)
+	return bits.LeadingZeros64(x)
 }
 
 // SubtreeLayout maps heap bucket indices to physical DRAM coordinates using

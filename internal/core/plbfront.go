@@ -70,7 +70,6 @@ type splitBackend interface {
 
 // pendingAccess is one data access between Start and Finish.
 type pendingAccess struct {
-	a0    uint64
 	write bool
 	m     mapping
 	out   []byte // the value Finish returns
@@ -513,7 +512,7 @@ func (fe *PLBFrontend) startData(a0 uint64, write bool, data []byte, m mapping) 
 	} else {
 		op = new(pendingAccess)
 	}
-	*op = pendingAccess{a0: a0, write: write, m: m}
+	*op = pendingAccess{write: write, m: m}
 
 	req := backend.Request{Op: backend.OpRead, Addr: a0, Leaf: m.curLeaf, NewLeaf: m.newLeaf}
 	if write {

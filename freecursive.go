@@ -163,6 +163,15 @@ type ORAM struct {
 	// split is the frontend when it can start and finish an access
 	// separately, else nil; held is then the result of the access Start had
 	// to run to completion, kept for Finish.
+	//
+	// This is the third place an access degrades to "all of it in the first
+	// half", and each is where a different component turns out unable to
+	// split: backend.PathORAM over a synchronous memory (nothing is held —
+	// the read just happens in Complete), core.PLBFrontend over a backend
+	// without Begin/Complete (bhoram, Accounting, a decorator), and here a
+	// frontend without Start/Finish (Recursive). Degrading where the
+	// component is discovered keeps every caller above on one code path: the
+	// store drives all of them through Start/Finish and sees only Wake()==nil.
 	split splitFrontend
 	held  struct {
 		data []byte

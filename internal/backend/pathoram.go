@@ -389,6 +389,18 @@ func (p *PathORAM) Signal() <-chan struct{} {
 	return p.split.ReadSignal()
 }
 
+// Abandon gives up every access in flight on account of cause: its Complete
+// still takes the answer to the read already sent, so that the memory's
+// stream stays in step and nothing is left owed, but absorbs nothing, writes
+// nothing back and returns an error wrapping cause.
+func (p *PathORAM) Abandon(cause error) {
+	for _, f := range p.fly {
+		if f.orphaned == nil {
+			f.orphaned = cause
+		}
+	}
+}
+
 // Complete finishes the oldest begun access and returns its result.
 //
 //oram:hotpath
@@ -403,11 +415,7 @@ func (p *PathORAM) Complete() (Result, error) {
 		// The accesses begun behind f planned around its write-back: they
 		// skip the buckets it was to rewrite and expect its blocks in the
 		// stash. They fail with it; the window then starts clean.
-		for _, younger := range p.fly {
-			if younger.orphaned == nil {
-				younger.orphaned = err
-			}
-		}
+		p.Abandon(err)
 	}
 	if f.payload != nil { // not handed to the stash: the access failed first
 		p.recycleBlockBuf(f.payload)

@@ -64,6 +64,9 @@ type PLBFrontend struct {
 type splitBackend interface {
 	Begin(req backend.Request) error
 	Complete() (backend.Result, error)
+	// Abandon makes Complete, for every access begun so far, only consume
+	// the read already issued and fail with cause.
+	Abandon(cause error)
 	Ready() bool
 	Signal() <-chan struct{}
 }
@@ -283,11 +286,16 @@ func (fe *PLBFrontend) access(req backend.Request) (backend.Result, error) {
 }
 
 // fail latches an integrity violation: the frontend refuses all further
-// work, modeling the processor exception of §2.
+// work, modeling the processor exception of §2. The data accesses in flight
+// are abandoned — a controller that has latched a violation sends memory
+// nothing more; finishing them only takes the answers already on their way.
 func (fe *PLBFrontend) fail(format string, args ...any) error {
 	fe.violated = true
 	fe.violation = fmt.Errorf(format+": %w", append(args, ErrIntegrity)...)
 	fe.ctr.Violations++
+	if fe.split != nil {
+		fe.split.Abandon(fe.violation)
+	}
 	return fe.violation
 }
 
@@ -553,13 +561,13 @@ func (fe *PLBFrontend) startData(a0 uint64, write bool, data []byte, m mapping) 
 }
 
 // complete finishes op's backend access, which must be the oldest one in
-// flight. A controller that has latched a violation touches memory no more.
+// flight. After a latched violation the backend has abandoned it (see fail)
+// and op fails with the violation itself.
 func (fe *PLBFrontend) complete(op *pendingAccess) {
-	if fe.violated {
-		op.err, op.done = fe.violation, true
-		return
-	}
 	res, err := fe.split.Complete()
+	if fe.violated {
+		err = fe.violation
+	}
 	fe.settle(op, res, err)
 }
 
@@ -621,7 +629,7 @@ func (fe *PLBFrontend) Drain() {
 
 // Ready reports whether Finish would return without waiting on memory.
 func (fe *PLBFrontend) Ready() bool {
-	return len(fe.pend) > 0 && (fe.pend[0].done || fe.violated || fe.split.Ready())
+	return len(fe.pend) > 0 && (fe.pend[0].done || fe.split.Ready())
 }
 
 // Wake returns the channel that hints Ready may have turned true, or nil

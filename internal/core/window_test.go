@@ -258,6 +258,14 @@ func TestWindowIntegrityViolationFailsStop(t *testing.T) {
 		if sys.Violation() == nil {
 			t.Fatal("violation not latched")
 		}
+		// The abandoned access took the answer to its read: nothing is left
+		// owed that Close would have to report lost.
+		if be.InFlight() != 0 {
+			t.Fatalf("%d accesses still in the backend's window", be.InFlight())
+		}
+		if err := sys.Close(); err != nil {
+			t.Fatalf("close after the violation: %v", err)
+		}
 		return
 	}
 	t.Fatal("tampering with every bucket went unnoticed")

@@ -69,10 +69,12 @@ type SplitPathReader interface {
 	// arrived yet.
 	CompleteReadPath(idxs []uint64, out [][]byte) error
 	// ReadReady reports whether CompleteReadPath would return without
-	// waiting: the oldest issued read has fully arrived, or has failed.
+	// waiting: the oldest issued read has fully arrived, has failed, or is
+	// overdue (CompleteReadPath then fails at once).
 	ReadReady() bool
-	// ReadSignal returns a channel that receives after something arrived
-	// that may have made ReadReady true. A signal is a hint to ask
+	// ReadSignal returns a channel that receives after something happened
+	// that may have made ReadReady true — a frame arrived, or the deadline of
+	// the one awaited passed, so a caller sleeping on it is never stranded. A signal is a hint to ask
 	// ReadReady again, never a promise; it is the same channel for the
 	// memory's whole life.
 	ReadSignal() <-chan struct{}

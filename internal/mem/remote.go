@@ -75,8 +75,13 @@ type Remote struct {
 	held   []byte
 	failed error // latched fault; sticky once set
 
-	timer *time.Timer   // bounds each wait for a frame by OpTimeout
-	wake  chan struct{} // ReadSignal: a frame arrived (or the receiver died)
+	// deadline is when the next response frame is due: OpTimeout after the
+	// request that began the wait, or after the previous frame. alarm signals
+	// wake when it passes, so a silent server wakes an owner that is waiting
+	// on ReadSignal just as it unblocks one waiting in recv.
+	deadline time.Time
+	alarm    *time.Timer
+	wake     chan struct{} // ReadSignal: a frame arrived, the receiver died or the deadline passed
 
 	// wireBufs stages WritePath payloads after the write hooks run, so a
 	// hook that substitutes slices cannot alias the caller's buffers.
@@ -144,13 +149,18 @@ func (rx *receiver) run(br *bufio.Reader, wake chan<- struct{}) {
 	for buf := range rx.free {
 		payload, _, err := frame.ReadFrame(br, buf)
 		rx.frames <- rxFrame{payload: payload, err: err}
-		select {
-		case wake <- struct{}{}:
-		default: // a signal is already waiting to be seen
-		}
+		signal(wake)
 		if err != nil {
 			return
 		}
+	}
+}
+
+// signal leaves a wake-up on ch unless one is already waiting to be seen.
+func signal(ch chan<- struct{}) {
+	select {
+	case ch <- struct{}{}:
+	default:
 	}
 }
 
@@ -194,9 +204,15 @@ func (c *RemoteConfig) setDefaults() {
 		c.RedialMax = 2 * time.Second
 	}
 	if c.OpTimeout <= 0 {
-		c.OpTimeout = 30 * time.Second
+		c.OpTimeout = DefaultOpTimeout
 	}
 }
+
+// DefaultOpTimeout is the OpTimeout of a RemoteConfig that names none. It is
+// a variable so that tests of the layers above, which dial through
+// core.Build and have no RemoteConfig to set, can wait out a silent server
+// in milliseconds; nothing else assigns it.
+var DefaultOpTimeout = 30 * time.Second
 
 // SpaceID maps a namespace string to its 64-bit wire identifier (FNV-1a).
 // Exported so tests and tools can address the space a namespace lands in.
@@ -219,10 +235,10 @@ func DialRemote(cfg RemoteConfig) (*Remote, error) {
 	r := &Remote{
 		cfg:   cfg,
 		space: SpaceID(cfg.Namespace),
-		timer: time.NewTimer(cfg.OpTimeout),
 		wake:  make(chan struct{}, 1),
 	}
-	r.timer.Stop()
+	r.alarm = time.AfterFunc(cfg.OpTimeout, func() { signal(r.wake) })
+	r.alarm.Stop()
 	if err := r.ensureConn(); err != nil {
 		return nil, err
 	}
@@ -285,6 +301,7 @@ func (r *Remote) ensureConn() error {
 // must fail-stop, not retry into a tree whose remote state may have
 // diverged.
 func (r *Remote) dropConn(cause error) {
+	r.alarm.Stop()
 	if r.conn != nil {
 		r.conn.Close()
 		close(r.rx.free)
@@ -316,8 +333,20 @@ func (r *Remote) send(req bucketwire.Request) (uint64, error) {
 		r.dropConn(err)
 		return 0, err
 	}
+	if r.n == 0 {
+		r.expect() // nothing older is awaited: the wait for a frame starts here
+	}
 	return id, nil
 }
+
+// expect restarts the wait for the next response frame.
+func (r *Remote) expect() {
+	r.deadline = time.Now().Add(r.cfg.OpTimeout)
+	r.alarm.Reset(r.cfg.OpTimeout)
+}
+
+// overdue reports whether the next response frame is past its deadline.
+func (r *Remote) overdue() bool { return !time.Now().Before(r.deadline) }
 
 // push records that the server owes a response to frame id.
 func (r *Remote) push(id uint64, op byte) {
@@ -329,28 +358,29 @@ func (r *Remote) push(id uint64, op byte) {
 }
 
 // recv returns the next response frame in wire order; the previous one's
-// payloads die here. With wait it blocks for up to OpTimeout; without, ok
-// is false when nothing has arrived yet.
+// payloads die here. With wait it blocks until the frame's deadline; without,
+// ok is false when nothing has arrived yet. A frame that has arrived is taken
+// however late the caller comes for it.
 func (r *Remote) recv(wait bool) (payload []byte, ok bool, err error) {
 	if r.held != nil {
 		r.rx.free <- r.held
 		r.held = nil
 	}
 	var f rxFrame
-	select {
-	case f = <-r.rx.frames:
-	default:
-		if !wait {
-			return nil, false, nil
-		}
-		r.timer.Reset(r.cfg.OpTimeout)
+	for arrived := false; !arrived; {
 		select {
 		case f = <-r.rx.frames:
-			r.timer.Stop()
-		case <-r.timer.C:
-			err := fmt.Errorf("mem: remote %s: no response within %v: %w", r.cfg.Addr, r.cfg.OpTimeout, ErrIO)
-			r.dropConn(err)
-			return nil, false, err
+			arrived = true
+		default:
+			if !wait {
+				return nil, false, nil
+			}
+			if r.overdue() {
+				err := fmt.Errorf("mem: remote %s: no response within %v: %w", r.cfg.Addr, r.cfg.OpTimeout, ErrIO)
+				r.dropConn(err)
+				return nil, false, err
+			}
+			<-r.wake // a frame, or the alarm at the deadline
 		}
 	}
 	if f.err != nil {
@@ -358,6 +388,7 @@ func (r *Remote) recv(wait bool) (payload []byte, ok bool, err error) {
 		r.dropConn(err)
 		return nil, false, err
 	}
+	r.expect()
 	r.held = f.payload
 	return f.payload, true, nil
 }
@@ -557,13 +588,20 @@ func (r *Remote) CompleteReadPath(idxs []uint64, out [][]byte) error {
 // ReadReady implements SplitPathReader. It consumes whatever write
 // acknowledgements have arrived ahead of the oldest issued read and then
 // looks for that read's frame (only this goroutine takes frames off the
-// receiver, so one seen queued stays queued). A fault counts as ready:
-// CompleteReadPath then fails without waiting.
+// receiver, so one seen queued stays queued). A fault counts as ready, and
+// so does a response past its deadline: CompleteReadPath then fails without
+// waiting.
 func (r *Remote) ReadReady() bool {
 	if r.failed != nil || r.conn == nil || r.drainAcks(false) != nil {
 		return true
 	}
-	return r.n > 0 && r.owed[r.head].op == bucketwire.OpReadPath && len(r.rx.frames) > 0
+	if r.n == 0 {
+		return false
+	}
+	if len(r.rx.frames) > 0 {
+		return r.owed[r.head].op == bucketwire.OpReadPath
+	}
+	return r.overdue()
 }
 
 // ReadSignal implements SplitPathReader.

@@ -503,10 +503,17 @@ func TestRemoteSteadyStateAllocs(t *testing.T) {
 // TestRemoteWindowFaultNoAnswer is TestRemoteWriteDeadline's shape with a
 // window of reads outstanding: the server takes the frames and never
 // answers. The oldest read fails with ErrIO once OpTimeout has passed — not
-// before, and not never — the fault latches, so the reads behind it and
-// everything after fail at once, Close returns, and the connection's
-// receiver goroutine does not outlive it.
+// before, and not never — whether its owner waits inside CompleteReadPath or,
+// like the store's shard owner, sleeps on ReadSignal until ReadReady: the
+// deadline itself must signal, because nothing else ever will. The fault
+// latches, so the reads behind it and everything after fail at once, Close
+// returns, and the connection's receiver goroutine does not outlive it.
 func TestRemoteWindowFaultNoAnswer(t *testing.T) {
+	t.Run("blocking", func(t *testing.T) { remoteNoAnswer(t, false) })
+	t.Run("signalled", func(t *testing.T) { remoteNoAnswer(t, true) })
+}
+
+func remoteNoAnswer(t *testing.T, signalled bool) {
 	baseline := runtime.NumGoroutine()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -536,6 +543,15 @@ func TestRemoteWindowFaultNoAnswer(t *testing.T) {
 		t.Fatal("a read nobody answered is ready")
 	}
 	start := time.Now()
+	if signalled {
+		for !r.ReadReady() {
+			select {
+			case <-r.ReadSignal():
+			case <-time.After(10 * opTimeout):
+				t.Fatalf("no signal %v after the reads were issued, OpTimeout %v", time.Since(start), opTimeout)
+			}
+		}
+	}
 	if err := r.CompleteReadPath(idxs, out); !errors.Is(err, ErrIO) {
 		t.Fatalf("oldest read: %v, want ErrIO", err)
 	}
@@ -571,6 +587,43 @@ func TestRemoteWindowFaultNoAnswer(t *testing.T) {
 			t.Fatalf("%d goroutines after Close, %d before Dial", runtime.NumGoroutine(), baseline)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestRemoteIdleIsNotOverdue: OpTimeout bounds the wait for a frame, not the
+// time a controller takes to come back for one. A write-back's
+// acknowledgement that arrived while the controller sat idle for longer than
+// OpTimeout is taken late without complaint, and the read behind it gets a
+// full OpTimeout of its own.
+func TestRemoteIdleIsNotOverdue(t *testing.T) {
+	addr, _ := startBucketd(t, bucketd.Config{RTT: 20 * time.Millisecond})
+	const opTimeout = 100 * time.Millisecond
+	r, err := DialRemote(RemoteConfig{Addr: addr, Namespace: "t/idle", OpTimeout: opTimeout})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	idxs, out := []uint64{0, 1, 2}, make([][]byte, 3)
+	data := [][]byte{{1}, {2}, {3}}
+	for _, split := range []bool{false, true} {
+		if err := r.WritePath(idxs, data); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(2 * opTimeout) // the alarm fires into an idle connection
+		if err := r.IssueReadPath(idxs); err != nil {
+			t.Fatal(err)
+		}
+		if split {
+			for !r.ReadReady() {
+				<-r.ReadSignal()
+			}
+		}
+		if err := r.CompleteReadPath(idxs, out); err != nil {
+			t.Fatalf("read after %v idle (split %v): %v", 2*opTimeout, split, err)
+		}
+		if !bytes.Equal(out[2], data[2]) {
+			t.Fatalf("read after idle returned %x", out[2])
+		}
 	}
 }
 

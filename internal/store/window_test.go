@@ -7,6 +7,7 @@ import (
 	"net"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -120,14 +121,30 @@ func TestWindowCoalescesOntoFlight(t *testing.T) {
 	}
 }
 
-// cutProxy forwards TCP connections to a bucketd and can cut them one by
-// one: a connection lost in the network, not a server that went away.
+// cutProxy forwards TCP connections to a bucketd and can cut or mute them
+// one by one: a connection lost in the network, or a server gone silent with
+// the connection still open — not a server that went away.
 type cutProxy struct {
 	ln     net.Listener
 	target string
 	mu     sync.Mutex
-	pairs  [][2]net.Conn // accepted connection and its upstream, in accept order
+	pairs  [][2]net.Conn  // accepted connection and its upstream, in accept order
+	muted  []*atomic.Bool // per pair: drop what the server sends
 	wg     sync.WaitGroup
+}
+
+// mutable is the client side of a proxied connection: once muted, what the
+// server sends is swallowed.
+type mutable struct {
+	net.Conn
+	muted *atomic.Bool
+}
+
+func (m mutable) Write(b []byte) (int, error) {
+	if m.muted.Load() {
+		return len(b), nil
+	}
+	return m.Conn.Write(b)
 }
 
 func startCutProxy(t *testing.T, target string) *cutProxy {
@@ -150,12 +167,14 @@ func startCutProxy(t *testing.T, target string) *cutProxy {
 				down.Close()
 				continue
 			}
+			muted := new(atomic.Bool)
 			p.mu.Lock()
 			p.pairs = append(p.pairs, [2]net.Conn{down, up})
+			p.muted = append(p.muted, muted)
 			p.mu.Unlock()
 			p.wg.Add(2)
 			go func() { defer p.wg.Done(); io.Copy(up, down); up.Close() }()
-			go func() { defer p.wg.Done(); io.Copy(down, up); down.Close() }()
+			go func() { defer p.wg.Done(); io.Copy(mutable{down, muted}, up); down.Close() }()
 		}
 	}()
 	return p
@@ -167,6 +186,14 @@ func (p *cutProxy) cut(i int) {
 	defer p.mu.Unlock()
 	p.pairs[i][0].Close()
 	p.pairs[i][1].Close()
+}
+
+// mute makes the i-th accepted connection's server fall silent: requests
+// still reach it, nothing comes back, the connection stays open.
+func (p *cutProxy) mute(i int) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.muted[i].Store(true)
 }
 
 // close stops the proxy and waits for its goroutines.
@@ -197,14 +224,15 @@ func settleGoroutines(t *testing.T, baseline int) {
 
 // windowFault is the frame every fault test below shares: a two-shard store
 // over a bucketd with a round trip long enough that a gated pile of reads
-// on shard 0 is fully in flight when inject strikes. Every future of the
+// on shard 0 (a full window of them, or fewer) is fully in flight when
+// inject strikes. Every future of the
 // pile must resolve — with values up to the fault and typed errors from it
 // on — promptly, never after a hang; the shard must then fail fast, shard 1
 // must keep serving, Close must return and no goroutine may outlive it.
 //
 // wantOK is how many accesses of the pile complete before the fault, or -1
 // when that depends on what the tree happened to hold.
-func windowFault(t *testing.T, cfg bucketd.Config, scheme freecursive.Scheme,
+func windowFault(t *testing.T, cfg bucketd.Config, scheme freecursive.Scheme, pile int,
 	prepare func(s *Store, bucketdAddr string), inject func(proxy *cutProxy), wantOK int, wantErr error) {
 	baseline := runtime.NumGoroutine()
 	if cfg.RTT == 0 {
@@ -232,7 +260,7 @@ func windowFault(t *testing.T, cfg bucketd.Config, scheme freecursive.Scheme,
 
 	release := gateShard(t, s.shards[0])
 	var futs []*Future
-	for _, a := range mine {
+	for _, a := range mine[:pile] {
 		futs = append(futs, s.SubmitGet(a))
 	}
 	release()
@@ -289,7 +317,13 @@ func windowFault(t *testing.T, cfg bucketd.Config, scheme freecursive.Scheme,
 	closed := make(chan error, 1)
 	go func() { closed <- s.Close() }()
 	select {
-	case <-closed:
+	case err := <-closed:
+		// The fault was reported where it struck. Close has nothing to add:
+		// in particular no read is left unanswered behind the accesses the
+		// controller gave up.
+		if err != nil {
+			t.Errorf("Store.Close after the fault: %v", err)
+		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Store.Close hangs after the fault")
 	}
@@ -302,8 +336,22 @@ func windowFault(t *testing.T, cfg bucketd.Config, scheme freecursive.Scheme,
 // TestWindowFaultConnectionCut: the connection drops with a full window of
 // reads in flight (on the wire: after R_A … R_D, before W_A).
 func TestWindowFaultConnectionCut(t *testing.T) {
-	windowFault(t, bucketd.Config{}, freecursive.PLB, nil,
+	windowFault(t, bucketd.Config{}, freecursive.PLB, inFlightWindow, nil,
 		func(p *cutProxy) { p.cut(0) }, 0, freecursive.ErrStorage)
+}
+
+// TestWindowFaultSilentServer: bucketd stops answering shard 0 with the
+// connection still open, while the shard has reads in flight, room left in
+// its window and no further request coming. Nothing arrives to wake the
+// owner, so the memory's own deadline must: the futures resolve with the
+// fault once OpTimeout has passed, not when Close finally drains the window.
+func TestWindowFaultSilentServer(t *testing.T) {
+	defer func(d time.Duration) { mem.DefaultOpTimeout = d }(mem.DefaultOpTimeout)
+	mem.DefaultOpTimeout = 300 * time.Millisecond
+	for _, pile := range []int{1, inFlightWindow - 1, inFlightWindow} {
+		windowFault(t, bucketd.Config{}, freecursive.PLB, pile, nil,
+			func(p *cutProxy) { p.mute(0) }, 0, freecursive.ErrStorage)
+	}
 }
 
 // TestWindowFaultServerError: bucketd answers status 500 to the second read
@@ -315,7 +363,7 @@ func TestWindowFaultServerError(t *testing.T) {
 	// (readpath, writepath): inFlightWindow on shard 0 and one on shard 1.
 	// The pile's reads are the next frames, so its second read is frame
 	// 2·(inFlightWindow+1) + 2.
-	windowFault(t, bucketd.Config{FailEvery: 2*(inFlightWindow+1) + 2}, freecursive.PLB, nil,
+	windowFault(t, bucketd.Config{FailEvery: 2*(inFlightWindow+1) + 2}, freecursive.PLB, inFlightWindow, nil,
 		nil, 1, freecursive.ErrStorage)
 }
 
@@ -324,7 +372,7 @@ func TestWindowFaultServerError(t *testing.T) {
 // violation instead of trusting memory further.
 func TestWindowFaultIntegrity(t *testing.T) {
 	// A short round trip: the adversary below pays it per bucket.
-	windowFault(t, bucketd.Config{RTT: time.Millisecond}, freecursive.PIC, func(s *Store, addr string) {
+	windowFault(t, bucketd.Config{RTT: time.Millisecond}, freecursive.PIC, inFlightWindow, func(s *Store, addr string) {
 		// The adversary garbles shard 0's whole tree through a connection
 		// of its own. Flush the shard's stash first: blocks still on chip
 		// are out of its reach.

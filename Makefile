@@ -5,7 +5,7 @@
 # `make staticcheck-version`; the workflow must not carry its own copy.
 STATICCHECK_VERSION := 2025.1
 
-.PHONY: all build test race bench bench-all bench-hotpath bench-network bench-backends bench-check bins lint oramlint lint-report lint-parity staticcheck-version fuzz-smoke fmt
+.PHONY: all build test race bench bench-all bench-hotpath bench-network bench-check bins lint oramlint lint-report lint-parity staticcheck-version fuzz-smoke fmt
 
 all: build lint test
 
@@ -43,12 +43,6 @@ bench-hotpath:
 # BENCH_network.json.
 bench-network:
 	./scripts/bench_network.sh
-
-# Backend comparison matrix — path vs bhoram over map, file, and 10 ms-RTT
-# remote memories (the CI backend-bench job); writes BENCH_backends.json
-# and gates on every cell completing with zero failed ops.
-bench-backends:
-	./scripts/bench_backends.sh
 
 # The repo benchmark (BENCHMARK.json) lives in bench/, a module of its own
 # that `go build ./...` and `go test ./...` never see, yet it pins exported

@@ -16,7 +16,7 @@
 //	-rtt   injected round-trip latency: every response is withheld until
 //	       this long after its request arrived, while later frames keep
 //	       being processed (pipelined requests overlap their RTTs). For
-//	       remote-latency benchmarks (scripts/bench_backends.sh); default 0.
+//	       remote-latency benchmarks; default 0.
 //
 // Liveness is a TCP connect (the server speaks only the bucketwire frame
 // protocol, so there is no HTTP endpoint to probe). SIGINT/SIGTERM stops

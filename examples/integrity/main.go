@@ -84,9 +84,18 @@ func act1() {
 func act2() {
 	fmt.Println("--- Act 2: replay of stale ciphertext ---")
 	o := newORAM(false)
-	if _, err := o.Write(99, []byte("v1: pay alice $10")); err != nil {
-		log.Fatal(err)
+	// A working set large enough that most of it is evicted below the
+	// treetop cache, into DRAM: what stays on chip the adversary cannot
+	// reach, let alone roll back.
+	const blocks = 256
+	ledger := func(version string) {
+		for a := uint64(0); a < blocks; a++ {
+			if _, err := o.Write(a, []byte(fmt.Sprintf("%s: pay account %d", version, a))); err != nil {
+				log.Fatal(err)
+			}
+		}
 	}
+	ledger("v1")
 	// Snapshot all of DRAM while it holds v1.
 	st := store(o)
 	snapshot := map[uint64][]byte{}
@@ -95,15 +104,19 @@ func act2() {
 			snapshot[idx] = bytes.Clone(raw)
 		}
 	}
-	if _, err := o.Write(99, []byte("v2: pay alice $9999")); err != nil {
-		log.Fatal(err)
-	}
+	ledger("v2")
 	// Roll DRAM back to the v1 snapshot: every stored MAC is again a
 	// genuine MAC — but for counters the frontend has already moved past.
 	for idx, raw := range snapshot {
 		st.Poke(idx, raw)
 	}
-	_, err := o.Read(99)
+	var err error
+	for a := uint64(0); a < blocks && err == nil; a++ {
+		var got []byte
+		if got, err = o.Read(a); err == nil && !bytes.HasPrefix(got, []byte("v2")) {
+			log.Fatalf("stale block %d served: %q", a, got[:20])
+		}
+	}
 	if errors.Is(err, freecursive.ErrIntegrity) {
 		fmt.Printf("replay detected: %v\n\n", err)
 	} else {

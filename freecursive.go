@@ -41,6 +41,7 @@ import (
 	"io"
 	"time"
 
+	"freecursive/internal/backend"
 	"freecursive/internal/core"
 	"freecursive/internal/crypt"
 	"freecursive/internal/mem"
@@ -102,8 +103,17 @@ type Config struct {
 	OnChipPosMapBytes int
 	// StashCapacity bounds the stash (default 200).
 	StashCapacity int
+	// TreetopBytes budgets the treetop cache of each Path ORAM tree: the
+	// whole levels from the root whose plaintext buckets fit the budget are
+	// kept in trusted memory next to the stash, and an access moves, opens
+	// and seals only the rest of its path (default 64 KB, like the PLB;
+	// negative: no treetop). The "bhoram" backend ignores it, and Resume
+	// keeps the depth the snapshot was taken with.
+	TreetopBytes int
 	// Lightweight selects the bandwidth-accounting backend: no real tree,
-	// no encryption — orders of magnitude faster, same statistics. Use it
+	// no encryption — orders of magnitude faster, and the statistics of the
+	// paper's hardware model: it charges every access its full path, which
+	// a real tree does only with the treetop off (TreetopBytes < 0). Use it
 	// for performance studies; leave it false to store real data.
 	Lightweight bool
 	// DataDir, if non-empty, stores the sealed bucket trees in page files
@@ -151,6 +161,11 @@ type Stats struct {
 	StashOverflow   uint64  // times the stash exceeded its configured capacity
 	Rebuilds        uint64  // bucket-hash level rebuilds completed
 	RebuildSteps    uint64  // bucket operations performed by rebuild steps
+	// TreetopLevels is how many levels of the data tree the treetop cache
+	// holds and TreetopBytes the trusted memory the treetops of all trees
+	// fill at most: constants of the configuration (or resumed snapshot).
+	TreetopLevels int
+	TreetopBytes  uint64
 }
 
 // ORAM is an oblivious memory of Blocks fixed-size blocks.
@@ -209,6 +224,7 @@ func New(cfg Config) (*ORAM, error) {
 		DataBytes:         cfg.BlockBytes,
 		Z:                 cfg.Z,
 		StashCap:          cfg.StashCapacity,
+		TreetopBytes:      cfg.TreetopBytes,
 		OnChipBudgetBytes: cfg.OnChipPosMapBytes,
 		PLBCapacityBytes:  cfg.PLBBytes,
 		PLBWays:           cfg.PLBWays,
@@ -314,6 +330,16 @@ func (o *ORAM) Wake() <-chan struct{} {
 // Stats returns a snapshot of the controller counters.
 func (o *ORAM) Stats() Stats {
 	c := o.sys.Counters
+	var topLevels int
+	var topBytes uint64
+	for i, be := range o.sys.Backends {
+		if p, ok := be.(*backend.PathORAM); ok {
+			if i == 0 {
+				topLevels = p.TreetopLevels()
+			}
+			topBytes += uint64(p.TreetopBytes())
+		}
+	}
 	return Stats{
 		Accesses:        c.Accesses,
 		BackendAccesses: c.BackendAccesses,
@@ -327,6 +353,8 @@ func (o *ORAM) Stats() Stats {
 		StashOverflow:   c.StashOverflow,
 		Rebuilds:        c.Rebuilds,
 		RebuildSteps:    c.RebuildSteps,
+		TreetopLevels:   topLevels,
+		TreetopBytes:    topBytes,
 	}
 }
 
@@ -365,15 +393,16 @@ func (o *ORAM) Violation() error { return o.sys.Violation() }
 func (o *ORAM) Close() error { return o.sys.Close() }
 
 // Snapshot serializes the controller's trusted state — position map, stash,
-// PLB, PMMAC counters, RNG and encryption-seed registers — to w (JSON).
+// treetop cache, PLB, PMMAC counters, RNG and encryption-seed registers — to
+// w (JSON).
 // Together with the DataDir bucket files this is everything needed to
 // Resume the ORAM in a later process. It fails on Lightweight instances and
 // on controllers that have latched an integrity violation.
 //
 // The snapshot IS trusted state: it is the durable stand-in for what the
-// paper keeps inside the processor, and it contains the stash and PLB
-// plaintexts and the key-deriving seed. Store it where the adversary of §2
-// cannot read or roll it back (reading it reveals everything; rolling back
+// paper keeps inside the processor, and it contains the stash, treetop and
+// PLB plaintexts and the key-deriving seed. Store it where the adversary of
+// §2 cannot read or roll it back (reading it reveals everything; rolling back
 // snapshot AND bucket files together rewinds the entire freshness root,
 // which no ORAM can detect). PMMAC protects against everything short of
 // that: tampered buckets, deleted buckets, and any mismatch between the

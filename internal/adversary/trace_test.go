@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"net"
+	"slices"
 	"testing"
 
 	"freecursive/internal/backend"
@@ -15,8 +16,13 @@ import (
 )
 
 // tracedORAM builds a PathORAM over the given store with a fixed cipher key
-// so that two instances fed the same request stream stay in lockstep.
+// so that two instances fed the same request stream stay in lockstep. Half
+// of its L=6 tree's levels are cached.
 func tracedORAM(t *testing.T, st mem.Backend) *backend.PathORAM {
+	return tracedORAMTop(t, st, 3)
+}
+
+func tracedORAMTop(t *testing.T, st mem.Backend, k int) *backend.PathORAM {
 	t.Helper()
 	g, err := tree.NewGeometry(6, 4, 32)
 	if err != nil {
@@ -27,7 +33,7 @@ func tracedORAM(t *testing.T, st mem.Backend) *backend.PathORAM {
 		t.Fatal(err)
 	}
 	p, err := backend.NewPathORAM(backend.Config{
-		Geometry: g, Store: st, Cipher: c,
+		Geometry: g, Store: st, Cipher: c, TreetopBytes: backend.TreetopBytesFor(g, k),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -106,5 +112,43 @@ func TestBatchedPathSameIndexMultiset(t *testing.T) {
 		}
 		busTap.Reset()
 		netTap.Reset()
+	}
+}
+
+// TestTreetopTraceIsLeafPathSuffix: with the top k levels cached, what the
+// bus shows of an access is the rest of its path — indices k..L of the path
+// to its leaf, read in order and then written in order — and nothing else.
+// That is one function of the leaf for a stream chasing a single address
+// down its remaps and for a stream of all-distinct addresses on leaves of
+// its own: no index of a cached level ever appears, and nothing the treetop
+// held or took in changes a single touch.
+func TestTreetopTraceIsLeafPathSuffix(t *testing.T) {
+	const n = 400
+	for _, k := range []int{0, 3, 6} {
+		for _, stream := range []string{"same-address", "uniform"} {
+			tap := &IndexTrace{}
+			st := mem.NewStore()
+			st.SetOnRead(tap.Hook())
+			st.SetOnWrite(tap.Hook())
+			p := tracedORAMTop(t, st, k)
+			g := p.Geometry()
+			rng := rand.New(rand.NewPCG(uint64(len(stream)), 53))
+			cur := rng.Uint64() % g.Leaves()
+			for i := 0; i < n; i++ {
+				req := backend.Request{Op: backend.OpWrite, Addr: 7, Leaf: cur, NewLeaf: rng.Uint64() % g.Leaves(), Data: []byte{byte(i)}}
+				if stream == "uniform" {
+					req.Addr, req.Leaf = 1000+uint64(i), rng.Uint64()%g.Leaves()
+				}
+				if _, err := p.Access(req); err != nil {
+					t.Fatal(err)
+				}
+				suffix := g.PathIndices(req.Leaf, nil)[k:]
+				if got, want := fmt.Sprint(tap.Indices()), fmt.Sprint(slices.Concat(suffix, suffix)); got != want {
+					t.Fatalf("treetop %d, %s access %d to leaf %d: bus saw %s, want %s", k, stream, i, req.Leaf, got, want)
+				}
+				tap.Reset()
+				cur = req.NewLeaf
+			}
+		}
 	}
 }

@@ -17,11 +17,15 @@ import (
 // maxWindow is the deepest in-flight window driven here: the store's.
 const maxWindow = 4
 
+// treetops are the cache depths the window is driven at, over the L=6 tree
+// of windowedORAM: none, one the stale band starts under, all but the leaves.
+var treetops = []int{0, 3, 6}
+
 // windowedORAM builds a PathORAM over a split-phase memory whose wire is
 // tapped: every bucket of every readpath and writepath, in the order the
 // memory is asked, tagged with the frame kind so the interleaving of reads
-// and write-backs is part of the trace.
-func windowedORAM(t *testing.T, scheme crypt.SeedScheme) (*backend.PathORAM, *memtest.Split, *adversary.IndexTrace) {
+// and write-backs is part of the trace. The top k levels are cached.
+func windowedORAM(t *testing.T, scheme crypt.SeedScheme, k int) (*backend.PathORAM, *memtest.Split, *adversary.IndexTrace) {
 	t.Helper()
 	g, err := tree.NewGeometry(6, 4, 32)
 	if err != nil {
@@ -33,7 +37,7 @@ func windowedORAM(t *testing.T, scheme crypt.SeedScheme) (*backend.PathORAM, *me
 	}
 	st, tap := memtest.NewSplit(), &adversary.IndexTrace{}
 	st.Trace = func(op byte, idx uint64) { tap.Note(uint64(op)<<56 | idx) }
-	p, err := backend.NewPathORAM(backend.Config{Geometry: g, Store: st, Cipher: c})
+	p, err := backend.NewPathORAM(backend.Config{Geometry: g, Store: st, Cipher: c, TreetopBytes: backend.TreetopBytesFor(g, k)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +102,9 @@ func scriptRequests(script []backendtest.Op, addrOf func(uint64) uint64) []backe
 // (the position map's draws, fixed here by the script) — put the identical
 // sequence of bucket indices and frame kinds on the wire, at every window
 // depth. Which buckets an access skips as stale, which it leaves empty and
-// which seeds it inherits all happen behind that trace.
+// which seeds it inherits all happen behind that trace. A treetop takes its
+// levels off the wire for good — no index of theirs ever shows — and leaves
+// the rest of every path there.
 func TestWindowTraceIsAddressIndependent(t *testing.T) {
 	g, _ := tree.NewGeometry(6, 4, 32)
 	var script []backendtest.Op
@@ -109,19 +115,26 @@ func TestWindowTraceIsAddressIndependent(t *testing.T) {
 	}
 	// Without readrmv the generator never orphans a slot, so each slot's
 	// leaf chain is intact and both mappings are legal request streams.
-	for depth := 1; depth <= maxWindow; depth++ {
-		sched := schedule(len(script), depth, uint64(depth))
-		var traces [2][]uint64
-		for i, addrOf := range []func(uint64) uint64{backendtest.IdentityAddr, backendtest.PermutedAddr} {
-			p, _, tap := windowedORAM(t, crypt.SeedGlobal)
-			drive(t, p, scriptRequests(script, addrOf), sched)
-			traces[i] = tap.Indices()
-		}
-		if want := 2 * len(script) * (g.L + 1); len(traces[0]) != want {
-			t.Fatalf("depth %d: %d bucket touches on the wire, want %d (two full paths per access)", depth, len(traces[0]), want)
-		}
-		if !slices.Equal(traces[0], traces[1]) {
-			t.Fatalf("depth %d: the wire trace depends on the addresses", depth)
+	for _, k := range treetops {
+		for depth := 1; depth <= maxWindow; depth++ {
+			sched := schedule(len(script), depth, uint64(depth))
+			var traces [2][]uint64
+			for i, addrOf := range []func(uint64) uint64{backendtest.IdentityAddr, backendtest.PermutedAddr} {
+				p, _, tap := windowedORAM(t, crypt.SeedGlobal, k)
+				drive(t, p, scriptRequests(script, addrOf), sched)
+				traces[i] = tap.Indices()
+			}
+			if want := 2 * len(script) * (g.L + 1 - k); len(traces[0]) != want {
+				t.Fatalf("treetop %d, depth %d: %d bucket touches on the wire, want %d (two paths under the treetop per access)", k, depth, len(traces[0]), want)
+			}
+			if !slices.Equal(traces[0], traces[1]) {
+				t.Fatalf("treetop %d, depth %d: the wire trace depends on the addresses", k, depth)
+			}
+			for _, v := range traces[0] {
+				if idx := v & (1<<56 - 1); idx < 1<<uint(k)-1 {
+					t.Fatalf("treetop %d, depth %d: cached bucket %d on the wire", k, depth, idx)
+				}
+			}
 		}
 	}
 }
@@ -146,14 +159,15 @@ func TestWindowInterleavingFollowsSchedule(t *testing.T) {
 		same[i] = backend.Request{Op: backend.OpRead, Addr: 7, Leaf: leaves[i], NewLeaf: leaves[i+1]}
 		distinct[i] = backend.Request{Op: backend.OpRead, Addr: 1000 + uint64(i), Leaf: leaves[i], NewLeaf: leaves[i+1]}
 	}
+	const k = 3 // cached levels: the paths on the wire are that much shorter
 	run := func(reqs []backend.Request, sched []int) []uint64 {
-		p, _, tap := windowedORAM(t, crypt.SeedGlobal)
+		p, _, tap := windowedORAM(t, crypt.SeedGlobal, k)
 		drive(t, p, reqs, sched)
 		return tap.Indices()
 	}
 	kinds := func(trace []uint64) []byte { // frame kind per path, i.e. the interleaving alone
 		var out []byte
-		for i := 0; i < len(trace); i += g.L + 1 {
+		for i := 0; i < len(trace); i += g.L + 1 - k {
 			out = append(out, byte(trace[i]>>56))
 		}
 		return out
@@ -185,36 +199,43 @@ func TestWindowInterleavingFollowsSchedule(t *testing.T) {
 // flight is the case that matters: the later access read it before the
 // earlier rewrote it, and resealing from the seed it read would repeat the
 // earlier access's pad (§6.4) — it must continue from the seed it inherits.
-// Under the global scheme the register is consumed in write order.
+// Under the global scheme the register is consumed in write order. Both hold
+// at every treetop depth: a cached bucket is never sealed at all.
 func TestWindowNoPadReuse(t *testing.T) {
+	for _, k := range treetops {
+		for depth := 1; depth <= maxWindow; depth++ {
+			windowNoPadReuse(t, k, depth)
+		}
+	}
+}
+
+func windowNoPadReuse(t *testing.T, k, depth int) {
 	g, _ := tree.NewGeometry(6, 4, 32)
 	script := backendtest.GenScript(401, 3000, 48, g.Leaves(), g.BlockBytes)
-	for depth := 1; depth <= maxWindow; depth++ {
-		p, st, _ := windowedORAM(t, crypt.SeedPerBucket)
-		det := &adversary.PadReuseDetector{}
-		det.Install(st)
-		backendtest.RunScriptWindowed(t, p, script, backendtest.IdentityAddr, depth, 9, nil)
-		if det.Reuses != 0 || det.Regressions != 0 {
-			t.Fatalf("per-bucket seeds, depth %d: %d pad reuses, %d seed regressions", depth, det.Reuses, det.Regressions)
-		}
+	p, st, _ := windowedORAM(t, crypt.SeedPerBucket, k)
+	det := &adversary.PadReuseDetector{}
+	det.Install(st)
+	backendtest.RunScriptWindowed(t, p, script, backendtest.IdentityAddr, depth, 9, nil)
+	if det.Reuses != 0 || det.Regressions != 0 {
+		t.Fatalf("per-bucket seeds, treetop %d, depth %d: %d pad reuses, %d seed regressions", k, depth, det.Reuses, det.Regressions)
+	}
 
-		p, st, _ = windowedORAM(t, crypt.SeedGlobal)
-		var last uint64
-		outOfOrder := 0
-		st.SetOnWrite(func(_ uint64, data []byte) []byte {
-			seed := uint64(0)
-			for _, b := range data[:crypt.SeedBytes] {
-				seed = seed<<8 | uint64(b)
-			}
-			if seed <= last {
-				outOfOrder++
-			}
-			last = seed
-			return data
-		})
-		backendtest.RunScriptWindowed(t, p, script, backendtest.IdentityAddr, depth, 9, nil)
-		if outOfOrder != 0 {
-			t.Fatalf("global seed, depth %d: %d writes out of register order", depth, outOfOrder)
+	p, st, _ = windowedORAM(t, crypt.SeedGlobal, k)
+	var last uint64
+	outOfOrder := 0
+	st.SetOnWrite(func(_ uint64, data []byte) []byte {
+		seed := uint64(0)
+		for _, b := range data[:crypt.SeedBytes] {
+			seed = seed<<8 | uint64(b)
 		}
+		if seed <= last {
+			outOfOrder++
+		}
+		last = seed
+		return data
+	})
+	backendtest.RunScriptWindowed(t, p, script, backendtest.IdentityAddr, depth, 9, nil)
+	if outOfOrder != 0 {
+		t.Fatalf("global seed, treetop %d, depth %d: %d writes out of register order", k, depth, outOfOrder)
 	}
 }

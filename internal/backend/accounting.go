@@ -10,9 +10,10 @@ import (
 // Accounting is a bandwidth-accounting backend. It answers accesses from a
 // flat payload map — so frontends above it (PLB, compressed PosMap, PMMAC)
 // behave exactly as over a real tree — while bytes moved are charged
-// analytically with the same WireBucketBytes model the functional backend
-// uses. No tree, no stash, no crypto: this is what makes the 64 GB capacity
-// point of Figure 7 simulable.
+// analytically, a full path of WireBucketBytes buckets read and written per
+// access: the paper's hardware, and the functional backend with its
+// treetop cache off. No tree, no stash, no crypto: this is what makes the
+// 64 GB capacity point of Figure 7 simulable.
 //
 // Accounting trusts its caller (there is no adversary below it), so it is
 // never used in integrity experiments other than to count MAC bytes.

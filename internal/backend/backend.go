@@ -6,7 +6,9 @@
 //
 //   - PathORAM: fully functional. Blocks hold real payloads, buckets are
 //     sealed with probabilistic encryption and stored in any mem.Backend
-//     (in-process map, durable page file, or a latency-injected wrapper),
+//     (in-process map, durable page file, or a latency-injected wrapper)
+//     — all but the top levels of the tree, which a treetop cache keeps in
+//     trusted memory, so an access moves only the rest of its path —
 //     and an active adversary can tamper with stored bytes through the
 //     backend's hooks. Tampered, torn, or undecryptable buckets never
 //     error at this layer: their blocks simply vanish (or decode to
@@ -19,7 +21,9 @@
 //     analytically. This enables the paper's 16 GB and 64 GB capacity
 //     points (Figure 7) on a laptop.
 //
-// Both charge identical wire bytes per access, so experiments may use
+// Accounting charges the paper's hardware model, a full path per access;
+// PathORAM charges the buckets it moved. The two are identical when the
+// treetop is off (Config.TreetopBytes < 0), and experiments may then use
 // either interchangeably.
 package backend
 
@@ -128,7 +132,8 @@ func WireBucketBytes(g tree.Geometry) uint64 {
 	return (raw + 63) &^ 63
 }
 
-// PathWireBytes returns bytes moved by one full path access (read + write).
+// PathWireBytes returns bytes moved by one full path access (read + write):
+// what the paper's controller, and PathORAM with no treetop, moves.
 func PathWireBytes(g tree.Geometry) uint64 {
 	return 2 * uint64(g.L+1) * WireBucketBytes(g)
 }

@@ -21,9 +21,14 @@ func newGeom(t testing.TB, l, z, b int) tree.Geometry {
 	return g
 }
 
+// testTreetop is the treetop depth the package's own trees are built with:
+// deep enough that most evictions cross the cache's lower edge, shallow
+// enough that real blocks still reach untrusted memory in small trees.
+const testTreetop = 3
+
 func newORAM(t testing.TB, g tree.Geometry, encrypted bool) *PathORAM {
 	t.Helper()
-	cfg := Config{Geometry: g}
+	cfg := Config{Geometry: g, TreetopBytes: TreetopBytesFor(g, min(testTreetop, g.L))}
 	if encrypted {
 		c, err := crypt.NewBucketCipher([]byte("0123456789abcdef"), crypt.SeedGlobal)
 		if err != nil {
@@ -113,24 +118,15 @@ func TestPathInvariant(t *testing.T) {
 			inStash[a] = true
 		}
 		// Decode every bucket and record where each block is.
-		loc := map[uint64]uint64{} // addr -> heap index
-		for idx := uint64(0); idx < r.g.Buckets(); idx++ {
-			raw := r.p.Store().Peek(idx)
-			if raw == nil {
-				continue
-			}
-			for _, b := range r.p.decodeBucket(raw, nil) {
-				loc[b.Addr] = idx
-			}
-		}
+		loc := treeBlocks(t, r.p)
 		for addr, leaf := range r.leaf {
 			if inStash[addr] {
 				continue
 			}
-			idx, ok := loc[addr]
-			if !ok {
-				t.Fatalf("block %#x mapped to leaf %d is nowhere", addr, leaf)
+			if len(loc[addr]) != 1 {
+				t.Fatalf("block %#x mapped to leaf %d is in buckets %v", addr, leaf, loc[addr])
 			}
+			idx := loc[addr][0]
 			onPath := false
 			for _, p := range r.g.PathIndices(leaf, nil) {
 				if p == idx {
@@ -150,6 +146,31 @@ func TestPathInvariant(t *testing.T) {
 		}
 	}
 	check()
+}
+
+// treeBlocks decodes the whole plaintext tree, the cached levels out of the
+// treetop and the rest out of memory, into address -> heap indices holding
+// it. A cached level must have left nothing in memory.
+func treeBlocks(t testing.TB, p *PathORAM) map[uint64][]uint64 {
+	t.Helper()
+	loc := map[uint64][]uint64{}
+	k, top := p.Treetop()
+	for _, bk := range top {
+		for _, b := range bk.Blocks {
+			loc[b.Addr] = append(loc[b.Addr], bk.Index)
+		}
+	}
+	g := p.Geometry()
+	for idx := uint64(0); idx < g.Buckets(); idx++ {
+		raw := p.Store().Peek(idx)
+		if raw != nil && idx < uint64(1)<<uint(k)-1 {
+			t.Fatalf("bucket %d of the %d cached levels was written to memory", idx, k)
+		}
+		for _, b := range p.decodeBucket(raw, nil) {
+			loc[b.Addr] = append(loc[b.Addr], idx)
+		}
+	}
+	return loc
 }
 
 func TestReadRmvRemoves(t *testing.T) {
@@ -313,12 +334,13 @@ func TestWireBytes(t *testing.T) {
 	}
 }
 
-// TestAccountingParity: the accounting backend must charge exactly the same
-// bytes as the functional backend for the same op sequence.
+// TestAccountingParity: the accounting backend — the paper's hardware model,
+// which moves whole paths — must charge exactly the same bytes as the
+// functional backend with the treetop off for the same op sequence.
 func TestAccountingParity(t *testing.T) {
 	g := newGeom(t, 8, 4, 16)
 	ctrF := &stats.Counters{}
-	pf, err := NewPathORAM(Config{Geometry: g, Counters: ctrF})
+	pf, err := NewPathORAM(Config{Geometry: g, Counters: ctrF, TreetopBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -502,12 +524,13 @@ func TestProbabilisticReencryption(t *testing.T) {
 		Data: []byte("fixed")}); err != nil {
 		t.Fatal(err)
 	}
-	root1 := bytes.Clone(p.Store().Peek(0))
+	top := g.NodeIndex(0, p.TreetopLevels()) // the first bucket of the path that leaves trusted memory
+	root1 := bytes.Clone(p.Store().Peek(top))
 	if _, err := p.Access(Request{Op: OpRead, Addr: 1, Leaf: 0, NewLeaf: 0}); err != nil {
 		t.Fatal(err)
 	}
-	root2 := p.Store().Peek(0)
-	if bytes.Equal(root1, root2) {
+	root2 := p.Store().Peek(top)
+	if root1 == nil || bytes.Equal(root1, root2) {
 		t.Fatal("bucket ciphertext unchanged across accesses")
 	}
 }

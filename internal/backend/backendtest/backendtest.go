@@ -52,6 +52,9 @@ type Options struct {
 	// quantum (bucket ops per access); zero keeps the backend default.
 	// Backends without background maintenance ignore it.
 	StepBudget int
+	// TreetopBytes is the tree backend's treetop budget (backend.Config's:
+	// zero is the default, negative none); other backends ignore it.
+	TreetopBytes int
 }
 
 // Kind describes one backend.Backend implementation under test. Name
@@ -77,6 +80,7 @@ func Kinds() []Kind {
 				t.Helper()
 				cfg := backend.Config{
 					Geometry: g, Store: opt.Store, Counters: opt.Counters,
+					TreetopBytes: opt.TreetopBytes,
 				}
 				if opt.Encrypted {
 					cfg.Cipher = newCipher(t)

@@ -23,11 +23,13 @@ import (
 // encryption, and a stash/cache capacity small enough that sustained
 // traffic pushes blocks into untrusted memory for BOTH constructions
 // (the bucket-hash backend only materializes levels when its cache
-// capacity is exceeded).
+// capacity is exceeded). The treetop budget is scaled down with the rest:
+// 4 KB caches the top three of the tree's ten levels, where the default
+// would swallow seven and most of what the tests write.
 func SystemParams(kind string) core.Params {
 	return core.Params{
 		Scheme: core.SchemePIC, Backend: kind,
-		NBlocks: 1 << 10, DataBytes: 64, StashCap: 32,
+		NBlocks: 1 << 10, DataBytes: 64, StashCap: 32, TreetopBytes: 4 << 10,
 		OnChipBudgetBytes: 256, PLBCapacityBytes: 1 << 10,
 		Functional: true, EncScheme: crypt.SeedGlobal, Seed: 99,
 	}

@@ -16,9 +16,13 @@ package backend_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"testing"
 
+	"freecursive/internal/backend"
 	"freecursive/internal/backend/backendtest"
 	"freecursive/internal/mem"
 	"freecursive/internal/mem/memtest"
@@ -88,10 +92,10 @@ func compareRuns(t *testing.T, refName string, ref []backendtest.StepResult, nam
 }
 
 // newWindowedPath builds the path backend over a split-phase memory.
-func newWindowedPath(t *testing.T, enc bool) (backendtest.Windowed, *memtest.Split) {
+func newWindowedPath(t *testing.T, enc bool, treetopBytes int) (backendtest.Windowed, *memtest.Split) {
 	t.Helper()
 	st := memtest.NewSplit()
-	b := backendtest.Kinds()[0].New(t, backendtest.Geom(t), backendtest.Options{Store: st, Encrypted: enc})
+	b := backendtest.Kinds()[0].New(t, backendtest.Geom(t), backendtest.Options{Store: st, Encrypted: enc, TreetopBytes: treetopBytes})
 	w, ok := b.(backendtest.Windowed)
 	if !ok {
 		t.Fatalf("%T has no in-flight window", b)
@@ -106,7 +110,9 @@ func newWindowedPath(t *testing.T, enc bool) (backendtest.Windowed, *memtest.Spl
 // begins and completions — readrmv and append included, and, in the script
 // over a handful of slots, with most windows holding several accesses to
 // one address. Every run returns the reference's values step for step, and
-// depth 1 leaves the very same sealed bytes in memory.
+// depth 1 leaves the very same sealed bytes in memory — with no treetop,
+// with half the levels cached and with the default budget, which holds all
+// of this tree but its leaves.
 func TestDifferentialWindowDepths(t *testing.T) {
 	const maxDepth = 4
 	g := backendtest.Geom(t)
@@ -117,23 +123,67 @@ func TestDifferentialWindowDepths(t *testing.T) {
 	for name, script := range scripts {
 		for _, enc := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/enc=%v", name, enc), func(t *testing.T) {
-				serialStore := mem.NewStore()
-				serial := backendtest.Kinds()[0].New(t, g, backendtest.Options{Store: serialStore, Encrypted: enc})
-				ref := backendtest.RunScript(t, serial, script, backendtest.IdentityAddr)
-				for depth := 1; depth <= maxDepth; depth++ {
-					for seed := uint64(1); seed <= 3; seed++ {
-						b, st := newWindowedPath(t, enc)
-						got := backendtest.RunScriptWindowed(t, b, script, backendtest.IdentityAddr, depth, seed, nil)
-						compareRuns(t, "serial", ref, fmt.Sprintf("depth %d seed %d", depth, seed), got)
-						if depth == 1 && !memtest.Equal(serialStore, st, g.Buckets()) {
-							t.Fatalf("depth 1 (seed %d) left different sealed bytes than the serial run", seed)
+				for _, top := range []int{-1, backend.TreetopBytesFor(g, 3), 0} {
+					t.Run(fmt.Sprintf("treetop=%d", top), func(t *testing.T) {
+						serialStore := mem.NewStore()
+						serial := backendtest.Kinds()[0].New(t, g, backendtest.Options{Store: serialStore, Encrypted: enc, TreetopBytes: top})
+						ref := backendtest.RunScript(t, serial, script, backendtest.IdentityAddr)
+						for depth := 1; depth <= maxDepth; depth++ {
+							for seed := uint64(1); seed <= 3; seed++ {
+								b, st := newWindowedPath(t, enc, top)
+								got := backendtest.RunScriptWindowed(t, b, script, backendtest.IdentityAddr, depth, seed, nil)
+								compareRuns(t, "serial", ref, fmt.Sprintf("depth %d seed %d", depth, seed), got)
+								if depth == 1 && !memtest.Equal(serialStore, st, g.Buckets()) {
+									t.Fatalf("depth 1 (seed %d) left different sealed bytes than the serial run", seed)
+								}
+								if n := b.Counters().StashOverflow; n != 0 {
+									t.Fatalf("depth %d seed %d: %d stash overflows", depth, seed, n)
+								}
+							}
 						}
-						if n := b.Counters().StashOverflow; n != 0 {
-							t.Fatalf("depth %d seed %d: %d stash overflows", depth, seed, n)
-						}
-					}
+					})
 				}
 			})
+		}
+	}
+}
+
+// memoryDigest hashes every sealed bucket of st with its index.
+func memoryDigest(st mem.Backend, buckets uint64) string {
+	h := sha256.New()
+	var hdr [16]byte
+	for idx := uint64(0); idx < buckets; idx++ {
+		raw := st.Peek(idx)
+		binary.BigEndian.PutUint64(hdr[:8], idx)
+		binary.BigEndian.PutUint64(hdr[8:], uint64(len(raw)))
+		h.Write(hdr[:])
+		h.Write(raw)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestTreetopOffLeavesPinnedMemory: with the treetop off the path backend is
+// the controller it was before it had one, to the byte. The digests are of
+// the sealed memory the differential scripts left behind at the commit
+// before the treetop cache, under the harness's fixed key.
+func TestTreetopOffLeavesPinnedMemory(t *testing.T) {
+	g := backendtest.Geom(t)
+	for _, tc := range []struct {
+		seed       uint64
+		ops        int
+		slots      uint64
+		enc        bool
+		wantDigest string
+	}{
+		{101, 3000, 96, true, "75cfc8114a5d9704c1520b28082c8d1d1299b4c53c029dc79d37c075b650c253"},
+		{101, 3000, 96, false, "1a362bf0b735848e0d5b0598a99ff2cc466ce9f48925e40cca72727a07e27d9a"},
+		{223, 2500, 6, true, "a4bdff82c6257cf38ce24375404d65269f398ca307da7075b04546721bf5bb90"},
+	} {
+		st := mem.NewStore()
+		b := backendtest.Kinds()[0].New(t, g, backendtest.Options{Store: st, Encrypted: tc.enc, TreetopBytes: -1})
+		backendtest.RunScript(t, b, backendtest.GenScript(tc.seed, tc.ops, tc.slots, g.Leaves(), g.BlockBytes), backendtest.IdentityAddr)
+		if got := memoryDigest(st, g.Buckets()); got != tc.wantDigest {
+			t.Errorf("script seed %d enc=%v: memory digest %s, pinned %s", tc.seed, tc.enc, got, tc.wantDigest)
 		}
 	}
 }

@@ -20,8 +20,14 @@ import (
 // key, so two instances with the same key and request stream are
 // bit-identical.
 func newORAMOn(t testing.TB, st mem.Backend, encrypted bool) *PathORAM {
+	return newORAMOnTop(t, st, encrypted, testTreetop)
+}
+
+// newORAMOnTop is newORAMOn with the top k levels cached.
+func newORAMOnTop(t testing.TB, st mem.Backend, encrypted bool, k int) *PathORAM {
 	t.Helper()
-	cfg := Config{Geometry: newGeom(t, 8, 4, 16), Store: st}
+	g := newGeom(t, 8, 4, 16)
+	cfg := Config{Geometry: g, Store: st, TreetopBytes: TreetopBytesFor(g, k)}
 	if encrypted {
 		c, err := crypt.NewBucketCipher([]byte("0123456789abcdef"), crypt.SeedGlobal)
 		if err != nil {
@@ -40,20 +46,25 @@ func newORAMOn(t testing.TB, st mem.Backend, encrypted bool) *PathORAM {
 // cost invariant batched path I/O exists for: over mem.Remote every
 // steady-state access is exactly two bucketd frames — one readpath, one
 // pipelined writepath — and the server sees the accessed path's bucket
-// indices root to leaf, in wire order, once per frame. It holds at every
-// occupancy of the in-flight window: the window is held at depth accesses
-// (depth 1 is plain Access), and the wire shows the same 2N full-path
-// frames, reordered only by the schedule — reads in the order the accesses
-// began, each access's writepath after its own readpath, where its Complete
-// fell among the Begins, and so before the read of any access begun after
-// it completed.
+// indices, from the first level under the treetop to the leaf, in wire order,
+// once per frame. It holds at every occupancy of the in-flight window: the
+// window is held at depth accesses (depth 1 is plain Access), and the wire
+// shows the same 2N frames, reordered only by the schedule — reads in the
+// order the accesses began, each access's writepath after its own readpath,
+// where its Complete fell among the Begins, and so before the read of any
+// access begun after it completed. A treetop of k levels shortens every
+// frame to L+1-k indices and changes nothing else.
 func TestRemoteAccessIsTwoFrames(t *testing.T) {
 	for depth := 1; depth <= maxWindow; depth++ {
-		t.Run(fmt.Sprintf("depth=%d", depth), func(t *testing.T) { remoteAccessIsTwoFrames(t, depth) })
+		t.Run(fmt.Sprintf("depth=%d", depth), func(t *testing.T) {
+			for _, k := range []int{0, testTreetop, 8} {
+				t.Run(fmt.Sprintf("treetop=%d", k), func(t *testing.T) { remoteAccessIsTwoFrames(t, depth, k) })
+			}
+		})
 	}
 }
 
-func remoteAccessIsTwoFrames(t *testing.T, depth int) {
+func remoteAccessIsTwoFrames(t *testing.T, depth, k int) {
 	type touch struct {
 		op  byte
 		idx uint64
@@ -78,15 +89,15 @@ func remoteAccessIsTwoFrames(t *testing.T, depth int) {
 		t.Fatal(err)
 	}
 	defer rem.Close()
-	p := newORAMOn(t, rem, true)
+	p := newORAMOnTop(t, rem, true, k)
 	g := p.Geometry()
 
 	// want is the wire the schedule implies, built as the schedule runs:
-	// a full path of readpath touches per Begin, of writepath touches per
-	// Complete.
+	// the path under the treetop in readpath touches per Begin, in
+	// writepath touches per Complete.
 	var want []touch
 	note := func(op byte, leaf uint64) {
-		for _, idx := range g.PathIndices(leaf, nil) {
+		for _, idx := range g.PathIndices(leaf, nil)[k:] {
 			want = append(want, touch{op, idx})
 		}
 	}
@@ -151,6 +162,46 @@ func remoteAccessIsTwoFrames(t *testing.T, depth int) {
 	for i := range want {
 		if wire[i] != want[i] {
 			t.Fatalf("bucket touch %d on the wire is %+v, want %+v", i, wire[i], want[i])
+		}
+	}
+}
+
+// TestCountersChargeBucketsMoved: the bytes an access is charged are the
+// buckets it actually moved — the memory's own read and write counts — at
+// the wire size of a bucket, whatever the treetop keeps back; over the map
+// store and over mem.Remote to a bucketd.
+func TestCountersChargeBucketsMoved(t *testing.T) {
+	srv := bucketd.New(bucketd.Config{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	defer srv.Close()
+	for _, k := range []int{0, testTreetop, 8} {
+		rem, err := mem.DialRemote(mem.RemoteConfig{Addr: ln.Addr().String(), Namespace: fmt.Sprintf("backend/bytes-%d", k)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rem.Close()
+		for name, st := range map[string]mem.Backend{"map": mem.NewStore(), "remote": rem} {
+			p := newORAMOnTop(t, st, true, k)
+			g := p.Geometry()
+			rng := rand.New(rand.NewPCG(31, 37))
+			const n = 200
+			for i := 0; i < n; i++ {
+				leaf := rng.Uint64() % g.Leaves()
+				if _, err := p.Access(Request{Op: OpWrite, Addr: uint64(i), Leaf: leaf, NewLeaf: leaf, PosMap: i%4 == 0}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ms := st.Stats()
+			if want := uint64(n * (g.L + 1 - k)); ms.Reads != want || ms.Writes != want {
+				t.Errorf("%s, treetop %d: memory served %d reads and %d writes, want %d of each", name, k, ms.Reads, ms.Writes, want)
+			}
+			if got, want := p.Counters().TotalBytes(), (ms.Reads+ms.Writes)*WireBucketBytes(g); got != want {
+				t.Errorf("%s, treetop %d: counters charge %d bytes, memory moved %d", name, k, got, want)
+			}
 		}
 	}
 }

@@ -2,7 +2,9 @@ package backend
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"math/bits"
 
 	"freecursive/internal/crypt"
 	"freecursive/internal/mem"
@@ -31,6 +33,14 @@ type PathORAM struct {
 	ciph  *crypt.BucketCipher // nil: plaintext buckets (fast functional mode)
 	stash *stash.Stash
 	ctr   *stats.Counters
+
+	// Treetop cache: the buckets of the top topLevels levels live here, in
+	// trusted memory next to the stash, as plaintext bodies indexed by heap
+	// index (nil: never written, all dummies). An access reads, opens, seals
+	// and writes only the levels below. accessBytes is what it moves.
+	topLevels   int
+	top         [][]byte
+	accessBytes uint64
 
 	// fly is the in-flight window: accesses begun and not yet completed,
 	// oldest first. freeFly recycles their records.
@@ -62,8 +72,10 @@ type flight struct {
 	// fresh, handed down by the older access that rewrote it for stale ones.
 	seeds []uint64
 	// stale counts the leading levels whose buckets an older in-flight
-	// access also reads: this access's copy predates that access's
-	// write-back, so it is ignored.
+	// access also reads: this access's copy of the ones it fetched from
+	// memory, levels [topLevels, stale), predates that access's write-back,
+	// so it is ignored. The treetop levels are read at Complete, after every
+	// older write-back, and are never stale.
 	stale int
 	// payload is the OpWrite payload, copied at Begin (the caller reuses its
 	// buffer before Complete). It becomes the block's buffer in the stash.
@@ -80,7 +92,29 @@ type Config struct {
 	Cipher        *crypt.BucketCipher // nil: plaintext
 	StashCapacity int                 // 0: stash.DefaultCapacity
 	Counters      *stats.Counters     // nil: fresh counters
+	// TreetopBytes budgets the treetop cache: as many whole levels from the
+	// root as have plaintext bucket bodies fitting in it are kept in trusted
+	// memory, the leaf level never. 0: DefaultTreetopBytes; negative: none.
+	TreetopBytes int
 }
+
+// DefaultTreetopBytes is the treetop budget of a tree that names none: the
+// PLB's default size (§7.1.3), so the two on-chip caches cost the same.
+const DefaultTreetopBytes = 64 << 10
+
+// TreetopBytesFor returns the Config.TreetopBytes that caches exactly the top
+// levels levels of a tree of geometry g — the size of their plaintext
+// buckets — or, for no levels, the negative that switches the treetop off.
+func TreetopBytesFor(g tree.Geometry, levels int) int {
+	if levels <= 0 {
+		return -1
+	}
+	return (1<<uint(levels) - 1) * g.Z * (slotHeader + g.BlockBytes)
+}
+
+// ErrTreetop marks a treetop that RestoreTreetop refused: restored trusted
+// state that breaks the invariants every access relies on.
+var ErrTreetop = errors.New("malformed treetop")
 
 // NewPathORAM builds a functional backend.
 func NewPathORAM(cfg Config) (*PathORAM, error) {
@@ -109,6 +143,16 @@ func NewPathORAM(cfg Config) (*PathORAM, error) {
 	if sp, ok := st.(mem.SplitPathReader); ok && sp.ReadSignal() != nil {
 		p.split = sp
 	}
+	budget := cfg.TreetopBytes
+	if budget == 0 {
+		budget = DefaultTreetopBytes
+	}
+	fit := max(budget, 0) / p.bodyBytes() // bucket bodies the budget holds
+	k := 0
+	for k < p.geom.L && 1<<(k+1)-1 <= fit {
+		k++
+	}
+	p.installTreetop(k, make([][]byte, 1<<k-1))
 	p.bodyBuf = make([]byte, 0, p.bodyBytes())
 	p.encBuf = make([]byte, p.bodyBytes())
 	p.resultBuf = make([]byte, p.geom.BlockBytes)
@@ -133,6 +177,118 @@ func (p *PathORAM) Cipher() *crypt.BucketCipher { return p.ciph }
 
 // Close releases the untrusted store's resources.
 func (p *PathORAM) Close() error { return p.store.Close() }
+
+// --- treetop cache ---------------------------------------------------------
+//
+// The Path ORAM invariant — a block is on the path to its leaf or in the
+// stash — does not say where a bucket is kept. The top levels are the ones
+// every path shares most, so they are kept in trusted memory, as plaintext,
+// and only the rest of a path ever crosses the trust boundary: Phantom's
+// treetop cache. What memory sees of an access is still a function of its
+// leaf alone — the suffix pathIdx[topLevels:], read then written — and every
+// bucket that does leave is sealed exactly as before.
+
+// installTreetop makes top, one body slot per bucket of the first k levels,
+// the treetop.
+func (p *PathORAM) installTreetop(k int, top [][]byte) {
+	p.topLevels, p.top = k, top
+	p.accessBytes = 2 * uint64(p.geom.L+1-k) * WireBucketBytes(p.geom)
+}
+
+// TreetopLevels returns how many levels, counted from the root, the treetop
+// cache holds: a constant of the configuration (or of the snapshot resumed).
+func (p *PathORAM) TreetopLevels() int { return p.topLevels }
+
+// TreetopBytes returns the trusted memory the treetop occupies once every
+// cached bucket has been written: like TreetopLevels, a constant.
+func (p *PathORAM) TreetopBytes() int { return len(p.top) * p.bodyBytes() }
+
+// TreetopBucket is one cached bucket as a snapshot carries it.
+type TreetopBucket struct {
+	Index  uint64 // heap index
+	Blocks []stash.Block
+}
+
+// Treetop returns the cache's level count and a deep copy of every cached
+// bucket that holds a block, in index order: with the stash, the trusted
+// state a durable controller persists.
+func (p *PathORAM) Treetop() (int, []TreetopBucket) {
+	var out []TreetopBucket
+	for idx, body := range p.top {
+		if body == nil {
+			continue
+		}
+		// decodeBucket draws from the free list; these buffers leave for
+		// good, so the list just refills from the allocator later.
+		if blocks := p.decodeBucket(body, nil); len(blocks) > 0 {
+			out = append(out, TreetopBucket{Index: uint64(idx), Blocks: blocks})
+		}
+	}
+	return p.topLevels, out
+}
+
+// RestoreTreetop replaces the treetop with one of the given level count
+// holding the given buckets — what Treetop returned when the snapshot was
+// taken; the level count need not be the configured one. The stash must be
+// restored first. A treetop no run of accesses could have produced is
+// refused with an error wrapping ErrTreetop and changes nothing.
+func (p *PathORAM) RestoreTreetop(levels int, buckets []TreetopBucket) error {
+	if len(p.fly) > 0 {
+		return fmt.Errorf("backend: RestoreTreetop with %d accesses in flight", len(p.fly))
+	}
+	if levels < 0 || levels > p.geom.L {
+		return fmt.Errorf("backend: %w: %d levels, the tree admits 0..%d", ErrTreetop, levels, p.geom.L)
+	}
+	top := make([][]byte, 1<<levels-1)
+	seen := make(map[uint64]bool)
+	for _, bk := range buckets {
+		if bk.Index >= uint64(len(top)) {
+			return fmt.Errorf("backend: %w: bucket %d is below its %d levels", ErrTreetop, bk.Index, levels)
+		}
+		if top[bk.Index] != nil {
+			return fmt.Errorf("backend: %w: bucket %d listed twice", ErrTreetop, bk.Index)
+		}
+		if len(bk.Blocks) > p.geom.Z {
+			return fmt.Errorf("backend: %w: bucket %d holds %d blocks, Z=%d", ErrTreetop, bk.Index, len(bk.Blocks), p.geom.Z)
+		}
+		level := bits.Len64(bk.Index+1) - 1
+		for _, b := range bk.Blocks {
+			switch {
+			case !p.geom.ValidLeaf(b.Leaf) || p.geom.NodeIndex(b.Leaf, level) != bk.Index:
+				return fmt.Errorf("backend: %w: a block of bucket %d is mapped to a leaf whose path misses it", ErrTreetop, bk.Index)
+			case len(b.Data) > p.geom.BlockBytes:
+				return fmt.Errorf("backend: %w: a block of bucket %d carries %d bytes, blocks are %d", ErrTreetop, bk.Index, len(b.Data), p.geom.BlockBytes)
+			case seen[b.Addr] || p.stash.Get(b.Addr) != nil:
+				return fmt.Errorf("backend: %w: a block of bucket %d is also held elsewhere in trusted memory", ErrTreetop, bk.Index)
+			}
+			seen[b.Addr] = true
+		}
+		top[bk.Index] = p.encodeBucket(make([]byte, p.bodyBytes()), bk.Blocks)
+	}
+	p.installTreetop(levels, top)
+	return nil
+}
+
+// writeTop stores blocks as the cached bucket idx. A bucket's body is
+// allocated the first time a block lands in it and reused ever after.
+//
+//oram:hotpath
+func (p *PathORAM) writeTop(idx uint64, blocks []stash.Block) {
+	body := p.top[idx]
+	if body == nil {
+		if len(blocks) == 0 {
+			return
+		}
+		body = p.newTopBody()
+		p.top[idx] = body
+	}
+	p.encodeBucket(body, blocks)
+}
+
+// newTopBody allocates one cached bucket's body.
+//
+//oram:offhotpath runs once per treetop bucket, on its first write; the AllocsPerRun gates measure after warm-up
+func (p *PathORAM) newTopBody() []byte { return make([]byte, p.bodyBytes()) }
 
 // --- block payload buffer recycling ---------------------------------------
 
@@ -195,12 +351,11 @@ func SealedBucketBytes(g tree.Geometry) int {
 	return crypt.SeedBytes + g.Z*(slotHeader+g.BlockBytes)
 }
 
-// encodeBucket serializes blocks into the reusable encode scratch and
-// returns it; the result is valid until the next encodeBucket call.
+// encodeBucket serializes blocks into body, a bodyBytes buffer, and returns
+// it.
 //
 //oram:hotpath
-func (p *PathORAM) encodeBucket(blocks []stash.Block) []byte {
-	body := p.encBuf
+func (p *PathORAM) encodeBucket(body []byte, blocks []stash.Block) []byte {
 	clear(body) // dummy slots must read as all zeros
 	for i, b := range blocks {
 		s := body[i*p.slotBytes():]
@@ -250,24 +405,30 @@ func (p *PathORAM) decodeBucket(body []byte, dst []stash.Block) []stash.Block {
 //
 // The memory applies reads and write-backs in the order they were sent. So
 // when access j begins while an older access i is still in flight, j's read
-// is sent before i's write-back, and every bucket on both paths — the paths
-// share a prefix from the root — reaches j as it was BEFORE i rewrote it.
-// One rule keeps the tree consistent. Such a bucket is stale in j's read:
+// is sent before i's write-back, and every bucket in memory on both paths —
+// the paths share a prefix from the root — reaches j as it was BEFORE i
+// rewrote it. One rule keeps the tree consistent. Such a bucket is stale in
+// j's read:
 //
 //   - j ignores it. Whatever real blocks it held were absorbed into the
 //     stash by the access that read it fresh, which completes before j.
 //   - i's eviction puts nothing in it (it is written all-dummy): j will
 //     overwrite it without having seen what i put there. Blocks that could
-//     only go there wait in the stash for one access — treetop caching of
-//     the shared prefix.
+//     only go there wait in the stash for one access.
 //   - j inherits the seed i wrote it under. Resealing above the seed j
 //     read would reuse i's pad under the per-bucket scheme (§6.4).
 //
-// Every access still reads and writes its whole path, and which buckets are
-// stale is a function of the leaves in the window — public — alone. A second
-// access to the SAME address needs no special case: its block can only live
-// on the prefix its two paths share, so it is still in the stash when the
-// later access completes.
+// The treetop levels are outside the rule: they never travel, j reads them
+// at its Complete — after i's — and i evicts into them freely. With k cached
+// levels and a prefix of s shared buckets, the stale band is [k, s), empty
+// whenever the paths part inside the treetop.
+//
+// Every access still reads and writes all of its path below the treetop,
+// and which buckets are stale is a function of the leaves in the window —
+// public — alone. A second access to the SAME address needs no special
+// case: its block can only live on the prefix its two paths share, so when
+// the later access completes it is in the stash or in a cached bucket of
+// that prefix, which the access reads fresh.
 
 // Access performs one backend operation. See the Op documentation for
 // semantics. The returned Result.Data is reusable scratch owned by the
@@ -358,7 +519,7 @@ func (p *PathORAM) Begin(req Request) error {
 		}
 	}
 	if p.split != nil {
-		if err := p.split.IssueReadPath(f.pathIdx); err != nil {
+		if err := p.split.IssueReadPath(f.pathIdx[p.topLevels:]); err != nil {
 			p.freeFly = append(p.freeFly, f)
 			return fmt.Errorf("backend: path read: %w", err)
 		}
@@ -432,19 +593,20 @@ func (p *PathORAM) complete(f *flight) (Result, error) {
 	req := f.req
 
 	// Step 2 (§3.1): read and decrypt all buckets along the path; real
-	// blocks enter the stash. The whole path is one store operation (one
-	// round trip on a remote store). The PathReader contract keeps every
-	// level's bucket simultaneously valid while we absorb them in path
-	// order; stale levels are skipped.
+	// blocks enter the stash. The levels below the treetop are one store
+	// operation (one round trip on a remote store). The PathReader contract
+	// keeps every level's bucket simultaneously valid while we absorb them
+	// in path order, the cached levels first; stale levels are skipped.
+	k := p.topLevels
 	for len(p.pathBufs) < len(f.pathIdx) {
 		p.pathBufs = append(p.pathBufs, nil)
 	}
 	bufs := p.pathBufs[:len(f.pathIdx)]
 	var err error
 	if p.split != nil {
-		err = p.split.CompleteReadPath(f.pathIdx, bufs)
+		err = p.split.CompleteReadPath(f.pathIdx[k:], bufs[k:])
 	} else {
-		err = p.store.ReadPath(f.pathIdx, bufs)
+		err = p.store.ReadPath(f.pathIdx[k:], bufs[k:])
 	}
 	if err != nil {
 		return Result{}, fmt.Errorf("backend: path read: %w", err)
@@ -453,7 +615,12 @@ func (p *PathORAM) complete(f *flight) (Result, error) {
 		// The read was consumed only to keep the memory's stream in step.
 		return Result{}, fmt.Errorf("backend: abandoned, an access begun earlier failed: %w", f.orphaned)
 	}
-	for i := f.stale; i < len(f.pathIdx); i++ {
+	for _, idx := range f.pathIdx[:k] {
+		if body := p.top[idx]; body != nil {
+			p.absorbBody(body)
+		}
+	}
+	for i := max(k, f.stale); i < len(f.pathIdx); i++ {
 		p.absorbBucket(f, i, bufs[i])
 	}
 
@@ -508,11 +675,10 @@ func (p *PathORAM) complete(f *flight) (Result, error) {
 	}
 
 	p.ctr.BackendAccesses++
-	bytes := PathWireBytes(p.geom)
 	if req.PosMap {
-		p.ctr.PosMapBytes += bytes
+		p.ctr.PosMapBytes += p.accessBytes
 	} else {
-		p.ctr.DataBytes += bytes
+		p.ctr.DataBytes += p.accessBytes
 	}
 	p.stash.Note()
 	p.syncStashStats()
@@ -541,6 +707,13 @@ func (p *PathORAM) absorbBucket(f *flight, i int, sealed []byte) {
 		p.bodyBuf = body // keep any grown capacity for the next bucket
 		f.seeds[i] = seed
 	}
+	p.absorbBody(body)
+}
+
+// absorbBody decodes one plaintext bucket body into the stash.
+//
+//oram:hotpath
+func (p *PathORAM) absorbBody(body []byte) {
 	p.incoming = p.decodeBucket(body, p.incoming[:0])
 	for _, b := range p.incoming {
 		// A tampered bucket can decode garbage; never let it displace a
@@ -554,37 +727,41 @@ func (p *PathORAM) absorbBucket(f *flight, i int, sealed []byte) {
 	}
 }
 
-// writePath evicts as much of the stash as fits back onto f's path, seals
-// every level into its own scratch buffer and hands the whole path to the
-// store in one WritePath. Each level needs a private sealed copy
-// (encodeBucket reuses one body buffer, and the store may not retain our
-// slices but does read them all within the call); a PathWriter is allowed
-// to pipeline the write-back behind the next access, in which case a
-// deferred failure surfaces from a later store operation wrapping
-// mem.ErrIO.
+// writePath evicts as much of the stash as fits back onto f's path, rewrites
+// the cached levels in place, seals every level below them into its own
+// scratch buffer and hands those to the store in one WritePath. Each level
+// needs a private sealed copy (the store may not retain our slices but does
+// read them all within the call); a PathWriter is allowed to pipeline the
+// write-back behind the next access, in which case a deferred failure
+// surfaces from a later store operation wrapping mem.ErrIO.
 //
 // Every access still in the window began after f and before this
-// write-back, so the buckets f shares with it are stale in its read: they
-// take no blocks here, and it is told the seeds they are now sealed under.
+// write-back, so the buckets below the treetop that f shares with it are
+// stale in its read: they take no blocks here, and it is told the seeds
+// they are now sealed under.
 //
 //oram:hotpath
 func (p *PathORAM) writePath(f *flight) error {
-	minLevel := 0
+	k := p.topLevels
+	shared := 0
 	for _, younger := range p.fly {
-		minLevel = max(minLevel, p.sharedLevels(younger.req.Leaf, f.req.Leaf))
+		shared = max(shared, p.sharedLevels(younger.req.Leaf, f.req.Leaf))
 	}
-	perLevel := p.stash.EvictForPath(p.geom, f.req.Leaf, minLevel)
+	perLevel := p.stash.EvictForPath(p.geom, f.req.Leaf, k, shared)
 	for len(p.sealedBufs) < len(perLevel) {
 		p.sealedBufs = append(p.sealedBufs, nil)
 	}
 	for lev, blocks := range perLevel {
 		idx := f.pathIdx[lev]
-		body := p.encodeBucket(blocks)
-		if p.ciph != nil {
+		switch {
+		case lev < k:
+			p.writeTop(idx, blocks)
+		case p.ciph != nil:
+			body := p.encodeBucket(p.encBuf, blocks)
 			p.sealedBufs[lev] = p.ciph.SealTo(p.sealedBufs[lev][:0], idx, f.seeds[lev], body)
 			f.seeds[lev] = binary.BigEndian.Uint64(p.sealedBufs[lev])
-		} else {
-			p.sealedBufs[lev] = append(p.sealedBufs[lev][:0], body...)
+		default:
+			p.sealedBufs[lev] = append(p.sealedBufs[lev][:0], p.encodeBucket(p.encBuf, blocks)...)
 		}
 		// The evicted blocks are serialized; their payload buffers go back
 		// into circulation for the next path read.
@@ -593,10 +770,11 @@ func (p *PathORAM) writePath(f *flight) error {
 		}
 	}
 	for _, younger := range p.fly {
-		n := p.sharedLevels(younger.req.Leaf, f.req.Leaf)
-		copy(younger.seeds[:n], f.seeds[:n])
+		if n := p.sharedLevels(younger.req.Leaf, f.req.Leaf); n > k {
+			copy(younger.seeds[k:n], f.seeds[k:n])
+		}
 	}
-	if err := p.store.WritePath(f.pathIdx[:len(perLevel)], p.sealedBufs[:len(perLevel)]); err != nil {
+	if err := p.store.WritePath(f.pathIdx[k:len(perLevel)], p.sealedBufs[k:len(perLevel)]); err != nil {
 		return fmt.Errorf("backend: path write: %w", err)
 	}
 	return nil

@@ -3,6 +3,7 @@ package backend
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math/rand/v2"
 	"testing"
 
@@ -28,17 +29,29 @@ type windowRef struct {
 	flying []Request
 }
 
-func newWindowRef(t testing.TB, g tree.Geometry, seed uint64) *windowRef {
+// newWindowRef builds the reference over a plaintext tree in a split-phase
+// memory, its top k levels cached.
+func newWindowRef(t testing.TB, g tree.Geometry, seed uint64, k int) *windowRef {
 	t.Helper()
-	p, err := NewPathORAM(Config{Geometry: g, Store: memtest.NewSplit()})
+	r := newWindowRefOn(t, Config{Geometry: g, Store: memtest.NewSplit(), TreetopBytes: TreetopBytesFor(g, k)}, seed)
+	if r.p.TreetopLevels() != k {
+		t.Fatalf("treetop of %d levels, want %d", r.p.TreetopLevels(), k)
+	}
+	if r.p.Signal() == nil {
+		t.Fatal("a split-phase memory was not recognized as one")
+	}
+	return r
+}
+
+// newWindowRefOn builds the reference over the backend cfg describes.
+func newWindowRefOn(t testing.TB, cfg Config, seed uint64) *windowRef {
+	t.Helper()
+	p, err := NewPathORAM(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Signal() == nil {
-		t.Fatal("a split-phase memory was not recognized as one")
-	}
 	return &windowRef{
-		t: t, p: p, g: g, rng: rand.New(rand.NewPCG(seed, 29)),
+		t: t, p: p, g: cfg.Geometry, rng: rand.New(rand.NewPCG(seed, 29)),
 		leaf: map[uint64]uint64{}, data: map[uint64][]byte{},
 	}
 }
@@ -97,21 +110,18 @@ func (r *windowRef) checkInvariant() {
 	for _, a := range r.p.Stash().Addresses() {
 		copies[a]++
 	}
-	loc := map[uint64]uint64{}
-	for idx := uint64(0); idx < r.g.Buckets(); idx++ {
-		for _, b := range r.p.decodeBucket(r.p.Store().Peek(idx), nil) {
-			copies[b.Addr]++
-			loc[b.Addr] = idx
-		}
+	loc := treeBlocks(r.t, r.p)
+	for addr, idxs := range loc {
+		copies[addr] += len(idxs)
 	}
 	for addr, leaf := range r.leaf {
 		if copies[addr] != 1 {
 			r.t.Fatalf("block %#x exists %d times", addr, copies[addr])
 		}
-		idx, inTree := loc[addr]
-		if !inTree {
+		if len(loc[addr]) == 0 {
 			continue
 		}
+		idx := loc[addr][0]
 		onPath := false
 		for _, p := range r.g.PathIndices(leaf, nil) {
 			onPath = onPath || p == idx
@@ -129,11 +139,19 @@ func (r *windowRef) checkInvariant() {
 // addresses that the window often holds two accesses to one — read after
 // write, write after write — begun and completed in a random interleaving
 // at every depth. Every value matches the flat model, and at every point
-// the window drains the Path ORAM invariant holds.
+// the window drains the Path ORAM invariant holds — with no treetop, with
+// one the stale band starts under, and with all but the leaf level cached.
 func TestWindowInvariant(t *testing.T) {
+	g := newGeom(t, 6, 4, 16)
+	for _, k := range []int{0, testTreetop, g.L} {
+		t.Run(fmt.Sprintf("treetop=%d", k), func(t *testing.T) { windowInvariant(t, g, k) })
+	}
+}
+
+func windowInvariant(t *testing.T, g tree.Geometry, k int) {
 	for depth := 1; depth <= maxWindow; depth++ {
 		for seed := uint64(1); seed <= 4; seed++ {
-			r := newWindowRef(t, newGeom(t, 6, 4, 16), seed)
+			r := newWindowRef(t, g, seed, k)
 			checks := 0
 			for i := 0; i < 1500; i++ {
 				for len(r.flying) == depth || (len(r.flying) > 0 && r.rng.IntN(3) == 0) {
@@ -160,14 +178,18 @@ func TestWindowInvariant(t *testing.T) {
 }
 
 // TestWindowStashBound runs 10^5 accesses with the window permanently full,
-// at depth 1 and at the deepest, over a tree at the paper's 50% utilization. What the window
-// costs the stash is the blocks held back from the buckets the accesses in
-// flight share: with the window never empty the root is never written, and
-// level d only when no other path in the window shares it — the tree loses
-// about log2(depth)+1 levels off its top, Z slots each, and the overflow
-// those absorbed. Measured peaks at this size: 6 at depth 1, 25, 32 and 36
-// at depths 2, 3 and 4. The peak must stay far under the capacity (200) the
-// serial bound was chosen for.
+// at depth 1 and at the deepest, over a tree at the paper's 50% utilization.
+// What the window costs the stash is the blocks held back from the buckets
+// in memory that the accesses in flight share. With no treetop and the
+// window never empty the root is never written, and level d only when no
+// other path in the window shares it — the tree loses about log2(depth)+1
+// levels off its top, Z slots each, and the overflow those absorbed. A
+// treetop takes its levels out of that: they are never stale, so the band
+// held back starts under it and is empty whenever two paths part inside it.
+// Measured peaks at this size, depths 1 and 4: 6 and 36 with no treetop, 6
+// and 20 with three levels cached, 6 and 6 with all but the leaves. The peak
+// must stay far under the capacity (200) the serial bound was chosen for,
+// and a treetop must not raise it.
 func TestWindowStashBound(t *testing.T) {
 	accesses := 100_000
 	if testing.Short() {
@@ -175,29 +197,37 @@ func TestWindowStashBound(t *testing.T) {
 	}
 	g := newGeom(t, 8, 4, 16)
 	blocks := g.Leaves() * uint64(g.Z) // N = Z·2^L: half the tree's slots
-	var peak [maxWindow + 1]uint64
-	for _, depth := range []int{1, maxWindow} {
-		r := newWindowRef(t, g, 77)
-		for i := 0; i < accesses; i++ {
-			if len(r.flying) == depth {
+	peak := map[[2]int]uint64{}        // (treetop levels, depth) -> stash max
+	for _, k := range []int{0, testTreetop, g.L} {
+		for _, depth := range []int{1, maxWindow} {
+			r := newWindowRef(t, g, 77, k)
+			for i := 0; i < accesses; i++ {
+				if len(r.flying) == depth {
+					r.complete()
+				}
+				r.begin(r.rng.Uint64()%blocks, r.rng.IntN(2) == 0)
+			}
+			for len(r.flying) > 0 {
 				r.complete()
 			}
-			r.begin(r.rng.Uint64()%blocks, r.rng.IntN(2) == 0)
-		}
-		for len(r.flying) > 0 {
-			r.complete()
-		}
-		r.checkInvariant()
-		c := r.p.Counters()
-		peak[depth] = c.StashMax
-		t.Logf("depth %d: stash max %d over %d accesses", depth, c.StashMax, accesses)
-		if c.StashOverflow != 0 || c.StashMax >= 200 {
-			t.Fatalf("depth %d: stash max %d, %d overflows", depth, c.StashMax, c.StashOverflow)
+			r.checkInvariant()
+			c := r.p.Counters()
+			peak[[2]int{k, depth}] = c.StashMax
+			t.Logf("treetop %d, depth %d: stash max %d over %d accesses", k, depth, c.StashMax, accesses)
+			if c.StashOverflow != 0 || c.StashMax >= 200 {
+				t.Fatalf("treetop %d, depth %d: stash max %d, %d overflows", k, depth, c.StashMax, c.StashOverflow)
+			}
 		}
 	}
-	if peak[maxWindow] >= 100 {
+	if p := peak[[2]int{0, maxWindow}]; p >= 100 {
 		t.Fatalf("stash max %d at depth %d (%d at depth 1): the window holds back far more than the top of the tree",
-			peak[maxWindow], maxWindow, peak[1])
+			p, maxWindow, peak[[2]int{0, 1}])
+	}
+	for _, k := range []int{testTreetop, g.L} {
+		if with, without := peak[[2]int{k, maxWindow}], peak[[2]int{0, maxWindow}]; with > without {
+			t.Fatalf("stash max %d at depth %d with %d levels cached, %d with none: the treetop made the window dearer",
+				with, maxWindow, k, without)
+		}
 	}
 }
 

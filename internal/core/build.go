@@ -56,6 +56,13 @@ type Params struct {
 	PLBCapacityBytes int // default 64 KB (§7.1.3)
 	PLBWays          int // default 1 (direct-mapped)
 
+	// TreetopBytes budgets each Path ORAM tree's treetop cache: the whole
+	// levels from the root whose plaintext buckets fit are kept in trusted
+	// memory (0: 64 KB, the PLB's default; negative: none). Ignored by the
+	// bucket-hash backend. A resumed snapshot keeps the depth it was taken
+	// with, whatever this says.
+	TreetopBytes int
+
 	// Functional selects real trees + encryption (true) or the
 	// bandwidth-accounting backend (false).
 	Functional bool
@@ -372,6 +379,7 @@ func Build(p Params) (*System, error) {
 			Store:         m,
 			Cipher:        ciph,
 			StashCapacity: p.StashCap,
+			TreetopBytes:  p.TreetopBytes,
 			Counters:      ctr,
 		})
 	}

@@ -39,7 +39,9 @@ func driveOps(t *testing.T, p Params, ops int) (stats.Counters, []byte) {
 // TestFunctionalAccountingParity: for every scheme, the accounting backend
 // must report byte-for-byte identical traffic AND identical read results
 // as the functional backend — the property that justifies using accounting
-// mode for the large-capacity figures.
+// mode for the large-capacity figures. The figures model the paper's
+// hardware, which moves whole paths: the functional side runs with the
+// treetop off.
 func TestFunctionalAccountingParity(t *testing.T) {
 	for _, s := range allSchemes() {
 		t.Run(s.String(), func(t *testing.T) {
@@ -50,6 +52,7 @@ func TestFunctionalAccountingParity(t *testing.T) {
 			}
 			fp := base
 			fp.Functional = true
+			fp.TreetopBytes = -1
 			ap := base
 			ap.Functional = false
 

@@ -10,11 +10,14 @@ import (
 	"freecursive/internal/crypt"
 )
 
+// buildFunctional builds a small system whose trusted memories are scaled
+// down with it: at 4 KB the treetop caches the top three levels of a
+// 2^10-block tree, not the seven of ten the default budget would.
 func buildFunctional(t testing.TB, s Scheme, n uint64) *System {
 	t.Helper()
 	sys, err := Build(Params{
 		Scheme: s, NBlocks: n, DataBytes: 64,
-		OnChipBudgetBytes: 256, PLBCapacityBytes: 2 << 10,
+		OnChipBudgetBytes: 256, PLBCapacityBytes: 2 << 10, TreetopBytes: 4 << 10,
 		Functional: true, EncScheme: crypt.SeedGlobal, Seed: 77,
 	})
 	if err != nil {
@@ -76,14 +79,32 @@ func TestPMMACDetectsBitFlip(t *testing.T) {
 	}
 }
 
+// populate writes blocks [0, n) so that most of them are evicted below the
+// treetop, into memory the adversary can reach.
+func populate(t *testing.T, sys *System, n uint64, tag string) {
+	t.Helper()
+	for a := uint64(0); a < n; a++ {
+		if _, err := sys.Frontend.Access(a, true, []byte(tag)); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// sweep reads blocks [0, n) and returns the first error.
+func sweep(sys *System, n uint64) error {
+	for a := uint64(0); a < n; a++ {
+		if _, err := sys.Frontend.Access(a, false, nil); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // TestPMMACDetectsReplay: rolling all of DRAM back to an earlier snapshot
 // (every MAC individually valid!) is caught by counter freshness (§6.1).
 func TestPMMACDetectsReplay(t *testing.T) {
 	sys := buildFunctional(t, SchemePIC, 1<<10)
-	target := uint64(77)
-	if _, err := sys.Frontend.Access(target, true, []byte("v1")); err != nil {
-		t.Fatal(err)
-	}
+	populate(t, sys, 128, "v1")
 	be := pathStore(t, sys)
 	snap := map[uint64][]byte{}
 	for idx := uint64(0); idx < be.Geometry().Buckets(); idx++ {
@@ -91,19 +112,13 @@ func TestPMMACDetectsReplay(t *testing.T) {
 			snap[idx] = bytes.Clone(raw)
 		}
 	}
-	if _, err := sys.Frontend.Access(target, true, []byte("v2")); err != nil {
-		t.Fatal(err)
-	}
+	populate(t, sys, 128, "v2")
 	for idx, raw := range snap {
 		be.Store().Poke(idx, raw)
 	}
-	// Note: the rollback may hit a PosMap block or the data block first;
+	// Note: the rollback may hit a PosMap block or a data block first;
 	// either way some access soon fails.
-	var err error
-	for a := uint64(0); a < 256 && err == nil; a++ {
-		_, err = sys.Frontend.Access(target, false, nil)
-	}
-	if !errors.Is(err, ErrIntegrity) {
+	if err := sweep(sys, 128); !errors.Is(err, ErrIntegrity) {
 		t.Fatalf("replay undetected: %v", err)
 	}
 }
@@ -112,20 +127,14 @@ func TestPMMACDetectsReplay(t *testing.T) {
 // a violation, not a silent zero read.
 func TestPMMACDetectsDeletion(t *testing.T) {
 	sys := buildFunctional(t, SchemePIC, 1<<10)
-	if _, err := sys.Frontend.Access(5, true, []byte("data")); err != nil {
-		t.Fatal(err)
-	}
+	populate(t, sys, 128, "data")
 	be := pathStore(t, sys)
 	for idx := uint64(0); idx < be.Geometry().Buckets(); idx++ {
 		if be.Store().Peek(idx) != nil {
 			be.Store().Poke(idx, nil)
 		}
 	}
-	var err error
-	for i := 0; i < 4 && err == nil; i++ {
-		_, err = sys.Frontend.Access(5, false, nil)
-	}
-	if !errors.Is(err, ErrIntegrity) {
+	if err := sweep(sys, 128); !errors.Is(err, ErrIntegrity) {
 		t.Fatalf("deletion undetected: %v", err)
 	}
 }

@@ -12,10 +12,10 @@ import (
 
 // Snapshot is the complete serializable trusted state of a System: the
 // pieces the paper keeps inside the processor's trust boundary (on-chip
-// PosMap / PMMAC counter root, stash, PLB, RNG, the encryption seed
-// register) plus the statistics counters. Everything else — the sealed
-// bucket trees — lives in untrusted memory and is persisted separately by
-// a durable mem.Backend.
+// PosMap / PMMAC counter root, stash, treetop cache, PLB, RNG, the
+// encryption seed register) plus the statistics counters. Everything else —
+// the sealed bucket trees — lives in untrusted memory and is persisted
+// separately by a durable mem.Backend.
 //
 // A snapshot is only meaningful together with the bucket files it was
 // taken against. Restoring a stale snapshot over newer buckets (or fresh
@@ -56,6 +56,12 @@ type BackendState struct {
 	// Stash holds the blocks caught between path read and eviction
 	// (Path ORAM backends).
 	Stash []StashBlockState `json:"stash,omitempty"`
+	// TreetopLevels is how many levels of the tree the treetop cache held
+	// and Treetop its non-empty buckets (Path ORAM backends). The resumed
+	// backend takes this depth over its configured one, so a snapshot from
+	// before the cache existed (no such keys) resumes with none.
+	TreetopLevels int                  `json:"treetop_levels,omitempty"`
+	Treetop       []TreetopBucketState `json:"treetop,omitempty"`
 	// BucketHash holds the bucket-hash backend's trusted state (cache
 	// records, level generations, schedule counters). Exactly one of Stash
 	// and BucketHash is populated, matching Params.Backend.
@@ -67,6 +73,12 @@ type StashBlockState struct {
 	Addr uint64 `json:"addr"`
 	Leaf uint64 `json:"leaf"`
 	Data []byte `json:"data"`
+}
+
+// TreetopBucketState serializes one backend.TreetopBucket.
+type TreetopBucketState struct {
+	Index  uint64            `json:"index"`
+	Blocks []StashBlockState `json:"blocks"`
 }
 
 // PLBEntryState serializes one plb.Entry.
@@ -81,14 +93,28 @@ const snapshotVersion = 1
 
 // comparableParams strips the fields that describe where untrusted memory
 // lives rather than what the trusted state looks like, so a snapshot can be
-// restored into the same logical ORAM at a different path or latency.
+// restored into the same logical ORAM at a different path or latency — and
+// the treetop budget, because the snapshot says how deep its treetop is.
 func comparableParams(p Params) Params {
+	p.TreetopBytes = 0
 	p.DataDir = ""
 	p.MemAddr = ""
 	p.MemNamespace = ""
 	p.ReadDelay = 0
 	p.WriteDelay = 0
 	return p
+}
+
+func blockStates(blocks []stash.Block) []StashBlockState {
+	var out []StashBlockState
+	for _, b := range blocks {
+		out = append(out, StashBlockState{Addr: b.Addr, Leaf: b.Leaf, Data: b.Data})
+	}
+	return out
+}
+
+func (b StashBlockState) block() stash.Block {
+	return stash.Block{Addr: b.Addr, Leaf: b.Leaf, Data: b.Data}
 }
 
 // Snapshot captures the system's trusted state. It requires functional
@@ -118,8 +144,11 @@ func (s *System) Snapshot() (*Snapshot, error) {
 			if c := p.Cipher(); c != nil {
 				bs.GlobalSeed = c.GlobalSeed()
 			}
-			for _, b := range p.Stash().Blocks() {
-				bs.Stash = append(bs.Stash, StashBlockState{Addr: b.Addr, Leaf: b.Leaf, Data: b.Data})
+			bs.Stash = blockStates(p.Stash().Blocks())
+			var top []backend.TreetopBucket
+			bs.TreetopLevels, top = p.Treetop()
+			for _, bk := range top {
+				bs.Treetop = append(bs.Treetop, TreetopBucketState{Index: bk.Index, Blocks: blockStates(bk.Blocks)})
 			}
 		case *bhoram.BucketHash:
 			// Draining in-flight rebuilds performs untrusted I/O; capture the
@@ -192,7 +221,17 @@ func (s *System) Restore(snap *Snapshot) error {
 					return fmt.Errorf("core: snapshot backend %d holds a stash block whose leaf is outside the tree (L=%d)", i, p.Geometry().L)
 				}
 				//oramlint:allow secretflow source: snapshot stash entry's Addr; sink: stash map probe in Put — snapshot restore repopulates the trusted controller's on-chip stash; no adversary-visible I/O depends on the ordering
-				p.Stash().Put(stash.Block{Addr: b.Addr, Leaf: b.Leaf, Data: b.Data})
+				p.Stash().Put(b.block())
+			}
+			top := make([]backend.TreetopBucket, len(bs.Treetop))
+			for j, bk := range bs.Treetop {
+				top[j].Index = bk.Index
+				for _, b := range bk.Blocks {
+					top[j].Blocks = append(top[j].Blocks, b.block())
+				}
+			}
+			if err := p.RestoreTreetop(bs.TreetopLevels, top); err != nil {
+				return fmt.Errorf("core: snapshot backend %d: %w", i, err)
 			}
 		case *bhoram.BucketHash:
 			if bs.BucketHash == nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand/v2"
 	"os"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"freecursive/internal/backend"
+	"freecursive/internal/crypt"
 	"freecursive/internal/mem"
 )
 
@@ -121,6 +123,11 @@ func TestSnapshotResumeAfterMutation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The top of the tree is trusted state too: the generation-1 blocks that
+	// sank no further than the treetop exist nowhere but in this snapshot.
+	if bs := snap.Backends[0]; bs.TreetopLevels == 0 || len(bs.Treetop) == 0 {
+		t.Fatalf("snapshot carries a treetop of %d levels and %d buckets; nothing of it to resume", bs.TreetopLevels, len(bs.Treetop))
+	}
 	// Capture the untrusted half: sync and copy the bucket page files, as a
 	// backup taken at the same instant as the trusted-state snapshot would.
 	for i, be := range sys.Backends {
@@ -163,8 +170,12 @@ func TestSnapshotResumeAfterMutation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Resume from the captured pair in a fresh process-equivalent.
-	sys2, err := Build(snapshotTestParams(dir2))
+	// Resume from the captured pair in a fresh process-equivalent — one
+	// configured without a treetop: the budget is not part of what must
+	// match, and the snapshot's depth is what the resumed tree runs with.
+	params2 := snapshotTestParams(dir2)
+	params2.TreetopBytes = -1
+	sys2, err := Build(params2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,6 +186,9 @@ func TestSnapshotResumeAfterMutation(t *testing.T) {
 	}
 	if err := sys2.Restore(&snap2); err != nil {
 		t.Fatal(err)
+	}
+	if got := sys2.Backends[0].(*backend.PathORAM).TreetopLevels(); got != snap.Backends[0].TreetopLevels {
+		t.Fatalf("resumed with %d levels cached, the snapshot has %d", got, snap.Backends[0].TreetopLevels)
 	}
 	for a := uint64(0); a < addrs; a++ {
 		got, err := sys2.Frontend.Access(a, false, nil)
@@ -215,5 +229,245 @@ func TestRestoreRejectsStashLeafOutsideTree(t *testing.T) {
 	defer sys2.Close()
 	if err := sys2.Restore(snap); err == nil {
 		t.Fatal("restore accepted a stash block with an out-of-range leaf")
+	}
+}
+
+// TestRestoreRejectsMalformedTreetop: the treetop a snapshot carries is read
+// by every later access without a second look, so Restore takes only one
+// that accesses could have produced. Each way of breaking it is refused
+// with backend.ErrTreetop.
+func TestRestoreRejectsMalformedTreetop(t *testing.T) {
+	sys, err := Build(snapshotTestParams(""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	for a := uint64(0); a < 300; a++ {
+		if _, err := sys.Frontend.Access(a, true, []byte{byte(a)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p := sys.Backends[0].(*backend.PathORAM)
+	if _, err := p.Access(backend.Request{Op: backend.OpAppend, Addr: Tag(31, 1), Leaf: 0, Data: []byte{1}}); err != nil {
+		t.Fatal(err)
+	}
+	g := p.Geometry()
+	ser := func() []byte {
+		snap, err := sys.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := json.Marshal(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}()
+	block := func(addr, leaf uint64) StashBlockState {
+		return StashBlockState{Addr: addr, Leaf: leaf, Data: make([]byte, g.BlockBytes)}
+	}
+	fresh := uint64(1) << 40 // an address nothing else uses
+
+	for name, breakIt := range map[string]func(bs *BackendState){
+		"more than Z blocks in a bucket": func(bs *BackendState) {
+			bk := &bs.Treetop[0]
+			for i := 0; len(bk.Blocks) <= g.Z; i++ {
+				bk.Blocks = append(bk.Blocks, block(fresh+uint64(i), bk.Blocks[0].Leaf))
+			}
+		},
+		"a block whose path misses its bucket": func(bs *BackendState) {
+			// Bucket 1 is the root's left child: no path to the last leaf crosses it.
+			bs.Treetop = []TreetopBucketState{{Index: 1, Blocks: []StashBlockState{block(fresh, g.Leaves()-1)}}}
+		},
+		"a block whose leaf is outside the tree": func(bs *BackendState) {
+			bs.Treetop[0].Blocks[0].Leaf = g.Leaves()
+		},
+		"an address that is also in the stash": func(bs *BackendState) {
+			bs.Treetop[0].Blocks[0].Addr = bs.Stash[0].Addr
+		},
+		"an address cached twice": func(bs *BackendState) {
+			last := len(bs.Treetop) - 1
+			bs.Treetop[last].Blocks[0].Addr = bs.Treetop[0].Blocks[0].Addr
+		},
+		"a bucket listed twice": func(bs *BackendState) {
+			bs.Treetop = append(bs.Treetop, TreetopBucketState{Index: bs.Treetop[0].Index})
+		},
+		"a bucket below the cached levels": func(bs *BackendState) {
+			bs.Treetop[0].Index = 1<<uint(bs.TreetopLevels) - 1
+		},
+		"a payload larger than a block": func(bs *BackendState) {
+			bs.Treetop[0].Blocks[0].Data = make([]byte, g.BlockBytes+1)
+		},
+		"more levels than the tree has above its leaves": func(bs *BackendState) {
+			bs.TreetopLevels = g.L + 1
+		},
+		"a negative level count": func(bs *BackendState) {
+			bs.TreetopLevels = -1
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			var snap Snapshot
+			if err := json.Unmarshal(ser, &snap); err != nil {
+				t.Fatal(err)
+			}
+			bs := &snap.Backends[0]
+			if len(bs.Stash) == 0 || len(bs.Treetop) < 2 || len(bs.Treetop[0].Blocks) == 0 || len(bs.Treetop[len(bs.Treetop)-1].Blocks) == 0 {
+				t.Fatal("set-up left too little in the snapshot to break")
+			}
+			breakIt(bs)
+			sys2, err := Build(snapshotTestParams(""))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sys2.Close()
+			if err := sys2.Restore(&snap); !errors.Is(err, backend.ErrTreetop) {
+				t.Fatalf("restore: %v, want an error wrapping backend.ErrTreetop", err)
+			}
+		})
+	}
+}
+
+// copyFixture copies testdata/<name> into a fresh directory: resuming
+// rewrites the bucket file.
+func copyFixture(t *testing.T, name string) string {
+	t.Helper()
+	dir := t.TempDir()
+	files, err := filepath.Glob(filepath.Join("testdata", name, "*"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("fixture %s: %v (%d files)", name, err, len(files))
+	}
+	for _, f := range files {
+		raw, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, filepath.Base(f)), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
+}
+
+// TestResumeSnapshotFromBeforeTheTreetop: testdata/pre_treetop is a durable
+// PIC ORAM — state.json and its bucket file — written by the commit before
+// the treetop cache existed (64 blocks, each written three times, the last
+// as {addr, 3, 0x5c}). Its snapshot names no treetop and its buckets hold
+// the whole tree, so it resumes, under the new default budget, with no
+// level cached: every block reads back, further writes land, and the
+// snapshots it writes from then on say zero levels too.
+func TestResumeSnapshotFromBeforeTheTreetop(t *testing.T) {
+	dir := copyFixture(t, "pre_treetop")
+	raw, err := os.ReadFile(filepath.Join(dir, "state.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(raw, []byte("treetop")) || bytes.Contains(raw, []byte("Treetop")) {
+		t.Fatal("the fixture was rewritten by a build that knows the treetop")
+	}
+	var snap Snapshot
+	if err := json.Unmarshal(raw, &snap); err != nil {
+		t.Fatal(err)
+	}
+	params := Params{
+		Scheme: SchemePIC, NBlocks: 1 << 6, Functional: true, Seed: 7, EncScheme: crypt.SeedGlobal,
+		OnChipBudgetBytes: 64, PLBCapacityBytes: 1 << 10, DataDir: dir,
+	}
+	sys, err := Build(params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	p := sys.Backends[0].(*backend.PathORAM)
+	if p.TreetopLevels() == 0 {
+		t.Fatal("the default budget caches nothing of this tree; the test would prove nothing")
+	}
+	if err := sys.Restore(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if p.TreetopLevels() != 0 || p.TreetopBytes() != 0 {
+		t.Fatalf("resumed with %d levels (%d bytes) cached, want none", p.TreetopLevels(), p.TreetopBytes())
+	}
+	for a := uint64(0); a < 1<<6; a++ {
+		got, err := sys.Frontend.Access(a, true, []byte{byte(a), 4})
+		if err != nil {
+			t.Fatalf("block %d: %v", a, err)
+		}
+		if want := []byte{byte(a), 3, 0x5c}; !bytes.Equal(got[:3], want) {
+			t.Fatalf("block %d = %x, want %x", a, got[:3], want)
+		}
+	}
+	again, err := sys.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bs := again.Backends[0]; bs.TreetopLevels != 0 || len(bs.Treetop) != 0 {
+		t.Fatalf("the resumed system snapshots a treetop of %d levels", bs.TreetopLevels)
+	}
+	if got, want := sys.Counters.TotalBytes()-snap.Counters.TotalBytes(), (sys.Counters.BackendAccesses-snap.Counters.BackendAccesses)*backend.PathWireBytes(p.Geometry()); got != want {
+		t.Fatalf("%d bytes charged since the resume, want full paths: %d", got, want)
+	}
+}
+
+// TestStaleSnapshotOverNewerBucketsIsDetected: a snapshot — treetop and all
+// — restored over buckets that moved on without it is a replay of trusted
+// state against fresh memory. PMMAC's counters, which the snapshot rolled
+// back with everything else, no longer match the MACs memory holds: an
+// access fails with ErrIntegrity and nothing stale is served.
+func TestStaleSnapshotOverNewerBucketsIsDetected(t *testing.T) {
+	for _, scheme := range []Scheme{SchemePI, SchemePIC} {
+		t.Run(scheme.String(), func(t *testing.T) {
+			params := snapshotTestParams(t.TempDir())
+			params.Scheme = scheme
+			params.NBlocks = 1 << 10
+			params.TreetopBytes = 4 << 10 // three of ten levels: most blocks live in the file
+			sys, err := Build(params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const addrs = 200
+			write := func(gen byte) {
+				for a := uint64(0); a < addrs; a++ {
+					if _, err := sys.Frontend.Access(a, true, []byte{byte(a), gen}); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			write(1)
+			stale, err := sys.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(stale.Backends[0].Treetop) == 0 {
+				t.Fatal("the stale snapshot carries no treetop")
+			}
+			write(2)
+			if err := sys.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			sys, err = Build(params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sys.Close()
+			if err := sys.Restore(stale); err != nil {
+				t.Fatal(err)
+			}
+			for a := uint64(0); a < addrs; a++ {
+				got, err := sys.Frontend.Access(a, false, nil)
+				if errors.Is(err, ErrIntegrity) {
+					return
+				}
+				if err != nil {
+					t.Fatalf("block %d: %v, want ErrIntegrity or the snapshot's value", a, err)
+				}
+				// Until an access needs a bucket that moved on, what is
+				// served comes out of the restored trusted state.
+				if want := []byte{byte(a), 1}; !bytes.Equal(got[:2], want) {
+					t.Fatalf("block %d = %x: neither rejected nor the snapshot's %x", a, got[:2], want)
+				}
+			}
+			t.Fatal("a stale snapshot over newer buckets went unnoticed")
+		})
 	}
 }

@@ -427,6 +427,11 @@ func TestMetrics(t *testing.T) {
 		`oramstore_shard_overlapped_accesses_total{shard="0"} 0`,
 		`oramstore_shard_in_flight_accesses{shard="0"} 0`,
 		`oramstore_shard_queue_cap{shard="0"}`,
+		// 256-block shards of 16-byte blocks: an 8-level tree whose top 7
+		// levels (127 buckets of 4 slots of 17+16 bytes) fit the default budget.
+		`oramstore_treetop_levels{shard="3"} 7`,
+		`oramstore_treetop_bytes{shard="3"} 16764`,
+		"oramstore_treetop_bytes 67056",
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("/metrics missing %q in:\n%s", want, text)

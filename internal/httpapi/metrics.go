@@ -93,6 +93,21 @@ func writeMetrics(w io.Writer, st *store.Store, transports []TransportStats) {
 	}
 	metric(w, "oramstore_stash_max", "gauge", "Peak stash occupancy.", stashMax...)
 
+	// The treetop's depth and size are constants of a shard's configuration
+	// (or of the snapshot it resumed), fixed before the first request
+	// (leaksink: no access, let alone an address, ever moves them).
+	topLevels := make([]sample, 0, len(per))
+	topBytes := make([]sample, 0, len(per)+1)
+	topBytes = append(topBytes, sample{"", count(agg.TreetopBytes)})
+	for i, s := range per {
+		topLevels = append(topLevels, sample{shardLabel(i), count(uint64(s.TreetopLevels))})
+		topBytes = append(topBytes, sample{shardLabel(i), count(s.TreetopBytes)})
+	}
+	metric(w, "oramstore_treetop_levels", "gauge",
+		"Levels of the shard's ORAM tree, from the root, held in trusted memory.", topLevels...)
+	metric(w, "oramstore_treetop_bytes", "gauge",
+		"Trusted memory the treetop cache fills at most.", topBytes...)
+
 	shardMetric := func(name, typ, help string, get func(store.ShardInfo) uint64) {
 		samples := make([]sample, 0, len(infos))
 		for _, info := range infos {

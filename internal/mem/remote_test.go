@@ -534,6 +534,7 @@ func remoteNoAnswer(t *testing.T, signalled bool) {
 	}
 	idxs, out := []uint64{0, 1, 2}, make([][]byte, 3)
 	const window = 4
+	start := time.Now() // before the first read leaves: its deadline runs from the send
 	for i := 0; i < window; i++ {
 		if err := r.IssueReadPath(idxs); err != nil {
 			t.Fatal(err)
@@ -542,7 +543,6 @@ func remoteNoAnswer(t *testing.T, signalled bool) {
 	if r.ReadReady() {
 		t.Fatal("a read nobody answered is ready")
 	}
-	start := time.Now()
 	if signalled {
 		for !r.ReadReady() {
 			select {

@@ -147,29 +147,29 @@ func (s *Stash) Note() {
 
 // EvictForPath selects up to g.Z blocks per level that may legally reside on
 // the path to pathLeaf in the tree g, removes them from the stash, and
-// returns them grouped by level (index 0 = root). The levels before minLevel
-// are off limits — the caller's in-flight window has promised those buckets
-// to a later access — so they come back empty and a block that is legal only
-// there stays in the stash. Every resident block's Leaf must be a valid
-// label of g.
+// returns them grouped by level (index 0 = root). The levels in
+// [holdLo, holdHi) are off limits — the caller's in-flight window has
+// promised those buckets to a later access — so they come back empty and a
+// block that is legal only there stays in the stash; holdLo >= holdHi holds
+// nothing back. Every resident block's Leaf must be a valid label of g.
 //
 // Selection is the standard greedy Path ORAM eviction, deepest level first
 // and candidates in ascending address order, which maximizes how far blocks
 // sink and keeps stash occupancy low. It is done in one pass over the
 // residents: a block's deepest legal level is where its path leaves
-// pathLeaf's, and the block goes to the deepest level at or above it that
-// still has a free slot. That is the same assignment as filling level L,
-// then L-1, ... each with its first Z candidates by address: a block reaches
-// a level only if every deeper legal level was filled by lower addresses,
-// which is exactly when the level-by-level scan would still find it
-// unplaced there.
+// pathLeaf's, and the block goes to the deepest open level at or above it
+// that still has a free slot. That is the same assignment as filling level
+// L, then L-1, ... each open one with its first Z candidates by address: a
+// block reaches a level only if every deeper open legal level was filled by
+// lower addresses, which is exactly when the level-by-level scan would still
+// find it unplaced there.
 //
 // The returned slices (and the Blocks in them) are reusable scratch, valid
 // only until the next EvictForPath call; the Data slices are the payload
 // buffers the stash owned, now owned by the caller.
 //
 //oram:hotpath
-func (s *Stash) EvictForPath(g tree.Geometry, pathLeaf uint64, minLevel int) [][]Block {
+func (s *Stash) EvictForPath(g tree.Geometry, pathLeaf uint64, holdLo, holdHi int) [][]Block {
 	for len(s.evictOut) < g.L+1 {
 		s.evictOut = append(s.evictOut, nil)
 	}
@@ -184,10 +184,10 @@ func (s *Stash) EvictForPath(g tree.Geometry, pathLeaf uint64, minLevel int) [][
 	for _, a := range s.sorted {
 		b := s.blocks[a]
 		lev := g.DeepestLegalLevel(b.Leaf, pathLeaf)
-		for lev >= minLevel && len(out[lev]) == g.Z {
+		for lev >= 0 && (len(out[lev]) == g.Z || lev >= holdLo && lev < holdHi) {
 			lev--
 		}
-		if lev < minLevel {
+		if lev < 0 {
 			keep = append(keep, a)
 			continue
 		}

@@ -72,7 +72,7 @@ func TestEvictLegality(t *testing.T) {
 			s.Put(Block{Addr: uint64(i), Leaf: rng.Uint64() % g.Leaves()})
 		}
 		pathLeaf := rng.Uint64() % g.Leaves()
-		placed := s.EvictForPath(g, pathLeaf, 0)
+		placed := s.EvictForPath(g, pathLeaf, 0, 0)
 
 		total := 0
 		for lev, bucket := range placed {
@@ -114,7 +114,7 @@ func TestEvictGreedyDepth(t *testing.T) {
 		for _, pathLeaf := range []uint64{0, 32, 63} {
 			s := New(0)
 			s.Put(Block{Addr: 1, Leaf: blockLeaf})
-			placed := s.EvictForPath(g, pathLeaf, 0)
+			placed := s.EvictForPath(g, pathLeaf, 0, 0)
 			want := g.DeepestLegalLevel(blockLeaf, pathLeaf)
 			if len(placed[want]) != 1 {
 				t.Fatalf("block leaf=%d path=%d not at deepest level %d", blockLeaf, pathLeaf, want)
@@ -135,8 +135,8 @@ func TestEvictDeterministic(t *testing.T) {
 		}
 		return s
 	}
-	a := build().EvictForPath(g, 9, 0)
-	b := build().EvictForPath(g, 9, 0)
+	a := build().EvictForPath(g, 9, 0, 0)
+	b := build().EvictForPath(g, 9, 0, 0)
 	for lev := range a {
 		if len(a[lev]) != len(b[lev]) {
 			t.Fatalf("level %d differs", lev)
@@ -152,11 +152,15 @@ func TestEvictDeterministic(t *testing.T) {
 // evictByLevel is the reference eviction EvictForPath must reproduce: the
 // textbook loop that fills level L, then L-1, ... down to the root, each
 // with the first Z still-resident blocks, in ascending address order, whose
-// path shares that bucket. O(levels × occupants) map probes — which is why
-// the stash no longer runs it — but obviously the Path ORAM greedy order.
-func evictByLevel(s *Stash, g tree.Geometry, pathLeaf uint64, minLevel int) [][]Block {
+// path shares that bucket, skipping the held-back levels [holdLo, holdHi).
+// O(levels × occupants) map probes — which is why the stash no longer runs
+// it — but obviously the Path ORAM greedy order.
+func evictByLevel(s *Stash, g tree.Geometry, pathLeaf uint64, holdLo, holdHi int) [][]Block {
 	out := make([][]Block, g.L+1)
-	for lev := g.L; lev >= minLevel; lev-- {
+	for lev := g.L; lev >= 0; lev-- {
+		if lev >= holdLo && lev < holdHi {
+			continue
+		}
 		for _, a := range s.Addresses() {
 			if len(out[lev]) == g.Z {
 				break
@@ -206,15 +210,19 @@ func TestEvictMatchesLevelByLevel(t *testing.T) {
 				}
 				for _, pathLeaf := range paths {
 					// Half the evictions run under an in-flight window that
-					// holds back the first few levels.
-					minLevel := 0
+					// holds back a band of levels: from the root, or from
+					// below a treetop.
+					lo, hi := 0, 0
 					if rng.IntN(2) == 0 {
-						minLevel = rng.IntN(g.L + 2)
+						hi = rng.IntN(g.L + 2)
+						if rng.IntN(2) == 0 {
+							lo = rng.IntN(hi + 1)
+						}
 					}
-					a, b := got.EvictForPath(g, pathLeaf, minLevel), evictByLevel(want, g, pathLeaf, minLevel)
+					a, b := got.EvictForPath(g, pathLeaf, lo, hi), evictByLevel(want, g, pathLeaf, lo, hi)
 					for lev := range b {
-						if lev < minLevel && len(a[lev]) != 0 {
-							t.Fatalf("L=%d Z=%d path=%d: level %d holds %v below minLevel %d", L, Z, pathLeaf, lev, a[lev], minLevel)
+						if lev >= lo && lev < hi && len(a[lev]) != 0 {
+							t.Fatalf("L=%d Z=%d path=%d: level %d holds %v inside the held band [%d,%d)", L, Z, pathLeaf, lev, a[lev], lo, hi)
 						}
 						if !slices.EqualFunc(a[lev], b[lev], func(x, y Block) bool {
 							return x.Addr == y.Addr && x.Leaf == y.Leaf && &x.Data[0] == &y.Data[0]
@@ -280,7 +288,7 @@ func TestSortedIndexConsistent(t *testing.T) {
 			delete(live, a)
 		case 4:
 			leaf := rng.Uint64() % g.Leaves()
-			for _, bucket := range s.EvictForPath(g, leaf, 0) {
+			for _, bucket := range s.EvictForPath(g, leaf, 0, 0) {
 				for _, b := range bucket {
 					delete(live, b.Addr)
 				}
@@ -324,7 +332,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 		}
 		leaf := rng.Uint64() % g.Leaves()
 		n = 0
-		for _, bucket := range s.EvictForPath(g, leaf, 0) {
+		for _, bucket := range s.EvictForPath(g, leaf, 0, 0) {
 			for _, b := range bucket {
 				if n < len(bufs) {
 					bufs[n] = b.Data
@@ -373,6 +381,6 @@ func BenchmarkEvictForPath(b *testing.B) {
 			s.Put(Block{Addr: next, Leaf: leaf})
 			next++
 		}
-		s.EvictForPath(g, pathLeaf, 0)
+		s.EvictForPath(g, pathLeaf, 0, 0)
 	}
 }

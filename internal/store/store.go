@@ -431,8 +431,9 @@ func (s *Store) Stats() freecursive.Stats {
 	return Aggregate(s.ShardStats())
 }
 
-// Aggregate folds per-shard snapshots into one: counter fields are sums,
-// StashMax is the max, PLBHitRate is the access-weighted mean.
+// Aggregate folds per-shard snapshots into one: counter fields and
+// TreetopBytes are sums, StashMax and TreetopLevels are the max, PLBHitRate
+// is the access-weighted mean.
 func Aggregate(shards []freecursive.Stats) freecursive.Stats {
 	var agg freecursive.Stats
 	var weighted float64
@@ -450,6 +451,8 @@ func Aggregate(shards []freecursive.Stats) freecursive.Stats {
 		if st.StashMax > agg.StashMax {
 			agg.StashMax = st.StashMax
 		}
+		agg.TreetopBytes += st.TreetopBytes
+		agg.TreetopLevels = max(agg.TreetopLevels, st.TreetopLevels)
 		weighted += st.PLBHitRate * float64(st.Accesses)
 	}
 	if agg.Accesses > 0 {

@@ -227,7 +227,8 @@ func TestBatchMatchesSingle(t *testing.T) {
 }
 
 // TestStatsAggregation verifies Stats equals the per-shard sum: counter
-// fields sum, StashMax takes the max, PLBHitRate is access-weighted.
+// fields and the treetop sizes sum, StashMax and the treetop depth take the
+// max, PLBHitRate is access-weighted.
 func TestStatsAggregation(t *testing.T) {
 	s, err := New(lightCfg(4, 1<<10))
 	if err != nil {
@@ -263,6 +264,11 @@ func TestStatsAggregation(t *testing.T) {
 		if st.StashMax > want.StashMax {
 			want.StashMax = st.StashMax
 		}
+		if st.TreetopLevels == 0 || st.TreetopBytes == 0 {
+			t.Error("a shard reports no treetop under the default budget")
+		}
+		want.TreetopBytes += st.TreetopBytes
+		want.TreetopLevels = max(want.TreetopLevels, st.TreetopLevels)
 		weighted += st.PLBHitRate * float64(st.Accesses)
 	}
 	want.PLBHitRate = weighted / float64(want.Accesses)

@@ -249,7 +249,11 @@ func windowFault(t *testing.T, cfg bucketd.Config, scheme freecursive.Scheme, pi
 	s := remoteStore(t, proxy.ln.Addr().String(), 2, scheme)
 	bb := s.BlockBytes()
 	mine, other := shardAddrs(s, 0, inFlightWindow), shardAddrs(s, 1, 1)
-	for _, a := range append(mine, other...) {
+	// Shard 1 goes first: its put leaves a write-back pipelined on a
+	// connection of its own, and bucketd counts frames (FailEvery) as it
+	// gets to them. The four round trips of shard 0's puts give it time to,
+	// before the pile's reads are counted.
+	for _, a := range append(other, mine...) {
 		if _, err := s.Put(a, val(a, bb)); err != nil {
 			t.Fatal(err)
 		}

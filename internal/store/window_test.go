@@ -249,14 +249,17 @@ func windowFault(t *testing.T, cfg bucketd.Config, scheme freecursive.Scheme, pi
 	s := remoteStore(t, proxy.ln.Addr().String(), 2, scheme)
 	bb := s.BlockBytes()
 	mine, other := shardAddrs(s, 0, inFlightWindow), shardAddrs(s, 1, 1)
-	// Shard 1 goes first: its put leaves a write-back pipelined on a
-	// connection of its own, and bucketd counts frames (FailEvery) as it
-	// gets to them. The four round trips of shard 0's puts give it time to,
-	// before the pile's reads are counted.
-	for _, a := range append(other, mine...) {
+	for _, a := range append(mine, other...) {
 		if _, err := s.Put(a, val(a, bb)); err != nil {
 			t.Fatal(err)
 		}
+	}
+	// A put returns with its write-back sent, not applied, and shard 1's
+	// travels on a connection of its own: wait until bucketd has counted
+	// every set-up frame (two per put), or FailEvery could count that
+	// write-back after the pile's first reads.
+	for srv.FramesServed() < uint64(2*(len(mine)+len(other))) {
+		time.Sleep(time.Millisecond)
 	}
 	if prepare != nil {
 		prepare(s, ln.Addr().String())

@@ -103,18 +103,12 @@ type Config struct {
 	OnChipPosMapBytes int
 	// StashCapacity bounds the stash (default 200).
 	StashCapacity int
-	// TreetopBytes budgets the treetop cache of each Path ORAM tree: the
-	// whole levels from the root whose plaintext buckets fit the budget are
-	// kept in trusted memory next to the stash, and an access moves, opens
-	// and seals only the rest of its path (default 64 KB, like the PLB;
-	// negative: no treetop). The "bhoram" backend ignores it, and Resume
-	// keeps the depth the snapshot was taken with.
-	TreetopBytes int
 	// Lightweight selects the bandwidth-accounting backend: no real tree,
 	// no encryption — orders of magnitude faster, and the statistics of the
-	// paper's hardware model: it charges every access its full path, which
-	// a real tree does only with the treetop off (TreetopBytes < 0). Use it
-	// for performance studies; leave it false to store real data.
+	// paper's hardware model: it charges every access its full path, while
+	// a real tree keeps its top levels (as many as fit 64 KB) in trusted
+	// memory and moves, opens and seals only the rest. Use it for
+	// performance studies; leave it false to store real data.
 	Lightweight bool
 	// DataDir, if non-empty, stores the sealed bucket trees in page files
 	// under this directory (created if needed) instead of an in-process
@@ -224,7 +218,6 @@ func New(cfg Config) (*ORAM, error) {
 		DataBytes:         cfg.BlockBytes,
 		Z:                 cfg.Z,
 		StashCap:          cfg.StashCapacity,
-		TreetopBytes:      cfg.TreetopBytes,
 		OnChipBudgetBytes: cfg.OnChipPosMapBytes,
 		PLBCapacityBytes:  cfg.PLBBytes,
 		PLBWays:           cfg.PLBWays,

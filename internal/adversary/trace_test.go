@@ -22,6 +22,16 @@ func tracedORAM(t *testing.T, st mem.Backend) *backend.PathORAM {
 	return tracedORAMTop(t, st, 3)
 }
 
+// TreetopBudget (exported for window_test.go, package adversary_test) is the
+// backend.Config.TreetopBytes that caches exactly the top
+// k levels of g: the size of their plaintext buckets, or negative for none.
+func TreetopBudget(g tree.Geometry, k int) int {
+	if k <= 0 {
+		return -1
+	}
+	return (1<<k - 1) * (backend.SealedBucketBytes(g) - crypt.SeedBytes)
+}
+
 func tracedORAMTop(t *testing.T, st mem.Backend, k int) *backend.PathORAM {
 	t.Helper()
 	g, err := tree.NewGeometry(6, 4, 32)
@@ -33,7 +43,7 @@ func tracedORAMTop(t *testing.T, st mem.Backend, k int) *backend.PathORAM {
 		t.Fatal(err)
 	}
 	p, err := backend.NewPathORAM(backend.Config{
-		Geometry: g, Store: st, Cipher: c, TreetopBytes: backend.TreetopBytesFor(g, k),
+		Geometry: g, Store: st, Cipher: c, TreetopBytes: TreetopBudget(g, k),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -37,7 +37,7 @@ func windowedORAM(t *testing.T, scheme crypt.SeedScheme, k int) (*backend.PathOR
 	}
 	st, tap := memtest.NewSplit(), &adversary.IndexTrace{}
 	st.Trace = func(op byte, idx uint64) { tap.Note(uint64(op)<<56 | idx) }
-	p, err := backend.NewPathORAM(backend.Config{Geometry: g, Store: st, Cipher: c, TreetopBytes: backend.TreetopBytesFor(g, k)})
+	p, err := backend.NewPathORAM(backend.Config{Geometry: g, Store: st, Cipher: c, TreetopBytes: adversary.TreetopBudget(g, k)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -95,22 +95,15 @@ type Config struct {
 	// TreetopBytes budgets the treetop cache: as many whole levels from the
 	// root as have plaintext bucket bodies fitting in it are kept in trusted
 	// memory, the leaf level never. 0: DefaultTreetopBytes; negative: none.
+	// Production builds leave it 0 — the public API has no option for it;
+	// internal/exp switches the cache off to stay the paper's full-path
+	// model, and tests pick a depth with it.
 	TreetopBytes int
 }
 
 // DefaultTreetopBytes is the treetop budget of a tree that names none: the
 // PLB's default size (§7.1.3), so the two on-chip caches cost the same.
 const DefaultTreetopBytes = 64 << 10
-
-// TreetopBytesFor returns the Config.TreetopBytes that caches exactly the top
-// levels levels of a tree of geometry g — the size of their plaintext
-// buckets — or, for no levels, the negative that switches the treetop off.
-func TreetopBytesFor(g tree.Geometry, levels int) int {
-	if levels <= 0 {
-		return -1
-	}
-	return (1<<uint(levels) - 1) * g.Z * (slotHeader + g.BlockBytes)
-}
 
 // ErrTreetop marks a treetop that RestoreTreetop refused: restored trusted
 // state that breaks the invariants every access relies on.
@@ -618,6 +611,11 @@ func (p *PathORAM) complete(f *flight) (Result, error) {
 	for _, idx := range f.pathIdx[:k] {
 		if body := p.top[idx]; body != nil {
 			p.absorbBody(body)
+			// Its blocks are in the stash now. Emptied here, not when
+			// writePath rewrites it, so that trusted memory never holds a
+			// block twice — whatever cuts the access short, Treetop and
+			// the stash still make a snapshot RestoreTreetop accepts.
+			clear(body)
 		}
 	}
 	for i := max(k, f.stale); i < len(f.pathIdx); i++ {

@@ -1,6 +1,7 @@
 package backend
 
 import (
+	"math/rand/v2"
 	"net"
 	"path/filepath"
 	"testing"
@@ -135,5 +136,62 @@ func TestTreetopSnapshotRoundTrip(t *testing.T) {
 			}
 			run(500)
 		})
+	}
+}
+
+// TestTreetopAndStashStayDisjoint: a block absorbed out of the treetop leaves
+// it at that moment, not when the write-back rewrites the bucket, so trusted
+// memory never holds an address twice even when an access is cut short
+// between absorb and evict. complete returns no error in between; an Update
+// that panics is the one way there. What Treetop and the stash hold then is
+// still a snapshot RestoreTreetop accepts, and every block reads back.
+func TestTreetopAndStashStayDisjoint(t *testing.T) {
+	g := newGeom(t, 6, 4, 32)
+	p, err := NewPathORAM(Config{Geometry: g, TreetopBytes: TreetopBytesFor(g, testTreetop)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewPCG(11, 0))
+	leaf, val := map[uint64]uint64{}, map[uint64]byte{}
+	var cuts int
+	for i := 0; i < 600; i++ {
+		addr, next := rng.Uint64()%64, rng.Uint64N(g.Leaves())
+		req := Request{Op: OpRead, Addr: addr, Leaf: leaf[addr], NewLeaf: next, Update: func(d []byte, _ bool) []byte {
+			if d[0] != val[addr] {
+				t.Fatalf("access %d: block %d reads %d, want %d", i, addr, d[0], val[addr])
+			}
+			if i%10 == 9 {
+				panic("cut short")
+			}
+			d[0]++
+			return d
+		}}
+		func() {
+			defer func() {
+				if recover() == nil {
+					leaf[addr] = next
+					val[addr]++
+					return
+				}
+				cuts++
+				levels, top := p.Treetop()
+				q, err := NewPathORAM(Config{Geometry: g})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, b := range p.Stash().Blocks() {
+					q.Stash().Put(b)
+				}
+				if err := q.RestoreTreetop(levels, top); err != nil {
+					t.Fatalf("access %d cut short: %v", i, err)
+				}
+			}()
+			if _, err := p.Access(req); err != nil {
+				t.Fatal(err)
+			}
+		}()
+	}
+	if cuts == 0 {
+		t.Fatal("no access was cut short")
 	}
 }

@@ -60,7 +60,9 @@ type Params struct {
 	// levels from the root whose plaintext buckets fit are kept in trusted
 	// memory (0: 64 KB, the PLB's default; negative: none). Ignored by the
 	// bucket-hash backend. A resumed snapshot keeps the depth it was taken
-	// with, whatever this says.
+	// with, whatever this says. freecursive.Config has no such option and
+	// always builds with 0: internal/exp switches the cache off, tests pick
+	// a depth.
 	TreetopBytes int
 
 	// Functional selects real trees + encryption (true) or the

@@ -5,7 +5,7 @@
 # `make staticcheck-version`; the workflow must not carry its own copy.
 STATICCHECK_VERSION := 2025.1
 
-.PHONY: all build test race bench bench-all bench-hotpath bench-network bench-check bins lint oramlint lint-report lint-parity staticcheck-version fuzz-smoke fmt
+.PHONY: all build test race bench bench-all bench-check bins lint oramlint lint-report staticcheck-version fuzz-smoke fmt
 
 all: build lint test
 
@@ -32,18 +32,6 @@ bench:
 bench-all:
 	go test -run=NONE -bench=. -benchtime=1x ./...
 
-# Steady-state access + sharded-store benchmarks with -benchmem (the CI
-# hotpath step); writes BENCH_hotpath.json and gates on the per-access
-# allocation budget.
-bench-hotpath:
-	./scripts/bench_hotpath.sh
-
-# Over-the-wire transport comparison — JSON batch vs binary streaming
-# frames at batch sizes 1 and 16 (the CI network-smoke job); writes
-# BENCH_network.json.
-bench-network:
-	./scripts/bench_network.sh
-
 # The repo benchmark (BENCHMARK.json) lives in bench/, a module of its own
 # that `go build ./...` and `go test ./...` never see, yet it pins exported
 # names across mem, backend, bhoram, core, frame, store and client. Vet and
@@ -61,12 +49,11 @@ bins:
 		go build -o "bin/$$(basename $$d)" "$$d" || exit 1; \
 	done
 
-# The full static gate: stock vet, the repo's own analyzer suite (both
-# standalone over non-test files and as a vettool so _test.go files are
-# covered), gofmt with simplification, and staticcheck. staticcheck is
-# skipped with a warning when not installed locally, but is mandatory under
-# CI — the workflow installs the pinned version first.
-lint: oramlint lint-report lint-parity
+# The full static gate: stock vet, the repo's own analyzer suite, gofmt with
+# simplification, and staticcheck. staticcheck is skipped with a warning
+# when not installed locally, but is mandatory under CI — the workflow
+# installs the pinned version first.
+lint: oramlint lint-report
 	go vet ./...
 	@out="$$(gofmt -s -l .)"; if [ -n "$$out" ]; then \
 		echo "files need gofmt -s:"; echo "$$out"; exit 1; fi
@@ -83,17 +70,12 @@ oramlint:
 	@mkdir -p bin
 	go build -o bin/oramlint ./cmd/oramlint
 	./bin/oramlint ./...
-	go vet -vettool=$$(pwd)/bin/oramlint ./...
 
 # LINT_report.json (per-analyzer finding/allow counts) plus the
 # suppression ratchet: total //oramlint:allow directives must not grow
 # past the committed LINT_baseline.json.
 lint-report:
 	./scripts/lint_report.sh LINT_report.json
-
-# Standalone vs `go vet -vettool` must produce identical finding sets.
-lint-parity:
-	./scripts/lint_parity.sh
 
 # CI reads the staticcheck pin from here so it lives in exactly one place.
 staticcheck-version:

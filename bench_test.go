@@ -11,8 +11,6 @@ package freecursive_test
 
 import (
 	"fmt"
-	"math/bits"
-	mathrand "math/rand"
 	"math/rand/v2"
 	"strconv"
 	"sync"
@@ -289,10 +287,10 @@ func BenchmarkMemBackendMapLatency(b *testing.B) {
 // --- hot-path allocation trajectory ------------------------------------------
 
 // benchAccessAllocs measures the steady-state encrypted PIC access with
-// allocation reporting: together with the -benchmem CI run this feeds
-// BENCH_hotpath.json, the allocs/op + ns/op trajectory of the hottest loop
-// in the system. The warm-up mirrors hotpath_test.go: buckets materialized,
-// PLB full, free lists populated.
+// allocation reporting (run with -benchmem): the allocs/op + ns/op of the
+// hottest loop in the system. The warm-up mirrors hotpath_test.go, whose
+// AllocsPerRun tests are the gate: buckets materialized, PLB full, free
+// lists populated.
 func benchAccessAllocs(b *testing.B, mutate func(*freecursive.Config)) {
 	cfg := freecursive.Config{Scheme: freecursive.PIC, Blocks: 1 << 12, Seed: 2}
 	if mutate != nil {
@@ -374,224 +372,3 @@ func BenchmarkStoreParallelLightweight16(b *testing.B) { benchStoreParallel(b, 1
 func BenchmarkStoreParallelFunctional1(b *testing.B)  { benchStoreParallel(b, 1, false) }
 func BenchmarkStoreParallelFunctional4(b *testing.B)  { benchStoreParallel(b, 4, false) }
 func BenchmarkStoreParallelFunctional16(b *testing.B) { benchStoreParallel(b, 16, false) }
-
-// --- mutex vs pipeline ------------------------------------------------------
-
-// mutexShardedStore reimplements the pre-pipeline serving arrangement (one
-// mutex per shard, blocking calls, no coalescing) with the same address
-// partition as internal/store. It exists only as the benchmark baseline
-// the pipelined store is measured against.
-type mutexShardedStore struct {
-	shards   []*mutexShard
-	blocks   uint64
-	perShard uint64
-	shift    uint
-}
-
-type mutexShard struct {
-	mu   sync.Mutex
-	oram *freecursive.ORAM
-}
-
-const benchFibMix = 0x9E3779B97F4A7C15
-
-func newMutexStore(b *testing.B, shards int, blocks uint64, cfg freecursive.Config) *mutexShardedStore {
-	perShard := blocks / uint64(shards)
-	m := &mutexShardedStore{
-		blocks:   blocks,
-		perShard: perShard,
-		shift:    uint(bits.TrailingZeros64(perShard)),
-	}
-	for i := 0; i < shards; i++ {
-		ocfg := cfg
-		ocfg.Blocks = perShard
-		ocfg.Seed = cfg.Seed + uint64(i)*7919 // distinct seeds; derivation is irrelevant here
-		o, err := freecursive.New(ocfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		m.shards = append(m.shards, &mutexShard{oram: o})
-	}
-	return m
-}
-
-func (m *mutexShardedStore) locate(addr uint64) (*mutexShard, uint64) {
-	x := (addr * benchFibMix) & (m.blocks - 1)
-	return m.shards[x>>m.shift], x & (m.perShard - 1)
-}
-
-func (m *mutexShardedStore) Get(addr uint64) ([]byte, error) {
-	sh, inner := m.locate(addr)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.oram.Read(inner)
-}
-
-func (m *mutexShardedStore) Put(addr uint64, data []byte) ([]byte, error) {
-	sh, inner := m.locate(addr)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.oram.Write(inner, data)
-}
-
-// BatchGet reproduces the old store's batch drain: group by shard, one
-// goroutine per involved shard, each taking that shard's lock once. No
-// duplicate-read coalescing — that is the point of the comparison.
-func (m *mutexShardedStore) BatchGet(addrs []uint64) ([][]byte, error) {
-	type op struct {
-		idx   int
-		inner uint64
-	}
-	groups := make(map[*mutexShard][]op)
-	for i, a := range addrs {
-		sh, inner := m.locate(a)
-		groups[sh] = append(groups[sh], op{i, inner})
-	}
-	out := make([][]byte, len(addrs))
-	errs := make(chan error, len(groups))
-	var wg sync.WaitGroup
-	for sh, ops := range groups {
-		wg.Add(1)
-		go func(sh *mutexShard, ops []op) {
-			defer wg.Done()
-			sh.mu.Lock()
-			defer sh.mu.Unlock()
-			for _, o := range ops {
-				v, err := sh.oram.Read(o.inner)
-				if err != nil {
-					errs <- err
-					return
-				}
-				//oramlint:allow bufferown ORAM.Read returns a caller-owned copy per the Frontend contract, not backend scratch
-				out[o.idx] = v
-			}
-		}(sh, ops)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		return nil, err
-	}
-	return out, nil
-}
-
-// blockStore is the surface both stores share.
-type blockStore interface {
-	Get(addr uint64) ([]byte, error)
-	Put(addr uint64, data []byte) ([]byte, error)
-	BatchGet(addrs []uint64) ([][]byte, error)
-}
-
-// zipfTable precomputes a Zipf(s)-distributed address stream so workers
-// only pay an index draw per op (math/rand's Zipf generator takes a lock).
-func zipfTable(n uint64, s float64, size int) []uint64 {
-	src := mathrand.New(mathrand.NewSource(42))
-	z := mathrand.NewZipf(src, s, 1, n-1)
-	t := make([]uint64, size)
-	for i := range t {
-		t[i] = z.Uint64()
-	}
-	return t
-}
-
-// benchBatch is how many requests each worker keeps in flight — the store
-// is driven the way a serving frontend drives it, with fan-in per worker.
-const benchBatch = 8
-
-// benchStoreDist measures batched read throughput (with a 10% write mix)
-// over a store with an address stream: nil table means uniform, otherwise
-// the table's distribution. One op = one batch of benchBatch reads, so
-// ns/op compares directly between the mutex and pipeline stores; requests
-// in flight are what fill the per-shard queues, which is where pipelining
-// and coalescing live.
-func benchStoreDist(b *testing.B, s blockStore, blocks uint64, blockBytes int, table []uint64) {
-	buf := make([]byte, blockBytes)
-	b.SetParallelism(8)
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		rng := rand.New(rand.NewPCG(rand.Uint64(), 23))
-		draw := func() uint64 {
-			if table == nil {
-				return rng.Uint64N(blocks)
-			}
-			return table[rng.Uint64N(uint64(len(table)))]
-		}
-		addrs := make([]uint64, benchBatch)
-		n := 0
-		for pb.Next() {
-			n++
-			if n%10 == 0 {
-				if _, err := s.Put(draw(), buf); err != nil {
-					b.Fatal(err)
-				}
-				continue
-			}
-			for j := range addrs {
-				addrs[j] = draw()
-			}
-			if _, err := s.BatchGet(addrs); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// benchCfg is the functional PIC configuration both baselines share: real
-// trees and PMMAC on, so an elided (coalesced) access saves real work.
-const (
-	benchStoreBlocks = 1 << 12
-	benchZipfS       = 1.4
-)
-
-func benchStoreCfg() freecursive.Config {
-	return freecursive.Config{Scheme: freecursive.PIC, BlockBytes: 64, Seed: 2}
-}
-
-func benchStoreMutex(b *testing.B, shards int, zipf bool) {
-	s := newMutexStore(b, shards, benchStoreBlocks, benchStoreCfg())
-	var table []uint64
-	if zipf {
-		table = zipfTable(benchStoreBlocks, benchZipfS, 1<<15)
-	}
-	benchStoreDist(b, s, benchStoreBlocks, 64, table)
-}
-
-func benchStorePipeline(b *testing.B, shards int, zipf bool) {
-	s, err := store.New(store.Config{
-		Shards: shards,
-		Blocks: benchStoreBlocks,
-		ORAM:   benchStoreCfg(),
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { s.Close() })
-	var table []uint64
-	if zipf {
-		table = zipfTable(benchStoreBlocks, benchZipfS, 1<<15)
-	}
-	benchStoreDist(b, s, s.Blocks(), s.BlockBytes(), table)
-	var coalesced, enqueued uint64
-	for _, info := range s.ShardInfos() {
-		coalesced += info.CoalescedReads
-		enqueued += info.Enqueued
-	}
-	if enqueued > 0 {
-		b.ReportMetric(100*float64(coalesced)/float64(enqueued), "%coalesced")
-	}
-}
-
-func BenchmarkStoreParallelMutexUniform1(b *testing.B)  { benchStoreMutex(b, 1, false) }
-func BenchmarkStoreParallelMutexUniform4(b *testing.B)  { benchStoreMutex(b, 4, false) }
-func BenchmarkStoreParallelMutexUniform16(b *testing.B) { benchStoreMutex(b, 16, false) }
-func BenchmarkStoreParallelMutexZipf1(b *testing.B)     { benchStoreMutex(b, 1, true) }
-func BenchmarkStoreParallelMutexZipf4(b *testing.B)     { benchStoreMutex(b, 4, true) }
-func BenchmarkStoreParallelMutexZipf16(b *testing.B)    { benchStoreMutex(b, 16, true) }
-
-func BenchmarkStoreParallelPipelineUniform1(b *testing.B)  { benchStorePipeline(b, 1, false) }
-func BenchmarkStoreParallelPipelineUniform4(b *testing.B)  { benchStorePipeline(b, 4, false) }
-func BenchmarkStoreParallelPipelineUniform16(b *testing.B) { benchStorePipeline(b, 16, false) }
-func BenchmarkStoreParallelPipelineZipf1(b *testing.B)     { benchStorePipeline(b, 1, true) }
-func BenchmarkStoreParallelPipelineZipf4(b *testing.B)     { benchStorePipeline(b, 4, true) }
-func BenchmarkStoreParallelPipelineZipf16(b *testing.B)    { benchStorePipeline(b, 16, true) }

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,8 +25,10 @@ import (
 //
 // A failed connection fails only its in-flight batches (as Transient
 // errors, which the Client retries); the next round-trip redials with
-// exponential backoff. Configure by setting fields before first use (New
-// does this for you); they must not be modified afterwards.
+// exponential backoff. A server that keeps the socket open but stops
+// reading or answering counts as failed after binaryOpTimeout. Configure by
+// setting fields before first use (New does this for you); they must not
+// be modified afterwards.
 type BinaryTransport struct {
 	// Addr is the server's frame listener, host:port.
 	Addr string
@@ -35,6 +38,8 @@ type BinaryTransport struct {
 	Conns int
 	// DialTimeout bounds each connection attempt (default 5s).
 	DialTimeout time.Duration
+
+	opTimeout time.Duration // binaryOpTimeout; tests shorten it
 
 	once    sync.Once
 	initErr error
@@ -51,6 +56,12 @@ func Binary(addr string) *BinaryTransport { return &BinaryTransport{Addr: addr} 
 // maxBackoff caps the redial backoff.
 const maxBackoff = 2 * time.Second
 
+// binaryOpTimeout bounds writing one request frame and, while batches are
+// in flight, the wait for the next response frame — the same 30 s the JSON
+// transport's http.Client allows a request. An idle connection has no
+// deadline.
+const binaryOpTimeout = 30 * time.Second
+
 func (t *BinaryTransport) init() error {
 	t.once.Do(func() {
 		if t.Addr == "" {
@@ -66,6 +77,9 @@ func (t *BinaryTransport) init() error {
 		}
 		if t.DialTimeout == 0 {
 			t.DialTimeout = 5 * time.Second
+		}
+		if t.opTimeout == 0 {
+			t.opTimeout = binaryOpTimeout
 		}
 		t.pool = make([]*binConn, t.Conns)
 		for i := range t.pool {
@@ -132,9 +146,15 @@ type binConn struct {
 // binSession is one live TCP connection: the socket, its write buffer,
 // and the in-flight table its reader goroutine resolves. Once dead it is
 // never revived — the binConn dials a fresh session.
+//
+// The socket's read deadline is the session's one response deadline:
+// timeout after the send that began the wait (a send with nothing older in
+// flight) or after the previous response frame, cleared while nothing is in
+// flight. It is only moved with mu held, so it always agrees with pending.
 type binSession struct {
-	conn net.Conn
-	bw   *bufio.Writer
+	conn    net.Conn
+	bw      *bufio.Writer
+	timeout time.Duration
 
 	mu      sync.Mutex
 	pending map[uint64]chan binOutcome
@@ -173,6 +193,9 @@ func (c *binConn) roundTrip(ctx context.Context, id uint64, ops []BatchOp) ([]Op
 		c.mu.Unlock()
 		return nil, err
 	}
+	// A server that stops reading fills the socket buffers; without a write
+	// deadline this write would block forever with c.mu held.
+	sess.conn.SetWriteDeadline(time.Now().Add(sess.timeout))
 	_, werr := sess.bw.Write(out)
 	if werr == nil {
 		werr = sess.bw.Flush()
@@ -220,6 +243,7 @@ func (c *binConn) ensure(ctx context.Context) (*binSession, error) {
 	sess := &binSession{
 		conn:    conn,
 		bw:      bufio.NewWriterSize(conn, 64<<10),
+		timeout: c.t.opTimeout,
 		pending: make(map[uint64]chan binOutcome),
 	}
 	go sess.read()
@@ -236,7 +260,20 @@ func (s *binSession) register(id uint64, ch chan binOutcome) error {
 		return s.deadErr
 	}
 	s.pending[id] = ch
+	if len(s.pending) == 1 {
+		s.expect() // nothing older is in flight: the wait for a frame starts here
+	}
 	return nil
+}
+
+// expect moves the response deadline: timeout from now while batches are in
+// flight, none while the session is idle. Called with s.mu held.
+func (s *binSession) expect() {
+	var deadline time.Time
+	if len(s.pending) > 0 {
+		deadline = time.Now().Add(s.timeout)
+	}
+	s.conn.SetReadDeadline(deadline)
 }
 
 // forget abandons one in-flight batch (context cancellation). A response
@@ -244,6 +281,9 @@ func (s *binSession) register(id uint64, ch chan binOutcome) error {
 func (s *binSession) forget(id uint64) {
 	s.mu.Lock()
 	delete(s.pending, id)
+	if len(s.pending) == 0 {
+		s.expect()
+	}
 	s.mu.Unlock()
 }
 
@@ -278,6 +318,9 @@ func (s *binSession) read() {
 	for {
 		payload, scratch, err := frame.ReadFrame(br, buf)
 		if err != nil {
+			if errors.Is(err, os.ErrDeadlineExceeded) {
+				err = fmt.Errorf("no response within %v: %w", s.timeout, err)
+			}
 			s.fail(Transient(fmt.Errorf("client: binary transport: %w", err)))
 			return
 		}
@@ -313,6 +356,7 @@ func (s *binSession) read() {
 		s.mu.Lock()
 		ch, ok := s.pending[id]
 		delete(s.pending, id)
+		s.expect()
 		s.mu.Unlock()
 		if ok {
 			ch <- out

@@ -1,17 +1,20 @@
 package client_test
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"fmt"
 	"net"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"freecursive"
 	"freecursive/client"
+	"freecursive/internal/frame"
 	"freecursive/internal/frameserver"
 	"freecursive/internal/store"
 )
@@ -340,5 +343,131 @@ func TestBinaryUnknownOp(t *testing.T) {
 	}
 	if fmt.Sprint(err) == "" {
 		t.Fatal("empty error")
+	}
+}
+
+// silentServer accepts connections and never answers. With drain it reads
+// and discards what clients send (a mute server); without, it never reads
+// either, so a large enough write blocks in the client. frames counts the
+// request frames a draining server has seen.
+func silentServer(t *testing.T, drain bool) (addr string, frames *atomic.Int64) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames = new(atomic.Int64)
+	var mu sync.Mutex
+	var conns []net.Conn
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			conns = append(conns, conn)
+			mu.Unlock()
+			if !drain {
+				// A small receive window makes the client's write block
+				// after a few hundred KiB instead of a few MiB.
+				conn.(*net.TCPConn).SetReadBuffer(4 << 10)
+				continue
+			}
+			go func() {
+				br := bufio.NewReader(conn)
+				var buf []byte
+				for {
+					_, scratch, err := frame.ReadFrame(br, buf)
+					if err != nil {
+						return
+					}
+					buf = scratch
+					frames.Add(1)
+				}
+			}()
+		}
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		mu.Lock()
+		defer mu.Unlock()
+		for _, c := range conns {
+			c.Close()
+		}
+	})
+	return ln.Addr().String(), frames
+}
+
+// TestBinaryMuteServerFailsPending: a server that accepts, reads and never
+// answers must not wedge its callers. Every batch in flight on the
+// connection — one, or eight pipelined — resolves with a retryable
+// transport error once the response deadline passes.
+func TestBinaryMuteServerFailsPending(t *testing.T) {
+	for _, pending := range []int{1, 8} {
+		t.Run(fmt.Sprint(pending), func(t *testing.T) {
+			addr, frames := silentServer(t, true)
+			tr := &client.BinaryTransport{Addr: addr, Conns: 1}
+			tr.SetOpTimeout(300 * time.Millisecond)
+			t.Cleanup(func() { tr.Close() })
+
+			errs := make(chan error, pending)
+			for i := 0; i < pending; i++ {
+				go func(i int) {
+					_, err := tr.RoundTrip(context.Background(), []client.BatchOp{{Op: client.OpGet, Addr: uint64(i)}})
+					errs <- err
+				}(i)
+			}
+			for i := 0; i < pending; i++ {
+				select {
+				case err := <-errs:
+					if err == nil || !client.Retryable(err) {
+						t.Fatalf("batch against a mute server: %v, want a retryable transport error", err)
+					}
+				case <-time.After(10 * time.Second):
+					t.Fatalf("%d of %d batches still pending on a mute server", pending-i, pending)
+				}
+			}
+			if got := frames.Load(); got != int64(pending) {
+				t.Fatalf("server saw %d request frames, want %d", got, pending)
+			}
+		})
+	}
+}
+
+// TestBinaryServerThatNeverReadsFailsWrite: a server that stops reading
+// fills the socket buffers, so the frame write itself blocks — with the
+// connection's lock held. The deadline must release it, and a caller
+// queued behind the lock must not hang either.
+func TestBinaryServerThatNeverReadsFailsWrite(t *testing.T) {
+	addr, _ := silentServer(t, false)
+	tr := &client.BinaryTransport{Addr: addr, Conns: 1}
+	tr.SetOpTimeout(300 * time.Millisecond)
+	t.Cleanup(func() { tr.Close() })
+
+	// One 8 MiB frame: more than loopback socket buffers hold.
+	block := make([]byte, 16<<10)
+	big := make([]client.BatchOp, 512)
+	for i := range big {
+		big[i] = client.BatchOp{Op: client.OpPut, Addr: uint64(i), Data: block}
+	}
+	errs := make(chan error, 2)
+	go func() {
+		_, err := tr.RoundTrip(context.Background(), big)
+		errs <- err
+	}()
+	go func() {
+		_, err := tr.RoundTrip(context.Background(), []client.BatchOp{{Op: client.OpGet, Addr: 1}})
+		errs <- err
+	}()
+	for i := 0; i < 2; i++ {
+		select {
+		case err := <-errs:
+			if err == nil || !client.Retryable(err) {
+				t.Fatalf("batch against a server that never reads: %v, want a retryable transport error", err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("a batch is still blocked on a server that never reads")
+		}
 	}
 }

@@ -2,19 +2,14 @@
 // checks that keep the ORAM controller's security and performance
 // invariants from regressing (constant-time tag comparison, backend buffer
 // ownership, storage-sentinel error wrapping, hot-path allocation
-// discipline, oblivious control flow).
+// discipline, secret-independent control flow, secret-free telemetry).
 //
-// Two modes:
+//	oramlint [-report file] [packages]
 //
-//	oramlint [packages]
-//	    Standalone: load, type-check, and analyze the named packages
-//	    (default ./...) in the current module. Non-test files only; exits 1
-//	    if any unsuppressed finding remains.
-//
-//	go vet -vettool=$(command -v oramlint) ./...
-//	    Vet tool: speaks the cmd/vet unitchecker protocol (-V=full, -flags,
-//	    and a single *.cfg argument per package). This mode also covers
-//	    _test.go files, since go vet analyzes test packages.
+// loads, type-checks and analyzes the named packages (default ./...) of
+// the current module in one process, so the interprocedural analyzers see
+// the whole call graph. Non-test files only; exits 1 if any unsuppressed
+// finding remains.
 //
 // Findings are suppressed only by an //oramlint:allow <analyzer> <reason>
 // directive on the same line or the line directly above; the reason is
@@ -22,48 +17,18 @@
 package main
 
 import (
-	"crypto/sha256"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"go/ast"
-	"go/importer"
-	"go/parser"
-	"go/token"
-	"go/types"
-	"io"
-	"io/fs"
 	"os"
-	"os/exec"
-	"path/filepath"
-	"sort"
 	"strings"
 
 	"freecursive/internal/lint"
 	"freecursive/internal/lint/analysis"
-	"freecursive/internal/lint/interproc"
 	"freecursive/internal/lint/loader"
 )
 
 func main() {
-	// The cmd/vet protocol probes the tool before use: -V=full must print a
-	// line whose suffix fingerprints the executable (it keys vet's cache),
-	// and -flags must print the tool's flag schema as JSON.
-	if len(os.Args) == 2 {
-		switch {
-		case os.Args[1] == "-V=full":
-			// cmd/go requires "name version devel ... buildID=<id>" and uses
-			// the ID as the vet cache key.
-			fmt.Printf("oramlint version devel buildID=%s\n", selfHash())
-			return
-		case os.Args[1] == "-flags":
-			fmt.Println("[]")
-			return
-		case strings.HasSuffix(os.Args[1], ".cfg"):
-			os.Exit(vetMode(os.Args[1]))
-		}
-	}
-
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: oramlint [-report file] [packages]\n\nRuns the freecursive analyzer suite (default ./...):\n\n")
 		for _, a := range lint.Analyzers() {
@@ -77,7 +42,7 @@ func main() {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	os.Exit(standalone(patterns, *reportPath))
+	os.Exit(run(patterns, *reportPath))
 }
 
 // report is the LINT_report.json schema: per-analyzer counts plus totals,
@@ -89,7 +54,7 @@ type report struct {
 	TotalFinding int            `json:"total_findings"`
 }
 
-func standalone(patterns []string, reportPath string) int {
+func run(patterns []string, reportPath string) int {
 	pkgs, err := loader.Load(".", patterns...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "oramlint:", err)
@@ -150,209 +115,4 @@ func writeReport(path string, stats lint.Stats) error {
 		return err
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o666)
-}
-
-// vetConfig is the subset of cmd/vet's unitchecker config this tool reads.
-type vetConfig struct {
-	ID          string
-	Dir         string
-	ImportPath  string
-	GoFiles     []string
-	ImportMap   map[string]string
-	PackageFile map[string]string
-	VetxOnly    bool
-	VetxOutput  string
-}
-
-func vetMode(cfgPath string) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "oramlint:", err)
-		return 2
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "oramlint: parsing %s: %v\n", cfgPath, err)
-		return 2
-	}
-	// The driver requires the facts file to exist even though this suite
-	// exports none.
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, nil, 0o666); err != nil {
-			fmt.Fprintln(os.Stderr, "oramlint:", err)
-			return 2
-		}
-	}
-	if cfg.VetxOnly {
-		return 0
-	}
-
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range cfg.GoFiles {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "oramlint:", err)
-			return 2
-		}
-		files = append(files, f)
-	}
-	lookup := func(path string) (io.ReadCloser, error) {
-		if canon, ok := cfg.ImportMap[path]; ok {
-			path = canon
-		}
-		file, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("oramlint: no export data for %q", path)
-		}
-		return os.Open(file)
-	}
-	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Implicits:  map[ast.Node]types.Object{},
-		Scopes:     map[ast.Node]*types.Scope{},
-	}
-	conf := types.Config{Importer: importer.ForCompiler(fset, "gc", lookup)}
-	pkg, err := conf.Check(cfg.ImportPath, fset, files, info)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "oramlint:", err)
-		return 2
-	}
-	// The interprocedural analyzers need module-wide facts, but vet invokes
-	// this tool once per package. Compute (or disk-cache-load) the module
-	// facts and preinstall them, so each invocation pays a JSON read, not a
-	// module re-typecheck.
-	module := &analysis.Module{}
-	facts, err := moduleFacts(cfg.Dir)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "oramlint:", err)
-		return 2
-	}
-	interproc.SetFacts(module, facts)
-	findings, err := lint.Run(&analysis.Pass{Fset: fset, Files: files, Pkg: pkg, TypesInfo: info, Module: module})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "oramlint:", err)
-		return 2
-	}
-	for _, f := range findings {
-		fmt.Fprintln(os.Stderr, f)
-	}
-	if len(findings) > 0 {
-		return 2
-	}
-	return 0
-}
-
-// moduleFacts returns the interprocedural facts for the module containing
-// dir, loading them from a content-keyed cache file in the system temp
-// directory when one exists, computing and writing them otherwise. go vet
-// runs one tool process per package; without the cache every one of those
-// would re-typecheck the whole module.
-func moduleFacts(dir string) (*interproc.Facts, error) {
-	root, err := moduleRoot(dir)
-	if err != nil {
-		return nil, err
-	}
-	key, err := moduleStateHash(root)
-	if err != nil {
-		return nil, err
-	}
-	cachePath := filepath.Join(os.TempDir(), "oramlint-facts-"+key+".json")
-	if data, err := os.ReadFile(cachePath); err == nil {
-		var facts interproc.Facts
-		if json.Unmarshal(data, &facts) == nil && facts.Summaries != nil {
-			return &facts, nil
-		}
-	}
-	pkgs, err := loader.Load(root, "./...")
-	if err != nil {
-		return nil, fmt.Errorf("loading module for interprocedural facts: %w", err)
-	}
-	var units []*analysis.Unit
-	for _, p := range pkgs {
-		units = append(units, &analysis.Unit{Fset: p.Fset, Files: p.Files, Pkg: p.Pkg, TypesInfo: p.TypesInfo})
-	}
-	facts := interproc.Compute(units)
-	if data, err := json.Marshal(facts); err == nil {
-		// Atomic-rename publish: concurrent vet workers may race to compute;
-		// either one's result is equally valid.
-		tmp := cachePath + fmt.Sprintf(".%d", os.Getpid())
-		if os.WriteFile(tmp, data, 0o666) == nil {
-			_ = os.Rename(tmp, cachePath)
-		}
-	}
-	return facts, nil
-}
-
-// moduleRoot locates the enclosing module's directory via `go env GOMOD`.
-func moduleRoot(dir string) (string, error) {
-	cmd := exec.Command("go", "env", "GOMOD")
-	cmd.Dir = dir
-	out, err := cmd.Output()
-	if err != nil {
-		return "", fmt.Errorf("go env GOMOD: %w", err)
-	}
-	gomod := strings.TrimSpace(string(out))
-	if gomod == "" || gomod == os.DevNull {
-		return "", fmt.Errorf("not in a module (GOMOD=%q)", gomod)
-	}
-	return filepath.Dir(gomod), nil
-}
-
-// moduleStateHash fingerprints the module's non-test Go sources (path,
-// size, mtime) plus go.mod, keying the facts cache: any source change
-// invalidates it.
-func moduleStateHash(root string) (string, error) {
-	h := sha256.New()
-	var paths []string
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			name := d.Name()
-			if name != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") || d.Name() == "go.mod" {
-			paths = append(paths, path)
-		}
-		return nil
-	})
-	if err != nil {
-		return "", err
-	}
-	sort.Strings(paths)
-	for _, p := range paths {
-		st, err := os.Stat(p)
-		if err != nil {
-			return "", err
-		}
-		fmt.Fprintf(h, "%s\x00%d\x00%d\n", p, st.Size(), st.ModTime().UnixNano())
-	}
-	return fmt.Sprintf("%x", h.Sum(nil))[:32], nil
-}
-
-// selfHash fingerprints the running executable for vet's cache key, so a
-// rebuilt tool invalidates cached results.
-func selfHash() string {
-	exe, err := os.Executable()
-	if err != nil {
-		return "unknown"
-	}
-	f, err := os.Open(exe)
-	if err != nil {
-		return "unknown"
-	}
-	defer f.Close()
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		return "unknown"
-	}
-	return fmt.Sprintf("%x", h.Sum(nil))
 }

@@ -1,10 +1,9 @@
 package main
 
-// The load generator: a transport-independent worker harness (runWorkers
-// over an executor — in-process store or the batched network client) plus
-// the statistics primitives, extracted from runLoad so their distributions
-// are testable. Two bugs lived here historically and the structure now
-// rules them out by construction:
+// The load generator: a worker harness (runWorkers over the batched network
+// client) plus the statistics primitives, extracted from runLoad so their
+// distributions are testable. Two bugs lived here historically and the
+// structure now rules them out by construction:
 //
 //   - the write/read coin was (lcgState % 1000) / 1000 — the low bits of
 //     an LCG have tiny periods, so the realized write fraction cycled
@@ -26,47 +25,7 @@ import (
 	"time"
 
 	"freecursive/client"
-	"freecursive/internal/store"
 )
-
-// --- executors --------------------------------------------------------------
-
-// executor abstracts who serves one load-generator operation, so one
-// harness benchmarks an in-process store and the batched network client
-// with identical workloads. Implementations must be safe for concurrent
-// use; the batched client in particular RELIES on concurrent callers —
-// micro-batching gathers ops across workers.
-type executor interface {
-	get(addr uint64) error
-	put(addr uint64, data []byte) error
-}
-
-// storeExec drives a store directly — the in-process ceiling for a
-// workload: no wire, no JSON, just the shard pipelines.
-type storeExec struct{ st *store.Store }
-
-func (e storeExec) get(addr uint64) error {
-	_, err := e.st.Get(addr)
-	return err
-}
-
-func (e storeExec) put(addr uint64, data []byte) error {
-	_, err := e.st.Put(addr, data)
-	return err
-}
-
-// clientExec drives the batched network client: every worker op joins the
-// shared micro-batch collector, so the server sees POST /batch bursts.
-type clientExec struct{ c *client.Client }
-
-func (e clientExec) get(addr uint64) error {
-	_, err := e.c.Get(addr)
-	return err
-}
-
-func (e clientExec) put(addr uint64, data []byte) error {
-	return e.c.Put(addr, data)
-}
 
 // --- worker harness ---------------------------------------------------------
 
@@ -82,24 +41,22 @@ type loadOpts struct {
 	seed      uint64
 }
 
-// loadReport is what a run measures. The JSON shape is consumed by
-// scripts/bench_network.sh to assemble BENCH_network.json.
+// loadReport is what a run measures.
 type loadReport struct {
-	Mode      string  `json:"mode"`
-	Ops       uint64  `json:"ops"`
-	OpsPerSec float64 `json:"ops_per_sec"`
-	Failures  uint64  `json:"failures"`
-	P50Micros float64 `json:"p50_us"`
-	P90Micros float64 `json:"p90_us"`
-	P99Micros float64 `json:"p99_us"`
+	ops           uint64
+	opsPerSec     float64
+	failures      uint64
+	p50, p90, p99 time.Duration
 }
 
-// runWorkers hammers exec from o.workers goroutines until the deadline,
-// sampling per-op latency with per-worker reservoirs. Workers draw
-// independent PCG streams — one for the write coin and the reservoir, a
-// separate one for addresses, so sample retention never correlates with
-// which address a request hit.
-func runWorkers(exec executor, o loadOpts) loadReport {
+// runWorkers hammers c from o.workers goroutines until the deadline,
+// sampling per-op latency with per-worker reservoirs. Every op joins the
+// client's shared micro-batch collector — batching RELIES on concurrent
+// callers — so the server sees batch bursts. Workers draw independent PCG
+// streams — one for the write coin and the reservoir, a separate one for
+// addresses, so sample retention never correlates with which address a
+// request hit.
+func runWorkers(c *client.Client, o loadOpts) loadReport {
 	var (
 		ops      atomic.Uint64
 		failures atomic.Uint64
@@ -124,9 +81,9 @@ func runWorkers(exec executor, o loadOpts) loadReport {
 				start := time.Now()
 				var err error
 				if pickWrite(rng, o.writeFrac) {
-					err = exec.put(addr, payload)
+					err = c.Put(addr, payload)
 				} else {
-					err = exec.get(addr)
+					_, err = c.Get(addr)
 				}
 				res.observe(time.Since(start))
 				ops.Add(1)
@@ -142,15 +99,13 @@ func runWorkers(exec executor, o loadOpts) loadReport {
 	wg.Wait()
 
 	rep := loadReport{
-		Ops:       ops.Load(),
-		OpsPerSec: float64(ops.Load()) / o.duration.Seconds(),
-		Failures:  failures.Load(),
+		ops:       ops.Load(),
+		opsPerSec: float64(ops.Load()) / o.duration.Seconds(),
+		failures:  failures.Load(),
 	}
 	if len(lats) > 0 {
 		qs := percentiles(lats, []float64{0.50, 0.90, 0.99})
-		rep.P50Micros = float64(qs[0]) / float64(time.Microsecond)
-		rep.P90Micros = float64(qs[1]) / float64(time.Microsecond)
-		rep.P99Micros = float64(qs[2]) / float64(time.Microsecond)
+		rep.p50, rep.p90, rep.p99 = qs[0], qs[1], qs[2]
 	}
 	return rep
 }

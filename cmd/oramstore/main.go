@@ -1,5 +1,5 @@
 // Command oramstore serves a sharded oblivious block store over HTTP, and
-// doubles as a load generator for driving one.
+// doubles as a load probe for a running one.
 //
 // Serve mode (the default) exposes (handler in freecursive/internal/httpapi):
 //
@@ -38,18 +38,17 @@
 // transport. /metrics then exposes the frame server's connection, byte,
 // and in-flight gauges under oramstore_transport_*.
 //
-// Load mode hammers a store with concurrent random reads and writes —
-// uniformly or Zipf-skewed (-dist zipf), the latter showing off the
-// pipeline's duplicate-read coalescing — and reports throughput and
-// latency percentiles. One harness; -transport picks how ops travel:
+// Load mode probes a RUNNING server with concurrent random reads and
+// writes — uniformly or Zipf-skewed (-dist zipf), the latter showing off
+// the pipeline's duplicate-read coalescing — and reports throughput and
+// latency percentiles as seen by a client. It builds no store of its own
+// (bench/ is the load generator that does, and the only place a throughput
+// number is recorded). -transport picks how ops travel:
 //
-//	-transport json       POST /batch through the micro-batching client
-//	                      (-addr is the base URL; -batch, -flush-interval)
-//	-transport binary     the streaming frame protocol through the same
-//	                      client (-addr is the -listen-binary host:port)
-//	-transport inprocess  no network at all: builds a store in this
-//	                      process and drives it directly (the serving
-//	                      ceiling for the same workload)
+//	-transport json    POST /batch through the micro-batching client
+//	                   (-addr is the base URL; -batch, -flush-interval)
+//	-transport binary  the streaming frame protocol through the same
+//	                   client (-addr is the -listen-binary host:port)
 //
 // Examples:
 //
@@ -58,12 +57,10 @@
 //	oramstore -addr :8080 -shards 4 -blocks 18 -data-dir /var/lib/oramstore
 //	oramstore load -transport json -addr http://localhost:8080 -dist zipf -batch 16
 //	oramstore load -transport binary -addr localhost:8081 -dist zipf -batch 16
-//	oramstore load -transport inprocess -shards 16 -lightweight -dist zipf -json
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -267,10 +264,10 @@ func shutdownStore(st *store.Store, durable bool) error {
 
 func runLoad(args []string) {
 	fs := flag.NewFlagSet("load", flag.ExitOnError)
-	transport := fs.String("transport", "json", "how ops reach the store: inprocess | json | binary")
+	transport := fs.String("transport", "json", "how ops reach the server: json | binary")
 	addrFlag := fs.String("addr", "", `target address: base URL for json (default "http://localhost:8080"), host:port for binary (default "127.0.0.1:8081")`)
-	batch := fs.Int("batch", 16, "network mode: client micro-batch size (1 disables batching)")
-	flushInt := fs.Duration("flush-interval", 2*time.Millisecond, "network mode: client micro-batch flush interval")
+	batch := fs.Int("batch", 16, "client micro-batch size (1 disables batching)")
+	flushInt := fs.Duration("flush-interval", 2*time.Millisecond, "client micro-batch flush interval")
 	conns := fs.Int("conns", 0, "binary mode: connection pool size (0: transport default)")
 	workers := fs.Int("workers", 16, "concurrent workers")
 	duration := fs.Duration("duration", 5*time.Second, "run length")
@@ -280,14 +277,6 @@ func runLoad(args []string) {
 	dist := fs.String("dist", "uniform", "address distribution: uniform | zipf")
 	zipfS := fs.Float64("zipf-s", 1.2, "zipf skew parameter (> 1; larger is hotter)")
 	seed := fs.Uint64("seed", 1, "load-generator seed (workers derive independent streams)")
-	shards := fs.Int("shards", 8, "in-process mode: shard count")
-	scheme := fs.String("scheme", "PIC", "in-process mode: R | P | PC | PI | PIC")
-	backendKind := fs.String("backend", "path", "in-process mode: ORAM backend, path | bhoram")
-	lightweight := fs.Bool("lightweight", false, "in-process mode: bandwidth-accounting backend")
-	memKind := fs.String("mem", "map", "in-process mode: untrusted bucket memory, map | file | remote")
-	memAddr := fs.String("mem-addr", "", "in-process mode: bucketd TCP address for -mem remote")
-	dataDir := fs.String("data-dir", "", "in-process mode: per-shard bucket files under this directory for -mem file")
-	jsonOut := fs.Bool("json", false, "emit one machine-readable JSON line instead of text")
 	fs.Parse(args)
 	if *dist != "uniform" && *dist != "zipf" {
 		log.Fatalf("unknown -dist %q (want uniform or zipf)", *dist)
@@ -296,7 +285,37 @@ func runLoad(args []string) {
 		log.Fatalf("-zipf-s must be > 1, got %v", *zipfS)
 	}
 
-	opts := loadOpts{
+	addr := *addrFlag
+	var tr client.Transport
+	switch *transport {
+	case "json":
+		if addr == "" {
+			addr = "http://localhost:8080"
+		}
+		checkHealth(addr)
+		tr = client.JSON(addr)
+	case "binary":
+		if addr == "" {
+			addr = "127.0.0.1:8081"
+		}
+		checkBinaryHealth(addr)
+		bt := client.Binary(addr)
+		bt.Conns = *conns
+		tr = bt
+	default:
+		log.Fatalf("unknown -transport %q (want json or binary)", *transport)
+	}
+	c, err := client.New(client.Config{
+		Transport:     tr,
+		MaxBatch:      *batch,
+		FlushInterval: *flushInt,
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer c.Close()
+
+	rep := runWorkers(c, loadOpts{
 		workers:   *workers,
 		duration:  *duration,
 		addrs:     uint64(1) << uint(*logBlocks),
@@ -305,109 +324,14 @@ func runLoad(args []string) {
 		dist:      *dist,
 		zipfS:     *zipfS,
 		seed:      *seed,
-	}
-
-	mode, addr := *transport, *addrFlag
-
-	var exec executor
-	switch mode {
-	case "inprocess":
-		sc, ok := schemes[*scheme]
-		if !ok {
-			log.Fatalf("unknown scheme %q", *scheme)
-		}
-		if *backendKind != "path" && *lightweight {
-			log.Fatalf("-backend %s needs real buckets; drop -lightweight", *backendKind)
-		}
-		switch *memKind {
-		case "map":
-		case "file":
-			if *dataDir == "" {
-				log.Fatal("-mem file needs -data-dir")
-			}
-			if *lightweight {
-				log.Fatal("-mem file needs real buckets; drop -lightweight")
-			}
-		case "remote":
-			if *memAddr == "" {
-				log.Fatal("-mem remote needs -mem-addr")
-			}
-			if *lightweight {
-				log.Fatal("-mem remote needs real buckets; drop -lightweight")
-			}
-			checkBinaryHealth(*memAddr)
-		default:
-			log.Fatalf("unknown -mem %q (want map, file, or remote)", *memKind)
-		}
-		fileDir := ""
-		if *memKind == "file" {
-			fileDir = *dataDir
-		}
-		st, err := store.New(store.Config{
-			Shards:  *shards,
-			Blocks:  opts.addrs,
-			MemAddr: *memAddr,
-			DataDir: fileDir,
-			ORAM: freecursive.Config{
-				Scheme:      sc,
-				Backend:     *backendKind,
-				BlockBytes:  *blockB,
-				Lightweight: *lightweight,
-				Seed:        *seed,
-			},
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer st.Close()
-		exec = storeExec{st}
-	case "json", "binary":
-		var tr client.Transport
-		if mode == "json" {
-			if addr == "" {
-				addr = "http://localhost:8080"
-			}
-			checkHealth(addr)
-			tr = client.JSON(addr)
-		} else {
-			if addr == "" {
-				addr = "127.0.0.1:8081"
-			}
-			checkBinaryHealth(addr)
-			bt := client.Binary(addr)
-			bt.Conns = *conns
-			tr = bt
-		}
-		c, err := client.New(client.Config{
-			Transport:     tr,
-			MaxBatch:      *batch,
-			FlushInterval: *flushInt,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer c.Close()
-		exec = clientExec{c}
-	default:
-		log.Fatalf("unknown -transport %q (want inprocess, json, or binary)", mode)
-	}
-
-	rep := runWorkers(exec, opts)
-	rep.Mode = mode
-	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		if err := enc.Encode(rep); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
+	})
 	fmt.Printf("mode: %s\nops: %d (%.0f/s), failures: %d\n",
-		rep.Mode, rep.Ops, rep.OpsPerSec, rep.Failures)
+		*transport, rep.ops, rep.opsPerSec, rep.failures)
 	for _, p := range []struct {
 		name string
-		us   float64
-	}{{"p50", rep.P50Micros}, {"p90", rep.P90Micros}, {"p99", rep.P99Micros}} {
-		fmt.Printf("%s: %v\n", p.name, (time.Duration(p.us * float64(time.Microsecond))).Round(time.Microsecond))
+		d    time.Duration
+	}{{"p50", rep.p50}, {"p90", rep.p90}, {"p99", rep.p99}} {
+		fmt.Printf("%s: %v\n", p.name, p.d.Round(time.Microsecond))
 	}
 }
 

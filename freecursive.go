@@ -389,8 +389,11 @@ func (o *ORAM) Close() error { return o.sys.Close() }
 // treetop cache, PLB, PMMAC counters, RNG and encryption-seed registers — to
 // w (JSON).
 // Together with the DataDir bucket files this is everything needed to
-// Resume the ORAM in a later process. It fails on Lightweight instances and
-// on controllers that have latched an integrity violation.
+// Resume the ORAM in a later process. It fails on Lightweight instances, on
+// controllers that have latched an integrity violation, and — with an error
+// wrapping ErrStorage — once an access has returned ErrStorage: after a
+// failed write the trusted state no longer matches the bucket files, and
+// every later Read and Write is refused the same way.
 //
 // The snapshot IS trusted state: it is the durable stand-in for what the
 // paper keeps inside the processor, and it contains the stash, treetop and

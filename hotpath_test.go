@@ -4,8 +4,8 @@
 // ~145 heap allocations to the low single digits, almost all of which is
 // the public API's caller-owned result slice. These tests pin that budget
 // with testing.AllocsPerRun so a regression cannot land silently; the
-// companion BenchmarkAccessAllocs* benchmarks track the same numbers (plus
-// ns/op) over time via BENCH_hotpath.json in CI.
+// companion BenchmarkAccessAllocs* benchmarks report the same numbers (plus
+// ns/op) under -benchmem.
 package freecursive_test
 
 import (

@@ -28,8 +28,10 @@
 package backend
 
 import (
+	"errors"
 	"fmt"
 
+	"freecursive/internal/mem"
 	"freecursive/internal/stats"
 	"freecursive/internal/tree"
 )
@@ -106,6 +108,33 @@ type Backend interface {
 	Close() error
 }
 
+// FaultLatch makes a functional backend fail-stop on storage faults; both
+// constructions embed it. A failed write-back leaves older buckets in
+// memory than the trusted state accounts for (and a pipelined memory reports
+// it from whatever operation comes next), so carrying on could absorb a
+// stale copy of a block, and a snapshot of the trusted state would match no
+// memory image. The first error wrapping mem.ErrIO that an access or a
+// maintenance step returns is therefore kept: every later access is refused
+// with it before touching memory, and core refuses to snapshot.
+type FaultLatch struct{ fault error }
+
+// Latch keeps err if it is the first storage fault, and returns it as is.
+func (l *FaultLatch) Latch(err error) error {
+	if err != nil && l.fault == nil && errors.Is(err, mem.ErrIO) {
+		l.fault = err
+	}
+	return err
+}
+
+// Fault returns the error accesses are now refused with, wrapping the
+// latched storage fault, or nil if there has been none.
+func (l *FaultLatch) Fault() error {
+	if l.fault == nil {
+		return nil
+	}
+	return fmt.Errorf("backend: refused after an earlier storage fault: %w", l.fault)
+}
+
 // Maintainer is the optional background-maintenance capability a Backend
 // may implement (deamortized rebuilds, proactive eviction, compaction).
 // The serving layer calls Maintain when its request queue is idle so the
@@ -116,7 +145,7 @@ type Maintainer interface {
 	// Maintain performs up to budget units (bucket operations) of pending
 	// maintenance — budget <= 0 means one inline quantum — and reports
 	// whether work remains. Errors wrap mem.ErrIO and are fail-stop for
-	// the controller, exactly like an access-path fault.
+	// the controller, exactly like an access-path fault (see FaultLatch).
 	Maintain(budget int) (pending bool, err error)
 	// MaintainPending reports whether maintenance work is queued, without
 	// performing any.

@@ -157,15 +157,18 @@ func Drain(t testing.TB, b backend.Backend) {
 
 // FaultStore wraps untrusted memory with a switchable injected fault:
 // while Armed, every data operation fails wrapping mem.ErrIO without
-// reaching the inner store; disarmed, it is a transparent pass-through.
-// Unlike mem.Flaky's schedule-driven injection, the toggle lets a test
-// fail exactly the operation it means to and then prove the backend did
-// not latch. Peek and Poke pass through always.
+// reaching the inner store (while ArmedWrites, only the writes do);
+// disarmed, it is a transparent pass-through. Unlike mem.Flaky's
+// schedule-driven injection, the toggle lets a test fail exactly the
+// operation it means to, then heal the memory and prove the backend stays
+// stopped without another operation reaching it. Peek and Poke pass
+// through always.
 type FaultStore struct {
 	mem.Backend
-	Armed bool
-	// Faults counts injected failures.
-	Faults int
+	Armed       bool
+	ArmedWrites bool
+	// Faults counts injected failures, Ops every data operation attempted.
+	Faults, Ops int
 }
 
 // NewFaultStore wraps inner (nil means a fresh mem.NewStore()).
@@ -176,8 +179,9 @@ func NewFaultStore(inner mem.Backend) *FaultStore {
 	return &FaultStore{Backend: inner}
 }
 
-func (f *FaultStore) fault() error {
-	if !f.Armed {
+func (f *FaultStore) fault(write bool) error {
+	f.Ops++
+	if !f.Armed && !(write && f.ArmedWrites) {
 		return nil
 	}
 	f.Faults++
@@ -188,7 +192,7 @@ func (f *FaultStore) fault() error {
 //
 //oram:offhotpath test-only fault harness, not a steady-state serving path
 func (f *FaultStore) Read(idx uint64) ([]byte, error) {
-	if err := f.fault(); err != nil {
+	if err := f.fault(false); err != nil {
 		return nil, err
 	}
 	return f.Backend.Read(idx)
@@ -198,7 +202,7 @@ func (f *FaultStore) Read(idx uint64) ([]byte, error) {
 //
 //oram:offhotpath test-only fault harness, not a steady-state serving path
 func (f *FaultStore) Write(idx uint64, data []byte) error {
-	if err := f.fault(); err != nil {
+	if err := f.fault(true); err != nil {
 		return err
 	}
 	return f.Backend.Write(idx, data)
@@ -208,7 +212,7 @@ func (f *FaultStore) Write(idx uint64, data []byte) error {
 //
 //oram:offhotpath test-only fault harness, not a steady-state serving path
 func (f *FaultStore) ReadPath(idxs []uint64, out [][]byte) error {
-	if err := f.fault(); err != nil {
+	if err := f.fault(false); err != nil {
 		return err
 	}
 	return f.Backend.ReadPath(idxs, out)
@@ -218,7 +222,7 @@ func (f *FaultStore) ReadPath(idxs []uint64, out [][]byte) error {
 //
 //oram:offhotpath test-only fault harness, not a steady-state serving path
 func (f *FaultStore) WritePath(idxs []uint64, data [][]byte) error {
-	if err := f.fault(); err != nil {
+	if err := f.fault(true); err != nil {
 		return err
 	}
 	return f.Backend.WritePath(idxs, data)

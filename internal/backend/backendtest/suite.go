@@ -95,56 +95,76 @@ func runSemantics(t *testing.T, k Kind) {
 }
 
 // runErrStorage proves the fault contract on the access path: an injected
-// untrusted-memory fault escapes wrapping mem.ErrIO, and the backend does
-// NOT latch — the fault is the transport's, not the controller's, so the
-// next operation over healthy memory must succeed and the pre-fault
-// contents must be intact.
+// untrusted-memory fault — on the read of a path or probe, or on a
+// write-back — escapes wrapping mem.ErrIO, and the backend is fail-stop
+// from then on (backend.FaultLatch): with memory healthy again every later
+// access is refused with an error wrapping the same fault, and not one more
+// operation reaches memory.
 func runErrStorage(t *testing.T, k Kind) {
-	g := Geom(t)
-	fs := NewFaultStore(nil)
-	b := k.New(t, g, Options{Encrypted: true, Store: fs})
+	for _, phase := range []string{"ReadPath", "WritePath"} {
+		t.Run(phase, func(t *testing.T) {
+			g := Geom(t)
+			fs := NewFaultStore(nil)
+			b := k.New(t, g, Options{Encrypted: true, Store: fs})
 
-	script := GenScript(7, 300, 40, g.Leaves(), g.BlockBytes)
-	RunScript(t, b, script, IdentityAddr)
-	state := FinalLeaves(script)
+			script := GenScript(7, 300, 40, g.Leaves(), g.BlockBytes)
+			RunScript(t, b, script, IdentityAddr)
+			state := FinalLeaves(script)
+			if len(state) == 0 {
+				t.Fatal("script left no live blocks")
+			}
 
-	// Pick any live slot and fault its read.
-	var slot, leaf uint64
-	found := false
-	for s, l := range state {
-		slot, leaf, found = s, l, true
-		break
-	}
-	if !found {
-		t.Fatal("script left no live blocks")
-	}
-	fs.Armed = true
-	_, err := b.Access(backend.Request{Op: backend.OpRead, Addr: slot, Leaf: leaf, NewLeaf: leaf})
-	if err == nil {
-		t.Fatal("faulted access returned no error")
-	}
-	if !errors.Is(err, mem.ErrIO) {
-		t.Fatalf("faulted access error does not wrap mem.ErrIO: %v", err)
-	}
-	fs.Armed = false
-	if fs.Faults == 0 {
-		t.Fatal("fault was never injected (access did no I/O?)")
-	}
-
-	// No latch: the identical request now succeeds with the right data.
-	res, err := b.Access(backend.Request{Op: backend.OpRead, Addr: slot, Leaf: leaf, NewLeaf: leaf})
-	if err != nil {
-		t.Fatalf("access after fault cleared: %v", err)
-	}
-	if !res.Found {
-		t.Fatal("block lost across an injected fault")
+			// Reads of live slots until memory fails one. A read fault hits
+			// the first; a write fault the first write-back, which for the
+			// bucket-hash backend is a rebuild step some accesses away.
+			fs.Armed, fs.ArmedWrites = phase == "ReadPath", phase == "WritePath"
+			var err error
+			for round := 0; round < 64 && err == nil; round++ {
+				for slot, leaf := range state {
+					if _, err = b.Access(backend.Request{Op: backend.OpRead, Addr: slot, Leaf: leaf, NewLeaf: leaf}); err != nil {
+						break
+					}
+				}
+			}
+			if err == nil {
+				t.Fatal("fault was never injected (accesses did no such I/O?)")
+			}
+			if !errors.Is(err, mem.ErrIO) {
+				t.Fatalf("faulted access error does not wrap mem.ErrIO: %v", err)
+			}
+			fs.Armed, fs.ArmedWrites = false, false
+			requireStopped(t, b, fs)
+		})
 	}
 }
 
-// runMaintenanceFault proves the same distinction on the maintenance
-// path: a fault during deamortized rebuild I/O escapes Maintain wrapping
-// mem.ErrIO, leaves the rebuild resumable (no latch, no lost work), and a
-// retried drain completes with all contents intact.
+// requireStopped asserts b refuses accesses and maintenance with an error
+// wrapping mem.ErrIO, reports the fault, and leaves the (healthy) memory
+// behind fs alone.
+func requireStopped(t *testing.T, b backend.Backend, fs *FaultStore) {
+	t.Helper()
+	ops := fs.Ops
+	for _, op := range []backend.Op{backend.OpRead, backend.OpWrite, backend.OpReadRmv, backend.OpAppend} {
+		if _, err := b.Access(backend.Request{Op: op, Addr: 9000}); !errors.Is(err, mem.ErrIO) {
+			t.Fatalf("%v after a storage fault: %v, want it refused wrapping mem.ErrIO", op, err)
+		}
+	}
+	if m, ok := b.(backend.Maintainer); ok {
+		if _, err := m.Maintain(0); !errors.Is(err, mem.ErrIO) {
+			t.Fatalf("Maintain after a storage fault: %v, want it refused wrapping mem.ErrIO", err)
+		}
+	}
+	if f, ok := b.(interface{ Fault() error }); !ok || !errors.Is(f.Fault(), mem.ErrIO) {
+		t.Fatal("backend does not report the latched fault")
+	}
+	if fs.Ops != ops {
+		t.Fatalf("%d memory operations after the backend stopped", fs.Ops-ops)
+	}
+}
+
+// runMaintenanceFault proves the same on the maintenance path: a fault
+// during deamortized rebuild I/O escapes Maintain wrapping mem.ErrIO and
+// stops the backend like an access-path fault.
 func runMaintenanceFault(t *testing.T, k Kind) {
 	g := Geom(t)
 	fs := NewFaultStore(nil)
@@ -157,9 +177,7 @@ func runMaintenanceFault(t *testing.T, k Kind) {
 		t.Skip("backend has no maintenance path")
 	}
 
-	script := GenScript(13, 400, 60, g.Leaves(), g.BlockBytes)
-	RunScript(t, b, script, IdentityAddr)
-	state := FinalLeaves(script)
+	RunScript(t, b, GenScript(13, 400, 60, g.Leaves(), g.BlockBytes), IdentityAddr)
 
 	// Queue fresh maintenance work, then fault it mid-flight.
 	for i := 0; i < 3*CacheCapacity; i++ {
@@ -186,18 +204,7 @@ func runMaintenanceFault(t *testing.T, k Kind) {
 		t.Fatal("armed fault store never failed a maintenance step")
 	}
 	fs.Armed = false
-
-	// No latch: draining completes and every surviving block reads back.
-	Drain(t, b)
-	for slot, leaf := range state {
-		res, err := b.Access(backend.Request{Op: backend.OpRead, Addr: slot, Leaf: leaf, NewLeaf: leaf})
-		if err != nil {
-			t.Fatalf("read slot %d after maintenance fault: %v", slot, err)
-		}
-		if !res.Found {
-			t.Fatalf("slot %d lost across a maintenance fault", slot)
-		}
-	}
+	requireStopped(t, b, fs)
 }
 
 // runTamperSafety corrupts all of untrusted memory and checks accesses

@@ -49,13 +49,14 @@
 //
 // # Faults
 //
-// A probe-read fault aborts the access before any trusted state changes —
-// nothing latches, the next access retries cleanly. A rebuild-step fault
-// surfaces from Access or Maintain (wrapping mem.ErrIO, i.e.
-// freecursive.ErrStorage) with the step cursor left in place, so a
-// transient fault retries the same chunk later; re-reading a source chunk
-// is idempotent (version-max dedup) and re-writing a target chunk just
-// reseals the same records under fresh seeds.
+// A probe-read fault aborts the access before any trusted state changes; a
+// rebuild-step fault surfaces from Access or Maintain with the step cursor
+// left in place. Either way the error wraps mem.ErrIO (i.e.
+// freecursive.ErrStorage) and is fail-stop: the backend.FaultLatch keeps
+// the first one, every later Access or Maintain is refused with it before
+// touching memory, and core will not snapshot — a pipelined memory reports
+// a lost write from whatever operation comes next, so no fault can be
+// taken for harmless.
 package bhoram
 
 import (
@@ -105,6 +106,7 @@ type level struct {
 
 // BucketHash is the bucket-hash hierarchical ORAM backend.
 type BucketHash struct {
+	backend.FaultLatch
 	geom  tree.Geometry
 	store mem.Backend
 	ciph  *crypt.BucketCipher // nil: plaintext buckets
@@ -425,11 +427,15 @@ func mix(x uint64) uint64 {
 //
 //oram:hotpath
 func (b *BucketHash) Access(req backend.Request) (backend.Result, error) {
+	if err := b.Fault(); err != nil {
+		return backend.Result{}, err
+	}
 	switch req.Op {
 	case backend.OpAppend:
 		return b.append(req)
 	case backend.OpRead, backend.OpWrite, backend.OpReadRmv:
-		return b.access(req)
+		res, err := b.access(req)
+		return res, b.Latch(err)
 	default:
 		return backend.Result{}, fmt.Errorf("bhoram: unknown op %v", req.Op)
 	}
@@ -497,8 +503,7 @@ func (b *BucketHash) access(req backend.Request) (backend.Result, error) {
 	}
 
 	// One bucket per active level batches into a single ReadPath. A
-	// probe-read fault aborts before any trusted mutation: nothing latches,
-	// the access can simply be retried.
+	// probe-read fault aborts before any trusted mutation.
 	if len(b.probeIdx) > 0 {
 		for len(b.probeBufs) < len(b.probeIdx) {
 			b.probeBufs = append(b.probeBufs, nil)
@@ -553,9 +558,8 @@ func (b *BucketHash) access(req backend.Request) (backend.Result, error) {
 	b.noteOccupancy()
 
 	// Advance the schedule and run the inline deamortization quantum. A
-	// step fault after the cache mutation is fail-stop for this access
-	// (mirroring Path ORAM's post-mutation write-back errors); the step
-	// cursor stays put so a later access or Maintain retries the chunk.
+	// step fault after the cache mutation is fail-stop (mirroring Path
+	// ORAM's post-mutation write-back errors).
 	b.accesses++
 	if b.accesses%uint64(b.cacheCap) == 0 {
 		b.pendingTriggers++

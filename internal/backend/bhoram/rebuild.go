@@ -44,10 +44,13 @@ type rebuild struct {
 // rebuilds drain off the request path; errors wrap mem.ErrIO and are
 // fail-stop for the shard exactly like an access-path fault.
 func (b *BucketHash) Maintain(budget int) (bool, error) {
+	if err := b.Fault(); err != nil {
+		return b.MaintainPending(), err
+	}
 	if budget <= 0 {
 		budget = b.quantum
 	}
-	err := b.maintainStep(budget)
+	err := b.Latch(b.maintainStep(budget))
 	return b.MaintainPending(), err
 }
 

@@ -207,29 +207,37 @@ func TestCountersChargeBucketsMoved(t *testing.T) {
 }
 
 // TestAccessPropagatesPathReadFault pins fail-stop on I/O faults: a failed
-// path read surfaces as an error wrapping mem.ErrIO, the access has no
-// partial effect observable through later accesses, and the backend keeps
-// working once the fault clears — errors are I/O faults, not tampering, so
-// nothing latches at this layer.
+// path read — cut off mid-path, a prefix of buckets already served —
+// surfaces as an error wrapping mem.ErrIO with nothing absorbed, and every
+// access after it is refused with the same fault, none reaching memory.
 func TestAccessPropagatesPathReadFault(t *testing.T) {
 	flaky := mem.WithFaults(mem.NewStore(), flakyTestSchedule())
 	p := newORAMOn(t, flaky, true)
 
-	// Drive accesses until the schedule injects; every failure must
-	// surface as an error wrapping mem.ErrIO rather than absorb
-	// garbage or wedge.
 	var faults int
+	var opsAtFault uint64
 	for i := 0; i < 40; i++ {
 		_, err := p.Access(Request{Op: OpRead, Addr: 1, Leaf: 1, NewLeaf: 1})
+		if faults > 0 && err == nil {
+			t.Fatalf("access %d succeeded after a storage fault", i)
+		}
 		if err != nil {
 			if !errors.Is(err, mem.ErrIO) {
 				t.Fatalf("fault is %v, want mem.ErrIO", err)
 			}
-			faults++
+			if faults++; faults == 1 {
+				opsAtFault = flaky.Ops()
+			}
 		}
 	}
 	if faults == 0 {
 		t.Fatal("injection schedule never fired")
+	}
+	if flaky.Ops() != opsAtFault {
+		t.Fatalf("%d memory operations after the fault", flaky.Ops()-opsAtFault)
+	}
+	if p.Stash().Len() != 0 {
+		t.Fatalf("stash holds %d blocks of a path read that failed", p.Stash().Len())
 	}
 }
 
@@ -239,49 +247,11 @@ func flakyTestSchedule() mem.FlakyConfig {
 	return mem.FlakyConfig{FailEvery: 10, PartialPath: 3}
 }
 
-// TestBatchedSurvivesFaultThenRecovers pins that after a failed access the
-// backend still serves correct data for blocks whose state was not part of
-// the failed operation — the caller decides whether to fail-stop; the
-// backend itself must not corrupt the stash on a clean read-phase error.
-func TestBatchedSurvivesFaultThenRecovers(t *testing.T) {
-	flaky := mem.WithFaults(mem.NewStore(), mem.FlakyConfig{FailEvery: 7})
-	p := newORAMOn(t, flaky, true)
-	g := p.Geometry()
-
-	data := make([]byte, g.BlockBytes)
-	data[0] = 0x5C
-	var stored bool
-	var errs, oks int
-	for i := 0; i < 60; i++ {
-		if !stored {
-			if _, err := p.Access(Request{Op: OpWrite, Addr: 7, Leaf: 2, NewLeaf: 2, Data: data}); err == nil {
-				stored = true
-			} else {
-				errs++
-			}
-			continue
-		}
-		res, err := p.Access(Request{Op: OpRead, Addr: 7, Leaf: 2, NewLeaf: 2})
-		if err != nil {
-			errs++
-			continue
-		}
-		oks++
-		if !res.Found || res.Data[0] != 0x5C {
-			t.Fatalf("step %d: block corrupted after earlier faults: %+v", i, res)
-		}
-	}
-	if errs == 0 || oks == 0 {
-		t.Fatalf("degenerate run: %d errors, %d successes", errs, oks)
-	}
-}
-
 // TestWindowFaultOrphansYoungerAccesses: when an access of the window fails,
 // the accesses begun behind it fail with it — they skipped the buckets it
 // was to rewrite, so running them would lose what those buckets hold — but
-// their reads are still consumed, the memory's stream stays in step, and
-// the window that follows starts clean: nothing latches at this layer, and
-// blocks no failed access touched read back intact.
+// their reads are still consumed, the memory's stream stays in step, the
+// window empties, and the fault stops the backend: nothing more is begun.
 func TestWindowFaultOrphansYoungerAccesses(t *testing.T) {
 	// Each access is two data frames (readpath, writepath). 40 warm-up
 	// accesses, then a window of three: its second read is frame 82.
@@ -324,10 +294,7 @@ func TestWindowFaultOrphansYoungerAccesses(t *testing.T) {
 	if p.InFlight() != 0 {
 		t.Fatalf("%d accesses left in the window", p.InFlight())
 	}
-	for a := uint64(3); a < warm; a++ {
-		res, err := p.Access(Request{Op: OpRead, Addr: a, Leaf: leafOf(a), NewLeaf: leafOf(a)})
-		if err != nil || !res.Found || !bytes.Equal(res.Data, data(a)) {
-			t.Fatalf("block %d after the faulted window: found=%v err=%v", a, res.Found, err)
-		}
+	if err := p.Begin(Request{Op: OpRead, Addr: 3, Leaf: leafOf(3), NewLeaf: leafOf(3)}); !errors.Is(err, mem.ErrIO) {
+		t.Fatalf("Begin after the faulted window: %v, want it refused with the fault", err)
 	}
 }

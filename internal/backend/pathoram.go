@@ -27,6 +27,7 @@ import (
 // not retain, Write does not retain what we pass) and on the stash returning
 // evicted payload buffers to the caller.
 type PathORAM struct {
+	FaultLatch
 	geom  tree.Geometry
 	store mem.Backend
 	split mem.SplitPathReader // store, when it can keep several path reads in flight; else nil
@@ -444,6 +445,9 @@ func (p *PathORAM) Access(req Request) (Result, error) {
 }
 
 func (p *PathORAM) append(req Request) (Result, error) {
+	if err := p.Fault(); err != nil {
+		return Result{}, err
+	}
 	if !p.geom.ValidLeaf(req.Leaf) {
 		return Result{}, fmt.Errorf("backend: append leaf out of range (L=%d)", p.geom.L)
 	}
@@ -474,6 +478,9 @@ func (p *PathORAM) sharedLevels(a, b uint64) int {
 //
 //oram:hotpath
 func (p *PathORAM) Begin(req Request) error {
+	if err := p.Fault(); err != nil {
+		return err
+	}
 	switch req.Op {
 	case OpRead, OpWrite, OpReadRmv:
 	default:
@@ -514,7 +521,7 @@ func (p *PathORAM) Begin(req Request) error {
 	if p.split != nil {
 		if err := p.split.IssueReadPath(f.pathIdx[p.topLevels:]); err != nil {
 			p.freeFly = append(p.freeFly, f)
-			return fmt.Errorf("backend: path read: %w", err)
+			return p.Latch(fmt.Errorf("backend: path read: %w", err))
 		}
 	}
 	if req.Op == OpWrite {
@@ -568,8 +575,9 @@ func (p *PathORAM) Complete() (Result, error) {
 	if err != nil {
 		// The accesses begun behind f planned around its write-back: they
 		// skip the buckets it was to rewrite and expect its blocks in the
-		// stash. They fail with it; the window then starts clean.
-		p.Abandon(err)
+		// stash. They fail with it, and a storage fault refuses every access
+		// after them.
+		p.Abandon(p.Latch(err))
 	}
 	if f.payload != nil { // not handed to the stash: the access failed first
 		p.recycleBlockBuf(f.payload)

@@ -120,9 +120,11 @@ func (b StashBlockState) block() stash.Block {
 // Snapshot captures the system's trusted state. It requires functional
 // backends (the accounting backend has no real tree to persist against)
 // and refuses to snapshot a controller that has latched an integrity
-// violation — a poisoned controller must not be resurrected. Accesses
-// started and not finished are completed first (their results wait for
-// Finish): a snapshot never describes a half-done access.
+// violation — a poisoned controller must not be resurrected — or a storage
+// fault (the error then wraps mem.ErrIO): after a failed write-back the
+// trusted state matches no memory image. Accesses started and not finished
+// are completed first (their results wait for Finish): a snapshot never
+// describes a half-done access.
 func (s *System) Snapshot() (*Snapshot, error) {
 	s.drain()
 	snap := &Snapshot{
@@ -138,6 +140,11 @@ func (s *System) Snapshot() (*Snapshot, error) {
 	snap.RNG = rngState
 
 	for i, be := range s.Backends {
+		if f, ok := be.(interface{ Fault() error }); ok {
+			if err := f.Fault(); err != nil {
+				return nil, fmt.Errorf("core: refusing to snapshot backend %d: %w", i, err)
+			}
+		}
 		bs := BackendState{}
 		switch p := be.(type) {
 		case *backend.PathORAM:

@@ -8,9 +8,11 @@ import (
 	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"freecursive/internal/backend"
+	"freecursive/internal/bucketd"
 	"freecursive/internal/crypt"
 	"freecursive/internal/mem"
 )
@@ -468,6 +470,50 @@ func TestStaleSnapshotOverNewerBucketsIsDetected(t *testing.T) {
 				}
 			}
 			t.Fatal("a stale snapshot over newer buckets went unnoticed")
+		})
+	}
+}
+
+// TestSnapshotRefusedAfterStorageFault: a write to untrusted memory that
+// fails leaves older buckets there than the trusted state accounts for, so
+// a snapshot taken afterwards would match no memory image. The backend
+// stops at the fault and Snapshot refuses, with an error wrapping
+// mem.ErrIO, on both constructions.
+func TestSnapshotRefusedAfterStorageFault(t *testing.T) {
+	for _, kind := range BackendKinds() {
+		t.Run(kind, func(t *testing.T) {
+			// A Path ORAM access is a read frame then a write frame, so an
+			// even FailEvery refuses a write-back; the remote memory reports
+			// it from the next operation. The bucket-hash backend reaches
+			// memory once its cache (the stash capacity) has filled.
+			addr, _ := startBucketd(t, bucketd.Config{FailEvery: 60})
+			p := windowParams(addr, "core/fault-"+kind)
+			p.Backend, p.StashCap = kind, 32
+			sys, err := Build(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sys.Close()
+			if _, err := sys.Snapshot(); err != nil {
+				t.Fatalf("snapshot of a healthy system: %v", err)
+			}
+
+			var fault error
+			for a := uint64(0); a < 2000 && fault == nil; a++ {
+				_, fault = sys.Frontend.Access(a, true, []byte{byte(a)})
+			}
+			if !errors.Is(fault, mem.ErrIO) {
+				t.Fatalf("2000 writes over a memory that refuses every 60th frame: %v, want mem.ErrIO", fault)
+			}
+			if kind == BackendPath && !strings.Contains(fault.Error(), "write-back failed") {
+				t.Fatalf("the refused frame was not a write-back: %v", fault)
+			}
+			if _, err := sys.Snapshot(); !errors.Is(err, mem.ErrIO) {
+				t.Fatalf("Snapshot after a storage fault: %v, want it refused wrapping mem.ErrIO", err)
+			}
+			if _, err := sys.Frontend.Access(0, false, nil); !errors.Is(err, mem.ErrIO) {
+				t.Fatalf("access after a storage fault: %v, want it refused wrapping mem.ErrIO", err)
+			}
 		})
 	}
 }

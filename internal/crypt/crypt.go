@@ -10,7 +10,7 @@
 //
 // Everything here runs inside the trusted controller on secret inputs
 // (addresses, counters, key material), so the package is marked oblivious:
-// the obliv analyzer rejects control flow or indexing that depends on
+// the secretflow analyzer rejects control flow or indexing that depends on
 // address/leaf-named values, and secretcompare rejects variable-time tag
 // comparison.
 

@@ -93,17 +93,6 @@ func (m *Module) Fact(key string, build func() any) any {
 	return v
 }
 
-// SetFact stores a precomputed module-wide fact (the vet-tool path loads
-// summaries from its on-disk cache instead of rebuilding them per package).
-func (m *Module) SetFact(key string, v any) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.facts == nil {
-		m.facts = map[string]any{}
-	}
-	m.facts[key] = v
-}
-
 // Diagnostic is one finding at one source position.
 type Diagnostic struct {
 	Pos     token.Pos

@@ -13,8 +13,9 @@
 //	//oram:oblivious
 //	    File-level, conventionally just above the package clause: every
 //	    function in the package must keep control flow and memory indexing
-//	    independent of block addresses and leaf labels (obliv). Marking any
-//	    file marks the whole package.
+//	    independent of block addresses and leaf labels: secretflow also
+//	    reports secrets named and sunk inside one function there. Marking
+//	    any file marks the whole package.
 //	//oram:errdomain Err1 Err2 ...
 //	    File-level: every error constructed in the package must wrap (via a
 //	    %w verb) one of the named sentinel errors (errwrap).

@@ -27,7 +27,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 
 	"freecursive/internal/lint/analysis"
 	"freecursive/internal/lint/directive"
@@ -81,9 +80,6 @@ func run(pass *analysis.Pass) error {
 			info, hot := facts.Hot[sym]
 			if !hot || info.From == "" {
 				continue
-			}
-			if name := pass.Fset.Position(fn.Pos()).Filename; strings.HasSuffix(name, "_test.go") {
-				continue // test helpers are not steady-state serving code
 			}
 			note := fmt.Sprintf(" [on the hot path: reachable from //oram:hotpath root %s via %s]",
 				interproc.ShortSym(info.Root), facts.Chain(sym))

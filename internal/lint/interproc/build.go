@@ -395,53 +395,6 @@ func (b *builder) hotClosure(facts *Facts) {
 	}
 }
 
-// localHot extends a loaded hot closure through static calls between
-// functions private to one vet-mode pass (test files).
-func localHot(facts *Facts, fns []*fnNode) {
-	local := map[string]*fnNode{}
-	for _, n := range fns {
-		local[n.sym] = n
-		if directive.IsHotpath(n.decl) {
-			if _, ok := facts.Hot[n.sym]; !ok {
-				facts.Hot[n.sym] = HotInfo{Root: n.sym}
-			}
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, n := range fns {
-			info, hot := facts.Hot[n.sym]
-			if !hot || directive.IsOffHotpath(n.decl) && info.From != "" {
-				continue
-			}
-			walkWarmth(n.unit.TypesInfo, n.decl.Body, false, func(node ast.Node, cold bool) {
-				call, ok := node.(*ast.CallExpr)
-				if !ok || cold {
-					return
-				}
-				var callee *types.Func
-				switch fun := ast.Unparen(call.Fun).(type) {
-				case *ast.Ident:
-					callee, _ = n.unit.TypesInfo.Uses[fun].(*types.Func)
-				case *ast.SelectorExpr:
-					callee, _ = n.unit.TypesInfo.Uses[fun.Sel].(*types.Func)
-				}
-				if callee == nil {
-					return
-				}
-				csym := Symbol(callee)
-				if _, isLocal := local[csym]; !isLocal {
-					return
-				}
-				if _, seen := facts.Hot[csym]; !seen {
-					facts.Hot[csym] = HotInfo{Root: info.Root, From: n.sym}
-					changed = true
-				}
-			})
-		}
-	}
-}
-
 // tarjan returns strongly connected components in reverse topological
 // order of the condensation (callees before callers), iteratively so deep
 // call chains cannot overflow the goroutine stack.

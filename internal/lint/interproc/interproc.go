@@ -23,13 +23,11 @@
 //     graph instead of stopping at the annotation.
 //
 // Facts are plain data (masks and strings keyed by types.Func.FullName
-// symbols), so the vet-tool driver can compute them once per module and
-// cache them on disk between per-package invocations.
+// symbols), computed once per run and shared by every analyzer pass.
 package interproc
 
 import (
 	"fmt"
-	"go/ast"
 	"go/token"
 	"go/types"
 	"regexp"
@@ -101,31 +99,30 @@ func Taintable(t types.Type) bool {
 }
 
 // Summary is one function's interprocedural taint behavior. All fields are
-// in receiver-first parameter order and serialize to JSON for the vet-mode
-// facts cache.
+// in receiver-first parameter order.
 type Summary struct {
 	// ParamNames, receiver first. Callers use these to tell which sink
 	// parameters are already self-evidently secret (named addr/leaf/...)
 	// and which launder a secret through a neutral name.
-	ParamNames []string `json:"params,omitempty"`
+	ParamNames []string
 	// Flows has bit i set when taint on parameter i reaches a result.
-	Flows Mask `json:"flows,omitempty"`
+	Flows Mask
 	// Intrinsic is set when some result carries secret taint regardless of
 	// arguments (the function is a secret source: posmap lookups, leaf
 	// draws, and everything that returns their values).
-	Intrinsic bool `json:"intrinsic,omitempty"`
+	Intrinsic bool
 	// VarTime has bit i set when taint on parameter i reaches a
 	// variable-time sink (branch, index, loop bound, allocation size) in
 	// this function or transitively in a callee.
-	VarTime Mask `json:"vartime,omitempty"`
+	VarTime Mask
 	// Leak has bit i set when taint on parameter i reaches an
 	// observability sink (fmt/log format args, errors.New, panic) here or
 	// transitively.
-	Leak Mask `json:"leak,omitempty"`
+	Leak Mask
 	// VarTimeAt and LeakAt hold one witness ("file:line: branch condition")
 	// per flagged parameter, for diagnostics at the call site.
-	VarTimeAt map[int]string `json:"vartime_at,omitempty"`
-	LeakAt    map[int]string `json:"leak_at,omitempty"`
+	VarTimeAt map[int]string
+	LeakAt    map[int]string
 }
 
 func (s *Summary) paramName(i int) string {
@@ -138,16 +135,16 @@ func (s *Summary) paramName(i int) string {
 // HotInfo records why a function is on the hot path: the //oram:hotpath
 // root it is reachable from and the immediate warm caller that reached it.
 type HotInfo struct {
-	Root string `json:"root"`
-	From string `json:"from,omitempty"` // immediate caller; empty for roots
+	Root string
+	From string // immediate caller; empty for roots
 }
 
-// Facts is the serializable module-wide result: summaries and hot-path
-// closure, keyed by types.Func.FullName symbols (interface methods keyed
-// the same way carry the join of their declared implementers).
+// Facts is the module-wide result: summaries and hot-path closure, keyed
+// by types.Func.FullName symbols (interface methods keyed the same way
+// carry the join of their declared implementers).
 type Facts struct {
-	Summaries map[string]*Summary `json:"summaries"`
-	Hot       map[string]HotInfo  `json:"hot"`
+	Summaries map[string]*Summary
+	Hot       map[string]HotInfo
 }
 
 // Chain renders the warm call chain from a hot root down to sym,
@@ -208,86 +205,24 @@ func shortSym(sym string) string {
 const factsKey = "interproc.facts"
 
 // FactsFor returns the module facts visible to pass, computing them on
-// first use. Three shapes:
-//
-//   - Standalone/multi-package fixtures: pass.Module holds every unit; the
-//     engine builds the graph over all of them once and caches it in the
-//     module's fact slot.
-//   - Vet tool: the driver precomputed (or cache-loaded) module facts and
-//     stored them with SetFacts; functions private to this pass (test
-//     files) are summarized locally on top.
-//   - Bare pass (single-directory fixtures): a one-unit module is
-//     synthesized from the pass itself.
+// first use: over every unit of pass.Module (built once, cached in the
+// module's fact slot), or over the pass's own package when it has no
+// module (single-directory fixtures).
 //
 // The returned Facts must be treated as read-only by analyzers.
 func FactsFor(pass *analysis.Pass) *Facts {
 	if pass.Module == nil {
 		return Compute([]*analysis.Unit{pass.Unit()})
 	}
-	v := pass.Module.Fact(factsKey, func() any {
+	return pass.Module.Fact(factsKey, func() any {
 		return Compute(pass.Module.Units)
-	})
-	facts := v.(*Facts)
-	// Extend with summaries for functions the module build did not see
-	// (test files in vet mode): summarize them against the loaded facts.
-	return extendLocal(facts, pass.Unit())
+	}).(*Facts)
 }
-
-// SetFacts installs precomputed facts (from the vet-mode disk cache) on a
-// module, so FactsFor does not rebuild them per package.
-func SetFacts(m *analysis.Module, f *Facts) { m.SetFact(factsKey, f) }
 
 // Compute builds module facts from scratch over the given units.
 func Compute(units []*analysis.Unit) *Facts {
 	b := newBuilder(units)
 	return b.build()
-}
-
-// extendLocal summarizes functions present in unit but absent from facts
-// (vet-mode test files), and extends the hot closure through local static
-// calls. The original facts map is never mutated.
-func extendLocal(facts *Facts, unit *analysis.Unit) *Facts {
-	var missing []*fnNode
-	for _, f := range unit.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			obj, ok := unit.TypesInfo.Defs[fd.Name].(*types.Func)
-			if !ok {
-				continue
-			}
-			if _, have := facts.Summaries[Symbol(obj)]; !have {
-				missing = append(missing, &fnNode{unit: unit, decl: fd, sym: Symbol(obj)})
-			}
-		}
-	}
-	if len(missing) == 0 {
-		return facts
-	}
-	out := &Facts{Summaries: map[string]*Summary{}, Hot: map[string]HotInfo{}}
-	for k, v := range facts.Summaries {
-		out.Summaries[k] = v
-	}
-	for k, v := range facts.Hot {
-		out.Hot[k] = v
-	}
-	// A couple of rounds bounds mutual recursion among local helpers; the
-	// masks only grow, so early iterations are safely conservative.
-	for range [3]int{} {
-		for _, n := range missing {
-			fl := analyzeFn(n.unit, n.decl, func(sym string) (*Summary, bool) {
-				s, ok := out.Summaries[sym]
-				return s, ok
-			})
-			out.Summaries[n.sym] = fl.Summary
-		}
-	}
-	// Hot closure across local functions: roots marked in this unit plus
-	// anything the module closure already reached.
-	localHot(out, missing)
-	return out
 }
 
 // sortedSyms returns map keys in deterministic order.

@@ -24,7 +24,6 @@
 package leaksink
 
 import (
-	"go/ast"
 	"strings"
 
 	"freecursive/internal/lint/analysis"
@@ -84,9 +83,6 @@ func run(pass *analysis.Pass) error {
 	}
 	facts := interproc.FactsFor(pass)
 	for _, fl := range interproc.Flows(pass, facts) {
-		if isTestFile(pass, fl.Decl) {
-			continue // test output is not an adversary-visible surface
-		}
 		callSeen := map[string]bool{}
 		for _, ev := range fl.Events {
 			origin := secretOrigin(ev, fl)
@@ -139,9 +135,4 @@ func orDefault(s, d string) string {
 		return d
 	}
 	return s
-}
-
-func isTestFile(pass *analysis.Pass, decl *ast.FuncDecl) bool {
-	name := pass.Fset.Position(decl.Pos()).Filename
-	return strings.HasSuffix(name, "_test.go")
 }

@@ -21,7 +21,6 @@ import (
 	"freecursive/internal/lint/errwrap"
 	"freecursive/internal/lint/hotpathalloc"
 	"freecursive/internal/lint/leaksink"
-	"freecursive/internal/lint/obliv"
 	"freecursive/internal/lint/secretcompare"
 	"freecursive/internal/lint/secretflow"
 )
@@ -33,7 +32,6 @@ func Analyzers() []*analysis.Analyzer {
 		bufferown.Analyzer,
 		errwrap.Analyzer,
 		hotpathalloc.Analyzer,
-		obliv.Analyzer,
 		secretflow.Analyzer,
 		leaksink.Analyzer,
 	}

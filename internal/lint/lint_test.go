@@ -50,13 +50,12 @@ func TestBadAllowsAreFindings(t *testing.T) {
 
 func TestSuiteRoster(t *testing.T) {
 	as := lint.Analyzers()
-	if len(as) != 7 {
-		t.Fatalf("suite has %d analyzers, want 7", len(as))
+	if len(as) != 6 {
+		t.Fatalf("suite has %d analyzers, want 6", len(as))
 	}
 	want := map[string]bool{
 		"secretcompare": true, "bufferown": true, "errwrap": true,
-		"hotpathalloc": true, "obliv": true,
-		"secretflow": true, "leaksink": true,
+		"hotpathalloc": true, "secretflow": true, "leaksink": true,
 	}
 	for _, a := range as {
 		if !want[a.Name] {

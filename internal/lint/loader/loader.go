@@ -60,8 +60,7 @@ func (p *Package) Pass(report func(analysis.Diagnostic)) *analysis.Pass {
 
 // Load lists, parses, and type-checks the packages matched by patterns
 // (e.g. "./..."), in deterministic import-path order. Test files are not
-// included: `go vet -vettool` mode covers those with the toolchain's own
-// per-package configs.
+// included: the invariants the suite enforces are about serving code.
 func Load(dir string, patterns ...string) ([]*Package, error) {
 	args := append([]string{
 		"list", "-e", "-export", "-deps",

@@ -1,19 +1,23 @@
-// Package secretflow defines the interprocedural generalization of the
-// obliv analyzer: whole-module propagation of addr/leaf/position taint
-// into variable-time sinks.
+// Package secretflow defines the one taint analyzer for the controller's
+// obliviousness invariant: whole-module propagation of addr/leaf/position
+// secrets into variable-time sinks.
 //
-// obliv (PR 8) is intra-procedural and package-local: it sees `if leaf <
-// mid` inside a marked package, but not a leaf returned from posmap and
-// branched on three calls later in store, and not a secret laundered
-// through a neutrally-named helper parameter. secretflow closes both gaps
-// with the interproc engine's function summaries:
+// The threat model of the paper (§2) lets the adversary observe the
+// address sequence to untrusted memory and the timing of every operation.
+// Inside the trusted controller, code that branches on a block address or
+// indexes a table by a leaf label turns that secret into a timing or
+// cache-line signal ("A Language for Probabilistically Oblivious
+// Computation" treats this as a property to enforce statically). The
+// interproc engine's function summaries let the check follow a secret
+// across calls:
 //
 //   - Sink-side: in the scoped ORAM packages, a branch/index/loop-bound/
 //     allocation-size whose value derives from a call to a secret-source
 //     function (posmap lookups and everything summarized as returning
-//     secrets) is reported here, whatever the local names say. Name-seeded
-//     sinks are reported too, except in //oram:oblivious packages where
-//     the obliv analyzer already owns them.
+//     secrets) or from a secret-named parameter is reported, whatever the
+//     local names say. In a package marked //oram:oblivious, a value that
+//     is both seeded by name and sunk inside one function is reported too:
+//     the marker opts the package into the strictest, name-only reading.
 //   - Call-side: passing a secret into a parameter that the callee
 //     (transitively) sinks into a variable-time construct is reported at
 //     the call site — unless the parameter's own name already marks it
@@ -26,7 +30,6 @@
 package secretflow
 
 import (
-	"go/ast"
 	"strings"
 
 	"freecursive/internal/lint/analysis"
@@ -44,8 +47,10 @@ conditions, loop bounds, switch tags, memory indexing, allocation sizes —
 fed by values that derive from secret-source calls or secret-named data,
 and (2) call sites that pass a secret into a neutrally-named parameter the
 callee sinks. Scope is the trusted ORAM packages (core, backend, bhoram,
-stash, plb, posmap, mem, store, tree, crypt). Deliberate reveals carry
-//oramlint:allow secretflow with source and sink named.`,
+stash, plb, posmap, mem, store, tree, crypt); a file-level //oram:oblivious
+directive additionally reports secrets named and sunk inside one function.
+Deliberate reveals carry //oramlint:allow secretflow with source and sink
+named.`,
 	Run: run,
 }
 
@@ -88,9 +93,6 @@ func run(pass *analysis.Pass) error {
 		}
 	}
 	for _, fl := range interproc.Flows(pass, facts) {
-		if isTestFile(pass, fl.Decl) {
-			continue // test code does not serve the adversary-visible path
-		}
 		report(pass, fl, oblivious)
 	}
 	return nil
@@ -113,15 +115,13 @@ func report(pass *analysis.Pass, fl *interproc.FnFlow, oblivious bool) {
 			}
 			// Sink-side findings need cross-function evidence: the secret
 			// arrived via a call result or a secret-named parameter. A value
-			// seeded and sunk inside one function is intra-procedural
-			// territory (obliv's, in marked packages), and when a caller
-			// passes a real secret into this function, the call-side finding
-			// reports it at that call with the true origin.
-			if !viaCall && ev.Mask&fl.SecretParams == 0 {
+			// seeded and sunk inside one function is reported only in
+			// //oram:oblivious packages (everywhere else a neutral local that
+			// happens to be named pos or label would drown the signal), and
+			// when a caller passes a real secret into this function, the
+			// call-side finding reports it at that call with the true origin.
+			if !viaCall && ev.Mask&fl.SecretParams == 0 && !oblivious {
 				continue
-			}
-			if !viaCall && oblivious {
-				continue // name-seeded sink in a marked package: obliv owns it
 			}
 			k := key{origin, ev.What}
 			sinkSeen[k]++
@@ -175,9 +175,4 @@ func orDefault(s, d string) string {
 		return d
 	}
 	return s
-}
-
-func isTestFile(pass *analysis.Pass, decl *ast.FuncDecl) bool {
-	name := pass.Fset.Position(decl.Pos()).Filename
-	return strings.HasSuffix(name, "_test.go")
 }

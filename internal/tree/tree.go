@@ -4,7 +4,7 @@
 //
 // Geometry math runs on leaf labels the adversary is allowed to see (Path
 // ORAM reveals the leaf of every access by design), but it must not branch
-// on anything more: the obliv analyzer holds the package to
+// on anything more: the secretflow analyzer holds the package to
 // secret-independent control flow, and the one deliberate exception carries
 // a reasoned allow.
 

@@ -234,8 +234,8 @@ func BenchmarkAccessPICLightweight(b *testing.B)      { benchAccess(b, freecursi
 
 // benchMemBackend measures full PIC accesses with the untrusted bucket
 // store on different media, so the cost of durability is measured rather
-// than guessed: the in-process map is the floor, the page file pays
-// pread/pwrite per bucket, and the latency wrapper models remote storage
+// than guessed: the in-process map is the floor, the page file pays a
+// copy into or out of its mapping per bucket, and the latency wrapper models remote storage
 // (one path access touches ~2(L+1) buckets, so per-bucket wire delay
 // multiplies accordingly).
 func benchMemBackend(b *testing.B, mutate func(*freecursive.Config)) {

@@ -4,11 +4,14 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"freecursive/internal/tree"
 )
 
 // Raw backend cost per bucket operation, isolated from the ORAM controller:
-// the map backend is the floor, the file backend adds one pread/pwrite, the
-// latency wrapper adds the configured wire delay on top of the map.
+// the map backend is the floor, the file backend adds a copy to or from the
+// mapped page file, the latency wrapper adds the configured wire delay on
+// top of the map.
 
 const benchSlot = 4096
 
@@ -43,13 +46,9 @@ func benchRead(b *testing.B, s Backend) {
 	}
 }
 
-func benchFile(b *testing.B) *FileStore {
+func benchFile(b *testing.B, g tree.Geometry, slotBytes int) *FileStore {
 	b.Helper()
-	fs, err := OpenFile(FileConfig{
-		Path:      filepath.Join(b.TempDir(), "buckets"),
-		Geometry:  testGeom(b),
-		SlotBytes: benchSlot,
-	})
+	fs, err := OpenFile(FileConfig{Path: filepath.Join(b.TempDir(), "buckets"), Geometry: g, SlotBytes: slotBytes})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -58,13 +57,76 @@ func benchFile(b *testing.B) *FileStore {
 }
 
 func BenchmarkWriteMap(b *testing.B)  { benchWrite(b, NewStore()) }
-func BenchmarkWriteFile(b *testing.B) { benchWrite(b, benchFile(b)) }
+func BenchmarkWriteFile(b *testing.B) { benchWrite(b, benchFile(b, testGeom(b), benchSlot)) }
 func BenchmarkWriteLatency(b *testing.B) {
 	benchWrite(b, WithLatency(NewStore(), 0, 10*time.Microsecond))
 }
 
 func BenchmarkReadMap(b *testing.B)  { benchRead(b, NewStore()) }
-func BenchmarkReadFile(b *testing.B) { benchRead(b, benchFile(b)) }
+func BenchmarkReadFile(b *testing.B) { benchRead(b, benchFile(b, testGeom(b), benchSlot)) }
 func BenchmarkReadLatency(b *testing.B) {
 	benchRead(b, WithLatency(NewStore(), 10*time.Microsecond, 0))
+}
+
+// The two shapes the bucket-hash backend issues against a page file: an
+// access probes one slot per level (8 scattered slots), a rebuild step
+// streams a chunk of a level (32 consecutive ones). One op is one path call;
+// slots are the size that backend seals at the default 64-byte block.
+
+const benchPathSlot = 384
+
+func scatteredSlots(buckets uint64) []uint64 {
+	idxs := make([]uint64, 8)
+	for i := range idxs {
+		idxs[i] = uint64(i) * 2654435761 % buckets
+	}
+	return idxs
+}
+
+func consecutiveSlots(buckets uint64) []uint64 {
+	idxs := make([]uint64, 32)
+	for i := range idxs {
+		idxs[i] = buckets/3 + uint64(i)
+	}
+	return idxs
+}
+
+func benchPathFile(b *testing.B, slots func(uint64) []uint64, read bool) {
+	b.Helper()
+	g, err := tree.NewGeometry(10, 2, 16)
+	if err != nil {
+		b.Fatal(err)
+	}
+	fs := benchFile(b, g, benchPathSlot)
+	idxs := slots(g.Buckets())
+	data := make([][]byte, len(idxs))
+	for i := range data {
+		data[i] = make([]byte, benchPathSlot)
+	}
+	out := make([][]byte, len(idxs))
+	if err := fs.WritePath(idxs, data); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(idxs)) * benchPathSlot)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if read {
+			err = fs.ReadPath(idxs, out)
+		} else {
+			err = fs.WritePath(idxs, data)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkReadPathFile(b *testing.B) {
+	b.Run("scattered8", func(b *testing.B) { benchPathFile(b, scatteredSlots, true) })
+	b.Run("consecutive32", func(b *testing.B) { benchPathFile(b, consecutiveSlots, true) })
+}
+
+func BenchmarkWritePathFile(b *testing.B) {
+	b.Run("scattered8", func(b *testing.B) { benchPathFile(b, scatteredSlots, false) })
+	b.Run("consecutive32", func(b *testing.B) { benchPathFile(b, consecutiveSlots, false) })
 }

@@ -1,11 +1,14 @@
 package mem
 
 import (
-	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"os"
+	"runtime"
+	"runtime/debug"
+	"unsafe"
 
 	"freecursive/internal/tree"
 )
@@ -33,13 +36,23 @@ import (
 // preallocated sparse to its full size, so unwritten slots read as zeros
 // (length 0 = absent) without consuming disk.
 //
+// The whole file is mapped shared at OpenFile and every bucket operation is
+// a copy between that mapping and store-owned scratch: no system call per
+// bucket, and written buckets sit in the kernel's page cache (where a second
+// descriptor, or the adversary, sees them at once) until Sync, Close or the
+// kernel's own write-back puts them on disk. The mapping is the only data
+// path; a platform without one cannot open a FileStore.
+//
 // Torn or tampered slots are never turned into errors: a garbage length is
-// clamped, a truncated slot reads as absent, and the bytes are handed to
-// the layers above unjudged — decryption and PMMAC are the arbiters of
-// bucket validity, exactly as for any other untrusted memory.
+// clamped, a file found short at OpenFile is re-extended with absent
+// buckets, and the bytes are handed to the layers above unjudged —
+// decryption and PMMAC are the arbiters of bucket validity, exactly as for
+// any other untrusted memory. A page the kernel cannot serve (see guard) is
+// an ErrIO.
 type FileStore struct {
 	hooks
 	f         *os.File
+	data      []byte // the page file, mapped shared; nil once closed
 	geom      tree.Geometry
 	slotBytes int
 	buckets   uint64
@@ -47,17 +60,14 @@ type FileStore struct {
 	resident  uint64   // population count of present
 	reads     uint64
 	writes    uint64
-	closed    bool
-	// readBuf and writeBuf are reusable slot-sized I/O buffers: Read
-	// returns a slice of readBuf (the Backend contract allows scratch),
-	// and store assembles the length-prefixed slot in writeBuf. They are
-	// distinct so a tamper hook that nests a Read inside a Write cannot
-	// corrupt the in-flight slot image.
-	readBuf  []byte
-	writeBuf []byte
+	// readBuf is the reusable slotBytes-long buffer Read copies a bucket
+	// into and returns a slice of (the Backend contract allows scratch):
+	// the caller decrypts from it outside the fault guard, which a slice of
+	// the mapping itself would not survive.
+	readBuf []byte
 	// pathBufs are the per-level buffers behind ReadPath: every bucket of a
 	// path must stay valid simultaneously, so each level loads into its own
-	// slot-sized buffer (grown to path length on first use, then reused).
+	// slotBytes-long buffer (grown to path length on first use, then reused).
 	pathBufs [][]byte
 }
 
@@ -110,28 +120,44 @@ func OpenFile(cfg FileConfig) (*FileStore, error) {
 		geom:      cfg.Geometry,
 		slotBytes: cfg.SlotBytes,
 		buckets:   buckets,
-		readBuf:   make([]byte, slotLenBytes+cfg.SlotBytes),
-		writeBuf:  make([]byte, slotLenBytes+cfg.SlotBytes),
+		readBuf:   make([]byte, cfg.SlotBytes),
 	}
 	s.present = make([]uint64, (s.buckets+63)/64)
-
-	info, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("mem: %w: %w", ErrIO, err)
-	}
-	if info.Size() == 0 {
-		if err := s.init(); err != nil {
-			f.Close()
-			return nil, err
-		}
-		return s, nil
-	}
-	if err := s.reopen(); err != nil {
-		f.Close()
+	if err := s.open(); err != nil {
+		_ = s.release() // the open error is the one to report
 		return nil, err
 	}
 	return s, nil
+}
+
+// open brings the file to its full size (a fresh one gets its header, an
+// existing one is validated), maps it, and scans an existing one for its
+// materialized slots.
+func (s *FileStore) open() error {
+	size := s.size()
+	if int64(int(size)) != size {
+		return fmt.Errorf("mem: a %d-byte page file does not fit this platform's address space: %w", size, ErrIO)
+	}
+	info, err := s.f.Stat()
+	if err != nil {
+		return fmt.Errorf("mem: %w: %w", ErrIO, err)
+	}
+	fresh := info.Size() == 0
+	if fresh {
+		err = s.init()
+	} else {
+		err = s.reopen()
+	}
+	if err != nil {
+		return err
+	}
+	if s.data, err = mapFile(s.f, int(size)); err != nil {
+		return fmt.Errorf("mem: mapping %s: %w: %w", s.f.Name(), ErrIO, err)
+	}
+	if fresh {
+		return nil
+	}
+	return s.scanPresent()
 }
 
 func (s *FileStore) size() int64 {
@@ -156,8 +182,8 @@ func (s *FileStore) init() error {
 	return nil
 }
 
-// reopen validates the header against the configured geometry and rebuilds
-// the materialized-slot bitmap with one sequential scan.
+// reopen validates the header against the configured geometry and
+// re-extends a torn file.
 func (s *FileStore) reopen() error {
 	hdr := make([]byte, fileHeaderLen)
 	if _, err := io.ReadFull(io.NewSectionReader(s.f, 0, fileHeaderLen), hdr); err != nil {
@@ -189,7 +215,6 @@ func (s *FileStore) reopen() error {
 			return fmt.Errorf("mem: re-extending torn file: %w: %w", ErrIO, err)
 		}
 	}
-	s.scanPresent()
 	return nil
 }
 
@@ -206,7 +231,8 @@ const (
 // not tree capacity: SEEK_DATA/SEEK_HOLE walks only the materialized
 // extents of a multi-gigabyte mostly-empty file. A full sequential scan is
 // the fallback when the filesystem cannot enumerate holes.
-func (s *FileStore) scanPresent() {
+func (s *FileStore) scanPresent() (err error) {
+	defer s.guard(debug.SetPanicOnFault(true), &err)
 	end := s.size()
 	cur := int64(fileHeaderLen)
 	usedSparse := false
@@ -218,11 +244,11 @@ func (s *FileStore) scanPresent() {
 			if !usedSparse {
 				s.scanSlots(fileHeaderLen, end)
 			}
-			return
+			return nil
 		}
 		usedSparse = true
 		if dataOff >= end {
-			return
+			return nil
 		}
 		holeOff, err := s.f.Seek(dataOff, seekHole)
 		if err != nil || holeOff <= dataOff {
@@ -231,27 +257,20 @@ func (s *FileStore) scanPresent() {
 		s.scanSlots(dataOff, holeOff)
 		cur = holeOff
 	}
+	return nil
 }
 
-// scanSlots reads the length prefix of every slot overlapping file offsets
-// [lo, hi) and marks the non-empty ones.
+// scanSlots reads, through the mapping, the length prefix of every slot
+// overlapping file offsets [lo, hi) and marks the non-empty ones.
 func (s *FileStore) scanSlots(lo, hi int64) {
 	stride := int64(slotLenBytes + s.slotBytes)
 	first := (lo - fileHeaderLen) / stride
 	if first > 0 {
 		first-- // catch a slot straddling the region start
 	}
-	br := bufio.NewReaderSize(io.NewSectionReader(s.f, s.slotOff(uint64(first)), s.size()), 1<<20)
-	var lenBuf [slotLenBytes]byte
 	for idx := uint64(first); idx < s.buckets && s.slotOff(idx) < hi; idx++ {
-		if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
-			return // torn tail: remaining slots are absent
-		}
-		if binary.BigEndian.Uint32(lenBuf[:]) != 0 {
+		if binary.BigEndian.Uint32(s.data[s.slotOff(idx):]) != 0 {
 			s.mark(idx, true)
-		}
-		if _, err := br.Discard(s.slotBytes); err != nil {
-			return
 		}
 	}
 }
@@ -273,63 +292,94 @@ func (s *FileStore) slotOff(idx uint64) int64 {
 	return fileHeaderLen + int64(idx)*int64(slotLenBytes+s.slotBytes)
 }
 
-// load reads one slot into readBuf, clamping torn or tampered lengths. The
-// returned slice aliases readBuf and is only valid until the next load; nil
-// means absent.
-func (s *FileStore) load(idx uint64) ([]byte, error) {
-	return s.loadInto(idx, s.readBuf)
-}
-
-// loadInto is load with an explicit slot-sized destination buffer, so
-// ReadPath can keep every level of a path alive at once.
-func (s *FileStore) loadInto(idx uint64, buf []byte) ([]byte, error) {
+// slot returns bucket idx's slot in the mapping: length prefix, then
+// slotBytes of payload. Touching the returned bytes can fault, so callers
+// run under guard.
+func (s *FileStore) slot(idx uint64) ([]byte, error) {
+	if s.data == nil {
+		return nil, fmt.Errorf("mem: %s is closed: %w", s.f.Name(), ErrIO)
+	}
 	if idx >= s.buckets {
 		return nil, fmt.Errorf("mem: bucket %d out of range [0,%d): %w", idx, s.buckets, ErrIO)
 	}
-	n, err := s.f.ReadAt(buf, s.slotOff(idx))
-	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
-		// A real I/O fault (not a torn tail) must surface as an error, per
-		// the Backend contract — never as a garbage bucket that would latch
-		// a permanent PMMAC violation upstream.
-		return nil, fmt.Errorf("mem: bucket %d: %w: %w", idx, ErrIO, err)
+	off := s.slotOff(idx)
+	return s.data[off : off+int64(slotLenBytes+s.slotBytes)], nil
+}
+
+// guard makes a fault in the mapping an error. Every operation that touches
+// the mapping defers it once, handing over the setting it replaced:
+//
+//	defer s.guard(debug.SetPanicOnFault(true), &err)
+//
+// A page of a shared file mapping faults (SIGBUS) when the file was
+// truncated underneath it, when the disk is full and the page is a hole, or
+// when the device fails to page it in: what pread and pwrite report as
+// errors. The Backend contract wants those as ErrIO — never a dead process,
+// never a garbage bucket — and guard is where they become one.
+func (s *FileStore) guard(old bool, err *error) {
+	debug.SetPanicOnFault(old)
+	if r := recover(); r != nil {
+		*err = faultErr(r, s.data)
 	}
-	if n < slotLenBytes {
-		return nil, nil // torn file: slot absent
+}
+
+// faultErr turns the panic of a memory fault whose address lies inside
+// mapping into an error wrapping ErrIO. Anything else — a fault elsewhere, a
+// bounds or nil-pointer panic, a hook's own panic — is a bug and panics on.
+func faultErr(r any, mapping []byte) error {
+	switch fault := r.(type) {
+	case interface {
+		runtime.Error
+		Addr() uintptr
+	}:
+		// An address below the mapping wraps around to a huge offset.
+		off := fault.Addr() - uintptr(unsafe.Pointer(unsafe.SliceData(mapping)))
+		if off < uintptr(len(mapping)) {
+			return fmt.Errorf("mem: fault at page file offset %d (file truncated, disk full or device error): %w", off, ErrIO)
+		}
 	}
-	length := int(binary.BigEndian.Uint32(buf[:slotLenBytes]))
-	if avail := n - slotLenBytes; length > avail {
-		length = avail // tampered length or torn slot: serve what exists
+	panic(r)
+}
+
+// loadInto copies bucket idx out of the mapping into buf (slotBytes long),
+// clamping a tampered length. The returned slice aliases buf; nil means
+// absent.
+func (s *FileStore) loadInto(idx uint64, buf []byte) ([]byte, error) {
+	slot, err := s.slot(idx)
+	if err != nil {
+		return nil, err
+	}
+	length := int(binary.BigEndian.Uint32(slot))
+	if length > s.slotBytes {
+		length = s.slotBytes // tampered length: serve what the slot holds
 	}
 	if length == 0 {
 		return nil, nil
 	}
-	return buf[slotLenBytes : slotLenBytes+length], nil
+	n := copy(buf, slot[slotLenBytes:slotLenBytes+length])
+	return buf[:n], nil
 }
 
-// store writes one slot; nil data clears it. The slot image is assembled in
-// writeBuf, so data is not retained.
+// store copies data into bucket idx's slot; nil data clears it (the length
+// goes to zero, the old payload bytes stay). data is not retained.
 func (s *FileStore) store(idx uint64, data []byte) error {
-	if idx >= s.buckets {
-		return fmt.Errorf("mem: bucket %d out of range [0,%d): %w", idx, s.buckets, ErrIO)
+	slot, err := s.slot(idx)
+	if err != nil {
+		return err
 	}
 	if len(data) > s.slotBytes {
 		return fmt.Errorf("mem: sealed bucket %d is %dB, slot holds %dB: %w", idx, len(data), s.slotBytes, ErrIO)
 	}
-	buf := s.writeBuf[:slotLenBytes+len(data)]
-	binary.BigEndian.PutUint32(buf[:slotLenBytes], uint32(len(data)))
-	copy(buf[slotLenBytes:], data)
-	if _, err := s.f.WriteAt(buf, s.slotOff(idx)); err != nil {
-		return fmt.Errorf("mem: bucket %d: %w: %w", idx, ErrIO, err)
-	}
-	s.mark(idx, data != nil && len(data) > 0)
+	binary.BigEndian.PutUint32(slot, uint32(len(data)))
+	copy(slot[slotLenBytes:], data)
+	s.mark(idx, len(data) > 0)
 	return nil
 }
 
-// Read implements Backend. The returned slice is I/O scratch, valid only
-// until the next operation on this store.
-func (s *FileStore) Read(idx uint64) ([]byte, error) {
+// read is one counted, hooked bucket read into buf.
+func (s *FileStore) read(idx uint64, buf []byte) ([]byte, error) {
 	s.reads++
-	data, err := s.load(idx)
+	data, err := s.loadInto(idx, buf)
 	if err != nil {
 		return nil, err
 	}
@@ -339,8 +389,8 @@ func (s *FileStore) Read(idx uint64) ([]byte, error) {
 	return data, nil
 }
 
-// Write implements Backend.
-func (s *FileStore) Write(idx uint64, data []byte) error {
+// write is one counted, hooked bucket write.
+func (s *FileStore) write(idx uint64, data []byte) error {
 	s.writes++
 	if s.onWrite != nil {
 		data = s.onWrite(idx, data)
@@ -348,36 +398,42 @@ func (s *FileStore) Write(idx uint64, data []byte) error {
 	return s.store(idx, data)
 }
 
+// Read implements Backend. The returned slice is store-owned scratch, valid
+// only until the next operation on this store.
+func (s *FileStore) Read(idx uint64) (data []byte, err error) {
+	defer s.guard(debug.SetPanicOnFault(true), &err)
+	return s.read(idx, s.readBuf)
+}
+
+// Write implements Backend.
+func (s *FileStore) Write(idx uint64, data []byte) (err error) {
+	defer s.guard(debug.SetPanicOnFault(true), &err)
+	return s.write(idx, data)
+}
+
 // Peek implements Backend: a mutable copy of the slot, hook- and
 // counter-free. I/O faults surface as nil (absent), matching what the
-// controller would be served. Peek deliberately reads through its own
-// buffer, not the Read scratch, so a tamper hook that Peeks at other
-// buckets mid-Read cannot corrupt the bucket in flight.
+// controller would be served. Peek copies into a buffer of its own, not the
+// Read scratch, so a tamper hook that Peeks at other buckets mid-Read
+// cannot corrupt the bucket in flight.
 func (s *FileStore) Peek(idx uint64) []byte {
-	if idx >= s.buckets {
-		return nil
-	}
-	buf := make([]byte, slotLenBytes+s.slotBytes)
-	n, err := s.f.ReadAt(buf, s.slotOff(idx))
-	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
-		return nil
-	}
-	if n < slotLenBytes {
-		return nil
-	}
-	length := int(binary.BigEndian.Uint32(buf[:slotLenBytes]))
-	if avail := n - slotLenBytes; length > avail {
-		length = avail
-	}
-	if length == 0 {
-		return nil
-	}
-	return buf[slotLenBytes : slotLenBytes+length]
+	data, _ := s.peek(idx)
+	return data
+}
+
+func (s *FileStore) peek(idx uint64) (data []byte, err error) {
+	defer s.guard(debug.SetPanicOnFault(true), &err)
+	return s.loadInto(idx, make([]byte, s.slotBytes))
 }
 
 // Poke implements Backend; nil deletes the bucket. I/O faults are dropped
 // (Poke is a test/adversary aid with no error path).
-func (s *FileStore) Poke(idx uint64, data []byte) { _ = s.store(idx, data) }
+func (s *FileStore) Poke(idx uint64, data []byte) { _ = s.poke(idx, data) }
+
+func (s *FileStore) poke(idx uint64, data []byte) (err error) {
+	defer s.guard(debug.SetPanicOnFault(true), &err)
+	return s.store(idx, data)
+}
 
 // Stats implements Backend. Bytes reports the preallocated file size.
 func (s *FileStore) Stats() Stats {
@@ -395,20 +451,41 @@ func (s *FileStore) Geometry() tree.Geometry { return s.geom }
 // Path returns the backing file's path.
 func (s *FileStore) Path() string { return s.f.Name() }
 
-// Sync flushes written buckets to stable storage.
-func (s *FileStore) Sync() error { return s.f.Sync() }
-
-// Close syncs and closes the backing file.
-func (s *FileStore) Close() error {
-	if s.closed {
-		return nil
+// Sync flushes written buckets to stable storage: the mapping's dirty pages,
+// then the descriptor.
+func (s *FileStore) Sync() error {
+	if s.data == nil {
+		return fmt.Errorf("mem: %s is closed: %w", s.f.Name(), ErrIO)
 	}
-	s.closed = true
+	if err := flushMap(s.data); err != nil {
+		return fmt.Errorf("mem: flushing %s: %w: %w", s.f.Name(), ErrIO, err)
+	}
 	if err := s.f.Sync(); err != nil {
-		s.f.Close()
 		return fmt.Errorf("mem: %w: %w", ErrIO, err)
 	}
-	return s.f.Close()
+	return nil
+}
+
+// Close syncs, unmaps and closes the backing file. Every later operation
+// but Close fails with ErrIO.
+func (s *FileStore) Close() error {
+	if s.data == nil {
+		return nil
+	}
+	return errors.Join(s.Sync(), s.release())
+}
+
+// release unmaps (if mapped) and closes the page file without syncing.
+func (s *FileStore) release() error {
+	var err error
+	if s.data != nil {
+		err = unmapFile(s.data)
+		s.data = nil
+	}
+	if err = errors.Join(err, s.f.Close()); err != nil {
+		return fmt.Errorf("mem: releasing %s: %w: %w", s.f.Name(), ErrIO, err)
+	}
+	return nil
 }
 
 var _ Backend = (*FileStore)(nil)

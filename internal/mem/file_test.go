@@ -1,0 +1,273 @@
+package mem
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"errors"
+	"os"
+	"path/filepath"
+	"testing"
+	"unsafe"
+)
+
+func openTestFile(t testing.TB, path string, slotBytes int) *FileStore {
+	t.Helper()
+	fs, err := OpenFile(FileConfig{Path: path, Geometry: testGeom(t), SlotBytes: slotBytes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { fs.Close() })
+	return fs
+}
+
+func pinFill(n int, seed byte) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = seed + byte(i)*7
+	}
+	return b
+}
+
+// filePinHash is the SHA-256 of the page file filePinScript leaves behind,
+// computed with the last commit whose FileStore went through pread/pwrite
+// (d219969). It pins the on-disk format: a file written by either side of
+// that change must be byte-identical. Never regenerate it from the current
+// code; a mismatch means the format moved.
+const filePinHash = "16f94400735b56edb235fe3dee8dab3ce634957e7ee13ff3bb3955b71f1ce588"
+
+// filePinScript is a fixed run of full, short, shrinking, cleared and
+// batched writes over a 31-bucket, 64-byte-slot file.
+func filePinScript(t *testing.T, fs *FileStore) {
+	t.Helper()
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	must(fs.Write(0, pinFill(64, 1)))
+	must(fs.Write(5, pinFill(17, 2)))
+	must(fs.Write(30, pinFill(1, 3)))
+	must(fs.Write(5, pinFill(3, 4))) // shrinks: the old payload's tail stays in the slot
+	must(fs.Write(30, nil))          // clears: only the length goes to zero
+	fs.Poke(12, pinFill(40, 5))
+	fs.Poke(12, nil)
+	fs.Poke(13, pinFill(64, 6))
+	must(fs.WritePath([]uint64{1, 3, 7, 15}, [][]byte{pinFill(64, 7), nil, pinFill(33, 8), pinFill(64, 9)}))
+	must(fs.WritePath([]uint64{15, 7}, [][]byte{pinFill(2, 10), pinFill(64, 11)}))
+}
+
+func TestFileFormatPin(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "pin.oram")
+	fs := openTestFile(t, path, 64)
+	filePinScript(t, fs)
+	if err := fs.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(raw)
+	if got := hex.EncodeToString(sum[:]); got != filePinHash {
+		t.Fatalf("page file hashes to %s, want the pinned %s", got, filePinHash)
+	}
+}
+
+// truncatedFile is an open store, one bucket written, whose page file was
+// cut to nothing behind its back: every page of the mapping now faults.
+func truncatedFile(t *testing.T) *FileStore {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "errio.oram")
+	fs := openTestFile(t, path, 64)
+	if err := fs.Write(1, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, 0); err != nil {
+		t.Fatal(err)
+	}
+	return fs
+}
+
+// TestFileStoreReadPathWrapsErrIO pins that a real I/O-class failure from
+// the file backend — here a page the kernel can no longer serve — is an
+// error marked with ErrIO from every operation that has an error path, an
+// absent bucket from Peek and a dropped Poke, and never a dead process.
+func TestFileStoreReadPathWrapsErrIO(t *testing.T) {
+	fs := truncatedFile(t)
+	one, buf := []uint64{1}, make([][]byte, 1)
+	if _, err := fs.Read(1); !errors.Is(err, ErrIO) {
+		t.Errorf("Read of a truncated file: %v, want ErrIO", err)
+	}
+	if err := fs.ReadPath(one, buf); !errors.Is(err, ErrIO) {
+		t.Errorf("ReadPath of a truncated file: %v, want ErrIO", err)
+	}
+	if err := fs.Write(1, []byte("y")); !errors.Is(err, ErrIO) {
+		t.Errorf("Write to a truncated file: %v, want ErrIO", err)
+	}
+	if err := fs.WritePath(one, [][]byte{[]byte("y")}); !errors.Is(err, ErrIO) {
+		t.Errorf("WritePath to a truncated file: %v, want ErrIO", err)
+	}
+	if got := fs.Peek(1); got != nil {
+		t.Errorf("Peek of a truncated file = %x, want nil", got)
+	}
+	fs.Poke(1, []byte("z"))
+	if info, err := os.Stat(fs.Path()); err != nil || info.Size() != 0 {
+		t.Errorf("page file after the dropped Poke: size %v, err %v; want it still empty", info.Size(), err)
+	}
+}
+
+type fakeFault struct{ addr uintptr }
+
+func (fakeFault) Error() string   { return "fake fault" }
+func (fakeFault) RuntimeError()   {}
+func (f fakeFault) Addr() uintptr { return f.addr }
+
+func TestFaultErrClassifier(t *testing.T) {
+	mapping := make([]byte, 4096)
+	base := uintptr(unsafe.Pointer(unsafe.SliceData(mapping)))
+	for _, addr := range []uintptr{base, base + 1, base + 4095} {
+		if err := faultErr(fakeFault{addr}, mapping); !errors.Is(err, ErrIO) {
+			t.Errorf("fault at mapping+%d: %v, want ErrIO", addr-base, err)
+		}
+	}
+	var indexErr any
+	func() {
+		defer func() { indexErr = recover() }()
+		i := len(mapping)
+		_ = mapping[i]
+	}()
+	repanics := map[string]struct {
+		r       any
+		mapping []byte
+	}{
+		"fault below the mapping":      {fakeFault{base - 1}, mapping},
+		"fault past the mapping":       {fakeFault{base + 4096}, mapping},
+		"fault with nothing mapped":    {fakeFault{base}, nil},
+		"runtime error, not a fault":   {indexErr, mapping},
+		"a panic that is not an error": {"boom", mapping},
+	}
+	for name, tc := range repanics {
+		func() {
+			defer func() {
+				if r := recover(); r != tc.r {
+					t.Errorf("%s: recovered %v, want the original panic %v back", name, r, tc.r)
+				}
+			}()
+			err := faultErr(tc.r, tc.mapping)
+			t.Errorf("%s: classified as %v, want a re-panic", name, err)
+		}()
+	}
+}
+
+func TestFileStoreUseAfterClose(t *testing.T) {
+	fs := openTestFile(t, filepath.Join(t.TempDir(), "closed.oram"), 64)
+	if err := fs.Write(1, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Close(); err != nil {
+		t.Fatal(err)
+	}
+	one, buf := []uint64{1}, make([][]byte, 1)
+	_, rerr := fs.Read(1)
+	for op, err := range map[string]error{
+		"Read":      rerr,
+		"ReadPath":  fs.ReadPath(one, buf),
+		"Write":     fs.Write(1, []byte("y")),
+		"WritePath": fs.WritePath(one, [][]byte{[]byte("y")}),
+		"Sync":      fs.Sync(),
+	} {
+		if !errors.Is(err, ErrIO) {
+			t.Errorf("%s after Close: %v, want ErrIO", op, err)
+		}
+	}
+	if got := fs.Peek(1); got != nil {
+		t.Errorf("Peek after Close = %x, want nil", got)
+	}
+	fs.Poke(1, []byte("z"))
+	if err := fs.Close(); err != nil {
+		t.Errorf("second Close: %v, want nil", err)
+	}
+}
+
+// TestFileStoreSecondDescriptorTamper: the adversary model over file memory
+// is "someone else writes the file". The mapping is shared, so bytes written
+// through another descriptor are what the next Read serves.
+func TestFileStoreSecondDescriptorTamper(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "tamper.oram")
+	fs := openTestFile(t, path, 64)
+	if err := fs.Write(3, []byte("honest")); err != nil {
+		t.Fatal(err)
+	}
+	adv, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer adv.Close()
+	if _, err := adv.WriteAt([]byte("forged"), fs.slotOff(3)+slotLenBytes); err != nil {
+		t.Fatal(err)
+	}
+	if got := mustRead(t, fs, 3); string(got) != "forged" {
+		t.Fatalf("Read after a second descriptor's WriteAt = %q, want %q", got, "forged")
+	}
+	// And the other way: what the store wrote is what the descriptor reads.
+	if err := fs.Write(3, []byte("again!")); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, 6)
+	if _, err := adv.ReadAt(got, fs.slotOff(3)+slotLenBytes); err != nil || string(got) != "again!" {
+		t.Fatalf("second descriptor reads %q, %v; want %q", got, err, "again!")
+	}
+}
+
+// TestFileStoreAbandonedWithoutSync is the process-crash analogue: buckets
+// written through a store that is then dropped — no Sync, no Close, mapping
+// still in place — belong to the page cache, and a second OpenFile of the
+// same path finds every one of them.
+func TestFileStoreAbandonedWithoutSync(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "crash.oram")
+	abandoned := openTestFile(t, path, 64) // closed only when the test ends
+	want := map[uint64][]byte{}
+	for idx := uint64(0); idx < abandoned.buckets; idx += 3 {
+		want[idx] = pinFill(int(idx)+1, byte(idx))
+		if err := abandoned.Write(idx, want[idx]); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	fs := openTestFile(t, path, 64)
+	if got := fs.Stats().Buckets; got != uint64(len(want)) {
+		t.Fatalf("reopen sees %d buckets, want %d", got, len(want))
+	}
+	for idx := uint64(0); idx < fs.buckets; idx++ {
+		if got := mustRead(t, fs, idx); !bytes.Equal(got, want[idx]) {
+			t.Fatalf("bucket %d = %x after reopen, want %x", idx, got, want[idx])
+		}
+	}
+}
+
+func TestFileStorePathAllocs(t *testing.T) {
+	fs := openTestFile(t, filepath.Join(t.TempDir(), "allocs.oram"), 128)
+	idxs := []uint64{0, 2, 5, 11, 23, 24, 12, 30}
+	data := make([][]byte, len(idxs))
+	for i := range data {
+		data[i] = pinFill(128, byte(i))
+	}
+	out := make([][]byte, len(idxs))
+	if n := testing.AllocsPerRun(100, func() {
+		if err := fs.WritePath(idxs, data); err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.ReadPath(idxs, out); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("steady-state WritePath+ReadPath allocates %.1f/op, want 0", n)
+	}
+	for i := range out {
+		if !bytes.Equal(out[i], data[i]) {
+			t.Fatalf("level %d read back %x, want %x", i, out[i], data[i])
+		}
+	}
+}

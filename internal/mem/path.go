@@ -1,6 +1,9 @@
 package mem
 
-import "errors"
+import (
+	"errors"
+	"runtime/debug"
+)
 
 // ErrIO marks real I/O faults in untrusted memory: a dead connection, a
 // failing disk, a server answering errors — anything that prevents the
@@ -95,23 +98,21 @@ func (s *Store) ReadPath(idxs []uint64, out [][]byte) error {
 	return nil
 }
 
-// ReadPath implements PathReader. Each bucket is loaded into its own
-// per-level scratch buffer (grown once, then reused across paths), because
-// FileStore.Read's single scratch would alias every level to the last one
-// read.
-func (s *FileStore) ReadPath(idxs []uint64, out [][]byte) error {
+// ReadPath implements PathReader. Each bucket is copied into its own
+// per-level scratch buffer (grown once, then reused across paths), inside the
+// one fault guard of the call: FileStore.Read's single scratch would alias
+// every level to the last one read, and slices of the mapping itself would
+// fault in the caller's decryption, outside the guard.
+func (s *FileStore) ReadPath(idxs []uint64, out [][]byte) (err error) {
+	defer s.guard(debug.SetPanicOnFault(true), &err)
 	for len(s.pathBufs) < len(idxs) {
 		//oramlint:allow hotpathalloc per-level scratch grows once on the first full-depth path, then is reused for every later path
-		s.pathBufs = append(s.pathBufs, make([]byte, slotLenBytes+s.slotBytes))
+		s.pathBufs = append(s.pathBufs, make([]byte, s.slotBytes))
 	}
 	for i, idx := range idxs {
-		s.reads++
-		data, err := s.loadInto(idx, s.pathBufs[i])
+		data, err := s.read(idx, s.pathBufs[i])
 		if err != nil {
 			return err
-		}
-		if s.onRead != nil {
-			data = s.onRead(idx, data)
 		}
 		out[i] = data
 	}
@@ -129,11 +130,12 @@ func (s *Store) WritePath(idxs []uint64, data [][]byte) error {
 	return nil
 }
 
-// WritePath implements PathWriter with a loop over Write: one pwrite per
-// bucket, each assembled in the store's own slot buffer.
-func (s *FileStore) WritePath(idxs []uint64, data [][]byte) error {
+// WritePath implements PathWriter: every bucket copied into its slot of the
+// mapping under the one fault guard of the call.
+func (s *FileStore) WritePath(idxs []uint64, data [][]byte) (err error) {
+	defer s.guard(debug.SetPanicOnFault(true), &err)
 	for i, idx := range idxs {
-		if err := s.Write(idx, data[i]); err != nil {
+		if err := s.write(idx, data[i]); err != nil {
 			return err
 		}
 	}

@@ -2,7 +2,6 @@ package mem
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -94,32 +93,5 @@ func TestPathOpsAreBucketLoops(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// TestFileStoreReadPathWrapsErrIO pins that a real I/O-class failure from
-// the file backend is marked with ErrIO (out-of-range indices are caller
-// bugs, not I/O faults, and stay unmarked).
-func TestFileStoreReadPathWrapsErrIO(t *testing.T) {
-	fs, err := OpenFile(FileConfig{
-		Path:      t.TempDir() + "/errio.oram",
-		Geometry:  testGeom(t),
-		SlotBytes: 64,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Write(1, []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	// Closing the page file out from under the store turns the next load
-	// into a real I/O fault.
-	fs.f.Close()
-	out := make([][]byte, 1)
-	if err := fs.ReadPath([]uint64{1}, out); !errors.Is(err, ErrIO) {
-		t.Errorf("ReadPath on closed file: %v, want ErrIO", err)
-	}
-	if err := fs.Write(1, []byte("y")); !errors.Is(err, ErrIO) {
-		t.Errorf("Write on closed file: %v, want ErrIO", err)
 	}
 }

@@ -197,3 +197,65 @@ func TestSnapshotSkipsQuarantined(t *testing.T) {
 		t.Fatalf("quarantined shard snapshot written anyway: %v", err)
 	}
 }
+
+// TestTruncatedPageFileQuarantinesShard: a page file cut short under a
+// running store is a fault in that shard's mapped memory. It must surface as
+// the shard's ErrStorage and quarantine — not absent buckets, not a dead
+// process — while the other shard serves, Snapshot skips the victim, and
+// Close returns.
+func TestTruncatedPageFileQuarantinesShard(t *testing.T) {
+	// 2^12 blocks of 16 bytes put each shard's data tree well below the
+	// treetop cache, so every access reaches the page file.
+	cfg := durableCfg(t.TempDir())
+	cfg.Blocks = 1 << 12
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bb := s.BlockBytes()
+	const victim = 0
+	var bad, good uint64
+	for addr := uint64(0); addr < 64; addr++ {
+		if _, err := s.Put(addr, val(addr, bb)); err != nil {
+			t.Fatal(err)
+		}
+		if s.ShardOf(addr) == victim {
+			bad = addr
+		} else {
+			good = addr
+		}
+	}
+
+	if err := os.Truncate(filepath.Join(shardDir(cfg.DataDir, victim), "tree-0.oram"), 0); err != nil {
+		t.Fatal(err)
+	}
+
+	_, err = s.Get(bad)
+	if !errors.Is(err, freecursive.ErrStorage) {
+		t.Fatalf("Get on the truncated shard = %v, want ErrStorage", err)
+	}
+	if st := s.ShardState(victim); st != StateQuarantined {
+		t.Fatalf("victim state = %v, want quarantined", st)
+	}
+	if _, err := s.Get(bad); !errors.Is(err, ErrQuarantined) {
+		t.Fatalf("second Get on the truncated shard = %v, want ErrQuarantined", err)
+	}
+	if got, err := s.Get(good); err != nil || !bytes.Equal(got, val(good, bb)) {
+		t.Fatalf("Get on the healthy shard = %x, %v", got, err)
+	}
+
+	if err := s.Snapshot(); !errors.Is(err, ErrQuarantined) {
+		t.Fatalf("Snapshot = %v, want ErrQuarantined for the skipped shard", err)
+	}
+	if _, err := os.Stat(filepath.Join(shardDir(cfg.DataDir, 1), stateFile)); err != nil {
+		t.Fatalf("healthy shard snapshot missing: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(shardDir(cfg.DataDir, victim), stateFile)); !os.IsNotExist(err) {
+		t.Fatalf("truncated shard snapshot written anyway: %v", err)
+	}
+	// Flushing a mapping whose file is gone may or may not fail; either way
+	// Close comes back, and with nothing worse than a storage error.
+	if err := s.Close(); err != nil && !errors.Is(err, freecursive.ErrStorage) {
+		t.Fatalf("Close = %v", err)
+	}
+}

@@ -26,9 +26,10 @@ import (
 // A failed connection fails only its in-flight batches (as Transient
 // errors, which the Client retries); the next round-trip redials with
 // exponential backoff. A server that keeps the socket open but stops
-// reading or answering counts as failed after binaryOpTimeout. Configure by
-// setting fields before first use (New does this for you); they must not
-// be modified afterwards.
+// reading or answering counts as failed after 30 s. The wire timing is
+// fixed: a connect attempt gets 5 s, and redials back off from 50 ms to
+// 2 s. Configure by setting fields before first use (New does this for
+// you); they must not be modified afterwards.
 type BinaryTransport struct {
 	// Addr is the server's frame listener, host:port.
 	Addr string
@@ -36,10 +37,8 @@ type BinaryTransport struct {
 	// connection go far; more help when a single TCP stream's bandwidth
 	// or the server's per-connection in-flight window becomes the limit.
 	Conns int
-	// DialTimeout bounds each connection attempt (default 5s).
-	DialTimeout time.Duration
 
-	opTimeout time.Duration // binaryOpTimeout; tests shorten it
+	opTimeout time.Duration // binaryOpTimeout; tests shorten it (export_test.go)
 
 	once    sync.Once
 	initErr error
@@ -53,14 +52,19 @@ type BinaryTransport struct {
 // at addr (host:port), for Config.Transport.
 func Binary(addr string) *BinaryTransport { return &BinaryTransport{Addr: addr} }
 
-// maxBackoff caps the redial backoff.
-const maxBackoff = 2 * time.Second
-
-// binaryOpTimeout bounds writing one request frame and, while batches are
-// in flight, the wait for the next response frame — the same 30 s the JSON
-// transport's http.Client allows a request. An idle connection has no
-// deadline.
-const binaryOpTimeout = 30 * time.Second
+// The binary transport's wire timing.
+const (
+	// binaryDialTimeout bounds one connection attempt.
+	binaryDialTimeout = 5 * time.Second
+	// redialMin and redialMax bound the exponential redial backoff.
+	redialMin = 50 * time.Millisecond
+	redialMax = 2 * time.Second
+	// binaryOpTimeout bounds writing one request frame and, while batches
+	// are in flight, the wait for the next response frame — the same 30 s
+	// the JSON transport's http.Client allows a request. An idle connection
+	// has no deadline.
+	binaryOpTimeout = 30 * time.Second
+)
 
 func (t *BinaryTransport) init() error {
 	t.once.Do(func() {
@@ -74,9 +78,6 @@ func (t *BinaryTransport) init() error {
 		if t.Conns < 1 || t.Conns > 64 {
 			t.initErr = fmt.Errorf("client: binary transport Conns %d not in [1, 64]", t.Conns)
 			return
-		}
-		if t.DialTimeout == 0 {
-			t.DialTimeout = 5 * time.Second
 		}
 		if t.opTimeout == 0 {
 			t.opTimeout = binaryOpTimeout
@@ -143,9 +144,9 @@ type binConn struct {
 	redialAt  time.Time
 }
 
-// binSession is one live TCP connection: the socket, its write buffer,
-// and the in-flight table its reader goroutine resolves. Once dead it is
-// never revived — the binConn dials a fresh session.
+// binSession is one live TCP connection: the socket and the in-flight
+// table its reader goroutine resolves. Once dead it is never revived — the
+// binConn dials a fresh session.
 //
 // The socket's read deadline is the session's one response deadline:
 // timeout after the send that began the wait (a send with nothing older in
@@ -153,7 +154,6 @@ type binConn struct {
 // flight. It is only moved with mu held, so it always agrees with pending.
 type binSession struct {
 	conn    net.Conn
-	bw      *bufio.Writer
 	timeout time.Duration
 
 	mu      sync.Mutex
@@ -193,14 +193,11 @@ func (c *binConn) roundTrip(ctx context.Context, id uint64, ops []BatchOp) ([]Op
 		c.mu.Unlock()
 		return nil, err
 	}
-	// A server that stops reading fills the socket buffers; without a write
-	// deadline this write would block forever with c.mu held.
+	// The frame goes out in one write, unbuffered. A server that stops
+	// reading fills the socket buffers; without a write deadline this write
+	// would block forever with c.mu held.
 	sess.conn.SetWriteDeadline(time.Now().Add(sess.timeout))
-	_, werr := sess.bw.Write(out)
-	if werr == nil {
-		werr = sess.bw.Flush()
-	}
-	if werr != nil {
+	if _, err := sess.conn.Write(out); err != nil {
 		// The socket is broken: closing it wakes the session reader,
 		// which fails every pending batch — ours included — so there is
 		// exactly one delivery path.
@@ -218,9 +215,9 @@ func (c *binConn) roundTrip(ctx context.Context, id uint64, ops []BatchOp) ([]Op
 }
 
 // ensure returns a live session, dialing one if needed. Called with c.mu
-// held. Dial failures back off exponentially (50ms doubling to 2s);
-// attempts inside the backoff window fail fast as Transient so the
-// client's own retry pacing takes over.
+// held. Dial failures back off exponentially (redialMin doubling to
+// redialMax); attempts inside the backoff window fail fast as Transient so
+// the client's own retry pacing takes over.
 func (c *binConn) ensure(ctx context.Context) (*binSession, error) {
 	if c.sess != nil && !c.sess.isDead() {
 		return c.sess, nil
@@ -230,11 +227,11 @@ func (c *binConn) ensure(ctx context.Context) (*binSession, error) {
 		return nil, Transient(fmt.Errorf("client: binary transport backing off until %s",
 			c.redialAt.Format(time.RFC3339)))
 	}
-	d := net.Dialer{Timeout: c.t.DialTimeout}
+	d := net.Dialer{Timeout: binaryDialTimeout}
 	conn, err := d.DialContext(ctx, "tcp", c.t.Addr)
 	if err != nil {
 		c.dialFails++
-		backoff := min(50*time.Millisecond<<min(c.dialFails-1, 10), maxBackoff)
+		backoff := min(redialMin<<min(c.dialFails-1, 10), redialMax)
 		c.redialAt = time.Now().Add(backoff)
 		return nil, Transient(fmt.Errorf("client: %w", err))
 	}
@@ -242,7 +239,6 @@ func (c *binConn) ensure(ctx context.Context) (*binSession, error) {
 	c.redialAt = time.Time{}
 	sess := &binSession{
 		conn:    conn,
-		bw:      bufio.NewWriterSize(conn, 64<<10),
 		timeout: c.t.opTimeout,
 		pending: make(map[uint64]chan binOutcome),
 	}

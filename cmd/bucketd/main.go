@@ -37,7 +37,6 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"freecursive/internal/bucketd"
 )
@@ -54,29 +53,31 @@ func main() {
 	if *verbose {
 		cfg.Logf = log.Printf
 	}
-	srv := bucketd.New(cfg)
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("serving buckets on %s (rtt %v)", ln.Addr(), *rtt)
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
+	if err := run(ln, cfg, stop); err != nil {
+		log.Fatal(err)
+	}
+}
 
+// run serves buckets on ln until Serve fails or stop fires. On stop it
+// closes the server, which returns once every connection is gone, and then
+// waits for Serve to return.
+func run(ln net.Listener, cfg bucketd.Config, stop <-chan os.Signal) error {
+	srv := bucketd.New(cfg)
+	log.Printf("serving buckets on %s (rtt %v)", ln.Addr(), cfg.RTT)
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(ln) }()
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	select {
 	case err := <-done:
-		if err != nil {
-			log.Fatal(err)
-		}
-	case <-sig:
+		return err
+	case <-stop:
 		log.Print("shutting down")
 		srv.Close()
-		// Give the accept loop a beat to observe the close.
-		select {
-		case <-done:
-		case <-time.After(time.Second):
-		}
+		return <-done
 	}
 }

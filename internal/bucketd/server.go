@@ -26,15 +26,14 @@
 // per-bucket loop would pay ~2·logN·RTT per ORAM access, the path protocol
 // pays ~1-2·RTT.
 //
-// On any malformed frame the connection is dropped: a framing error means
-// the stream position cannot be trusted (see bucketwire).
+// The connections are frame.Server's, the same kernel internal/frameserver
+// runs on; this package is the handler it runs per connection. On any
+// malformed frame the connection is dropped: a framing error means the
+// stream position cannot be trusted (see bucketwire).
 package bucketd
 
 import (
-	"bufio"
 	"bytes"
-	"errors"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -98,85 +97,30 @@ func (sp *space) put(idx uint64, data []byte) {
 }
 
 // Server is a bucketd instance. Create with New, start with Serve, stop
-// with Close.
+// with Close (both frame.Server's). Close drops every live connection and
+// waits for their goroutines; stored buckets are kept, but the usual
+// lifecycle is one Serve, one Close.
 type Server struct {
+	*frame.Server[bucketwire.Response]
 	cfg Config
 
 	mu     sync.Mutex
 	spaces map[uint64]*space
-	conns  map[net.Conn]struct{}
-	lns    []net.Listener
 
-	closed atomic.Bool
-	wg     sync.WaitGroup
-
-	ops    atomic.Uint64 // data operations served (drives FailEvery)
-	frames atomic.Uint64
+	ops atomic.Uint64 // data operations served (drives FailEvery)
 }
 
 // New builds a Server.
 func New(cfg Config) *Server {
-	return &Server{
-		cfg:    cfg,
-		spaces: make(map[uint64]*space),
-		conns:  make(map[net.Conn]struct{}),
-	}
-}
-
-// Serve accepts connections on ln until Close. It returns nil after Close;
-// any other accept error is returned as-is. Serve may be called on several
-// listeners concurrently.
-func (s *Server) Serve(ln net.Listener) error {
-	s.mu.Lock()
-	if s.closed.Load() {
-		s.mu.Unlock()
-		ln.Close()
-		return errors.New("bucketd: server closed")
-	}
-	s.lns = append(s.lns, ln)
-	s.mu.Unlock()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			if s.closed.Load() {
-				return nil
-			}
-			return err
-		}
-		s.mu.Lock()
-		if s.closed.Load() {
-			s.mu.Unlock()
-			conn.Close()
-			return nil
-		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go s.handle(conn)
-	}
-}
-
-// Close stops accepting, drops every live connection, and waits for the
-// connection goroutines to exit. Stored buckets are kept (a Server can in
-// principle serve again), but the usual lifecycle is one Serve, one Close.
-func (s *Server) Close() error {
-	if !s.closed.CompareAndSwap(false, true) {
-		return nil
-	}
-	s.mu.Lock()
-	for _, ln := range s.lns {
-		ln.Close()
-	}
-	for conn := range s.conns {
-		conn.Close()
-	}
-	s.mu.Unlock()
-	s.wg.Wait()
-	return nil
+	s := &Server{cfg: cfg, spaces: make(map[uint64]*space)}
+	s.Server = frame.NewServer(func(c *frame.Conn[bucketwire.Response]) frame.Handler[bucketwire.Response] {
+		return &conn{s: s, c: c}
+	}, cfg.Logf)
+	return s
 }
 
 // FramesServed returns the total frames applied, for tests and monitoring.
-func (s *Server) FramesServed() uint64 { return s.frames.Load() }
+func (s *Server) FramesServed() uint64 { return s.Stats().Frames }
 
 // space returns (creating if needed) the namespace id maps to.
 func (s *Server) space(id uint64) *space {
@@ -190,76 +134,29 @@ func (s *Server) space(id uint64) *space {
 	return sp
 }
 
-// outFrame is one encoded response waiting for its RTT to elapse.
-type outFrame struct {
-	due time.Time
-	b   []byte
+// conn is the handler of one connection: frames are applied in arrival
+// order on the read loop, and each response is queued due RTT after its
+// frame arrived, so later frames are applied while it waits.
+type conn struct {
+	s   *Server
+	c   *frame.Conn[bucketwire.Response]
+	dec bucketwire.Decoder
+	enc bucketwire.Encoder
 }
 
-// handle runs one connection: a read loop applying frames in order, and a
-// writer goroutine releasing responses at their due times. The bounded
-// channel is the pipelining window — a client keeping more than its
-// capacity in flight simply blocks the read loop, which is backpressure,
-// not an error.
-func (s *Server) handle(conn net.Conn) {
-	defer s.wg.Done()
-	defer func() {
-		conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
-	if s.cfg.Logf != nil {
-		s.cfg.Logf("conn %s: accepted", conn.RemoteAddr())
+// Frame implements frame.Handler.
+func (c *conn) Frame(payload []byte, arrived time.Time) error {
+	id, req, err := c.dec.Request(payload)
+	if err != nil {
+		return err
 	}
+	c.c.Send(id, c.s.apply(req), arrived.Add(c.s.cfg.RTT))
+	return nil
+}
 
-	out := make(chan outFrame, 256)
-	var wwg sync.WaitGroup
-	wwg.Add(1)
-	go func() {
-		defer wwg.Done()
-		for f := range out {
-			if d := time.Until(f.due); d > 0 {
-				time.Sleep(d)
-			}
-			if _, err := conn.Write(f.b); err != nil {
-				// Keep draining so the read loop never blocks on a dead
-				// peer; the read side notices the closed conn and exits.
-				conn.Close()
-			}
-		}
-	}()
-	defer wwg.Wait()
-	defer close(out)
-
-	br := bufio.NewReaderSize(conn, 1<<16)
-	var (
-		dec     bucketwire.Decoder
-		enc     bucketwire.Encoder
-		readBuf []byte
-	)
-	for {
-		payload, buf, err := frame.ReadFrame(br, readBuf)
-		if err != nil {
-			return // EOF, peer gone, or oversized frame: drop the conn
-		}
-		readBuf = buf
-		arrived := time.Now()
-		id, req, err := dec.Request(payload)
-		if err != nil {
-			if s.cfg.Logf != nil {
-				s.cfg.Logf("conn %s: dropped: %v", conn.RemoteAddr(), err)
-			}
-			return // stream position untrusted: drop the conn
-		}
-		s.frames.Add(1)
-		resp := s.apply(req)
-		b, err := enc.Response(id, resp)
-		if err != nil {
-			return
-		}
-		out <- outFrame{due: arrived.Add(s.cfg.RTT), b: bytes.Clone(b)}
-	}
+// Encode implements frame.Handler.
+func (c *conn) Encode(id uint64, r bucketwire.Response) ([]byte, error) {
+	return c.enc.Response(id, r)
 }
 
 // trace reports every bucket index req touches to the Trace hook.

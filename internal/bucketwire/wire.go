@@ -1,8 +1,16 @@
-// Package bucketwire is the binary wire codec of the remote untrusted
-// bucket store: length-prefixed request/response frames carried over a
-// long-lived TCP connection between mem.Remote (the client side of the
-// trust boundary) and bucketd (the untrusted server). Both sides import
-// this package, so the two cannot drift.
+// Package bucketwire is the wire schema of the remote untrusted bucket
+// store: the request/response bodies carried between mem.Remote (the client
+// side of the trust boundary) and bucketd (the untrusted server) over a
+// long-lived TCP connection. Both sides import this package, so the two
+// cannot drift.
+//
+// It is a schema on internal/frame's envelope, not a codec of its own: the
+// length prefix, the header, the bounds and the decode errors
+// (frame.ErrMalformed, frame.ErrVersion, ErrTooLarge) are frame's, and the only
+// thing bucketwire adds to them is its magic, "ORMB" (ORAM Memory Bucket).
+// The magic differs from the oramstore schema's "ORMF" so that a bucketd
+// accidentally pointed at an oramstore binary listener (or vice versa)
+// fails loudly on frame one.
 //
 // The protocol carries the mem.Backend operation set — read, write, peek,
 // poke, stats — plus the two batched path operations (readpath, writepath)
@@ -11,19 +19,9 @@
 // identifier, so one bucketd serves many ORAM trees (per shard, per
 // recursion level) without their indices colliding.
 //
-// # Frame layout
+// # Body layout
 //
-// Every frame is a 4-byte little-endian length prefix followed by that many
-// payload bytes (internal/frame.ReadFrame reads one):
-//
-//	uint32   length     bytes after this field (≤ MaxFrameBytes)
-//	[4]byte  magic      "ORMB"
-//	uint8    version    Version (1); unknown versions are rejected
-//	uint8    kind       KindRequest (1) or KindResponse (2)
-//	[2]byte  reserved   must be zero (room for future flags)
-//	uint64   id         frame ID, correlates a response to its request
-//
-// then a kind-specific body. Requests:
+// After frame's envelope header (magic "ORMB"), requests carry:
 //
 //	uint8    op         OpRead … OpStats
 //	uint64   space      namespace identifier
@@ -49,13 +47,13 @@
 //	  write, poke, writepath: empty
 //	  stats:            uint64 buckets, uint64 bytes
 //
-// All integers are little-endian. As in internal/frame, a frame's declared
-// lengths must account for its bytes exactly: truncated frames, oversized
-// frames, counts that outrun the bytes present, and trailing garbage are
-// all errors (wrapping ErrMalformed), never panics, and no declared count
-// or length sizes an allocation before it is validated against the bytes
-// actually present. A framing error means the stream position can no longer
-// be trusted, so both sides drop the connection on any decode error.
+// All integers are little-endian. As for every frame, a body's declared
+// lengths must account for its bytes exactly: truncated frames, counts
+// that outrun the bytes present, and trailing garbage are all errors
+// (wrapping frame.ErrMalformed), never panics, and no declared count or
+// length sizes an allocation before it is validated against the bytes
+// actually present. A framing error means the stream position can no
+// longer be trusted, so both sides drop the connection on any decode error.
 //
 // # Buffer ownership
 //
@@ -70,23 +68,13 @@ package bucketwire
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
+
+	"freecursive/internal/frame"
 )
 
-// Version is the protocol generation this package speaks.
-const Version = 1
-
-// magic opens every frame payload: "ORMB" (ORAM Memory Bucket), distinct
-// from internal/frame's "ORMF" so a bucketd accidentally pointed at an
-// oramstore binary listener (or vice versa) fails loudly on frame one.
+// magic names the bucket schema on frame's envelope.
 var magic = [4]byte{'O', 'R', 'M', 'B'}
-
-// Frame kinds.
-const (
-	KindRequest  = 1
-	KindResponse = 2
-)
 
 // Operations. Zero is deliberately invalid so an all-zero frame cannot
 // decode as a request.
@@ -99,12 +87,6 @@ const (
 	OpPoke
 	OpStats
 )
-
-// MaxFrameBytes caps a frame's declared payload length, matching
-// internal/frame's bound (64 MiB): a full path of MaxPathBuckets buckets
-// at MaxBucketBytes could exceed any single frame, but real sealed buckets
-// are kilobytes and real paths tens of buckets.
-const MaxFrameBytes = 1 << 26
 
 // MaxPathBuckets caps the bucket count of a readpath/writepath: a path
 // holds L+1 buckets and L is ~log2 of the tree, so 1024 is astronomically
@@ -119,15 +101,6 @@ const MaxBucketBytes = 1 << 22
 // an empty one: reads of never-written buckets and poke-deletes both carry
 // nil, and the distinction is part of the mem.Backend contract.
 const NilLen = ^uint32(0)
-
-// Decode errors, mirroring internal/frame's split: ErrMalformed wraps every
-// structural failure, ErrVersion names deploy skew, ErrTooLarge a peer
-// exceeding protocol bounds.
-var (
-	ErrMalformed = errors.New("malformed bucket frame")
-	ErrVersion   = errors.New("unsupported bucket frame version")
-	ErrTooLarge  = errors.New("bucket frame exceeds protocol bounds")
-)
 
 // Request is one decoded request. Which fields are meaningful depends on
 // Op; decoded Data and Bufs entries alias the frame buffer.
@@ -153,33 +126,11 @@ type Response struct {
 	Bytes   uint64   // stats
 }
 
-// Fixed sizes (bytes).
-const (
-	prefixLen = 4                 // the uint32 length prefix
-	headerLen = 4 + 1 + 1 + 2 + 8 // magic, version, kind, reserved, id
-)
-
 // Encoder builds frames into a reusable buffer. The zero value is ready to
 // use; an Encoder is not safe for concurrent use. Returned frames include
 // the length prefix and are valid only until the next call.
 type Encoder struct {
 	buf []byte
-}
-
-func (e *Encoder) header(kind byte, id uint64) {
-	e.buf = append(e.buf[:0], 0, 0, 0, 0) // length prefix, patched last
-	e.buf = append(e.buf, magic[:]...)
-	e.buf = append(e.buf, Version, kind, 0, 0)
-	e.buf = binary.LittleEndian.AppendUint64(e.buf, id)
-}
-
-func (e *Encoder) finish() ([]byte, error) {
-	payload := len(e.buf) - prefixLen
-	if payload > MaxFrameBytes {
-		return nil, fmt.Errorf("bucketwire: %w: %d-byte payload", ErrTooLarge, payload)
-	}
-	binary.LittleEndian.PutUint32(e.buf[:prefixLen], uint32(payload))
-	return e.buf, nil
 }
 
 // appendLen appends a payload-length field, encoding nil as NilLen.
@@ -189,101 +140,107 @@ func (e *Encoder) appendLen(data []byte) error {
 		return nil
 	}
 	if len(data) > MaxBucketBytes {
-		return fmt.Errorf("bucketwire: %w: %d-byte bucket (cap %d)", ErrTooLarge, len(data), MaxBucketBytes)
+		return fmt.Errorf("bucketwire: %w: %d-byte bucket (cap %d)", frame.ErrTooLarge, len(data), MaxBucketBytes)
 	}
 	e.buf = binary.LittleEndian.AppendUint32(e.buf, uint32(len(data)))
+	return nil
+}
+
+// appendBucket appends one bucket: its length field, then its payload.
+func (e *Encoder) appendBucket(data []byte) error {
+	if err := e.appendLen(data); err != nil {
+		return err
+	}
+	e.buf = append(e.buf, data...)
+	return nil
+}
+
+// appendPath appends a path of n buckets: the count, per bucket its index
+// (unless idxs is nil) and length field (unless bufs is nil), then the
+// payloads.
+func (e *Encoder) appendPath(n int, idxs []uint64, bufs [][]byte) error {
+	if n > MaxPathBuckets {
+		return fmt.Errorf("bucketwire: %w: %d path buckets (cap %d)", frame.ErrTooLarge, n, MaxPathBuckets)
+	}
+	e.buf = binary.LittleEndian.AppendUint32(e.buf, uint32(n))
+	for i := 0; i < n; i++ {
+		if idxs != nil {
+			e.buf = binary.LittleEndian.AppendUint64(e.buf, idxs[i])
+		}
+		if bufs != nil {
+			if err := e.appendLen(bufs[i]); err != nil {
+				return err
+			}
+		}
+	}
+	for _, b := range bufs {
+		e.buf = append(e.buf, b...)
+	}
 	return nil
 }
 
 // Request encodes one request frame. The returned slice is owned by the
 // Encoder and valid until its next call.
 func (e *Encoder) Request(id uint64, req Request) ([]byte, error) {
-	e.header(KindRequest, id)
+	e.buf = frame.AppendHeader(e.buf, magic, frame.KindRequest, id)
 	e.buf = append(e.buf, req.Op)
 	e.buf = binary.LittleEndian.AppendUint64(e.buf, req.Space)
+	var err error
 	switch req.Op {
 	case OpRead, OpPeek:
 		e.buf = binary.LittleEndian.AppendUint64(e.buf, req.Idx)
 	case OpWrite, OpPoke:
 		e.buf = binary.LittleEndian.AppendUint64(e.buf, req.Idx)
-		if err := e.appendLen(req.Data); err != nil {
-			return nil, err
-		}
-		e.buf = append(e.buf, req.Data...)
+		err = e.appendBucket(req.Data)
 	case OpReadPath:
-		if len(req.Idxs) > MaxPathBuckets {
-			return nil, fmt.Errorf("bucketwire: %w: %d path buckets (cap %d)", ErrTooLarge, len(req.Idxs), MaxPathBuckets)
-		}
-		e.buf = binary.LittleEndian.AppendUint32(e.buf, uint32(len(req.Idxs)))
-		for _, idx := range req.Idxs {
-			e.buf = binary.LittleEndian.AppendUint64(e.buf, idx)
-		}
+		err = e.appendPath(len(req.Idxs), req.Idxs, nil)
 	case OpWritePath:
 		if len(req.Idxs) != len(req.Bufs) {
 			return nil, fmt.Errorf("bucketwire: writepath has %d idxs but %d buffers", len(req.Idxs), len(req.Bufs))
 		}
-		if len(req.Idxs) > MaxPathBuckets {
-			return nil, fmt.Errorf("bucketwire: %w: %d path buckets (cap %d)", ErrTooLarge, len(req.Idxs), MaxPathBuckets)
-		}
-		e.buf = binary.LittleEndian.AppendUint32(e.buf, uint32(len(req.Idxs)))
-		for i, idx := range req.Idxs {
-			e.buf = binary.LittleEndian.AppendUint64(e.buf, idx)
-			if err := e.appendLen(req.Bufs[i]); err != nil {
-				return nil, err
-			}
-		}
-		for _, b := range req.Bufs {
-			e.buf = append(e.buf, b...)
-		}
+		err = e.appendPath(len(req.Idxs), req.Idxs, req.Bufs)
 	case OpStats:
 		// no operands
 	default:
-		return nil, fmt.Errorf("bucketwire: %w: unknown op %d", ErrMalformed, req.Op)
+		err = fmt.Errorf("bucketwire: %w: unknown op %d", frame.ErrMalformed, req.Op)
 	}
-	return e.finish()
+	if err != nil {
+		return nil, err
+	}
+	return frame.Finish(e.buf)
 }
 
 // Response encodes one response frame. A nonzero Status carries only the
 // error message; a success carries the op-specific payload. The returned
 // slice is owned by the Encoder and valid until its next call.
 func (e *Encoder) Response(id uint64, resp Response) ([]byte, error) {
-	e.header(KindResponse, id)
+	e.buf = frame.AppendHeader(e.buf, magic, frame.KindResponse, id)
 	e.buf = append(e.buf, resp.Op)
 	e.buf = binary.LittleEndian.AppendUint16(e.buf, resp.Status)
 	if resp.Status != 0 {
 		e.buf = binary.LittleEndian.AppendUint32(e.buf, uint32(len(resp.Err)))
 		e.buf = append(e.buf, resp.Err...)
-		return e.finish()
+		return frame.Finish(e.buf)
 	}
 	e.buf = binary.LittleEndian.AppendUint32(e.buf, 0) // errLen
+	var err error
 	switch resp.Op {
 	case OpRead, OpPeek:
-		if err := e.appendLen(resp.Data); err != nil {
-			return nil, err
-		}
-		e.buf = append(e.buf, resp.Data...)
+		err = e.appendBucket(resp.Data)
 	case OpWrite, OpPoke, OpWritePath:
 		// no payload
 	case OpReadPath:
-		if len(resp.Bufs) > MaxPathBuckets {
-			return nil, fmt.Errorf("bucketwire: %w: %d path buckets (cap %d)", ErrTooLarge, len(resp.Bufs), MaxPathBuckets)
-		}
-		e.buf = binary.LittleEndian.AppendUint32(e.buf, uint32(len(resp.Bufs)))
-		for _, b := range resp.Bufs {
-			if err := e.appendLen(b); err != nil {
-				return nil, err
-			}
-		}
-		for _, b := range resp.Bufs {
-			e.buf = append(e.buf, b...)
-		}
+		err = e.appendPath(len(resp.Bufs), nil, resp.Bufs)
 	case OpStats:
 		e.buf = binary.LittleEndian.AppendUint64(e.buf, resp.Buckets)
 		e.buf = binary.LittleEndian.AppendUint64(e.buf, resp.Bytes)
 	default:
-		return nil, fmt.Errorf("bucketwire: %w: unknown op %d", ErrMalformed, resp.Op)
+		err = fmt.Errorf("bucketwire: %w: unknown op %d", frame.ErrMalformed, resp.Op)
 	}
-	return e.finish()
+	if err != nil {
+		return nil, err
+	}
+	return frame.Finish(e.buf)
 }
 
 // Decoder parses frame payloads into reusable scratch. The zero value is
@@ -295,27 +252,6 @@ type Decoder struct {
 	bufs [][]byte
 }
 
-// common validates the shared frame header and returns the frame ID and the
-// body after it.
-func common(p []byte, kind byte) (uint64, []byte, error) {
-	if len(p) < headerLen {
-		return 0, nil, fmt.Errorf("bucketwire: %w: %d-byte header", ErrMalformed, len(p))
-	}
-	if [4]byte(p[:4]) != magic {
-		return 0, nil, fmt.Errorf("bucketwire: %w: bad magic %q", ErrMalformed, p[:4])
-	}
-	if p[4] != Version {
-		return 0, nil, fmt.Errorf("bucketwire: %w: got %d, speak %d", ErrVersion, p[4], Version)
-	}
-	if p[5] != kind {
-		return 0, nil, fmt.Errorf("bucketwire: %w: kind %d, want %d", ErrMalformed, p[5], kind)
-	}
-	if p[6] != 0 || p[7] != 0 {
-		return 0, nil, fmt.Errorf("bucketwire: %w: nonzero reserved bytes", ErrMalformed)
-	}
-	return binary.LittleEndian.Uint64(p[8:16]), p[headerLen:], nil
-}
-
 // sliceLen interprets one decoded length field: how many payload bytes it
 // consumes (0 for NilLen) and whether the bucket is present.
 func sliceLen(v uint32) (n int, present bool, err error) {
@@ -323,7 +259,7 @@ func sliceLen(v uint32) (n int, present bool, err error) {
 		return 0, false, nil
 	}
 	if v > MaxBucketBytes {
-		return 0, false, fmt.Errorf("bucketwire: %w: %d-byte bucket (cap %d)", ErrTooLarge, v, MaxBucketBytes)
+		return 0, false, fmt.Errorf("bucketwire: %w: %d-byte bucket (cap %d)", frame.ErrTooLarge, v, MaxBucketBytes)
 	}
 	return int(v), true, nil
 }
@@ -337,30 +273,81 @@ func take(data []byte, n int, present bool) ([]byte, []byte) {
 	return data[:n:n], data[n:]
 }
 
-// pathCount validates a readpath/writepath bucket count against the cap and
-// the bytes present for its fixed-width headers.
-func pathCount(body []byte, width int) (int, error) {
+// bucket decodes one bucket — a length field, then its payload — which
+// must end the body.
+func bucket(body []byte) ([]byte, error) {
 	if len(body) < 4 {
-		return 0, fmt.Errorf("bucketwire: %w: truncated before path count", ErrMalformed)
+		return nil, fmt.Errorf("bucketwire: %w: truncated bucket length", frame.ErrMalformed)
 	}
-	n := int(binary.LittleEndian.Uint32(body[:4]))
+	n, present, err := sliceLen(binary.LittleEndian.Uint32(body))
+	if err != nil {
+		return nil, err
+	}
+	if len(body)-4 != n {
+		return nil, fmt.Errorf("bucketwire: %w: bucket declares %d payload bytes, has %d", frame.ErrMalformed, n, len(body)-4)
+	}
+	data, _ := take(body[4:], n, present)
+	return data, nil
+}
+
+// path decodes a path body into d.idxs (with idxs) and d.bufs (with bufs):
+// the count, per bucket an index and a length field, then the payloads,
+// which must end the body. No count sizes anything before the bytes for
+// its headers are known to be present.
+func (d *Decoder) path(body []byte, idxs, bufs bool) error {
+	width := 0
+	if idxs {
+		width += 8
+	}
+	if bufs {
+		width += 4
+	}
+	if len(body) < 4 {
+		return fmt.Errorf("bucketwire: %w: truncated before path count", frame.ErrMalformed)
+	}
+	n := int(binary.LittleEndian.Uint32(body))
 	if n > MaxPathBuckets {
-		return 0, fmt.Errorf("bucketwire: %w: %d path buckets (cap %d)", ErrTooLarge, n, MaxPathBuckets)
+		return fmt.Errorf("bucketwire: %w: %d path buckets (cap %d)", frame.ErrTooLarge, n, MaxPathBuckets)
 	}
 	if len(body)-4 < n*width {
-		return 0, fmt.Errorf("bucketwire: %w: %d path buckets but %d header bytes", ErrMalformed, n, len(body)-4)
+		return fmt.Errorf("bucketwire: %w: %d path buckets but %d header bytes", frame.ErrMalformed, n, len(body)-4)
 	}
-	return n, nil
+	hdr, pay := body[4:4+n*width], body[4+n*width:]
+	d.idxs, d.bufs = d.idxs[:0], d.bufs[:0]
+	for i := 0; i < n; i++ {
+		h := hdr[i*width:]
+		if idxs {
+			d.idxs = append(d.idxs, binary.LittleEndian.Uint64(h))
+			h = h[8:]
+		}
+		if !bufs {
+			continue
+		}
+		m, present, err := sliceLen(binary.LittleEndian.Uint32(h))
+		if err != nil {
+			return err
+		}
+		if m > len(pay) {
+			return fmt.Errorf("bucketwire: %w: path bucket %d overruns frame", frame.ErrMalformed, i)
+		}
+		var b []byte
+		b, pay = take(pay, m, present)
+		d.bufs = append(d.bufs, b)
+	}
+	if len(pay) != 0 {
+		return fmt.Errorf("bucketwire: %w: %d trailing bytes after path", frame.ErrMalformed, len(pay))
+	}
+	return nil
 }
 
 // Request decodes one request frame payload (after the length prefix).
 func (d *Decoder) Request(p []byte) (id uint64, req Request, err error) {
-	id, body, err := common(p, KindRequest)
+	id, body, err := frame.ParseHeader(p, magic, frame.KindRequest)
 	if err != nil {
 		return 0, Request{}, err
 	}
 	if len(body) < 9 {
-		return 0, Request{}, fmt.Errorf("bucketwire: %w: truncated request header", ErrMalformed)
+		return 0, Request{}, fmt.Errorf("bucketwire: %w: truncated request header", frame.ErrMalformed)
 	}
 	req.Op = body[0]
 	req.Space = binary.LittleEndian.Uint64(body[1:9])
@@ -368,163 +355,82 @@ func (d *Decoder) Request(p []byte) (id uint64, req Request, err error) {
 	switch req.Op {
 	case OpRead, OpPeek:
 		if len(rest) != 8 {
-			return 0, Request{}, fmt.Errorf("bucketwire: %w: read operand is %d bytes", ErrMalformed, len(rest))
+			err = fmt.Errorf("bucketwire: %w: read operand is %d bytes", frame.ErrMalformed, len(rest))
+			break
 		}
 		req.Idx = binary.LittleEndian.Uint64(rest)
 	case OpWrite, OpPoke:
-		if len(rest) < 12 {
-			return 0, Request{}, fmt.Errorf("bucketwire: %w: truncated write operand", ErrMalformed)
+		if len(rest) < 8 {
+			err = fmt.Errorf("bucketwire: %w: truncated write operand", frame.ErrMalformed)
+			break
 		}
-		req.Idx = binary.LittleEndian.Uint64(rest[:8])
-		n, present, err := sliceLen(binary.LittleEndian.Uint32(rest[8:12]))
-		if err != nil {
-			return 0, Request{}, err
-		}
-		if len(rest)-12 != n {
-			return 0, Request{}, fmt.Errorf("bucketwire: %w: write declares %d payload bytes, has %d", ErrMalformed, n, len(rest)-12)
-		}
-		req.Data, _ = take(rest[12:], n, present)
+		req.Idx = binary.LittleEndian.Uint64(rest)
+		req.Data, err = bucket(rest[8:])
 	case OpReadPath:
-		n, err := pathCount(rest, 8)
-		if err != nil {
-			return 0, Request{}, err
-		}
-		if len(rest) != 4+8*n {
-			return 0, Request{}, fmt.Errorf("bucketwire: %w: %d trailing bytes after readpath", ErrMalformed, len(rest)-4-8*n)
-		}
-		d.idxs = d.idxs[:0]
-		for i := 0; i < n; i++ {
-			d.idxs = append(d.idxs, binary.LittleEndian.Uint64(rest[4+8*i:]))
-		}
+		err = d.path(rest, true, false)
 		req.Idxs = d.idxs
 	case OpWritePath:
-		n, err := pathCount(rest, 12)
-		if err != nil {
-			return 0, Request{}, err
-		}
-		d.idxs = d.idxs[:0]
-		d.bufs = d.bufs[:0]
-		payloads := 0
-		for i := 0; i < n; i++ {
-			h := rest[4+12*i:]
-			d.idxs = append(d.idxs, binary.LittleEndian.Uint64(h[:8]))
-			m, present, err := sliceLen(binary.LittleEndian.Uint32(h[8:12]))
-			if err != nil {
-				return 0, Request{}, err
-			}
-			if !present {
-				m = -1 // marker for the slicing pass below
-			}
-			if m > 0 && m > len(rest)-4-12*n-payloads {
-				return 0, Request{}, fmt.Errorf("bucketwire: %w: writepath bucket %d overruns frame", ErrMalformed, i)
-			}
-			if m > 0 {
-				payloads += m
-			}
-			d.bufs = append(d.bufs, nil)
-		}
-		if 4+12*n+payloads != len(rest) {
-			return 0, Request{}, fmt.Errorf("bucketwire: %w: %d trailing bytes after writepath", ErrMalformed, len(rest)-4-12*n-payloads)
-		}
-		pay := rest[4+12*n:]
-		for i := 0; i < n; i++ {
-			v := binary.LittleEndian.Uint32(rest[4+12*i+8:])
-			m, present, _ := sliceLen(v)
-			d.bufs[i], pay = take(pay, m, present)
-		}
-		req.Idxs = d.idxs
-		req.Bufs = d.bufs
+		err = d.path(rest, true, true)
+		req.Idxs, req.Bufs = d.idxs, d.bufs
 	case OpStats:
 		if len(rest) != 0 {
-			return 0, Request{}, fmt.Errorf("bucketwire: %w: %d trailing bytes after stats", ErrMalformed, len(rest))
+			err = fmt.Errorf("bucketwire: %w: %d trailing bytes after stats", frame.ErrMalformed, len(rest))
 		}
 	default:
-		return 0, Request{}, fmt.Errorf("bucketwire: %w: unknown op %d", ErrMalformed, req.Op)
+		err = fmt.Errorf("bucketwire: %w: unknown op %d", frame.ErrMalformed, req.Op)
+	}
+	if err != nil {
+		return 0, Request{}, err
 	}
 	return id, req, nil
 }
 
 // Response decodes one response frame payload (after the length prefix).
 func (d *Decoder) Response(p []byte) (id uint64, resp Response, err error) {
-	id, body, err := common(p, KindResponse)
+	id, body, err := frame.ParseHeader(p, magic, frame.KindResponse)
 	if err != nil {
 		return 0, Response{}, err
 	}
 	if len(body) < 7 {
-		return 0, Response{}, fmt.Errorf("bucketwire: %w: truncated response header", ErrMalformed)
+		return 0, Response{}, fmt.Errorf("bucketwire: %w: truncated response header", frame.ErrMalformed)
 	}
 	resp.Op = body[0]
 	resp.Status = binary.LittleEndian.Uint16(body[1:3])
 	errLen := int(binary.LittleEndian.Uint32(body[3:7]))
 	rest := body[7:]
-	if errLen > len(rest) {
-		return 0, Response{}, fmt.Errorf("bucketwire: %w: error message overruns frame", ErrMalformed)
-	}
-	if resp.Status == 0 && errLen != 0 {
-		return 0, Response{}, fmt.Errorf("bucketwire: %w: success carries an error message", ErrMalformed)
-	}
-	resp.Err = string(rest[:errLen])
-	rest = rest[errLen:]
-	if resp.Status != 0 {
-		if len(rest) != 0 {
-			return 0, Response{}, fmt.Errorf("bucketwire: %w: %d payload bytes on an error response", ErrMalformed, len(rest))
-		}
-		return id, resp, nil
-	}
-	switch resp.Op {
-	case OpRead, OpPeek:
-		if len(rest) < 4 {
-			return 0, Response{}, fmt.Errorf("bucketwire: %w: truncated read length", ErrMalformed)
-		}
-		n, present, err := sliceLen(binary.LittleEndian.Uint32(rest[:4]))
-		if err != nil {
-			return 0, Response{}, err
-		}
-		if len(rest)-4 != n {
-			return 0, Response{}, fmt.Errorf("bucketwire: %w: read declares %d payload bytes, has %d", ErrMalformed, n, len(rest)-4)
-		}
-		resp.Data, _ = take(rest[4:], n, present)
-	case OpWrite, OpPoke, OpWritePath:
-		if len(rest) != 0 {
-			return 0, Response{}, fmt.Errorf("bucketwire: %w: %d trailing bytes after ack", ErrMalformed, len(rest))
-		}
-	case OpReadPath:
-		n, err := pathCount(rest, 4)
-		if err != nil {
-			return 0, Response{}, err
-		}
-		d.bufs = d.bufs[:0]
-		payloads := 0
-		for i := 0; i < n; i++ {
-			m, present, err := sliceLen(binary.LittleEndian.Uint32(rest[4+4*i:]))
-			if err != nil {
-				return 0, Response{}, err
-			}
-			if present && m > len(rest)-4-4*n-payloads {
-				return 0, Response{}, fmt.Errorf("bucketwire: %w: readpath bucket %d overruns frame", ErrMalformed, i)
-			}
-			if present {
-				payloads += m
-			}
-			d.bufs = append(d.bufs, nil)
-		}
-		if 4+4*n+payloads != len(rest) {
-			return 0, Response{}, fmt.Errorf("bucketwire: %w: %d trailing bytes after readpath", ErrMalformed, len(rest)-4-4*n-payloads)
-		}
-		pay := rest[4+4*n:]
-		for i := 0; i < n; i++ {
-			m, present, _ := sliceLen(binary.LittleEndian.Uint32(rest[4+4*i:]))
-			d.bufs[i], pay = take(pay, m, present)
-		}
-		resp.Bufs = d.bufs
-	case OpStats:
-		if len(rest) != 16 {
-			return 0, Response{}, fmt.Errorf("bucketwire: %w: stats payload is %d bytes", ErrMalformed, len(rest))
-		}
-		resp.Buckets = binary.LittleEndian.Uint64(rest[:8])
-		resp.Bytes = binary.LittleEndian.Uint64(rest[8:16])
+	switch {
+	case errLen > len(rest):
+		err = fmt.Errorf("bucketwire: %w: error message overruns frame", frame.ErrMalformed)
+	case resp.Status == 0 && errLen != 0:
+		err = fmt.Errorf("bucketwire: %w: success carries an error message", frame.ErrMalformed)
+	case resp.Status != 0 && errLen != len(rest):
+		err = fmt.Errorf("bucketwire: %w: %d payload bytes on an error response", frame.ErrMalformed, len(rest)-errLen)
+	case resp.Status != 0:
+		resp.Err = string(rest)
 	default:
-		return 0, Response{}, fmt.Errorf("bucketwire: %w: unknown op %d", ErrMalformed, resp.Op)
+		switch resp.Op {
+		case OpRead, OpPeek:
+			resp.Data, err = bucket(rest)
+		case OpWrite, OpPoke, OpWritePath:
+			if len(rest) != 0 {
+				err = fmt.Errorf("bucketwire: %w: %d trailing bytes after ack", frame.ErrMalformed, len(rest))
+			}
+		case OpReadPath:
+			err = d.path(rest, false, true)
+			resp.Bufs = d.bufs
+		case OpStats:
+			if len(rest) != 16 {
+				err = fmt.Errorf("bucketwire: %w: stats payload is %d bytes", frame.ErrMalformed, len(rest))
+				break
+			}
+			resp.Buckets = binary.LittleEndian.Uint64(rest[:8])
+			resp.Bytes = binary.LittleEndian.Uint64(rest[8:16])
+		default:
+			err = fmt.Errorf("bucketwire: %w: unknown op %d", frame.ErrMalformed, resp.Op)
+		}
+	}
+	if err != nil {
+		return 0, Response{}, err
 	}
 	return id, resp, nil
 }

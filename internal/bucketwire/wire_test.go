@@ -6,6 +6,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"freecursive/internal/frame"
 )
 
 // reqEqual compares decoded requests field by field (slices by content).
@@ -133,8 +135,8 @@ func mutate(t *testing.T, frame []byte, edit func(p []byte) []byte) []byte {
 }
 
 // TestMalformedRequests exercises the decoder's rejection paths: every
-// mutation must produce an error (wrapping ErrMalformed, ErrVersion, or
-// ErrTooLarge), never a panic or a silent success.
+// mutation must produce an error (wrapping frame.ErrMalformed, frame.ErrVersion, or
+// frame.ErrTooLarge), never a panic or a silent success.
 func TestMalformedRequests(t *testing.T) {
 	var enc Encoder
 	base, err := enc.Request(1, Request{Op: OpWrite, Space: 2, Idx: 3, Data: []byte("payload")})
@@ -154,35 +156,35 @@ func TestMalformedRequests(t *testing.T) {
 		p    []byte
 		want error
 	}{
-		{"empty", nil, ErrMalformed},
-		{"short header", mutate(t, base, func(p []byte) []byte { return p[:10] }), ErrMalformed},
-		{"bad magic", mutate(t, base, func(p []byte) []byte { p[0] = 'X'; return p }), ErrMalformed},
-		{"bad version", mutate(t, base, func(p []byte) []byte { p[4] = 99; return p }), ErrVersion},
-		{"response kind", mutate(t, base, func(p []byte) []byte { p[5] = KindResponse; return p }), ErrMalformed},
-		{"reserved set", mutate(t, base, func(p []byte) []byte { p[6] = 1; return p }), ErrMalformed},
-		{"zero op", mutate(t, base, func(p []byte) []byte { p[16] = 0; return p }), ErrMalformed},
-		{"unknown op", mutate(t, base, func(p []byte) []byte { p[16] = 200; return p }), ErrMalformed},
-		{"truncated payload", mutate(t, base, func(p []byte) []byte { return p[:len(p)-3] }), ErrMalformed},
-		{"trailing garbage", mutate(t, base, func(p []byte) []byte { return append(p, 0xEE) }), ErrMalformed},
+		{"empty", nil, frame.ErrMalformed},
+		{"short header", mutate(t, base, func(p []byte) []byte { return p[:10] }), frame.ErrMalformed},
+		{"bad magic", mutate(t, base, func(p []byte) []byte { p[0] = 'X'; return p }), frame.ErrMalformed},
+		{"bad version", mutate(t, base, func(p []byte) []byte { p[4] = 99; return p }), frame.ErrVersion},
+		{"response kind", mutate(t, base, func(p []byte) []byte { p[5] = frame.KindResponse; return p }), frame.ErrMalformed},
+		{"reserved set", mutate(t, base, func(p []byte) []byte { p[6] = 1; return p }), frame.ErrMalformed},
+		{"zero op", mutate(t, base, func(p []byte) []byte { p[16] = 0; return p }), frame.ErrMalformed},
+		{"unknown op", mutate(t, base, func(p []byte) []byte { p[16] = 200; return p }), frame.ErrMalformed},
+		{"truncated payload", mutate(t, base, func(p []byte) []byte { return p[:len(p)-3] }), frame.ErrMalformed},
+		{"trailing garbage", mutate(t, base, func(p []byte) []byte { return append(p, 0xEE) }), frame.ErrMalformed},
 		{"oversized data len", mutate(t, base, func(p []byte) []byte {
 			// Write op data length field sits after header(16)+op(1)+space(8)+idx(8).
 			binary.LittleEndian.PutUint32(p[33:], MaxBucketBytes+1)
 			return p
-		}), ErrTooLarge},
+		}), frame.ErrTooLarge},
 		{"writepath count overrun", mutate(t, path, func(p []byte) []byte {
 			// Bucket count after header(16)+op(1)+space(8).
 			binary.LittleEndian.PutUint32(p[25:], 3)
 			return p
-		}), ErrMalformed},
+		}), frame.ErrMalformed},
 		{"writepath count over cap", mutate(t, path, func(p []byte) []byte {
 			binary.LittleEndian.PutUint32(p[25:], MaxPathBuckets+1)
 			return p
-		}), ErrTooLarge},
+		}), frame.ErrTooLarge},
 		{"writepath len overruns frame", mutate(t, path, func(p []byte) []byte {
 			// First per-bucket length field: count(4) + idx(8) past offset 25.
 			binary.LittleEndian.PutUint32(p[25+4+8:], 1000)
 			return p
-		}), ErrMalformed},
+		}), frame.ErrMalformed},
 	}
 	var dec Decoder
 	for _, tc := range cases {
@@ -211,19 +213,19 @@ func TestMalformedResponses(t *testing.T) {
 		p    []byte
 		want error
 	}{
-		{"request kind", mutate(t, read, func(p []byte) []byte { p[5] = KindRequest; return p }), ErrMalformed},
-		{"truncated", mutate(t, read, func(p []byte) []byte { return p[:len(p)-1] }), ErrMalformed},
-		{"trailing garbage", mutate(t, read, func(p []byte) []byte { return append(p, 1) }), ErrMalformed},
+		{"request kind", mutate(t, read, func(p []byte) []byte { p[5] = frame.KindRequest; return p }), frame.ErrMalformed},
+		{"truncated", mutate(t, read, func(p []byte) []byte { return p[:len(p)-1] }), frame.ErrMalformed},
+		{"trailing garbage", mutate(t, read, func(p []byte) []byte { return append(p, 1) }), frame.ErrMalformed},
 		{"errlen overruns", mutate(t, fail, func(p []byte) []byte {
 			// errLen after header(16)+op(1)+status(2).
 			binary.LittleEndian.PutUint32(p[19:], 1000)
 			return p
-		}), ErrMalformed},
+		}), frame.ErrMalformed},
 		{"success with error text", mutate(t, fail, func(p []byte) []byte {
 			binary.LittleEndian.PutUint16(p[17:], 0) // clear status, keep message
 			return p
-		}), ErrMalformed},
-		{"payload on error", mutate(t, fail, func(p []byte) []byte { return append(p, 0xAB) }), ErrMalformed},
+		}), frame.ErrMalformed},
+		{"payload on error", mutate(t, fail, func(p []byte) []byte { return append(p, 0xAB) }), frame.ErrMalformed},
 	}
 	var dec Decoder
 	for _, tc := range cases {
@@ -258,13 +260,13 @@ func TestDecodedSlicesAliasFrame(t *testing.T) {
 // TestEncoderErrors pins the encoder's own bound checks.
 func TestEncoderErrors(t *testing.T) {
 	var enc Encoder
-	if _, err := enc.Request(1, Request{Op: 0}); !errors.Is(err, ErrMalformed) {
+	if _, err := enc.Request(1, Request{Op: 0}); !errors.Is(err, frame.ErrMalformed) {
 		t.Errorf("zero op: %v", err)
 	}
-	if _, err := enc.Request(1, Request{Op: OpWrite, Data: make([]byte, MaxBucketBytes+1)}); !errors.Is(err, ErrTooLarge) {
+	if _, err := enc.Request(1, Request{Op: OpWrite, Data: make([]byte, MaxBucketBytes+1)}); !errors.Is(err, frame.ErrTooLarge) {
 		t.Errorf("oversized bucket: %v", err)
 	}
-	if _, err := enc.Request(1, Request{Op: OpReadPath, Idxs: make([]uint64, MaxPathBuckets+1)}); !errors.Is(err, ErrTooLarge) {
+	if _, err := enc.Request(1, Request{Op: OpReadPath, Idxs: make([]uint64, MaxPathBuckets+1)}); !errors.Is(err, frame.ErrTooLarge) {
 		t.Errorf("oversized path: %v", err)
 	}
 	if _, err := enc.Request(1, Request{Op: OpWritePath, Idxs: []uint64{1}, Bufs: nil}); err == nil ||

@@ -1,9 +1,13 @@
-// Package frame is the binary wire codec of the oramstore streaming
-// transport: length-prefixed request/response frames carried over a
-// long-lived TCP connection, the fast alternative to the JSON POST /batch
-// envelope. Both sides of the wire — the freecursive/client binary
-// transport and internal/frameserver — import this package, so the two
-// cannot drift.
+// Package frame is the framing kernel of the repo's two binary protocols:
+// one envelope, the codec of the oramstore streaming transport on it, and
+// one connection server (Server) both protocols' servers run on.
+//
+// The envelope is shared: every frame of either protocol is a length-prefixed
+// header whose magic names the protocol — "ORMF" for the oramstore batch
+// schema in this file, "ORMB" for internal/bucketwire's bucket schema — and a
+// schema-specific body. AppendHeader, Finish and ParseHeader are the envelope
+// code, with the magic as a parameter; ReadFrame reads one frame of either
+// protocol off a stream.
 //
 // # Frame layout
 //
@@ -11,13 +15,13 @@
 // many payload bytes:
 //
 //	uint32   length     bytes after this field (≤ MaxFrameBytes)
-//	[4]byte  magic      "ORMF"
+//	[4]byte  magic      "ORMF" (this schema) or "ORMB" (bucketwire)
 //	uint8    version    Version (1); unknown versions are rejected
 //	uint8    kind       KindRequest (1) or KindResponse (2)
 //	[2]byte  reserved   must be zero (room for future flags)
 //	uint64   id         frame ID, correlates a response to its request
 //
-// then a kind-specific body. Requests:
+// then a kind-specific body. Requests of the ORMF schema:
 //
 //	uint32   opCount    ≤ MaxOps
 //	opCount × op header (13 bytes each):
@@ -70,10 +74,10 @@ import (
 	"io"
 )
 
-// Version is the protocol generation this package speaks.
+// Version is the envelope generation both protocols speak.
 const Version = 1
 
-// magic opens every frame payload, catching misframed streams and
+// magic opens every ORMF frame payload, catching misframed streams and
 // non-protocol peers before any length field is believed.
 var magic = [4]byte{'O', 'R', 'M', 'F'}
 
@@ -88,9 +92,9 @@ const (
 // one transport fits the other.
 const MaxOps = 4096
 
-// MaxFrameBytes caps a frame's declared payload length: 64 MiB holds
-// MaxOps blocks of 16 KiB with headers to spare, and bounds what a
-// length-prefix read will ever allocate.
+// MaxFrameBytes caps a frame's declared payload length, in both protocols:
+// 64 MiB holds MaxOps blocks of 16 KiB with headers to spare, and bounds
+// what a length-prefix read will ever allocate.
 const MaxFrameBytes = 1 << 26
 
 // op codes on the wire.
@@ -108,11 +112,11 @@ const (
 	respOpLen     = 2 + 2 + 4 + 4     // status, retryAfter, dataLen, errLen
 )
 
-// Decode errors. ErrMalformed wraps every structural failure — truncation,
-// trailing bytes, bad magic, impossible counts; ErrVersion and ErrTooLarge
-// are split out because callers handle them differently (a version
-// mismatch is a deploy skew worth naming, a too-large frame is a peer
-// exceeding protocol bounds).
+// Decode errors, shared by both protocols. ErrMalformed wraps every
+// structural failure — truncation, trailing bytes, bad magic, impossible
+// counts; ErrVersion and ErrTooLarge are split out because callers handle
+// them differently (a version mismatch is a deploy skew worth naming, a
+// too-large frame is a peer exceeding protocol bounds).
 var (
 	ErrMalformed = errors.New("malformed frame")
 	ErrVersion   = errors.New("unsupported frame version")
@@ -147,30 +151,54 @@ type Response struct {
 	Results           []Result
 }
 
+// AppendHeader starts a frame of the protocol named by magic in buf,
+// reusing its storage: the length-prefix placeholder, then the envelope
+// header. The caller appends the body and calls Finish.
+func AppendHeader(buf []byte, magic [4]byte, kind byte, id uint64) []byte {
+	buf = append(buf[:0], 0, 0, 0, 0) // length prefix, patched by Finish
+	buf = append(buf, magic[:]...)
+	buf = append(buf, Version, kind, 0, 0)
+	return binary.LittleEndian.AppendUint64(buf, id)
+}
+
+// Finish patches the length prefix of a frame begun by AppendHeader and
+// bounds-checks it.
+func Finish(frame []byte) ([]byte, error) {
+	payload := len(frame) - prefixLen
+	if payload > MaxFrameBytes {
+		return nil, fmt.Errorf("frame: %w: %d-byte payload", ErrTooLarge, payload)
+	}
+	binary.LittleEndian.PutUint32(frame[:prefixLen], uint32(payload))
+	return frame, nil
+}
+
+// ParseHeader validates the envelope of one frame payload (after the length
+// prefix) of the protocol named by magic and returns the frame ID and the
+// body after the header.
+func ParseHeader(p []byte, magic [4]byte, kind byte) (id uint64, body []byte, err error) {
+	if len(p) < headerLen {
+		return 0, nil, fmt.Errorf("frame: %w: %d-byte header", ErrMalformed, len(p))
+	}
+	if [4]byte(p[:4]) != magic {
+		return 0, nil, fmt.Errorf("frame: %w: bad magic %q", ErrMalformed, p[:4])
+	}
+	if p[4] != Version {
+		return 0, nil, fmt.Errorf("frame: %w: got %d, speak %d", ErrVersion, p[4], Version)
+	}
+	if p[5] != kind {
+		return 0, nil, fmt.Errorf("frame: %w: kind %d, want %d", ErrMalformed, p[5], kind)
+	}
+	if p[6] != 0 || p[7] != 0 {
+		return 0, nil, fmt.Errorf("frame: %w: nonzero reserved bytes", ErrMalformed)
+	}
+	return binary.LittleEndian.Uint64(p[8:16]), p[headerLen:], nil
+}
+
 // Encoder builds frames into a reusable buffer. The zero value is ready to
 // use; an Encoder is not safe for concurrent use. Returned frames include
 // the length prefix and are valid only until the next call.
 type Encoder struct {
 	buf []byte
-}
-
-// header appends the length-prefix placeholder and the common frame
-// header into e.buf.
-func (e *Encoder) header(kind byte, id uint64) {
-	e.buf = append(e.buf[:0], 0, 0, 0, 0) // length prefix, patched last
-	e.buf = append(e.buf, magic[:]...)
-	e.buf = append(e.buf, Version, kind, 0, 0)
-	e.buf = binary.LittleEndian.AppendUint64(e.buf, id)
-}
-
-// finish patches the length prefix and bounds-checks the frame.
-func (e *Encoder) finish() ([]byte, error) {
-	payload := len(e.buf) - prefixLen
-	if payload > MaxFrameBytes {
-		return nil, fmt.Errorf("frame: %w: %d-byte payload", ErrTooLarge, payload)
-	}
-	binary.LittleEndian.PutUint32(e.buf[:prefixLen], uint32(payload))
-	return e.buf, nil
 }
 
 // Request encodes one request frame. The returned slice is owned by the
@@ -179,7 +207,7 @@ func (e *Encoder) Request(id uint64, ops []Op) ([]byte, error) {
 	if len(ops) > MaxOps {
 		return nil, fmt.Errorf("frame: %w: %d ops (cap %d)", ErrTooLarge, len(ops), MaxOps)
 	}
-	e.header(KindRequest, id)
+	e.buf = AppendHeader(e.buf, magic, KindRequest, id)
 	e.buf = binary.LittleEndian.AppendUint32(e.buf, uint32(len(ops)))
 	for _, op := range ops {
 		code := byte(opGet)
@@ -197,7 +225,7 @@ func (e *Encoder) Request(id uint64, ops []Op) ([]byte, error) {
 			e.buf = append(e.buf, op.Data...)
 		}
 	}
-	return e.finish()
+	return Finish(e.buf)
 }
 
 // Response encodes one response frame. A nonzero r.Status (whole-batch
@@ -210,7 +238,7 @@ func (e *Encoder) Response(id uint64, r Response) ([]byte, error) {
 	if len(r.Results) > MaxOps {
 		return nil, fmt.Errorf("frame: %w: %d results (cap %d)", ErrTooLarge, len(r.Results), MaxOps)
 	}
-	e.header(KindResponse, id)
+	e.buf = AppendHeader(e.buf, magic, KindResponse, id)
 	e.buf = binary.LittleEndian.AppendUint16(e.buf, r.Status)
 	e.buf = binary.LittleEndian.AppendUint16(e.buf, r.RetryAfterSeconds)
 	e.buf = binary.LittleEndian.AppendUint32(e.buf, uint32(len(r.Results)))
@@ -224,7 +252,7 @@ func (e *Encoder) Response(id uint64, r Response) ([]byte, error) {
 		e.buf = append(e.buf, res.Data...)
 		e.buf = append(e.buf, res.Err...)
 	}
-	return e.finish()
+	return Finish(e.buf)
 }
 
 // Decoder parses frame payloads into reusable op/result scratch. The zero
@@ -234,27 +262,6 @@ func (e *Encoder) Response(id uint64, r Response) ([]byte, error) {
 type Decoder struct {
 	ops     []Op
 	results []Result
-}
-
-// common validates the shared frame header and returns the frame ID and
-// the body after it.
-func common(p []byte, kind byte) (uint64, []byte, error) {
-	if len(p) < headerLen {
-		return 0, nil, fmt.Errorf("frame: %w: %d-byte header", ErrMalformed, len(p))
-	}
-	if [4]byte(p[:4]) != magic {
-		return 0, nil, fmt.Errorf("frame: %w: bad magic %q", ErrMalformed, p[:4])
-	}
-	if p[4] != Version {
-		return 0, nil, fmt.Errorf("frame: %w: got %d, speak %d", ErrVersion, p[4], Version)
-	}
-	if p[5] != kind {
-		return 0, nil, fmt.Errorf("frame: %w: kind %d, want %d", ErrMalformed, p[5], kind)
-	}
-	if p[6] != 0 || p[7] != 0 {
-		return 0, nil, fmt.Errorf("frame: %w: nonzero reserved bytes", ErrMalformed)
-	}
-	return binary.LittleEndian.Uint64(p[8:16]), p[headerLen:], nil
 }
 
 // opCount validates a declared count against the cap and against the
@@ -276,7 +283,7 @@ func opCount(body []byte, at, width int) (int, error) {
 
 // Request decodes one request frame payload (after the length prefix).
 func (d *Decoder) Request(p []byte) (id uint64, ops []Op, err error) {
-	id, body, err := common(p, KindRequest)
+	id, body, err := ParseHeader(p, magic, KindRequest)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -284,11 +291,10 @@ func (d *Decoder) Request(p []byte) (id uint64, ops []Op, err error) {
 	if err != nil {
 		return 0, nil, err
 	}
+	hdr, pay := body[4:4+n*reqOpLen], body[4+n*reqOpLen:]
 	d.ops = d.ops[:0]
-	off := 4
-	payloads := 0
 	for i := 0; i < n; i++ {
-		h := body[off : off+reqOpLen]
+		h := hdr[i*reqOpLen:]
 		op := Op{Addr: binary.LittleEndian.Uint64(h[1:9])}
 		dataLen := int(binary.LittleEndian.Uint32(h[9:13]))
 		switch h[0] {
@@ -297,36 +303,24 @@ func (d *Decoder) Request(p []byte) (id uint64, ops []Op, err error) {
 				return 0, nil, fmt.Errorf("frame: %w: get op carries %d payload bytes", ErrMalformed, dataLen)
 			}
 		case opPut:
-			op.Put = true // Data is sliced out of the payload region below
+			if dataLen > len(pay) {
+				return 0, nil, fmt.Errorf("frame: %w: op %d payload overruns frame", ErrMalformed, i)
+			}
+			op.Put, op.Data, pay = true, pay[:dataLen:dataLen], pay[dataLen:]
 		default:
 			return 0, nil, fmt.Errorf("frame: %w: unknown op code %d", ErrMalformed, h[0])
 		}
-		if dataLen > len(body)-4-n*reqOpLen-payloads {
-			return 0, nil, fmt.Errorf("frame: %w: op %d payload overruns frame", ErrMalformed, i)
-		}
-		payloads += dataLen
 		d.ops = append(d.ops, op)
-		off += reqOpLen
 	}
-	if 4+n*reqOpLen+payloads != len(body) {
-		return 0, nil, fmt.Errorf("frame: %w: %d trailing bytes", ErrMalformed, len(body)-4-n*reqOpLen-payloads)
-	}
-	// Second pass slices the payload region now that it is fully validated.
-	pay := body[4+n*reqOpLen:]
-	for i := range d.ops {
-		if !d.ops[i].Put {
-			continue
-		}
-		dataLen := int(binary.LittleEndian.Uint32(body[4+i*reqOpLen+9 : 4+i*reqOpLen+13]))
-		d.ops[i].Data = pay[:dataLen:dataLen]
-		pay = pay[dataLen:]
+	if len(pay) != 0 {
+		return 0, nil, fmt.Errorf("frame: %w: %d trailing bytes", ErrMalformed, len(pay))
 	}
 	return id, d.ops, nil
 }
 
 // Response decodes one response frame payload (after the length prefix).
 func (d *Decoder) Response(p []byte) (id uint64, resp Response, err error) {
-	id, body, err := common(p, KindResponse)
+	id, body, err := ParseHeader(p, magic, KindResponse)
 	if err != nil {
 		return 0, Response{}, err
 	}
@@ -342,40 +336,30 @@ func (d *Decoder) Response(p []byte) (id uint64, resp Response, err error) {
 	if resp.Status != 0 && n > 0 {
 		return 0, Response{}, fmt.Errorf("frame: %w: whole-batch status %d with %d results", ErrMalformed, resp.Status, n)
 	}
+	hdr, pay := body[respHeaderLen:respHeaderLen+n*respOpLen], body[respHeaderLen+n*respOpLen:]
 	d.results = d.results[:0]
-	off := respHeaderLen
-	payloads := 0
 	for i := 0; i < n; i++ {
-		h := body[off : off+respOpLen]
+		h := hdr[i*respOpLen:]
+		dataLen := int(binary.LittleEndian.Uint32(h[4:8]))
+		errLen := int(binary.LittleEndian.Uint32(h[8:12]))
+		if dataLen+errLen > len(pay) {
+			return 0, Response{}, fmt.Errorf("frame: %w: result %d payload overruns frame", ErrMalformed, i)
+		}
 		res := Result{
 			Status:            binary.LittleEndian.Uint16(h[0:2]),
 			RetryAfterSeconds: binary.LittleEndian.Uint16(h[2:4]),
 		}
-		need := int(binary.LittleEndian.Uint32(h[4:8])) + int(binary.LittleEndian.Uint32(h[8:12]))
-		if need > len(body)-respHeaderLen-n*respOpLen-payloads {
-			return 0, Response{}, fmt.Errorf("frame: %w: result %d payload overruns frame", ErrMalformed, i)
-		}
-		payloads += need
-		d.results = append(d.results, res)
-		off += respOpLen
-	}
-	if respHeaderLen+n*respOpLen+payloads != len(body) {
-		return 0, Response{}, fmt.Errorf("frame: %w: %d trailing bytes", ErrMalformed,
-			len(body)-respHeaderLen-n*respOpLen-payloads)
-	}
-	pay := body[respHeaderLen+n*respOpLen:]
-	for i := range d.results {
-		h := body[respHeaderLen+i*respOpLen:]
-		dataLen := int(binary.LittleEndian.Uint32(h[4:8]))
-		errLen := int(binary.LittleEndian.Uint32(h[8:12]))
-		d.results[i].Data = pay[:dataLen:dataLen]
-		if dataLen == 0 {
-			d.results[i].Data = nil
+		if dataLen > 0 {
+			res.Data = pay[:dataLen:dataLen]
 		}
 		if errLen > 0 {
-			d.results[i].Err = string(pay[dataLen : dataLen+errLen])
+			res.Err = string(pay[dataLen : dataLen+errLen])
 		}
 		pay = pay[dataLen+errLen:]
+		d.results = append(d.results, res)
+	}
+	if len(pay) != 0 {
+		return 0, Response{}, fmt.Errorf("frame: %w: %d trailing bytes", ErrMalformed, len(pay))
 	}
 	resp.Results = d.results
 	return id, resp, nil

@@ -3,15 +3,16 @@
 // over long-lived TCP connections, dispatching straight into
 // store.SubmitBatch with no HTTP layer in between.
 //
-// Each connection is a pipeline: the read loop decodes request frames and
-// submits their batches to the shard pipelines without waiting, so
-// multiple batches are in flight per connection at once, and a per-batch
-// goroutine writes the response frame as soon as its futures resolve —
-// responses leave in completion order, correlated to their requests by
-// frame ID, never head-of-line-blocked behind a slower batch. A bounded
-// in-flight window per connection is the transport's backpressure: past
-// it the read loop stops consuming, TCP pushes back, and the client's
-// sends block.
+// The connections themselves are frame.Server's: this package is the
+// handler it runs per connection. Each connection is a pipeline: the read
+// loop hands request frames to the handler, which submits their batches to
+// the shard pipelines without waiting, so multiple batches are in flight
+// per connection at once, and a per-batch goroutine queues the response
+// frame as soon as its futures resolve — responses leave in completion
+// order, correlated to their requests by frame ID, never
+// head-of-line-blocked behind a slower batch. The kernel's bounded
+// in-flight window is the transport's backpressure: past it the read loop
+// stops consuming, TCP pushes back, and the client's sends block.
 //
 // Per-op outcomes reuse the HTTP API's status-code contract
 // (httpapi.StoreStatus): 200 get served, 204 put stored, 400 caller
@@ -25,256 +26,120 @@
 package frameserver
 
 import (
-	"bufio"
 	"errors"
-	"io"
 	"log"
-	"net"
 	"net/http"
-	"sync"
-	"sync/atomic"
+	"time"
 
 	"freecursive/internal/frame"
 	"freecursive/internal/httpapi"
 	"freecursive/internal/store"
 )
 
-// maxInFlight bounds the batches in flight per connection. Past it the
-// connection's read loop blocks, which is the protocol's backpressure —
-// roughly maxInFlight*MaxOps ops can be buffered per connection.
-const maxInFlight = 64
-
 // Server accepts frame-protocol connections and serves their batches from
-// a store. Create one with New, start it with Serve, stop it with Close.
+// a store. Create one with New, start it with Serve, stop it with Close
+// (both frame.Server's).
 type Server struct {
-	st *store.Store
-
-	mu        sync.Mutex
-	listeners map[net.Listener]struct{}
-	conns     map[net.Conn]struct{}
-	closed    bool
-
-	// encoders recycles frame.Encoder scratch across batches: resolvers
-	// encode concurrently (outside the write lock), so a pool rather than
-	// a per-connection encoder, and a pool rather than per-batch
-	// allocation — response encoding is the per-batch hot path.
-	encoders sync.Pool
-
-	// Transport counters, exported via TransportStats for /metrics.
-	connsOpen    atomic.Int64
-	connsTotal   atomic.Uint64
-	bytesRead    atomic.Uint64
-	bytesWritten atomic.Uint64
-	inFlight     atomic.Int64
-	batches      atomic.Uint64
+	*frame.Server[frame.Response]
 }
 
 // New returns a Server over st. The server is safe for concurrent use and
 // may Serve any number of listeners.
 func New(st *store.Store) *Server {
-	return &Server{
-		st:        st,
-		listeners: make(map[net.Listener]struct{}),
-		conns:     make(map[net.Conn]struct{}),
+	open := func(c *frame.Conn[frame.Response]) frame.Handler[frame.Response] {
+		return &conn{st: st, c: c}
 	}
-}
-
-// Serve accepts connections on ln until Close (which returns nil) or a
-// permanent accept error. Each connection is handled on its own
-// goroutines.
-func (s *Server) Serve(ln net.Listener) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		ln.Close()
-		return errors.New("frameserver: server closed")
-	}
-	s.listeners[ln] = struct{}{}
-	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		delete(s.listeners, ln)
-		s.mu.Unlock()
-	}()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			s.mu.Lock()
-			closed := s.closed
-			s.mu.Unlock()
-			if closed {
-				return nil
-			}
-			return err
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return nil
-		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		s.connsOpen.Add(1)
-		s.connsTotal.Add(1)
-		go s.handle(conn)
-	}
-}
-
-// Close stops accepting, closes every live connection, and makes future
-// Serve calls fail. In-flight batches resolve against the store as usual;
-// their response writes fail on the closed sockets and are dropped.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil
-	}
-	s.closed = true
-	for ln := range s.listeners {
-		ln.Close()
-	}
-	for conn := range s.conns {
-		conn.Close()
-	}
-	return nil
+	logf := func(format string, args ...any) { log.Printf("frameserver: "+format, args...) }
+	return &Server{frame.NewServer(open, logf)}
 }
 
 // TransportStats exposes the server's counters for the /metrics endpoint
 // (httpapi.TransportSource).
 func (s *Server) TransportStats() httpapi.TransportStats {
+	st := s.Stats()
 	return httpapi.TransportStats{
 		Transport:    "binary",
-		ConnsOpen:    uint64(max(s.connsOpen.Load(), 0)),
-		ConnsTotal:   s.connsTotal.Load(),
-		BytesRead:    s.bytesRead.Load(),
-		BytesWritten: s.bytesWritten.Load(),
-		InFlight:     uint64(max(s.inFlight.Load(), 0)),
-		Batches:      s.batches.Load(),
+		ConnsOpen:    st.ConnsOpen,
+		ConnsTotal:   st.ConnsTotal,
+		BytesRead:    st.BytesRead,
+		BytesWritten: st.BytesWritten,
+		InFlight:     st.InFlight,
+		Batches:      st.Frames,
 	}
 }
 
-// conn is one connection's server-side state: the shared socket, the
-// write half serialized by wmu (response frames are written whole, by
-// whichever batch goroutine finishes), and the in-flight window.
+// conn is the handler of one connection: its decoder runs on the read
+// loop, its encoder on the writer.
 type conn struct {
-	s    *Server
-	c    net.Conn
-	wmu  sync.Mutex
-	bw   *bufio.Writer
-	slot chan struct{} // in-flight window; one token per pending batch
+	st  *store.Store
+	c   *frame.Conn[frame.Response]
+	dec frame.Decoder
+	enc frame.Encoder
 }
 
-// handle runs one connection's read loop to completion.
-func (s *Server) handle(c net.Conn) {
-	defer func() {
-		s.mu.Lock()
-		delete(s.conns, c)
-		s.mu.Unlock()
-		s.connsOpen.Add(-1)
-		c.Close()
-	}()
-	cn := &conn{
-		s:    s,
-		c:    c,
-		bw:   bufio.NewWriterSize(c, 64<<10),
-		slot: make(chan struct{}, maxInFlight),
-	}
-	br := bufio.NewReaderSize(c, 64<<10)
-	var dec frame.Decoder
-	var buf []byte
-	for {
-		payload, scratch, err := frame.ReadFrame(br, buf)
-		if err != nil {
-			if !errors.Is(err, io.EOF) && !isClosedConn(err) {
-				log.Printf("frameserver: %s: read: %v", c.RemoteAddr(), err)
-			}
-			return
-		}
-		buf = scratch
-		s.bytesRead.Add(uint64(len(payload)) + 4)
-		id, ops, err := dec.Request(payload)
-		if err != nil {
-			// The stream position can no longer be trusted; drop the
-			// connection rather than guess at the next frame boundary.
-			log.Printf("frameserver: %s: %v", c.RemoteAddr(), err)
-			return
-		}
-		cn.slot <- struct{}{} // blocks at maxInFlight: backpressure
-		s.inFlight.Add(1)
-		s.batches.Add(1)
-		cn.dispatch(id, ops)
-	}
+// Encode implements frame.Handler.
+func (cn *conn) Encode(id uint64, r frame.Response) ([]byte, error) {
+	return cn.enc.Response(id, r)
 }
 
-// dispatch validates one decoded batch, submits it, and hands the futures
-// to a resolver goroutine so the read loop can pick up the next frame
-// while this batch is still in the shard pipelines.
-func (cn *conn) dispatch(id uint64, ops []frame.Op) {
+// Frame implements frame.Handler: it validates one decoded batch, submits
+// it, and hands the futures to a resolver goroutine so the read loop can
+// pick up the next frame while this batch is still in the shard pipelines.
+func (cn *conn) Frame(payload []byte, _ time.Time) error {
+	id, ops, err := cn.dec.Request(payload)
+	if err != nil {
+		return err
+	}
 	// The decoder's ops and their Data alias the connection's read buffer,
 	// which the read loop reuses for the next frame while this batch is in
 	// flight — copy what the store and the resolver need. One slab holds
-	// every put payload.
+	// every put payload. Each result starts as its op's success.
 	results := make([]frame.Result, len(ops))
 	sops := make([]store.Op, 0, len(ops))
 	slot := make([]int, 0, len(ops))
-	isGet := make([]bool, len(ops))
 	slab := 0
 	for _, op := range ops {
-		if op.Put {
-			slab += len(op.Data)
-		}
+		slab += len(op.Data)
 	}
 	payloads := make([]byte, 0, slab)
-	blockB := cn.s.st.BlockBytes()
 	for i, op := range ops {
-		isGet[i] = !op.Put
-		if op.Put && len(op.Data) > blockB {
-			results[i] = frame.Result{
-				Status: http.StatusRequestEntityTooLarge,
-				Err:    "payload exceeds block size",
-			}
-			continue
-		}
-		sop := store.Op{Write: op.Put, Addr: op.Addr}
+		results[i].Status = http.StatusOK
 		if op.Put {
+			if len(op.Data) > cn.st.BlockBytes() {
+				results[i] = frame.Result{Status: http.StatusRequestEntityTooLarge, Err: "payload exceeds block size"}
+				continue
+			}
+			results[i].Status = http.StatusNoContent
 			payloads = append(payloads, op.Data...)
-			sop.Data = payloads[len(payloads)-len(op.Data):]
+			op.Data = payloads[len(payloads)-len(op.Data):]
 		}
-		sops = append(sops, sop)
+		sops = append(sops, store.Op{Write: op.Put, Addr: op.Addr, Data: op.Data})
 		slot = append(slot, i)
 	}
 
-	futs := cn.s.st.SubmitBatch(sops)
-	go cn.resolve(id, futs, results, slot, isGet)
+	futs := cn.st.SubmitBatch(sops)
+	go cn.resolve(id, futs, results, slot)
+	return nil
 }
 
-// resolve waits one batch's futures, builds its response frame, and
-// writes it. Write failures mean the connection is gone; the error is
-// dropped and the read loop (unblocked by the failed socket) tears down.
-func (cn *conn) resolve(id uint64, futs []*store.Future, results []frame.Result, slot []int, isGet []bool) {
-	defer func() {
-		<-cn.slot
-		cn.s.inFlight.Add(-1)
-	}()
+// resolve waits one batch's futures and queues its response frame.
+func (cn *conn) resolve(id uint64, futs []*store.Future, results []frame.Result, slot []int) {
 	closed := 0
 	for j, f := range futs {
 		i := slot[j]
 		data, err := f.Wait()
-		switch {
-		case err != nil:
-			if errors.Is(err, store.ErrClosed) {
-				closed++
+		if err == nil {
+			if results[i].Status == http.StatusOK {
+				results[i].Data = data // a get's value; a put's result carries none
 			}
-			res := frame.Result{Status: uint16(httpapi.StoreStatus(err)), Err: err.Error()}
-			if res.Status == http.StatusServiceUnavailable {
-				res.RetryAfterSeconds = httpapi.RetryAfterSeconds
-			}
-			results[i] = res
-		case isGet[i]:
-			results[i] = frame.Result{Status: http.StatusOK, Data: data}
-		default:
-			results[i] = frame.Result{Status: http.StatusNoContent}
+			continue
+		}
+		if errors.Is(err, store.ErrClosed) {
+			closed++
+		}
+		results[i] = frame.Result{Status: uint16(httpapi.StoreStatus(err)), Err: err.Error()}
+		if results[i].Status == http.StatusServiceUnavailable {
+			results[i].RetryAfterSeconds = httpapi.RetryAfterSeconds
 		}
 	}
 
@@ -289,33 +154,5 @@ func (cn *conn) resolve(id uint64, futs []*store.Future, results []frame.Result,
 		}
 	}
 
-	enc, _ := cn.s.encoders.Get().(*frame.Encoder)
-	if enc == nil {
-		enc = new(frame.Encoder)
-	}
-	out, err := enc.Response(id, resp)
-	if err != nil {
-		cn.s.encoders.Put(enc)
-		log.Printf("frameserver: encoding response %d: %v", id, err)
-		return
-	}
-	cn.wmu.Lock()
-	_, werr := cn.bw.Write(out)
-	if werr == nil {
-		werr = cn.bw.Flush()
-	}
-	cn.wmu.Unlock()
-	// The frame has been copied into (and out of) the write buffer; the
-	// encoder's scratch is free to recycle.
-	cn.s.encoders.Put(enc)
-	if werr != nil {
-		return
-	}
-	cn.s.bytesWritten.Add(uint64(len(out)))
-}
-
-// isClosedConn reports whether err is the "use of closed network
-// connection" a shutdown races into.
-func isClosedConn(err error) bool {
-	return errors.Is(err, net.ErrClosed)
+	cn.c.Send(id, resp, time.Time{})
 }

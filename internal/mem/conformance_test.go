@@ -92,14 +92,9 @@ func TestBackendErrorsWrapErrStorage(t *testing.T) {
 			out := map[string]error{}
 
 			// Dead server: the initial dial exhausts its attempts.
-			_, out["dial dead address"] = mem.DialRemote(mem.RemoteConfig{
-				Addr:         "127.0.0.1:1",
-				Namespace:    "conformance/dead",
-				DialTimeout:  100 * time.Millisecond,
-				DialAttempts: 1,
-				RedialMin:    time.Millisecond,
-				RedialMax:    time.Millisecond,
-			})
+			_, out["dial dead address"] = mem.DialRemoteTimed(
+				mem.RemoteConfig{Addr: "127.0.0.1:1", Namespace: "conformance/dead"},
+				mem.Timing{Dial: 100 * time.Millisecond, Attempts: 1})
 
 			// Live server that fails every data operation.
 			srv := bucketd.New(bucketd.Config{FailEvery: 1})
@@ -109,12 +104,9 @@ func TestBackendErrorsWrapErrStorage(t *testing.T) {
 			}
 			go srv.Serve(ln)
 			t.Cleanup(func() { srv.Close() })
-			r, err := mem.DialRemote(mem.RemoteConfig{
-				Addr:      ln.Addr().String(),
-				Namespace: "conformance/flaky",
-				RedialMin: time.Millisecond,
-				RedialMax: 10 * time.Millisecond,
-			})
+			r, err := mem.DialRemoteTimed(
+				mem.RemoteConfig{Addr: ln.Addr().String(), Namespace: "conformance/flaky"},
+				mem.Timing{Backoff: time.Millisecond})
 			if err != nil {
 				t.Fatal(err)
 			}

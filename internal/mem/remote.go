@@ -56,6 +56,7 @@ import (
 type Remote struct {
 	hooks
 	cfg   RemoteConfig
+	tm    timing
 	space uint64
 
 	conn net.Conn
@@ -75,7 +76,7 @@ type Remote struct {
 	held   []byte
 	failed error // latched fault; sticky once set
 
-	// deadline is when the next response frame is due: OpTimeout after the
+	// deadline is when the next response frame is due: tm.op after the
 	// request that began the wait, or after the previous frame. alarm signals
 	// wake when it passes, so a silent server wakes an owner that is waiting
 	// on ReadSignal just as it unblocks one waiting in recv.
@@ -174,45 +175,39 @@ type RemoteConfig struct {
 	// each other. The core layer derives "<store-ns>/shard-i/tree-j" style
 	// namespaces automatically.
 	Namespace string
-	// DialTimeout bounds one TCP connect attempt (default 2s).
-	DialTimeout time.Duration
-	// DialAttempts is how many connect attempts (with backoff between) an
-	// operation makes before failing with ErrIO (default 5).
-	DialAttempts int
-	// RedialMin/RedialMax bound the exponential backoff between attempts
-	// (defaults 50ms and 2s).
-	RedialMin time.Duration
-	RedialMax time.Duration
-	// OpTimeout bounds writing one request frame and waiting for one
-	// response frame (default 30s): a blackholed connection, or a server
-	// that stopped reading, surfaces as an ErrIO fault instead of wedging
-	// the controller forever.
-	OpTimeout time.Duration
 }
 
-func (c *RemoteConfig) setDefaults() {
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 2 * time.Second
-	}
-	if c.DialAttempts <= 0 {
-		c.DialAttempts = 5
-	}
-	if c.RedialMin <= 0 {
-		c.RedialMin = 50 * time.Millisecond
-	}
-	if c.RedialMax <= 0 {
-		c.RedialMax = 2 * time.Second
-	}
-	if c.OpTimeout <= 0 {
-		c.OpTimeout = DefaultOpTimeout
-	}
-}
+// The wire schedule every Remote dials and redials by; tests shorten it
+// through export_test.go.
+const (
+	// dialTimeout bounds one TCP connect attempt.
+	dialTimeout = 2 * time.Second
+	// dialAttempts is how many connect attempts (with backoff between) an
+	// operation makes before failing with ErrIO.
+	dialAttempts = 5
+	// redialMin and redialMax bound the exponential backoff between
+	// attempts.
+	redialMin = 50 * time.Millisecond
+	redialMax = 2 * time.Second
+)
 
-// DefaultOpTimeout is the OpTimeout of a RemoteConfig that names none. It is
-// a variable so that tests of the layers above, which dial through
-// core.Build and have no RemoteConfig to set, can wait out a silent server
-// in milliseconds; nothing else assigns it.
+// DefaultOpTimeout bounds writing one request frame and waiting for one
+// response frame: a blackholed connection, or a server that stopped
+// reading, surfaces as an ErrIO fault instead of wedging the controller
+// forever. It is the one part of the wire schedule that is a variable, and
+// the one test hook reachable from another package: tests of the layers
+// above (internal/store's TestWindowFaultSilentServer), which dial through
+// core.Build, shorten it to wait out a silent server in milliseconds.
+// Nothing else assigns it.
 var DefaultOpTimeout = 30 * time.Second
+
+// timing is one Remote's wire schedule, fixed at dial.
+type timing struct {
+	dial     time.Duration // one connect attempt
+	attempts int           // connect attempts per (re)dial
+	backoff  time.Duration // first pause between attempts, doubling to redialMax
+	op       time.Duration // one request write, or the wait for one response
+}
 
 // SpaceID maps a namespace string to its 64-bit wire identifier (FNV-1a).
 // Exported so tests and tools can address the space a namespace lands in.
@@ -227,17 +222,21 @@ func SpaceID(namespace string) uint64 {
 // as any later redial, so a store pointed at a dead bucketd fails fast and
 // loudly at construction.
 func DialRemote(cfg RemoteConfig) (*Remote, error) {
-	cfg.setDefaults()
+	return dialRemote(cfg, timing{dial: dialTimeout, attempts: dialAttempts, backoff: redialMin, op: DefaultOpTimeout})
+}
+
+func dialRemote(cfg RemoteConfig, tm timing) (*Remote, error) {
 	if cfg.Addr == "" {
 		//oramlint:allow errwrap construction-time misuse, never crosses the storage boundary at runtime
 		return nil, fmt.Errorf("mem: remote backend needs an address")
 	}
 	r := &Remote{
 		cfg:   cfg,
+		tm:    tm,
 		space: SpaceID(cfg.Namespace),
 		wake:  make(chan struct{}, 1),
 	}
-	r.alarm = time.AfterFunc(cfg.OpTimeout, func() { signal(r.wake) })
+	r.alarm = time.AfterFunc(tm.op, func() { signal(r.wake) })
 	r.alarm.Stop()
 	if err := r.ensureConn(); err != nil {
 		return nil, err
@@ -268,30 +267,24 @@ func (r *Remote) ensureConn() error {
 	if r.conn != nil {
 		return nil
 	}
-	backoff := r.cfg.RedialMin
+	backoff := r.tm.backoff
 	var lastErr error
-	for attempt := 0; attempt < r.cfg.DialAttempts; attempt++ {
+	for attempt := 0; attempt < r.tm.attempts; attempt++ {
 		if attempt > 0 {
 			time.Sleep(backoff)
-			backoff *= 2
-			if backoff > r.cfg.RedialMax {
-				backoff = r.cfg.RedialMax
-			}
+			backoff = min(2*backoff, redialMax)
 		}
-		conn, err := net.DialTimeout("tcp", r.cfg.Addr, r.cfg.DialTimeout)
+		conn, err := net.DialTimeout("tcp", r.cfg.Addr, r.tm.dial)
 		if err != nil {
 			lastErr = err
 			continue
-		}
-		if tc, ok := conn.(*net.TCPConn); ok {
-			tc.SetNoDelay(true)
 		}
 		r.conn = conn
 		r.rx = startReceiver(conn, r.wake)
 		return nil
 	}
 	return fmt.Errorf("mem: remote %s unreachable after %d attempts: %w: %w",
-		r.cfg.Addr, r.cfg.DialAttempts, ErrIO, lastErr)
+		r.cfg.Addr, r.tm.attempts, ErrIO, lastErr)
 }
 
 // dropConn tears the connection down after a fault and waits for its
@@ -327,7 +320,7 @@ func (r *Remote) send(req bucketwire.Request) (uint64, error) {
 	if err != nil {
 		return 0, r.ioErr(err)
 	}
-	r.conn.SetWriteDeadline(time.Now().Add(r.cfg.OpTimeout))
+	r.conn.SetWriteDeadline(time.Now().Add(r.tm.op))
 	if _, err := r.conn.Write(b); err != nil {
 		err = r.ioErr(err)
 		r.dropConn(err)
@@ -341,8 +334,8 @@ func (r *Remote) send(req bucketwire.Request) (uint64, error) {
 
 // expect restarts the wait for the next response frame.
 func (r *Remote) expect() {
-	r.deadline = time.Now().Add(r.cfg.OpTimeout)
-	r.alarm.Reset(r.cfg.OpTimeout)
+	r.deadline = time.Now().Add(r.tm.op)
+	r.alarm.Reset(r.tm.op)
 }
 
 // overdue reports whether the next response frame is past its deadline.
@@ -376,7 +369,7 @@ func (r *Remote) recv(wait bool) (payload []byte, ok bool, err error) {
 				return nil, false, nil
 			}
 			if r.overdue() {
-				err := fmt.Errorf("mem: remote %s: no response within %v: %w", r.cfg.Addr, r.cfg.OpTimeout, ErrIO)
+				err := fmt.Errorf("mem: remote %s: no response within %v: %w", r.cfg.Addr, r.tm.op, ErrIO)
 				r.dropConn(err)
 				return nil, false, err
 			}

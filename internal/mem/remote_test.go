@@ -31,12 +31,7 @@ func startBucketd(t *testing.T, cfg bucketd.Config) (string, *bucketd.Server) {
 
 func dialTest(t *testing.T, addr, namespace string) *Remote {
 	t.Helper()
-	r, err := DialRemote(RemoteConfig{
-		Addr:      addr,
-		Namespace: namespace,
-		RedialMin: time.Millisecond,
-		RedialMax: 10 * time.Millisecond,
-	})
+	r, err := DialRemoteTimed(RemoteConfig{Addr: addr, Namespace: namespace}, Timing{Backoff: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,13 +180,8 @@ func TestRemoteDialFailure(t *testing.T) {
 	addr := ln.Addr().String()
 	ln.Close()
 
-	_, err = DialRemote(RemoteConfig{
-		Addr:         addr,
-		Namespace:    "t/dead",
-		DialAttempts: 2,
-		RedialMin:    time.Millisecond,
-		RedialMax:    2 * time.Millisecond,
-	})
+	_, err = DialRemoteTimed(RemoteConfig{Addr: addr, Namespace: "t/dead"},
+		Timing{Attempts: 2, Backoff: time.Millisecond})
 	if !errors.Is(err, ErrIO) {
 		t.Fatalf("dial to dead server: %v, want ErrIO", err)
 	}
@@ -201,13 +191,8 @@ func TestRemoteDialFailure(t *testing.T) {
 // ErrIO (not a hang, not a panic) on the next operation.
 func TestRemoteServerShutdownMidUse(t *testing.T) {
 	addr, srv := startBucketd(t, bucketd.Config{})
-	r, err := DialRemote(RemoteConfig{
-		Addr:         addr,
-		Namespace:    "t/shutdown",
-		DialAttempts: 2,
-		RedialMin:    time.Millisecond,
-		RedialMax:    2 * time.Millisecond,
-	})
+	r, err := DialRemoteTimed(RemoteConfig{Addr: addr, Namespace: "t/shutdown"},
+		Timing{Attempts: 2, Backoff: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,13 +258,8 @@ func TestRemotePipelinedWriteFaultLatches(t *testing.T) {
 // outcome of that write is unknowable, so the Remote must latch.
 func TestRemoteConnLossWithPendingWriteLatches(t *testing.T) {
 	addr, srv := startBucketd(t, bucketd.Config{RTT: 50 * time.Millisecond})
-	r, err := DialRemote(RemoteConfig{
-		Addr:         addr,
-		Namespace:    "t/wb-loss",
-		DialAttempts: 1,
-		RedialMin:    time.Millisecond,
-		RedialMax:    2 * time.Millisecond,
-	})
+	r, err := DialRemoteTimed(RemoteConfig{Addr: addr, Namespace: "t/wb-loss"},
+		Timing{Attempts: 1, Backoff: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +283,7 @@ func TestRemoteConnLossWithPendingWriteLatches(t *testing.T) {
 // TestRemoteWriteDeadline pins that a server which accepts and then stops
 // reading cannot wedge the controller. Once the socket buffers fill, the
 // frame write itself blocks — before the ack drain, which always had a
-// deadline, is ever reached — so OpTimeout must bound it too: the blocked
+// deadline, is ever reached — so the op timeout must bound it too: the blocked
 // WritePath fails with ErrIO and, with an earlier write-back still
 // unacknowledged, the fault latches.
 func TestRemoteWriteDeadline(t *testing.T) {
@@ -326,12 +306,8 @@ func TestRemoteWriteDeadline(t *testing.T) {
 		}
 	})
 
-	r, err := DialRemote(RemoteConfig{
-		Addr:         ln.Addr().String(),
-		Namespace:    "t/wedge",
-		OpTimeout:    200 * time.Millisecond,
-		DialAttempts: 1,
-	})
+	r, err := DialRemoteTimed(RemoteConfig{Addr: ln.Addr().String(), Namespace: "t/wedge"},
+		Timing{Attempts: 1, Op: 200 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -502,7 +478,7 @@ func TestRemoteSteadyStateAllocs(t *testing.T) {
 
 // TestRemoteWindowFaultNoAnswer is TestRemoteWriteDeadline's shape with a
 // window of reads outstanding: the server takes the frames and never
-// answers. The oldest read fails with ErrIO once OpTimeout has passed — not
+// answers. The oldest read fails with ErrIO once the op timeout has passed — not
 // before, and not never — whether its owner waits inside CompleteReadPath or,
 // like the store's shard owner, sleeps on ReadSignal until ReadReady: the
 // deadline itself must signal, because nothing else ever will. The fault
@@ -528,7 +504,7 @@ func remoteNoAnswer(t *testing.T, signalled bool) {
 		}
 	}()
 	const opTimeout = 150 * time.Millisecond
-	r, err := DialRemote(RemoteConfig{Addr: ln.Addr().String(), Namespace: "t/mute", OpTimeout: opTimeout, DialAttempts: 1})
+	r, err := DialRemoteTimed(RemoteConfig{Addr: ln.Addr().String(), Namespace: "t/mute"}, Timing{Attempts: 1, Op: opTimeout})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -548,7 +524,7 @@ func remoteNoAnswer(t *testing.T, signalled bool) {
 			select {
 			case <-r.ReadSignal():
 			case <-time.After(10 * opTimeout):
-				t.Fatalf("no signal %v after the reads were issued, OpTimeout %v", time.Since(start), opTimeout)
+				t.Fatalf("no signal %v after the reads were issued, op timeout %v", time.Since(start), opTimeout)
 			}
 		}
 	}
@@ -556,7 +532,7 @@ func remoteNoAnswer(t *testing.T, signalled bool) {
 		t.Fatalf("oldest read: %v, want ErrIO", err)
 	}
 	if d := time.Since(start); d < opTimeout || d > 10*opTimeout {
-		t.Fatalf("oldest read failed after %v with OpTimeout %v", d, opTimeout)
+		t.Fatalf("oldest read failed after %v with op timeout %v", d, opTimeout)
 	}
 	start = time.Now()
 	for i := 1; i < window; i++ {
@@ -590,15 +566,15 @@ func remoteNoAnswer(t *testing.T, signalled bool) {
 	}
 }
 
-// TestRemoteIdleIsNotOverdue: OpTimeout bounds the wait for a frame, not the
+// TestRemoteIdleIsNotOverdue: the op timeout bounds the wait for a frame, not the
 // time a controller takes to come back for one. A write-back's
 // acknowledgement that arrived while the controller sat idle for longer than
-// OpTimeout is taken late without complaint, and the read behind it gets a
-// full OpTimeout of its own.
+// the op timeout is taken late without complaint, and the read behind it
+// gets a full op timeout of its own.
 func TestRemoteIdleIsNotOverdue(t *testing.T) {
 	addr, _ := startBucketd(t, bucketd.Config{RTT: 20 * time.Millisecond})
 	const opTimeout = 100 * time.Millisecond
-	r, err := DialRemote(RemoteConfig{Addr: addr, Namespace: "t/idle", OpTimeout: opTimeout})
+	r, err := DialRemoteTimed(RemoteConfig{Addr: addr, Namespace: "t/idle"}, Timing{Op: opTimeout})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,8 +5,9 @@
 // regressions are visible in -bench output alone.
 //
 // Micro-benchmarks (BenchmarkAccess*) measure the simulator itself: the
-// cost of one ORAM access through each frontend, and the parallel
-// throughput of the sharded store (BenchmarkStoreParallel*).
+// cost of one PIC access, and the parallel throughput of the sharded store
+// (BenchmarkStoreParallel*). The ablation points' access cost is measured
+// in internal/core, where they are built.
 package freecursive_test
 
 import (
@@ -203,10 +204,10 @@ func BenchmarkTheory54(b *testing.B) {
 
 // --- simulator micro-benchmarks ---------------------------------------------
 
-func benchAccess(b *testing.B, scheme freecursive.Scheme, lightweight bool) {
-	o, err := freecursive.New(freecursive.Config{
-		Scheme: scheme, Blocks: 1 << 16, Lightweight: lightweight, Seed: 2,
-	})
+// BenchmarkAccessPICFunctional measures one encrypted PIC access at 2^16
+// blocks, half of them writes.
+func BenchmarkAccessPICFunctional(b *testing.B) {
+	o, err := freecursive.New(freecursive.Config{Blocks: 1 << 16, Seed: 2})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -225,11 +226,6 @@ func benchAccess(b *testing.B, scheme freecursive.Scheme, lightweight bool) {
 	}
 }
 
-func BenchmarkAccessRecursiveFunctional(b *testing.B) { benchAccess(b, freecursive.Recursive, false) }
-func BenchmarkAccessPCFunctional(b *testing.B)        { benchAccess(b, freecursive.PC, false) }
-func BenchmarkAccessPICFunctional(b *testing.B)       { benchAccess(b, freecursive.PIC, false) }
-func BenchmarkAccessPICLightweight(b *testing.B)      { benchAccess(b, freecursive.PIC, true) }
-
 // --- untrusted-memory backend comparison -------------------------------------
 
 // benchMemBackend measures full PIC accesses with the untrusted bucket
@@ -239,7 +235,7 @@ func BenchmarkAccessPICLightweight(b *testing.B)      { benchAccess(b, freecursi
 // (one path access touches ~2(L+1) buckets, so per-bucket wire delay
 // multiplies accordingly).
 func benchMemBackend(b *testing.B, mutate func(*freecursive.Config)) {
-	cfg := freecursive.Config{Scheme: freecursive.PIC, Blocks: 1 << 12, Seed: 2}
+	cfg := freecursive.Config{Blocks: 1 << 12, Seed: 2}
 	mutate(&cfg)
 	o, err := freecursive.New(cfg)
 	if err != nil {
@@ -292,7 +288,7 @@ func BenchmarkMemBackendMapLatency(b *testing.B) {
 // AllocsPerRun tests are the gate: buckets materialized, PLB full, free
 // lists populated.
 func benchAccessAllocs(b *testing.B, mutate func(*freecursive.Config)) {
-	cfg := freecursive.Config{Scheme: freecursive.PIC, Blocks: 1 << 12, Seed: 2}
+	cfg := freecursive.Config{Blocks: 1 << 12, Seed: 2}
 	if mutate != nil {
 		mutate(&cfg)
 	}
@@ -334,15 +330,11 @@ func BenchmarkAccessAllocsFile(b *testing.B) {
 // internal/store with GOMAXPROCS goroutines. Because each shard serializes
 // behind its own mutex, throughput should rise with the shard count; the
 // 1-shard run is the fully-serialized baseline.
-func benchStoreParallel(b *testing.B, shards int, lightweight bool) {
+func benchStoreParallel(b *testing.B, shards int) {
 	s, err := store.New(store.Config{
 		Shards: shards,
 		Blocks: 1 << 16,
-		ORAM: freecursive.Config{
-			Scheme:      freecursive.PIC,
-			Lightweight: lightweight,
-			Seed:        2,
-		},
+		ORAM:   freecursive.Config{Seed: 2},
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -365,10 +357,6 @@ func benchStoreParallel(b *testing.B, shards int, lightweight bool) {
 	})
 }
 
-func BenchmarkStoreParallelLightweight1(b *testing.B)  { benchStoreParallel(b, 1, true) }
-func BenchmarkStoreParallelLightweight4(b *testing.B)  { benchStoreParallel(b, 4, true) }
-func BenchmarkStoreParallelLightweight16(b *testing.B) { benchStoreParallel(b, 16, true) }
-
-func BenchmarkStoreParallelFunctional1(b *testing.B)  { benchStoreParallel(b, 1, false) }
-func BenchmarkStoreParallelFunctional4(b *testing.B)  { benchStoreParallel(b, 4, false) }
-func BenchmarkStoreParallelFunctional16(b *testing.B) { benchStoreParallel(b, 16, false) }
+func BenchmarkStoreParallelFunctional1(b *testing.B)  { benchStoreParallel(b, 1) }
+func BenchmarkStoreParallelFunctional4(b *testing.B)  { benchStoreParallel(b, 4) }
+func BenchmarkStoreParallelFunctional16(b *testing.B) { benchStoreParallel(b, 16) }

@@ -26,7 +26,7 @@ func binaryServer(t *testing.T) (*store.Store, string) {
 	st, err := store.New(store.Config{
 		Shards: 4,
 		Blocks: 1 << 10,
-		ORAM:   freecursive.Config{Scheme: freecursive.PLB, BlockBytes: 16, Seed: 11},
+		ORAM:   freecursive.Config{BlockBytes: 16, Seed: 11},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -140,7 +140,7 @@ func TestBinaryReconnect(t *testing.T) {
 	st, err := store.New(store.Config{
 		Shards: 2,
 		Blocks: 1 << 8,
-		ORAM:   freecursive.Config{Scheme: freecursive.PLB, BlockBytes: 16, Seed: 3},
+		ORAM:   freecursive.Config{BlockBytes: 16, Seed: 3},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -24,7 +24,7 @@ func realServer(t *testing.T) (*httptest.Server, *store.Store) {
 	st, err := store.New(store.Config{
 		Shards: 4,
 		Blocks: 1 << 10,
-		ORAM:   freecursive.Config{Scheme: freecursive.PLB, BlockBytes: 16, Seed: 11},
+		ORAM:   freecursive.Config{BlockBytes: 16, Seed: 11},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -177,7 +177,7 @@ func TestRunWorkersNetworkBatch(t *testing.T) {
 	jsonURL, _ := serveBoth(t, store.Config{
 		Shards: 2,
 		Blocks: 1 << 8,
-		ORAM:   freecursive.Config{Scheme: freecursive.PLB, BlockBytes: 16, Seed: 2},
+		ORAM:   freecursive.Config{BlockBytes: 16, Seed: 2},
 	})
 	rep := runWorkers(newTestClient(t, client.JSON(jsonURL), 4), loadOpts{
 		workers:   4,
@@ -207,7 +207,7 @@ func TestMetricsCountBothTransports(t *testing.T) {
 	jsonURL, binaryAddr := serveBoth(t, store.Config{
 		Shards: 2,
 		Blocks: 1 << 8,
-		ORAM:   freecursive.Config{Scheme: freecursive.PLB, BlockBytes: 16, Seed: 2},
+		ORAM:   freecursive.Config{BlockBytes: 16, Seed: 2},
 	})
 	ops := []client.BatchOp{
 		{Op: client.OpPut, Addr: 3, Data: []byte("x")},
@@ -259,7 +259,7 @@ func TestBinaryNotSlowerThanJSON(t *testing.T) {
 	jsonURL, binaryAddr := serveBoth(t, store.Config{
 		Shards: 8,
 		Blocks: 1 << 16,
-		ORAM:   freecursive.Config{Scheme: freecursive.PIC, Lightweight: true, Seed: 2},
+		ORAM:   freecursive.Config{Seed: 2},
 	})
 	run := func(tr client.Transport) loadReport {
 		rep := runWorkers(newTestClient(t, tr, 16), loadOpts{

@@ -27,8 +27,8 @@
 // stash, PMMAC counters) and exits; the next start resumes serving the
 // same blocks. -snapshot-interval additionally snapshots on a background
 // ticker, bounding how much counter state a crash can lose. After a crash
-// (no clean snapshot), PMMAC-enabled schemes refuse blocks whose on-disk
-// state diverged instead of serving them.
+// (no clean snapshot), PMMAC refuses blocks whose on-disk state diverged
+// instead of serving them.
 //
 // With -listen-binary the server additionally speaks the binary streaming
 // transport on a second TCP listener: length-prefixed request/response
@@ -52,8 +52,8 @@
 //
 // Examples:
 //
-//	oramstore -addr :8080 -shards 16 -blocks 20 -lightweight
-//	oramstore -addr :8080 -listen-binary :8081 -shards 16 -lightweight
+//	oramstore -addr :8080 -shards 16 -blocks 20
+//	oramstore -addr :8080 -listen-binary :8081 -shards 16
 //	oramstore -addr :8080 -shards 4 -blocks 18 -data-dir /var/lib/oramstore
 //	oramstore load -transport json -addr http://localhost:8080 -dist zipf -batch 16
 //	oramstore load -transport binary -addr localhost:8081 -dist zipf -batch 16
@@ -91,11 +91,6 @@ func main() {
 
 // --- serve mode -------------------------------------------------------------
 
-var schemes = map[string]freecursive.Scheme{
-	"R": freecursive.Recursive, "P": freecursive.PLB, "PC": freecursive.PC,
-	"PI": freecursive.PI, "PIC": freecursive.PIC,
-}
-
 func runServe(args []string) {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", ":8080", "HTTP listen address")
@@ -103,9 +98,7 @@ func runServe(args []string) {
 	shards := fs.Int("shards", 8, "ORAM shard count (rounded up to a power of two)")
 	logBlocks := fs.Int("blocks", 16, "log2 of total capacity in blocks")
 	blockB := fs.Int("block", 64, "block size in bytes")
-	scheme := fs.String("scheme", "PIC", "R | P | PC | PI | PIC")
 	backendKind := fs.String("backend", "path", "position-based ORAM backend: path (tree) | bhoram (bucket-hash, deamortized rebuilds)")
-	lightweight := fs.Bool("lightweight", false, "bandwidth-accounting backend (no real data)")
 	seed := fs.Uint64("seed", 1, "deterministic seed")
 	dataDir := fs.String("data-dir", "", "durable mode: per-shard bucket files + trusted-state snapshots under this directory")
 	memKind := fs.String("mem", "map", "untrusted bucket memory: map (in-process) | remote (bucketd server)")
@@ -117,16 +110,6 @@ func runServe(args []string) {
 	snapEvery := fs.Duration("snapshot-interval", 0, "durable mode: also snapshot trusted state on this interval (0: only at shutdown)")
 	fs.Parse(args)
 
-	sc, ok := schemes[*scheme]
-	if !ok {
-		log.Fatalf("unknown scheme %q", *scheme)
-	}
-	if *dataDir != "" && *lightweight {
-		log.Fatal("-data-dir needs real buckets to persist; drop -lightweight")
-	}
-	if *backendKind != "path" && *lightweight {
-		log.Fatalf("-backend %s needs real buckets; drop -lightweight", *backendKind)
-	}
 	if *snapEvery != 0 && *dataDir == "" {
 		log.Fatal("-snapshot-interval needs -data-dir")
 	}
@@ -142,9 +125,6 @@ func runServe(args []string) {
 		if *dataDir != "" {
 			log.Fatal("-mem remote and -data-dir are mutually exclusive")
 		}
-		if *lightweight {
-			log.Fatal("-mem remote needs real buckets; drop -lightweight")
-		}
 	default:
 		log.Fatalf("unknown -mem %q (want map or remote)", *memKind)
 	}
@@ -156,10 +136,8 @@ func runServe(args []string) {
 		MemNamespace: *memNS,
 		QueueDepth:   *queueDepth,
 		ORAM: freecursive.Config{
-			Scheme:       sc,
 			Backend:      *backendKind,
 			BlockBytes:   *blockB,
-			Lightweight:  *lightweight,
 			Seed:         *seed,
 			ReadLatency:  *readLat,
 			WriteLatency: *writeLat,
@@ -175,8 +153,8 @@ func runServe(args []string) {
 	if *memAddr != "" {
 		mode = "remote buckets at " + *memAddr
 	}
-	log.Printf("serving %d blocks x %d B across %d shards (%s/%s, %s) on %s",
-		st.Blocks(), st.BlockBytes(), st.Shards(), *scheme, *backendKind, mode, *addr)
+	log.Printf("serving %d blocks x %d B across %d shards (PIC/%s, %s) on %s",
+		st.Blocks(), st.BlockBytes(), st.Shards(), *backendKind, mode, *addr)
 
 	// The binary frame server shares the store (and the /metrics endpoint,
 	// via the TransportSource hook) with the HTTP handler.

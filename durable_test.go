@@ -2,6 +2,7 @@ package freecursive
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -46,60 +47,99 @@ func forEachBackend(t *testing.T, base Config, fn func(t *testing.T, cfg Config)
 
 // TestDurableSnapshotResume is the clean-shutdown round trip: write, take a
 // trusted-state snapshot, close, resume in a "new process", and read
-// everything back — then keep using the resumed instance. Every scheme runs
-// over every backend construction.
+// everything back — then keep using the resumed instance — over every
+// backend construction. A snapshot that names one of the schemes New no
+// longer builds (as one written by a build that served R, P, PC or PI does)
+// does not resume: the parameter check refuses it before any access, and
+// the bucket files stay as they were.
 func TestDurableSnapshotResume(t *testing.T) {
-	for _, s := range []Scheme{PLB, PC, PI, PIC, Recursive} {
-		t.Run(s.String(), func(t *testing.T) {
-			forEachBackend(t, Config{Scheme: s, Blocks: 1 << 10, Seed: 11}, func(t *testing.T, cfg Config) {
+	base := Config{Blocks: 1 << 10, Seed: 11}
+	t.Run("PIC", func(t *testing.T) {
+		forEachBackend(t, base, func(t *testing.T, cfg Config) {
+			o, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const addrs = 96
+			writeAll(t, o, addrs)
+			statsBefore := o.Stats()
+
+			var snap bytes.Buffer
+			if err := o.Snapshot(&snap); err != nil {
+				t.Fatalf("snapshot: %v", err)
+			}
+			if err := o.Close(); err != nil {
+				t.Fatalf("close: %v", err)
+			}
+
+			o, err = Resume(cfg, bytes.NewReader(snap.Bytes()))
+			if err != nil {
+				t.Fatalf("resume: %v", err)
+			}
+			defer o.Close()
+			if got := o.Stats(); got != statsBefore {
+				t.Fatalf("stats not restored: %+v != %+v", got, statsBefore)
+			}
+			for a := uint64(0); a < addrs; a++ {
+				got, err := o.Read(a)
+				if err != nil {
+					t.Fatalf("read %d after resume: %v", a, err)
+				}
+				if !bytes.Equal(got, payload(a)) {
+					t.Fatalf("block %d = %x after resume, want %x", a, got[:8], payload(a)[:8])
+				}
+			}
+			// The resumed controller keeps working: fresh writes and
+			// overwrites verify end to end.
+			for a := uint64(0); a < addrs; a++ {
+				if _, err := o.Write(a+512, payload(a+512)); err != nil {
+					t.Fatalf("write after resume: %v", err)
+				}
+			}
+			for a := uint64(0); a < addrs; a++ {
+				got, err := o.Read(a + 512)
+				if err != nil {
+					t.Fatalf("read new block after resume: %v", err)
+				}
+				if !bytes.Equal(got, payload(a+512)) {
+					t.Fatalf("new block %d mismatch after resume", a+512)
+				}
+			}
+		})
+	})
+	for name, s := range retiredSchemes {
+		t.Run(name, func(t *testing.T) {
+			forEachBackend(t, base, func(t *testing.T, cfg Config) {
 				o, err := New(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				const addrs = 96
-				writeAll(t, o, addrs)
-				statsBefore := o.Stats()
-
+				writeAll(t, o, 32)
 				var snap bytes.Buffer
 				if err := o.Snapshot(&snap); err != nil {
-					t.Fatalf("snapshot: %v", err)
+					t.Fatal(err)
 				}
-				if err := o.Close(); err != nil {
-					t.Fatalf("close: %v", err)
+				o.Close()
+				var retired core.Snapshot
+				if err := json.Unmarshal(snap.Bytes(), &retired); err != nil {
+					t.Fatal(err)
 				}
-
-				o, err = Resume(cfg, bytes.NewReader(snap.Bytes()))
+				retired.Params.Scheme = s
+				raw, err := json.Marshal(retired)
 				if err != nil {
-					t.Fatalf("resume: %v", err)
+					t.Fatal(err)
+				}
+				if o, err := Resume(cfg, bytes.NewReader(raw)); err == nil {
+					o.Close()
+					t.Fatalf("a snapshot naming %v resumed", s)
+				}
+				o, err = Resume(cfg, &snap)
+				if err != nil {
+					t.Fatalf("resume after a refused one: %v", err)
 				}
 				defer o.Close()
-				if got := o.Stats(); got != statsBefore {
-					t.Fatalf("stats not restored: %+v != %+v", got, statsBefore)
-				}
-				for a := uint64(0); a < addrs; a++ {
-					got, err := o.Read(a)
-					if err != nil {
-						t.Fatalf("read %d after resume: %v", a, err)
-					}
-					if !bytes.Equal(got, payload(a)) {
-						t.Fatalf("block %d = %x after resume, want %x", a, got[:8], payload(a)[:8])
-					}
-				}
-				// The resumed controller keeps working: fresh writes and
-				// overwrites verify end to end.
-				for a := uint64(0); a < addrs; a++ {
-					if _, err := o.Write(a+512, payload(a+512)); err != nil {
-						t.Fatalf("write after resume: %v", err)
-					}
-				}
-				for a := uint64(0); a < addrs; a++ {
-					got, err := o.Read(a + 512)
-					if err != nil {
-						t.Fatalf("read new block after resume: %v", err)
-					}
-					if !bytes.Equal(got, payload(a+512)) {
-						t.Fatalf("new block %d mismatch after resume", a+512)
-					}
+				if got, err := o.Read(5); err != nil || !bytes.Equal(got, payload(5)) {
+					t.Fatalf("block 5 after a refused resume: %x, %v", got, err)
 				}
 			})
 		})
@@ -110,7 +150,7 @@ func TestDurableSnapshotResume(t *testing.T) {
 // memory lives, not what the trusted state looks like — a snapshot resumes
 // against the same bucket files moved to a new path.
 func TestDurableSnapshotSurvivesRelocation(t *testing.T) {
-	forEachBackend(t, Config{Scheme: PIC, Blocks: 1 << 10, Seed: 12}, func(t *testing.T, cfg Config) {
+	forEachBackend(t, Config{Blocks: 1 << 10, Seed: 12}, func(t *testing.T, cfg Config) {
 		dirA := filepath.Join(t.TempDir(), "a")
 		cfg.DataDir = dirA
 		o, err := New(cfg)
@@ -149,7 +189,7 @@ func TestDurableSnapshotSurvivesRelocation(t *testing.T) {
 // bucket files must never serve the stale plaintexts — every read either
 // trips PMMAC or yields zeros (the fresh controller's logical state).
 func TestCrashedStoreNeverServesStaleBlocks(t *testing.T) {
-	forEachBackend(t, Config{Scheme: PIC, Blocks: 1 << 10, Seed: 13}, func(t *testing.T, cfg Config) {
+	forEachBackend(t, Config{Blocks: 1 << 10, Seed: 13}, func(t *testing.T, cfg Config) {
 		o, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -196,7 +236,7 @@ func TestCrashedStoreNeverServesStaleBlocks(t *testing.T) {
 // file: at the default capacity the bucket-hash cache would hold the whole
 // working set in trusted memory and the campaign would have no surface.
 func TestTamperedBucketFileDetected(t *testing.T) {
-	forEachBackend(t, Config{Scheme: PIC, Blocks: 1 << 10, Seed: 14, StashCapacity: 32}, func(t *testing.T, cfg Config) {
+	forEachBackend(t, Config{Blocks: 1 << 10, Seed: 14, StashCapacity: 32}, func(t *testing.T, cfg Config) {
 		o, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -271,7 +311,7 @@ func TestCrashRestartFreshSeedStream(t *testing.T) {
 			return 0
 		}
 	}
-	forEachBackend(t, Config{Scheme: PIC, Blocks: 1 << 10, Seed: 18}, func(t *testing.T, cfg Config) {
+	forEachBackend(t, Config{Blocks: 1 << 10, Seed: 18}, func(t *testing.T, cfg Config) {
 		o1, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -297,7 +337,7 @@ func TestCrashRestartFreshSeedStream(t *testing.T) {
 // ORAM must fail loudly, not corrupt state — including into the other
 // backend construction, whose trusted state has a different shape entirely.
 func TestSnapshotRefusesMismatchedConfig(t *testing.T) {
-	cfg := Config{Scheme: PIC, Blocks: 1 << 10, Seed: 15, DataDir: t.TempDir()}
+	cfg := Config{Blocks: 1 << 10, Seed: 15, DataDir: t.TempDir()}
 	o, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -315,34 +355,14 @@ func TestSnapshotRefusesMismatchedConfig(t *testing.T) {
 		t.Fatal("resume with mismatched capacity should fail")
 	}
 	bad = cfg
-	bad.Scheme = PC
+	bad.BlockBytes = 128
 	if _, err := Resume(bad, bytes.NewReader(snap.Bytes())); err == nil {
-		t.Fatal("resume with mismatched scheme should fail")
+		t.Fatal("resume with mismatched block size should fail")
 	}
 	bad = cfg
 	bad.Backend = core.BackendBucketHash
 	if _, err := Resume(bad, bytes.NewReader(snap.Bytes())); err == nil {
 		t.Fatal("resume with mismatched backend kind should fail")
-	}
-}
-
-// TestSnapshotRejectsLightweight: the accounting backend has no real tree
-// to persist against — and the bucket-hash construction has no accounting
-// mode at all.
-func TestSnapshotRejectsLightweight(t *testing.T) {
-	o, err := New(Config{Scheme: PIC, Blocks: 1 << 10, Seed: 16, Lightweight: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer o.Close()
-	if err := o.Snapshot(&bytes.Buffer{}); err == nil {
-		t.Fatal("snapshot of a Lightweight ORAM should fail")
-	}
-	if _, err := New(Config{Scheme: PIC, Lightweight: true, DataDir: t.TempDir()}); err == nil {
-		t.Fatal("DataDir with Lightweight should fail")
-	}
-	if _, err := New(Config{Scheme: PIC, Lightweight: true, Backend: core.BackendBucketHash}); err == nil {
-		t.Fatal("Lightweight with the bucket-hash backend should fail")
 	}
 }
 
@@ -352,7 +372,7 @@ func TestLatencyBackendFunctional(t *testing.T) {
 	for _, kind := range core.BackendKinds() {
 		t.Run(kind, func(t *testing.T) {
 			o, err := New(Config{
-				Scheme: PIC, Blocks: 1 << 8, Seed: 17, Backend: kind,
+				Blocks: 1 << 8, Seed: 17, Backend: kind,
 				ReadLatency:  20 * time.Microsecond,
 				WriteLatency: 20 * time.Microsecond,
 			})

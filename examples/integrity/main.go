@@ -30,11 +30,8 @@ func main() {
 	act3()
 }
 
-func newORAM(unsafeSeeds bool) *freecursive.ORAM {
-	o, err := freecursive.New(freecursive.Config{
-		Scheme: freecursive.PIC, Blocks: 1 << 12, Seed: 7,
-		UnsafeBucketSeeds: unsafeSeeds,
-	})
+func newORAM() *freecursive.ORAM {
+	o, err := freecursive.New(freecursive.Config{Blocks: 1 << 12, Seed: 7})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -48,7 +45,7 @@ func store(o *freecursive.ORAM) mem.Backend {
 
 func act1() {
 	fmt.Println("--- Act 1: bit-flip tampering ---")
-	o := newORAM(false)
+	o := newORAM()
 	for a := uint64(0); a < 256; a++ {
 		if _, err := o.Write(a, []byte{byte(a)}); err != nil {
 			log.Fatal(err)
@@ -83,7 +80,7 @@ func act1() {
 
 func act2() {
 	fmt.Println("--- Act 2: replay of stale ciphertext ---")
-	o := newORAM(false)
+	o := newORAM()
 	// A working set large enough that most of it is evicted below the
 	// treetop cache, into DRAM: what stays on chip the adversary cannot
 	// reach, let alone roll back.

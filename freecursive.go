@@ -1,8 +1,10 @@
 // Package freecursive is a simulator-grade implementation of Freecursive
 // ORAM (Fletcher, Ren, Kwon, van Dijk, Devadas — ASPLOS 2015): Path ORAM
 // with a PosMap Lookaside Buffer, compressed PosMap, and PMMAC integrity
-// verification, plus the Recursive-ORAM and Merkle-tree baselines the paper
-// evaluates against.
+// verification. New builds the paper's deployable configuration, PIC_X32,
+// and nothing else. The baselines the paper evaluates against live in
+// internal/exp (Recursive ORAM and the ablation points, built through
+// core.Params) and internal/merkle (the Merkle tree).
 //
 // The package exposes the LLC-facing view of the ORAM controller: create an
 // ORAM with New, then Read and Write fixed-size blocks by address. The
@@ -24,15 +26,6 @@
 // cheap — and partition addresses across them. Package
 // freecursive/internal/store does exactly that behind a thread-safe
 // Get/Put API.
-//
-//	o, err := freecursive.New(freecursive.Config{
-//		Scheme:    freecursive.PIC,    // PLB + compression + integrity
-//		Blocks:    1 << 20,            // 64 MiB of protected memory
-//		Integrity: true,
-//	})
-//	...
-//	o.Write(42, data)
-//	got, err := o.Read(42)
 package freecursive
 
 import (
@@ -47,74 +40,42 @@ import (
 	"freecursive/internal/mem"
 )
 
-// Scheme selects the frontend configuration, using the paper's names.
+// Scheme names the frontend configuration, using the paper's names. PIC,
+// the zero value, is the only one New builds.
 type Scheme int
 
-const (
-	// Recursive is the R_X8 baseline: one physical ORAM tree per PosMap
-	// level (§3.2). Slow, but the reference point for every figure.
-	Recursive Scheme = iota
-	// PLB is P_X16: the PosMap Lookaside Buffer over a unified tree (§4).
-	PLB
-	// PC is PC_X32: PLB plus the compressed PosMap (§5). The paper's best
-	// non-integrity configuration.
-	PC
-	// PI is PI_X8: PLB plus PMMAC integrity with flat counters (§6.2.2).
-	PI
-	// PIC is PIC_X32: PLB + compression + PMMAC — the paper's headline
-	// configuration, verifying every access for 7% overhead.
-	PIC
-)
-
-func (s Scheme) String() string {
-	return [...]string{"Recursive", "PLB", "PC", "PI", "PIC"}[s]
-}
-
-func (s Scheme) internal() core.Scheme {
-	return [...]core.Scheme{core.SchemeRecursive, core.SchemeP, core.SchemePC,
-		core.SchemePI, core.SchemePIC}[s]
-}
+// PIC is PIC_X32: PLB + compression + PMMAC — the paper's headline
+// configuration, verifying every access for 7% overhead.
+const PIC Scheme = 0
 
 // Config parameterizes an ORAM. The zero value of every field takes the
 // paper's Table 1 default.
 type Config struct {
-	// Scheme picks the frontend; default PIC.
+	// Scheme must be PIC (the zero value). The paper's ablation points —
+	// R_X8, P_X16, PC_X32, PI_X8 — build through core.Params.
 	Scheme Scheme
 	// Backend picks the position-based ORAM construction under the
 	// frontend: "path" (default) for the paper's Path ORAM tree, "bhoram"
 	// for the Pyramid-style bucket-hash hierarchy with deamortized
 	// background rebuilds. Both serve the same API and the same integrity
-	// guarantees; the bucket-hash backend requires Lightweight=false and
-	// the default (global-seed) encryption scheme, and benefits from the
-	// serving layer draining Maintain when idle.
+	// guarantees; the bucket-hash backend benefits from the serving layer
+	// draining Maintain when idle.
 	Backend string
 	// Blocks is the number of protected blocks N (default 2^20).
 	Blocks uint64
 	// BlockBytes is the block (cache line) size (default 64).
 	BlockBytes int
-	// Z is the bucket size (default 4).
-	Z int
 	// PLBBytes sizes the PosMap Lookaside Buffer (default 64 KB).
 	PLBBytes int
-	// PLBWays sets associativity (default 1, direct-mapped).
-	PLBWays int
 	// OnChipPosMapBytes bounds the on-chip PosMap; recursion depth follows
 	// (default 128 KB).
 	OnChipPosMapBytes int
 	// StashCapacity bounds the stash (default 200).
 	StashCapacity int
-	// Lightweight selects the bandwidth-accounting backend: no real tree,
-	// no encryption — orders of magnitude faster, and the statistics of the
-	// paper's hardware model: it charges every access its full path, while
-	// a real tree keeps its top levels (as many as fit 64 KB) in trusted
-	// memory and moves, opens and seals only the rest. Use it for
-	// performance studies; leave it false to store real data.
-	Lightweight bool
 	// DataDir, if non-empty, stores the sealed bucket trees in page files
 	// under this directory (created if needed) instead of an in-process
 	// map: blocks survive Close and process restarts. Pair with Snapshot
 	// and Resume to also carry the trusted controller state across runs.
-	// Incompatible with Lightweight.
 	DataDir string
 	// MemAddr, if non-empty, stores the sealed bucket trees on a remote
 	// bucketd server at this TCP address: the paper's untrusted memory as a
@@ -122,21 +83,16 @@ type Config struct {
 	// trip and path write-backs pipeline behind the next access; a server
 	// fault or lost connection surfaces as an error wrapping ErrStorage
 	// (fail-stop), while tampering on the server is detected by PMMAC
-	// exactly as for local memory. Incompatible with Lightweight and
-	// DataDir.
+	// exactly as for local memory. Incompatible with DataDir.
 	MemAddr string
 	// MemNamespace isolates this ORAM's buckets on a shared bucketd server
 	// (default derived from Seed). Two live ORAMs must not share one.
 	MemNamespace string
 	// ReadLatency and WriteLatency inject a fixed delay into every
 	// untrusted-memory bucket operation, simulating remote or disk-class
-	// storage. Incompatible with Lightweight.
+	// storage.
 	ReadLatency  time.Duration
 	WriteLatency time.Duration
-	// UnsafeBucketSeeds selects the per-bucket encryption seed scheme of
-	// [26] instead of the global-seed scheme. It exists to demonstrate the
-	// §6.4 one-time-pad replay attack; do not use it otherwise.
-	UnsafeBucketSeeds bool
 	// Seed makes the instance deterministic (default 1).
 	Seed uint64
 }
@@ -155,9 +111,9 @@ type Stats struct {
 	StashOverflow   uint64  // times the stash exceeded its configured capacity
 	Rebuilds        uint64  // bucket-hash level rebuilds completed
 	RebuildSteps    uint64  // bucket operations performed by rebuild steps
-	// TreetopLevels is how many levels of the data tree the treetop cache
-	// holds and TreetopBytes the trusted memory the treetops of all trees
-	// fill at most: constants of the configuration (or resumed snapshot).
+	// TreetopLevels is how many levels of the tree the treetop cache holds
+	// and TreetopBytes the trusted memory it fills at most: constants of the
+	// configuration (or resumed snapshot).
 	TreetopLevels int
 	TreetopBytes  uint64
 }
@@ -168,38 +124,14 @@ type Stats struct {
 // calls, including Stats (see the package comment's Concurrency section).
 type ORAM struct {
 	sys *core.System
-	cfg Config
-	// split is the frontend when it can start and finish an access
-	// separately, else nil; held is then the result of the access Start had
-	// to run to completion, kept for Finish.
-	//
-	// This is the third place an access degrades to "all of it in the first
-	// half", and each is where a different component turns out unable to
-	// split: backend.PathORAM over a synchronous memory (nothing is held —
-	// the read just happens in Complete), core.PLBFrontend over a backend
-	// without Begin/Complete (bhoram, Accounting, a decorator), and here a
-	// frontend without Start/Finish (Recursive). Degrading where the
-	// component is discovered keeps every caller above on one code path: the
-	// store drives all of them through Start/Finish and sees only Wake()==nil.
-	split splitFrontend
-	held  struct {
-		data []byte
-		err  error
-		ok   bool
-	}
-}
-
-// splitFrontend is what a frontend offers when one access can be started
-// and finished separately (core.PLBFrontend).
-type splitFrontend interface {
-	Start(addr uint64, write bool, data []byte) error
-	Finish() ([]byte, error)
-	Ready() bool
-	Wake() <-chan struct{}
+	fe  *core.PLBFrontend
 }
 
 // New builds an ORAM.
 func New(cfg Config) (*ORAM, error) {
+	if cfg.Scheme != PIC {
+		return nil, fmt.Errorf("freecursive: Scheme(%d): New builds PIC only; build other schemes through core.Params", int(cfg.Scheme))
+	}
 	if cfg.Blocks == 0 {
 		cfg.Blocks = 1 << 20
 	}
@@ -207,22 +139,16 @@ func New(cfg Config) (*ORAM, error) {
 		return nil, fmt.Errorf("freecursive: negative latency (read %v, write %v)",
 			cfg.ReadLatency, cfg.WriteLatency)
 	}
-	enc := crypt.SeedGlobal
-	if cfg.UnsafeBucketSeeds {
-		enc = crypt.SeedPerBucket
-	}
 	sys, err := core.Build(core.Params{
-		Scheme:            cfg.Scheme.internal(),
+		Scheme:            core.SchemePIC,
 		Backend:           cfg.Backend,
 		NBlocks:           cfg.Blocks,
 		DataBytes:         cfg.BlockBytes,
-		Z:                 cfg.Z,
 		StashCap:          cfg.StashCapacity,
 		OnChipBudgetBytes: cfg.OnChipPosMapBytes,
 		PLBCapacityBytes:  cfg.PLBBytes,
-		PLBWays:           cfg.PLBWays,
-		Functional:        !cfg.Lightweight,
-		EncScheme:         enc,
+		Functional:        true,
+		EncScheme:         crypt.SeedGlobal,
 		Seed:              cfg.Seed,
 		DataDir:           cfg.DataDir,
 		MemAddr:           cfg.MemAddr,
@@ -233,8 +159,7 @@ func New(cfg Config) (*ORAM, error) {
 	if err != nil {
 		return nil, fmt.Errorf("freecursive: %w", err)
 	}
-	split, _ := sys.Frontend.(splitFrontend)
-	return &ORAM{sys: sys, cfg: cfg, split: split}, nil
+	return &ORAM{sys: sys, fe: sys.Frontend.(*core.PLBFrontend)}, nil
 }
 
 // BlockBytes returns the block size.
@@ -247,16 +172,16 @@ func (o *ORAM) Blocks() uint64 { return o.sys.Params.NBlocks }
 func (o *ORAM) SchemeName() string { return o.sys.Params.Name() }
 
 // Read returns the contents of the block at addr. Never-written blocks read
-// as zeros. Under PMMAC, a tampering adversary causes an error wrapping
-// ErrIntegrity and the ORAM refuses further use.
+// as zeros. A tampering adversary causes an error wrapping ErrIntegrity
+// and the ORAM refuses further use.
 func (o *ORAM) Read(addr uint64) ([]byte, error) {
-	return o.sys.Frontend.Access(addr, false, nil)
+	return o.fe.Access(addr, false, nil)
 }
 
 // Write replaces the block at addr (shorter data is zero-padded) and
 // returns its previous contents.
 func (o *ORAM) Write(addr uint64, data []byte) ([]byte, error) {
-	return o.sys.Frontend.Access(addr, true, data)
+	return o.fe.Access(addr, true, data)
 }
 
 // Start and Finish are Read and Write in two halves, for serving layers
@@ -270,68 +195,35 @@ func (o *ORAM) Write(addr uint64, data []byte) ([]byte, error) {
 // carry, is exactly what Read and Write would have produced.
 //
 // Wake reports whether overlapping is worth anything. It is nil when an
-// access never waits between Start and Finish (local memory, or a
-// configuration that cannot split an access): call Finish right after
-// Start. Otherwise it is a channel that receives when Ready — Finish would
-// return without waiting — may have become true.
+// access never waits between Start and Finish (local memory, or the
+// bucket-hash backend, which cannot split an access): call Finish right
+// after Start. Otherwise it is a channel that receives when Ready — Finish
+// would return without waiting — may have become true.
 //
 // A Start that returns an error has no Finish. Data passed to Start is
 // consumed before it returns. Snapshot, Maintain and Stats may be called
 // with accesses started; the first two complete them first.
 func (o *ORAM) Start(addr uint64, write bool, data []byte) error {
-	if o.split != nil {
-		return o.split.Start(addr, write, data)
-	}
-	if o.held.ok {
-		return fmt.Errorf("freecursive: %s finishes one access at a time; Finish the started one first", o.SchemeName())
-	}
-	o.held.data, o.held.err = o.sys.Frontend.Access(addr, write, data)
-	o.held.ok = true
-	return nil
+	return o.fe.Start(addr, write, data)
 }
 
 // Finish returns the result of the oldest started access. See Start.
-func (o *ORAM) Finish() ([]byte, error) {
-	if o.split != nil {
-		return o.split.Finish()
-	}
-	if !o.held.ok {
-		return nil, fmt.Errorf("freecursive: Finish without a started access")
-	}
-	data, err := o.held.data, o.held.err
-	o.held.data, o.held.err, o.held.ok = nil, nil, false
-	return data, err
-}
+func (o *ORAM) Finish() ([]byte, error) { return o.fe.Finish() }
 
 // Ready reports whether Finish would return without waiting on memory.
-func (o *ORAM) Ready() bool {
-	if o.split != nil {
-		return o.split.Ready()
-	}
-	return o.held.ok
-}
+func (o *ORAM) Ready() bool { return o.fe.Ready() }
 
 // Wake returns the channel hinting that Ready may have turned true, or nil
 // when accesses never wait between Start and Finish. See Start.
-func (o *ORAM) Wake() <-chan struct{} {
-	if o.split != nil {
-		return o.split.Wake()
-	}
-	return nil
-}
+func (o *ORAM) Wake() <-chan struct{} { return o.fe.Wake() }
 
 // Stats returns a snapshot of the controller counters.
 func (o *ORAM) Stats() Stats {
 	c := o.sys.Counters
 	var topLevels int
 	var topBytes uint64
-	for i, be := range o.sys.Backends {
-		if p, ok := be.(*backend.PathORAM); ok {
-			if i == 0 {
-				topLevels = p.TreetopLevels()
-			}
-			topBytes += uint64(p.TreetopBytes())
-		}
+	if p, ok := o.sys.Backends[0].(*backend.PathORAM); ok {
+		topLevels, topBytes = p.TreetopLevels(), uint64(p.TreetopBytes())
 	}
 	return Stats{
 		Accesses:        c.Accesses,
@@ -376,21 +268,21 @@ func (o *ORAM) MaintainPending() bool { return o.sys.MaintainPending() }
 // further accesses with the same error (the paper's processor exception,
 // §2); Violation lets serving layers inspect that state without issuing an
 // access. Like every other method it must be serialized with Read/Write.
-func (o *ORAM) Violation() error { return o.sys.Violation() }
+func (o *ORAM) Violation() error { return o.fe.Violation() }
 
 // Close releases the untrusted storage behind the ORAM (bucket page files
 // when DataDir is set; a no-op for in-memory trees). Close does NOT write a
 // trusted-state snapshot — call Snapshot first for a clean shutdown; a
-// Close without one models a crash, after which PMMAC-enabled schemes
-// refuse stale blocks instead of serving them.
+// Close without one models a crash, after which PMMAC refuses stale blocks
+// instead of serving them.
 func (o *ORAM) Close() error { return o.sys.Close() }
 
 // Snapshot serializes the controller's trusted state — position map, stash,
 // treetop cache, PLB, PMMAC counters, RNG and encryption-seed registers — to
 // w (JSON).
 // Together with the DataDir bucket files this is everything needed to
-// Resume the ORAM in a later process. It fails on Lightweight instances, on
-// controllers that have latched an integrity violation, and — with an error
+// Resume the ORAM in a later process. It fails on controllers that have
+// latched an integrity violation, and — with an error
 // wrapping ErrStorage — once an access has returned ErrStorage: after a
 // failed write the trusted state no longer matches the bucket files, and
 // every later Read and Write is refused the same way.
@@ -416,10 +308,10 @@ func (o *ORAM) Snapshot(w io.Writer) error {
 
 // Resume rebuilds an ORAM from cfg and restores the trusted state written
 // by Snapshot. cfg must describe the same ORAM the snapshot was taken from
-// (same scheme, capacity, seed, …); DataDir and the latency knobs may
+// (same capacity, seed, …); DataDir and the latency knobs may
 // differ — they describe where untrusted memory lives, not what the state
 // looks like. If the bucket files diverged from the snapshot (tampering, a
-// crash after the snapshot), integrity-enabled schemes detect it on access.
+// crash after the snapshot), PMMAC detects it on access.
 func Resume(cfg Config, r io.Reader) (*ORAM, error) {
 	var snap core.Snapshot
 	if err := json.NewDecoder(r).Decode(&snap); err != nil {

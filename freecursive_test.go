@@ -3,15 +3,18 @@ package freecursive
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"freecursive/internal/backend"
+	"freecursive/internal/core"
+	"freecursive/internal/crypt"
 )
 
 func TestDefaults(t *testing.T) {
-	o, err := New(Config{Scheme: PIC, Blocks: 1 << 12, Seed: 1})
+	o, err := New(Config{Blocks: 1 << 12, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,27 +26,56 @@ func TestDefaults(t *testing.T) {
 	}
 }
 
+// retiredSchemes are the paper's ablation points, by the names New once
+// served them under. They build through core.Params only.
+var retiredSchemes = map[string]core.Scheme{
+	"Recursive": core.SchemeRecursive, "PLB": core.SchemeP, "PC": core.SchemePC, "PI": core.SchemePI,
+}
+
+// TestAllSchemesRoundTrip: every scheme of the paper still stores data, but
+// only PIC is built by New. The ablation points build through core.Params,
+// which is where New's rejection of every other Scheme value points.
 func TestAllSchemesRoundTrip(t *testing.T) {
-	for _, s := range []Scheme{Recursive, PLB, PC, PI, PIC} {
-		t.Run(s.String(), func(t *testing.T) {
-			o, err := New(Config{Scheme: s, Blocks: 1 << 10, Seed: 2})
+	for s := Scheme(1); s <= 4; s++ {
+		if _, err := New(Config{Scheme: s, Blocks: 1 << 10}); err == nil || !strings.Contains(err.Error(), "core.Params") {
+			t.Errorf("New(Scheme(%d)) = %v, want a rejection pointing to core.Params", int(s), err)
+		}
+	}
+	roundTrip := func(t *testing.T, access func(addr uint64, write bool, data []byte) ([]byte, error)) {
+		prev, err := access(7, true, []byte("hello"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(prev, make([]byte, 64)) {
+			t.Fatal("first write should return zeros")
+		}
+		got, err := access(7, false, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got[:5]) != "hello" {
+			t.Fatalf("read %q", got[:5])
+		}
+	}
+	t.Run("PIC", func(t *testing.T) {
+		o, err := New(Config{Blocks: 1 << 10, Seed: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		roundTrip(t, func(addr uint64, write bool, data []byte) ([]byte, error) {
+			if write {
+				return o.Write(addr, data)
+			}
+			return o.Read(addr)
+		})
+	})
+	for name, s := range retiredSchemes {
+		t.Run(name, func(t *testing.T) {
+			sys, err := core.Build(core.Params{Scheme: s, NBlocks: 1 << 10, Functional: true, EncScheme: crypt.SeedGlobal, Seed: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
-			prev, err := o.Write(7, []byte("hello"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(prev, make([]byte, 64)) {
-				t.Fatal("first write should return zeros")
-			}
-			got, err := o.Read(7)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if string(got[:5]) != "hello" {
-				t.Fatalf("read %q", got[:5])
-			}
+			roundTrip(t, sys.Frontend.Access)
 		})
 	}
 }
@@ -51,7 +83,7 @@ func TestAllSchemesRoundTrip(t *testing.T) {
 // TestRandomOpsAgainstMap (property): the ORAM behaves as flat memory under
 // arbitrary random op sequences, for the flagship scheme.
 func TestRandomOpsAgainstMap(t *testing.T) {
-	o, err := New(Config{Scheme: PIC, Blocks: 1 << 10, Seed: 4})
+	o, err := New(Config{Blocks: 1 << 10, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +114,7 @@ func TestRandomOpsAgainstMap(t *testing.T) {
 }
 
 func TestStatsPopulated(t *testing.T) {
-	o, _ := New(Config{Scheme: PIC, Blocks: 1 << 10, Seed: 5})
+	o, _ := New(Config{Blocks: 1 << 10, Seed: 5})
 	for i := uint64(0); i < 100; i++ {
 		if _, err := o.Write(i, []byte{byte(i)}); err != nil {
 			t.Fatal(err)
@@ -98,7 +130,7 @@ func TestStatsPopulated(t *testing.T) {
 }
 
 func TestIntegrityViolationSurfaced(t *testing.T) {
-	o, err := New(Config{Scheme: PIC, Blocks: 1 << 10, Seed: 6})
+	o, err := New(Config{Blocks: 1 << 10, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,50 +168,19 @@ func TestIntegrityViolationSurfaced(t *testing.T) {
 
 // TestConfigValidation covers the knob combinations New must reject:
 // negative latencies (previously swallowed by mem.WithLatency's <= 0
-// check) and latency injection or durability on the Lightweight backend.
+// check).
 func TestConfigValidation(t *testing.T) {
 	bad := []Config{
-		{Scheme: PIC, Blocks: 1 << 10, ReadLatency: -time.Microsecond},
-		{Scheme: PIC, Blocks: 1 << 10, WriteLatency: -time.Microsecond},
-		{Scheme: PIC, Blocks: 1 << 10, Lightweight: true, ReadLatency: time.Microsecond},
-		{Scheme: PIC, Blocks: 1 << 10, Lightweight: true, WriteLatency: time.Microsecond},
+		{Blocks: 1 << 10, ReadLatency: -time.Microsecond},
+		{Blocks: 1 << 10, WriteLatency: -time.Microsecond},
 	}
 	for i, cfg := range bad {
 		if _, err := New(cfg); err == nil {
 			t.Errorf("config %d (%+v) accepted, want error", i, cfg)
 		}
 	}
-	// The zero latencies stay valid, with and without Lightweight.
-	if _, err := New(Config{Scheme: PIC, Blocks: 1 << 10, Lightweight: true}); err != nil {
+	// The zero latencies stay valid.
+	if _, err := New(Config{Blocks: 1 << 10}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestLightweightMode(t *testing.T) {
-	o, err := New(Config{Scheme: PC, Blocks: 1 << 12, Lightweight: true, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := o.Write(5, []byte("fast")); err != nil {
-		t.Fatal(err)
-	}
-	got, err := o.Read(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got[:4]) != "fast" {
-		t.Fatal("lightweight mode lost data")
-	}
-	if o.Stats().BytesMoved == 0 {
-		t.Fatal("lightweight mode must still account bytes")
-	}
-}
-
-func TestSchemeStrings(t *testing.T) {
-	names := map[Scheme]string{Recursive: "Recursive", PLB: "PLB", PC: "PC", PI: "PI", PIC: "PIC"}
-	for s, want := range names {
-		if s.String() != want {
-			t.Fatalf("%v", s)
-		}
 	}
 }

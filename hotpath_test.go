@@ -21,7 +21,7 @@ import (
 // configuration of the serving layers.
 func hotORAM(tb testing.TB, mutate func(*freecursive.Config)) *freecursive.ORAM {
 	tb.Helper()
-	cfg := freecursive.Config{Scheme: freecursive.PIC, Blocks: 1 << 12, Seed: 2}
+	cfg := freecursive.Config{Blocks: 1 << 12, Seed: 2}
 	if mutate != nil {
 		mutate(&cfg)
 	}

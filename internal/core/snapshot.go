@@ -174,23 +174,20 @@ func (s *System) Snapshot() (*Snapshot, error) {
 		snap.Backends = append(snap.Backends, bs)
 	}
 
-	switch fe := s.Frontend.(type) {
-	case *PLBFrontend:
-		if err := fe.Violation(); err != nil {
-			return nil, fmt.Errorf("core: refusing to snapshot a violated controller: %w", err)
-		}
-		snap.OnChip.Entries, snap.OnChip.Assigned = fe.OnChip().Snapshot()
-		if fe.PLB() != nil {
-			for _, e := range fe.PLB().Entries() {
-				snap.PLB = append(snap.PLB, PLBEntryState{
-					Tag: e.Tag, Leaf: e.Leaf, Counter: e.Counter, Block: e.Block,
-				})
-			}
-		}
-	case *RecursiveFrontend:
-		snap.OnChip.Entries, snap.OnChip.Assigned = fe.OnChip().Snapshot()
-	default:
+	fe, ok := s.Frontend.(*PLBFrontend)
+	if !ok {
 		return nil, fmt.Errorf("core: cannot snapshot frontend %T", s.Frontend)
+	}
+	if err := fe.Violation(); err != nil {
+		return nil, fmt.Errorf("core: refusing to snapshot a violated controller: %w", err)
+	}
+	snap.OnChip.Entries, snap.OnChip.Assigned = fe.OnChip().Snapshot()
+	if fe.PLB() != nil {
+		for _, e := range fe.PLB().Entries() {
+			snap.PLB = append(snap.PLB, PLBEntryState{
+				Tag: e.Tag, Leaf: e.Leaf, Counter: e.Counter, Block: e.Block,
+			})
+		}
 	}
 	return snap, nil
 }
@@ -255,32 +252,24 @@ func (s *System) Restore(snap *Snapshot) error {
 		}
 	}
 
-	switch fe := s.Frontend.(type) {
-	case *PLBFrontend:
-		if err := fe.OnChip().Restore(snap.OnChip.Entries, snap.OnChip.Assigned); err != nil {
-			return err
-		}
-		for _, e := range snap.PLB {
-			if fe.PLB() == nil {
-				return fmt.Errorf("core: snapshot carries PLB entries but the system has no PLB")
-			}
-			if _, _, evicted := fe.PLB().Insert(plb.Entry{
-				Tag: e.Tag, Leaf: e.Leaf, Counter: e.Counter, Block: e.Block,
-			}); evicted {
-				// Same capacity + same tags as the source PLB: an eviction
-				// here means the snapshot and system disagree after all.
-				return fmt.Errorf("core: PLB overflow restoring entry %#x", e.Tag)
-			}
-		}
-	case *RecursiveFrontend:
-		if len(snap.PLB) > 0 {
-			return fmt.Errorf("core: snapshot carries PLB entries for a recursive frontend")
-		}
-		if err := fe.OnChip().Restore(snap.OnChip.Entries, snap.OnChip.Assigned); err != nil {
-			return err
-		}
-	default:
+	fe, ok := s.Frontend.(*PLBFrontend)
+	if !ok {
 		return fmt.Errorf("core: cannot restore into frontend %T", s.Frontend)
+	}
+	if err := fe.OnChip().Restore(snap.OnChip.Entries, snap.OnChip.Assigned); err != nil {
+		return err
+	}
+	for _, e := range snap.PLB {
+		if fe.PLB() == nil {
+			return fmt.Errorf("core: snapshot carries PLB entries but the system has no PLB")
+		}
+		if _, _, evicted := fe.PLB().Insert(plb.Entry{
+			Tag: e.Tag, Leaf: e.Leaf, Counter: e.Counter, Block: e.Block,
+		}); evicted {
+			// Same capacity + same tags as the source PLB: an eviction
+			// here means the snapshot and system disagree after all.
+			return fmt.Errorf("core: PLB overflow restoring entry %#x", e.Tag)
+		}
 	}
 
 	// Counters last: the restore steps above must not leak into the

@@ -517,3 +517,37 @@ func TestSnapshotRefusedAfterStorageFault(t *testing.T) {
 		})
 	}
 }
+
+// TestSnapshotRejectsUnservedConfigs: only what freecursive.New builds
+// snapshots. The accounting backend has no real tree to persist against, so
+// it neither snapshots nor takes durable memory, and the bucket-hash
+// construction has no accounting mode at all; the recursive baseline's
+// frontend has no snapshot form.
+func TestSnapshotRejectsUnservedConfigs(t *testing.T) {
+	p := Params{Scheme: SchemePIC, NBlocks: 1 << 10, Seed: 16}
+	sys, err := Build(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Snapshot(); err == nil {
+		t.Error("snapshot of an accounting system should fail")
+	}
+	q := p
+	q.DataDir = t.TempDir()
+	if _, err := Build(q); err == nil {
+		t.Error("DataDir with the accounting backend should fail")
+	}
+	q = p
+	q.Backend = BackendBucketHash
+	if _, err := Build(q); err == nil {
+		t.Error("the bucket-hash backend without Functional should fail")
+	}
+	q = p
+	q.Scheme, q.Functional = SchemeRecursive, true
+	if sys, err = Build(q); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Snapshot(); err == nil {
+		t.Error("snapshot of a recursive-baseline system should fail")
+	}
+}

@@ -49,7 +49,7 @@ func TestCloseWithFullWindow(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	st, err := store.New(store.Config{
 		Shards: 1, Blocks: 64,
-		ORAM: freecursive.Config{Scheme: freecursive.PLB, BlockBytes: 4096, Lightweight: true},
+		ORAM: freecursive.Config{BlockBytes: 4096},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -21,7 +21,7 @@ func startServer(t *testing.T) (*Server, *store.Store, string) {
 	st, err := store.New(store.Config{
 		Shards: 4,
 		Blocks: 1 << 10,
-		ORAM:   freecursive.Config{Scheme: freecursive.PLB, BlockBytes: 16, Seed: 11},
+		ORAM:   freecursive.Config{BlockBytes: 16, Seed: 11},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -384,7 +384,7 @@ func TestInFlightGaugeSettles(t *testing.T) {
 func TestServeAfterClose(t *testing.T) {
 	st, err := store.New(store.Config{
 		Shards: 1, Blocks: 64,
-		ORAM: freecursive.Config{Scheme: freecursive.PLB, BlockBytes: 16, Lightweight: true},
+		ORAM: freecursive.Config{BlockBytes: 16},
 	})
 	if err != nil {
 		t.Fatal(err)

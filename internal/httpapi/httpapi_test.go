@@ -12,6 +12,7 @@ import (
 
 	"freecursive"
 	"freecursive/client"
+	"freecursive/internal/crypt"
 	"freecursive/internal/store"
 )
 
@@ -20,7 +21,7 @@ func testServer(t *testing.T) (*httptest.Server, *store.Store) {
 	st, err := store.New(store.Config{
 		Shards: 4,
 		Blocks: 1 << 10,
-		ORAM:   freecursive.Config{Scheme: freecursive.PLB, BlockBytes: 16, Seed: 3},
+		ORAM:   freecursive.Config{BlockBytes: 16, Seed: 3},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -416,6 +417,10 @@ func TestMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := string(body)
+	// 256-block shards of 16-byte blocks, each sealed with its PMMAC tag: an
+	// 8-level tree whose top 7 levels (127 buckets of 4 slots, each a 17-byte
+	// header over the block and its tag) fit the default budget.
+	treetop := 127 * 4 * (17 + 16 + crypt.DefaultTagBytes)
 	for _, want := range []string{
 		"# TYPE oramstore_accesses_total counter",
 		`oramstore_accesses_total{shard="0"}`,
@@ -427,11 +432,9 @@ func TestMetrics(t *testing.T) {
 		`oramstore_shard_overlapped_accesses_total{shard="0"} 0`,
 		`oramstore_shard_in_flight_accesses{shard="0"} 0`,
 		`oramstore_shard_queue_cap{shard="0"}`,
-		// 256-block shards of 16-byte blocks: an 8-level tree whose top 7
-		// levels (127 buckets of 4 slots of 17+16 bytes) fit the default budget.
 		`oramstore_treetop_levels{shard="3"} 7`,
-		`oramstore_treetop_bytes{shard="3"} 16764`,
-		"oramstore_treetop_bytes 67056",
+		fmt.Sprintf(`oramstore_treetop_bytes{shard="3"} %d`, treetop),
+		fmt.Sprintf("oramstore_treetop_bytes %d", 4*treetop),
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("/metrics missing %q in:\n%s", want, text)
@@ -466,7 +469,7 @@ func TestBatchDrainingStore503(t *testing.T) {
 	st, err := store.New(store.Config{
 		Shards: 2,
 		Blocks: 1 << 8,
-		ORAM:   freecursive.Config{Scheme: freecursive.PLB, BlockBytes: 16, Seed: 3},
+		ORAM:   freecursive.Config{BlockBytes: 16, Seed: 3},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -14,7 +14,6 @@ import (
 func durableCfg(dir string) Config {
 	cfg := lightCfg(2, 1<<9)
 	cfg.DataDir = dir
-	cfg.ORAM.Scheme = freecursive.PIC
 	return cfg
 }
 

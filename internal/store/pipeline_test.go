@@ -255,14 +255,6 @@ func TestQuarantineAdmin(t *testing.T) {
 	}
 }
 
-// picCfg is a functional PIC store — real trees, PMMAC on — for integrity
-// tests.
-func picCfg(shards int, blocks uint64) Config {
-	cfg := lightCfg(shards, blocks)
-	cfg.ORAM.Scheme = freecursive.PIC
-	return cfg
-}
-
 // tamperShard corrupts every materialized bucket of shard si's unified
 // tree, on the shard's owner goroutine so the edit is serialized against
 // traffic exactly like a §2 adversary flipping DRAM between accesses.
@@ -298,7 +290,7 @@ func tamperShard(t *testing.T, s *Store, si int) {
 // and every other shard keeps serving with correct data.
 func TestIntegrityQuarantineIsolatesShard(t *testing.T) {
 	const victim = 1
-	s, err := New(picCfg(4, 1<<9))
+	s, err := New(lightCfg(4, 1<<9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,7 +372,7 @@ func TestQuarantineUnderTraffic(t *testing.T) {
 		victim  = 0
 		workers = 6
 	)
-	s, err := New(picCfg(4, 1<<9))
+	s, err := New(lightCfg(4, 1<<9))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,13 +9,12 @@ import (
 	"freecursive"
 )
 
-// lightCfg keeps unit tests fast: tiny shards, real data (functional mode).
+// lightCfg keeps unit tests fast: tiny shards and blocks.
 func lightCfg(shards int, blocks uint64) Config {
 	return Config{
 		Shards: shards,
 		Blocks: blocks,
 		ORAM: freecursive.Config{
-			Scheme:     freecursive.PLB,
 			BlockBytes: 16,
 			Seed:       7,
 		},

@@ -18,10 +18,9 @@ import (
 
 // remoteStore builds a store whose shards keep their trees on a bucketd
 // reachable at addr.
-func remoteStore(t *testing.T, addr string, shards int, scheme freecursive.Scheme) *Store {
+func remoteStore(t *testing.T, addr string, shards int) *Store {
 	t.Helper()
 	cfg := lightCfg(shards, uint64(shards)<<7)
-	cfg.ORAM.Scheme = scheme
 	cfg.MemAddr = addr
 	s, err := New(cfg)
 	if err != nil {
@@ -43,7 +42,7 @@ func remoteStore(t *testing.T, addr string, shards int, scheme freecursive.Schem
 // what happened.
 func TestWindowOverlapsRoundTrips(t *testing.T) {
 	const rtt = 40 * time.Millisecond
-	s := remoteStore(t, startBucketd(t, bucketd.Config{RTT: rtt}), 1, freecursive.PLB)
+	s := remoteStore(t, startBucketd(t, bucketd.Config{RTT: rtt}), 1)
 	bb := s.BlockBytes()
 	for a := uint64(0); a < inFlightWindow; a++ {
 		if _, err := s.Put(a, val(a, bb)); err != nil {
@@ -97,7 +96,7 @@ func TestWindowOverlapsRoundTrips(t *testing.T) {
 // flight waits for that access instead of issuing its own, and a write in
 // between splits the sharing, exactly as within a serial window.
 func TestWindowCoalescesOntoFlight(t *testing.T) {
-	s := remoteStore(t, startBucketd(t, bucketd.Config{RTT: 10 * time.Millisecond}), 1, freecursive.PLB)
+	s := remoteStore(t, startBucketd(t, bucketd.Config{RTT: 10 * time.Millisecond}), 1)
 	bb := s.BlockBytes()
 	v1, v2 := val(1, bb), val(2, bb)
 	if _, err := s.Put(5, v1); err != nil {
@@ -232,7 +231,7 @@ func settleGoroutines(t *testing.T, baseline int) {
 //
 // wantOK is how many accesses of the pile complete before the fault, or -1
 // when that depends on what the tree happened to hold.
-func windowFault(t *testing.T, cfg bucketd.Config, scheme freecursive.Scheme, pile int,
+func windowFault(t *testing.T, cfg bucketd.Config, pile int,
 	prepare func(s *Store, bucketdAddr string), inject func(proxy *cutProxy), wantOK int, wantErr error) {
 	baseline := runtime.NumGoroutine()
 	if cfg.RTT == 0 {
@@ -246,7 +245,7 @@ func windowFault(t *testing.T, cfg bucketd.Config, scheme freecursive.Scheme, pi
 	served := make(chan struct{})
 	go func() { srv.Serve(ln); close(served) }()
 	proxy := startCutProxy(t, ln.Addr().String())
-	s := remoteStore(t, proxy.ln.Addr().String(), 2, scheme)
+	s := remoteStore(t, proxy.ln.Addr().String(), 2)
 	bb := s.BlockBytes()
 	mine, other := shardAddrs(s, 0, inFlightWindow), shardAddrs(s, 1, 1)
 	for _, a := range append(mine, other...) {
@@ -343,7 +342,7 @@ func windowFault(t *testing.T, cfg bucketd.Config, scheme freecursive.Scheme, pi
 // TestWindowFaultConnectionCut: the connection drops with a full window of
 // reads in flight (on the wire: after R_A … R_D, before W_A).
 func TestWindowFaultConnectionCut(t *testing.T) {
-	windowFault(t, bucketd.Config{}, freecursive.PLB, inFlightWindow, nil,
+	windowFault(t, bucketd.Config{}, inFlightWindow, nil,
 		func(p *cutProxy) { p.cut(0) }, 0, freecursive.ErrStorage)
 }
 
@@ -356,7 +355,7 @@ func TestWindowFaultSilentServer(t *testing.T) {
 	defer func(d time.Duration) { mem.DefaultOpTimeout = d }(mem.DefaultOpTimeout)
 	mem.DefaultOpTimeout = 300 * time.Millisecond
 	for _, pile := range []int{1, inFlightWindow - 1, inFlightWindow} {
-		windowFault(t, bucketd.Config{}, freecursive.PLB, pile, nil,
+		windowFault(t, bucketd.Config{}, pile, nil,
 			func(p *cutProxy) { p.mute(0) }, 0, freecursive.ErrStorage)
 	}
 }
@@ -370,7 +369,7 @@ func TestWindowFaultServerError(t *testing.T) {
 	// (readpath, writepath): inFlightWindow on shard 0 and one on shard 1.
 	// The pile's reads are the next frames, so its second read is frame
 	// 2·(inFlightWindow+1) + 2.
-	windowFault(t, bucketd.Config{FailEvery: 2*(inFlightWindow+1) + 2}, freecursive.PLB, inFlightWindow, nil,
+	windowFault(t, bucketd.Config{FailEvery: 2*(inFlightWindow+1) + 2}, inFlightWindow, nil,
 		nil, 1, freecursive.ErrStorage)
 }
 
@@ -379,7 +378,7 @@ func TestWindowFaultServerError(t *testing.T) {
 // violation instead of trusting memory further.
 func TestWindowFaultIntegrity(t *testing.T) {
 	// A short round trip: the adversary below pays it per bucket.
-	windowFault(t, bucketd.Config{RTT: time.Millisecond}, freecursive.PIC, inFlightWindow, func(s *Store, addr string) {
+	windowFault(t, bucketd.Config{RTT: time.Millisecond}, inFlightWindow, func(s *Store, addr string) {
 		// The adversary garbles shard 0's whole tree through a connection
 		// of its own. Flush the shard's stash first: blocks still on chip
 		// are out of its reach.

@@ -12,10 +12,14 @@ all: build lint test
 build:
 	go build ./...
 
-# A platform without mmap gets internal/mem's stub (OpenFile fails there);
-# everything must still compile.
+# A platform without mmap gets internal/mem's stub (OpenFile fails there),
+# and one without internal/crypt's AES-NI kernel gets its per-block
+# fallback; everything must still compile. windows/amd64 assembles the
+# kernel; linux/arm64 builds and vets the fallback.
 cross:
 	GOOS=windows GOARCH=amd64 go build ./...
+	GOOS=linux GOARCH=arm64 go build ./...
+	GOARCH=arm64 go vet ./internal/crypt
 
 test:
 	go test ./...

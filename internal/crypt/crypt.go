@@ -194,6 +194,12 @@ type BucketCipher struct {
 	block      cipher.Block
 	scheme     SeedScheme
 	globalSeed uint64 // next seed for SeedGlobal
+	// kernel selects the AES-NI kernel (encBlocks under xk) over the
+	// per-block block.Encrypt loop; it is fixed at construction.
+	kernel bool
+	// xk holds the 11 AES-128 round keys the kernel runs on, expanded
+	// from the key once. It is derived state and never serialized.
+	xk [44]uint32
 	// ks is the keystream scratch: a chunk of CTR counter blocks is laid
 	// out in it and encrypted in place. It lives on the struct (not the
 	// stack) so passing it through the cipher.Block interface does not
@@ -218,7 +224,11 @@ func NewBucketCipher(key []byte, scheme SeedScheme) (*BucketCipher, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &BucketCipher{block: b, scheme: scheme, globalSeed: 1}, nil
+	bc := &BucketCipher{block: b, scheme: scheme, globalSeed: 1, kernel: aesni}
+	if bc.kernel {
+		expandKey(&key[0], &bc.xk[0])
+	}
+	return bc, nil
 }
 
 // Scheme returns the seed scheme in use.
@@ -270,14 +280,15 @@ func (bc *BucketCipher) pad(bucketID, seed uint64, body []byte, out []byte) {
 
 // keystream fills ks, a whole number of AES blocks, with the encryptions of
 // the counter blocks hi || lo, hi || lo+1, ...: every counter block is
-// written first, then all are encrypted in place by back-to-back Encrypt
-// calls that do not depend on one another. One AES-NI block has a latency of
-// tens of cycles but the unit accepts a new one every cycle or two, so
+// written first, then all are encrypted in place. One AES-NI round has a
+// latency of several cycles but the unit accepts a new one every cycle, so
 // independent blocks overlap where an encrypt-XOR-increment chain over one
-// 16-byte scratch runs them one at a time. The loops live in a function of
-// their own so that their counters stay in registers: written inside pad's
-// chunk loop (go1.24, amd64) the block counter is spilled and reloaded once
-// per block, a fifth of the cost of a bucket.
+// 16-byte scratch runs them one at a time. With AES-NI the whole chunk is
+// one encBlocks call that keeps eight blocks in flight; otherwise it is one
+// block.Encrypt call per block, whose call overhead outweighs its 16 bytes
+// of AES. The loops live in a function of their own so that their counters
+// stay in registers: written inside pad's chunk loop (go1.24, amd64) the
+// block counter is spilled and reloaded once per block.
 //
 //oram:hotpath
 func (bc *BucketCipher) keystream(ks []byte, hi, lo uint64) {
@@ -285,6 +296,10 @@ func (bc *BucketCipher) keystream(ks []byte, hi, lo uint64) {
 		binary.BigEndian.PutUint64(b, hi)
 		binary.BigEndian.PutUint64(b[8:], lo)
 		lo++
+	}
+	if bc.kernel {
+		encBlocks(&bc.xk[0], &ks[0], len(ks)/aes.BlockSize)
+		return
 	}
 	for b := ks; len(b) >= aes.BlockSize; b = b[aes.BlockSize:] {
 		bc.block.Encrypt(b, b)

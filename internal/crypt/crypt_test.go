@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"crypto/aes"
 	"crypto/cipher"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"os"
 	"testing"
 	"testing/quick"
@@ -249,14 +251,66 @@ func stdlibPad(tb testing.TB, key []byte, scheme SeedScheme, bucketID, seed uint
 	return out
 }
 
+// cipherPaths are the two keystream paths a BucketCipher can take: the
+// AES-NI kernel NewBucketCipher picks where the CPU has it, and the
+// per-block cipher.Block loop every other machine runs. Without AES-NI
+// both entries take the loop.
+var cipherPaths = []struct {
+	name string
+	new  func(key []byte, scheme SeedScheme) (*BucketCipher, error)
+}{
+	{"kernel", NewBucketCipher},
+	{"fallback", newFallbackCipher},
+}
+
+// TestKernelKeyExpansion checks the round keys expandKey lays out against
+// the key-expansion vector of FIPS-197 Appendix A.1, words w[0] to w[43].
+func TestKernelKeyExpansion(t *testing.T) {
+	if !aesni {
+		t.Skip("no AES-NI kernel on this machine")
+	}
+	key, _ := hex.DecodeString("2b7e151628aed2a6abf7158809cf4f3c")
+	want := "2b7e151628aed2a6abf7158809cf4f3c" +
+		"a0fafe1788542cb123a339392a6c7605" +
+		"f2c295f27a96b9435935807a7359f67f" +
+		"3d80477d4716fe3e1e237e446d7a883b" +
+		"ef44a541a8525b7fb671253bdb0bad00" +
+		"d4d1c6f87c839d87caf2b8bc11f915bc" +
+		"6d88a37a110b3efddbf98641ca0093fd" +
+		"4e54f70e5f5fc9f384a64fb24ea6dc4f" +
+		"ead27321b58dbad2312bf5607f8d292f" +
+		"ac7766f319fadc2128d12941575c006e" +
+		"d014f9a8c9ee2589e13f0cc8b6630ca6"
+	bc, err := NewBucketCipher(key, SeedGlobal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The kernel loads each round key as 16 bytes, so the words sit in
+	// memory in AES byte order.
+	got := make([]byte, 0, 4*len(bc.xk))
+	for _, w := range bc.xk {
+		got = binary.LittleEndian.AppendUint32(got, w)
+	}
+	if hex.EncodeToString(got) != want {
+		t.Fatalf("round keys\n%x\nwant\n%s", got, want)
+	}
+}
+
 // FuzzPadMatchesStdlibCTR pins pad's keystream to cipher.NewCTR's output
-// byte for byte, for both schemes, for IDs and seeds past the 48 bits the IV
-// keeps, and for bodies from empty to several keystream chunks with
-// unaligned tails. Sealed buckets written by earlier builds (durable page
-// files) must keep decrypting, so this equivalence is part of the on-disk
-// format.
+// byte for byte, on both keystream paths, for both schemes, for IDs and
+// seeds past the 48 bits the IV keeps, and for bodies from empty to several
+// keystream chunks with unaligned tails. Sealed buckets written by earlier
+// builds (durable page files) must keep decrypting, so this equivalence is
+// part of the on-disk format. The seeds cover every block count around the
+// kernel's eight-block stride: 1-9 blocks, a partial last block, and
+// exactly 8, 16 and 32 blocks.
 func FuzzPadMatchesStdlibCTR(f *testing.F) {
-	for _, n := range []int{0, 1, 15, 16, 17, 31, 32, 388, padChunk - 1, padChunk, padChunk + 1, 1000, 4096} {
+	sizes := []int{0, 1, 15, 16, 17, 31, 32, 388, padChunk - 1, padChunk, padChunk + 1, 1000, 4096}
+	for b := 1; b <= 9; b++ {
+		sizes = append(sizes, b*aes.BlockSize, b*aes.BlockSize-7)
+	}
+	sizes = append(sizes, 16*aes.BlockSize, 16*aes.BlockSize+1)
+	for _, n := range sizes {
 		f.Add(testKey(7), false, uint64(0x1234), uint64(0x9999), n)
 		f.Add(testKey(7), true, uint64(0x1234), uint64(0x9999), n)
 	}
@@ -274,25 +328,28 @@ func FuzzPadMatchesStdlibCTR(f *testing.F) {
 		if global {
 			scheme = SeedGlobal
 		}
-		bc, err := NewBucketCipher(key, scheme)
-		if err != nil {
-			t.Fatal(err)
-		}
 		body := make([]byte, n)
 		for i := range body {
 			body[i] = byte(i*31 + n)
 		}
-		got := make([]byte, n)
-		bc.pad(bucketID, seed, body, got)
-		if want := stdlibPad(t, key, scheme, bucketID, seed, body); !bytes.Equal(got, want) {
-			t.Fatalf("%v id=%#x seed=%#x n=%d: pad diverges from stdlib CTR", scheme, bucketID, seed, n)
+		want := stdlibPad(t, key, scheme, bucketID, seed, body)
+		for _, p := range cipherPaths {
+			bc, err := p.new(key, scheme)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := make([]byte, n)
+			bc.pad(bucketID, seed, body, got)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s %v id=%#x seed=%#x n=%d: pad diverges from stdlib CTR", p.name, scheme, bucketID, seed, n)
+			}
 		}
 	})
 }
 
 // TestSealedGoldenVectors pins the sealed-bucket format — seed prefix, IV
 // layout, keystream — to bytes on disk, independently of the stdlib and of
-// pad's loop. testdata/sealed_golden.json was written by the per-block
+// pad's loop, on both keystream paths. testdata/sealed_golden.json was written by the per-block
 // keystream loop this package shipped with before pad batched its AES calls
 // (commit 3103223); it is a record of what page files and snapshots in the
 // field contain, so it is never regenerated from the code under test.
@@ -327,16 +384,18 @@ func TestSealedGoldenVectors(t *testing.T) {
 			return b
 		}
 		key, plain, sealed := unhex(v.Key), unhex(v.Plaintext), unhex(v.Sealed)
-		bc, err := NewBucketCipher(key, scheme)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bc.SetGlobalSeed(v.GlobalSeed)
-		if got := bc.Seal(v.BucketID, v.PrevSeed, plain); !bytes.Equal(got, sealed) {
-			t.Errorf("%s: Seal = %x, golden %x", v.Name, got, sealed)
-		}
-		if got, _, err := bc.Open(v.BucketID, sealed); err != nil || !bytes.Equal(got, plain) {
-			t.Errorf("%s: Open of the golden bucket = %x, %v; want the plaintext", v.Name, got, err)
+		for _, p := range cipherPaths {
+			bc, err := p.new(key, scheme)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bc.SetGlobalSeed(v.GlobalSeed)
+			if got := bc.Seal(v.BucketID, v.PrevSeed, plain); !bytes.Equal(got, sealed) {
+				t.Errorf("%s %s: Seal = %x, golden %x", p.name, v.Name, got, sealed)
+			}
+			if got, _, err := bc.Open(v.BucketID, sealed); err != nil || !bytes.Equal(got, plain) {
+				t.Errorf("%s %s: Open of the golden bucket = %x, %v; want the plaintext", p.name, v.Name, got, err)
+			}
 		}
 	}
 	if !seen[SeedPerBucket] || !seen[SeedGlobal] {
@@ -447,28 +506,56 @@ func TestSeedSchemeString(t *testing.T) {
 const benchBody = 388
 
 func BenchmarkSealTo(b *testing.B) {
-	bc, _ := NewBucketCipher(testKey(7), SeedGlobal)
-	body := make([]byte, benchBody)
-	sealed := make([]byte, 0, SeedBytes+len(body))
-	b.SetBytes(benchBody)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sealed = bc.SealTo(sealed[:0], uint64(i), 0, body)
+	for _, p := range cipherPaths {
+		b.Run(p.name, func(b *testing.B) {
+			bc, _ := p.new(testKey(7), SeedGlobal)
+			body := make([]byte, benchBody)
+			sealed := make([]byte, 0, SeedBytes+len(body))
+			b.SetBytes(benchBody)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sealed = bc.SealTo(sealed[:0], uint64(i), 0, body)
+			}
+		})
 	}
 }
 
 func BenchmarkOpenTo(b *testing.B) {
-	bc, _ := NewBucketCipher(testKey(7), SeedGlobal)
-	sealed := bc.Seal(3, 0, make([]byte, benchBody))
-	body := make([]byte, 0, benchBody)
-	b.SetBytes(benchBody)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		if body, _, err = bc.OpenTo(body[:0], 3, sealed); err != nil {
-			b.Fatal(err)
+	for _, p := range cipherPaths {
+		b.Run(p.name, func(b *testing.B) {
+			bc, _ := p.new(testKey(7), SeedGlobal)
+			sealed := bc.Seal(3, 0, make([]byte, benchBody))
+			body := make([]byte, 0, benchBody)
+			b.SetBytes(benchBody)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var err error
+				if body, _, err = bc.OpenTo(body[:0], 3, sealed); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkPad is the keystream alone, over one AES block (all tail), the
+// flagship bucket body, and 4 KiB (several whole keystream chunks).
+func BenchmarkPad(b *testing.B) {
+	for _, p := range cipherPaths {
+		for _, size := range []int{aes.BlockSize, benchBody, 4096} {
+			b.Run(fmt.Sprintf("%s/%d", p.name, size), func(b *testing.B) {
+				bc, _ := p.new(testKey(7), SeedGlobal)
+				body := make([]byte, size)
+				out := make([]byte, size)
+				b.SetBytes(int64(size))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					bc.pad(3, uint64(i), body, out)
+				}
+			})
 		}
 	}
 }

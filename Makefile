@@ -91,14 +91,16 @@ staticcheck-version:
 	@echo $(STATICCHECK_VERSION)
 
 # Short coverage-guided runs of every fuzz target (the CI fuzz-smoke job):
-# the codecs, seeded from the committed corpora under testdata/fuzz/, and
-# the bucket keystream against the stdlib's AES-CTR.
+# the codecs, seeded from the committed corpora under testdata/fuzz/, the
+# bucket keystream against the stdlib's AES-CTR, and the stash against a
+# plain-map model.
 fuzz-smoke:
 	go test ./internal/frame -run='^$$' -fuzz='^FuzzDecodeRequest$$' -fuzztime=30s
 	go test ./internal/frame -run='^$$' -fuzz='^FuzzDecodeResponse$$' -fuzztime=30s
 	go test ./internal/bucketwire -run='^$$' -fuzz='^FuzzDecodeRequest$$' -fuzztime=30s
 	go test ./internal/bucketwire -run='^$$' -fuzz='^FuzzDecodeResponse$$' -fuzztime=30s
 	go test ./internal/crypt -run='^$$' -fuzz='^FuzzPadMatchesStdlibCTR$$' -fuzztime=30s
+	go test ./internal/stash -run='^$$' -fuzz='^FuzzStashMatchesModel$$' -fuzztime=30s
 
 fmt:
 	gofmt -s -w .

@@ -456,7 +456,6 @@ func (p *PathORAM) append(req Request) (Result, error) {
 	}
 	data := p.newBlockBuf()
 	fillBlockBuf(data, req.Data)
-	//oramlint:allow secretflow source: request Addr; sink: stash map probe in Put — the stash is the trusted controller's on-chip store (§2); the append's visible cost is the fixed path I/O, not this lookup
 	p.stash.Put(stash.Block{Addr: req.Addr, Leaf: req.Leaf, Data: data})
 	p.ctr.Appends++
 	p.stash.Note()
@@ -655,7 +654,6 @@ func (p *PathORAM) complete(f *flight) (Result, error) {
 			// First-ever access: the ORAM is logically zero-initialized.
 			buf := p.newBlockBuf()
 			clear(buf)
-			//oramlint:allow secretflow source: request Addr; sink: stash map probe in Put — first-touch zero-fill happens in the trusted controller's on-chip stash after the fixed path read (§2)
 			p.stash.Put(stash.Block{Addr: req.Addr, Leaf: req.NewLeaf, Data: buf})
 			blk = p.stash.Get(req.Addr)
 		}

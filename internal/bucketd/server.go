@@ -64,8 +64,8 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// space is one bucket namespace: a sparse map like mem.Store, but behind a
-// mutex because distinct client connections may share a space (a controller
+// space is one bucket namespace: a sparse map of buckets, behind a mutex
+// because distinct client connections may share a space (a controller
 // reconnecting, an adversary peeking at a live tree).
 type space struct {
 	mu      sync.Mutex

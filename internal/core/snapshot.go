@@ -8,6 +8,7 @@ import (
 	"freecursive/internal/plb"
 	"freecursive/internal/stash"
 	"freecursive/internal/stats"
+	"freecursive/internal/tree"
 )
 
 // Snapshot is the complete serializable trusted state of a System: the
@@ -192,6 +193,27 @@ func (s *System) Snapshot() (*Snapshot, error) {
 	return snap, nil
 }
 
+// checkStash refuses a stash no run of accesses could produce: a block
+// mapped outside the tree (eviction places a block by its leaf's bits alone;
+// every other way into the stash checks the label first), a block longer
+// than the tree's blocks, or an address listed twice (Put would silently
+// keep the last copy).
+func checkStash(g tree.Geometry, blocks []StashBlockState) error {
+	seen := make(map[uint64]bool, len(blocks))
+	for _, b := range blocks {
+		switch {
+		case !g.ValidLeaf(b.Leaf):
+			return fmt.Errorf("holds a stash block whose leaf is outside the tree (L=%d)", g.L)
+		case len(b.Data) > g.BlockBytes:
+			return fmt.Errorf("holds a stash block of %d bytes, blocks are %d", len(b.Data), g.BlockBytes)
+		case seen[b.Addr]:
+			return fmt.Errorf("lists one stash address twice")
+		}
+		seen[b.Addr] = true
+	}
+	return nil
+}
+
 // Restore injects a snapshot into a freshly built System with the same
 // parameters. The bucket stores must hold the trees the snapshot was taken
 // against; PMMAC arbitrates any divergence on later accesses.
@@ -204,6 +226,15 @@ func (s *System) Restore(snap *Snapshot) error {
 	}
 	if len(snap.Backends) != len(s.Backends) {
 		return fmt.Errorf("core: snapshot has %d backends, system has %d", len(snap.Backends), len(s.Backends))
+	}
+	// Every stash is checked before anything changes, so a refused snapshot
+	// leaves the system as it was built.
+	for i, bs := range snap.Backends {
+		if p, ok := s.Backends[i].(*backend.PathORAM); ok {
+			if err := checkStash(p.Geometry(), bs.Stash); err != nil {
+				return fmt.Errorf("core: snapshot backend %d %w", i, err)
+			}
+		}
 	}
 	if err := s.PCG.UnmarshalBinary(snap.RNG); err != nil {
 		return fmt.Errorf("core: restoring RNG: %w", err)
@@ -219,12 +250,6 @@ func (s *System) Restore(snap *Snapshot) error {
 				c.SetGlobalSeed(bs.GlobalSeed)
 			}
 			for _, b := range bs.Stash {
-				// Eviction places a block by its leaf's bits alone; every
-				// other way into the stash checks the label first.
-				if !p.Geometry().ValidLeaf(b.Leaf) {
-					return fmt.Errorf("core: snapshot backend %d holds a stash block whose leaf is outside the tree (L=%d)", i, p.Geometry().L)
-				}
-				//oramlint:allow secretflow source: snapshot stash entry's Addr; sink: stash map probe in Put — snapshot restore repopulates the trusted controller's on-chip stash; no adversary-visible I/O depends on the ordering
 				p.Stash().Put(b.block())
 			}
 			top := make([]backend.TreetopBucket, len(bs.Treetop))

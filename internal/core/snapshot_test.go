@@ -234,6 +234,72 @@ func TestRestoreRejectsStashLeafOutsideTree(t *testing.T) {
 	}
 }
 
+// TestRestoreRejectsDuplicateStashBlock: a snapshot stash that lists one
+// address twice, or holds a payload longer than a block, is one no run of
+// accesses could produce. Restore refuses it with an error naming the
+// backend and leaves the system as it was built: empty stash, same RNG.
+func TestRestoreRejectsDuplicateStashBlock(t *testing.T) {
+	sys, err := Build(snapshotTestParams(""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	p := sys.Backends[0].(*backend.PathORAM)
+	if _, err := p.Access(backend.Request{Op: backend.OpAppend, Addr: Tag(31, 1), Leaf: 0, Data: []byte{1}}); err != nil {
+		t.Fatal(err)
+	}
+	g := p.Geometry()
+	snap, err := sys.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for name, breakIt := range map[string]func(bs *BackendState){
+		"an address listed twice": func(bs *BackendState) {
+			dup := bs.Stash[0]
+			dup.Data = bytes.Repeat([]byte{0xEE}, g.BlockBytes)
+			bs.Stash = append(bs.Stash, dup)
+		},
+		"a payload larger than a block": func(bs *BackendState) {
+			bs.Stash[0].Data = make([]byte, g.BlockBytes+1)
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			var snap Snapshot
+			if err := json.Unmarshal(raw, &snap); err != nil {
+				t.Fatal(err)
+			}
+			if len(snap.Backends[0].Stash) == 0 {
+				t.Fatal("set-up left no stash block to break")
+			}
+			breakIt(&snap.Backends[0])
+			sys2, err := Build(snapshotTestParams(""))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sys2.Close()
+			rng, err := sys2.PCG.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = sys2.Restore(&snap)
+			if err == nil || !strings.Contains(err.Error(), "backend 0") {
+				t.Fatalf("restore: %v, want a refusal naming backend 0", err)
+			}
+			if n := sys2.Backends[0].(*backend.PathORAM).Stash().Len(); n != 0 {
+				t.Fatalf("the refused restore left %d blocks in the stash", n)
+			}
+			if after, _ := sys2.PCG.MarshalBinary(); !bytes.Equal(after, rng) {
+				t.Fatal("the refused restore changed the RNG")
+			}
+		})
+	}
+}
+
 // TestRestoreRejectsMalformedTreetop: the treetop a snapshot carries is read
 // by every later access without a second look, so Restore takes only one
 // that accesses could have produced. Each way of breaking it is refused

@@ -68,10 +68,11 @@ func BenchmarkReadLatency(b *testing.B) {
 	benchRead(b, WithLatency(NewStore(), 10*time.Microsecond, 0))
 }
 
-// The two shapes the bucket-hash backend issues against a page file: an
+// The two shapes the bucket-hash backend issues against its memory: an
 // access probes one slot per level (8 scattered slots), a rebuild step
 // streams a chunk of a level (32 consecutive ones). One op is one path call;
-// slots are the size that backend seals at the default 64-byte block.
+// slots are the size that backend seals at the default 64-byte block. The
+// in-process store is the floor under the page file.
 
 const benchPathSlot = 384
 
@@ -91,29 +92,32 @@ func consecutiveSlots(buckets uint64) []uint64 {
 	return idxs
 }
 
-func benchPathFile(b *testing.B, slots func(uint64) []uint64, read bool) {
+func benchPath(b *testing.B, file bool, slots func(uint64) []uint64, read bool) {
 	b.Helper()
 	g, err := tree.NewGeometry(10, 2, 16)
 	if err != nil {
 		b.Fatal(err)
 	}
-	fs := benchFile(b, g, benchPathSlot)
+	var st Backend = NewStore()
+	if file {
+		st = benchFile(b, g, benchPathSlot)
+	}
 	idxs := slots(g.Buckets())
 	data := make([][]byte, len(idxs))
 	for i := range data {
 		data[i] = make([]byte, benchPathSlot)
 	}
 	out := make([][]byte, len(idxs))
-	if err := fs.WritePath(idxs, data); err != nil {
+	if err := st.WritePath(idxs, data); err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(len(idxs)) * benchPathSlot)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if read {
-			err = fs.ReadPath(idxs, out)
+			err = st.ReadPath(idxs, out)
 		} else {
-			err = fs.WritePath(idxs, data)
+			err = st.WritePath(idxs, data)
 		}
 		if err != nil {
 			b.Fatal(err)
@@ -122,11 +126,21 @@ func benchPathFile(b *testing.B, slots func(uint64) []uint64, read bool) {
 }
 
 func BenchmarkReadPathFile(b *testing.B) {
-	b.Run("scattered8", func(b *testing.B) { benchPathFile(b, scatteredSlots, true) })
-	b.Run("consecutive32", func(b *testing.B) { benchPathFile(b, consecutiveSlots, true) })
+	b.Run("scattered8", func(b *testing.B) { benchPath(b, true, scatteredSlots, true) })
+	b.Run("consecutive32", func(b *testing.B) { benchPath(b, true, consecutiveSlots, true) })
 }
 
 func BenchmarkWritePathFile(b *testing.B) {
-	b.Run("scattered8", func(b *testing.B) { benchPathFile(b, scatteredSlots, false) })
-	b.Run("consecutive32", func(b *testing.B) { benchPathFile(b, consecutiveSlots, false) })
+	b.Run("scattered8", func(b *testing.B) { benchPath(b, true, scatteredSlots, false) })
+	b.Run("consecutive32", func(b *testing.B) { benchPath(b, true, consecutiveSlots, false) })
+}
+
+func BenchmarkReadPathMap(b *testing.B) {
+	b.Run("scattered8", func(b *testing.B) { benchPath(b, false, scatteredSlots, true) })
+	b.Run("consecutive32", func(b *testing.B) { benchPath(b, false, consecutiveSlots, true) })
+}
+
+func BenchmarkWritePathMap(b *testing.B) {
+	b.Run("scattered8", func(b *testing.B) { benchPath(b, false, scatteredSlots, false) })
+	b.Run("consecutive32", func(b *testing.B) { benchPath(b, false, consecutiveSlots, false) })
 }

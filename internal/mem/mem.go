@@ -4,8 +4,11 @@
 // Storage is pluggable through the Backend interface. Three implementations
 // are provided:
 //
-//   - Store: a sparse in-process map. Trees for multi-gigabyte capacities
-//     can be simulated because only touched buckets materialize.
+//   - Store: a paged in-process table. A directory of 256-bucket pages
+//     grows to the highest bucket index written (8 B of directory per page,
+//     1 MiB at L = 24), a page is allocated on the first write into it, and
+//     bucket bytes materialize only when that bucket is written, so trees
+//     for multi-gigabyte capacities can be simulated.
 //   - FileStore: a fixed-slot bucket page file. Sealed buckets survive
 //     process restarts, so a durable controller can resume serving them
 //     (see OpenFile for the on-disk format).
@@ -61,7 +64,7 @@ type Stats struct {
 	Reads   uint64 // Read operations served (hook-visible)
 	Writes  uint64 // Write operations served (hook-visible)
 	Buckets uint64 // materialized (ever-written, non-deleted) buckets
-	Bytes   uint64 // resident payload bytes (map) or on-disk file size (file)
+	Bytes   uint64 // resident payload bytes (Store) or on-disk file size (file)
 }
 
 // Backend is pluggable untrusted bucket storage: the interface between the
@@ -115,17 +118,48 @@ func (h *hooks) SetOnRead(f TamperFunc)  { h.onRead = f }
 func (h *hooks) SetOnWrite(f TamperFunc) { h.onWrite = f }
 
 // Store is sparse in-process untrusted bucket storage: the default Backend.
+// Buckets live in a paged table indexed by bucket index — no hashing on the
+// per-bucket path — and a page exists only once a bucket in it was written.
 type Store struct {
 	hooks
-	buckets map[uint64][]byte
+	pages   []*bucketPage // pages[idx/pageBuckets]; nil until first written
+	buckets uint64        // materialized buckets
 	bytes   uint64
 	reads   uint64
 	writes  uint64
 }
 
-// NewStore returns an empty map-backed store.
+// pageBuckets is how many buckets one page of a Store holds.
+const pageBuckets = 256
+
+// bucketPage holds the buckets of one page; a nil slot was never written
+// (or was deleted).
+type bucketPage [pageBuckets][]byte
+
+// NewStore returns an empty store.
 func NewStore() *Store {
-	return &Store{buckets: make(map[uint64][]byte)}
+	return &Store{}
+}
+
+// slot returns the slot of bucket idx, or nil if its page was never written.
+//
+//oram:hotpath
+func (s *Store) slot(idx uint64) *[]byte {
+	if p := idx / pageBuckets; p < uint64(len(s.pages)) && s.pages[p] != nil {
+		return &s.pages[p][idx%pageBuckets]
+	}
+	return nil
+}
+
+// newPage allocates page p, growing the directory to reach it.
+//
+//oram:offhotpath runs once per 256 buckets, on the first write into them; the AllocsPerRun gates measure after warm-up
+func (s *Store) newPage(p uint64) *bucketPage {
+	if n := uint64(len(s.pages)); p >= n {
+		s.pages = append(s.pages, make([]*bucketPage, p+1-n)...)
+	}
+	s.pages[p] = new(bucketPage)
+	return s.pages[p]
 }
 
 // Read implements Backend. The returned slice is the store's live copy and
@@ -134,7 +168,7 @@ func NewStore() *Store {
 //oram:hotpath
 func (s *Store) Read(idx uint64) ([]byte, error) {
 	s.reads++
-	data := s.buckets[idx]
+	data := s.Peek(idx)
 	if s.onRead != nil {
 		data = s.onRead(idx, data)
 	}
@@ -158,36 +192,47 @@ func (s *Store) Write(idx uint64, data []byte) error {
 //
 //oram:hotpath
 func (s *Store) put(idx uint64, data []byte) {
-	old, ok := s.buckets[idx]
-	if ok {
+	slot := s.slot(idx)
+	if slot == nil {
+		if data == nil {
+			return
+		}
+		slot = &s.newPage(idx / pageBuckets)[idx%pageBuckets]
+	}
+	old := *slot
+	if old != nil {
 		s.bytes -= uint64(len(old))
+		s.buckets--
 	}
 	if data == nil {
-		if ok {
-			delete(s.buckets, idx)
-		}
+		*slot = nil
 		return
 	}
 	s.bytes += uint64(len(data))
+	s.buckets++
 	// Copy into the bucket's existing allocation when it fits: the caller
 	// keeps ownership of data (it is typically the controller's seal
 	// scratch), and steady-state rewrites of a bucket then allocate nothing.
-	if cap(old) >= len(data) {
-		buf := old[:len(data)]
-		copy(buf, data)
-		s.buckets[idx] = buf
+	if old != nil && cap(old) >= len(data) {
+		*slot = old[:len(data)]
+		copy(*slot, data)
 		return
 	}
 	//oramlint:allow hotpathalloc first write of a bucket allocates its backing copy; steady-state rewrites reuse it
 	buf := make([]byte, len(data))
 	copy(buf, data)
-	s.buckets[idx] = buf
+	*slot = buf
 }
 
 // Peek implements Backend: the returned slice is the live stored bucket.
 // Because Write reuses the bucket's allocation in place, a held Peek slice
 // tracks later Writes — clone it to keep a point-in-time copy.
-func (s *Store) Peek(idx uint64) []byte { return s.buckets[idx] }
+func (s *Store) Peek(idx uint64) []byte {
+	if slot := s.slot(idx); slot != nil {
+		return *slot
+	}
+	return nil
+}
 
 // Poke implements Backend.
 func (s *Store) Poke(idx uint64, data []byte) { s.put(idx, data) }
@@ -197,7 +242,7 @@ func (s *Store) Stats() Stats {
 	return Stats{
 		Reads:   s.reads,
 		Writes:  s.writes,
-		Buckets: uint64(len(s.buckets)),
+		Buckets: s.buckets,
 		Bytes:   s.bytes,
 	}
 }

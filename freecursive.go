@@ -32,7 +32,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"time"
 
 	"freecursive/internal/backend"
 	"freecursive/internal/core"
@@ -83,16 +82,12 @@ type Config struct {
 	// trip and path write-backs pipeline behind the next access; a server
 	// fault or lost connection surfaces as an error wrapping ErrStorage
 	// (fail-stop), while tampering on the server is detected by PMMAC
-	// exactly as for local memory. Incompatible with DataDir.
+	// exactly as for local memory. Requires MemNamespace; incompatible
+	// with DataDir.
 	MemAddr string
-	// MemNamespace isolates this ORAM's buckets on a shared bucketd server
-	// (default derived from Seed). Two live ORAMs must not share one.
+	// MemNamespace isolates this ORAM's buckets on a shared bucketd server.
+	// Two live ORAMs must not share one.
 	MemNamespace string
-	// ReadLatency and WriteLatency inject a fixed delay into every
-	// untrusted-memory bucket operation, simulating remote or disk-class
-	// storage.
-	ReadLatency  time.Duration
-	WriteLatency time.Duration
 	// Seed makes the instance deterministic (default 1).
 	Seed uint64
 }
@@ -135,10 +130,6 @@ func New(cfg Config) (*ORAM, error) {
 	if cfg.Blocks == 0 {
 		cfg.Blocks = 1 << 20
 	}
-	if cfg.ReadLatency < 0 || cfg.WriteLatency < 0 {
-		return nil, fmt.Errorf("freecursive: negative latency (read %v, write %v)",
-			cfg.ReadLatency, cfg.WriteLatency)
-	}
 	sys, err := core.Build(core.Params{
 		Scheme:            core.SchemePIC,
 		Backend:           cfg.Backend,
@@ -153,8 +144,6 @@ func New(cfg Config) (*ORAM, error) {
 		DataDir:           cfg.DataDir,
 		MemAddr:           cfg.MemAddr,
 		MemNamespace:      cfg.MemNamespace,
-		ReadDelay:         cfg.ReadLatency,
-		WriteDelay:        cfg.WriteLatency,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("freecursive: %w", err)
@@ -308,7 +297,7 @@ func (o *ORAM) Snapshot(w io.Writer) error {
 
 // Resume rebuilds an ORAM from cfg and restores the trusted state written
 // by Snapshot. cfg must describe the same ORAM the snapshot was taken from
-// (same capacity, seed, …); DataDir and the latency knobs may
+// (same capacity, seed, …); DataDir, MemAddr and MemNamespace may
 // differ — they describe where untrusted memory lives, not what the state
 // looks like. If the bucket files diverged from the snapshot (tampering, a
 // crash after the snapshot), PMMAC detects it on access.

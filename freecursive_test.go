@@ -3,10 +3,11 @@ package freecursive
 import (
 	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"freecursive/internal/backend"
 	"freecursive/internal/core"
@@ -166,20 +167,17 @@ func TestIntegrityViolationSurfaced(t *testing.T) {
 	}
 }
 
-// TestConfigValidation covers the knob combinations New must reject:
-// negative latencies (previously swallowed by mem.WithLatency's <= 0
-// check).
+// TestConfigValidation: page files and a bucketd at once are refused by
+// core's one check, before the page-file directory is created.
 func TestConfigValidation(t *testing.T) {
-	bad := []Config{
-		{Blocks: 1 << 10, ReadLatency: -time.Microsecond},
-		{Blocks: 1 << 10, WriteLatency: -time.Microsecond},
+	dir := filepath.Join(t.TempDir(), "trees")
+	_, err := New(Config{Blocks: 1 << 10, DataDir: dir, MemAddr: "127.0.0.1:1", MemNamespace: "ns"})
+	if want := "core: durable (DataDir) and remote (MemAddr) untrusted memory are mutually exclusive"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("New with DataDir and MemAddr: %v, want %q", err, want)
 	}
-	for i, cfg := range bad {
-		if _, err := New(cfg); err == nil {
-			t.Errorf("config %d (%+v) accepted, want error", i, cfg)
-		}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Fatalf("the refused config created its DataDir (stat: %v)", err)
 	}
-	// The zero latencies stay valid.
 	if _, err := New(Config{Blocks: 1 << 10}); err != nil {
 		t.Fatal(err)
 	}

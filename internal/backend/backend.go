@@ -6,7 +6,7 @@
 //
 //   - PathORAM: fully functional. Blocks hold real payloads, buckets are
 //     sealed with probabilistic encryption and stored in any mem.Backend
-//     (in-process map, durable page file, or a latency-injected wrapper)
+//     (in-process map, durable page file, or a remote bucketd)
 //     — all but the top levels of the tree, which a treetop cache keeps in
 //     trusted memory, so an access moves only the rest of its path —
 //     and an active adversary can tamper with stored bytes through the

@@ -14,8 +14,8 @@ import (
 )
 
 // PathORAM is the functional Path ORAM backend. It stores sealed buckets in
-// any mem.Backend (in-process map, durable page file, latency-injected
-// remote — the controller cannot tell), decrypts/encrypts with a
+// any mem.Backend (in-process map, durable page file, remote bucketd — the
+// controller cannot tell), decrypts/encrypts with a
 // crypt.BucketCipher, and maintains the Path ORAM invariant: every block is
 // on the path of its mapped leaf or in the stash.
 //

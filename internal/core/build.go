@@ -8,7 +8,6 @@ import (
 	"math/rand/v2"
 	"os"
 	"path/filepath"
-	"time"
 
 	"freecursive/internal/backend"
 	"freecursive/internal/backend/bhoram"
@@ -77,19 +76,14 @@ type Params struct {
 	DataDir string
 	// MemAddr, if non-empty, backs every tree with a remote bucketd server
 	// at this TCP address instead of in-process memory: the paper's
-	// untrusted memory as a separate failure domain. Requires Functional;
-	// mutually exclusive with DataDir. Tree i lives in bucketd namespace
-	// "<MemNamespace>/tree-<i>".
+	// untrusted memory as a separate failure domain. Requires Functional
+	// and MemNamespace; mutually exclusive with DataDir. Tree i lives in
+	// bucketd namespace "<MemNamespace>/tree-<i>".
 	MemAddr string
-	// MemNamespace isolates this system's buckets on a shared bucketd
-	// (default "seed-<Seed>"). Two live systems MUST NOT share a namespace.
+	// MemNamespace isolates this system's buckets on a shared bucketd. It
+	// has no default: the server is the adversary, so the name must carry
+	// nothing derived from Seed. Two live systems MUST NOT share one.
 	MemNamespace string
-	// ReadDelay and WriteDelay, if positive, wrap each tree's bucket store
-	// in a latency injector (mem.WithLatency), simulating remote or
-	// disk-class untrusted memory. The delay is charged once per operation,
-	// so a batched path read pays it once. Requires Functional.
-	ReadDelay  time.Duration
-	WriteDelay time.Duration
 }
 
 func (p *Params) setDefaults() {
@@ -242,23 +236,22 @@ func (s *System) Close() error {
 
 // newMemFactory returns the constructor for per-tree untrusted memory:
 // tree i gets DataDir/tree-<i>.oram when durable, a bucketd namespace
-// "<ns>/tree-<i>" when remote, an in-process map otherwise — any of them
-// behind a latency injector when delays are set.
+// "<ns>/tree-<i>" when remote, an in-process map otherwise. It is the one
+// place the choice of memory is checked.
 func newMemFactory(p Params) (func(g tree.Geometry) (mem.Backend, error), error) {
-	if !p.Functional && (p.DataDir != "" || p.MemAddr != "" || p.ReadDelay > 0 || p.WriteDelay > 0) {
-		return nil, fmt.Errorf("core: durable, remote, or latency-injected untrusted memory requires the functional backend")
+	if !p.Functional && (p.DataDir != "" || p.MemAddr != "") {
+		return nil, fmt.Errorf("core: durable or remote untrusted memory requires the functional backend")
 	}
 	if p.DataDir != "" && p.MemAddr != "" {
 		return nil, fmt.Errorf("core: durable (DataDir) and remote (MemAddr) untrusted memory are mutually exclusive")
+	}
+	if p.MemAddr != "" && p.MemNamespace == "" {
+		return nil, fmt.Errorf("core: remote (MemAddr) untrusted memory requires a MemNamespace")
 	}
 	if p.DataDir != "" {
 		if err := os.MkdirAll(p.DataDir, 0o755); err != nil {
 			return nil, fmt.Errorf("core: %w", err)
 		}
-	}
-	ns := p.MemNamespace
-	if ns == "" {
-		ns = fmt.Sprintf("seed-%016x", p.Seed)
 	}
 	treeIdx := 0
 	return func(g tree.Geometry) (mem.Backend, error) {
@@ -288,7 +281,7 @@ func newMemFactory(p Params) (func(g tree.Geometry) (mem.Backend, error), error)
 		case p.MemAddr != "":
 			r, err := mem.DialRemote(mem.RemoteConfig{
 				Addr:      p.MemAddr,
-				Namespace: fmt.Sprintf("%s/tree-%d", ns, treeIdx),
+				Namespace: fmt.Sprintf("%s/tree-%d", p.MemNamespace, treeIdx),
 			})
 			if err != nil {
 				return nil, err
@@ -296,7 +289,7 @@ func newMemFactory(p Params) (func(g tree.Geometry) (mem.Backend, error), error)
 			m = r
 		}
 		treeIdx++
-		return mem.WithLatency(m, p.ReadDelay, p.WriteDelay), nil
+		return m, nil
 	}, nil
 }
 

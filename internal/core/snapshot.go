@@ -94,15 +94,13 @@ const snapshotVersion = 1
 
 // comparableParams strips the fields that describe where untrusted memory
 // lives rather than what the trusted state looks like, so a snapshot can be
-// restored into the same logical ORAM at a different path or latency — and
-// the treetop budget, because the snapshot says how deep its treetop is.
+// restored into the same logical ORAM at a different path — and the treetop
+// budget, because the snapshot says how deep its treetop is.
 func comparableParams(p Params) Params {
 	p.TreetopBytes = 0
 	p.DataDir = ""
 	p.MemAddr = ""
 	p.MemNamespace = ""
-	p.ReadDelay = 0
-	p.WriteDelay = 0
 	return p
 }
 

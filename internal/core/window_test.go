@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"net"
+	"strings"
 	"testing"
+	"time"
 
 	"freecursive/internal/backend"
 	"freecursive/internal/bucketd"
@@ -38,6 +40,31 @@ func windowParams(memAddr, ns string) Params {
 		OnChipBudgetBytes: 64, PLBCapacityBytes: 256, BetaBits: 3,
 		Functional: true, EncScheme: crypt.SeedGlobal, Seed: 21,
 		MemAddr: memAddr, MemNamespace: ns,
+	}
+}
+
+// TestRemoteNeedsNamespace: remote trees have no default bucketd namespace
+// — the old default named them after Seed, handing the key material to the
+// untrusted server — and Build refuses the config before it dials.
+func TestRemoteNeedsNamespace(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	if sys, err := Build(windowParams(ln.Addr().String(), "")); err == nil {
+		sys.Close()
+		t.Fatal("Build accepted MemAddr without MemNamespace")
+	} else if !strings.Contains(err.Error(), "MemNamespace") {
+		t.Fatalf("Build: %v, want the missing MemNamespace named", err)
+	}
+	// A completed dial would be waiting in the accept queue.
+	if err := ln.(*net.TCPListener).SetDeadline(time.Now().Add(50 * time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	if c, err := ln.Accept(); err == nil {
+		c.Close()
+		t.Fatal("Build dialled the memory before refusing the config")
 	}
 }
 

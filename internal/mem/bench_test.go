@@ -3,15 +3,13 @@ package mem
 import (
 	"path/filepath"
 	"testing"
-	"time"
 
 	"freecursive/internal/tree"
 )
 
 // Raw backend cost per bucket operation, isolated from the ORAM controller:
 // the map backend is the floor, the file backend adds a copy to or from the
-// mapped page file, the latency wrapper adds the configured wire delay on
-// top of the map.
+// mapped page file.
 
 const benchSlot = 4096
 
@@ -58,15 +56,9 @@ func benchFile(b *testing.B, g tree.Geometry, slotBytes int) *FileStore {
 
 func BenchmarkWriteMap(b *testing.B)  { benchWrite(b, NewStore()) }
 func BenchmarkWriteFile(b *testing.B) { benchWrite(b, benchFile(b, testGeom(b), benchSlot)) }
-func BenchmarkWriteLatency(b *testing.B) {
-	benchWrite(b, WithLatency(NewStore(), 0, 10*time.Microsecond))
-}
 
 func BenchmarkReadMap(b *testing.B)  { benchRead(b, NewStore()) }
 func BenchmarkReadFile(b *testing.B) { benchRead(b, benchFile(b, testGeom(b), benchSlot)) }
-func BenchmarkReadLatency(b *testing.B) {
-	benchRead(b, WithLatency(NewStore(), 10*time.Microsecond, 0))
-}
 
 // The two shapes the bucket-hash backend issues against its memory: an
 // access probes one slot per level (8 scattered slots), a rebuild step

@@ -71,15 +71,6 @@ func TestBackendErrorsWrapErrStorage(t *testing.T) {
 			out["write oversized"] = fs.Write(0, make([]byte, 65))
 			return out
 		}},
-		{"Latency", func(t *testing.T) map[string]error {
-			// Latency is a pass-through wrapper: faults injected below it
-			// must keep matching through the wrapper.
-			b := mem.WithLatency(mem.WithFaults(mem.NewStore(), mem.FlakyConfig{FailEvery: 1}), time.Microsecond, time.Microsecond)
-			out := map[string]error{}
-			_, out["read"] = b.Read(0)
-			out["write"] = b.Write(0, []byte("x"))
-			return out
-		}},
 		{"Flaky", func(t *testing.T) map[string]error {
 			b := mem.WithFaults(mem.NewStore(), mem.FlakyConfig{FailEvery: 1})
 			out := map[string]error{}

@@ -12,8 +12,11 @@
 //   - FileStore: a fixed-slot bucket page file. Sealed buckets survive
 //     process restarts, so a durable controller can resume serving them
 //     (see OpenFile for the on-disk format).
-//   - Latency (via WithLatency): a wrapper injecting per-operation delay
-//     into any Backend, simulating remote or disk-class untrusted memory.
+//   - Remote (via DialRemote): buckets held by a bucketd server, the
+//     untrusted memory as a separate process. A slow memory is modelled by
+//     the server's round-trip delay (bucketd.Config.RTT), not here.
+//
+// Flaky (via WithFaults) wraps any of them to inject I/O faults for tests.
 //
 // # Ownership
 //

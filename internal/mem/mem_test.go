@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"testing"
-	"time"
 
 	"freecursive/internal/bucketd"
 	"freecursive/internal/tree"
@@ -39,9 +38,6 @@ var implementations = []struct {
 		}
 		t.Cleanup(func() { fs.Close() })
 		return fs
-	}},
-	{"latency", func(t *testing.T) Backend {
-		return WithLatency(NewStore(), time.Microsecond, time.Microsecond)
 	}},
 	{"flaky", func(t *testing.T) Backend { return WithFaults(NewStore(), FlakyConfig{}) }},
 	{"remote", func(t *testing.T) Backend {
@@ -414,31 +410,5 @@ func TestFileRangeCheck(t *testing.T) {
 	}
 	if err := fs.Write(out, []byte{1}); err == nil {
 		t.Fatal("out-of-range write should fail")
-	}
-}
-
-func TestLatencyDelays(t *testing.T) {
-	const delay = 2 * time.Millisecond
-	l := WithLatency(NewStore(), delay, delay)
-	start := time.Now()
-	if err := l.Write(1, []byte{1}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := l.Read(1); err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed < 2*delay {
-		t.Fatalf("two ops took %v, want >= %v", elapsed, 2*delay)
-	}
-	// Peek bypasses the delay along with hooks and counters.
-	start = time.Now()
-	for i := 0; i < 100; i++ {
-		l.Peek(1)
-	}
-	if elapsed := time.Since(start); elapsed > delay*50 {
-		t.Fatalf("100 peeks took %v; Peek must not pay the wire delay", elapsed)
-	}
-	if _, ok := WithLatency(NewStore(), 0, 0).(*Store); !ok {
-		t.Fatal("zero delays should return the inner backend unwrapped")
 	}
 }

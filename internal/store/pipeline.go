@@ -101,7 +101,6 @@ type shard struct {
 	closed bool
 
 	health    health
-	window    int // max requests coalesced per drain window
 	enqueued  atomic.Uint64
 	coalesced atomic.Uint64
 	// overlapped counts accesses started while another was in flight and
@@ -133,6 +132,18 @@ type shard struct {
 // lets ride unacknowledged (8): every access in the window may have one.
 const inFlightWindow = 4
 
+// The queue and coalescing bounds are the same for every shard and not
+// configurable.
+const (
+	// queueDepth bounds a shard's request queue; submits past it block
+	// (backpressure).
+	queueDepth = 64
+	// coalesceWindow bounds how many already-queued requests the owner
+	// goroutine drains and serves as one window; duplicate-address reads
+	// within a window share one physical ORAM access.
+	coalesceWindow = 32
+)
+
 // flight is one started access and the futures its Finish resolves.
 type flight struct {
 	req       request
@@ -146,15 +157,14 @@ type cached struct {
 	slot int
 }
 
-func newShard(o *freecursive.ORAM, queueDepth, window int) *shard {
+func newShard(o *freecursive.ORAM) *shard {
 	sh := &shard{
-		oram:   o,
-		reqs:   make(chan request, queueDepth),
-		done:   make(chan struct{}),
-		window: window,
-		wake:   o.Wake(),
-		depth:  1,
-		cache:  make(map[uint64]cached, window),
+		oram:  o,
+		reqs:  make(chan request, queueDepth),
+		done:  make(chan struct{}),
+		wake:  o.Wake(),
+		depth: 1,
+		cache: make(map[uint64]cached, coalesceWindow),
 	}
 	if sh.wake != nil {
 		sh.depth = inFlightWindow
@@ -214,7 +224,7 @@ func (sh *shard) shutdown() {
 // run is the owner goroutine: it drains the queue in windows and serves
 // each window with read coalescing, keeping up to depth accesses in flight.
 func (sh *shard) run() {
-	batch := make([]request, 0, sh.window)
+	batch := make([]request, 0, coalesceWindow)
 	for open := true; open; {
 		req, ok := sh.await()
 		if !ok {
@@ -224,7 +234,7 @@ func (sh *shard) run() {
 		// Opportunistically drain whatever else is already queued, up to
 		// the coalescing window, without blocking.
 	fill:
-		for len(batch) < sh.window {
+		for len(batch) < coalesceWindow {
 			select {
 			case req, open = <-sh.reqs:
 				if !open {

@@ -52,10 +52,12 @@ type Config struct {
 	// each shard holds a power-of-two number of blocks; default 1<<20.
 	Blocks uint64
 	// ORAM configures each shard. Its Blocks field is ignored (derived from
-	// Blocks/Shards above) and its Seed is treated as the store seed: each
-	// shard's ORAM seed is derived from (store seed, shard index) with a
-	// SplitMix64-style mix, so distinct (seed, shard) pairs draw independent
-	// randomness.
+	// Blocks/Shards above); its memory fields (DataDir, MemAddr,
+	// MemNamespace) must be empty, because each shard needs memory of its
+	// own and the store-level fields below place it; and its Seed is
+	// treated as the store seed: each shard's ORAM seed is derived from
+	// (store seed, shard index) with a SplitMix64-style mix, so distinct
+	// (seed, shard) pairs draw independent randomness.
 	//
 	// Compatibility note: releases before the SplitMix64 derivation offset
 	// the seed linearly per shard, which made shard i of a store seeded s
@@ -65,17 +67,10 @@ type Config struct {
 	// the old seeds and the parameter check fails loudly); re-create the
 	// store to migrate.
 	ORAM freecursive.Config
-	// QueueDepth bounds each shard's request queue; submits past it block
-	// (backpressure). Default 64.
-	QueueDepth int
-	// CoalesceWindow bounds how many already-queued requests a shard's
-	// owner goroutine drains and serves as one window; duplicate-address
-	// reads within a window share one physical ORAM access. Default 32.
-	CoalesceWindow int
 	// DataDir, if non-empty, makes the store durable: shard i keeps its
 	// bucket page files and trusted-state snapshot under
 	// DataDir/shard-<i>/. New resumes any shard whose snapshot file
-	// exists; Snapshot writes the snapshots. Overrides ORAM.DataDir.
+	// exists; Snapshot writes the snapshots.
 	//
 	// Trust note: the state.json snapshots are TRUSTED state (see
 	// freecursive.ORAM.Snapshot) colocated with the untrusted bucket
@@ -88,8 +83,7 @@ type Config struct {
 	// MemAddr). Shard i uses bucketd namespace "<MemNamespace>/shard-<i>".
 	// A remote I/O fault — server fault, lost connection — quarantines the
 	// affected shard (fail-stop for its slice of the address space) while
-	// the rest keep serving. Incompatible with DataDir. Overrides
-	// ORAM.MemAddr.
+	// the rest keep serving. Incompatible with DataDir.
 	MemAddr string
 	// MemNamespace isolates this store's buckets on a shared bucketd
 	// (default "store"). Two live stores must not share a namespace.
@@ -98,11 +92,6 @@ type Config struct {
 
 // stateFile is the per-shard trusted-state snapshot written by Snapshot.
 const stateFile = "state.json"
-
-const (
-	defaultQueueDepth     = 64
-	defaultCoalesceWindow = 32
-)
 
 // Store is a concurrency-safe oblivious block store. All methods may be
 // called from any number of goroutines.
@@ -159,15 +148,14 @@ func New(cfg Config) (*Store, error) {
 	if cfg.Blocks == 0 {
 		cfg.Blocks = 1 << 20
 	}
-	if cfg.QueueDepth == 0 {
-		cfg.QueueDepth = defaultQueueDepth
-	}
-	if cfg.CoalesceWindow == 0 {
-		cfg.CoalesceWindow = defaultCoalesceWindow
-	}
-	if cfg.QueueDepth < 1 || cfg.CoalesceWindow < 1 {
-		return nil, fmt.Errorf("store: queue depth %d / coalesce window %d must be positive",
-			cfg.QueueDepth, cfg.CoalesceWindow)
+	for _, f := range [][2]string{
+		{"DataDir", cfg.ORAM.DataDir},
+		{"MemAddr", cfg.ORAM.MemAddr},
+		{"MemNamespace", cfg.ORAM.MemNamespace},
+	} {
+		if f[1] != "" {
+			return nil, fmt.Errorf("store: ORAM.%[1]s would be shared by every shard; set Config.%[1]s instead", f[0])
+		}
 	}
 	nShards := nextPow2(uint64(cfg.Shards))
 	perShard := nextPow2((cfg.Blocks + nShards - 1) / nShards)
@@ -184,9 +172,6 @@ func New(cfg Config) (*Store, error) {
 	base := cfg.ORAM.Seed
 	if base == 0 {
 		base = 1
-	}
-	if cfg.MemAddr != "" && cfg.DataDir != "" {
-		return nil, fmt.Errorf("store: remote (MemAddr) and durable (DataDir) memory are mutually exclusive")
 	}
 	ns := cfg.MemNamespace
 	if ns == "" {
@@ -205,7 +190,7 @@ func New(cfg Config) (*Store, error) {
 			s.Close()
 			return nil, fmt.Errorf("store: shard %d: %w", i, err)
 		}
-		s.shards[i] = newShard(o, cfg.QueueDepth, cfg.CoalesceWindow)
+		s.shards[i] = newShard(o)
 	}
 	s.blockBytes = s.shards[0].oram.BlockBytes()
 	return s, nil

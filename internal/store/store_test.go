@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math/rand/v2"
+	"strings"
 	"testing"
 
 	"freecursive"
@@ -182,6 +183,35 @@ func TestOutOfRange(t *testing.T) {
 	}
 	if err := s.BatchPut([]uint64{1, 2}, [][]byte{nil}); err == nil {
 		t.Error("BatchPut with mismatched lengths succeeded")
+	}
+}
+
+// TestMemoryConfigRejected: a memory field of the per-shard ORAM config
+// would reach every shard unchanged — one page file or one bucketd space
+// for all of them — so New refuses it and names the store-level field to
+// set instead; page files and a bucketd at once are refused by core's one
+// check.
+func TestMemoryConfigRejected(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		set  func(*Config)
+		want string
+	}{
+		{"ORAM.DataDir", func(c *Config) { c.ORAM.DataDir = t.TempDir() }, "set Config.DataDir instead"},
+		{"ORAM.MemAddr", func(c *Config) { c.ORAM.MemAddr = "127.0.0.1:1" }, "set Config.MemAddr instead"},
+		{"ORAM.MemNamespace", func(c *Config) { c.ORAM.MemNamespace = "ns" }, "set Config.MemNamespace instead"},
+		{"DataDir+MemAddr", func(c *Config) { c.DataDir, c.MemAddr = t.TempDir(), "127.0.0.1:1" },
+			"core: durable (DataDir) and remote (MemAddr) untrusted memory are mutually exclusive"},
+	} {
+		cfg := lightCfg(2, 256)
+		tc.set(&cfg)
+		s, err := New(cfg)
+		if err == nil {
+			s.Close()
+			t.Errorf("%s: accepted", tc.name)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q, want it to say %q", tc.name, err, tc.want)
+		}
 	}
 }
 

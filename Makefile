@@ -50,13 +50,15 @@ bench-check:
 	go vet -C bench ./...
 	go test -C bench ./...
 
-# Link every cmd/ and examples/ binary (the CI bins job).
+# Link every cmd/ and examples/ binary, then run the client walkthrough,
+# which serves itself on loopback (the CI bins-and-bench job).
 bins:
 	@mkdir -p bin
 	@for d in ./cmd/* ./examples/*; do \
 		echo "building $$d"; \
 		go build -o "bin/$$(basename $$d)" "$$d" || exit 1; \
 	done
+	./bin/batchclient
 
 # The full static gate: stock vet, the repo's own analyzer suite, gofmt with
 # simplification, and staticcheck. staticcheck is skipped with a warning

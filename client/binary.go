@@ -20,8 +20,7 @@ import (
 // long-lived TCP connections to a server started with
 // `oramstore -listen-binary`. Connections are pipelined — many batches in
 // flight per connection, correlated by frame ID, answered in completion
-// order — so one connection saturates the server's shard pipelines
-// without per-request HTTP or JSON overhead.
+// order — so one connection saturates the server's shard pipelines.
 //
 // A failed connection fails only its in-flight batches (as Transient
 // errors, which the Client retries); the next round-trip redials with
@@ -60,9 +59,8 @@ const (
 	redialMin = 50 * time.Millisecond
 	redialMax = 2 * time.Second
 	// binaryOpTimeout bounds writing one request frame and, while batches
-	// are in flight, the wait for the next response frame — the same 30 s
-	// the JSON transport's http.Client allows a request. An idle connection
-	// has no deadline.
+	// are in flight, the wait for the next response frame. An idle
+	// connection has no deadline.
 	binaryOpTimeout = 30 * time.Second
 )
 
@@ -328,8 +326,8 @@ func (s *binSession) read() {
 		}
 		var out binOutcome
 		if resp.Status != 0 {
-			// Whole-batch failure frame — the binary analogue of a JSON
-			// whole-response 503. Temporary when 503, so it is retried.
+			// Whole-batch failure frame (the store is draining). Temporary
+			// when 503, so it is retried.
 			out.err = &Error{
 				Status:     int(resp.Status),
 				Msg:        "whole-batch failure frame",

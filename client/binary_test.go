@@ -19,8 +19,8 @@ import (
 	"freecursive/internal/store"
 )
 
-// binaryServer is the binary-transport analogue of realServer: a frame
-// server over the same small store, on a loopback port.
+// binaryServer serves a small store over the frame protocol on a loopback
+// port, the same stack `oramstore -listen-binary` runs.
 func binaryServer(t *testing.T) (*store.Store, string) {
 	t.Helper()
 	st, err := store.New(store.Config{
@@ -44,13 +44,7 @@ func binaryServer(t *testing.T) (*store.Store, string) {
 
 func newBinaryClient(t *testing.T, addr string, cfg client.Config) *client.Client {
 	t.Helper()
-	cfg.Transport = client.Binary(addr)
-	c, err := client.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
-	return c
+	return newClient(t, client.Binary(addr), cfg)
 }
 
 func TestBinaryGetPutRoundTrip(t *testing.T) {
@@ -76,9 +70,8 @@ func TestBinaryGetPutRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBinaryPerOpErrors: the per-op status contract is the same one the
-// JSON transport surfaces — same *Error shape, same codes — so callers
-// switch transports without touching error handling.
+// TestBinaryPerOpErrors: per-op failures cross the wire as the
+// single-block endpoints' status codes and surface as *Error values.
 func TestBinaryPerOpErrors(t *testing.T) {
 	st, addr := binaryServer(t)
 	c := newBinaryClient(t, addr, client.Config{MaxRetries: -1})
@@ -207,10 +200,10 @@ func TestBinaryServerDownIsTransient(t *testing.T) {
 	}
 }
 
-// TestBinaryDrainingRetriesLikeJSON: a draining store answers frame-level
-// 503s; the transport surfaces them as Temporary *Errors so the Client
-// retries, then reports the 503 — the same contract as the JSON path.
-func TestBinaryDrainingRetriesLikeJSON(t *testing.T) {
+// TestBinaryDrainingRetries: a draining store answers frame-level 503s;
+// the transport surfaces them as Temporary *Errors so the Client retries,
+// then reports the 503.
+func TestBinaryDrainingRetries(t *testing.T) {
 	st, addr := binaryServer(t)
 	if err := st.Close(); err != nil {
 		t.Fatal(err)

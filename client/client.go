@@ -11,21 +11,20 @@ import (
 
 // Config parameterizes a Client. Transport is required.
 type Config struct {
-	// Transport moves batches to the server: client.JSON(baseURL) for the
-	// HTTP POST /batch path, client.Binary(addr) for the streaming binary
-	// frame protocol, or any custom Transport. The Client owns it after
-	// New and closes it on Close.
+	// Transport moves batches to the server: client.Binary(addr) for the
+	// frame protocol, or any custom Transport. The Client owns it after New
+	// and closes it on Close.
 	Transport Transport
 	// MaxBatch flushes the pending batch when it reaches this many
 	// operations (default 16, capped at MaxOps). 1 disables cross-caller
-	// batching: every operation is its own POST.
+	// batching: every operation is its own request frame.
 	MaxBatch int
 	// FlushInterval flushes a non-empty pending batch this long after its
 	// first operation arrived, so a lone caller is not held hostage
 	// waiting for MaxBatch peers (default 2ms).
 	FlushInterval time.Duration
 	// MaxRetries bounds transport-level retries per batch — network
-	// errors and whole-response 503s (default 3; negative disables).
+	// errors and whole-batch 503s (default 3; negative disables).
 	MaxRetries int
 	// MaxRetryWait caps how long a server Retry-After hint is honored
 	// (default 2s). Without a hint, retries back off exponentially from
@@ -33,7 +32,7 @@ type Config struct {
 	MaxRetryWait time.Duration
 }
 
-// Error is a failed operation's outcome: the per-op (or whole-response)
+// Error is a failed operation's outcome: the per-op (or whole-batch)
 // status code, the server's error text, and its Retry-After hint when the
 // status is 503.
 type Error struct {
@@ -92,8 +91,8 @@ func New(cfg Config) (*Client, error) {
 	if cfg.Transport == nil {
 		return nil, errors.New("client: Config.Transport is required")
 	}
-	// The built-in transports validate their own configuration eagerly so
-	// a typo fails at New, not at the first operation.
+	// The built-in transport validates its own configuration eagerly so a
+	// typo fails at New, not at the first operation.
 	if t, ok := cfg.Transport.(interface{ init() error }); ok {
 		if err := t.init(); err != nil {
 			return nil, err
@@ -255,7 +254,7 @@ func (c *Client) send(batch []*pending) {
 
 // roundTrip runs one batch through the transport with transport-level
 // retries: Transient failures (connection errors) and Temporary *Errors
-// (whole-response 503s — the server answers one when the store is
+// (whole-batch 503s — the server answers one when the store is
 // draining) retry up to MaxRetries times, honoring Retry-After up to
 // MaxRetryWait. Everything else — and a server whose result count does
 // not match the batch — is terminal.

@@ -2,42 +2,52 @@ package client_test
 
 import (
 	"bytes"
-	"encoding/json"
+	"context"
 	"errors"
 	"net/http"
-	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"freecursive"
 	"freecursive/client"
-	"freecursive/internal/httpapi"
-	"freecursive/internal/store"
 )
 
-// realServer spins the production handler over a small store, the same
-// stack cmd/oramstore serves.
-func realServer(t *testing.T) (*httptest.Server, *store.Store) {
-	t.Helper()
-	st, err := store.New(store.Config{
-		Shards: 4,
-		Blocks: 1 << 10,
-		ORAM:   freecursive.Config{BlockBytes: 16, Seed: 11},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { st.Close() })
-	srv := httptest.NewServer(httpapi.New(st))
-	t.Cleanup(srv.Close)
-	return srv, st
+// fakeTransport is a scripted Transport for tests of the Client layer
+// itself: reply answers the n-th RoundTrip (n counts from 1), and calls
+// and closed record what the Client asked of its transport.
+type fakeTransport struct {
+	reply  func(n int32, ops []client.BatchOp) ([]client.OpResult, error)
+	calls  atomic.Int32
+	closed atomic.Bool
 }
 
-func newClient(t *testing.T, url string, cfg client.Config) *client.Client {
+func (f *fakeTransport) RoundTrip(_ context.Context, ops []client.BatchOp) ([]client.OpResult, error) {
+	return f.reply(f.calls.Add(1), ops)
+}
+
+func (f *fakeTransport) Close() error {
+	f.closed.Store(true)
+	return nil
+}
+
+// serveAll answers every op with success: gets read data, puts store.
+func serveAll(data []byte) func(int32, []client.BatchOp) ([]client.OpResult, error) {
+	return func(_ int32, ops []client.BatchOp) ([]client.OpResult, error) {
+		out := make([]client.OpResult, len(ops))
+		for i, op := range ops {
+			out[i] = client.OpResult{Status: http.StatusNoContent}
+			if op.Op == client.OpGet {
+				out[i] = client.OpResult{Status: http.StatusOK, Data: data}
+			}
+		}
+		return out, nil
+	}
+}
+
+func newClient(t *testing.T, tr client.Transport, cfg client.Config) *client.Client {
 	t.Helper()
-	cfg.Transport = client.JSON(url)
+	cfg.Transport = tr
 	c, err := client.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -46,55 +56,51 @@ func newClient(t *testing.T, url string, cfg client.Config) *client.Client {
 	return c
 }
 
+// TestGetPutRoundTrip: Put and Get each become one op of the right kind,
+// address and payload, and Get returns its result's data.
 func TestGetPutRoundTrip(t *testing.T) {
-	srv, st := realServer(t)
-	c := newClient(t, srv.URL, client.Config{})
-	want := bytes.Repeat([]byte{0x5A}, st.BlockBytes())
-	if err := c.Put(42, want); err != nil {
+	var sent []client.BatchOp
+	tr := &fakeTransport{reply: func(n int32, ops []client.BatchOp) ([]client.OpResult, error) {
+		sent = append(sent, ops...)
+		return serveAll([]byte("block"))(n, ops)
+	}}
+	c := newClient(t, tr, client.Config{MaxBatch: 1})
+	if err := c.Put(42, []byte("data")); err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Get(42)
+	got, err := c.Get(43)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("Get(42) = %x, want %x", got, want)
+	if string(got) != "block" {
+		t.Fatalf("Get(43) = %q, want the result's data", got)
 	}
-	zeros, err := c.Get(43)
-	if err != nil {
-		t.Fatal(err)
+	want := []client.BatchOp{
+		{Op: client.OpPut, Addr: 42, Data: []byte("data")},
+		{Op: client.OpGet, Addr: 43},
 	}
-	if !bytes.Equal(zeros, make([]byte, st.BlockBytes())) {
-		t.Fatalf("never-written Get = %x, want zeros", zeros)
+	if len(sent) != len(want) {
+		t.Fatalf("transport saw ops %+v, want %+v", sent, want)
+	}
+	for i := range want {
+		if sent[i].Op != want[i].Op || sent[i].Addr != want[i].Addr || !bytes.Equal(sent[i].Data, want[i].Data) {
+			t.Fatalf("op %d = %+v, want %+v", i, sent[i], want[i])
+		}
 	}
 }
 
 // TestMicroBatchingCoalesces: MaxBatch concurrent callers must ride ONE
-// POST /batch. The flush interval is set far out so only the count trigger
+// round trip. The flush interval is set far out so only the count trigger
 // can release them — if batching were broken the test would hang, not just
 // miscount.
 func TestMicroBatchingCoalesces(t *testing.T) {
-	var posts atomic.Int32
-	srv, _ := realServer(t)
-	counting := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/batch" {
-			posts.Add(1)
-		}
-		resp, err := http.DefaultClient.Post(srv.URL+r.URL.Path, "application/json", r.Body)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadGateway)
-			return
-		}
-		defer resp.Body.Close()
-		w.WriteHeader(resp.StatusCode)
-		var out client.BatchResponse
-		json.NewDecoder(resp.Body).Decode(&out)
-		json.NewEncoder(w).Encode(out)
-	}))
-	t.Cleanup(counting.Close)
-
 	const fan = 8
-	c := newClient(t, counting.URL, client.Config{
+	var width atomic.Int32
+	tr := &fakeTransport{reply: func(n int32, ops []client.BatchOp) ([]client.OpResult, error) {
+		width.Store(int32(len(ops)))
+		return serveAll(nil)(n, ops)
+	}}
+	c := newClient(t, tr, client.Config{
 		MaxBatch:      fan,
 		FlushInterval: time.Hour, // only the count trigger may flush
 	})
@@ -109,16 +115,19 @@ func TestMicroBatchingCoalesces(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if got := posts.Load(); got != 1 {
-		t.Fatalf("%d concurrent gets took %d POSTs, want 1", fan, got)
+	if got := tr.calls.Load(); got != 1 {
+		t.Fatalf("%d concurrent gets took %d round trips, want 1", fan, got)
+	}
+	if got := width.Load(); got != fan {
+		t.Fatalf("the round trip carried %d ops, want %d", got, fan)
 	}
 }
 
 // TestFlushInterval: a lone caller must not wait for MaxBatch peers — the
 // interval trigger releases it.
 func TestFlushInterval(t *testing.T) {
-	srv, _ := realServer(t)
-	c := newClient(t, srv.URL, client.Config{
+	tr := &fakeTransport{reply: serveAll(nil)}
+	c := newClient(t, tr, client.Config{
 		MaxBatch:      1024,
 		FlushInterval: 5 * time.Millisecond,
 	})
@@ -142,12 +151,12 @@ func TestFlushInterval(t *testing.T) {
 // the server's retry hint, both through Get/Put and through an explicit Do
 // batch.
 func TestClientPartialFailure(t *testing.T) {
-	srv, st := realServer(t)
+	st, addr := binaryServer(t)
 	const victim = 1
 	if err := st.Quarantine(victim, nil); err != nil {
 		t.Fatal(err)
 	}
-	c := newClient(t, srv.URL, client.Config{MaxBatch: 4, FlushInterval: time.Millisecond})
+	c := newBinaryClient(t, addr, client.Config{MaxBatch: 4, FlushInterval: time.Millisecond})
 
 	// Get/Put path: per-address outcome follows the shard.
 	sawOK, saw503 := false, false
@@ -201,57 +210,63 @@ func TestClientPartialFailure(t *testing.T) {
 	}
 }
 
-// TestRetryOn503: whole-response 503s (store draining) are retried,
-// honoring Retry-After, and the client gives up after MaxRetries.
+// TestRetryOn503: whole-batch 503s (store draining) are retried, and the
+// client gives up after MaxRetries, surfacing the last 503.
 func TestRetryOn503(t *testing.T) {
-	var hits atomic.Int32
-	flaky := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if hits.Add(1) <= 2 {
-			w.Header().Set("Retry-After", "0")
-			http.Error(w, "draining", http.StatusServiceUnavailable)
-			return
+	draining := &client.Error{Status: http.StatusServiceUnavailable, Msg: "draining", RetryAfter: time.Millisecond}
+	tr := &fakeTransport{reply: func(n int32, ops []client.BatchOp) ([]client.OpResult, error) {
+		if n <= 2 {
+			return nil, draining
 		}
-		var req client.BatchRequest
-		json.NewDecoder(r.Body).Decode(&req)
-		out := client.BatchResponse{Results: make([]client.OpResult, len(req.Ops))}
-		for i := range out.Results {
-			out.Results[i] = client.OpResult{Status: http.StatusOK, Data: []byte{9}}
-		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(out)
-	}))
-	t.Cleanup(flaky.Close)
-
-	c := newClient(t, flaky.URL, client.Config{MaxBatch: 1, MaxRetries: 3})
+		return serveAll([]byte{9})(n, ops)
+	}}
+	c := newClient(t, tr, client.Config{MaxBatch: 1, MaxRetries: 3})
 	got, err := c.Get(0)
 	if err != nil {
 		t.Fatalf("Get after two 503s: %v", err)
 	}
-	if !bytes.Equal(got, []byte{9}) || hits.Load() != 3 {
-		t.Fatalf("got %x after %d attempts, want 09 after 3", got, hits.Load())
+	if !bytes.Equal(got, []byte{9}) || tr.calls.Load() != 3 {
+		t.Fatalf("got %x after %d attempts, want 09 after 3", got, tr.calls.Load())
 	}
 
-	// A server that never recovers exhausts the retries into a 503 error.
-	hits.Store(-1000)
-	c2 := newClient(t, flaky.URL, client.Config{MaxBatch: 1, MaxRetries: 1})
+	// A server that never recovers exhausts the retries into a 503 error:
+	// MaxRetries+1 attempts, then the last one's error.
+	const maxRetries = 2
+	never := &fakeTransport{reply: func(int32, []client.BatchOp) ([]client.OpResult, error) {
+		return nil, draining
+	}}
+	c2 := newClient(t, never, client.Config{MaxBatch: 1, MaxRetries: maxRetries})
 	_, err = c2.Get(0)
 	e := client.AsError(err)
 	if e == nil || e.Status != http.StatusServiceUnavailable {
 		t.Fatalf("exhausted retries = %v, want *Error status 503", err)
 	}
+	if got := never.calls.Load(); got != maxRetries+1 {
+		t.Fatalf("%d attempts before giving up, want %d", got, maxRetries+1)
+	}
 }
 
-// TestClientErrors: caller mistakes surface with their wire status, and a
-// closed client refuses work.
+// TestClientErrors: per-op failures surface as *Error with their wire
+// status and text, and a closed client refuses work without touching its
+// transport again.
 func TestClientErrors(t *testing.T) {
-	srv, st := realServer(t)
-	c := newClient(t, srv.URL, client.Config{MaxBatch: 1})
+	tr := &fakeTransport{reply: func(_ int32, ops []client.BatchOp) ([]client.OpResult, error) {
+		out := make([]client.OpResult, len(ops))
+		for i, op := range ops {
+			out[i] = client.OpResult{Status: http.StatusBadRequest, Error: "address out of range"}
+			if op.Op == client.OpPut {
+				out[i] = client.OpResult{Status: http.StatusRequestEntityTooLarge, Error: "payload exceeds block size"}
+			}
+		}
+		return out, nil
+	}}
+	c := newClient(t, tr, client.Config{MaxBatch: 1})
 
-	_, err := c.Get(st.Blocks() + 7)
-	if e := client.AsError(err); e == nil || e.Status != http.StatusBadRequest {
-		t.Fatalf("out-of-range Get = %v, want *Error status 400", err)
+	_, err := c.Get(7)
+	if e := client.AsError(err); e == nil || e.Status != http.StatusBadRequest || e.Msg != "address out of range" || e.Temporary() {
+		t.Fatalf("out-of-range Get = %v, want permanent *Error status 400 with the server's text", err)
 	}
-	err = c.Put(0, make([]byte, st.BlockBytes()+1))
+	err = c.Put(0, []byte("x"))
 	if e := client.AsError(err); e == nil || e.Status != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized Put = %v, want *Error status 413", err)
 	}
@@ -259,22 +274,27 @@ func TestClientErrors(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
+	if !tr.closed.Load() {
+		t.Fatal("Close did not close the transport")
+	}
+	before := tr.calls.Load()
 	if _, err := c.Get(0); !errors.Is(err, client.ErrClosed) {
 		t.Fatalf("Get after Close = %v, want ErrClosed", err)
 	}
 	if _, err := c.Do([]client.BatchOp{{Op: client.OpGet}}); !errors.Is(err, client.ErrClosed) {
 		t.Fatalf("Do after Close = %v, want ErrClosed", err)
 	}
+	if tr.calls.Load() != before {
+		t.Fatal("a closed client still called its transport")
+	}
 }
 
 func TestConfigValidation(t *testing.T) {
-	if _, err := client.New(client.Config{Transport: client.JSON("")}); err == nil {
-		t.Fatal("empty JSON base URL accepted")
+	tr := &fakeTransport{reply: serveAll(nil)}
+	if _, err := client.New(client.Config{Transport: tr, MaxBatch: client.MaxOps + 1}); err == nil {
+		t.Fatal("MaxBatch over the frame cap accepted")
 	}
-	if _, err := client.New(client.Config{Transport: client.JSON("http://x"), MaxBatch: client.MaxOps + 1}); err == nil {
-		t.Fatal("MaxBatch over the wire cap accepted")
-	}
-	if _, err := client.New(client.Config{Transport: client.JSON("http://x"), FlushInterval: -time.Second}); err == nil {
+	if _, err := client.New(client.Config{Transport: tr, FlushInterval: -time.Second}); err == nil {
 		t.Fatal("negative FlushInterval accepted")
 	}
 }

@@ -5,29 +5,16 @@
 // the server's per-shard pipelines see bulk arrivals (which is what makes
 // duplicate-read coalescing and shard parallelism pay off over the wire).
 //
-// # Transports
+// # Transport
 //
-// The Client moves batches through a pluggable Transport. Two are built
-// in, selected by Config.Transport:
-//
-//   - client.JSON(baseURL) — the JSON POST /batch API over HTTP. One
-//     request per batch, ordinary HTTP semantics, easy to proxy, inspect,
-//     and load-balance. The right default for modest throughput and for
-//     anything that must traverse HTTP middleware.
-//
-//   - client.Binary(addr) — length-prefixed binary frames over a small
-//     pool of long-lived TCP connections to a server started with
-//     `oramstore -listen-binary`. Batches are pipelined: many in flight
-//     per connection, correlated by frame ID, answered in completion
-//     order. No per-request HTTP or JSON overhead, near-zero-copy
-//     encoding — the choice when the client is the throughput bottleneck.
-//
-// Both transports surface identical semantics — same status codes, same
-// *Error values, same retry classification — so switching is a one-line
-// Config change:
-//
-//	c, err := client.New(client.Config{Transport: client.JSON("http://localhost:8080")})
-//	c, err := client.New(client.Config{Transport: client.Binary("localhost:8081")})
+// The Client moves batches through a Transport, set in Config.Transport.
+// The built-in one is client.Binary(addr): length-prefixed binary frames
+// over a small pool of long-lived TCP connections to the frame listener
+// of an oramstore server (`-listen-binary`, :8081 by default). Batches are
+// pipelined: many in flight per connection, correlated by frame ID,
+// answered in completion order, with near-zero-copy encoding. The frame
+// protocol is the only batched wire the server speaks; its HTTP listener
+// serves single blocks and admin routes only.
 //
 // # Basic use
 //
@@ -58,10 +45,10 @@
 // # Errors and retries
 //
 // Transport-level failures — a connection error, or a whole-batch 503
-// (the server answers one when the store is draining and the entire batch
-// failed for it; an HTTP 503 response on the JSON transport, a frame-level
-// 503 on the binary one) — are retried up to Config.MaxRetries times,
-// honoring the server's Retry-After hint (capped at Config.MaxRetryWait).
+// (a frame-level status the server answers when the store is draining
+// and the entire batch failed for it) — are retried up to
+// Config.MaxRetries times, honoring the server's Retry-After hint (capped
+// at Config.MaxRetryWait).
 // Retrying is safe because both operations are idempotent: a put replaces
 // the block's contents. Per-operation failures are NOT retried
 // automatically: a 503 there means the address's shard is quarantined

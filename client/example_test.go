@@ -4,38 +4,36 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"net/http/httptest"
 
 	"freecursive"
 	"freecursive/client"
 	"freecursive/internal/frameserver"
-	"freecursive/internal/httpapi"
 	"freecursive/internal/store"
 )
 
-func exampleStore() *store.Store {
+// Example drives the client against a live oramstore frame listener —
+// here the production frame server on a loopback port; in deployment the
+// address would be a `oramstore` process's `-listen-binary`. See
+// examples/batchclient for a standalone program doing the same.
+func Example() {
 	st, err := store.New(store.Config{
 		Shards: 4,
 		Blocks: 1 << 10,
-		ORAM:   freecursive.Config{Scheme: freecursive.PIC, BlockBytes: 16},
+		ORAM:   freecursive.Config{BlockBytes: 16},
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	return st
-}
-
-// Example drives the client against a live oramstore HTTP server — here
-// the production handler mounted on a test listener; in deployment the
-// URL would point at a `oramstore` process. See examples/batchclient for
-// a standalone program doing the same.
-func Example() {
-	st := exampleStore()
 	defer st.Close()
-	srv := httptest.NewServer(httpapi.New(st))
+	srv := frameserver.New(st)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		log.Fatal(err)
+	}
+	go srv.Serve(ln)
 	defer srv.Close()
 
-	c, err := client.New(client.Config{Transport: client.JSON(srv.URL)})
+	c, err := client.New(client.Config{Transport: client.Binary(ln.Addr().String())})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -57,52 +55,6 @@ func Example() {
 		{Op: client.OpPut, Addr: 7, Data: []byte("seven")},
 		{Op: client.OpGet, Addr: 7},
 		{Op: client.OpGet, Addr: 1 << 40}, // out of range: fails alone
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("put: %d, get: %d (%q), bad: %d\n",
-		results[0].Status, results[1].Status, results[1].Data[:5], results[2].Status)
-
-	// Output:
-	// block 42: "hello oram"
-	// put: 204, get: 200 ("seven"), bad: 400
-}
-
-// ExampleBinary runs the same workload over the binary streaming
-// transport — the only difference from the JSON example is the Transport
-// line and the server half (a frame listener instead of an HTTP one, as
-// started by `oramstore serve -listen-binary`).
-func ExampleBinary() {
-	st := exampleStore()
-	defer st.Close()
-	srv := frameserver.New(st)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	go srv.Serve(ln)
-	defer srv.Close()
-
-	c, err := client.New(client.Config{Transport: client.Binary(ln.Addr().String())})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer c.Close()
-
-	if err := c.Put(42, []byte("hello oram")); err != nil {
-		log.Fatal(err)
-	}
-	got, err := c.Get(42)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("block 42: %q\n", got[:10])
-
-	results, err := c.Do([]client.BatchOp{
-		{Op: client.OpPut, Addr: 7, Data: []byte("seven")},
-		{Op: client.OpGet, Addr: 7},
-		{Op: client.OpGet, Addr: 1 << 40},
 	})
 	if err != nil {
 		log.Fatal(err)

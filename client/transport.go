@@ -1,16 +1,8 @@
 package client
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
-	"fmt"
-	"io"
-	"net/http"
-	"strconv"
-	"sync"
-	"time"
 )
 
 // Transport moves one batch of operations to an oramstore server and
@@ -22,14 +14,14 @@ import (
 // Contract: on success the results are index-aligned with ops, and
 // per-operation failures live in their OpResult (Status >= 400) — only a
 // whole-batch failure returns an error. Errors that are worth retrying —
-// connection failures, a whole-response 503 from a draining server — must
+// connection failures, a whole-batch 503 from a draining server — must
 // be marked: either an *Error whose Temporary method reports true, or any
 // error wrapped by Transient. Everything else is returned to the caller
 // as-is, unretried.
 //
-// Implementations must be safe for concurrent RoundTrip calls. The two
-// built-ins are JSON (the HTTP POST /batch path) and Binary (pooled
-// long-lived framed TCP connections); see their constructors.
+// Implementations must be safe for concurrent RoundTrip calls. The
+// built-in one is Binary (pooled long-lived framed TCP connections); tests
+// and decorators supply their own.
 type Transport interface {
 	RoundTrip(ctx context.Context, ops []BatchOp) ([]OpResult, error)
 	// Close releases the transport's connections. RoundTrip calls racing
@@ -52,7 +44,7 @@ func Transient(err error) error { return &transientError{err: err} }
 
 // retryable reports whether the client should retry after err: a
 // Transient-wrapped transport failure, or a Temporary *Error
-// (whole-response 503, the draining-server signal).
+// (whole-batch 503, the draining-server signal).
 func retryable(err error) bool {
 	var t *transientError
 	if errors.As(err, &t) {
@@ -62,116 +54,4 @@ func retryable(err error) bool {
 		return e.Temporary()
 	}
 	return false
-}
-
-// JSONTransport is the HTTP transport: every batch is one JSON POST
-// /batch over a pooled keep-alive connection. It is the compatible,
-// debuggable path — any HTTP middlebox, load balancer, or curl can speak
-// it — and the baseline the binary transport is measured against.
-//
-// Configure by setting fields before first use (New does this for you);
-// they must not be modified afterwards.
-type JSONTransport struct {
-	// BaseURL locates the server, e.g. "http://localhost:8080". Trailing
-	// slashes are trimmed.
-	BaseURL string
-	// HTTPClient, if non-nil, overrides the underlying *http.Client. The
-	// default is a dedicated keep-alive pooled client with a 30s request
-	// timeout; connection reuse matters more than usual here because
-	// every batch is one POST to the same host.
-	HTTPClient *http.Client
-
-	once    sync.Once
-	initErr error
-	base    string
-	http    *http.Client
-}
-
-// JSON returns the HTTP transport for the server at baseURL, for
-// Config.Transport.
-func JSON(baseURL string) *JSONTransport { return &JSONTransport{BaseURL: baseURL} }
-
-// init resolves defaults once; safe to call from every RoundTrip.
-func (t *JSONTransport) init() error {
-	t.once.Do(func() {
-		if t.BaseURL == "" {
-			t.initErr = errors.New("client: JSON transport needs a base URL")
-			return
-		}
-		t.base = t.BaseURL
-		for len(t.base) > 0 && t.base[len(t.base)-1] == '/' {
-			t.base = t.base[:len(t.base)-1]
-		}
-		t.http = t.HTTPClient
-		if t.http == nil {
-			t.http = &http.Client{
-				Timeout: 30 * time.Second,
-				Transport: &http.Transport{
-					MaxIdleConns:        64,
-					MaxIdleConnsPerHost: 64,
-					IdleConnTimeout:     90 * time.Second,
-				},
-			}
-		}
-	})
-	return t.initErr
-}
-
-// RoundTrip performs one POST /batch. Connection errors come back
-// Transient; a whole-response 503 comes back as a Temporary *Error; both
-// are retried by the Client above. Any other non-2xx status and malformed
-// response bodies are terminal.
-func (t *JSONTransport) RoundTrip(ctx context.Context, ops []BatchOp) ([]OpResult, error) {
-	if err := t.init(); err != nil {
-		return nil, err
-	}
-	body, err := json.Marshal(BatchRequest{Ops: ops})
-	if err != nil {
-		return nil, fmt.Errorf("client: encoding batch: %w", err)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, t.base+"/batch",
-		bytes.NewReader(body))
-	if err != nil {
-		return nil, fmt.Errorf("client: %w", err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := t.http.Do(req)
-	if err != nil {
-		return nil, Transient(fmt.Errorf("client: %w", err))
-	}
-	switch resp.StatusCode {
-	case http.StatusOK, http.StatusMultiStatus:
-		var out BatchResponse
-		err := json.NewDecoder(resp.Body).Decode(&out)
-		resp.Body.Close()
-		if err != nil {
-			return nil, fmt.Errorf("client: decoding batch response: %w", err)
-		}
-		return out.Results, nil
-	default:
-		// responseError yields an *Error; a 503 is Temporary and the
-		// retry loop above takes it from there.
-		return nil, responseError(resp)
-	}
-}
-
-// Close releases idle pooled connections.
-func (t *JSONTransport) Close() error {
-	if err := t.init(); err != nil {
-		return nil
-	}
-	t.http.CloseIdleConnections()
-	return nil
-}
-
-// responseError drains a non-2xx response into an *Error, capturing
-// Retry-After when present. It closes the body.
-func responseError(resp *http.Response) error {
-	msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
-	resp.Body.Close()
-	e := &Error{Status: resp.StatusCode, Msg: string(bytes.TrimSpace(msg))}
-	if s, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && s >= 0 {
-		e.RetryAfter = time.Duration(s) * time.Second
-	}
-	return e
 }

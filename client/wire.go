@@ -1,8 +1,10 @@
 package client
 
-// This file is the wire schema of the oramstore batch API — the JSON bodies
-// of POST /batch. The server (freecursive/internal/httpapi) imports these
-// types too, so the two sides cannot drift.
+import "freecursive/internal/frame"
+
+// This file holds the Go shapes of one batch: the operations a Transport
+// carries and the outcomes it brings back. BinaryTransport maps them onto
+// the request and response frames of freecursive/internal/frame.
 
 // Op names for BatchOp.Op.
 const (
@@ -13,48 +15,35 @@ const (
 	OpPut = "put"
 )
 
-// MaxOps is the server's cap on operations per batch request; larger
-// batches are rejected whole with 400.
-const MaxOps = 4096
+// MaxOps is the frame protocol's cap on operations per batch. A larger
+// batch is never sent: the encoder refuses it before it reaches the wire.
+const MaxOps = frame.MaxOps
 
-// BatchRequest is the body of POST /batch.
-type BatchRequest struct {
-	// Ops execute in slice order per shard: an op on the same address as an
-	// earlier op in the batch observes that op's effect.
-	Ops []BatchOp `json:"ops"`
-}
-
-// BatchOp is one operation in a batch request.
+// BatchOp is one operation in a batch. Ops execute in slice order per
+// shard: an op on the same address as an earlier op in the batch observes
+// that op's effect.
 type BatchOp struct {
 	// Op is OpGet or OpPut.
-	Op string `json:"op"`
+	Op string
 	// Addr is the block address, in [0, capacity).
-	Addr uint64 `json:"addr"`
-	// Data is the put payload (standard base64 in JSON, like every Go
-	// []byte). Ignored for gets; at most the store's block size.
-	Data []byte `json:"data,omitempty"`
+	Addr uint64
+	// Data is the put payload. Ignored for gets; at most the store's block
+	// size.
+	Data []byte
 }
 
-// BatchResponse is the body of a 200 or 207 reply to POST /batch. The
-// response status is 200 when every operation succeeded and 207
-// (Multi-Status) when at least one failed; Results is always index-aligned
-// with the request's Ops.
-type BatchResponse struct {
-	Results []OpResult `json:"results"`
-}
-
-// OpResult is one operation's outcome. Status reuses the single-block
-// endpoints' codes so monitoring and retry logic treat both APIs
+// OpResult is one operation's outcome. Status reuses the single-block HTTP
+// endpoints' codes so monitoring and retry logic treat both surfaces
 // identically: 200 get served (Data set), 204 put stored, 400 caller
-// mistake (bad op name, out-of-range address), 413 put payload exceeds the
+// mistake (out-of-range address), 413 put payload exceeds the
 // block size, 503 the address's shard is quarantined or the store is
 // draining (RetryAfterSeconds carries the polling hint), 500 internal
 // error.
 type OpResult struct {
-	Status int    `json:"status"`
-	Data   []byte `json:"data,omitempty"`
-	Error  string `json:"error,omitempty"`
+	Status int
+	Data   []byte
+	Error  string
 	// RetryAfterSeconds mirrors the Retry-After header of the single-block
 	// endpoints' 503s, per op. Zero unless Status is 503.
-	RetryAfterSeconds int `json:"retry_after_seconds,omitempty"`
+	RetryAfterSeconds int
 }

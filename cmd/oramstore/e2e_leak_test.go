@@ -26,8 +26,8 @@ import (
 
 // TestNoSecretValuesOnObservableSurfaces is the runtime twin of the
 // leaksink/secretflow analyzers: it runs the full serving stack (store over
-// a live bucketd, JSON API, binary frame server), wiretaps every bucket
-// index the untrusted server observes — the adversary's view, correlated
+// a live bucketd, HTTP admin routes, binary frame server), wiretaps every
+// bucket index the untrusted server observes — the adversary's view, correlated
 // with leaves and positions — and then asserts that none of those values
 // appears on any surface an operator or client ever sees: HTTP and frame
 // error payloads, /metrics output, /shards JSON, or /stats JSON. A
@@ -72,7 +72,7 @@ func testNoSecretLeak(t *testing.T, backendKind string) {
 	go bsrv.Serve(bln)
 	defer bsrv.Close()
 
-	// Trusted stack serving both transports. 1<<12 blocks keeps the leaf
+	// Trusted stack serving both listeners. 1<<12 blocks keeps the leaf
 	// region of the tree well above secretFloor while the run's op counts
 	// stay below it.
 	st, err := store.New(store.Config{
@@ -88,8 +88,8 @@ func testNoSecretLeak(t *testing.T, backendKind string) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	jsrv := httptest.NewServer(httpapi.New(st))
-	defer jsrv.Close()
+	hsrv := httptest.NewServer(httpapi.New(st))
+	defer hsrv.Close()
 	fsrv := frameserver.New(st)
 	fln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -98,16 +98,11 @@ func testNoSecretLeak(t *testing.T, backendKind string) {
 	go fsrv.Serve(fln)
 	defer fsrv.Close()
 
-	newClient := func(tr client.Transport) *client.Client {
-		c, err := client.New(client.Config{Transport: tr, MaxBatch: 1, MaxRetries: -1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { c.Close() })
-		return c
+	bc, err := client.New(client.Config{Transport: client.Binary(fln.Addr().String()), MaxBatch: 1, MaxRetries: -1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	jc := newClient(client.JSON(jsrv.URL))
-	bc := newClient(client.Binary(fln.Addr().String()))
+	defer bc.Close()
 
 	// payloads collects every error string a client or operator could see,
 	// labeled by where it came from.
@@ -120,32 +115,27 @@ func testNoSecretLeak(t *testing.T, backendKind string) {
 		payloads = append(payloads, payload{where, text})
 	}
 
-	// Healthy traffic through both transports, spread across the address
-	// space so the wiretap observes many distinct paths.
+	// Healthy traffic, spread across the address space so the wiretap
+	// observes many distinct paths.
 	blk := bytes.Repeat([]byte{0x5a}, st.BlockBytes())
 	for a := uint64(0); a < 48; a++ {
 		addr := (a * 61) % (1 << 12)
-		if err := jc.Put(addr, blk); err != nil {
-			t.Fatalf("json Put(%d): %v", addr, err)
+		if err := bc.Put(addr, blk); err != nil {
+			t.Fatalf("binary Put(%d): %v", addr, err)
 		}
 		if _, err := bc.Get(addr); err != nil {
 			t.Fatalf("binary Get(%d): %v", addr, err)
 		}
 	}
 
-	// Canary rejections: both transports, plus the raw single-block HTTP
+	// Canary rejections: the frame transport and the raw single-block HTTP
 	// endpoint. Every payload is collected for the leak scan.
-	if _, err := jc.Get(canaryAddr); err == nil {
-		t.Fatal("json Get(canary) succeeded")
-	} else {
-		addPayload("json canary get", err.Error())
-	}
 	if _, err := bc.Get(canaryAddr); err == nil {
 		t.Fatal("binary Get(canary) succeeded")
 	} else {
 		addPayload("binary canary get", err.Error())
 	}
-	resp, err := http.Get(fmt.Sprintf("%s/block/%d", jsrv.URL, canaryAddr))
+	resp, err := http.Get(fmt.Sprintf("%s/block/%d", hsrv.URL, canaryAddr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,8 +147,9 @@ func testNoSecretLeak(t *testing.T, backendKind string) {
 	addPayload("http canary body", string(rawBody))
 
 	// Tamper campaign: corrupt shard 0's data tree over the wire so PMMAC
-	// quarantines the shard, then collect the 503 payloads both transports
-	// return — the error path most tempted to explain itself with leaves.
+	// quarantines the shard, then collect the 503 payloads the frame
+	// transport and the single-block route return — the error path most
+	// tempted to explain itself with leaves.
 	adv, err := mem.DialRemote(mem.RemoteConfig{
 		Addr:      bln.Addr().String(),
 		Namespace: "store/shard-0000/tree-0",
@@ -183,30 +174,35 @@ func testNoSecretLeak(t *testing.T, backendKind string) {
 	}
 	var tampErr error
 	for i := 0; i < 200 && tampErr == nil; i++ {
-		if _, err := jc.Get(uint64(i*61) % (1 << 12)); err != nil {
+		if _, err := bc.Get(uint64(i*61) % (1 << 12)); err != nil {
 			tampErr = err
 		}
 	}
 	if tampErr == nil {
 		t.Fatal("tamper campaign never detected")
 	}
-	addPayload("json tamper detection", tampErr.Error())
-	for name, c := range map[string]*client.Client{"json": jc, "binary": bc} {
-		_, err := c.Get(3)
-		if err == nil {
-			t.Fatalf("%s: read of quarantined store succeeded", name)
-		}
-		ce := client.AsError(err)
-		if ce == nil || ce.Status != http.StatusServiceUnavailable {
-			t.Fatalf("%s: want 503, got %v", name, err)
-		}
-		addPayload(name+" quarantine get", err.Error())
+	addPayload("binary tamper detection", tampErr.Error())
+	_, err = bc.Get(3)
+	if ce := client.AsError(err); ce == nil || ce.Status != http.StatusServiceUnavailable {
+		t.Fatalf("binary read of quarantined store: want 503, got %v", err)
 	}
+	addPayload("binary quarantine get", err.Error())
+	resp, err = http.Get(hsrv.URL + "/block/3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	quarBody, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("GET /block/3 of quarantined store = %d (Retry-After %q), want 503 with Retry-After",
+			resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
+	addPayload("http quarantine body", string(quarBody))
 
 	// Operator surfaces, captured after quarantine so /shards carries a
 	// populated cause field.
 	fetch := func(path string) string {
-		resp, err := http.Get(jsrv.URL + path)
+		resp, err := http.Get(hsrv.URL + path)
 		if err != nil {
 			t.Fatalf("GET %s: %v", path, err)
 		}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"net"
 	"net/http"
-	"net/http/httptest"
 	"testing"
 
 	"freecursive"
@@ -12,18 +11,17 @@ import (
 	"freecursive/internal/bucketd"
 	"freecursive/internal/core"
 	"freecursive/internal/frameserver"
-	"freecursive/internal/httpapi"
 	"freecursive/internal/mem"
 	"freecursive/internal/store"
 )
 
 // TestRemoteTamperDetectedEndToEnd is the full-stack adversary experiment:
 // a live bucketd holds the sealed buckets, an oramstore-style stack (store
-// + JSON API + binary frame server) serves clients, and the adversary —
-// with nothing but the bucket server's address — corrupts the sealed
-// buckets of shard 0's data tree over the wire. PMMAC must latch as soon
-// as a read fetches a tampered block, the shard must quarantine, and BOTH
-// client transports must surface it as a 503 with a Retry-After hint.
+// + binary frame server) serves a client, and the adversary — with nothing
+// but the bucket server's address — corrupts the sealed buckets of shard
+// 0's data tree over the wire. PMMAC must latch as soon as a read fetches
+// a tampered block, the shard must quarantine, and the client must surface
+// it as a 503 with a Retry-After hint.
 // The campaign runs against both backend constructions: the adversary's
 // vantage point (the bucket server) is identical either way.
 func TestRemoteTamperDetectedEndToEnd(t *testing.T) {
@@ -42,7 +40,7 @@ func testRemoteTamper(t *testing.T, backendKind string) {
 	go bsrv.Serve(bln)
 	defer bsrv.Close()
 
-	// Trusted stack: store over remote memory, serving both transports.
+	// Trusted stack: store over remote memory, serving the frame protocol.
 	st, err := store.New(store.Config{
 		Shards:  1,
 		Blocks:  1 << 8,
@@ -56,8 +54,6 @@ func testRemoteTamper(t *testing.T, backendKind string) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	jsrv := httptest.NewServer(httpapi.New(st))
-	defer jsrv.Close()
 	fsrv := frameserver.New(st)
 	fln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -66,21 +62,16 @@ func testRemoteTamper(t *testing.T, backendKind string) {
 	go fsrv.Serve(fln)
 	defer fsrv.Close()
 
-	newClient := func(tr client.Transport) *client.Client {
-		c, err := client.New(client.Config{Transport: tr, MaxBatch: 1, MaxRetries: -1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { c.Close() })
-		return c
+	bc, err := client.New(client.Config{Transport: client.Binary(fln.Addr().String()), MaxBatch: 1, MaxRetries: -1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	jc := newClient(client.JSON(jsrv.URL))
-	bc := newClient(client.Binary(fln.Addr().String()))
+	defer bc.Close()
 
-	// Healthy round trip through both transports.
+	// Healthy round trip.
 	want := bytes.Repeat([]byte{0x42}, st.BlockBytes())
 	for a := uint64(0); a < 32; a++ {
-		if err := jc.Put(a, want); err != nil {
+		if err := bc.Put(a, want); err != nil {
 			t.Fatalf("Put(%d): %v", a, err)
 		}
 	}
@@ -122,7 +113,7 @@ func testRemoteTamper(t *testing.T, backendKind string) {
 	// interest is pulled.
 	var tampErr error
 	for i := 0; i < 200 && tampErr == nil; i++ {
-		if _, err := jc.Get(uint64(i) % 32); err != nil {
+		if _, err := bc.Get(uint64(i) % 32); err != nil {
 			tampErr = err
 		}
 	}
@@ -130,22 +121,20 @@ func testRemoteTamper(t *testing.T, backendKind string) {
 		t.Fatal("tamper campaign never detected")
 	}
 
-	// Both transports must now fail-stop with 503 + Retry-After.
-	for name, c := range map[string]*client.Client{"json": jc, "binary": bc} {
-		_, err := c.Get(3)
-		if err == nil {
-			t.Fatalf("%s: read of tampered (quarantined) store succeeded", name)
-		}
-		ce := client.AsError(err)
-		if ce == nil {
-			t.Fatalf("%s: error %v carries no status", name, err)
-		}
-		if ce.Status != http.StatusServiceUnavailable {
-			t.Fatalf("%s: status %d, want 503 (err: %v)", name, ce.Status, err)
-		}
-		if ce.RetryAfter <= 0 {
-			t.Errorf("%s: 503 without Retry-After hint", name)
-		}
+	// The client must now fail-stop with 503 + Retry-After.
+	_, err = bc.Get(3)
+	if err == nil {
+		t.Fatal("read of tampered (quarantined) store succeeded")
+	}
+	ce := client.AsError(err)
+	if ce == nil {
+		t.Fatalf("error %v carries no status", err)
+	}
+	if ce.Status != http.StatusServiceUnavailable {
+		t.Fatalf("status %d, want 503 (err: %v)", ce.Status, err)
+	}
+	if ce.RetryAfter <= 0 {
+		t.Error("503 without Retry-After hint")
 	}
 	if got := st.ShardState(0); got != store.StateQuarantined {
 		t.Fatalf("shard state %v after tamper, want quarantined", got)

@@ -1,15 +1,20 @@
-// Command oramstore serves a sharded oblivious block store over HTTP, and
-// doubles as a load probe for a running one.
+// Command oramstore serves a sharded oblivious block store, and doubles as
+// a load probe for a running one.
 //
-// Serve mode (the default) exposes (handler in freecursive/internal/httpapi):
+// Serve mode (the default) listens twice. The frame listener
+// (-listen-binary, :8081 unless set; "" turns it off) is the batched data
+// plane: length-prefixed request/response frames
+// (freecursive/internal/frame) over long-lived pipelined connections,
+// dispatched straight into the store's batch pipeline — the wire of
+// freecursive/client. The HTTP listener (-addr) is for admin and
+// debugging (handler in freecursive/internal/httpapi):
 //
 //	GET  /block/{addr}  — read a block (application/octet-stream)
 //	PUT  /block/{addr}  — write a block (body is zero-padded/truncated)
-//	POST /batch         — mixed get/put batch, per-op outcomes (JSON; schema
-//	                      in freecursive/client)
 //	GET  /stats         — aggregate + per-shard counters as JSON
 //	GET  /shards        — per-shard lifecycle + pipeline state as JSON
-//	GET  /metrics       — the same counters in Prometheus text format
+//	GET  /metrics       — the same counters in Prometheus text format, and
+//	                      the frame server's under oramstore_transport_*
 //	GET  /healthz       — liveness probe
 //
 // Requests are served by the store's asynchronous per-shard pipeline. A
@@ -17,9 +22,9 @@
 // addresses answer 503 with a Retry-After header (the data on every other
 // shard stays available), true internal errors answer 500, and caller
 // mistakes 400 — so monitoring can tell a misbehaving client, a broken
-// server, and a poisoned shard apart. POST /batch applies the same codes
-// per operation inside a 207 Multi-Status envelope, so one poisoned shard
-// fails only its slice of a batch.
+// server, and a poisoned shard apart. The frame protocol carries the same
+// codes per operation, so one poisoned shard fails only its slice of a
+// batch.
 //
 // With -data-dir the store is durable: sealed buckets live in per-shard
 // page files, and on SIGINT/SIGTERM the server drains connections and the
@@ -30,33 +35,20 @@
 // (no clean snapshot), PMMAC refuses blocks whose on-disk state diverged
 // instead of serving them.
 //
-// With -listen-binary the server additionally speaks the binary streaming
-// transport on a second TCP listener: length-prefixed request/response
-// frames (freecursive/internal/frame) over long-lived pipelined
-// connections, dispatched straight into the store's batch pipeline with
-// no HTTP layer — the fast wire for freecursive/client's Binary
-// transport. /metrics then exposes the frame server's connection, byte,
-// and in-flight gauges under oramstore_transport_*.
-//
-// Load mode probes a RUNNING server with concurrent random reads and
-// writes — uniformly or Zipf-skewed (-dist zipf), the latter showing off
+// Load mode probes a RUNNING server's frame listener (-addr host:port)
+// with concurrent random reads and writes through the micro-batching
+// client — uniformly or Zipf-skewed (-dist zipf), the latter showing off
 // the pipeline's duplicate-read coalescing — and reports throughput and
 // latency percentiles as seen by a client. It builds no store of its own
-// (bench/ is the load generator that does, and the only place a throughput
-// number is recorded). -transport picks how ops travel:
-//
-//	-transport json    POST /batch through the micro-batching client
-//	                   (-addr is the base URL; -batch, -flush-interval)
-//	-transport binary  the streaming frame protocol through the same
-//	                   client (-addr is the -listen-binary host:port)
+// (bench/ is the load generator that does, and the only place a
+// throughput number is recorded).
 //
 // Examples:
 //
 //	oramstore -addr :8080 -shards 16 -blocks 20
-//	oramstore -addr :8080 -listen-binary :8081 -shards 16
+//	oramstore -addr :8080 -listen-binary :9081 -shards 16
 //	oramstore -addr :8080 -shards 4 -blocks 18 -data-dir /var/lib/oramstore
-//	oramstore load -transport json -addr http://localhost:8080 -dist zipf -batch 16
-//	oramstore load -transport binary -addr localhost:8081 -dist zipf -batch 16
+//	oramstore load -addr localhost:8081 -dist zipf -batch 16
 package main
 
 import (
@@ -102,8 +94,8 @@ type serveOpts struct {
 // is parsed. The README's serve-flag table lists exactly these.
 func serveFlags(o *serveOpts) *flag.FlagSet {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
-	fs.StringVar(&o.addr, "addr", ":8080", "HTTP listen address")
-	fs.StringVar(&o.listenBin, "listen-binary", "", "also serve the binary frame protocol on this TCP address (e.g. :8081)")
+	fs.StringVar(&o.addr, "addr", ":8080", "HTTP listen address (single blocks, stats, metrics, health)")
+	fs.StringVar(&o.listenBin, "listen-binary", ":8081", "serve the binary frame protocol, the batched data plane, on this TCP address (\"\" turns it off)")
 	fs.IntVar(&o.cfg.Shards, "shards", 8, "ORAM shard count (rounded up to a power of two)")
 	fs.IntVar(&o.logBlocks, "blocks", 16, "log2 of total capacity in blocks")
 	fs.IntVar(&o.cfg.ORAM.BlockBytes, "block", 64, "block size in bytes")
@@ -221,88 +213,63 @@ func shutdownStore(st *store.Store, durable bool) error {
 
 // --- load mode --------------------------------------------------------------
 
-func runLoad(args []string) {
-	fs := flag.NewFlagSet("load", flag.ExitOnError)
-	transport := fs.String("transport", "json", "how ops reach the server: json | binary")
-	addrFlag := fs.String("addr", "", `target address: base URL for json (default "http://localhost:8080"), host:port for binary (default "127.0.0.1:8081")`)
-	batch := fs.Int("batch", 16, "client micro-batch size (1 disables batching)")
-	flushInt := fs.Duration("flush-interval", 2*time.Millisecond, "client micro-batch flush interval")
-	conns := fs.Int("conns", 0, "binary mode: connection pool size (0: transport default)")
-	workers := fs.Int("workers", 16, "concurrent workers")
-	duration := fs.Duration("duration", 5*time.Second, "run length")
-	logBlocks := fs.Int("blocks", 16, "log2 of address range to hit")
-	blockB := fs.Int("block", 64, "write payload size in bytes")
-	writeFrac := fs.Float64("writes", 0.5, "fraction of requests that are writes")
-	dist := fs.String("dist", "uniform", "address distribution: uniform | zipf")
-	zipfS := fs.Float64("zipf-s", 1.2, "zipf skew parameter (> 1; larger is hotter)")
-	seed := fs.Uint64("seed", 1, "load-generator seed (workers derive independent streams)")
-	fs.Parse(args)
-	if *dist != "uniform" && *dist != "zipf" {
-		log.Fatalf("unknown -dist %q (want uniform or zipf)", *dist)
-	}
-	if *dist == "zipf" && *zipfS <= 1 {
-		log.Fatalf("-zipf-s must be > 1, got %v", *zipfS)
-	}
+// loadArgs holds the parsed load-mode flags: the frame listener to probe,
+// the client's batching, and the run the workers drive.
+type loadArgs struct {
+	addr      string
+	conns     int
+	cfg       client.Config
+	logBlocks int
+	run       loadOpts
+}
 
-	addr := *addrFlag
-	var tr client.Transport
-	switch *transport {
-	case "json":
-		if addr == "" {
-			addr = "http://localhost:8080"
-		}
-		checkHealth(addr)
-		tr = client.JSON(addr)
-	case "binary":
-		if addr == "" {
-			addr = "127.0.0.1:8081"
-		}
-		checkBinaryHealth(addr)
-		bt := client.Binary(addr)
-		bt.Conns = *conns
-		tr = bt
-	default:
-		log.Fatalf("unknown -transport %q (want json or binary)", *transport)
+// loadFlags defines the load-mode flags, filling o when the returned set is
+// parsed. The README's load-flag table lists exactly these.
+func loadFlags(o *loadArgs) *flag.FlagSet {
+	fs := flag.NewFlagSet("load", flag.ExitOnError)
+	fs.StringVar(&o.addr, "addr", "127.0.0.1:8081", "the server's frame listener (its -listen-binary), host:port")
+	fs.IntVar(&o.cfg.MaxBatch, "batch", 16, "client micro-batch size (1 disables batching)")
+	fs.DurationVar(&o.cfg.FlushInterval, "flush-interval", 2*time.Millisecond, "client micro-batch flush interval")
+	fs.IntVar(&o.conns, "conns", 0, "client connection pool size (0: transport default)")
+	fs.IntVar(&o.run.workers, "workers", 16, "concurrent workers")
+	fs.DurationVar(&o.run.duration, "duration", 5*time.Second, "run length")
+	fs.IntVar(&o.logBlocks, "blocks", 16, "log2 of address range to hit")
+	fs.IntVar(&o.run.blockB, "block", 64, "write payload size in bytes")
+	fs.Float64Var(&o.run.writeFrac, "writes", 0.5, "fraction of requests that are writes")
+	fs.StringVar(&o.run.dist, "dist", "uniform", "address distribution: uniform | zipf")
+	fs.Float64Var(&o.run.zipfS, "zipf-s", 1.2, "zipf skew parameter (> 1; larger is hotter)")
+	fs.Uint64Var(&o.run.seed, "seed", 1, "load-generator seed (workers derive independent streams)")
+	return fs
+}
+
+func runLoad(args []string) {
+	var o loadArgs
+	loadFlags(&o).Parse(args)
+	if o.run.dist != "uniform" && o.run.dist != "zipf" {
+		log.Fatalf("unknown -dist %q (want uniform or zipf)", o.run.dist)
 	}
-	c, err := client.New(client.Config{
-		Transport:     tr,
-		MaxBatch:      *batch,
-		FlushInterval: *flushInt,
-	})
+	if o.run.dist == "zipf" && o.run.zipfS <= 1 {
+		log.Fatalf("-zipf-s must be > 1, got %v", o.run.zipfS)
+	}
+	o.run.addrs = uint64(1) << uint(o.logBlocks)
+
+	checkBinaryHealth(o.addr)
+	tr := client.Binary(o.addr)
+	tr.Conns = o.conns
+	o.cfg.Transport = tr
+	c, err := client.New(o.cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer c.Close()
 
-	rep := runWorkers(c, loadOpts{
-		workers:   *workers,
-		duration:  *duration,
-		addrs:     uint64(1) << uint(*logBlocks),
-		blockB:    *blockB,
-		writeFrac: *writeFrac,
-		dist:      *dist,
-		zipfS:     *zipfS,
-		seed:      *seed,
-	})
-	fmt.Printf("mode: %s\nops: %d (%.0f/s), failures: %d\n",
-		*transport, rep.ops, rep.opsPerSec, rep.failures)
+	rep := runWorkers(c, o.run)
+	fmt.Printf("ops: %d (%.0f/s), failures: %d\n", rep.ops, rep.opsPerSec, rep.failures)
 	for _, p := range []struct {
 		name string
 		d    time.Duration
 	}{{"p50", rep.p50}, {"p90", rep.p90}, {"p99", rep.p99}} {
 		fmt.Printf("%s: %v\n", p.name, p.d.Round(time.Microsecond))
-	}
-}
-
-// checkHealth performs one quick probe before unleashing the workers.
-func checkHealth(base string) {
-	resp, err := http.Get(base + "/healthz")
-	if err != nil {
-		log.Fatalf("target not reachable: %v", err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		log.Fatalf("target unhealthy: /healthz status %d", resp.StatusCode)
 	}
 }
 

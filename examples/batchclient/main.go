@@ -1,41 +1,36 @@
 // Batchclient: the native Go client against a live oramstore server.
 //
-// The program is self-contained: it mounts the production HTTP handler
-// (freecursive/internal/httpapi — the same routes cmd/oramstore serves) on
-// a local listener, then talks to it only through the freecursive/client
-// package, the way a remote caller would:
+// The program is self-contained: it serves the production frame protocol
+// (freecursive/internal/frameserver — what cmd/oramstore serves on
+// -listen-binary) on a local listener, then talks to it only through the
+// freecursive/client package, the way a remote caller would:
 //
-//  1. a mixed put/get batch in one POST /batch round-trip,
+//  1. a mixed put/get batch in one round trip,
 //  2. concurrent Get/Put callers whose requests micro-batch automatically
 //     (watch the server's coalesced-read counter move under a hot-key
 //     workload),
 //  3. a quarantined shard failing only its slice of a batch — per-op 503s
-//     with a Retry-After hint while the rest of the batch completes,
-//  4. the same semantics over the binary streaming transport
-//     (client.Binary against a frame listener, as started by
-//     `oramstore serve -listen-binary`) — switching transports is one
-//     line in the client Config.
+//     with a Retry-After hint while the rest of the batch completes.
+//
+// It exits non-zero if any step goes wrong, so CI runs it.
 package main
 
 import (
-	"bytes"
 	"fmt"
 	"log"
 	"net"
-	"net/http"
 	"sync"
 
 	"freecursive"
 	"freecursive/client"
 	"freecursive/internal/frameserver"
-	"freecursive/internal/httpapi"
 	"freecursive/internal/store"
 )
 
 func main() {
 	log.SetFlags(0)
 
-	// A live server: the production handler on a real TCP listener.
+	// A live server: the production frame server on a real TCP listener.
 	st, err := store.New(store.Config{
 		Shards: 4,
 		Blocks: 1 << 12,
@@ -49,13 +44,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	srv := &http.Server{Handler: httpapi.New(st)}
+	srv := frameserver.New(st)
 	go srv.Serve(ln)
 	defer srv.Close()
-	base := "http://" + ln.Addr().String()
-	fmt.Printf("server: %s (PIC, %d shards)\n\n", base, st.Shards())
+	fmt.Printf("server: %s (PIC, %d shards)\n\n", ln.Addr(), st.Shards())
 
-	c, err := client.New(client.Config{Transport: client.JSON(base)})
+	c, err := client.New(client.Config{Transport: client.Binary(ln.Addr().String())})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -73,8 +67,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("mixed batch, one POST /batch:")
+	fmt.Println("mixed batch, one round trip:")
 	for i, res := range results {
+		if res.Status >= 400 {
+			log.Fatalf("%s addr %d failed: %d %s", ops[i].Op, ops[i].Addr, res.Status, res.Error)
+		}
 		fmt.Printf("  %-3s addr %d -> %d %.5q\n", ops[i].Op, ops[i].Addr, res.Status, res.Data)
 	}
 
@@ -116,44 +113,14 @@ func main() {
 	for i, res := range results {
 		onVictim := st.ShardOf(span[i].Addr) == victim
 		switch {
-		case res.Status < 400:
+		case !onVictim && res.Status < 400:
 			fmt.Printf("  get addr %d -> %d ok\n", span[i].Addr, res.Status)
-		case onVictim:
+		case onVictim && res.Status == 503:
 			fmt.Printf("  get addr %d -> %d retry-after %ds (quarantined, expected)\n",
 				span[i].Addr, res.Status, res.RetryAfterSeconds)
 		default:
-			log.Fatalf("healthy-shard op failed: %d %s", res.Status, res.Error)
+			log.Fatalf("get addr %d (quarantined shard: %v) -> %d %s",
+				span[i].Addr, onVictim, res.Status, res.Error)
 		}
 	}
-
-	// 4. The binary streaming transport: same store, same semantics, no
-	// HTTP — length-prefixed frames pipelined over long-lived TCP. Only
-	// the Transport line of the client Config changes.
-	fsrv := frameserver.New(st)
-	fln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	go fsrv.Serve(fln)
-	defer fsrv.Close()
-
-	bc, err := client.New(client.Config{Transport: client.Binary(fln.Addr().String())})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer bc.Close()
-
-	if err := bc.Put(1, []byte("gamma")); err != nil {
-		log.Fatal(err)
-	}
-	got, err := bc.Get(1)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if !bytes.HasPrefix(got, []byte("gamma")) {
-		log.Fatalf("binary transport read back %.5q", got)
-	}
-	ts := fsrv.TransportStats()
-	fmt.Printf("\nbinary transport: read back %.5q over %d framed connection(s), %d bytes on the wire\n",
-		got, ts.ConnsTotal, ts.BytesRead+ts.BytesWritten)
 }

@@ -87,9 +87,8 @@ const (
 	KindResponse = 2
 )
 
-// MaxOps caps operations per frame. It matches the JSON API's per-batch
-// cap (freecursive/client re-exports this constant), so a batch that fits
-// one transport fits the other.
+// MaxOps caps operations per frame, and so per batch: freecursive/client
+// re-exports this constant as its own MaxOps.
 const MaxOps = 4096
 
 // MaxFrameBytes caps a frame's declared payload length, in both protocols:
@@ -132,7 +131,7 @@ type Op struct {
 }
 
 // Result is one operation's outcome in a response frame, carrying the
-// HTTP-class status shared with the JSON API. Decoded Data/Err alias the
+// HTTP-class status shared with the single-block HTTP routes. Decoded Data/Err alias the
 // frame buffer.
 type Result struct {
 	Status            uint16
@@ -143,8 +142,7 @@ type Result struct {
 
 // Response is a decoded response frame body. Status 0 means Results holds
 // the per-op outcomes; a nonzero Status is a whole-batch failure (503
-// store draining) with no results, mirroring the JSON API's whole-request
-// 503 envelope.
+// store draining) with no results.
 type Response struct {
 	Status            uint16
 	RetryAfterSeconds uint16

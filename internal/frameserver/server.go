@@ -14,13 +14,12 @@
 // in-flight window is the transport's backpressure: past it the read loop
 // stops consuming, TCP pushes back, and the client's sends block.
 //
-// Per-op outcomes reuse the HTTP API's status-code contract
+// Per-op outcomes reuse the single-block HTTP routes' status-code contract
 // (httpapi.StoreStatus): 200 get served, 204 put stored, 400 caller
 // mistake, 413 oversized payload, 503 quarantined shard (with a
 // retry-after hint), 500 internal error. A batch that failed entirely
-// because the store is draining answers a frame-level 503 — the binary
-// analogue of the JSON API's whole-request 503 — so client transports
-// retry it like any unavailable server. Malformed frames are different: a
+// because the store is draining answers a frame-level 503, so client
+// transports retry it like any unavailable server. Malformed frames are different: a
 // framing error means the byte stream itself can no longer be trusted, so
 // the server drops the connection.
 package frameserver
@@ -145,8 +144,8 @@ func (cn *conn) resolve(id uint64, futs []*store.Future, results []frame.Result,
 
 	resp := frame.Response{Results: results}
 	// Whole batch dead because the store is draining: a frame-level 503,
-	// like the JSON API's whole-request 503, so client transports retry
-	// against the next server instead of surfacing per-op failures.
+	// so client transports retry against the next server instead of
+	// surfacing per-op failures.
 	if len(futs) > 0 && closed == len(futs) {
 		resp = frame.Response{
 			Status:            http.StatusServiceUnavailable,

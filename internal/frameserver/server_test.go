@@ -341,7 +341,7 @@ func TestMalformedFrameDropsConnection(t *testing.T) {
 }
 
 // TestDrainingWholeBatch: a store that is closing answers a frame-level
-// 503, the binary analogue of the JSON whole-request 503.
+// 503 instead of per-op failures.
 func TestDrainingWholeBatch(t *testing.T) {
 	_, st, addr := startServer(t)
 	c := dialFrames(t, addr)

@@ -7,7 +7,6 @@
 //
 //	GET  /block/{addr}  — read one block (application/octet-stream)
 //	PUT  /block/{addr}  — write one block (body zero-padded/truncated)
-//	POST /batch         — mixed get/put batch, per-op outcomes (JSON)
 //	GET  /stats         — aggregate + per-shard counters as JSON
 //	GET  /shards        — per-shard lifecycle + pipeline state as JSON
 //	GET  /metrics       — the same counters in Prometheus text format
@@ -17,10 +16,11 @@
 // is wrong, 503 (with Retry-After) means the shard serving that address is
 // quarantined after a PMMAC integrity violation or the store is draining —
 // every other shard keeps serving — and 500 is reserved for true internal
-// errors. POST /batch applies the same codes per operation inside a 207
-// Multi-Status envelope, so one poisoned shard fails only its slice of a
-// batch. The wire schema of /batch lives in freecursive/client, which both
-// sides import.
+// errors.
+//
+// HTTP is the admin and debugging surface: batched traffic speaks only the
+// binary frame protocol (internal/frameserver), which reuses these status
+// codes per operation.
 package httpapi
 
 import (
@@ -30,25 +30,21 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"sync/atomic"
 
 	"freecursive"
-	"freecursive/client"
 	"freecursive/internal/store"
 )
 
 // RetryAfterSeconds is the Retry-After hint on 503s (header on the
-// single-block endpoints, retry_after_seconds per op in /batch, the
-// retryAfter field of binary response frames). Quarantine needs an
-// operator (or a restart against intact storage), so the hint is a
-// polling cadence, not a recovery estimate.
+// single-block endpoints, the retry-after fields of binary response
+// frames). Quarantine needs an operator (or a restart against intact
+// storage), so the hint is a polling cadence, not a recovery estimate.
 const RetryAfterSeconds = 30
 
 // TransportStats is a point-in-time snapshot of one serving transport's
 // counters, rendered by /metrics under the oramstore_transport_* families
-// with a transport label. The HTTP transport's own row is maintained by
-// this package; other transports (the binary frame server) implement
-// TransportSource and are passed to New.
+// with a transport label. Serving transports (the binary frame server)
+// implement TransportSource and are passed to New.
 type TransportStats struct {
 	Transport    string // label value, e.g. "binary"
 	ConnsOpen    uint64 // currently open connections
@@ -66,11 +62,10 @@ type TransportSource interface {
 }
 
 // New builds the HTTP handler over a store. The handler is safe for
-// concurrent use, like the store itself. Additional serving transports
-// (the binary frame server) may be passed so /metrics exposes their
-// connection and traffic gauges next to the HTTP transport's.
+// concurrent use, like the store itself. Serving transports (the binary
+// frame server) may be passed so /metrics exposes their batch, connection
+// and traffic counters.
 func New(st *store.Store, transports ...TransportSource) http.Handler {
-	var httpBatches atomic.Uint64
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		io.WriteString(w, "ok\n")
@@ -96,11 +91,7 @@ func New(st *store.Store, transports ...TransportSource) http.Handler {
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		stats := []TransportStats{{Transport: "http", Batches: httpBatches.Load()}}
-		for _, t := range transports {
-			stats = append(stats, t.TransportStats())
-		}
-		writeMetrics(w, st, stats)
+		writeMetrics(w, st, transports)
 	})
 	mux.HandleFunc("GET /block/{addr}", func(w http.ResponseWriter, r *http.Request) {
 		addr, ok := parseAddr(w, r)
@@ -136,114 +127,11 @@ func New(st *store.Store, transports ...TransportSource) http.Handler {
 		}
 		w.WriteHeader(http.StatusNoContent)
 	})
-	mux.HandleFunc("POST /batch", func(w http.ResponseWriter, r *http.Request) {
-		httpBatches.Add(1)
-		serveBatch(w, r, st)
-	})
 	return mux
 }
 
-// maxBatchBody bounds a /batch request body: room for MaxOps base64
-// payloads of one block each plus JSON framing.
-func maxBatchBody(blockBytes int) int64 {
-	return int64(client.MaxOps)*(int64(blockBytes)*4/3+64) + 1024
-}
-
-// serveBatch is POST /batch: decode the mixed-op batch, validate each
-// operation independently, submit the valid ones to the shard pipelines in
-// one SubmitBatch (so distinct shards overlap and duplicate reads
-// coalesce), and report per-op outcomes. The response is 200 when every
-// operation succeeded and 207 Multi-Status otherwise; only a malformed
-// request — bad JSON, too many ops, oversized body — fails whole with 400.
-func serveBatch(w http.ResponseWriter, r *http.Request, st *store.Store) {
-	var req client.BatchRequest
-	body := http.MaxBytesReader(w, r.Body, maxBatchBody(st.BlockBytes()))
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		http.Error(w, "bad batch request: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	if len(req.Ops) > client.MaxOps {
-		http.Error(w, fmt.Sprintf("batch of %d ops exceeds the %d-op cap",
-			len(req.Ops), client.MaxOps), http.StatusBadRequest)
-		return
-	}
-
-	// Validate per op; only well-formed ops reach the store. slot[j] maps
-	// the j-th submitted op back to its result index.
-	results := make([]client.OpResult, len(req.Ops))
-	ops := make([]store.Op, 0, len(req.Ops))
-	slot := make([]int, 0, len(req.Ops))
-	failed := false
-	for i, op := range req.Ops {
-		switch op.Op {
-		case client.OpGet:
-			ops = append(ops, store.Op{Addr: op.Addr})
-			slot = append(slot, i)
-		case client.OpPut:
-			if len(op.Data) > st.BlockBytes() {
-				results[i] = client.OpResult{
-					Status: http.StatusRequestEntityTooLarge,
-					Error:  fmt.Sprintf("payload exceeds block size %d", st.BlockBytes()),
-				}
-				failed = true
-				continue
-			}
-			ops = append(ops, store.Op{Write: true, Addr: op.Addr, Data: op.Data})
-			slot = append(slot, i)
-		default:
-			results[i] = client.OpResult{
-				Status: http.StatusBadRequest,
-				Error:  fmt.Sprintf("unknown op %q (want %q or %q)", op.Op, client.OpGet, client.OpPut),
-			}
-			failed = true
-		}
-	}
-
-	futs := st.SubmitBatch(ops)
-	closed := 0
-	for j, f := range futs {
-		i := slot[j]
-		data, err := f.Wait()
-		switch {
-		case err != nil:
-			if errors.Is(err, store.ErrClosed) {
-				closed++
-			}
-			res := client.OpResult{Status: StoreStatus(err), Error: err.Error()}
-			if res.Status == http.StatusServiceUnavailable {
-				res.RetryAfterSeconds = RetryAfterSeconds
-			}
-			results[i] = res
-			failed = true
-		case req.Ops[i].Op == client.OpGet:
-			results[i] = client.OpResult{Status: http.StatusOK, Data: data}
-		default:
-			results[i] = client.OpResult{Status: http.StatusNoContent}
-		}
-	}
-
-	// A batch that failed entirely because the store is draining is not a
-	// mixed outcome — the whole service is going away. Answer a plain 503
-	// with Retry-After so transport-level retry logic (the client package's
-	// included) treats it like any other unavailable server, distinct from
-	// the per-op 503s of a quarantined shard inside a 207.
-	if len(futs) > 0 && closed == len(futs) {
-		w.Header().Set("Retry-After", strconv.Itoa(RetryAfterSeconds))
-		http.Error(w, "store draining", http.StatusServiceUnavailable)
-		return
-	}
-
-	code := http.StatusOK
-	if failed {
-		code = http.StatusMultiStatus
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(client.BatchResponse{Results: results})
-}
-
 // StoreStatus maps a store error to the HTTP-class status code both
-// serving transports share (the JSON API uses it per op and per response,
+// serving surfaces share (the single-block routes answer with it,
 // internal/frameserver puts the same codes in binary result headers). It
 // separates caller mistakes (bad address: 400) from unavailability
 // (quarantined shard, store shutting down: 503) from true internal errors

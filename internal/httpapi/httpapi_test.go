@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"freecursive"
-	"freecursive/client"
 	"freecursive/internal/crypt"
 	"freecursive/internal/store"
 )
@@ -60,26 +59,27 @@ func TestBlockRoundTrip(t *testing.T) {
 
 func TestBadRequests(t *testing.T) {
 	srv, st := testServer(t)
-	for _, path := range []string{"/block/notanumber", "/block/-1", "/block/999999999"} {
-		resp, err := srv.Client().Get(srv.URL + path)
+	for _, tc := range []struct {
+		method, path string
+		body         []byte
+		want         int
+	}{
+		{http.MethodGet, "/block/notanumber", nil, http.StatusBadRequest},
+		{http.MethodGet, "/block/-1", nil, http.StatusBadRequest},
+		{http.MethodGet, "/block/999999999", nil, http.StatusBadRequest},
+		{http.MethodPut, "/block/0", make([]byte, st.BlockBytes()+1), http.StatusRequestEntityTooLarge},
+		// Batches travel only as binary frames; HTTP has no batch route.
+		{http.MethodPost, "/batch", []byte(`{"ops":[{"op":"get","addr":1}]}`), http.StatusNotFound},
+	} {
+		req, _ := http.NewRequest(tc.method, srv.URL+tc.path, bytes.NewReader(tc.body))
+		resp, err := srv.Client().Do(req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("GET %s status = %d, want 400", path, resp.StatusCode)
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s %s status = %d, want %d", tc.method, tc.path, resp.StatusCode, tc.want)
 		}
-	}
-	// Oversized PUT body.
-	big := make([]byte, st.BlockBytes()+1)
-	req, _ := http.NewRequest(http.MethodPut, srv.URL+"/block/0", bytes.NewReader(big))
-	resp, err := srv.Client().Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Errorf("oversized PUT status = %d, want 413", resp.StatusCode)
 	}
 }
 
@@ -233,163 +233,6 @@ func TestQuarantinedShardStatuses(t *testing.T) {
 	}
 }
 
-// postBatch sends a batch and decodes the response.
-func postBatch(t *testing.T, srv *httptest.Server, req client.BatchRequest) (int, client.BatchResponse) {
-	t.Helper()
-	body, err := json.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := srv.Client().Post(srv.URL+"/batch", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var out client.BatchResponse
-	if resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusMultiStatus {
-		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return resp.StatusCode, out
-}
-
-// TestBatchRoundTrip: a mixed put/get batch executes in order and answers
-// 200 with per-op results when everything succeeds.
-func TestBatchRoundTrip(t *testing.T) {
-	srv, st := testServer(t)
-	v := bytes.Repeat([]byte{7}, st.BlockBytes())
-	code, out := postBatch(t, srv, client.BatchRequest{Ops: []client.BatchOp{
-		{Op: client.OpPut, Addr: 10, Data: v},
-		{Op: client.OpGet, Addr: 10},
-		{Op: client.OpGet, Addr: 11},
-	}})
-	if code != http.StatusOK {
-		t.Fatalf("all-success batch status = %d, want 200", code)
-	}
-	if len(out.Results) != 3 {
-		t.Fatalf("got %d results, want 3", len(out.Results))
-	}
-	if out.Results[0].Status != http.StatusNoContent {
-		t.Fatalf("put result status = %d, want 204", out.Results[0].Status)
-	}
-	if out.Results[1].Status != http.StatusOK || !bytes.Equal(out.Results[1].Data, v) {
-		t.Fatalf("get-after-put result = %d/%x, want 200/%x",
-			out.Results[1].Status, out.Results[1].Data, v)
-	}
-	if out.Results[2].Status != http.StatusOK || !bytes.Equal(out.Results[2].Data, make([]byte, st.BlockBytes())) {
-		t.Fatalf("never-written get = %d/%x, want 200/zeros", out.Results[2].Status, out.Results[2].Data)
-	}
-}
-
-// TestBatchPartialFailure is the HTTP-layer failure-domain contract: a
-// batch spanning a healthy and a quarantined shard answers 207 with per-op
-// 503s (carrying retry_after_seconds) for the poisoned shard only;
-// out-of-range and malformed ops answer per-op 400, oversized puts 413,
-// and the healthy shard's ops succeed in the same response.
-func TestBatchPartialFailure(t *testing.T) {
-	srv, st := testServer(t)
-	const victim = 2
-	if err := st.Quarantine(victim, nil); err != nil {
-		t.Fatal(err)
-	}
-
-	var ops []client.BatchOp
-	var wantStatus []int
-	for addr := uint64(0); len(ops) < 16 || addrSpansBoth(st, ops, victim); addr++ {
-		op := client.BatchOp{Op: client.OpGet, Addr: addr}
-		want := http.StatusOK
-		if addr%3 == 0 {
-			op = client.BatchOp{Op: client.OpPut, Addr: addr,
-				Data: bytes.Repeat([]byte{byte(addr)}, st.BlockBytes())}
-			want = http.StatusNoContent
-		}
-		if st.ShardOf(addr) == victim {
-			want = http.StatusServiceUnavailable
-		}
-		ops = append(ops, op)
-		wantStatus = append(wantStatus, want)
-	}
-	ops = append(ops,
-		client.BatchOp{Op: client.OpGet, Addr: st.Blocks() + 1},
-		client.BatchOp{Op: "frob", Addr: 0},
-		client.BatchOp{Op: client.OpPut, Addr: 1, Data: make([]byte, st.BlockBytes()+1)},
-	)
-	wantStatus = append(wantStatus,
-		http.StatusBadRequest, http.StatusBadRequest, http.StatusRequestEntityTooLarge)
-
-	code, out := postBatch(t, srv, client.BatchRequest{Ops: ops})
-	if code != http.StatusMultiStatus {
-		t.Fatalf("partial-failure batch status = %d, want 207", code)
-	}
-	if len(out.Results) != len(ops) {
-		t.Fatalf("got %d results for %d ops", len(out.Results), len(ops))
-	}
-	sawOK, saw503 := false, false
-	for i, res := range out.Results {
-		if res.Status != wantStatus[i] {
-			t.Fatalf("op %d (%s %d) status = %d, want %d (err %q)",
-				i, ops[i].Op, ops[i].Addr, res.Status, wantStatus[i], res.Error)
-		}
-		switch res.Status {
-		case http.StatusOK, http.StatusNoContent:
-			sawOK = true
-			if res.Error != "" {
-				t.Fatalf("successful op %d carries error %q", i, res.Error)
-			}
-		case http.StatusServiceUnavailable:
-			saw503 = true
-			if res.RetryAfterSeconds <= 0 {
-				t.Fatalf("503 op %d carries no retry_after_seconds", i)
-			}
-			if res.Error == "" {
-				t.Fatalf("503 op %d carries no error text", i)
-			}
-		}
-	}
-	if !sawOK || !saw503 {
-		t.Fatalf("batch did not exercise both outcomes: ok=%v 503=%v", sawOK, saw503)
-	}
-}
-
-// addrSpansBoth reports whether ops still needs to grow to cover both the
-// victim and a healthy shard.
-func addrSpansBoth(st *store.Store, ops []client.BatchOp, victim int) bool {
-	sawVictim, sawHealthy := false, false
-	for _, op := range ops {
-		if st.ShardOf(op.Addr) == victim {
-			sawVictim = true
-		} else {
-			sawHealthy = true
-		}
-	}
-	return !(sawVictim && sawHealthy)
-}
-
-// TestBatchRejectsMalformed: bad JSON and oversized batches fail whole
-// with 400 — those are caller bugs, not per-op outcomes.
-func TestBatchRejectsMalformed(t *testing.T) {
-	srv, _ := testServer(t)
-	resp, err := srv.Client().Post(srv.URL+"/batch", "application/json",
-		strings.NewReader("{not json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("malformed JSON status = %d, want 400", resp.StatusCode)
-	}
-
-	big := client.BatchRequest{Ops: make([]client.BatchOp, client.MaxOps+1)}
-	for i := range big.Ops {
-		big.Ops[i] = client.BatchOp{Op: client.OpGet, Addr: 0}
-	}
-	code, _ := postBatch(t, srv, big)
-	if code != http.StatusBadRequest {
-		t.Fatalf("oversized batch status = %d, want 400", code)
-	}
-}
-
 // TestMetrics: /metrics serves Prometheus text with the aggregate and
 // per-shard series, and the quarantine enum flips with the lifecycle.
 func TestMetrics(t *testing.T) {
@@ -460,38 +303,4 @@ func findLine(t *testing.T, text, prefix string) string {
 	}
 	t.Fatalf("no line with prefix %q", prefix)
 	return ""
-}
-
-// TestBatchDrainingStore503: a batch that fails entirely because the
-// store is closing answers a plain 503 + Retry-After (so transport-level
-// retry logic fires), not a 207 of per-op errors.
-func TestBatchDrainingStore503(t *testing.T) {
-	st, err := store.New(store.Config{
-		Shards: 2,
-		Blocks: 1 << 8,
-		ORAM:   freecursive.Config{BlockBytes: 16, Seed: 3},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(New(st))
-	t.Cleanup(srv.Close)
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	body, _ := json.Marshal(client.BatchRequest{Ops: []client.BatchOp{
-		{Op: client.OpGet, Addr: 1}, {Op: client.OpGet, Addr: 2},
-	}})
-	resp, err := srv.Client().Post(srv.URL+"/batch", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("batch on closed store status = %d, want 503", resp.StatusCode)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("whole-response 503 carries no Retry-After")
-	}
 }

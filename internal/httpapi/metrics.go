@@ -36,8 +36,8 @@ func gaugef(v float64) string { return fmt.Sprintf("%g", v) }
 // writeMetrics renders every exported series. Aggregate series carry no
 // labels; per-shard series carry {shard="i"}; shard lifecycle is one 0/1
 // series per (shard, state) pair, the Prometheus idiom for enums; serving
-// transports carry {transport="http"|"binary"}.
-func writeMetrics(w io.Writer, st *store.Store, transports []TransportStats) {
+// transports carry {transport="binary"}.
+func writeMetrics(w io.Writer, st *store.Store, transports []TransportSource) {
 	per := st.ShardStats()
 	agg := store.Aggregate(per)
 	infos := st.ShardInfos()
@@ -147,23 +147,18 @@ func writeMetrics(w io.Writer, st *store.Store, transports []TransportStats) {
 	metric(w, "oramstore_shard_state", "gauge",
 		"Shard lifecycle state (1 for the current state, 0 otherwise).", states...)
 
-	// Serving-transport series. Every transport reports batches; the
-	// connection-oriented ones (binary frames) also report connection and
-	// byte counters — the HTTP side's conns belong to net/http's pool and
-	// are not tracked here.
+	// Series per serving transport: batches, connections and wire bytes.
 	batches := make([]sample, 0, len(transports))
 	conns := make([]sample, 0, len(transports))
 	connsTotal := make([]sample, 0, len(transports))
 	inFlight := make([]sample, 0, len(transports))
 	bytes := make([]sample, 0, 2*len(transports))
-	for _, t := range transports {
+	for _, src := range transports {
+		t := src.TransportStats()
 		l := func(extra string) string {
 			return fmt.Sprintf(`{transport=%q%s}`, t.Transport, extra)
 		}
 		batches = append(batches, sample{l(""), count(t.Batches)})
-		if t.Transport == "http" {
-			continue
-		}
 		conns = append(conns, sample{l(""), count(t.ConnsOpen)})
 		connsTotal = append(connsTotal, sample{l(""), count(t.ConnsTotal)})
 		inFlight = append(inFlight, sample{l(""), count(t.InFlight)})

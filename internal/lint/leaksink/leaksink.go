@@ -4,7 +4,8 @@
 //
 // The construction hides which logical address a client touched; an error
 // string that says "address 0x2f3 out of range" un-hides it the moment the
-// error crosses /batch, the frame transport, or the /shards cause field.
+// error crosses the HTTP routes, the frame transport, or the /shards cause
+// field.
 // PAPER.md's security argument covers every externally observable channel,
 // and error payloads are exactly that. This analyzer uses the interproc
 // engine's taint summaries to flag any addr/leaf/position-derived value —

@@ -310,8 +310,8 @@ func BenchmarkAccessAllocsFile(b *testing.B) {
 
 // benchStoreParallel measures aggregate Get/Put throughput through
 // internal/store with GOMAXPROCS goroutines. Because each shard serializes
-// behind its own mutex, throughput should rise with the shard count; the
-// 1-shard run is the fully-serialized baseline.
+// on its own owner goroutine, throughput should rise with the shard count;
+// the 1-shard run is the fully-serialized baseline.
 func benchStoreParallel(b *testing.B, shards int) {
 	s, err := store.New(store.Config{
 		Shards: shards,

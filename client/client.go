@@ -154,15 +154,6 @@ func (c *Client) Do(ops []BatchOp) ([]OpResult, error) {
 	return c.roundTrip(ops)
 }
 
-// Flush sends any operations waiting in the collector now, without waiting
-// for the count or interval trigger.
-func (c *Client) Flush() {
-	c.mu.Lock()
-	batch := c.take()
-	c.mu.Unlock()
-	c.send(batch)
-}
-
 // Close flushes pending operations, fails all future ones with ErrClosed,
 // and releases idle connections.
 func (c *Client) Close() error {

@@ -52,3 +52,56 @@ func TestFlagsDocumented(t *testing.T) {
 		})
 	}
 }
+
+// TestFlagValuesChecked: a flag value the store would silently replace
+// (-blocks 64 wraps to 0 blocks, which store.New turns into its default),
+// that would panic the load workers (an address range of 0), or that would
+// quietly disable the snapshot ticker (a negative -snapshot-interval) is
+// refused with an error naming the flag; in-range values pass.
+func TestFlagValuesChecked(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		mode string
+		args []string
+		want string // "" when the flags are valid
+	}{
+		{"serve", []string{"-blocks", "0"}, ""},
+		{"serve", []string{"-blocks", "63"}, ""},
+		{"serve", []string{"-blocks", "64"}, "-blocks"},
+		{"serve", []string{"-blocks", "-1"}, "-blocks"},
+		{"serve", []string{"-data-dir", dir, "-snapshot-interval", "1s"}, ""},
+		{"serve", []string{"-data-dir", dir, "-snapshot-interval", "-1s"}, "-snapshot-interval"},
+		{"serve", []string{"-snapshot-interval", "1s"}, "-snapshot-interval"},
+		{"load", []string{"-blocks", "12"}, ""},
+		{"load", []string{"-blocks", "64"}, "-blocks"},
+		{"load", []string{"-blocks", "-1"}, "-blocks"},
+		{"load", []string{"-dist", "zipf", "-zipf-s", "1"}, "-zipf-s"},
+	} {
+		var err error
+		if tc.mode == "serve" {
+			var o serveOpts
+			if err = serveFlags(&o).Parse(tc.args); err == nil {
+				err = o.check()
+				if err == nil && o.cfg.Blocks != 1<<uint(o.logBlocks) {
+					t.Errorf("%s %v: cfg.Blocks = %d", tc.mode, tc.args, o.cfg.Blocks)
+				}
+			}
+		} else {
+			var o loadArgs
+			if err = loadFlags(&o).Parse(tc.args); err == nil {
+				err = o.check()
+				if err == nil && o.run.addrs != 1<<uint(o.logBlocks) {
+					t.Errorf("%s %v: address range = %d", tc.mode, tc.args, o.run.addrs)
+				}
+			}
+		}
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s %v: refused: %v", tc.mode, tc.args, err)
+		case tc.want != "" && err == nil:
+			t.Errorf("%s %v: accepted", tc.mode, tc.args)
+		case tc.want != "" && !strings.Contains(err.Error(), tc.want):
+			t.Errorf("%s %v: error %q does not name %s", tc.mode, tc.args, err, tc.want)
+		}
+	}
+}

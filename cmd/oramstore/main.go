@@ -108,13 +108,37 @@ func serveFlags(o *serveOpts) *flag.FlagSet {
 	return fs
 }
 
+// check rejects flag values the store would otherwise replace or ignore
+// without a word, and derives cfg.Blocks from -blocks.
+func (o *serveOpts) check() error {
+	if err := checkLogBlocks(o.logBlocks); err != nil {
+		return err
+	}
+	if o.snapEvery < 0 {
+		return fmt.Errorf("-snapshot-interval must not be negative, got %v", o.snapEvery)
+	}
+	if o.snapEvery != 0 && o.cfg.DataDir == "" {
+		return errors.New("-snapshot-interval needs -data-dir")
+	}
+	o.cfg.Blocks = 1 << uint(o.logBlocks)
+	return nil
+}
+
+// checkLogBlocks bounds -blocks, a log2 capacity in both modes: outside
+// [0, 63] the shift to a block count wraps to 0 or overflows.
+func checkLogBlocks(v int) error {
+	if v < 0 || v > 63 {
+		return fmt.Errorf("-blocks must be in [0, 63] (log2 of the block count), got %d", v)
+	}
+	return nil
+}
+
 func runServe(args []string) {
 	var o serveOpts
 	serveFlags(&o).Parse(args)
-	if o.snapEvery != 0 && o.cfg.DataDir == "" {
-		log.Fatal("-snapshot-interval needs -data-dir")
+	if err := o.check(); err != nil {
+		log.Fatal(err)
 	}
-	o.cfg.Blocks = 1 << uint(o.logBlocks)
 	st, err := store.New(o.cfg)
 	if err != nil {
 		log.Fatal(err)
@@ -242,16 +266,27 @@ func loadFlags(o *loadArgs) *flag.FlagSet {
 	return fs
 }
 
+// check rejects unusable load flags and derives run.addrs from -blocks.
+func (o *loadArgs) check() error {
+	if o.run.dist != "uniform" && o.run.dist != "zipf" {
+		return fmt.Errorf("unknown -dist %q (want uniform or zipf)", o.run.dist)
+	}
+	if o.run.dist == "zipf" && o.run.zipfS <= 1 {
+		return fmt.Errorf("-zipf-s must be > 1, got %v", o.run.zipfS)
+	}
+	if err := checkLogBlocks(o.logBlocks); err != nil {
+		return err
+	}
+	o.run.addrs = uint64(1) << uint(o.logBlocks)
+	return nil
+}
+
 func runLoad(args []string) {
 	var o loadArgs
 	loadFlags(&o).Parse(args)
-	if o.run.dist != "uniform" && o.run.dist != "zipf" {
-		log.Fatalf("unknown -dist %q (want uniform or zipf)", o.run.dist)
+	if err := o.check(); err != nil {
+		log.Fatal(err)
 	}
-	if o.run.dist == "zipf" && o.run.zipfS <= 1 {
-		log.Fatalf("-zipf-s must be > 1, got %v", o.run.zipfS)
-	}
-	o.run.addrs = uint64(1) << uint(o.logBlocks)
 
 	checkBinaryHealth(o.addr)
 	tr := client.Binary(o.addr)

@@ -1,33 +1,12 @@
 package store
 
-// Mixed-operation batches. BatchGet/BatchPut (store.go) are homogeneous and
-// fail whole: one bad address poisons the call. SubmitBatch is the serving
-// tier's primitive instead — operations of both kinds interleave freely,
-// everything is submitted to the shard pipelines before anything is
-// awaited, and every operation carries its own outcome, so a request
-// routed to a quarantined shard fails alone while the rest of the batch
-// completes. This is what lets a network frontend expose one wire batch
-// per round-trip and still honor the per-shard failure domains.
-
-// Op is one operation in a mixed batch: a read of Addr when Write is
-// false, or a write of Data to Addr when Write is true. Data is ignored
-// for reads; shorter write payloads are zero-padded like Put.
+// Op is one operation in a batch: a read of Addr when Write is false, or a
+// write of Data to Addr when Write is true. Data is ignored for reads;
+// shorter write payloads are zero-padded like Put.
 type Op struct {
 	Write bool
 	Addr  uint64
 	Data  []byte
-}
-
-// OpResult is the outcome of one batch operation. For reads, Data is the
-// block's contents; for writes, the block's previous contents (matching
-// Put). Exactly one of the semantics applies per op; Err is non-nil when
-// the operation failed — out of range, quarantined shard, integrity
-// violation, closed store — and carries the same wrapped sentinels as the
-// single-op API (ErrOutOfRange, ErrQuarantined, ErrClosed,
-// freecursive.ErrIntegrity).
-type OpResult struct {
-	Data []byte
-	Err  error
 }
 
 // SubmitBatch enqueues every operation on its shard's pipeline — in slice
@@ -36,30 +15,16 @@ type OpResult struct {
 // Distinct shards proceed in parallel, and duplicate-address reads queued
 // within a shard's coalescing window share one physical ORAM access.
 //
-// Unlike BatchGet/BatchPut nothing fails the batch as a whole: an invalid
-// address or a quarantined shard resolves only that operation's future
-// with an error, and every other operation still executes. The caller must
-// not modify a write's Data until its future resolves.
+// Nothing fails the batch as a whole: an invalid address or a quarantined
+// shard resolves only that operation's future with an error (wrapping
+// ErrOutOfRange, ErrQuarantined, ErrClosed or freecursive.ErrIntegrity),
+// and every other operation still executes. A read's future resolves to the
+// block's contents, a write's to its previous contents. The caller must not
+// modify a write's Data until its future resolves.
 func (s *Store) SubmitBatch(ops []Op) []*Future {
 	futs := make([]*Future, len(ops))
 	for i, op := range ops {
-		if op.Write {
-			futs[i] = s.SubmitPut(op.Addr, op.Data)
-		} else {
-			futs[i] = s.SubmitGet(op.Addr)
-		}
+		futs[i] = s.submit(op.Write, op.Addr, op.Data)
 	}
 	return futs
-}
-
-// Batch runs a mixed batch synchronously: SubmitBatch, then one Wait per
-// operation. Results are indexed like ops; per-operation failures land in
-// the corresponding OpResult.Err and never abort the rest of the batch.
-func (s *Store) Batch(ops []Op) []OpResult {
-	futs := s.SubmitBatch(ops)
-	out := make([]OpResult, len(ops))
-	for i, f := range futs {
-		out[i].Data, out[i].Err = f.Wait()
-	}
-	return out
 }

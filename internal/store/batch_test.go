@@ -3,8 +3,41 @@ package store
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 )
+
+// reads builds a batch that reads addrs in order.
+func reads(addrs []uint64) []Op {
+	ops := make([]Op, len(addrs))
+	for i, a := range addrs {
+		ops[i] = Op{Addr: a}
+	}
+	return ops
+}
+
+// writes builds a batch that writes vals[i] to addrs[i] in order.
+func writes(addrs []uint64, vals [][]byte) []Op {
+	ops := make([]Op, len(addrs))
+	for i, a := range addrs {
+		ops[i] = Op{Write: true, Addr: a, Data: vals[i]}
+	}
+	return ops
+}
+
+// waitAll waits on every future and returns their values in order, or the
+// first error in order.
+func waitAll(futs []*Future) ([][]byte, error) {
+	out := make([][]byte, len(futs))
+	for i, f := range futs {
+		b, err := f.Wait()
+		if err != nil {
+			return nil, fmt.Errorf("op %d: %w", i, err)
+		}
+		out[i] = b
+	}
+	return out, nil
+}
 
 // TestBatchMixedOps drives an interleaved get/put batch through one call:
 // per-shard FIFO order must make a write visible to the reads queued after
@@ -22,7 +55,7 @@ func TestBatchMixedOps(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res := s.Batch([]Op{
+	futs := s.SubmitBatch([]Op{
 		{Addr: 5},                        // reads v1
 		{Write: true, Addr: 5, Data: v2}, // prev is v1
 		{Addr: 5},                        // reads v2
@@ -30,12 +63,13 @@ func TestBatchMixedOps(t *testing.T) {
 		{Addr: 9},                        // reads v1
 	})
 	want := [][]byte{v1, v1, v2, make([]byte, bb), v1}
-	for i, r := range res {
-		if r.Err != nil {
-			t.Fatalf("op %d: %v", i, r.Err)
+	for i, f := range futs {
+		got, err := f.Wait()
+		if err != nil {
+			t.Fatalf("op %d: %v", i, err)
 		}
-		if !bytes.Equal(r.Data, want[i]) {
-			t.Fatalf("op %d = %x, want %x", i, r.Data, want[i])
+		if !bytes.Equal(got, want[i]) {
+			t.Fatalf("op %d = %x, want %x", i, got, want[i])
 		}
 	}
 }
@@ -78,20 +112,20 @@ func TestBatchPartialFailure(t *testing.T) {
 	ops = append(ops, Op{Addr: s.Blocks()})
 	onVictim = append(onVictim, false)
 
-	res := s.Batch(ops)
-	for i, r := range res {
+	for i, f := range s.SubmitBatch(ops) {
+		_, err := f.Wait()
 		switch {
 		case i == len(ops)-1:
-			if !errors.Is(r.Err, ErrOutOfRange) {
-				t.Fatalf("out-of-range op err = %v, want ErrOutOfRange", r.Err)
+			if !errors.Is(err, ErrOutOfRange) {
+				t.Fatalf("out-of-range op err = %v, want ErrOutOfRange", err)
 			}
 		case onVictim[i]:
-			if !errors.Is(r.Err, ErrQuarantined) {
-				t.Fatalf("op %d (quarantined shard) err = %v, want ErrQuarantined", i, r.Err)
+			if !errors.Is(err, ErrQuarantined) {
+				t.Fatalf("op %d (quarantined shard) err = %v, want ErrQuarantined", i, err)
 			}
 		default:
-			if r.Err != nil {
-				t.Fatalf("op %d (healthy shard) failed: %v", i, r.Err)
+			if err != nil {
+				t.Fatalf("op %d (healthy shard) failed: %v", i, err)
 			}
 		}
 	}
@@ -112,8 +146,7 @@ func TestBatchPartialFailure(t *testing.T) {
 }
 
 // TestSubmitBatchCoalesces: duplicate reads inside one submitted batch
-// share physical ORAM accesses when they land in one drain window, same as
-// the SubmitGet path.
+// share physical ORAM accesses when they land in one drain window.
 func TestSubmitBatchCoalesces(t *testing.T) {
 	s, err := New(lightCfg(1, 64))
 	if err != nil {
@@ -145,7 +178,7 @@ func TestBatchEmpty(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if res := s.Batch(nil); len(res) != 0 {
-		t.Fatalf("Batch(nil) returned %d results", len(res))
+	if futs := s.SubmitBatch(nil); len(futs) != 0 {
+		t.Fatalf("SubmitBatch(nil) returned %d futures", len(futs))
 	}
 }

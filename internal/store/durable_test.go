@@ -32,7 +32,7 @@ func TestDurableStoreRoundTrip(t *testing.T) {
 		addrs[i] = uint64(i * 13)
 		vals[i] = val(addrs[i], bb)
 	}
-	if err := s.BatchPut(addrs, vals); err != nil {
+	if _, err := waitAll(s.SubmitBatch(writes(addrs, vals))); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Snapshot(); err != nil {
@@ -47,7 +47,7 @@ func TestDurableStoreRoundTrip(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer s.Close()
-	got, err := s.BatchGet(addrs)
+	got, err := waitAll(s.SubmitBatch(reads(addrs)))
 	if err != nil {
 		t.Fatalf("batch get after reopen: %v", err)
 	}
@@ -96,7 +96,7 @@ func TestResumeIgnoresRetiredSnapshotKeys(t *testing.T) {
 				addrs[i] = uint64(i * 7)
 				vals[i] = val(addrs[i], bb)
 			}
-			if err := s.BatchPut(addrs, vals); err != nil {
+			if _, err := waitAll(s.SubmitBatch(writes(addrs, vals))); err != nil {
 				t.Fatal(err)
 			}
 			if err := s.Snapshot(); err != nil {
@@ -142,7 +142,7 @@ func TestResumeIgnoresRetiredSnapshotKeys(t *testing.T) {
 				t.Fatalf("reopen over an old-format snapshot: %v", err)
 			}
 			defer s.Close()
-			got, err := s.BatchGet(addrs)
+			got, err := waitAll(s.SubmitBatch(reads(addrs)))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -14,8 +14,8 @@ import (
 // owned by exactly one goroutine — the goroutine IS the serialization, so
 // the single-controller contract of freecursive.ORAM holds with no mutex
 // on the access path. Callers feed the owner through a bounded queue and
-// get a Future back; the blocking Get/Put/Batch* API is a thin layer over
-// SubmitGet/SubmitPut.
+// get a Future back; SubmitBatch and the blocking Get/Put all enter through
+// Store.submit.
 //
 // The owner drains the queue in windows of up to coalesceWindow requests.
 // Within a window, duplicate-address reads coalesce: the first read pays
@@ -41,7 +41,7 @@ type result struct {
 	err  error
 }
 
-// Future is the pending outcome of a SubmitGet or SubmitPut. Wait blocks
+// Future is the pending outcome of one SubmitBatch operation. Wait blocks
 // until the shard's owner goroutine resolves it; it may be called any
 // number of times and from any goroutine, and always returns the same
 // values.

@@ -60,13 +60,13 @@ func TestCoalescingWindow(t *testing.T) {
 	// Hold the owner so the whole sequence lands in one drain window:
 	// get get put(v2) get get.
 	release := gateShard(t, s.shards[0])
-	futs := []*Future{
-		s.SubmitGet(addr),
-		s.SubmitGet(addr),
-		s.SubmitPut(addr, v2),
-		s.SubmitGet(addr),
-		s.SubmitGet(addr),
-	}
+	futs := s.SubmitBatch([]Op{
+		{Addr: addr},
+		{Addr: addr},
+		{Write: true, Addr: addr, Data: v2},
+		{Addr: addr},
+		{Addr: addr},
+	})
 	release()
 
 	want := [][]byte{v1, v1, v1 /* put returns prev */, v2, v2}
@@ -100,10 +100,10 @@ func TestCoalescedResultsAreIndependent(t *testing.T) {
 		t.Fatal(err)
 	}
 	release := gateShard(t, s.shards[0])
-	f1, f2 := s.SubmitGet(3), s.SubmitGet(3)
+	futs := s.SubmitBatch([]Op{{Addr: 3}, {Addr: 3}})
 	release()
-	b1, err1 := f1.Wait()
-	b2, err2 := f2.Wait()
+	b1, err1 := futs[0].Wait()
+	b2, err2 := futs[1].Wait()
 	if err1 != nil || err2 != nil {
 		t.Fatal(err1, err2)
 	}
@@ -130,20 +130,20 @@ func TestBatchDuplicateAddresses(t *testing.T) {
 	for i := range vals {
 		vals[i] = val(uint64(100+i), bb)
 	}
-	if err := s.BatchPut(addrs, vals); err != nil {
+	if _, err := waitAll(s.SubmitBatch(writes(addrs, vals))); err != nil {
 		t.Fatal(err)
 	}
 	wantAt := map[uint64][]byte{7: vals[6], 19: vals[4], 300: vals[5]}
 
 	// Duplicate-heavy get batch: every duplicate sees the same final value.
 	getAddrs := []uint64{7, 19, 7, 300, 7, 19, 7, 7}
-	got, err := s.BatchGet(getAddrs)
+	got, err := waitAll(s.SubmitBatch(reads(getAddrs)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, a := range getAddrs {
 		if !bytes.Equal(got[i], wantAt[a]) {
-			t.Fatalf("BatchGet[%d] (addr %d) = %x, want %x", i, a, got[i], wantAt[a])
+			t.Fatalf("batch read %d (addr %d) = %x, want %x", i, a, got[i], wantAt[a])
 		}
 	}
 	// And the blocking path agrees with the batch view.
@@ -167,18 +167,17 @@ func TestSubmitAPIBasics(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if _, err := s.SubmitGet(s.Blocks()).Wait(); !errors.Is(err, ErrOutOfRange) {
-		t.Fatalf("SubmitGet out of range = %v, want ErrOutOfRange", err)
-	}
-	if _, err := s.SubmitPut(s.Blocks(), nil).Wait(); !errors.Is(err, ErrOutOfRange) {
-		t.Fatalf("SubmitPut out of range = %v, want ErrOutOfRange", err)
+	for i, f := range s.SubmitBatch([]Op{{Addr: s.Blocks()}, {Write: true, Addr: s.Blocks()}}) {
+		if _, err := f.Wait(); !errors.Is(err, ErrOutOfRange) {
+			t.Fatalf("op %d out of range = %v, want ErrOutOfRange", i, err)
+		}
 	}
 	v := val(1, s.BlockBytes())
-	f := s.SubmitPut(9, v)
+	f := s.SubmitBatch([]Op{{Write: true, Addr: 9, Data: v}})[0]
 	if prev, err := f.Wait(); err != nil || !bytes.Equal(prev, make([]byte, s.BlockBytes())) {
 		t.Fatalf("first put prev = %x, %v", prev, err)
 	}
-	g := s.SubmitGet(9)
+	g := s.SubmitBatch([]Op{{Addr: 9}})[0]
 	for i := 0; i < 3; i++ { // Wait is idempotent
 		got, err := g.Wait()
 		if err != nil || !bytes.Equal(got, v) {

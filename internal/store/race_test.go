@@ -12,8 +12,8 @@ import (
 // overlapping address ranges. Each goroutine owns a stripe of addresses
 // (only it writes them) and verifies read-your-writes on its stripe, while
 // also reading other goroutines' addresses to force cross-shard lock
-// contention. Run with -race: the point is that the shard mutexes make the
-// single-threaded ORAMs safe to share.
+// contention. Run with -race: the point is that the shard owner goroutines
+// make the single-threaded ORAMs safe to share.
 func TestConcurrentReadYourWrites(t *testing.T) {
 	const (
 		workers = 8
@@ -64,14 +64,14 @@ func TestConcurrentReadYourWrites(t *testing.T) {
 			for a := range mine {
 				addrs = append(addrs, a)
 			}
-			got, err := s.BatchGet(addrs)
+			got, err := waitAll(s.SubmitBatch(reads(addrs)))
 			if err != nil {
 				errc <- err
 				return
 			}
 			for i, a := range addrs {
 				if !bytes.Equal(got[i], mine[a]) {
-					t.Errorf("worker %d: final BatchGet(%d) = %x, want %x", w, a, got[i], mine[a])
+					t.Errorf("worker %d: final batch read of %d = %x, want %x", w, a, got[i], mine[a])
 				}
 			}
 		}(w)
@@ -107,11 +107,11 @@ func TestConcurrentBatches(t *testing.T) {
 					vals[i] = make([]byte, 8)
 					binary.LittleEndian.PutUint64(vals[i], rng.Uint64())
 				}
-				if err := s.BatchPut(addrs, vals); err != nil {
+				if _, err := waitAll(s.SubmitBatch(writes(addrs, vals))); err != nil {
 					errc <- err
 					return
 				}
-				if _, err := s.BatchGet(addrs); err != nil {
+				if _, err := waitAll(s.SubmitBatch(reads(addrs))); err != nil {
 					errc <- err
 					return
 				}

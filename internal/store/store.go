@@ -8,10 +8,10 @@
 // request queue — the goroutine is the serialization, exactly the
 // single-controller contract a freecursive.ORAM requires (see the package
 // comment on freecursive.ORAM) — and duplicate-address reads arriving close
-// together coalesce into one physical ORAM access. Callers can block
-// (Get/Put/BatchGet/BatchPut, and the mixed-op Batch with per-op
-// outcomes) or go asynchronous (SubmitGet/SubmitPut/SubmitBatch, which
-// return Futures).
+// together coalesce into one physical ORAM access. Callers either block on
+// one block (Get/Put) or submit a batch of mixed reads and writes
+// (SubmitBatch) and wait on one Future per operation; a batch never fails
+// as a whole.
 //
 // This is the serving arrangement Freecursive ORAM (§2, §4) makes cheap: the
 // controller's trusted state per instance — PLB, stash, on-chip PosMap — is
@@ -264,104 +264,29 @@ func (s *Store) check(addr uint64) error {
 	return nil
 }
 
-// SubmitGet enqueues a read of the block at addr on its shard's pipeline
-// and returns immediately. The returned Future resolves to the block
-// contents (never-written blocks read as zeros). Duplicate-address reads
-// queued close together share one physical ORAM access.
-func (s *Store) SubmitGet(addr uint64) *Future {
+// submit is the one way a data operation enters the store: it validates
+// addr, routes it to its shard and enqueues a read (or a write of data) on
+// that shard's pipeline without waiting. A validation failure or a
+// quarantined shard resolves only the returned future with an error.
+func (s *Store) submit(write bool, addr uint64, data []byte) *Future {
 	if err := s.check(addr); err != nil {
 		return resolvedFuture(nil, err)
 	}
 	si, inner := s.locate(addr)
 	//oramlint:allow secretflow source: addr parameter; sink: shard-slice index — the shard an op routes to is public infrastructure derived from the physical address the server observes anyway
-	return s.shards[si].submit(request{inner: inner})
-}
-
-// SubmitPut enqueues a write of data to the block at addr (shorter data is
-// zero-padded) and returns immediately. The Future resolves to the block's
-// previous contents. The caller must not modify data until the future
-// resolves.
-func (s *Store) SubmitPut(addr uint64, data []byte) *Future {
-	if err := s.check(addr); err != nil {
-		return resolvedFuture(nil, err)
-	}
-	si, inner := s.locate(addr)
-	//oramlint:allow secretflow source: addr parameter; sink: shard-slice index — the shard an op routes to is public infrastructure derived from the physical address the server observes anyway
-	return s.shards[si].submit(request{write: true, inner: inner, data: data})
+	return s.shards[si].submit(request{write: write, inner: inner, data: data})
 }
 
 // Get returns the contents of the block at addr. Never-written blocks read
 // as zeros.
 func (s *Store) Get(addr uint64) ([]byte, error) {
-	return s.SubmitGet(addr).Wait()
+	return s.submit(false, addr, nil).Wait()
 }
 
 // Put replaces the block at addr (shorter data is zero-padded) and returns
 // its previous contents.
 func (s *Store) Put(addr uint64, data []byte) ([]byte, error) {
-	return s.SubmitPut(addr, data).Wait()
-}
-
-// BatchGet reads many blocks. All requests are submitted to their shards'
-// pipelines before any result is awaited, so distinct shards run in
-// parallel and duplicate addresses coalesce. Results are returned in
-// request order. If any read fails, the first failure (in request order)
-// is returned and the results slice is nil; an out-of-range address fails
-// the batch before anything is submitted.
-func (s *Store) BatchGet(addrs []uint64) ([][]byte, error) {
-	for _, addr := range addrs {
-		if err := s.check(addr); err != nil {
-			return nil, err
-		}
-	}
-	futs := make([]*Future, len(addrs))
-	for i, addr := range addrs {
-		//oramlint:allow secretflow source: addrs parameter (range index); sink: futures-slice index — the batch position and the physical addresses are both visible to the server per request
-		futs[i] = s.SubmitGet(addr)
-	}
-	out := make([][]byte, len(addrs))
-	var firstErr error
-	for i, f := range futs {
-		b, err := f.Wait()
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		out[i] = b
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return out, nil
-}
-
-// BatchPut writes many blocks, with the same pipelined submission as
-// BatchGet. addrs and vals must have equal length. When addrs repeats an
-// address, the writes land in request order (later entries win). The first
-// failure in request order is returned.
-func (s *Store) BatchPut(addrs []uint64, vals [][]byte) error {
-	if len(addrs) != len(vals) {
-		return fmt.Errorf("store: BatchPut got %d addrs but %d values", len(addrs), len(vals))
-	}
-	for _, addr := range addrs {
-		if err := s.check(addr); err != nil {
-			return err
-		}
-	}
-	futs := make([]*Future, len(addrs))
-	for i, addr := range addrs {
-		//oramlint:allow secretflow source: addrs parameter (range index); sink: futures-slice index — the batch position and the physical addresses are both visible to the server per request
-		futs[i] = s.SubmitPut(addr, vals[i])
-	}
-	var firstErr error
-	for _, f := range futs {
-		if _, err := f.Wait(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
+	return s.submit(true, addr, data).Wait()
 }
 
 // Quarantine fences shard i by hand: its data requests fail fast with an

@@ -178,12 +178,6 @@ func TestOutOfRange(t *testing.T) {
 	if _, err := s.Put(s.Blocks(), nil); err == nil {
 		t.Error("Put past capacity succeeded")
 	}
-	if _, err := s.BatchGet([]uint64{0, s.Blocks()}); err == nil {
-		t.Error("BatchGet with out-of-range address succeeded")
-	}
-	if err := s.BatchPut([]uint64{1, 2}, [][]byte{nil}); err == nil {
-		t.Error("BatchPut with mismatched lengths succeeded")
-	}
 }
 
 // TestMemoryConfigRejected: a memory field of the per-shard ORAM config
@@ -227,10 +221,10 @@ func TestBatchMatchesSingle(t *testing.T) {
 		addrs[i] = rng.Uint64() % s.Blocks()
 		vals[i] = val(uint64(i), s.BlockBytes())
 	}
-	if err := s.BatchPut(addrs, vals); err != nil {
+	if _, err := waitAll(s.SubmitBatch(writes(addrs, vals))); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.BatchGet(addrs)
+	got, err := waitAll(s.SubmitBatch(reads(addrs)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +237,7 @@ func TestBatchMatchesSingle(t *testing.T) {
 	for i, a := range addrs {
 		want := vals[last[a]]
 		if !bytes.Equal(got[i], want) {
-			t.Fatalf("BatchGet[%d] (addr %d) = %x, want %x", i, a, got[i], want)
+			t.Fatalf("batch read %d (addr %d) = %x, want %x", i, a, got[i], want)
 		}
 		single, err := s.Get(a)
 		if err != nil {

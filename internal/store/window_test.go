@@ -52,10 +52,11 @@ func TestWindowOverlapsRoundTrips(t *testing.T) {
 	before := s.ShardInfos()[0].OverlappedAccesses
 
 	release := gateShard(t, s.shards[0])
-	var futs []*Future
+	var ops []Op
 	for a := uint64(0); a < inFlightWindow; a++ {
-		futs = append(futs, s.SubmitGet(a))
+		ops = append(ops, Op{Addr: a})
 	}
+	futs := s.SubmitBatch(ops)
 	start := time.Now()
 	release()
 	for a, f := range futs {
@@ -78,10 +79,10 @@ func TestWindowOverlapsRoundTrips(t *testing.T) {
 	// More requests than the window, several on one address: serial values.
 	release = gateShard(t, s.shards[0])
 	v1, v2 := val(101, bb), val(102, bb)
-	futs = []*Future{
-		s.SubmitPut(1, v1), s.SubmitGet(1), s.SubmitGet(2), s.SubmitPut(1, v2),
-		s.SubmitGet(1), s.SubmitGet(1), s.SubmitGet(3), s.SubmitPut(2, v1), s.SubmitGet(2),
-	}
+	futs = s.SubmitBatch([]Op{
+		{Write: true, Addr: 1, Data: v1}, {Addr: 1}, {Addr: 2}, {Write: true, Addr: 1, Data: v2},
+		{Addr: 1}, {Addr: 1}, {Addr: 3}, {Write: true, Addr: 2, Data: v1}, {Addr: 2},
+	})
 	release()
 	want := [][]byte{val(1, bb), v1, val(2, bb), v1, v2, v2, val(3, bb), val(2, bb), v1}
 	for i, f := range futs {
@@ -104,7 +105,7 @@ func TestWindowCoalescesOntoFlight(t *testing.T) {
 	}
 	accesses, coalesced := s.Stats().Accesses, s.ShardInfos()[0].CoalescedReads
 	release := gateShard(t, s.shards[0])
-	futs := []*Future{s.SubmitGet(5), s.SubmitGet(5), s.SubmitPut(5, v2), s.SubmitGet(5), s.SubmitGet(5)}
+	futs := s.SubmitBatch([]Op{{Addr: 5}, {Addr: 5}, {Write: true, Addr: 5, Data: v2}, {Addr: 5}, {Addr: 5}})
 	release()
 	for i, want := range [][]byte{v1, v1, v1, v2, v2} {
 		got, err := futs[i].Wait()
@@ -265,10 +266,7 @@ func windowFault(t *testing.T, cfg bucketd.Config, pile int,
 	}
 
 	release := gateShard(t, s.shards[0])
-	var futs []*Future
-	for _, a := range mine[:pile] {
-		futs = append(futs, s.SubmitGet(a))
-	}
+	futs := s.SubmitBatch(reads(mine[:pile]))
 	release()
 	for s.ShardInfos()[0].InFlight < len(futs) && s.ShardState(0) == StateHealthy {
 		time.Sleep(time.Millisecond) // until the whole pile is on the wire

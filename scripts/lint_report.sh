@@ -1,11 +1,11 @@
 #!/bin/sh
 # lint_report.sh [out.json] — build oramlint, write the LINT_report.json
 # artifact (per-analyzer finding and allow-directive counts), and gate
-# suppression growth: the total number of honored //oramlint:allow
-# directives must not exceed the committed LINT_baseline.json. New
-# suppressions are a deliberate act — justify them in review and bump the
-# baseline in the same change — never a drive-by. Shrinkage is reported so
-# the baseline can be ratcheted down.
+# suppressions exactly: the total number of honored //oramlint:allow
+# directives must equal the committed LINT_baseline.json. New suppressions
+# are a deliberate act — justify them in review and bump the baseline in
+# the same change — never a drive-by; a change that removes some lowers the
+# baseline with them, so a stale baseline never leaves slack for new ones.
 set -eu
 cd "$(dirname "$0")/.."
 out="${1:-LINT_report.json}"
@@ -30,5 +30,7 @@ if [ "$have" -gt "$base" ]; then
     exit 1
 fi
 if [ "$have" -lt "$base" ]; then
-    echo "lint_report: allow count shrank ($base -> $have); ratchet LINT_baseline.json down"
+    echo "lint_report: allow count shrank ($base -> $have);" \
+        "lower LINT_baseline.json to $have in the same change" >&2
+    exit 1
 fi

@@ -55,9 +55,11 @@ func TestFlagsDocumented(t *testing.T) {
 
 // TestFlagValuesChecked: a flag value the store would silently replace
 // (-blocks 64 wraps to 0 blocks, which store.New turns into its default),
-// that would panic the load workers (an address range of 0), or that would
-// quietly disable the snapshot ticker (a negative -snapshot-interval) is
-// refused with an error naming the flag; in-range values pass.
+// that would panic the load workers (an address range of 0, a negative
+// -block), divide by zero (-duration 0), run nothing (-workers 0), be
+// clamped without a word (-writes outside [0, 1]), or quietly disable the
+// snapshot ticker (a negative -snapshot-interval) is refused with an error
+// naming the flag; in-range values pass.
 func TestFlagValuesChecked(t *testing.T) {
 	dir := t.TempDir()
 	for _, tc := range []struct {
@@ -76,6 +78,15 @@ func TestFlagValuesChecked(t *testing.T) {
 		{"load", []string{"-blocks", "64"}, "-blocks"},
 		{"load", []string{"-blocks", "-1"}, "-blocks"},
 		{"load", []string{"-dist", "zipf", "-zipf-s", "1"}, "-zipf-s"},
+		{"load", []string{"-block", "0", "-workers", "1", "-writes", "0"}, ""},
+		{"load", []string{"-writes", "1"}, ""},
+		{"load", []string{"-block", "-1"}, "-block"},
+		{"load", []string{"-duration", "0s"}, "-duration"},
+		{"load", []string{"-duration", "-1s"}, "-duration"},
+		{"load", []string{"-workers", "0"}, "-workers"},
+		{"load", []string{"-writes", "-0.1"}, "-writes"},
+		{"load", []string{"-writes", "1.5"}, "-writes"},
+		{"load", []string{"-writes", "NaN"}, "-writes"},
 	} {
 		var err error
 		if tc.mode == "serve" {

@@ -266,7 +266,9 @@ func loadFlags(o *loadArgs) *flag.FlagSet {
 	return fs
 }
 
-// check rejects unusable load flags and derives run.addrs from -blocks.
+// check rejects unusable load flags — values that would panic, divide by
+// zero, run nothing or be silently clamped — and derives run.addrs from
+// -blocks.
 func (o *loadArgs) check() error {
 	if o.run.dist != "uniform" && o.run.dist != "zipf" {
 		return fmt.Errorf("unknown -dist %q (want uniform or zipf)", o.run.dist)
@@ -276,6 +278,16 @@ func (o *loadArgs) check() error {
 	}
 	if err := checkLogBlocks(o.logBlocks); err != nil {
 		return err
+	}
+	switch {
+	case o.run.workers < 1:
+		return fmt.Errorf("-workers must be at least 1, got %d", o.run.workers)
+	case o.run.duration <= 0:
+		return fmt.Errorf("-duration must be positive, got %v", o.run.duration)
+	case o.run.blockB < 0:
+		return fmt.Errorf("-block must not be negative, got %d", o.run.blockB)
+	case !(o.run.writeFrac >= 0 && o.run.writeFrac <= 1):
+		return fmt.Errorf("-writes must be in [0, 1], got %v", o.run.writeFrac)
 	}
 	o.run.addrs = uint64(1) << uint(o.logBlocks)
 	return nil

@@ -52,7 +52,7 @@ func TestPathLeafTrafficUniformDespiteSkewedAddresses(t *testing.T) {
 	var mu sync.Mutex
 	counts := map[uint64]uint64{}
 	addr := startBucketd(t, func(op byte, space, idx uint64) {
-		if op != bucketwire.OpRead && op != bucketwire.OpReadPath {
+		if op != bucketwire.OpReadPath {
 			return
 		}
 		mu.Lock()

@@ -18,7 +18,7 @@ import (
 func TestForeignProtocolFrameDropsConnection(t *testing.T) {
 	addr, _ := serve(t, New(Config{}))
 	good, bad := dial(t, addr), dial(t, addr)
-	good.do(bucketwire.Request{Op: bucketwire.OpWrite, Space: 1, Idx: 1, Data: []byte("v")})
+	good.do(writeOne(1, 1, []byte("v")))
 
 	var enc frame.Encoder
 	ormf, err := enc.Request(1, []frame.Op{{Addr: 1}})
@@ -32,7 +32,7 @@ func TestForeignProtocolFrameDropsConnection(t *testing.T) {
 	if _, err := bad.br.ReadByte(); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
 		t.Fatalf("read after an ORMF frame: %v, want the connection dropped", err)
 	}
-	if got := good.do(bucketwire.Request{Op: bucketwire.OpRead, Space: 1, Idx: 1}).Data; string(got) != "v" {
+	if got := good.bucket(good.do(readOne(1, 1))); string(got) != "v" {
 		t.Errorf("surviving connection reads %q, want v", got)
 	}
 }

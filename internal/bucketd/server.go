@@ -54,11 +54,12 @@ type Config struct {
 	// of touching storage — deterministic server-side fault injection for
 	// quarantine and chaos tests.
 	FailEvery uint64
-	// Trace, when set, is called for every bucket index a data operation
-	// touches, before the operation is applied: once per read/write/peek/
-	// poke, once per bucket of a readpath/writepath, in wire order. It runs
-	// on connection goroutines and must be safe for concurrent use. This is
-	// the adversary's wiretap: what an honest-but-curious bucketd observes.
+	// Trace, when set, is called for every bucket index a readpath or
+	// writepath touches, in wire order, before the operation is applied;
+	// a single bucket travels as a one-bucket path, so paths are all it
+	// sees. It runs on connection goroutines and must be safe for
+	// concurrent use. This is the adversary's wiretap: what an
+	// honest-but-curious bucketd observes.
 	Trace func(op byte, space, idx uint64)
 	// Logf, when set, receives connection-level events (accepts, drops).
 	Logf func(format string, args ...any)
@@ -159,22 +160,6 @@ func (c *conn) Encode(id uint64, r bucketwire.Response) ([]byte, error) {
 	return c.enc.Response(id, r)
 }
 
-// trace reports every bucket index req touches to the Trace hook.
-func (s *Server) trace(req bucketwire.Request) {
-	if s.cfg.Trace == nil {
-		return
-	}
-	switch req.Op {
-	case bucketwire.OpReadPath, bucketwire.OpWritePath:
-		for _, idx := range req.Idxs {
-			s.cfg.Trace(req.Op, req.Space, idx)
-		}
-	case bucketwire.OpStats:
-	default:
-		s.cfg.Trace(req.Op, req.Space, req.Idx)
-	}
-}
-
 // apply executes one request against storage and builds its response. Read
 // results are copied out under the space lock, so concurrent writers on
 // other connections can never mutate a response in flight.
@@ -186,36 +171,29 @@ func (s *Server) apply(req bucketwire.Request) bucketwire.Response {
 			resp.Err = "bucketd: injected fault"
 			return resp
 		}
+		if s.cfg.Trace != nil {
+			for _, idx := range req.Idxs {
+				s.cfg.Trace(req.Op, req.Space, idx)
+			}
+		}
 	}
-	s.trace(req)
 	sp := s.space(req.Space)
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
 	switch req.Op {
-	case bucketwire.OpRead, bucketwire.OpPeek:
-		if data, ok := sp.buckets[req.Idx]; ok {
-			resp.Data = bytes.Clone(data)
-		}
-	case bucketwire.OpWrite, bucketwire.OpPoke:
-		sp.put(req.Idx, req.Data)
 	case bucketwire.OpReadPath:
-		bufs := make([][]byte, len(req.Idxs))
+		resp.Bufs = make([][]byte, len(req.Idxs))
 		for i, idx := range req.Idxs {
 			if data, ok := sp.buckets[idx]; ok {
-				bufs[i] = bytes.Clone(data)
+				resp.Bufs[i] = bytes.Clone(data)
 			}
 		}
-		resp.Bufs = bufs
 	case bucketwire.OpWritePath:
 		for i, idx := range req.Idxs {
 			sp.put(idx, req.Bufs[i])
 		}
 	case bucketwire.OpStats:
-		resp.Buckets = uint64(len(sp.buckets))
 		resp.Bytes = sp.bytes
-	default:
-		resp.Status = 400
-		resp.Err = "bucketd: unknown op"
 	}
 	return resp
 }

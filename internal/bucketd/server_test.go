@@ -79,11 +79,30 @@ func (c *wireConn) recv() (uint64, bucketwire.Response) {
 	if err != nil {
 		c.t.Fatal(err)
 	}
-	resp.Data = bytes.Clone(resp.Data)
-	for i := range resp.Bufs {
-		resp.Bufs[i] = bytes.Clone(resp.Bufs[i])
+	bufs := make([][]byte, len(resp.Bufs)) // resp.Bufs is the decoder's scratch
+	for i, b := range resp.Bufs {
+		bufs[i] = bytes.Clone(b)
 	}
+	resp.Bufs = bufs
 	return id, resp
+}
+
+// readOne and writeOne are the one-bucket paths a single bucket travels as.
+func readOne(space, idx uint64) bucketwire.Request {
+	return bucketwire.Request{Op: bucketwire.OpReadPath, Space: space, Idxs: []uint64{idx}}
+}
+
+func writeOne(space, idx uint64, data []byte) bucketwire.Request {
+	return bucketwire.Request{Op: bucketwire.OpWritePath, Space: space, Idxs: []uint64{idx}, Bufs: [][]byte{data}}
+}
+
+// bucket is the one bucket a one-bucket readpath answer carries.
+func (c *wireConn) bucket(resp bucketwire.Response) []byte {
+	c.t.Helper()
+	if len(resp.Bufs) != 1 {
+		c.t.Fatalf("one-bucket read answered with %d buckets", len(resp.Bufs))
+	}
+	return resp.Bufs[0]
 }
 
 // do is one synchronous operation that must succeed.
@@ -106,11 +125,11 @@ func TestPipelinedFramesApplyAndAnswerInOrder(t *testing.T) {
 	c := dial(t, addr)
 
 	reqs := []bucketwire.Request{
-		{Op: bucketwire.OpWrite, Space: 7, Idx: 1, Data: []byte("a")},
-		{Op: bucketwire.OpRead, Space: 7, Idx: 1},
+		writeOne(7, 1, []byte("a")),
+		readOne(7, 1),
 		{Op: bucketwire.OpWritePath, Space: 7, Idxs: []uint64{1, 3}, Bufs: [][]byte{[]byte("b"), []byte("c")}},
 		{Op: bucketwire.OpReadPath, Space: 7, Idxs: []uint64{3, 2, 1}},
-		{Op: bucketwire.OpRead, Space: 8, Idx: 1}, // another space: untouched
+		readOne(8, 1), // another space: untouched
 	}
 	var ids []uint64
 	for _, req := range reqs {
@@ -124,15 +143,15 @@ func TestPipelinedFramesApplyAndAnswerInOrder(t *testing.T) {
 		}
 		resps = append(resps, resp)
 	}
-	if got := resps[1].Data; string(got) != "a" {
+	if got := c.bucket(resps[1]); string(got) != "a" {
 		t.Errorf("read after write(a) = %q", got)
 	}
 	path := resps[3].Bufs
 	if len(path) != 3 || string(path[0]) != "c" || path[1] != nil || string(path[2]) != "b" {
 		t.Errorf("readpath [3 2 1] after writepath = %q, want [c <nil> b]", path)
 	}
-	if resps[4].Data != nil {
-		t.Errorf("space 8 sees space 7's bucket: %q", resps[4].Data)
+	if got := c.bucket(resps[4]); got != nil {
+		t.Errorf("space 8 sees space 7's bucket: %q", got)
 	}
 	if got := srv.FramesServed(); got != uint64(len(reqs)) {
 		t.Errorf("FramesServed = %d, want %d", got, len(reqs))
@@ -148,20 +167,19 @@ func TestFailEveryAnswers500WithoutTouchingStorage(t *testing.T) {
 	addr, _ := serve(t, srv)
 	c := dial(t, addr)
 
-	c.do(bucketwire.Request{Op: bucketwire.OpWrite, Space: 1, Idx: 10, Data: []byte("kept")}) // op 1
-	c.send(bucketwire.Request{Op: bucketwire.OpWrite, Space: 1, Idx: 11, Data: []byte("lost")})
+	c.do(writeOne(1, 10, []byte("kept"))) // op 1
+	c.send(writeOne(1, 11, []byte("lost")))
 	if _, resp := c.recv(); resp.Status != 500 || resp.Err == "" { // op 2
 		t.Fatalf("second data op: status %d err %q, want 500 with a message", resp.Status, resp.Err)
 	}
-	if got := c.do(bucketwire.Request{Op: bucketwire.OpPeek, Space: 1, Idx: 11}).Data; got != nil { // op 3
+	if got := c.bucket(c.do(readOne(1, 11))); got != nil { // op 3
 		t.Errorf("failed write landed: %q", got)
 	}
 	// Stats is not a data operation: it neither fails nor advances the count.
-	st := c.do(bucketwire.Request{Op: bucketwire.OpStats, Space: 1})
-	if st.Buckets != 1 || st.Bytes != 4 {
-		t.Errorf("stats after a failed write: %d buckets / %d bytes, want 1 / 4", st.Buckets, st.Bytes)
+	if st := c.do(bucketwire.Request{Op: bucketwire.OpStats, Space: 1}); st.Bytes != 4 {
+		t.Errorf("stats after a failed write: %d bytes, want 4", st.Bytes)
 	}
-	c.send(bucketwire.Request{Op: bucketwire.OpRead, Space: 1, Idx: 10})
+	c.send(readOne(1, 10))
 	if _, resp := c.recv(); resp.Status != 500 { // op 4
 		t.Errorf("fourth data op: status %d, want 500", resp.Status)
 	}
@@ -171,7 +189,7 @@ func TestFailEveryAnswers500WithoutTouchingStorage(t *testing.T) {
 		seen = append(seen, idx)
 	}
 	if len(seen) != 2 || seen[0] != 10 || seen[1] != 11 {
-		t.Errorf("wiretap saw %v, want [10 11] (the write of 10 and the peek of 11)", seen)
+		t.Errorf("wiretap saw %v, want [10 11] (the write of 10 and the read of 11)", seen)
 	}
 }
 
@@ -187,8 +205,8 @@ func TestRTTWithholdsResponsesWhileApplyingLaterFrames(t *testing.T) {
 	c := dial(t, addr)
 
 	start := time.Now()
-	c.send(bucketwire.Request{Op: bucketwire.OpWrite, Space: 1, Idx: 1, Data: []byte("x")})
-	c.send(bucketwire.Request{Op: bucketwire.OpRead, Space: 1, Idx: 1})
+	c.send(writeOne(1, 1, []byte("x")))
+	c.send(readOne(1, 1))
 	for i := 0; i < 2; i++ {
 		select {
 		case <-applied:
@@ -202,8 +220,8 @@ func TestRTTWithholdsResponsesWhileApplyingLaterFrames(t *testing.T) {
 	if d := time.Since(start); d < rtt {
 		t.Errorf("first response after %v, want it withheld at least %v", d, rtt)
 	}
-	if _, resp := c.recv(); string(resp.Data) != "x" {
-		t.Errorf("pipelined read = %q, want x", resp.Data)
+	if _, resp := c.recv(); string(c.bucket(resp)) != "x" {
+		t.Errorf("pipelined read = %q, want x", resp.Bufs)
 	}
 	if d := time.Since(start); d >= 2*rtt {
 		t.Errorf("two pipelined frames took %v: their %v delays did not overlap", d, rtt)
@@ -218,10 +236,10 @@ func TestMalformedFrameDropsOnlyThatConnection(t *testing.T) {
 	srv := New(Config{})
 	addr, _ := serve(t, srv)
 	good, bad := dial(t, addr), dial(t, addr)
-	good.do(bucketwire.Request{Op: bucketwire.OpWrite, Space: 1, Idx: 1, Data: []byte("v")})
+	good.do(writeOne(1, 1, []byte("v")))
 
 	// A well-formed frame behind the garbage must not be applied.
-	after, err := bad.enc.Request(1, bucketwire.Request{Op: bucketwire.OpWrite, Space: 1, Idx: 1, Data: []byte("after garbage")})
+	after, err := bad.enc.Request(1, writeOne(1, 1, []byte("after garbage")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,11 +255,48 @@ func TestMalformedFrameDropsOnlyThatConnection(t *testing.T) {
 		t.Fatalf("read on the malformed connection: %v, want the connection dropped", err)
 	}
 
-	if got := good.do(bucketwire.Request{Op: bucketwire.OpRead, Space: 1, Idx: 1}).Data; string(got) != "v" {
+	if got := good.bucket(good.do(readOne(1, 1))); string(got) != "v" {
 		t.Errorf("surviving connection reads %q, want v", got)
 	}
-	if got := dial(t, addr).do(bucketwire.Request{Op: bucketwire.OpRead, Space: 1, Idx: 1}).Data; string(got) != "v" {
+	fresh := dial(t, addr)
+	if got := fresh.bucket(fresh.do(readOne(1, 1))); string(got) != "v" {
 		t.Errorf("fresh connection reads %q, want v", got)
+	}
+}
+
+// TestRetiredOpFrameDropsConnection: a frame naming one of the retired
+// per-bucket op bytes (read 1, write 2, peek 5, poke 6), in the shape the
+// protocol once gave it, is malformed — bucketd drops that connection,
+// applies nothing it sent, and another connection keeps being served.
+func TestRetiredOpFrameDropsConnection(t *testing.T) {
+	srv := New(Config{})
+	addr, _ := serve(t, srv)
+	good := dial(t, addr)
+	good.do(writeOne(1, 1, []byte("v")))
+	for _, op := range []byte{1, 2, 5, 6} {
+		bad := dial(t, addr)
+		// A stats frame is the envelope, op and space; the retired ops
+		// followed them with an index, and write and poke with a bucket.
+		b, err := bad.enc.Request(1, bucketwire.Request{Op: bucketwire.OpStats, Space: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b = binary.LittleEndian.AppendUint64(bytes.Clone(b), 1) // idx
+		if op == 2 || op == 6 {
+			b = append(binary.LittleEndian.AppendUint32(b, 6), "forged"...)
+		}
+		b[4+16] = op
+		binary.LittleEndian.PutUint32(b, uint32(len(b)-4))
+		if _, err := bad.conn.Write(b); err != nil {
+			t.Fatal(err)
+		}
+		bad.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if _, err := bad.br.ReadByte(); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("op %d: read on the connection: %v, want it dropped", op, err)
+		}
+		if got := good.bucket(good.do(readOne(1, 1))); string(got) != "v" {
+			t.Fatalf("after op %d: surviving connection reads %q, want v", op, got)
+		}
 	}
 }
 
@@ -252,7 +307,7 @@ func TestCloseUnblocksServeAndWaitsForHandlers(t *testing.T) {
 	srv := New(Config{})
 	addr, done := serve(t, srv)
 	c := dial(t, addr)
-	c.do(bucketwire.Request{Op: bucketwire.OpWrite, Space: 1, Idx: 1, Data: []byte("v")}) // a live handler
+	c.do(writeOne(1, 1, []byte("v"))) // a live handler
 
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
@@ -284,37 +339,37 @@ func TestCloseUnblocksServeAndWaitsForHandlers(t *testing.T) {
 
 // TestPokeNilDeletesAndStatsTracksResidentBytes pins the footprint
 // accounting mem.Remote.Stats reports: per space, bytes follow every
-// overwrite and delete, and poke(nil) removes the bucket.
+// overwrite and delete, and a nil bucket in a writepath — what mem.Remote
+// sends for Poke(idx, nil) — removes the bucket.
 func TestPokeNilDeletesAndStatsTracksResidentBytes(t *testing.T) {
 	srv := New(Config{})
 	addr, _ := serve(t, srv)
 	c := dial(t, addr)
-	stats := func(space uint64) (buckets, bytes uint64) {
-		resp := c.do(bucketwire.Request{Op: bucketwire.OpStats, Space: space})
-		return resp.Buckets, resp.Bytes
+	stats := func(space uint64) uint64 {
+		return c.do(bucketwire.Request{Op: bucketwire.OpStats, Space: space}).Bytes
 	}
 
-	c.do(bucketwire.Request{Op: bucketwire.OpPoke, Space: 1, Idx: 1, Data: []byte("abc")})
-	c.do(bucketwire.Request{Op: bucketwire.OpWrite, Space: 1, Idx: 2, Data: []byte("de")})
-	if n, b := stats(1); n != 2 || b != 5 {
-		t.Errorf("after two stores: %d buckets / %d bytes, want 2 / 5", n, b)
+	c.do(writeOne(1, 1, []byte("abc")))
+	c.do(writeOne(1, 2, []byte("de")))
+	if b := stats(1); b != 5 {
+		t.Errorf("after two stores: %d bytes, want 5", b)
 	}
-	c.do(bucketwire.Request{Op: bucketwire.OpWrite, Space: 1, Idx: 2, Data: []byte("defg")})
-	if n, b := stats(1); n != 2 || b != 7 {
-		t.Errorf("after a longer overwrite: %d buckets / %d bytes, want 2 / 7", n, b)
+	c.do(writeOne(1, 2, []byte("defg")))
+	if b := stats(1); b != 7 {
+		t.Errorf("after a longer overwrite: %d bytes, want 7", b)
 	}
-	c.do(bucketwire.Request{Op: bucketwire.OpPoke, Space: 1, Idx: 1, Data: nil})
-	if got := c.do(bucketwire.Request{Op: bucketwire.OpPeek, Space: 1, Idx: 1}).Data; got != nil {
-		t.Errorf("poke(nil) left %q behind", got)
+	c.do(writeOne(1, 1, nil))
+	if got := c.bucket(c.do(readOne(1, 1))); got != nil {
+		t.Errorf("a nil write left %q behind", got)
 	}
-	if n, b := stats(1); n != 1 || b != 4 {
-		t.Errorf("after poke(nil): %d buckets / %d bytes, want 1 / 4", n, b)
+	if b := stats(1); b != 4 {
+		t.Errorf("after a nil write: %d bytes, want 4", b)
 	}
-	c.do(bucketwire.Request{Op: bucketwire.OpPoke, Space: 1, Idx: 9, Data: nil}) // deleting nothing is a no-op
-	if n, b := stats(1); n != 1 || b != 4 {
-		t.Errorf("after deleting an absent bucket: %d buckets / %d bytes, want 1 / 4", n, b)
+	c.do(writeOne(1, 9, nil)) // deleting nothing is a no-op
+	if b := stats(1); b != 4 {
+		t.Errorf("after deleting an absent bucket: %d bytes, want 4", b)
 	}
-	if n, b := stats(2); n != 0 || b != 0 {
-		t.Errorf("untouched space reports %d buckets / %d bytes", n, b)
+	if b := stats(2); b != 0 {
+		t.Errorf("untouched space reports %d bytes", b)
 	}
 }

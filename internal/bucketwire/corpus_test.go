@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -21,54 +22,98 @@ func TestWriteSeedCorpus(t *testing.T) {
 		t.Skip("set ORAM_WRITE_FUZZ_CORPUS=1 to regenerate testdata/fuzz seeds")
 	}
 	var e Encoder
-	req := func(id uint64, r Request) []byte {
-		frame, err := e.Request(id, r)
+	var reqs, resps [][]byte
+	for i, r := range requestSeeds {
+		frame, err := e.Request(uint64(i), r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return bytes.Clone(frame[4:])
+		reqs = append(reqs, bytes.Clone(frame[4:]))
 	}
-	resp := func(id uint64, r Response) []byte {
-		frame, err := e.Response(id, r)
+	for i, r := range responseSeeds {
+		frame, err := e.Response(uint64(i), r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return bytes.Clone(frame[4:])
+		resps = append(resps, bytes.Clone(frame[4:]))
 	}
-	writeCorpus(t, "FuzzDecodeRequest", [][]byte{
-		req(0, Request{Op: OpRead, Space: 1, Idx: 2}),
-		req(1, Request{Op: OpWrite, Space: 1, Idx: 2, Data: []byte("d")}),
-		req(2, Request{Op: OpPoke, Space: 1, Idx: 2}),
-		req(3, Request{Op: OpReadPath, Space: 1, Idxs: []uint64{1, 2, 3}}),
-		req(4, Request{Op: OpWritePath, Space: 1, Idxs: []uint64{1, 2}, Bufs: [][]byte{[]byte("x"), nil}}),
-		req(5, Request{Op: OpStats}),
-		bytes.Repeat([]byte{0xFF}, 48),
-	})
-	writeCorpus(t, "FuzzDecodeResponse", [][]byte{
-		resp(0, Response{Op: OpRead, Data: []byte("d")}),
-		resp(1, Response{Op: OpRead}),
-		resp(2, Response{Op: OpReadPath, Bufs: [][]byte{[]byte("a"), nil}}),
-		resp(3, Response{Op: OpStats, Buckets: 2, Bytes: 100}),
-		resp(4, Response{Op: OpWrite, Status: 500, Err: "x"}),
-		bytes.Repeat([]byte{0x00}, 48),
-	})
+	writeCorpus(t, "FuzzDecodeRequest", append(reqs, garbageRequest))
+	writeCorpus(t, "FuzzDecodeResponse", append(resps, garbageResponse))
 }
+
+// The one seed per target that is garbage on purpose, so the fuzzer also
+// starts from bytes the decoder must refuse.
+var (
+	garbageRequest  = bytes.Repeat([]byte{0xFF}, 48)
+	garbageResponse = bytes.Repeat([]byte{0x00}, 48)
+)
 
 // TestSeedCorpusCommitted keeps the committed corpus from silently
-// vanishing: the fuzz targets rely on it for format coverage in plain test
-// runs.
+// vanishing or going stale: the fuzz targets rely on it for format coverage
+// in plain test runs, so every seed but the garbage one must decode — a
+// format change that leaves old seeds behind fails here.
 func TestSeedCorpusCommitted(t *testing.T) {
-	for _, name := range []string{"FuzzDecodeRequest", "FuzzDecodeResponse"} {
-		entries, err := os.ReadDir(filepath.Join("testdata", "fuzz", name))
+	targets := []struct {
+		name    string
+		garbage []byte
+		decode  func(p []byte) error
+	}{
+		{"FuzzDecodeRequest", garbageRequest, func(p []byte) error {
+			var d Decoder
+			_, _, err := d.Request(p)
+			return err
+		}},
+		{"FuzzDecodeResponse", garbageResponse, func(p []byte) error {
+			var d Decoder
+			_, _, err := d.Response(p)
+			return err
+		}},
+	}
+	for _, tc := range targets {
+		dir := filepath.Join("testdata", "fuzz", tc.name)
+		entries, err := os.ReadDir(dir)
 		if err != nil || len(entries) == 0 {
-			t.Errorf("no committed seed corpus for %s (err=%v); regenerate with ORAM_WRITE_FUZZ_CORPUS=1", name, err)
+			t.Errorf("no committed seed corpus for %s (err=%v); regenerate with ORAM_WRITE_FUZZ_CORPUS=1", tc.name, err)
+			continue
+		}
+		for _, e := range entries {
+			p := readSeed(t, filepath.Join(dir, e.Name()))
+			if bytes.Equal(p, tc.garbage) {
+				continue
+			}
+			if err := tc.decode(p); err != nil {
+				t.Errorf("%s/%s does not decode: %v; regenerate with ORAM_WRITE_FUZZ_CORPUS=1", tc.name, e.Name(), err)
+			}
 		}
 	}
 }
 
+// readSeed parses one committed seed file: the fuzz-corpus header line,
+// then a single quoted []byte value.
+func readSeed(t *testing.T, path string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, ok := strings.CutPrefix(string(b), "go test fuzz v1\n[]byte(")
+	if !ok {
+		t.Fatalf("%s: not a single-[]byte fuzz seed", path)
+	}
+	s, err := strconv.Unquote(strings.TrimSuffix(strings.TrimSpace(body), ")"))
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	return []byte(s)
+}
+
+// writeCorpus replaces fuzzName's committed seeds with entries.
 func writeCorpus(t *testing.T, fuzzName string, entries [][]byte) {
 	t.Helper()
 	dir := filepath.Join("testdata", "fuzz", fuzzName)
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}

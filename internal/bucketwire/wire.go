@@ -12,26 +12,25 @@
 // accidentally pointed at an oramstore binary listener (or vice versa)
 // fails loudly on frame one.
 //
-// The protocol carries the mem.Backend operation set — read, write, peek,
-// poke, stats — plus the two batched path operations (readpath, writepath)
-// that let an ORAM controller pay ~1 round trip per access instead of
-// ~log N. Every bucket operation names a SPACE, a 64-bit namespace
-// identifier, so one bucketd serves many ORAM trees (per shard, per
-// recursion level) without their indices colliding.
+// The protocol carries what untrusted memory serves in the paper's model
+// (§3.1): whole paths. There are three operations — readpath and writepath,
+// which let an ORAM controller pay ~1 round trip per access instead of
+// ~log N, and stats, the server's byte footprint. A single bucket travels
+// as a one-bucket path. Every path operation names a SPACE, a 64-bit
+// namespace identifier, so one bucketd serves many ORAM trees (per shard,
+// per recursion level) without their indices colliding.
 //
 // # Body layout
 //
 // After frame's envelope header (magic "ORMB"), requests carry:
 //
-//	uint8    op         OpRead … OpStats
+//	uint8    op         OpReadPath, OpWritePath or OpStats
 //	uint64   space      namespace identifier
 //	op-specific:
-//	  read, peek:       uint64 idx
-//	  write, poke:      uint64 idx, uint32 dataLen (NilLen: no payload,
-//	                    nil data — poke-delete), payload
 //	  readpath:         uint32 count (≤ MaxPathBuckets), count × uint64 idx
 //	  writepath:        uint32 count, count × (uint64 idx, uint32 dataLen),
-//	                    payloads concatenated in idx order (NilLen: absent)
+//	                    payloads concatenated in idx order (NilLen: no
+//	                    payload, nil data — the bucket is deleted)
 //	  stats:            empty
 //
 // Responses echo the request op, then:
@@ -41,11 +40,10 @@
 //	uint32   errLen     error message length (0 when status is 0)
 //	bytes    err
 //	success payload:
-//	  read, peek:       uint32 dataLen (NilLen: absent bucket), payload
 //	  readpath:         uint32 count, count × uint32 dataLen, payloads
 //	                    (NilLen: absent bucket, no payload bytes)
-//	  write, poke, writepath: empty
-//	  stats:            uint64 buckets, uint64 bytes
+//	  writepath:        empty
+//	  stats:            uint64 bytes
 //
 // All integers are little-endian. As for every frame, a body's declared
 // lengths must account for its bytes exactly: truncated frames, counts
@@ -59,8 +57,8 @@
 //
 // The codec recycles its scratch, matching the repo's hot-path ownership
 // contracts: an Encoder's returned frame is valid only until its next call,
-// and a Decoder's returned Request/Response — whose Data/Bufs fields alias
-// the input frame — is valid only until the caller reuses the frame buffer.
+// and a Decoder's returned Request/Response — whose Bufs entries alias the
+// input frame — is valid only until the caller reuses the frame buffer.
 // That aliasing is what lets mem.Remote satisfy the PathReader contract
 // with zero copies: the decoded readpath payloads ARE the frame buffer,
 // valid until the next operation reuses it.
@@ -76,16 +74,13 @@ import (
 // magic names the bucket schema on frame's envelope.
 var magic = [4]byte{'O', 'R', 'M', 'B'}
 
-// Operations. Zero is deliberately invalid so an all-zero frame cannot
-// decode as a request.
+// Operations. The byte values are pinned wire format; every other op byte —
+// zero, which keeps an all-zero frame from decoding, and the gaps 1, 2, 5
+// and 6 among them — fails to decode as frame.ErrMalformed.
 const (
-	OpRead byte = iota + 1
-	OpWrite
-	OpReadPath
-	OpWritePath
-	OpPeek
-	OpPoke
-	OpStats
+	OpReadPath  byte = 3
+	OpWritePath byte = 4
+	OpStats     byte = 7
 )
 
 // MaxPathBuckets caps the bucket count of a readpath/writepath: a path
@@ -98,32 +93,28 @@ const MaxPathBuckets = 1024
 const MaxBucketBytes = 1 << 22
 
 // NilLen is the length sentinel distinguishing an absent (nil) bucket from
-// an empty one: reads of never-written buckets and poke-deletes both carry
-// nil, and the distinction is part of the mem.Backend contract.
+// an empty one: reads of never-written buckets and deletes both carry nil,
+// and the distinction is part of the mem.Backend contract.
 const NilLen = ^uint32(0)
 
 // Request is one decoded request. Which fields are meaningful depends on
-// Op; decoded Data and Bufs entries alias the frame buffer.
+// Op; decoded Bufs entries alias the frame buffer.
 type Request struct {
 	Op    byte
 	Space uint64
-	Idx   uint64   // read, write, peek, poke
-	Data  []byte   // write, poke payload; nil deletes on poke
 	Idxs  []uint64 // readpath, writepath
-	Bufs  [][]byte // writepath payloads, parallel to Idxs
+	Bufs  [][]byte // writepath payloads, parallel to Idxs; nil deletes
 }
 
 // Response is one decoded response. Status 0 is success; nonzero carries an
 // HTTP-class error code with the message in Err and no payload. Decoded
-// Data and Bufs entries alias the frame buffer.
+// Bufs entries alias the frame buffer.
 type Response struct {
-	Op      byte
-	Status  uint16
-	Err     string
-	Data    []byte   // read, peek (nil: absent bucket)
-	Bufs    [][]byte // readpath (nil entries: absent buckets)
-	Buckets uint64   // stats
-	Bytes   uint64   // stats
+	Op     byte
+	Status uint16
+	Err    string
+	Bufs   [][]byte // readpath (nil entries: absent buckets)
+	Bytes  uint64   // stats: resident bytes
 }
 
 // Encoder builds frames into a reusable buffer. The zero value is ready to
@@ -143,15 +134,6 @@ func (e *Encoder) appendLen(data []byte) error {
 		return fmt.Errorf("bucketwire: %w: %d-byte bucket (cap %d)", frame.ErrTooLarge, len(data), MaxBucketBytes)
 	}
 	e.buf = binary.LittleEndian.AppendUint32(e.buf, uint32(len(data)))
-	return nil
-}
-
-// appendBucket appends one bucket: its length field, then its payload.
-func (e *Encoder) appendBucket(data []byte) error {
-	if err := e.appendLen(data); err != nil {
-		return err
-	}
-	e.buf = append(e.buf, data...)
 	return nil
 }
 
@@ -187,11 +169,6 @@ func (e *Encoder) Request(id uint64, req Request) ([]byte, error) {
 	e.buf = binary.LittleEndian.AppendUint64(e.buf, req.Space)
 	var err error
 	switch req.Op {
-	case OpRead, OpPeek:
-		e.buf = binary.LittleEndian.AppendUint64(e.buf, req.Idx)
-	case OpWrite, OpPoke:
-		e.buf = binary.LittleEndian.AppendUint64(e.buf, req.Idx)
-		err = e.appendBucket(req.Data)
 	case OpReadPath:
 		err = e.appendPath(len(req.Idxs), req.Idxs, nil)
 	case OpWritePath:
@@ -225,14 +202,11 @@ func (e *Encoder) Response(id uint64, resp Response) ([]byte, error) {
 	e.buf = binary.LittleEndian.AppendUint32(e.buf, 0) // errLen
 	var err error
 	switch resp.Op {
-	case OpRead, OpPeek:
-		err = e.appendBucket(resp.Data)
-	case OpWrite, OpPoke, OpWritePath:
+	case OpWritePath:
 		// no payload
 	case OpReadPath:
 		err = e.appendPath(len(resp.Bufs), nil, resp.Bufs)
 	case OpStats:
-		e.buf = binary.LittleEndian.AppendUint64(e.buf, resp.Buckets)
 		e.buf = binary.LittleEndian.AppendUint64(e.buf, resp.Bytes)
 	default:
 		err = fmt.Errorf("bucketwire: %w: unknown op %d", frame.ErrMalformed, resp.Op)
@@ -271,23 +245,6 @@ func take(data []byte, n int, present bool) ([]byte, []byte) {
 		return nil, data
 	}
 	return data[:n:n], data[n:]
-}
-
-// bucket decodes one bucket — a length field, then its payload — which
-// must end the body.
-func bucket(body []byte) ([]byte, error) {
-	if len(body) < 4 {
-		return nil, fmt.Errorf("bucketwire: %w: truncated bucket length", frame.ErrMalformed)
-	}
-	n, present, err := sliceLen(binary.LittleEndian.Uint32(body))
-	if err != nil {
-		return nil, err
-	}
-	if len(body)-4 != n {
-		return nil, fmt.Errorf("bucketwire: %w: bucket declares %d payload bytes, has %d", frame.ErrMalformed, n, len(body)-4)
-	}
-	data, _ := take(body[4:], n, present)
-	return data, nil
 }
 
 // path decodes a path body into d.idxs (with idxs) and d.bufs (with bufs):
@@ -353,19 +310,6 @@ func (d *Decoder) Request(p []byte) (id uint64, req Request, err error) {
 	req.Space = binary.LittleEndian.Uint64(body[1:9])
 	rest := body[9:]
 	switch req.Op {
-	case OpRead, OpPeek:
-		if len(rest) != 8 {
-			err = fmt.Errorf("bucketwire: %w: read operand is %d bytes", frame.ErrMalformed, len(rest))
-			break
-		}
-		req.Idx = binary.LittleEndian.Uint64(rest)
-	case OpWrite, OpPoke:
-		if len(rest) < 8 {
-			err = fmt.Errorf("bucketwire: %w: truncated write operand", frame.ErrMalformed)
-			break
-		}
-		req.Idx = binary.LittleEndian.Uint64(rest)
-		req.Data, err = bucket(rest[8:])
 	case OpReadPath:
 		err = d.path(rest, true, false)
 		req.Idxs = d.idxs
@@ -409,9 +353,7 @@ func (d *Decoder) Response(p []byte) (id uint64, resp Response, err error) {
 		resp.Err = string(rest)
 	default:
 		switch resp.Op {
-		case OpRead, OpPeek:
-			resp.Data, err = bucket(rest)
-		case OpWrite, OpPoke, OpWritePath:
+		case OpWritePath:
 			if len(rest) != 0 {
 				err = fmt.Errorf("bucketwire: %w: %d trailing bytes after ack", frame.ErrMalformed, len(rest))
 			}
@@ -419,12 +361,11 @@ func (d *Decoder) Response(p []byte) (id uint64, resp Response, err error) {
 			err = d.path(rest, false, true)
 			resp.Bufs = d.bufs
 		case OpStats:
-			if len(rest) != 16 {
+			if len(rest) != 8 {
 				err = fmt.Errorf("bucketwire: %w: stats payload is %d bytes", frame.ErrMalformed, len(rest))
 				break
 			}
-			resp.Buckets = binary.LittleEndian.Uint64(rest[:8])
-			resp.Bytes = binary.LittleEndian.Uint64(rest[8:16])
+			resp.Bytes = binary.LittleEndian.Uint64(rest)
 		default:
 			err = fmt.Errorf("bucketwire: %w: unknown op %d", frame.ErrMalformed, resp.Op)
 		}

@@ -12,10 +12,7 @@ import (
 
 // reqEqual compares decoded requests field by field (slices by content).
 func reqEqual(a, b Request) bool {
-	if a.Op != b.Op || a.Space != b.Space || a.Idx != b.Idx {
-		return false
-	}
-	if (a.Data == nil) != (b.Data == nil) || !bytes.Equal(a.Data, b.Data) {
+	if a.Op != b.Op || a.Space != b.Space {
 		return false
 	}
 	if len(a.Idxs) != len(b.Idxs) || len(a.Bufs) != len(b.Bufs) {
@@ -35,11 +32,7 @@ func reqEqual(a, b Request) bool {
 }
 
 func respEqual(a, b Response) bool {
-	if a.Op != b.Op || a.Status != b.Status || a.Err != b.Err ||
-		a.Buckets != b.Buckets || a.Bytes != b.Bytes {
-		return false
-	}
-	if (a.Data == nil) != (b.Data == nil) || !bytes.Equal(a.Data, b.Data) {
+	if a.Op != b.Op || a.Status != b.Status || a.Err != b.Err || a.Bytes != b.Bytes {
 		return false
 	}
 	if len(a.Bufs) != len(b.Bufs) {
@@ -57,11 +50,10 @@ func respEqual(a, b Response) bool {
 // the nil/empty payload distinction the mem.Backend contract requires.
 func TestRequestRoundTrip(t *testing.T) {
 	cases := []Request{
-		{Op: OpRead, Space: 7, Idx: 42},
-		{Op: OpPeek, Space: 7, Idx: 0},
-		{Op: OpWrite, Space: 1, Idx: 9, Data: []byte("sealed bucket")},
-		{Op: OpWrite, Space: 1, Idx: 9, Data: []byte{}}, // empty but present
-		{Op: OpPoke, Space: 1, Idx: 9, Data: nil},       // poke-delete
+		{Op: OpReadPath, Space: 7, Idxs: []uint64{42}},
+		{Op: OpWritePath, Space: 1, Idxs: []uint64{9}, Bufs: [][]byte{[]byte("sealed bucket")}},
+		{Op: OpWritePath, Space: 1, Idxs: []uint64{9}, Bufs: [][]byte{{}}},  // empty but present
+		{Op: OpWritePath, Space: 1, Idxs: []uint64{9}, Bufs: [][]byte{nil}}, // delete
 		{Op: OpReadPath, Space: 3, Idxs: []uint64{0, 1, 4, 11, 26}},
 		{Op: OpReadPath, Space: 3, Idxs: []uint64{}},
 		{Op: OpWritePath, Space: 3,
@@ -96,15 +88,13 @@ func TestRequestRoundTrip(t *testing.T) {
 // TestResponseRoundTrip does the same for every response shape.
 func TestResponseRoundTrip(t *testing.T) {
 	cases := []Response{
-		{Op: OpRead, Data: []byte("bucket bytes")},
-		{Op: OpRead, Data: nil}, // absent bucket
-		{Op: OpRead, Data: []byte{}},
-		{Op: OpWrite},
+		{Op: OpReadPath, Bufs: [][]byte{[]byte("bucket bytes")}},
+		{Op: OpReadPath, Bufs: [][]byte{nil}}, // absent bucket
 		{Op: OpWritePath},
 		{Op: OpReadPath, Bufs: [][]byte{[]byte("a"), nil, []byte(""), []byte("dddd")}},
 		{Op: OpReadPath, Bufs: [][]byte{}},
-		{Op: OpStats, Buckets: 123, Bytes: 1 << 30},
-		{Op: OpRead, Status: 500, Err: "injected fault"},
+		{Op: OpStats, Bytes: 1 << 30},
+		{Op: OpReadPath, Status: 500, Err: "injected fault"},
 		{Op: OpWritePath, Status: 503, Err: "overload"},
 	}
 	var enc Encoder
@@ -139,7 +129,7 @@ func mutate(t *testing.T, frame []byte, edit func(p []byte) []byte) []byte {
 // frame.ErrTooLarge), never a panic or a silent success.
 func TestMalformedRequests(t *testing.T) {
 	var enc Encoder
-	base, err := enc.Request(1, Request{Op: OpWrite, Space: 2, Idx: 3, Data: []byte("payload")})
+	base, err := enc.Request(1, Request{Op: OpWritePath, Space: 2, Idxs: []uint64{3}, Bufs: [][]byte{[]byte("payload")}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,8 +157,8 @@ func TestMalformedRequests(t *testing.T) {
 		{"truncated payload", mutate(t, base, func(p []byte) []byte { return p[:len(p)-3] }), frame.ErrMalformed},
 		{"trailing garbage", mutate(t, base, func(p []byte) []byte { return append(p, 0xEE) }), frame.ErrMalformed},
 		{"oversized data len", mutate(t, base, func(p []byte) []byte {
-			// Write op data length field sits after header(16)+op(1)+space(8)+idx(8).
-			binary.LittleEndian.PutUint32(p[33:], MaxBucketBytes+1)
+			// The data length field sits after header(16)+op(1)+space(8)+count(4)+idx(8).
+			binary.LittleEndian.PutUint32(p[37:], MaxBucketBytes+1)
 			return p
 		}), frame.ErrTooLarge},
 		{"writepath count overrun", mutate(t, path, func(p []byte) []byte {
@@ -197,12 +187,12 @@ func TestMalformedRequests(t *testing.T) {
 // TestMalformedResponses does the same for the response decoder.
 func TestMalformedResponses(t *testing.T) {
 	var enc Encoder
-	read, err := enc.Response(1, Response{Op: OpRead, Data: []byte("data")})
+	read, err := enc.Response(1, Response{Op: OpReadPath, Bufs: [][]byte{[]byte("data")}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	read = bytes.Clone(read) // the Encoder's buffer is reused per call
-	fail, err := enc.Response(2, Response{Op: OpRead, Status: 500, Err: "boom"})
+	fail, err := enc.Response(2, Response{Op: OpReadPath, Status: 500, Err: "boom"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,6 +225,43 @@ func TestMalformedResponses(t *testing.T) {
 	}
 }
 
+// TestRetiredOpsRefused pins that the per-bucket op bytes (read 1, write 2,
+// peek 5, poke 6) are gone from both decoders: a frame that spells one of
+// them exactly as the protocol once encoded it — a read or peek request
+// naming one index and answered with one bucket, a write or poke request
+// carrying one bucket and answered with an empty ack — fails to decode as
+// frame.ErrMalformed, and the encoder refuses to write one.
+func TestRetiredOpsRefused(t *testing.T) {
+	for _, op := range []byte{1, 2, 5, 6} {
+		var enc Encoder
+		if _, err := enc.Request(1, Request{Op: op, Idxs: []uint64{42}}); !errors.Is(err, frame.ErrMalformed) {
+			t.Errorf("op %d encodes as a request: err %v", op, err)
+		}
+		if _, err := enc.Response(1, Response{Op: op}); !errors.Is(err, frame.ErrMalformed) {
+			t.Errorf("op %d encodes as a response: err %v", op, err)
+		}
+		req := frame.AppendHeader(nil, magic, frame.KindRequest, 1)
+		req = append(req, op)
+		req = binary.LittleEndian.AppendUint64(req, 7)  // space
+		req = binary.LittleEndian.AppendUint64(req, 42) // idx
+		resp := frame.AppendHeader(nil, magic, frame.KindResponse, 1)
+		resp = append(resp, op, 0, 0, 0, 0, 0, 0) // status 0, errLen 0
+		bucket := append(binary.LittleEndian.AppendUint32(nil, 4), "data"...)
+		if op == 1 || op == 5 {
+			resp = append(resp, bucket...)
+		} else {
+			req = append(req, bucket...)
+		}
+		var dec Decoder
+		if _, _, err := dec.Request(req[4:]); !errors.Is(err, frame.ErrMalformed) {
+			t.Errorf("op %d request: err %v, want frame.ErrMalformed", op, err)
+		}
+		if _, _, err := dec.Response(resp[4:]); !errors.Is(err, frame.ErrMalformed) {
+			t.Errorf("op %d response: err %v, want frame.ErrMalformed", op, err)
+		}
+	}
+}
+
 // TestDecodedSlicesAliasFrame pins the zero-copy contract: decoded payloads
 // must alias the input frame, not fresh allocations — that aliasing is what
 // lets mem.Remote satisfy the PathReader contract without copies.
@@ -263,7 +290,7 @@ func TestEncoderErrors(t *testing.T) {
 	if _, err := enc.Request(1, Request{Op: 0}); !errors.Is(err, frame.ErrMalformed) {
 		t.Errorf("zero op: %v", err)
 	}
-	if _, err := enc.Request(1, Request{Op: OpWrite, Data: make([]byte, MaxBucketBytes+1)}); !errors.Is(err, frame.ErrTooLarge) {
+	if _, err := enc.Request(1, Request{Op: OpWritePath, Idxs: []uint64{1}, Bufs: [][]byte{make([]byte, MaxBucketBytes+1)}}); !errors.Is(err, frame.ErrTooLarge) {
 		t.Errorf("oversized bucket: %v", err)
 	}
 	if _, err := enc.Request(1, Request{Op: OpReadPath, Idxs: make([]uint64, MaxPathBuckets+1)}); !errors.Is(err, frame.ErrTooLarge) {
@@ -275,21 +302,34 @@ func TestEncoderErrors(t *testing.T) {
 	}
 }
 
+// requestSeeds and responseSeeds start the two fuzz targets, here and as
+// the committed corpus (see TestWriteSeedCorpus): one-bucket and wider
+// paths, absent and deleted buckets, stats, and an error answer.
+var (
+	requestSeeds = []Request{
+		{Op: OpReadPath, Space: 1, Idxs: []uint64{2}},
+		{Op: OpWritePath, Space: 1, Idxs: []uint64{2}, Bufs: [][]byte{[]byte("d")}},
+		{Op: OpWritePath, Space: 1, Idxs: []uint64{2}, Bufs: [][]byte{nil}},
+		{Op: OpReadPath, Space: 1, Idxs: []uint64{1, 2, 3}},
+		{Op: OpWritePath, Space: 1, Idxs: []uint64{1, 2}, Bufs: [][]byte{[]byte("x"), nil}},
+		{Op: OpStats},
+	}
+	responseSeeds = []Response{
+		{Op: OpReadPath, Bufs: [][]byte{[]byte("d")}},
+		{Op: OpReadPath, Bufs: [][]byte{nil}},
+		{Op: OpReadPath, Bufs: [][]byte{[]byte("a"), nil}},
+		{Op: OpStats, Bytes: 100},
+		{Op: OpWritePath, Status: 500, Err: "x"},
+	}
+)
+
 // FuzzDecodeRequest feeds arbitrary bytes through the request decoder and,
 // when one decodes, re-encodes and re-decodes it asserting a fixed point —
 // the decoder must never panic and must agree with the encoder about what
 // the bytes mean.
 func FuzzDecodeRequest(f *testing.F) {
 	var seedEnc Encoder
-	seeds := []Request{
-		{Op: OpRead, Space: 1, Idx: 2},
-		{Op: OpWrite, Space: 1, Idx: 2, Data: []byte("d")},
-		{Op: OpPoke, Space: 1, Idx: 2},
-		{Op: OpReadPath, Space: 1, Idxs: []uint64{1, 2, 3}},
-		{Op: OpWritePath, Space: 1, Idxs: []uint64{1, 2}, Bufs: [][]byte{[]byte("x"), nil}},
-		{Op: OpStats},
-	}
-	for i, r := range seeds {
+	for i, r := range requestSeeds {
 		frame, err := seedEnc.Request(uint64(i), r)
 		if err != nil {
 			f.Fatal(err)
@@ -309,8 +349,7 @@ func FuzzDecodeRequest(f *testing.F) {
 		}
 		// Clone before the second decode: req's slices alias p, and the
 		// re-decode scribbles over the decoder scratch.
-		want := Request{Op: req.Op, Space: req.Space, Idx: req.Idx,
-			Data: bytes.Clone(req.Data)}
+		want := Request{Op: req.Op, Space: req.Space}
 		want.Idxs = append([]uint64(nil), req.Idxs...)
 		for _, b := range req.Bufs {
 			want.Bufs = append(want.Bufs, bytes.Clone(b))
@@ -328,14 +367,7 @@ func FuzzDecodeRequest(f *testing.F) {
 // FuzzDecodeResponse is the response-side twin of FuzzDecodeRequest.
 func FuzzDecodeResponse(f *testing.F) {
 	var seedEnc Encoder
-	seeds := []Response{
-		{Op: OpRead, Data: []byte("d")},
-		{Op: OpRead},
-		{Op: OpReadPath, Bufs: [][]byte{[]byte("a"), nil}},
-		{Op: OpStats, Buckets: 2, Bytes: 100},
-		{Op: OpWrite, Status: 500, Err: "x"},
-	}
-	for i, r := range seeds {
+	for i, r := range responseSeeds {
 		frame, err := seedEnc.Response(uint64(i), r)
 		if err != nil {
 			f.Fatal(err)
@@ -353,8 +385,7 @@ func FuzzDecodeResponse(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decoded response %+v does not re-encode: %v", resp, err)
 		}
-		want := Response{Op: resp.Op, Status: resp.Status, Err: resp.Err,
-			Data: bytes.Clone(resp.Data), Buckets: resp.Buckets, Bytes: resp.Bytes}
+		want := Response{Op: resp.Op, Status: resp.Status, Err: resp.Err, Bytes: resp.Bytes}
 		for _, b := range resp.Bufs {
 			want.Bufs = append(want.Bufs, bytes.Clone(b))
 		}

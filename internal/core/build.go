@@ -248,6 +248,9 @@ func newMemFactory(p Params) (func(g tree.Geometry) (mem.Backend, error), error)
 	if p.MemAddr != "" && p.MemNamespace == "" {
 		return nil, fmt.Errorf("core: remote (MemAddr) untrusted memory requires a MemNamespace")
 	}
+	if p.MemNamespace != "" && p.MemAddr == "" {
+		return nil, fmt.Errorf("core: MemNamespace %q names a bucketd namespace, but MemAddr is empty", p.MemNamespace)
+	}
 	if p.DataDir != "" {
 		if err := os.MkdirAll(p.DataDir, 0o755); err != nil {
 			return nil, fmt.Errorf("core: %w", err)

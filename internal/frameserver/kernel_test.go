@@ -24,7 +24,7 @@ func TestForeignProtocolFrameDropsConnection(t *testing.T) {
 	good, bad := dialFrames(t, addr), dialFrames(t, addr)
 
 	var enc bucketwire.Encoder
-	ormb, err := enc.Request(1, bucketwire.Request{Op: bucketwire.OpRead, Space: 1, Idx: 1})
+	ormb, err := enc.Request(1, bucketwire.Request{Op: bucketwire.OpReadPath, Space: 1, Idxs: []uint64{1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,6 +45,14 @@ func TestForeignProtocolFrameDropsConnection(t *testing.T) {
 // reads fills the socket buffers and then the connection's window. Close
 // still returns, Serve returns nil, and once the store is closed too no
 // goroutine outlives them.
+//
+// The window fills only once the store has served every batch the socket
+// buffers absorb (a dozen or so 256 KiB responses on loopback) and 64
+// more: the read loop submits a batch only as fast as the shard drains its
+// queue. So every get names one address, which the shard coalesces into
+// about two ORAM accesses per batch. With 64 distinct addresses a batch
+// would cost 64 accesses, ~100 ms under -race on a 2-vCPU box, and the
+// window would still be filling when the wait runs out.
 func TestCloseWithFullWindow(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	st, err := store.New(store.Config{
@@ -65,10 +73,7 @@ func TestCloseWithFullWindow(t *testing.T) {
 	idle := dialFrames(t, ln.Addr().String()) // open, nothing in flight
 	mute := dialFrames(t, ln.Addr().String())
 	mute.conn.(*net.TCPConn).SetReadBuffer(4 << 10)
-	ops := make([]frame.Op, 64) // 64 gets of 4 KiB blocks: ~256 KiB per response
-	for i := range ops {
-		ops[i].Addr = uint64(i)
-	}
+	ops := make([]frame.Op, 64) // 64 gets of one 4 KiB block: ~256 KiB per response
 	req, err := mute.enc.Request(0, ops)
 	if err != nil {
 		t.Fatal(err)

@@ -56,8 +56,6 @@ type FileStore struct {
 	geom      tree.Geometry
 	slotBytes int
 	buckets   uint64
-	present   []uint64 // bitmap of materialized slots
-	resident  uint64   // population count of present
 	reads     uint64
 	writes    uint64
 	// readBuf is the reusable slotBytes-long buffer Read copies a bucket
@@ -122,7 +120,6 @@ func OpenFile(cfg FileConfig) (*FileStore, error) {
 		buckets:   buckets,
 		readBuf:   make([]byte, cfg.SlotBytes),
 	}
-	s.present = make([]uint64, (s.buckets+63)/64)
 	if err := s.open(); err != nil {
 		_ = s.release() // the open error is the one to report
 		return nil, err
@@ -131,8 +128,7 @@ func OpenFile(cfg FileConfig) (*FileStore, error) {
 }
 
 // open brings the file to its full size (a fresh one gets its header, an
-// existing one is validated), maps it, and scans an existing one for its
-// materialized slots.
+// existing one is validated) and maps it.
 func (s *FileStore) open() error {
 	size := s.size()
 	if int64(int(size)) != size {
@@ -142,8 +138,7 @@ func (s *FileStore) open() error {
 	if err != nil {
 		return fmt.Errorf("mem: %w: %w", ErrIO, err)
 	}
-	fresh := info.Size() == 0
-	if fresh {
+	if info.Size() == 0 {
 		err = s.init()
 	} else {
 		err = s.reopen()
@@ -154,10 +149,7 @@ func (s *FileStore) open() error {
 	if s.data, err = mapFile(s.f, int(size)); err != nil {
 		return fmt.Errorf("mem: mapping %s: %w: %w", s.f.Name(), ErrIO, err)
 	}
-	if fresh {
-		return nil
-	}
-	return s.scanPresent()
+	return nil
 }
 
 func (s *FileStore) size() int64 {
@@ -216,76 +208,6 @@ func (s *FileStore) reopen() error {
 		}
 	}
 	return nil
-}
-
-// seekData/seekHole are SEEK_DATA/SEEK_HOLE: supported by Linux and most
-// modern unices; filesystems without sparse-seek support simply return an
-// error and we fall back to a full scan.
-const (
-	seekData = 3
-	seekHole = 4
-)
-
-// scanPresent rebuilds the materialized-slot bitmap. The page file is
-// preallocated sparse, so scan cost should track bytes actually written,
-// not tree capacity: SEEK_DATA/SEEK_HOLE walks only the materialized
-// extents of a multi-gigabyte mostly-empty file. A full sequential scan is
-// the fallback when the filesystem cannot enumerate holes.
-func (s *FileStore) scanPresent() (err error) {
-	defer s.guard(debug.SetPanicOnFault(true), &err)
-	end := s.size()
-	cur := int64(fileHeaderLen)
-	usedSparse := false
-	for cur < end {
-		dataOff, err := s.f.Seek(cur, seekData)
-		if err != nil {
-			// ENXIO: cur sits in the trailing hole — done. Any other error
-			// on the first probe means sparse seek is unsupported here.
-			if !usedSparse {
-				s.scanSlots(fileHeaderLen, end)
-			}
-			return nil
-		}
-		usedSparse = true
-		if dataOff >= end {
-			return nil
-		}
-		holeOff, err := s.f.Seek(dataOff, seekHole)
-		if err != nil || holeOff <= dataOff {
-			holeOff = end
-		}
-		s.scanSlots(dataOff, holeOff)
-		cur = holeOff
-	}
-	return nil
-}
-
-// scanSlots reads, through the mapping, the length prefix of every slot
-// overlapping file offsets [lo, hi) and marks the non-empty ones.
-func (s *FileStore) scanSlots(lo, hi int64) {
-	stride := int64(slotLenBytes + s.slotBytes)
-	first := (lo - fileHeaderLen) / stride
-	if first > 0 {
-		first-- // catch a slot straddling the region start
-	}
-	for idx := uint64(first); idx < s.buckets && s.slotOff(idx) < hi; idx++ {
-		if binary.BigEndian.Uint32(s.data[s.slotOff(idx):]) != 0 {
-			s.mark(idx, true)
-		}
-	}
-}
-
-func (s *FileStore) mark(idx uint64, on bool) {
-	w, bit := idx/64, uint64(1)<<(idx%64)
-	if on {
-		if s.present[w]&bit == 0 {
-			s.present[w] |= bit
-			s.resident++
-		}
-	} else if s.present[w]&bit != 0 {
-		s.present[w] &^= bit
-		s.resident--
-	}
 }
 
 func (s *FileStore) slotOff(idx uint64) int64 {
@@ -372,7 +294,6 @@ func (s *FileStore) store(idx uint64, data []byte) error {
 	}
 	binary.BigEndian.PutUint32(slot, uint32(len(data)))
 	copy(slot[slotLenBytes:], data)
-	s.mark(idx, len(data) > 0)
 	return nil
 }
 
@@ -437,12 +358,7 @@ func (s *FileStore) poke(idx uint64, data []byte) (err error) {
 
 // Stats implements Backend. Bytes reports the preallocated file size.
 func (s *FileStore) Stats() Stats {
-	return Stats{
-		Reads:   s.reads,
-		Writes:  s.writes,
-		Buckets: s.resident,
-		Bytes:   uint64(s.size()),
-	}
+	return Stats{Reads: s.reads, Writes: s.writes, Bytes: uint64(s.size())}
 }
 
 // Geometry returns the tree geometry recorded in the file header.

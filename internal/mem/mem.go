@@ -13,8 +13,10 @@
 //     process restarts, so a durable controller can resume serving them
 //     (see OpenFile for the on-disk format).
 //   - Remote (via DialRemote): buckets held by a bucketd server, the
-//     untrusted memory as a separate process. A slow memory is modelled by
-//     the server's round-trip delay (bucketd.Config.RTT), not here.
+//     untrusted memory as a separate process, reached by path reads and
+//     path writes only (a single bucket is a one-bucket path). A slow
+//     memory is modelled by the server's round-trip delay
+//     (bucketd.Config.RTT), not here.
 //
 // Flaky (via WithFaults) wraps any of them to inject I/O faults for tests.
 //
@@ -64,10 +66,9 @@ type TamperFunc func(idx uint64, data []byte) []byte
 
 // Stats is a snapshot of a backend's operation counters and footprint.
 type Stats struct {
-	Reads   uint64 // Read operations served (hook-visible)
-	Writes  uint64 // Write operations served (hook-visible)
-	Buckets uint64 // materialized (ever-written, non-deleted) buckets
-	Bytes   uint64 // resident payload bytes (Store) or on-disk file size (file)
+	Reads  uint64 // buckets read, by Read or a path read (hook-visible)
+	Writes uint64 // buckets written, by Write or a path write (hook-visible)
+	Bytes  uint64 // resident payload bytes (Store, Remote) or file size (FileStore)
 }
 
 // Backend is pluggable untrusted bucket storage: the interface between the
@@ -125,11 +126,10 @@ func (h *hooks) SetOnWrite(f TamperFunc) { h.onWrite = f }
 // per-bucket path — and a page exists only once a bucket in it was written.
 type Store struct {
 	hooks
-	pages   []*bucketPage // pages[idx/pageBuckets]; nil until first written
-	buckets uint64        // materialized buckets
-	bytes   uint64
-	reads   uint64
-	writes  uint64
+	pages  []*bucketPage // pages[idx/pageBuckets]; nil until first written
+	bytes  uint64
+	reads  uint64
+	writes uint64
 }
 
 // pageBuckets is how many buckets one page of a Store holds.
@@ -203,16 +203,12 @@ func (s *Store) put(idx uint64, data []byte) {
 		slot = &s.newPage(idx / pageBuckets)[idx%pageBuckets]
 	}
 	old := *slot
-	if old != nil {
-		s.bytes -= uint64(len(old))
-		s.buckets--
-	}
+	s.bytes -= uint64(len(old))
 	if data == nil {
 		*slot = nil
 		return
 	}
 	s.bytes += uint64(len(data))
-	s.buckets++
 	// Copy into the bucket's existing allocation when it fits: the caller
 	// keeps ownership of data (it is typically the controller's seal
 	// scratch), and steady-state rewrites of a bucket then allocate nothing.
@@ -242,12 +238,7 @@ func (s *Store) Poke(idx uint64, data []byte) { s.put(idx, data) }
 
 // Stats implements Backend.
 func (s *Store) Stats() Stats {
-	return Stats{
-		Reads:   s.reads,
-		Writes:  s.writes,
-		Buckets: s.buckets,
-		Bytes:   s.bytes,
-	}
+	return Stats{Reads: s.reads, Writes: s.writes, Bytes: s.bytes}
 }
 
 // Close implements Backend (no resources to release).

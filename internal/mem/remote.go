@@ -31,10 +31,10 @@ import (
 // Requests are written by the controller's goroutine; responses are read by
 // one receiver goroutine per connection, which hands whole frames over in
 // wire order. What the server still owes is one FIFO (owed): an entry per
-// pipelined WritePath acknowledgement and per issued path read. Whoever
-// needs the next response consumes the FIFO from its head, so acknowledgements
-// are checked on the way to the read they precede and nothing is ever
-// matched out of order.
+// frame sent — a pipelined WritePath acknowledgement, an issued path read, a
+// Stats answer. Whoever needs the next response consumes the FIFO from its
+// head, so acknowledgements are checked on the way to the answer they
+// precede and nothing is ever matched out of order.
 //
 // ReadPath is one round trip for the whole path: IssueReadPath then
 // CompleteReadPath (the SplitPathReader pair, which lets a caller keep
@@ -47,6 +47,12 @@ import (
 // latches an error that every subsequent operation returns: by then the
 // controller's state diverged from remote memory in an unverifiable way, so
 // the only safe outcome is fail-stop (the store quarantines the shard).
+//
+// Paths are the only bucket traffic: Read and Peek are one-bucket path
+// reads, Write and Poke one-bucket path writes that wait for their
+// acknowledgement, and Stats asks the server for its byte footprint. These
+// wait for their own answer, which queues behind those of any path reads in
+// flight, so they refuse to run beside one.
 //
 // Hooks run client-side: the TamperFunc API models an adversary between
 // controller and memory, and with a real network the natural tap point is
@@ -96,7 +102,7 @@ type Remote struct {
 // owedResp is one response the server has yet to send.
 type owedResp struct {
 	id uint64
-	op byte // bucketwire.OpWritePath (an acknowledgement) or OpReadPath
+	op byte // bucketwire.OpWritePath (an acknowledgement), OpReadPath or OpStats
 }
 
 const (
@@ -309,27 +315,31 @@ func (r *Remote) dropConn(cause error) {
 	r.held = nil
 }
 
-// send encodes and writes one request frame, returning its ID. The
-// deadline covers the write: a server that stops reading fills the socket
-// buffer, and a large WritePath would otherwise block here forever, never
-// reaching a wait that times out.
-func (r *Remote) send(req bucketwire.Request) (uint64, error) {
+// send encodes and writes one request frame and records, on owed, the
+// response the server owes for it. The deadline covers the write: a server
+// that stops reading fills the socket buffer, and a large WritePath would
+// otherwise block here forever, never reaching a wait that times out.
+func (r *Remote) send(req bucketwire.Request) error {
 	r.nextID++
-	id := r.nextID
-	b, err := r.enc.Request(id, req)
+	b, err := r.enc.Request(r.nextID, req)
 	if err != nil {
-		return 0, r.ioErr(err)
+		return r.ioErr(err)
 	}
 	r.conn.SetWriteDeadline(time.Now().Add(r.tm.op))
 	if _, err := r.conn.Write(b); err != nil {
 		err = r.ioErr(err)
 		r.dropConn(err)
-		return 0, err
+		return err
 	}
 	if r.n == 0 {
 		r.expect() // nothing older is awaited: the wait for a frame starts here
 	}
-	return id, nil
+	r.owed[(r.head+r.n)%owedCap] = owedResp{id: r.nextID, op: req.Op}
+	r.n++
+	if req.Op == bucketwire.OpReadPath {
+		r.inFlight++
+	}
+	return nil
 }
 
 // expect restarts the wait for the next response frame.
@@ -340,15 +350,6 @@ func (r *Remote) expect() {
 
 // overdue reports whether the next response frame is past its deadline.
 func (r *Remote) overdue() bool { return !time.Now().Before(r.deadline) }
-
-// push records that the server owes a response to frame id.
-func (r *Remote) push(id uint64, op byte) {
-	r.owed[(r.head+r.n)%owedCap] = owedResp{id: id, op: op}
-	r.n++
-	if op == bucketwire.OpReadPath {
-		r.inFlight++
-	}
-}
 
 // recv returns the next response frame in wire order; the previous one's
 // payloads die here. With wait it blocks until the frame's deadline; without,
@@ -442,71 +443,65 @@ func (r *Remote) drainAcks(wait bool) error {
 	return nil
 }
 
-// roundTrip performs one synchronous operation: connect if needed, send,
-// consume the pipelined write acknowledgements ahead of it, await the
-// response. The returned Response's payloads alias the receive buffer (valid
-// until the next operation on this backend). It cannot overtake a path read
-// in flight, so it refuses to run beside one.
-func (r *Remote) roundTrip(req bucketwire.Request) (bucketwire.Response, error) {
-	if err := r.ensureConn(); err != nil {
-		return bucketwire.Response{}, err
-	}
-	if r.inFlight > 0 {
-		return bucketwire.Response{}, fmt.Errorf("mem: remote %s: synchronous op %d with %d path read(s) in flight: %w",
-			r.cfg.Addr, req.Op, r.inFlight, ErrIO)
-	}
-	id, err := r.send(req)
-	if err != nil {
-		return bucketwire.Response{}, err
-	}
+// answer consumes the write acknowledgements owed ahead of the next path
+// read or stats answer, then that answer; the caller knows one is owed. A
+// nonzero status is an error that does not latch: the stream is still in
+// step, and the server applied nothing.
+func (r *Remote) answer() (bucketwire.Response, error) {
 	if err := r.drainAcks(true); err != nil {
 		return bucketwire.Response{}, err
 	}
-	payload, _, err := r.recv(true)
-	if err != nil {
-		return bucketwire.Response{}, err
+	resp, _, err := r.response(true)
+	if err == nil && resp.Status != 0 {
+		err = fmt.Errorf("mem: remote %s: server status %d: %s: %w", r.cfg.Addr, resp.Status, resp.Err, ErrIO)
 	}
-	resp, err := r.decode(payload, id, req.Op)
-	if err != nil {
-		return bucketwire.Response{}, err
-	}
-	if resp.Status != 0 {
-		return bucketwire.Response{}, fmt.Errorf("mem: remote %s: server status %d: %s: %w",
-			r.cfg.Addr, resp.Status, resp.Err, ErrIO)
-	}
-	return resp, nil
+	return resp, err
 }
 
-// Read implements Backend. The returned slice aliases the receive buffer:
-// valid until the next operation, per the Backend contract.
+// idle readies the connection for an operation that waits for its own
+// answer (see the type comment), refusing if a path read is in flight.
+func (r *Remote) idle() error {
+	if err := r.ensureConn(); err != nil {
+		return err
+	}
+	if r.inFlight > 0 {
+		return fmt.Errorf("mem: remote %s: synchronous operation with %d path read(s) in flight: %w",
+			r.cfg.Addr, r.inFlight, ErrIO)
+	}
+	return nil
+}
+
+// Read implements Backend: a one-bucket path read. The returned slice
+// aliases the receive buffer: valid until the next operation, per the
+// Backend contract.
 //
 //oram:offhotpath the remote transport is RTT-bound by design; per-op heap work is noise next to a network round trip
 func (r *Remote) Read(idx uint64) ([]byte, error) {
-	resp, err := r.roundTrip(bucketwire.Request{Op: bucketwire.OpRead, Space: r.space, Idx: idx})
-	if err != nil {
+	idxs, out := []uint64{idx}, make([][]byte, 1)
+	if err := r.idle(); err != nil {
 		return nil, err
 	}
-	r.reads++
-	data := resp.Data
-	if r.onRead != nil {
-		data = r.onRead(idx, data)
+	if err := r.IssueReadPath(idxs); err != nil {
+		return nil, err
 	}
-	return data, nil
+	if err := r.CompleteReadPath(idxs, out); err != nil {
+		return nil, err
+	}
+	return out[0], nil
 }
 
-// Write implements Backend, synchronously: one full round trip per bucket
-// (WritePath is the pipelined path the ORAM backends use).
+// Write implements Backend: a one-bucket path write that, unlike WritePath,
+// waits for its acknowledgement. A failed one latches, as for WritePath.
 //
 //oram:offhotpath the remote transport is RTT-bound by design; per-op heap work is noise next to a network round trip
 func (r *Remote) Write(idx uint64, data []byte) error {
-	if r.onWrite != nil {
-		data = r.onWrite(idx, data)
-	}
-	if _, err := r.roundTrip(bucketwire.Request{Op: bucketwire.OpWrite, Space: r.space, Idx: idx, Data: data}); err != nil {
+	if err := r.idle(); err != nil {
 		return err
 	}
-	r.writes++
-	return nil
+	if err := r.WritePath([]uint64{idx}, [][]byte{data}); err != nil {
+		return err
+	}
+	return r.drainAcks(true)
 }
 
 // ReadPath implements PathReader: the whole path in one round trip, issued
@@ -531,12 +526,7 @@ func (r *Remote) IssueReadPath(idxs []uint64) error {
 	if r.inFlight == owedCap-maxPendingAcks {
 		return fmt.Errorf("mem: remote %s: %d path reads already in flight: %w", r.cfg.Addr, r.inFlight, ErrIO)
 	}
-	id, err := r.send(bucketwire.Request{Op: bucketwire.OpReadPath, Space: r.space, Idxs: idxs})
-	if err != nil {
-		return err
-	}
-	r.push(id, bucketwire.OpReadPath)
-	return nil
+	return r.send(bucketwire.Request{Op: bucketwire.OpReadPath, Space: r.space, Idxs: idxs})
 }
 
 // CompleteReadPath implements SplitPathReader: it consumes the write
@@ -545,21 +535,29 @@ func (r *Remote) IssueReadPath(idxs []uint64) error {
 //
 //oram:offhotpath the remote transport is RTT-bound by design; per-op heap work is noise next to a network round trip
 func (r *Remote) CompleteReadPath(idxs []uint64, out [][]byte) error {
-	if err := r.ensureConn(); err != nil {
+	if err := r.complete(idxs, out); err != nil {
 		return err
 	}
-	if err := r.drainAcks(true); err != nil {
+	for i, idx := range idxs {
+		r.reads++
+		if r.onRead != nil {
+			out[i] = r.onRead(idx, out[i])
+		}
+	}
+	return nil
+}
+
+// complete is CompleteReadPath without its hooks and counters.
+func (r *Remote) complete(idxs []uint64, out [][]byte) error {
+	if err := r.ensureConn(); err != nil {
 		return err
 	}
 	if r.inFlight == 0 {
 		return fmt.Errorf("mem: remote %s: no path read in flight to complete: %w", r.cfg.Addr, ErrIO)
 	}
-	resp, _, err := r.response(true)
+	resp, err := r.answer()
 	if err != nil {
 		return err
-	}
-	if resp.Status != 0 {
-		return fmt.Errorf("mem: remote %s: server status %d: %s: %w", r.cfg.Addr, resp.Status, resp.Err, ErrIO)
 	}
 	if len(resp.Bufs) != len(idxs) {
 		err := fmt.Errorf("mem: remote %s: readpath returned %d buckets, want %d: %w",
@@ -567,14 +565,7 @@ func (r *Remote) CompleteReadPath(idxs []uint64, out [][]byte) error {
 		r.dropConn(err)
 		return err
 	}
-	for i, idx := range idxs {
-		r.reads++
-		data := resp.Bufs[i]
-		if r.onRead != nil {
-			data = r.onRead(idx, data)
-		}
-		out[i] = data
-	}
+	copy(out, resp.Bufs)
 	return nil
 }
 
@@ -607,15 +598,6 @@ func (r *Remote) ReadSignal() <-chan struct{} { return r.wake }
 //
 //oram:offhotpath the remote transport is RTT-bound by design; per-op heap work is noise next to a network round trip
 func (r *Remote) WritePath(idxs []uint64, data [][]byte) error {
-	if err := r.ensureConn(); err != nil {
-		return err
-	}
-	if r.n-r.inFlight >= maxPendingAcks {
-		// Only reachable with reads in flight ahead of that many writes,
-		// which no in-order caller produces.
-		return fmt.Errorf("mem: remote %s: %d write-backs unacknowledged behind a path read in flight: %w",
-			r.cfg.Addr, r.n-r.inFlight, ErrIO)
-	}
 	bufs := data
 	if r.onWrite != nil {
 		for len(r.wireBufs) < len(data) {
@@ -626,11 +608,9 @@ func (r *Remote) WritePath(idxs []uint64, data [][]byte) error {
 		}
 		bufs = r.wireBufs[:len(data)]
 	}
-	id, err := r.send(bucketwire.Request{Op: bucketwire.OpWritePath, Space: r.space, Idxs: idxs, Bufs: bufs})
-	if err != nil {
+	if err := r.writePath(idxs, bufs); err != nil {
 		return err
 	}
-	r.push(id, bucketwire.OpWritePath)
 	r.writes += uint64(len(idxs))
 	if r.n-r.inFlight >= maxPendingAcks {
 		return r.drainAcks(true)
@@ -638,33 +618,50 @@ func (r *Remote) WritePath(idxs []uint64, data [][]byte) error {
 	return nil
 }
 
-// Peek implements Backend: a synchronous read that bypasses hooks and
-// counters, returning a mutable copy (the adversary tampers with it and
-// Pokes it back).
-func (r *Remote) Peek(idx uint64) []byte {
-	resp, err := r.roundTrip(bucketwire.Request{Op: bucketwire.OpPeek, Space: r.space, Idx: idx})
-	if err != nil {
-		return nil
+// writePath sends a writepath frame: WritePath without its hooks and
+// counters.
+func (r *Remote) writePath(idxs []uint64, bufs [][]byte) error {
+	if err := r.ensureConn(); err != nil {
+		return err
 	}
-	return bytes.Clone(resp.Data)
+	if r.n-r.inFlight >= maxPendingAcks {
+		// Only reachable with reads in flight ahead of that many writes,
+		// which no in-order caller produces.
+		return fmt.Errorf("mem: remote %s: %d write-backs unacknowledged behind a path read in flight: %w",
+			r.cfg.Addr, r.n-r.inFlight, ErrIO)
+	}
+	return r.send(bucketwire.Request{Op: bucketwire.OpWritePath, Space: r.space, Idxs: idxs, Bufs: bufs})
 }
 
-// Poke implements Backend: a synchronous write (nil deletes) bypassing
-// hooks and counters. Faults are dropped — Poke is a test/adversary aid
-// with no error path.
+// Peek implements Backend: Read without hooks and counters, returning a
+// mutable copy (the adversary tampers with it and Pokes it back). A fault
+// reads as nil.
+func (r *Remote) Peek(idx uint64) []byte {
+	idxs, out := []uint64{idx}, make([][]byte, 1)
+	if r.idle() != nil || r.IssueReadPath(idxs) != nil || r.complete(idxs, out) != nil {
+		return nil
+	}
+	return bytes.Clone(out[0])
+}
+
+// Poke implements Backend: Write (nil deletes) without hooks and counters.
+// Poke is a test/adversary aid with no error path: a fault it meets is
+// dropped here, though a failed acknowledgement still latches.
 func (r *Remote) Poke(idx uint64, data []byte) {
-	r.roundTrip(bucketwire.Request{Op: bucketwire.OpPoke, Space: r.space, Idx: idx, Data: data})
+	if r.idle() == nil && r.writePath([]uint64{idx}, [][]byte{data}) == nil {
+		_ = r.drainAcks(true)
+	}
 }
 
 // Stats implements Backend: reads/writes are counted client-side (they are
-// hook-visible operations), bucket count and resident bytes come from the
-// server. A fault leaves the footprint fields zero rather than failing —
-// Stats has no error path.
+// hook-visible operations), resident bytes come from the server. A fault
+// leaves Bytes zero rather than failing — Stats has no error path.
 func (r *Remote) Stats() Stats {
 	st := Stats{Reads: r.reads, Writes: r.writes}
-	resp, err := r.roundTrip(bucketwire.Request{Op: bucketwire.OpStats, Space: r.space})
-	if err == nil {
-		st.Buckets = resp.Buckets
+	if r.idle() != nil || r.send(bucketwire.Request{Op: bucketwire.OpStats, Space: r.space}) != nil {
+		return st
+	}
+	if resp, err := r.answer(); err == nil {
 		st.Bytes = resp.Bytes
 	}
 	return st

@@ -87,8 +87,8 @@ func TestRemoteRoundTrip(t *testing.T) {
 	if got, _ := r.Read(6); got != nil {
 		t.Fatalf("deleted bucket reads as %q", got)
 	}
-	if st := r.Stats(); st.Buckets != 1 || st.Bytes != 5 {
-		t.Errorf("server footprint %+v, want 1 bucket / 5 bytes", st)
+	if st := r.Stats(); st.Bytes != 5 {
+		t.Errorf("server footprint %+v, want 5 bytes", st)
 	}
 }
 
@@ -206,15 +206,16 @@ func TestRemoteServerShutdownMidUse(t *testing.T) {
 	}
 }
 
-// TestRemoteInjectedFault pins the server-side fault path: a status-500
-// answer surfaces as ErrIO, is NOT latched (the stream stays in sync), and
-// the connection keeps serving.
+// TestRemoteInjectedFault pins the server-side fault path for reads: a
+// status-500 answer surfaces as ErrIO, is NOT latched (the stream stays in
+// sync, and a refused read changed nothing), and the connection keeps
+// serving. A refused write does latch (TestRemoteWriteFaultLatches).
 func TestRemoteInjectedFault(t *testing.T) {
 	addr, _ := startBucketd(t, bucketd.Config{FailEvery: 3})
 	r := dialTest(t, addr, "t/fault")
 	var failures int
 	for op := 1; op <= 9; op++ {
-		err := r.Write(uint64(op), []byte{byte(op)})
+		_, err := r.Read(uint64(op))
 		if err != nil {
 			if !errors.Is(err, ErrIO) {
 				t.Fatalf("op %d: %v, want ErrIO", op, err)
@@ -250,6 +251,28 @@ func TestRemotePipelinedWriteFaultLatches(t *testing.T) {
 	}
 	if err := r.Write(0, []byte("z")); !errors.Is(err, ErrIO) {
 		t.Fatalf("latched fault did not stick for writes: %v", err)
+	}
+}
+
+// TestRemoteWriteFaultLatches pins that a per-bucket Write is a one-bucket
+// path write with the same fail-stop contract as WritePath, only awaited: a
+// refused acknowledgement fails the Write itself with ErrIO, and the fault
+// latches for every later operation.
+func TestRemoteWriteFaultLatches(t *testing.T) {
+	addr, _ := startBucketd(t, bucketd.Config{FailEvery: 2})
+	r := dialTest(t, addr, "t/write-fault")
+	if err := r.Write(1, []byte("a")); err != nil {
+		t.Fatalf("first write: %v", err)
+	}
+	err := r.Write(2, []byte("b")) // the second data op: refused
+	if !errors.Is(err, ErrIO) || !strings.Contains(err.Error(), "write-back") {
+		t.Fatalf("refused write: %v, want ErrIO mentioning write-back", err)
+	}
+	if _, err := r.Read(1); !errors.Is(err, ErrIO) {
+		t.Fatalf("read after a refused write: %v, want the latched fault", err)
+	}
+	if err := r.Write(3, []byte("c")); !errors.Is(err, ErrIO) {
+		t.Fatalf("write after a refused write: %v, want the latched fault", err)
 	}
 }
 

@@ -11,6 +11,8 @@ import (
 
 	"freecursive"
 	"freecursive/internal/bucketd"
+	"freecursive/internal/bucketwire"
+	"freecursive/internal/mem"
 )
 
 // startBucketd runs an in-process bucket server on an ephemeral port.
@@ -160,5 +162,90 @@ func TestRemoteConcurrentShards(t *testing.T) {
 	close(errc)
 	for err := range errc {
 		t.Fatal(err)
+	}
+}
+
+// TestRemoteWireIsPathsOnly: whatever reaches bucketd — a 2-shard store's
+// Puts and Gets, then Peek, Poke and Stats on one shard's memory — the
+// wiretap sees path reads and path writes only. Peek and Poke travel as
+// one-bucket paths naming the bucket they touch; Stats touches no bucket.
+func TestRemoteWireIsPathsOnly(t *testing.T) {
+	type touch struct {
+		op  byte
+		idx uint64
+	}
+	var (
+		mu   sync.Mutex
+		wire []touch
+	)
+	tapped := func() []touch {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]touch(nil), wire...)
+	}
+	addr := startBucketd(t, bucketd.Config{Trace: func(op byte, _, idx uint64) {
+		mu.Lock()
+		wire = append(wire, touch{op, idx})
+		mu.Unlock()
+	}})
+	cfg := lightCfg(2, 1<<12)
+	cfg.MemAddr = addr
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for a := uint64(0); a < 1<<12; a += 37 {
+		if _, err := s.Put(a, val(a, 16)); err != nil {
+			t.Fatalf("Put(%d): %v", a, err)
+		}
+		if got, err := s.Get(a); err != nil || !bytes.Equal(got, val(a, 16)) {
+			t.Fatalf("Get(%d) = %x, %v", a, got, err)
+		}
+	}
+	if err := s.Close(); err != nil { // drains the pipelined write-backs
+		t.Fatal(err)
+	}
+	stored := len(tapped())
+	if stored == 0 {
+		t.Fatal("the store's accesses reached bucketd untapped")
+	}
+
+	m, err := mem.DialRemote(mem.RemoteConfig{Addr: addr, Namespace: "store/shard-0000/tree-0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	var idx uint64
+	var raw []byte
+	for ; raw == nil && idx < 1<<13; idx++ {
+		raw = m.Peek(idx)
+	}
+	if raw == nil {
+		t.Fatal("shard 0 has no bucket below its treetop")
+	}
+	idx--
+	m.Poke(idx, raw)
+	if st := m.Stats(); st.Bytes == 0 {
+		t.Errorf("Stats reports %+v for a tree with buckets", st)
+	}
+
+	all := tapped()
+	for i, w := range all {
+		if w.op != bucketwire.OpReadPath && w.op != bucketwire.OpWritePath {
+			t.Fatalf("wire touch %d: op %d on bucket %d, want only readpath (%d) and writepath (%d)",
+				i, w.op, w.idx, bucketwire.OpReadPath, bucketwire.OpWritePath)
+		}
+	}
+	tamper := all[stored:]
+	if n := len(tamper); n != int(idx)+2 {
+		t.Fatalf("%d touches for %d peeks, a poke and stats, want %d", n, idx+1, idx+2)
+	}
+	for i, w := range tamper[:idx+1] {
+		if w != (touch{bucketwire.OpReadPath, uint64(i)}) {
+			t.Fatalf("peek %d reached the wire as %+v", i, w)
+		}
+	}
+	if w := tamper[idx+1]; w != (touch{bucketwire.OpWritePath, idx}) {
+		t.Fatalf("poke of bucket %d reached the wire as %+v", idx, w)
 	}
 }

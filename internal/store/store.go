@@ -58,14 +58,6 @@ type Config struct {
 	// treated as the store seed: each shard's ORAM seed is derived from
 	// (store seed, shard index) with a SplitMix64-style mix, so distinct
 	// (seed, shard) pairs draw independent randomness.
-	//
-	// Compatibility note: releases before the SplitMix64 derivation offset
-	// the seed linearly per shard, which made shard i of a store seeded s
-	// identical to shard i-1 of a store seeded s+0x9E37. The new derivation
-	// changes every shard's block placement, so a durable store written by
-	// an old build will refuse to resume (the per-shard snapshots record
-	// the old seeds and the parameter check fails loudly); re-create the
-	// store to migrate.
 	ORAM freecursive.Config
 	// DataDir, if non-empty, makes the store durable: shard i keeps its
 	// bucket page files and trusted-state snapshot under
@@ -86,7 +78,8 @@ type Config struct {
 	// the rest keep serving. Incompatible with DataDir.
 	MemAddr string
 	// MemNamespace isolates this store's buckets on a shared bucketd
-	// (default "store"). Two live stores must not share a namespace.
+	// (default "store"). Two live stores must not share a namespace. It
+	// needs MemAddr: New refuses it alone.
 	MemNamespace string
 }
 
@@ -181,7 +174,8 @@ func New(cfg Config) (*Store, error) {
 		ocfg := cfg.ORAM
 		ocfg.Blocks = perShard
 		ocfg.Seed = shardSeed(base, uint64(i))
-		if cfg.MemAddr != "" {
+		if cfg.MemAddr != "" || cfg.MemNamespace != "" {
+			// Handed down even without MemAddr, for core to refuse.
 			ocfg.MemAddr = cfg.MemAddr
 			ocfg.MemNamespace = fmt.Sprintf("%s/shard-%04d", ns, i)
 		}

@@ -183,8 +183,8 @@ func TestOutOfRange(t *testing.T) {
 // TestMemoryConfigRejected: a memory field of the per-shard ORAM config
 // would reach every shard unchanged — one page file or one bucketd space
 // for all of them — so New refuses it and names the store-level field to
-// set instead; page files and a bucketd at once are refused by core's one
-// check.
+// set instead; page files and a bucketd at once, and a bucketd namespace
+// without a bucketd, are refused by core's one check.
 func TestMemoryConfigRejected(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -196,6 +196,8 @@ func TestMemoryConfigRejected(t *testing.T) {
 		{"ORAM.MemNamespace", func(c *Config) { c.ORAM.MemNamespace = "ns" }, "set Config.MemNamespace instead"},
 		{"DataDir+MemAddr", func(c *Config) { c.DataDir, c.MemAddr = t.TempDir(), "127.0.0.1:1" },
 			"core: durable (DataDir) and remote (MemAddr) untrusted memory are mutually exclusive"},
+		{"MemNamespace without MemAddr", func(c *Config) { c.MemNamespace = "ns" }, "MemNamespace \"ns/shard-0000\" names a bucketd namespace, but MemAddr is empty"},
+		{"MemNamespace+DataDir without MemAddr", func(c *Config) { c.MemNamespace, c.DataDir = "ns", t.TempDir() }, "MemAddr is empty"},
 	} {
 		cfg := lightCfg(2, 256)
 		tc.set(&cfg)

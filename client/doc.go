@@ -10,9 +10,9 @@
 // The Client moves batches through a Transport, set in Config.Transport.
 // The built-in one is client.Binary(addr): length-prefixed binary frames
 // over a small pool of long-lived TCP connections to the frame listener
-// of an oramstore server (`-listen-binary`, :8081 by default). Batches are
-// pipelined: many in flight per connection, correlated by frame ID,
-// answered in completion order, with near-zero-copy encoding. The frame
+// of an oramstore server (`-listen-binary`, 127.0.0.1:8081 by default).
+// Batches are pipelined: many in flight per connection, correlated by frame
+// ID, answered in completion order, with near-zero-copy encoding. The frame
 // protocol is the only batched wire the server speaks; its HTTP listener
 // serves single blocks and admin routes only.
 //

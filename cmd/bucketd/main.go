@@ -27,7 +27,7 @@
 // Example:
 //
 //	bucketd -addr :9200 -rtt 10ms &
-//	oramstore -addr :8080 -mem-addr localhost:9200
+//	oramstore -mem-addr localhost:9200
 package main
 
 import (

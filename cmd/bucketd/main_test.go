@@ -25,7 +25,9 @@ func TestRunServesUntilStopped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.Poke(1, []byte("bucket"))
+	if err := r.Write(1, []byte("bucket")); err != nil {
+		t.Fatal(err)
+	}
 	if st := r.Stats(); st.Bytes != 6 {
 		t.Errorf("Stats round trip: %+v, want 6 bytes", st)
 	}

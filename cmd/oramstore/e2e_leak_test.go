@@ -16,6 +16,7 @@ import (
 
 	"freecursive"
 	"freecursive/client"
+	"freecursive/internal/adversary"
 	"freecursive/internal/bucketd"
 	"freecursive/internal/core"
 	"freecursive/internal/frameserver"
@@ -160,13 +161,15 @@ func testNoSecretLeak(t *testing.T, backendKind string) {
 	defer adv.Close()
 	tampered := 0
 	for idx := uint64(0); idx < 1<<13; idx++ {
-		raw := adv.Peek(idx)
+		raw := adversary.Inspect(adv, idx)
 		if raw == nil {
 			continue
 		}
 		raw[len(raw)-1] ^= 0xff
 		raw[7] ^= 0x01
-		adv.Poke(idx, raw)
+		if err := adv.Write(idx, raw); err != nil {
+			t.Fatal(err)
+		}
 		tampered++
 	}
 	if tampered == 0 {

@@ -8,6 +8,7 @@ import (
 
 	"freecursive"
 	"freecursive/client"
+	"freecursive/internal/adversary"
 	"freecursive/internal/bucketd"
 	"freecursive/internal/core"
 	"freecursive/internal/frameserver"
@@ -94,13 +95,15 @@ func testRemoteTamper(t *testing.T, backendKind string) {
 	defer adv.Close()
 	tampered := 0
 	for idx := uint64(0); idx < 1<<10; idx++ {
-		raw := adv.Peek(idx)
+		raw := adversary.Inspect(adv, idx)
 		if raw == nil {
 			continue
 		}
 		raw[len(raw)-1] ^= 0xff
 		raw[7] ^= 0x01
-		adv.Poke(idx, raw)
+		if err := adv.Write(idx, raw); err != nil {
+			t.Fatal(err)
+		}
 		tampered++
 	}
 	if tampered == 0 {

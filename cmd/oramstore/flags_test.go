@@ -2,6 +2,7 @@ package main
 
 import (
 	"flag"
+	"net"
 	"os"
 	"regexp"
 	"slices"
@@ -113,6 +114,25 @@ func TestFlagValuesChecked(t *testing.T) {
 			t.Errorf("%s %v: accepted", tc.mode, tc.args)
 		case tc.want != "" && !strings.Contains(err.Error(), tc.want):
 			t.Errorf("%s %v: error %q does not name %s", tc.mode, tc.args, err, tc.want)
+		}
+	}
+}
+
+// TestServeListensOnLoopbackByDefault: with no flags, both listeners bind
+// the loopback interface only. Serving every interface is a choice the
+// operator makes by passing an address.
+func TestServeListensOnLoopbackByDefault(t *testing.T) {
+	var o serveOpts
+	if err := serveFlags(&o).Parse(nil); err != nil {
+		t.Fatal(err)
+	}
+	for flagName, addr := range map[string]string{"-addr": o.addr, "-listen-binary": o.listenBin} {
+		host, _, err := net.SplitHostPort(addr)
+		if err != nil {
+			t.Fatalf("%s default %q: %v", flagName, addr, err)
+		}
+		if ip := net.ParseIP(host); ip == nil || !ip.IsLoopback() {
+			t.Errorf("%s defaults to %q, which binds beyond loopback", flagName, addr)
 		}
 	}
 }

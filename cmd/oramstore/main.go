@@ -1,13 +1,13 @@
 // Command oramstore serves a sharded oblivious block store, and doubles as
 // a load probe for a running one.
 //
-// Serve mode (the default) listens twice. The frame listener
-// (-listen-binary, :8081 unless set; "" turns it off) is the batched data
-// plane: length-prefixed request/response frames
+// Serve mode (the default) listens twice, on loopback unless told
+// otherwise. The frame listener (-listen-binary, 127.0.0.1:8081 unless set;
+// "" turns it off) is the batched data plane: length-prefixed request/response frames
 // (freecursive/internal/frame) over long-lived pipelined connections,
 // dispatched straight into the store's batch pipeline — the wire of
-// freecursive/client. The HTTP listener (-addr) is for admin and
-// debugging (handler in freecursive/internal/httpapi):
+// freecursive/client. The HTTP listener (-addr, 127.0.0.1:8080 unless
+// set) is for admin and debugging (handler in freecursive/internal/httpapi):
 //
 //	GET  /block/{addr}  — read a block (application/octet-stream)
 //	PUT  /block/{addr}  — write a block (body is zero-padded/truncated)
@@ -45,10 +45,11 @@
 //
 // Examples:
 //
-//	oramstore -addr :8080 -shards 16 -blocks 20
-//	oramstore -addr :8080 -listen-binary :9081 -shards 16
-//	oramstore -addr :8080 -shards 4 -blocks 18 -data-dir /var/lib/oramstore
-//	oramstore load -addr localhost:8081 -dist zipf -batch 16
+//	oramstore -shards 16 -blocks 20
+//	oramstore -listen-binary 127.0.0.1:9081 -shards 16
+//	oramstore -addr 10.0.0.5:8080 -listen-binary 10.0.0.5:8081 -shards 16   # serve beyond loopback
+//	oramstore -shards 4 -blocks 18 -data-dir /var/lib/oramstore
+//	oramstore load -addr 127.0.0.1:8081 -dist zipf -batch 16
 package main
 
 import (
@@ -94,8 +95,8 @@ type serveOpts struct {
 // is parsed. The README's serve-flag table lists exactly these.
 func serveFlags(o *serveOpts) *flag.FlagSet {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
-	fs.StringVar(&o.addr, "addr", ":8080", "HTTP listen address (single blocks, stats, metrics, health)")
-	fs.StringVar(&o.listenBin, "listen-binary", ":8081", "serve the binary frame protocol, the batched data plane, on this TCP address (\"\" turns it off)")
+	fs.StringVar(&o.addr, "addr", "127.0.0.1:8080", "HTTP listen address (single blocks, stats, metrics, health)")
+	fs.StringVar(&o.listenBin, "listen-binary", "127.0.0.1:8081", "serve the binary frame protocol, the batched data plane, on this TCP address (\"\" turns it off)")
 	fs.IntVar(&o.cfg.Shards, "shards", 8, "ORAM shard count (rounded up to a power of two)")
 	fs.IntVar(&o.logBlocks, "blocks", 16, "log2 of total capacity in blocks")
 	fs.IntVar(&o.cfg.ORAM.BlockBytes, "block", 64, "block size in bytes")

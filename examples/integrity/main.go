@@ -19,6 +19,7 @@ import (
 	"log"
 
 	"freecursive"
+	"freecursive/internal/adversary"
 	"freecursive/internal/backend"
 	"freecursive/internal/crypt"
 	"freecursive/internal/mem"
@@ -56,9 +57,11 @@ func act1() {
 	st := store(o)
 	flipped := 0
 	for idx := uint64(0); idx < 1<<13; idx++ {
-		if raw := st.Peek(idx); raw != nil {
+		if raw := adversary.Inspect(st, idx); raw != nil {
 			raw[len(raw)/2] ^= 0x40
-			st.Poke(idx, raw)
+			if err := st.Write(idx, raw); err != nil {
+				log.Fatal(err)
+			}
 			flipped++
 		}
 	}
@@ -97,15 +100,17 @@ func act2() {
 	st := store(o)
 	snapshot := map[uint64][]byte{}
 	for idx := uint64(0); idx < 1<<13; idx++ {
-		if raw := st.Peek(idx); raw != nil {
-			snapshot[idx] = bytes.Clone(raw)
+		if raw := adversary.Inspect(st, idx); raw != nil {
+			snapshot[idx] = raw
 		}
 	}
 	ledger("v2")
 	// Roll DRAM back to the v1 snapshot: every stored MAC is again a
 	// genuine MAC — but for counters the frontend has already moved past.
 	for idx, raw := range snapshot {
-		st.Poke(idx, raw)
+		if err := st.Write(idx, raw); err != nil {
+			log.Fatal(err)
+		}
 	}
 	var err error
 	for a := uint64(0); a < blocks && err == nil; a++ {

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"freecursive/internal/adversary"
 	"freecursive/internal/backend"
 	"freecursive/internal/core"
 	"freecursive/internal/crypt"
@@ -143,9 +144,12 @@ func TestIntegrityViolationSurfaced(t *testing.T) {
 	}
 	be := o.System().Backends[0].(*backend.PathORAM)
 	for idx := uint64(0); idx < be.Geometry().Buckets(); idx++ {
-		if raw := be.Store().Peek(idx); raw != nil {
+		if raw := adversary.Inspect(be.Store(), idx); raw != nil {
 			raw[len(raw)-1] ^= 0xff // corrupt the ciphertext body
 			raw[7] ^= 0x01          // and nudge the encryption seed
+			if err := be.Store().Write(idx, raw); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	if err := o.Violation(); err != nil {

@@ -18,6 +18,9 @@ import (
 	"freecursive/internal/backend/backendtest"
 	"freecursive/internal/core"
 	"freecursive/internal/crypt"
+	"freecursive/internal/mem"
+	"freecursive/internal/mem/memtest"
+	"freecursive/internal/tree"
 )
 
 // forEachKind runs an adversary campaign against a freshly built and
@@ -109,11 +112,15 @@ func TestDeletionCampaign(t *testing.T) {
 }
 
 // TestSeedRewind reproduces §6.4 end to end: under per-bucket seeds the
-// rewind leads the controller to reuse one-time pads (observable on the
-// memory bus); under the global-seed scheme no pad ever repeats. The
-// target runs WITHOUT PMMAC — the §6.4 point is exactly that this attack
-// is not an integrity event unless the garbled bucket happens to hold the
-// block of interest, so the encryption scheme must defend itself.
+// rewind leads the controller to reuse one-time pads; under the global-seed
+// scheme no pad ever repeats. The target runs WITHOUT PMMAC — the §6.4
+// point is exactly that this attack is not an integrity event unless the
+// garbled bucket happens to hold the block of interest, so the encryption
+// scheme must defend itself.
+//
+// The reuse is seen from both vantage points: at rest, in the memory of a
+// whole PC system whose seed scheme core.Params chose, and on the wire, over
+// a tree backend alone behind the decorator.
 //
 // The experiment is tree-backend-specific by construction: the bucket-hash
 // backend refuses to build under per-bucket seeds at all (every rebuild
@@ -121,7 +128,7 @@ func TestDeletionCampaign(t *testing.T) {
 // it can keep fresh) — TestBucketHashRefusesPerBucketSeeds pins that the
 // vulnerable configuration is unbuildable rather than untested.
 func TestSeedRewind(t *testing.T) {
-	run := func(enc crypt.SeedScheme) int {
+	atRest := func(enc crypt.SeedScheme) int {
 		sys, err := core.Build(core.Params{
 			Scheme: core.SchemePC, NBlocks: 1 << 10, DataBytes: 64,
 			OnChipBudgetBytes: 256, PLBCapacityBytes: 1 << 10,
@@ -131,32 +138,82 @@ func TestSeedRewind(t *testing.T) {
 			t.Fatal(err)
 		}
 		be := sys.Backends[0].(*backend.PathORAM)
+		st, n := be.Store(), be.Geometry().Buckets()
 		for a := uint64(0); a < 200; a++ {
 			if _, err := sys.Frontend.Access(a, true, []byte{byte(a)}); err != nil {
 				t.Fatal(err)
 			}
 		}
 		det := &adversary.PadReuseDetector{}
-		det.Install(be.Store())
+		det.Scan(st, n)
 		// Interleave rewinds with legitimate traffic: each access rewrites
 		// a path, and rewound seeds make the per-bucket controller repeat
 		// pads it already used.
 		rng := rand.New(rand.NewPCG(6, 6))
 		for round := 0; round < 30; round++ {
-			adversary.SeedRewinder{}.RewindAll(be.Store(), be.Geometry().Buckets())
+			adversary.SeedRewinder{}.RewindAll(st, n)
+			det.Mark(st, n)
 			for i := 0; i < 10; i++ {
 				if _, err := sys.Frontend.Access(rng.Uint64()%200, false, nil); err != nil {
 					t.Fatal(err)
 				}
+				det.Scan(st, n)
 			}
 		}
 		return det.Reuses
 	}
-	if reuses := run(crypt.SeedPerBucket); reuses == 0 {
-		t.Error("per-bucket seeds: expected pad reuse under seed rewind")
+	onWire := func(enc crypt.SeedScheme) int {
+		g, err := tree.NewGeometry(8, 4, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := crypt.NewBucketCipher([]byte("0123456789abcdef"), enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := memtest.Wrap(mem.NewStore())
+		be, err := backend.NewPathORAM(backend.Config{Geometry: g, Store: st, Cipher: c})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewPCG(6, 6))
+		leaf := map[uint64]uint64{}
+		access := func(a uint64) {
+			cur, ok := leaf[a]
+			if !ok {
+				cur = rng.Uint64() % g.Leaves()
+			}
+			leaf[a] = rng.Uint64() % g.Leaves()
+			if _, err := be.Access(backend.Request{Op: backend.OpWrite, Addr: a, Leaf: cur, NewLeaf: leaf[a], Data: []byte{byte(a)}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for a := uint64(0); a < 200; a++ {
+			access(a)
+		}
+		det := &adversary.PadReuseDetector{}
+		det.Install(st)
+		for round := 0; round < 30; round++ {
+			adversary.SeedRewinder{}.RewindAll(st.Backend, g.Buckets())
+			for i := 0; i < 10; i++ {
+				access(rng.Uint64() % 200)
+			}
+		}
+		return det.Reuses
 	}
-	if reuses := run(crypt.SeedGlobal); reuses != 0 {
-		t.Errorf("global seed: %d pad reuses — must be impossible", reuses)
+	for _, c := range []struct {
+		name string
+		run  func(crypt.SeedScheme) int
+	}{{"at-rest", atRest}, {"on-wire", onWire}} {
+		run := c.run
+		t.Run(c.name, func(t *testing.T) {
+			if reuses := run(crypt.SeedPerBucket); reuses == 0 {
+				t.Error("per-bucket seeds: expected pad reuse under seed rewind")
+			}
+			if reuses := run(crypt.SeedGlobal); reuses != 0 {
+				t.Errorf("global seed: %d pad reuses — must be impossible", reuses)
+			}
+		})
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"freecursive/internal/bucketd"
 	"freecursive/internal/crypt"
 	"freecursive/internal/mem"
+	"freecursive/internal/mem/memtest"
 	"freecursive/internal/tree"
 )
 
@@ -55,15 +56,14 @@ func tracedORAMTop(t *testing.T, st mem.Backend, k int) *backend.PathORAM {
 // obliviousness argument for the remote transport: what the network
 // adversary observes from a batched path request must be exactly what the
 // per-bucket bus probe observes on local memory. One controller runs over a
-// local store wiretapped with Hook() (which fires once per bucket); its
+// local store wiretapped through the decorator's Trace (once per bucket); its
 // twin runs over a live bucketd whose Trace callback is the network tap.
 // After every access the two bucket-index multisets must match.
 func TestBatchedPathSameIndexMultiset(t *testing.T) {
-	// Local reference: in-process bus probe on both read and write hooks.
+	// Local reference: in-process bus probe on reads and writes alike.
 	busTap := &IndexTrace{}
-	stLocal := mem.NewStore()
-	stLocal.SetOnRead(busTap.Hook())
-	stLocal.SetOnWrite(busTap.Hook())
+	stLocal := memtest.Wrap(mem.NewStore())
+	stLocal.Trace = func(_ byte, idx uint64) { busTap.Note(idx) }
 	local := tracedORAM(t, stLocal)
 
 	// Remote twin: network tap on the untrusted server itself.
@@ -137,9 +137,8 @@ func TestTreetopTraceIsLeafPathSuffix(t *testing.T) {
 	for _, k := range []int{0, 3, 6} {
 		for _, stream := range []string{"same-address", "uniform"} {
 			tap := &IndexTrace{}
-			st := mem.NewStore()
-			st.SetOnRead(tap.Hook())
-			st.SetOnWrite(tap.Hook())
+			st := memtest.Wrap(mem.NewStore())
+			st.Trace = func(_ byte, idx uint64) { tap.Note(idx) }
 			p := tracedORAMTop(t, st, k)
 			g := p.Geometry()
 			rng := rand.New(rand.NewPCG(uint64(len(stream)), 53))

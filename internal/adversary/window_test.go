@@ -10,6 +10,7 @@ import (
 	"freecursive/internal/backend/backendtest"
 	"freecursive/internal/bucketwire"
 	"freecursive/internal/crypt"
+	"freecursive/internal/mem"
 	"freecursive/internal/mem/memtest"
 	"freecursive/internal/tree"
 )
@@ -25,7 +26,7 @@ var treetops = []int{0, 3, 6}
 // tapped: every bucket of every readpath and writepath, in the order the
 // memory is asked, tagged with the frame kind so the interleaving of reads
 // and write-backs is part of the trace. The top k levels are cached.
-func windowedORAM(t *testing.T, scheme crypt.SeedScheme, k int) (*backend.PathORAM, *memtest.Split, *adversary.IndexTrace) {
+func windowedORAM(t *testing.T, scheme crypt.SeedScheme, k int) (*backend.PathORAM, *memtest.Mem, *adversary.IndexTrace) {
 	t.Helper()
 	g, err := tree.NewGeometry(6, 4, 32)
 	if err != nil {
@@ -35,7 +36,8 @@ func windowedORAM(t *testing.T, scheme crypt.SeedScheme, k int) (*backend.PathOR
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, tap := memtest.NewSplit(), &adversary.IndexTrace{}
+	st, tap := memtest.Wrap(mem.NewStore()), &adversary.IndexTrace{}
+	st.Capture = true
 	st.Trace = func(op byte, idx uint64) { tap.Note(uint64(op)<<56 | idx) }
 	p, err := backend.NewPathORAM(backend.Config{Geometry: g, Store: st, Cipher: c, TreetopBytes: adversary.TreetopBudget(g, k)})
 	if err != nil {
@@ -223,7 +225,7 @@ func windowNoPadReuse(t *testing.T, k, depth int) {
 	p, st, _ = windowedORAM(t, crypt.SeedGlobal, k)
 	var last uint64
 	outOfOrder := 0
-	st.SetOnWrite(func(_ uint64, data []byte) []byte {
+	st.OnWrite = func(_ uint64, data []byte) []byte {
 		seed := uint64(0)
 		for _, b := range data[:crypt.SeedBytes] {
 			seed = seed<<8 | uint64(b)
@@ -233,7 +235,7 @@ func windowNoPadReuse(t *testing.T, k, depth int) {
 		}
 		last = seed
 		return data
-	})
+	}
 	backendtest.RunScriptWindowed(t, p, script, backendtest.IdentityAddr, depth, 9, nil)
 	if outOfOrder != 0 {
 		t.Fatalf("global seed, treetop %d, depth %d: %d writes out of register order", k, depth, outOfOrder)

@@ -9,8 +9,8 @@
 //     (in-process map, durable page file, or a remote bucketd)
 //     — all but the top levels of the tree, which a treetop cache keeps in
 //     trusted memory, so an access moves only the rest of its path —
-//     and an active adversary can tamper with stored bytes through the
-//     backend's hooks. Tampered, torn, or undecryptable buckets never
+//     and an active adversary can tamper with the stored bytes, in flight
+//     or at rest, from outside that memory. Tampered, torn, or undecryptable buckets never
 //     error at this layer: their blocks simply vanish (or decode to
 //     garbage), which PMMAC-enabled frontends detect via counters while
 //     non-integrity schemes — by design, per §6 — silently lose the data.

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"freecursive/internal/adversary"
 	"freecursive/internal/crypt"
 	"freecursive/internal/stats"
 	"freecursive/internal/tree"
@@ -162,7 +163,10 @@ func treeBlocks(t testing.TB, p *PathORAM) map[uint64][]uint64 {
 	}
 	g := p.Geometry()
 	for idx := uint64(0); idx < g.Buckets(); idx++ {
-		raw := p.Store().Peek(idx)
+		raw, err := p.Store().Read(idx)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if raw != nil && idx < uint64(1)<<uint(k)-1 {
 			t.Fatalf("bucket %d of the %d cached levels was written to memory", idx, k)
 		}
@@ -299,13 +303,7 @@ func TestTamperedBucketIsSafe(t *testing.T) {
 		r.step(t, r.rng.Uint64()%32, true)
 	}
 	// Corrupt all of memory.
-	for idx := uint64(0); idx < r.g.Buckets(); idx++ {
-		if raw := r.p.Store().Peek(idx); raw != nil {
-			for j := range raw {
-				raw[j] ^= 0x5a
-			}
-		}
-	}
+	adversary.Garbler{}.GarbleAll(r.p.Store(), r.g.Buckets())
 	// Accesses still complete (garbage data, but no crash / no duplicate
 	// stash entries). Privacy property 1: fixed-size writes continue.
 	for i := 0; i < 50; i++ {
@@ -525,11 +523,11 @@ func TestProbabilisticReencryption(t *testing.T) {
 		t.Fatal(err)
 	}
 	top := g.NodeIndex(0, p.TreetopLevels()) // the first bucket of the path that leaves trusted memory
-	root1 := bytes.Clone(p.Store().Peek(top))
+	root1 := adversary.Inspect(p.Store(), top)
 	if _, err := p.Access(Request{Op: OpRead, Addr: 1, Leaf: 0, NewLeaf: 0}); err != nil {
 		t.Fatal(err)
 	}
-	root2 := p.Store().Peek(top)
+	root2 := adversary.Inspect(p.Store(), top)
 	if root1 == nil || bytes.Equal(root1, root2) {
 		t.Fatal("bucket ciphertext unchanged across accesses")
 	}

@@ -18,7 +18,6 @@
 package backendtest
 
 import (
-	"fmt"
 	"testing"
 
 	"freecursive/internal/backend"
@@ -154,78 +153,3 @@ func Drain(t testing.TB, b backend.Backend) {
 		}
 	}
 }
-
-// FaultStore wraps untrusted memory with a switchable injected fault:
-// while Armed, every data operation fails wrapping mem.ErrIO without
-// reaching the inner store (while ArmedWrites, only the writes do);
-// disarmed, it is a transparent pass-through. Unlike mem.Flaky's
-// schedule-driven injection, the toggle lets a test fail exactly the
-// operation it means to, then heal the memory and prove the backend stays
-// stopped without another operation reaching it. Peek and Poke pass
-// through always.
-type FaultStore struct {
-	mem.Backend
-	Armed       bool
-	ArmedWrites bool
-	// Faults counts injected failures, Ops every data operation attempted.
-	Faults, Ops int
-}
-
-// NewFaultStore wraps inner (nil means a fresh mem.NewStore()).
-func NewFaultStore(inner mem.Backend) *FaultStore {
-	if inner == nil {
-		inner = mem.NewStore()
-	}
-	return &FaultStore{Backend: inner}
-}
-
-func (f *FaultStore) fault(write bool) error {
-	f.Ops++
-	if !f.Armed && !(write && f.ArmedWrites) {
-		return nil
-	}
-	f.Faults++
-	return fmt.Errorf("backendtest: injected fault: %w", mem.ErrIO)
-}
-
-// Read implements mem.Backend.
-//
-//oram:offhotpath test-only fault harness, not a steady-state serving path
-func (f *FaultStore) Read(idx uint64) ([]byte, error) {
-	if err := f.fault(false); err != nil {
-		return nil, err
-	}
-	return f.Backend.Read(idx)
-}
-
-// Write implements mem.Backend.
-//
-//oram:offhotpath test-only fault harness, not a steady-state serving path
-func (f *FaultStore) Write(idx uint64, data []byte) error {
-	if err := f.fault(true); err != nil {
-		return err
-	}
-	return f.Backend.Write(idx, data)
-}
-
-// ReadPath implements mem.PathReader.
-//
-//oram:offhotpath test-only fault harness, not a steady-state serving path
-func (f *FaultStore) ReadPath(idxs []uint64, out [][]byte) error {
-	if err := f.fault(false); err != nil {
-		return err
-	}
-	return f.Backend.ReadPath(idxs, out)
-}
-
-// WritePath implements mem.PathWriter.
-//
-//oram:offhotpath test-only fault harness, not a steady-state serving path
-func (f *FaultStore) WritePath(idxs []uint64, data [][]byte) error {
-	if err := f.fault(true); err != nil {
-		return err
-	}
-	return f.Backend.WritePath(idxs, data)
-}
-
-var _ mem.Backend = (*FaultStore)(nil)

@@ -9,6 +9,7 @@ import (
 	"freecursive/internal/adversary"
 	"freecursive/internal/backend"
 	"freecursive/internal/mem"
+	"freecursive/internal/mem/memtest"
 )
 
 // RunConformance runs the full backend-level conformance suite against
@@ -104,7 +105,7 @@ func runErrStorage(t *testing.T, k Kind) {
 	for _, phase := range []string{"ReadPath", "WritePath"} {
 		t.Run(phase, func(t *testing.T) {
 			g := Geom(t)
-			fs := NewFaultStore(nil)
+			fs := memtest.Wrap(mem.NewStore())
 			b := k.New(t, g, Options{Encrypted: true, Store: fs})
 
 			script := GenScript(7, 300, 40, g.Leaves(), g.BlockBytes)
@@ -141,7 +142,7 @@ func runErrStorage(t *testing.T, k Kind) {
 // requireStopped asserts b refuses accesses and maintenance with an error
 // wrapping mem.ErrIO, reports the fault, and leaves the (healthy) memory
 // behind fs alone.
-func requireStopped(t *testing.T, b backend.Backend, fs *FaultStore) {
+func requireStopped(t *testing.T, b backend.Backend, fs *memtest.Mem) {
 	t.Helper()
 	ops := fs.Ops
 	for _, op := range []backend.Op{backend.OpRead, backend.OpWrite, backend.OpReadRmv, backend.OpAppend} {
@@ -167,7 +168,7 @@ func requireStopped(t *testing.T, b backend.Backend, fs *FaultStore) {
 // stops the backend like an access-path fault.
 func runMaintenanceFault(t *testing.T, k Kind) {
 	g := Geom(t)
-	fs := NewFaultStore(nil)
+	fs := memtest.Wrap(mem.NewStore())
 	// Throttle the inline quantum to one bucket op per access so rebuild
 	// work genuinely accumulates behind the schedule — at the default
 	// quantum the inline steps keep up and there is nothing left to fault.
@@ -218,19 +219,7 @@ func runTamperSafety(t *testing.T, k Kind) {
 	script := GenScript(19, 600, 48, g.Leaves(), g.BlockBytes)
 	RunScript(t, b, script, IdentityAddr)
 
-	n := 0
-	for idx := uint64(0); idx < 1<<20; idx++ {
-		raw := st.Peek(idx)
-		if raw == nil {
-			continue
-		}
-		for j := range raw {
-			raw[j] ^= 0x5a
-		}
-		st.Poke(idx, raw)
-		n++
-	}
-	if n == 0 {
+	if (adversary.Garbler{}).GarbleAll(st, 1<<20) == 0 {
 		t.Fatal("nothing materialized to corrupt")
 	}
 	for slot, leaf := range FinalLeaves(script) {
@@ -253,9 +242,8 @@ func runTraceInvariance(t *testing.T, k Kind) {
 	script := GenScript(23, 1500, 80, g.Leaves(), g.BlockBytes)
 	trace := func(addrOf func(uint64) uint64) []uint64 {
 		tap := &adversary.IndexTrace{}
-		st := mem.NewStore()
-		st.SetOnRead(tap.Hook())
-		st.SetOnWrite(tap.Hook())
+		st := memtest.Wrap(mem.NewStore())
+		st.Trace = func(_ byte, idx uint64) { tap.Note(idx) }
 		b := k.New(t, g, Options{Encrypted: true, Store: st})
 		RunScript(t, b, script, addrOf)
 		return tap.Indices()

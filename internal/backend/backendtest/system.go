@@ -11,6 +11,7 @@ import (
 	"errors"
 	"testing"
 
+	"freecursive/internal/adversary"
 	"freecursive/internal/backend"
 	"freecursive/internal/backend/bhoram"
 	"freecursive/internal/core"
@@ -93,19 +94,7 @@ func runTamperFailStop(t *testing.T, kind string) {
 	const n = 200
 	sys := BuildSystem(t, kind, n)
 	st, buckets := BackendStore(t, sys)
-	flipped := 0
-	for idx := uint64(0); idx < buckets; idx++ {
-		raw := st.Peek(idx)
-		if raw == nil {
-			continue
-		}
-		for j := range raw {
-			raw[j] ^= 0x5a
-		}
-		st.Poke(idx, raw)
-		flipped++
-	}
-	if flipped == 0 {
+	if (adversary.Garbler{}).GarbleAll(st, buckets) == 0 {
 		t.Fatalf("%s: nothing materialized in untrusted memory to corrupt", kind)
 	}
 	if err := Sweep(sys, n); !errors.Is(err, core.ErrIntegrity) {

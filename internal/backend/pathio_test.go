@@ -14,6 +14,7 @@ import (
 	"freecursive/internal/bucketwire"
 	"freecursive/internal/crypt"
 	"freecursive/internal/mem"
+	"freecursive/internal/mem/memtest"
 )
 
 // newORAMOn builds a PathORAM over an explicit store with a fixed cipher
@@ -211,7 +212,8 @@ func TestCountersChargeBucketsMoved(t *testing.T) {
 // surfaces as an error wrapping mem.ErrIO with nothing absorbed, and every
 // access after it is refused with the same fault, none reaching memory.
 func TestAccessPropagatesPathReadFault(t *testing.T) {
-	flaky := mem.WithFaults(mem.NewStore(), flakyTestSchedule())
+	flaky := memtest.Wrap(mem.NewStore())
+	flaky.Schedule = flakyTestSchedule()
 	p := newORAMOn(t, flaky, true)
 
 	var faults int
@@ -226,15 +228,15 @@ func TestAccessPropagatesPathReadFault(t *testing.T) {
 				t.Fatalf("fault is %v, want mem.ErrIO", err)
 			}
 			if faults++; faults == 1 {
-				opsAtFault = flaky.Ops()
+				opsAtFault = flaky.Ops
 			}
 		}
 	}
 	if faults == 0 {
 		t.Fatal("injection schedule never fired")
 	}
-	if flaky.Ops() != opsAtFault {
-		t.Fatalf("%d memory operations after the fault", flaky.Ops()-opsAtFault)
+	if flaky.Ops != opsAtFault {
+		t.Fatalf("%d memory operations after the fault", flaky.Ops-opsAtFault)
 	}
 	if p.Stash().Len() != 0 {
 		t.Fatalf("stash holds %d blocks of a path read that failed", p.Stash().Len())
@@ -243,8 +245,8 @@ func TestAccessPropagatesPathReadFault(t *testing.T) {
 
 // flakyTestSchedule injects a mid-path partial failure every 10th store
 // operation: frequent enough to hit both the read and write phases.
-func flakyTestSchedule() mem.FlakyConfig {
-	return mem.FlakyConfig{FailEvery: 10, PartialPath: 3}
+func flakyTestSchedule() memtest.Schedule {
+	return memtest.Schedule{FailEvery: 10, PartialPath: 3}
 }
 
 // TestWindowFaultOrphansYoungerAccesses: when an access of the window fails,

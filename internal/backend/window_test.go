@@ -7,6 +7,7 @@ import (
 	"math/rand/v2"
 	"testing"
 
+	"freecursive/internal/mem"
 	"freecursive/internal/mem/memtest"
 	"freecursive/internal/tree"
 )
@@ -33,7 +34,9 @@ type windowRef struct {
 // memory, its top k levels cached.
 func newWindowRef(t testing.TB, g tree.Geometry, seed uint64, k int) *windowRef {
 	t.Helper()
-	r := newWindowRefOn(t, Config{Geometry: g, Store: memtest.NewSplit(), TreetopBytes: TreetopBytesFor(g, k)}, seed)
+	st := memtest.Wrap(mem.NewStore())
+	st.Capture = true
+	r := newWindowRefOn(t, Config{Geometry: g, Store: st, TreetopBytes: TreetopBytesFor(g, k)}, seed)
 	if r.p.TreetopLevels() != k {
 		t.Fatalf("treetop of %d levels, want %d", r.p.TreetopLevels(), k)
 	}

@@ -340,7 +340,7 @@ func TestCloseUnblocksServeAndWaitsForHandlers(t *testing.T) {
 // TestPokeNilDeletesAndStatsTracksResidentBytes pins the footprint
 // accounting mem.Remote.Stats reports: per space, bytes follow every
 // overwrite and delete, and a nil bucket in a writepath — what mem.Remote
-// sends for Poke(idx, nil) — removes the bucket.
+// sends for Write(idx, nil) — removes the bucket.
 func TestPokeNilDeletesAndStatsTracksResidentBytes(t *testing.T) {
 	srv := New(Config{})
 	addr, _ := serve(t, srv)

@@ -6,6 +6,7 @@ import (
 	"math/rand/v2"
 	"testing"
 
+	"freecursive/internal/adversary"
 	"freecursive/internal/backend"
 	"freecursive/internal/crypt"
 )
@@ -39,9 +40,11 @@ func pathStore(t testing.TB, sys *System) *backend.PathORAM {
 func corruptAll(be *backend.PathORAM, nBuckets uint64) int {
 	n := 0
 	for idx := uint64(0); idx < nBuckets; idx++ {
-		if raw := be.Store().Peek(idx); raw != nil {
+		if raw := adversary.Inspect(be.Store(), idx); raw != nil {
 			raw[len(raw)/3] ^= 0x10
-			n++
+			if be.Store().Write(idx, raw) == nil {
+				n++
+			}
 		}
 	}
 	return n
@@ -108,13 +111,15 @@ func TestPMMACDetectsReplay(t *testing.T) {
 	be := pathStore(t, sys)
 	snap := map[uint64][]byte{}
 	for idx := uint64(0); idx < be.Geometry().Buckets(); idx++ {
-		if raw := be.Store().Peek(idx); raw != nil {
-			snap[idx] = bytes.Clone(raw)
+		if raw := adversary.Inspect(be.Store(), idx); raw != nil {
+			snap[idx] = raw
 		}
 	}
 	populate(t, sys, 128, "v2")
 	for idx, raw := range snap {
-		be.Store().Poke(idx, raw)
+		if err := be.Store().Write(idx, raw); err != nil {
+			t.Fatal(err)
+		}
 	}
 	// Note: the rollback may hit a PosMap block or a data block first;
 	// either way some access soon fails.
@@ -130,8 +135,10 @@ func TestPMMACDetectsDeletion(t *testing.T) {
 	populate(t, sys, 128, "data")
 	be := pathStore(t, sys)
 	for idx := uint64(0); idx < be.Geometry().Buckets(); idx++ {
-		if be.Store().Peek(idx) != nil {
-			be.Store().Poke(idx, nil)
+		if adversary.Inspect(be.Store(), idx) != nil {
+			if err := be.Store().Write(idx, nil); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	if err := sweep(sys, 128); !errors.Is(err, ErrIntegrity) {

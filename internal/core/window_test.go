@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"freecursive/internal/adversary"
 	"freecursive/internal/backend"
 	"freecursive/internal/bucketd"
 	"freecursive/internal/crypt"
@@ -250,19 +251,12 @@ func TestWindowIntegrityViolationFailsStop(t *testing.T) {
 	}
 	defer adv.Close()
 	be := sys.Backends[0].(*backend.PathORAM)
-	for idx := uint64(0); idx < be.Geometry().Buckets(); idx++ {
-		if raw := adv.Peek(idx); raw != nil {
-			for j := range raw {
-				raw[j] ^= 0x5a
-			}
-			adv.Poke(idx, raw)
-		}
-	}
+	adversary.Garbler{}.GarbleAll(adv, be.Geometry().Buckets())
 	// settled is bucketd's frame count once it has counted everything the
 	// controller sent: frames are counted in order per connection, so a
 	// synchronous round trip behind them (itself one frame) flushes them.
 	settled := func() uint64 {
-		be.Store().Peek(0)
+		be.Store().Read(0)
 		return srv.FramesServed()
 	}
 	// Blocks still in the stash are out of the adversary's reach; start

@@ -64,8 +64,7 @@ func HashBandwidth(accesses int) (*Table, error) {
 		}); err != nil {
 			return err
 		}
-		mk.UpdatePath(be.Store(), leaf)
-		return nil
+		return mk.UpdatePath(be.Store(), leaf)
 	}
 	for i := 0; i < 2*nAddr; i++ { // warm: materialize blocks and buckets
 		if err := oneAccess(i); err != nil {

@@ -18,6 +18,7 @@ import (
 	"freecursive"
 	"freecursive/internal/bucketd"
 	"freecursive/internal/mem"
+	"freecursive/internal/mem/memtest"
 	"freecursive/internal/tree"
 )
 
@@ -72,7 +73,7 @@ func TestBackendErrorsWrapErrStorage(t *testing.T) {
 			return out
 		}},
 		{"Flaky", func(t *testing.T) map[string]error {
-			b := mem.WithFaults(mem.NewStore(), mem.FlakyConfig{FailEvery: 1})
+			b := faulty(memtest.Schedule{FailEvery: 1})
 			out := map[string]error{}
 			_, out["read"] = b.Read(0)
 			out["write"] = b.Write(0, []byte("x"))

@@ -30,3 +30,6 @@ func DialRemoteTimed(cfg RemoteConfig, t Timing) (*Remote, error) {
 	}
 	return dialRemote(cfg, tm)
 }
+
+// PageBuckets is how many buckets one page of a Store holds.
+const PageBuckets = pageBuckets

@@ -50,7 +50,6 @@ import (
 // any other untrusted memory. A page the kernel cannot serve (see guard) is
 // an ErrIO.
 type FileStore struct {
-	hooks
 	f         *os.File
 	data      []byte // the page file, mapped shared; nil once closed
 	geom      tree.Geometry
@@ -247,7 +246,7 @@ func (s *FileStore) guard(old bool, err *error) {
 
 // faultErr turns the panic of a memory fault whose address lies inside
 // mapping into an error wrapping ErrIO. Anything else — a fault elsewhere, a
-// bounds or nil-pointer panic, a hook's own panic — is a bug and panics on.
+// bounds or nil-pointer panic — is a bug and panics on.
 func faultErr(r any, mapping []byte) error {
 	switch fault := r.(type) {
 	case interface {
@@ -297,62 +296,18 @@ func (s *FileStore) store(idx uint64, data []byte) error {
 	return nil
 }
 
-// read is one counted, hooked bucket read into buf.
-func (s *FileStore) read(idx uint64, buf []byte) ([]byte, error) {
-	s.reads++
-	data, err := s.loadInto(idx, buf)
-	if err != nil {
-		return nil, err
-	}
-	if s.onRead != nil {
-		data = s.onRead(idx, data)
-	}
-	return data, nil
-}
-
-// write is one counted, hooked bucket write.
-func (s *FileStore) write(idx uint64, data []byte) error {
-	s.writes++
-	if s.onWrite != nil {
-		data = s.onWrite(idx, data)
-	}
-	return s.store(idx, data)
-}
-
 // Read implements Backend. The returned slice is store-owned scratch, valid
 // only until the next operation on this store.
 func (s *FileStore) Read(idx uint64) (data []byte, err error) {
 	defer s.guard(debug.SetPanicOnFault(true), &err)
-	return s.read(idx, s.readBuf)
+	s.reads++
+	return s.loadInto(idx, s.readBuf)
 }
 
-// Write implements Backend.
+// Write implements Backend; nil data deletes the bucket.
 func (s *FileStore) Write(idx uint64, data []byte) (err error) {
 	defer s.guard(debug.SetPanicOnFault(true), &err)
-	return s.write(idx, data)
-}
-
-// Peek implements Backend: a mutable copy of the slot, hook- and
-// counter-free. I/O faults surface as nil (absent), matching what the
-// controller would be served. Peek copies into a buffer of its own, not the
-// Read scratch, so a tamper hook that Peeks at other buckets mid-Read
-// cannot corrupt the bucket in flight.
-func (s *FileStore) Peek(idx uint64) []byte {
-	data, _ := s.peek(idx)
-	return data
-}
-
-func (s *FileStore) peek(idx uint64) (data []byte, err error) {
-	defer s.guard(debug.SetPanicOnFault(true), &err)
-	return s.loadInto(idx, make([]byte, s.slotBytes))
-}
-
-// Poke implements Backend; nil deletes the bucket. I/O faults are dropped
-// (Poke is a test/adversary aid with no error path).
-func (s *FileStore) Poke(idx uint64, data []byte) { _ = s.poke(idx, data) }
-
-func (s *FileStore) poke(idx uint64, data []byte) (err error) {
-	defer s.guard(debug.SetPanicOnFault(true), &err)
+	s.writes++
 	return s.store(idx, data)
 }
 

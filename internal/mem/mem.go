@@ -18,8 +18,6 @@
 //     memory is modelled by the server's round-trip delay
 //     (bucketd.Config.RTT), not here.
 //
-// Flaky (via WithFaults) wraps any of them to inject I/O faults for tests.
-//
 // # Ownership
 //
 // The buffer-ownership contract is designed so the single-threaded ORAM
@@ -33,41 +31,22 @@
 //   - Read returns memory the caller must NOT retain past the next
 //     operation on the same backend, and must treat as read-only — Store
 //     hands out its live internal slice, FileStore a reusable I/O scratch
-//     buffer. Callers that keep bucket bytes must copy them.
-//   - Peek returns a mutable copy for FileStore — never backed by the
-//     Read scratch — and the live bucket slice for Store (the adversary's
-//     in-place tampering idiom depends on that). A live slice is NOT a
-//     stable snapshot: a later Write to the same bucket updates it in
-//     place, so clone what must be kept (replay attacks already must).
-//     Poke, like Write, does not retain the passed slice.
+//     buffer. Callers that keep or alter bucket bytes must copy them.
 //
-// # Tamper hooks
+// # The adversary
 //
-// Every backend exposes the active adversary of §2 through two hooks. The
-// ordering contract is fixed: OnRead runs after the bucket is loaded from
-// storage and before it is returned, so its result is what the controller
-// sees; OnWrite runs before the bucket is stored, so its result is what
-// lands in memory. Peek and Poke bypass both hooks and the operation
-// counters — they are the adversary's direct line to memory at rest.
+// The active adversary of §2 stands outside the memory: it watches and
+// alters the traffic between controller and memory, and it reads and
+// rewrites memory at rest. Neither is a method here. In flight it is a
+// decorator over a Backend (internal/mem/memtest); at rest it is Read (an
+// inspection is a clone of what Read returns) and Write (a tamper, or with
+// nil a deletion), counted like any other access.
 package mem
-
-// TamperFunc inspects or alters a sealed bucket in flight. idx is the heap
-// bucket index; data is the sealed bucket (may be nil for a never-written
-// bucket on read). The returned slice replaces the data; return the input
-// unchanged to observe passively.
-//
-// data may be backend scratch (FileStore) or the live stored bucket
-// (Store), so a hook must not issue another operation on the same backend
-// while holding it — copy first if the hook needs to Read, Write, or Poke.
-// FileStore's Peek is safe to nest (it never shares the in-flight I/O
-// buffer); Store's Peek of the bucket being read returns the very slice the
-// hook already holds.
-type TamperFunc func(idx uint64, data []byte) []byte
 
 // Stats is a snapshot of a backend's operation counters and footprint.
 type Stats struct {
-	Reads  uint64 // buckets read, by Read or a path read (hook-visible)
-	Writes uint64 // buckets written, by Write or a path write (hook-visible)
+	Reads  uint64 // buckets read, by Read or a path read
+	Writes uint64 // buckets written, by Write or a path write
 	Bytes  uint64 // resident payload bytes (Store, Remote) or file size (FileStore)
 }
 
@@ -81,10 +60,11 @@ type Stats struct {
 // one access reads a path and writes a path), so batched path I/O is part
 // of the contract: every Backend is a PathReader and a PathWriter, and the
 // ORAM backends above move sealed buckets only through those two methods.
-// Read and Write remain for tests, tools, and decorators.
+// Read and Write remain for tests, tools, decorators and the adversary at
+// rest.
 //
-// See the package comment for the slice-ownership and tamper-hook-ordering
-// contract every implementation must honor.
+// See the package comment for the slice-ownership contract every
+// implementation must honor.
 type Backend interface {
 	PathReader
 	PathWriter
@@ -97,15 +77,6 @@ type Backend interface {
 	// Write stores the sealed bucket at idx. The backend does not retain
 	// data; the caller may reuse the slice immediately after Write returns.
 	Write(idx uint64, data []byte) error
-	// SetOnRead and SetOnWrite install the adversary hooks (nil to clear).
-	SetOnRead(f TamperFunc)
-	SetOnWrite(f TamperFunc)
-	// Peek returns the stored bucket without counting a read or invoking
-	// hooks (adversary/testing aid: direct inspection of memory at rest).
-	Peek(idx uint64) []byte
-	// Poke overwrites the stored bucket without counting a write or
-	// invoking hooks; nil deletes the bucket (direct tampering at rest).
-	Poke(idx uint64, data []byte)
 	// Stats returns operation counts and footprint.
 	Stats() Stats
 	// Close releases any resources (files, handles). The backend must not
@@ -113,19 +84,10 @@ type Backend interface {
 	Close() error
 }
 
-// hooks holds the tamper-hook pair shared by every implementation.
-type hooks struct {
-	onRead, onWrite TamperFunc
-}
-
-func (h *hooks) SetOnRead(f TamperFunc)  { h.onRead = f }
-func (h *hooks) SetOnWrite(f TamperFunc) { h.onWrite = f }
-
 // Store is sparse in-process untrusted bucket storage: the default Backend.
 // Buckets live in a paged table indexed by bucket index — no hashing on the
 // per-bucket path — and a page exists only once a bucket in it was written.
 type Store struct {
-	hooks
 	pages  []*bucketPage // pages[idx/pageBuckets]; nil until first written
 	bytes  uint64
 	reads  uint64
@@ -171,11 +133,10 @@ func (s *Store) newPage(p uint64) *bucketPage {
 //oram:hotpath
 func (s *Store) Read(idx uint64) ([]byte, error) {
 	s.reads++
-	data := s.Peek(idx)
-	if s.onRead != nil {
-		data = s.onRead(idx, data)
+	if slot := s.slot(idx); slot != nil {
+		return *slot, nil
 	}
-	return data, nil
+	return nil, nil
 }
 
 // Write implements Backend. The store copies data into its own retained
@@ -185,20 +146,10 @@ func (s *Store) Read(idx uint64) ([]byte, error) {
 //oram:hotpath
 func (s *Store) Write(idx uint64, data []byte) error {
 	s.writes++
-	if s.onWrite != nil {
-		data = s.onWrite(idx, data)
-	}
-	s.put(idx, data)
-	return nil
-}
-
-//
-//oram:hotpath
-func (s *Store) put(idx uint64, data []byte) {
 	slot := s.slot(idx)
 	if slot == nil {
 		if data == nil {
-			return
+			return nil
 		}
 		slot = &s.newPage(idx / pageBuckets)[idx%pageBuckets]
 	}
@@ -206,7 +157,7 @@ func (s *Store) put(idx uint64, data []byte) {
 	s.bytes -= uint64(len(old))
 	if data == nil {
 		*slot = nil
-		return
+		return nil
 	}
 	s.bytes += uint64(len(data))
 	// Copy into the bucket's existing allocation when it fits: the caller
@@ -215,26 +166,14 @@ func (s *Store) put(idx uint64, data []byte) {
 	if old != nil && cap(old) >= len(data) {
 		*slot = old[:len(data)]
 		copy(*slot, data)
-		return
+		return nil
 	}
 	//oramlint:allow hotpathalloc first write of a bucket allocates its backing copy; steady-state rewrites reuse it
 	buf := make([]byte, len(data))
 	copy(buf, data)
 	*slot = buf
-}
-
-// Peek implements Backend: the returned slice is the live stored bucket.
-// Because Write reuses the bucket's allocation in place, a held Peek slice
-// tracks later Writes — clone it to keep a point-in-time copy.
-func (s *Store) Peek(idx uint64) []byte {
-	if slot := s.slot(idx); slot != nil {
-		return *slot
-	}
 	return nil
 }
-
-// Poke implements Backend.
-func (s *Store) Poke(idx uint64, data []byte) { s.put(idx, data) }
 
 // Stats implements Backend.
 func (s *Store) Stats() Stats {

@@ -4,7 +4,7 @@ package mem_test
 // escape the ORAM backends when their UNTRUSTED MEMORY faults must also
 // satisfy errors.Is(err, freecursive.ErrStorage) — the store layer's
 // quarantine logic never looks deeper than that predicate. The campaigns
-// drive mem.Flaky's deterministic schedules through both backend
+// drive the memtest decorator's deterministic schedules through both backend
 // constructions' access paths and through the bucket-hash backend's
 // deamortized rebuild path. The first fault stops a backend
 // (backend.FaultLatch; the conformance suite in backendtest pins that), so
@@ -20,6 +20,7 @@ import (
 	"freecursive/internal/backend/bhoram"
 	"freecursive/internal/crypt"
 	"freecursive/internal/mem"
+	"freecursive/internal/mem/memtest"
 	"freecursive/internal/tree"
 )
 
@@ -68,7 +69,7 @@ func newFaultyBucketHash(t *testing.T, fb mem.Backend, stepBudget int) *bhoram.B
 	return b
 }
 
-// TestORAMBackendFaultsWrapErrStorage drives scheduled mem.Flaky faults
+// TestORAMBackendFaultsWrapErrStorage drives scheduled memtest faults
 // through each backend's untrusted-I/O paths and asserts every escaping
 // error matches freecursive.ErrStorage.
 func TestORAMBackendFaultsWrapErrStorage(t *testing.T) {
@@ -90,7 +91,7 @@ func TestORAMBackendFaultsWrapErrStorage(t *testing.T) {
 		errs func(t *testing.T) []error
 	}{
 		{"path access", func(t *testing.T) []error {
-			fb := mem.WithFaults(mem.NewStore(), mem.FlakyConfig{FailEvery: 13})
+			fb := faulty(memtest.Schedule{FailEvery: 13})
 			b := newFaultyPath(t, fb)
 			var out []error
 			for i := 0; i < 120; i++ {
@@ -101,7 +102,7 @@ func TestORAMBackendFaultsWrapErrStorage(t *testing.T) {
 			return out
 		}},
 		{"bhoram probe", func(t *testing.T) []error {
-			fb := mem.WithFaults(mem.NewStore(), mem.FlakyConfig{FailEvery: 13})
+			fb := faulty(memtest.Schedule{FailEvery: 13})
 			b := newFaultyBucketHash(t, fb, 0)
 			var out []error
 			for i := 0; i < 120; i++ {
@@ -114,8 +115,7 @@ func TestORAMBackendFaultsWrapErrStorage(t *testing.T) {
 		{"bhoram rebuild", func(t *testing.T) []error {
 			// A starved inline quantum queues rebuild work, so the schedule
 			// lands on rebuild steps as well as probes.
-			st := mem.NewStore()
-			b := newFaultyBucketHash(t, mem.WithFaults(st, mem.FlakyConfig{FailEvery: 7}), 1)
+			b := newFaultyBucketHash(t, faulty(memtest.Schedule{FailEvery: 7}), 1)
 			var out []error
 			for i := 0; i < 120; i++ {
 				if err := access(b, i); err != nil {

@@ -27,10 +27,10 @@ var ErrIO = errors.New("untrusted memory I/O fault")
 // The slices are still backend-owned scratch: read-only, not to be retained
 // past the next operation.
 //
-// Semantics match a serial loop of Reads in idxs order exactly: one read is
-// counted and the OnRead hook runs once per bucket, in order. The point of
-// the interface is cost, not behavior — a remote backend serves the whole
-// path in one round trip instead of len(idxs) sequential ones.
+// Semantics match a serial loop of Reads in idxs order exactly: the same
+// bytes, one read counted per bucket. The point of the interface is cost,
+// not behavior — a remote backend serves the whole path in one round trip
+// instead of len(idxs) sequential ones.
 type PathReader interface {
 	ReadPath(idxs []uint64, out [][]byte) error
 }
@@ -41,7 +41,7 @@ type PathReader interface {
 // WritePath stores data[i] at idxs[i]; like Backend.Write it does NOT
 // retain the slices — the caller may reuse them as soon as it returns.
 // Semantics match a serial loop of Writes in idxs order (one write counted
-// and OnWrite run per bucket, in order), but an implementation may pipeline
+// per bucket), but an implementation may pipeline
 // the operation: return before the data is acknowledged remotely, and
 // surface a failed acknowledgement (wrapping ErrIO) from a LATER operation
 // on the backend. The controller treats any access-loop error as fail-stop,
@@ -60,15 +60,15 @@ type PathWriter interface {
 // before a WritePath never observes it: the caller owns that staleness
 // (backend.PathORAM's in-flight window is the one caller).
 //
-// Only memories that gain from it implement it (Remote; Flaky forwards). A
-// nil ReadSignal means the implementation cannot actually split — callers
-// fall back to ReadPath.
+// Only memories that gain from it implement it (Remote). A decorator that
+// forwards it over a memory that cannot split reports a nil ReadSignal, and
+// callers then fall back to ReadPath.
 type SplitPathReader interface {
 	// IssueReadPath sends the read of idxs and returns without waiting.
 	IssueReadPath(idxs []uint64) error
 	// CompleteReadPath delivers the oldest issued read, which must have been
-	// issued for idxs, exactly as ReadPath would have: same hooks, same
-	// counters, same slice ownership. It waits for the answer if it has not
+	// issued for idxs, exactly as ReadPath would have: same counters, same
+	// slice ownership. It waits for the answer if it has not
 	// arrived yet.
 	CompleteReadPath(idxs []uint64, out [][]byte) error
 	// ReadReady reports whether CompleteReadPath would return without
@@ -110,7 +110,8 @@ func (s *FileStore) ReadPath(idxs []uint64, out [][]byte) (err error) {
 		s.pathBufs = append(s.pathBufs, make([]byte, s.slotBytes))
 	}
 	for i, idx := range idxs {
-		data, err := s.read(idx, s.pathBufs[i])
+		s.reads++
+		data, err := s.loadInto(idx, s.pathBufs[i])
 		if err != nil {
 			return err
 		}
@@ -135,7 +136,8 @@ func (s *Store) WritePath(idxs []uint64, data [][]byte) error {
 func (s *FileStore) WritePath(idxs []uint64, data [][]byte) (err error) {
 	defer s.guard(debug.SetPanicOnFault(true), &err)
 	for i, idx := range idxs {
-		if err := s.write(idx, data[i]); err != nil {
+		s.writes++
+		if err := s.store(idx, data[i]); err != nil {
 			return err
 		}
 	}

@@ -2,7 +2,6 @@ package mem
 
 import (
 	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -48,19 +47,12 @@ import (
 // controller's state diverged from remote memory in an unverifiable way, so
 // the only safe outcome is fail-stop (the store quarantines the shard).
 //
-// Paths are the only bucket traffic: Read and Peek are one-bucket path
-// reads, Write and Poke one-bucket path writes that wait for their
-// acknowledgement, and Stats asks the server for its byte footprint. These
-// wait for their own answer, which queues behind those of any path reads in
-// flight, so they refuse to run beside one.
-//
-// Hooks run client-side: the TamperFunc API models an adversary between
-// controller and memory, and with a real network the natural tap point is
-// the wire itself. OnRead sees each bucket as it leaves the wire, OnWrite
-// each bucket before it enters; Peek and Poke bypass hooks and counters as
-// always, giving tests a direct line to the remote memory at rest.
+// Paths are the only bucket traffic: Read is a one-bucket path read, Write
+// a one-bucket path write that waits for its acknowledgement, and Stats asks
+// the server for its byte footprint. These wait for their own answer, which
+// queues behind those of any path reads in flight, so they refuse to run
+// beside one.
 type Remote struct {
-	hooks
 	cfg   RemoteConfig
 	tm    timing
 	space uint64
@@ -89,10 +81,6 @@ type Remote struct {
 	deadline time.Time
 	alarm    *time.Timer
 	wake     chan struct{} // ReadSignal: a frame arrived, the receiver died or the deadline passed
-
-	// wireBufs stages WritePath payloads after the write hooks run, so a
-	// hook that substitutes slices cannot alias the caller's buffers.
-	wireBufs [][]byte
 
 	reads  uint64
 	writes uint64
@@ -477,14 +465,11 @@ func (r *Remote) idle() error {
 //
 //oram:offhotpath the remote transport is RTT-bound by design; per-op heap work is noise next to a network round trip
 func (r *Remote) Read(idx uint64) ([]byte, error) {
-	idxs, out := []uint64{idx}, make([][]byte, 1)
+	out := make([][]byte, 1)
 	if err := r.idle(); err != nil {
 		return nil, err
 	}
-	if err := r.IssueReadPath(idxs); err != nil {
-		return nil, err
-	}
-	if err := r.CompleteReadPath(idxs, out); err != nil {
+	if err := r.ReadPath([]uint64{idx}, out); err != nil {
 		return nil, err
 	}
 	return out[0], nil
@@ -535,20 +520,6 @@ func (r *Remote) IssueReadPath(idxs []uint64) error {
 //
 //oram:offhotpath the remote transport is RTT-bound by design; per-op heap work is noise next to a network round trip
 func (r *Remote) CompleteReadPath(idxs []uint64, out [][]byte) error {
-	if err := r.complete(idxs, out); err != nil {
-		return err
-	}
-	for i, idx := range idxs {
-		r.reads++
-		if r.onRead != nil {
-			out[i] = r.onRead(idx, out[i])
-		}
-	}
-	return nil
-}
-
-// complete is CompleteReadPath without its hooks and counters.
-func (r *Remote) complete(idxs []uint64, out [][]byte) error {
 	if err := r.ensureConn(); err != nil {
 		return err
 	}
@@ -566,6 +537,7 @@ func (r *Remote) complete(idxs []uint64, out [][]byte) error {
 		return err
 	}
 	copy(out, resp.Bufs)
+	r.reads += uint64(len(idxs))
 	return nil
 }
 
@@ -598,29 +570,6 @@ func (r *Remote) ReadSignal() <-chan struct{} { return r.wake }
 //
 //oram:offhotpath the remote transport is RTT-bound by design; per-op heap work is noise next to a network round trip
 func (r *Remote) WritePath(idxs []uint64, data [][]byte) error {
-	bufs := data
-	if r.onWrite != nil {
-		for len(r.wireBufs) < len(data) {
-			r.wireBufs = append(r.wireBufs, nil)
-		}
-		for i, d := range data {
-			r.wireBufs[i] = r.onWrite(idxs[i], d)
-		}
-		bufs = r.wireBufs[:len(data)]
-	}
-	if err := r.writePath(idxs, bufs); err != nil {
-		return err
-	}
-	r.writes += uint64(len(idxs))
-	if r.n-r.inFlight >= maxPendingAcks {
-		return r.drainAcks(true)
-	}
-	return nil
-}
-
-// writePath sends a writepath frame: WritePath without its hooks and
-// counters.
-func (r *Remote) writePath(idxs []uint64, bufs [][]byte) error {
 	if err := r.ensureConn(); err != nil {
 		return err
 	}
@@ -630,31 +579,18 @@ func (r *Remote) writePath(idxs []uint64, bufs [][]byte) error {
 		return fmt.Errorf("mem: remote %s: %d write-backs unacknowledged behind a path read in flight: %w",
 			r.cfg.Addr, r.n-r.inFlight, ErrIO)
 	}
-	return r.send(bucketwire.Request{Op: bucketwire.OpWritePath, Space: r.space, Idxs: idxs, Bufs: bufs})
-}
-
-// Peek implements Backend: Read without hooks and counters, returning a
-// mutable copy (the adversary tampers with it and Pokes it back). A fault
-// reads as nil.
-func (r *Remote) Peek(idx uint64) []byte {
-	idxs, out := []uint64{idx}, make([][]byte, 1)
-	if r.idle() != nil || r.IssueReadPath(idxs) != nil || r.complete(idxs, out) != nil {
-		return nil
+	if err := r.send(bucketwire.Request{Op: bucketwire.OpWritePath, Space: r.space, Idxs: idxs, Bufs: data}); err != nil {
+		return err
 	}
-	return bytes.Clone(out[0])
-}
-
-// Poke implements Backend: Write (nil deletes) without hooks and counters.
-// Poke is a test/adversary aid with no error path: a fault it meets is
-// dropped here, though a failed acknowledgement still latches.
-func (r *Remote) Poke(idx uint64, data []byte) {
-	if r.idle() == nil && r.writePath([]uint64{idx}, [][]byte{data}) == nil {
-		_ = r.drainAcks(true)
+	r.writes += uint64(len(idxs))
+	if r.n-r.inFlight >= maxPendingAcks {
+		return r.drainAcks(true)
 	}
+	return nil
 }
 
-// Stats implements Backend: reads/writes are counted client-side (they are
-// hook-visible operations), resident bytes come from the server. A fault
+// Stats implements Backend: reads/writes are counted client-side, resident
+// bytes come from the server. A fault
 // leaves Bytes zero rather than failing — Stats has no error path.
 func (r *Remote) Stats() Stats {
 	st := Stats{Reads: r.reads, Writes: r.writes}
@@ -689,8 +625,8 @@ func (r *Remote) settle() error {
 
 // Bounce drains any pipelined acknowledgements and drops the connection,
 // forcing the next operation to redial: a clean connection loss between
-// operations, the disconnect the Flaky wrapper injects. The remote buckets
-// are untouched.
+// operations, the disconnect a test's fault schedule injects. The remote
+// buckets are untouched.
 //
 //oram:offhotpath the remote transport is RTT-bound by design; per-op heap work is noise next to a network round trip
 func (r *Remote) Bounce() error { return r.settle() }

@@ -40,8 +40,8 @@ func dialTest(t *testing.T, addr, namespace string) *Remote {
 }
 
 // TestRemoteRoundTrip exercises the full Backend contract over a live
-// bucketd: data round trips, nil-for-absent, Peek/Poke bypassing hooks and
-// counters, client-side hook application, and Stats.
+// bucketd: data round trips, nil-for-absent, deletion by a nil Write, and
+// Stats.
 func TestRemoteRoundTrip(t *testing.T) {
 	addr, _ := startBucketd(t, bucketd.Config{})
 	r := dialTest(t, addr, "t/roundtrip")
@@ -57,33 +57,20 @@ func TestRemoteRoundTrip(t *testing.T) {
 		t.Fatalf("read back: %q, %v", got, err)
 	}
 
-	// Hooks run client-side; Peek/Poke bypass them and the counters.
-	hookCalls := 0
-	r.SetOnRead(func(idx uint64, data []byte) []byte {
-		hookCalls++
-		return data
-	})
-	st := r.Stats()
-	if raw := r.Peek(5); !bytes.Equal(raw, []byte("hello")) {
-		t.Fatalf("peek: %q", raw)
-	}
-	r.Poke(6, []byte("planted"))
-	if hookCalls != 0 {
-		t.Errorf("peek fired the read hook")
-	}
-	if after := r.Stats(); after.Reads != st.Reads || after.Writes != st.Writes {
-		t.Errorf("peek/poke moved counters: %+v -> %+v", st, after)
+	if err := r.Write(6, []byte("planted")); err != nil {
+		t.Fatal(err)
 	}
 	if got, err := r.Read(6); err != nil || !bytes.Equal(got, []byte("planted")) {
-		t.Fatalf("read of poked bucket: %q, %v", got, err)
+		t.Fatalf("read of planted bucket: %q, %v", got, err)
 	}
-	if hookCalls != 1 {
-		t.Errorf("read hook fired %d times, want 1", hookCalls)
+	if st := r.Stats(); st.Reads != 3 || st.Writes != 2 {
+		t.Errorf("counters %+v, want 3 reads / 2 writes", st)
 	}
-	r.SetOnRead(nil)
 
-	// Poke nil deletes; the server's footprint reflects it.
-	r.Poke(6, nil)
+	// A nil Write deletes; the server's footprint reflects it.
+	if err := r.Write(6, nil); err != nil {
+		t.Fatal(err)
+	}
 	if got, _ := r.Read(6); got != nil {
 		t.Fatalf("deleted bucket reads as %q", got)
 	}
@@ -112,25 +99,16 @@ func TestRemoteNamespaces(t *testing.T) {
 }
 
 // TestRemotePathOps pins the batched path operations: ReadPath's buffers
-// are simultaneously valid (the PathReader contract), hooks and counters
-// fire per bucket, and a pipelined WritePath lands before the next read.
+// are simultaneously valid (the PathReader contract), counters advance per
+// bucket, and a pipelined WritePath lands before the next read.
 func TestRemotePathOps(t *testing.T) {
 	addr, _ := startBucketd(t, bucketd.Config{})
 	r := dialTest(t, addr, "t/path")
 
 	idxs := []uint64{0, 1, 2, 3}
 	bufs := [][]byte{[]byte("root"), nil, []byte("mid"), []byte("leaf")}
-	var wrote []uint64
-	r.SetOnWrite(func(idx uint64, data []byte) []byte {
-		wrote = append(wrote, idx)
-		return data
-	})
 	if err := r.WritePath(idxs, bufs); err != nil {
 		t.Fatal(err)
-	}
-	r.SetOnWrite(nil)
-	if len(wrote) != 4 {
-		t.Fatalf("write hooks fired for %v", wrote)
 	}
 
 	// The write-back is pipelined; the subsequent ReadPath must observe it
@@ -623,40 +601,5 @@ func TestRemoteIdleIsNotOverdue(t *testing.T) {
 		if !bytes.Equal(out[2], data[2]) {
 			t.Fatalf("read after idle returned %x", out[2])
 		}
-	}
-}
-
-// TestRemoteWindowFaultDisconnect drops the connection between R_B and W_A
-// (Flaky bounces before the third data operation): B's read is lost with
-// the connection, which latches — A's write-back fails, B's completion
-// fails, and nothing is retried into a tree whose state is unknowable.
-func TestRemoteWindowFaultDisconnect(t *testing.T) {
-	addr, _ := startBucketd(t, bucketd.Config{RTT: 20 * time.Millisecond})
-	f := WithFaults(dialTest(t, addr, "t/cut"), FlakyConfig{DisconnectEvery: 3})
-	if f.ReadSignal() == nil {
-		t.Fatal("Flaky over Remote does not forward split-phase reads")
-	}
-	a, b, out := []uint64{0, 1}, []uint64{0, 2}, make([][]byte, 2)
-	if err := f.IssueReadPath(a); err != nil { // R_A
-		t.Fatal(err)
-	}
-	if err := f.IssueReadPath(b); err != nil { // R_B
-		t.Fatal(err)
-	}
-	if err := f.CompleteReadPath(a, out); err != nil {
-		t.Fatal(err)
-	}
-	err := f.WritePath(a, [][]byte{{1}, {2}}) // W_A: the connection drops first
-	if !errors.Is(err, ErrIO) || !strings.Contains(err.Error(), "unanswered") {
-		t.Fatalf("write-back across the disconnect: %v, want the latched lost-read fault", err)
-	}
-	if err := f.CompleteReadPath(b, out); !errors.Is(err, ErrIO) {
-		t.Fatalf("lost read: %v, want ErrIO", err)
-	}
-	if _, err := f.Read(0); !errors.Is(err, ErrIO) {
-		t.Fatalf("fault did not latch: %v", err)
-	}
-	if WithFaults(NewStore(), FlakyConfig{}).ReadSignal() != nil {
-		t.Fatal("Flaky over a map store claims split-phase reads")
 	}
 }

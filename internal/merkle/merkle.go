@@ -32,6 +32,9 @@ type Tree struct {
 	defaults []digest
 	root     digest
 
+	idxs []uint64 // the path being hashed, root first
+	path [][]byte // its sealed buckets, as one ReadPath returned them
+
 	hashedBytes uint64 // bytes run through the hash unit
 	hashOps     uint64 // digest computations
 	siblingB    uint64 // sibling-digest bytes fetched from memory
@@ -44,6 +47,8 @@ func New(g tree.Geometry) *Tree {
 		geom:     g,
 		nodes:    make(map[uint64]digest),
 		defaults: make([]digest, g.L+1),
+		idxs:     make([]uint64, g.L+1),
+		path:     make([][]byte, g.L+1),
 	}
 	for l := g.L; l >= 0; l-- {
 		if l == g.L {
@@ -84,19 +89,32 @@ func (t *Tree) node(idx uint64, level int) digest {
 	return t.defaults[level]
 }
 
+// readPath fetches the sealed buckets of the path to leaf in one ReadPath.
+func (t *Tree) readPath(st mem.Backend, leaf uint64) error {
+	if !t.geom.ValidLeaf(leaf) {
+		return fmt.Errorf("merkle: leaf %d out of range", leaf)
+	}
+	for level := range t.idxs {
+		t.idxs[level] = t.geom.NodeIndex(leaf, level)
+	}
+	if err := st.ReadPath(t.idxs, t.path); err != nil {
+		return fmt.Errorf("merkle: reading path %d: %w", leaf, err)
+	}
+	return nil
+}
+
 // VerifyPath authenticates the path to leaf against the on-chip root: it
 // recomputes every bucket digest bottom-up, fetching the off-path sibling
 // digests, exactly as [25] must on every ORAM access.
 func (t *Tree) VerifyPath(st mem.Backend, leaf uint64) error {
-	if !t.geom.ValidLeaf(leaf) {
-		return fmt.Errorf("merkle: leaf %d out of range", leaf)
+	if err := t.readPath(st, leaf); err != nil {
+		return err
 	}
 	// Recompute from the leaf up; at each level the on-path child digest is
 	// the recomputed one and the sibling comes from (untrusted) storage.
 	var below digest
 	for level := t.geom.L; level >= 0; level-- {
-		idx := t.geom.NodeIndex(leaf, level)
-		bucket := st.Peek(idx)
+		idx, bucket := t.idxs[level], t.path[level]
 		var left, right []byte
 		if level < t.geom.L {
 			childIdx := t.geom.NodeIndex(leaf, level+1)
@@ -130,11 +148,13 @@ func (t *Tree) VerifyPath(st mem.Backend, leaf uint64) error {
 // UpdatePath recomputes the digests of the path to leaf after the ORAM
 // rewrote its buckets, updating the on-chip root. This is the inherently
 // sequential chain of §6.3: each level's digest depends on the level below.
-func (t *Tree) UpdatePath(st mem.Backend, leaf uint64) {
+func (t *Tree) UpdatePath(st mem.Backend, leaf uint64) error {
+	if err := t.readPath(st, leaf); err != nil {
+		return err
+	}
 	var below digest
 	for level := t.geom.L; level >= 0; level-- {
-		idx := t.geom.NodeIndex(leaf, level)
-		bucket := st.Peek(idx)
+		idx, bucket := t.idxs[level], t.path[level]
 		var left, right []byte
 		if level < t.geom.L {
 			childIdx := t.geom.NodeIndex(leaf, level+1)
@@ -154,6 +174,7 @@ func (t *Tree) UpdatePath(st mem.Backend, leaf uint64) {
 			t.root = d
 		}
 	}
+	return nil
 }
 
 // siblingIndex returns the heap index of a node's sibling.

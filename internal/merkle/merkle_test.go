@@ -1,6 +1,7 @@
 package merkle
 
 import (
+	"bytes"
 	"math/rand/v2"
 	"testing"
 
@@ -58,7 +59,7 @@ func TestDetectsBucketTamper(t *testing.T) {
 	}
 	// Tamper one mid-path bucket.
 	idx := g.NodeIndex(leaf, 3)
-	st.Poke(idx, []byte{9, 9, 9})
+	st.Write(idx, []byte{9, 9, 9})
 	if err := mk.VerifyPath(st, leaf); err == nil {
 		t.Fatal("bucket tamper undetected")
 	}
@@ -75,7 +76,7 @@ func TestDetectsCrossPathTamper(t *testing.T) {
 	}
 	// Tamper a leaf-level bucket of path 31; path 0 shares only the root, so
 	// path 0 still verifies but path 31 must fail.
-	st.Poke(g.NodeIndex(31, g.L), []byte{0xbd})
+	st.Write(g.NodeIndex(31, g.L), []byte{0xbd})
 	if err := mk.VerifyPath(st, 0); err != nil {
 		t.Fatalf("untouched path rejected: %v", err)
 	}
@@ -94,9 +95,11 @@ func TestDetectsBucketSwap(t *testing.T) {
 	// Swap two buckets on the same path: contents valid individually, but
 	// positions are bound by the tree structure.
 	a, b := g.NodeIndex(leaf, 2), g.NodeIndex(leaf, 3)
-	ba, bb := st.Peek(a), st.Peek(b)
-	st.Poke(a, bb)
-	st.Poke(b, ba)
+	ba, _ := st.Read(a)
+	ba = bytes.Clone(ba)
+	bb, _ := st.Read(b)
+	st.Write(a, bb)
+	st.Write(b, ba)
 	if err := mk.VerifyPath(st, leaf); err == nil {
 		t.Fatal("bucket swap undetected")
 	}

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"freecursive"
+	"freecursive/internal/adversary"
 	"freecursive/internal/backend"
 )
 
@@ -265,14 +266,15 @@ func tamperShard(t *testing.T, s *Store, si int) {
 		st := be.Store()
 		n := 0
 		for idx := uint64(0); idx < be.Geometry().Buckets(); idx++ {
-			raw := st.Peek(idx)
+			raw := adversary.Inspect(st, idx)
 			if raw == nil {
 				continue
 			}
 			raw[len(raw)-1] ^= 0xff // corrupt the ciphertext body
 			raw[7] ^= 0x01          // and nudge the encryption seed
-			st.Poke(idx, raw)
-			n++
+			if st.Write(idx, raw) == nil {
+				n++
+			}
 		}
 		done <- n
 	})

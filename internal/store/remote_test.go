@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"freecursive"
+	"freecursive/internal/adversary"
 	"freecursive/internal/bucketd"
 	"freecursive/internal/bucketwire"
 	"freecursive/internal/mem"
@@ -166,9 +167,10 @@ func TestRemoteConcurrentShards(t *testing.T) {
 }
 
 // TestRemoteWireIsPathsOnly: whatever reaches bucketd — a 2-shard store's
-// Puts and Gets, then Peek, Poke and Stats on one shard's memory — the
-// wiretap sees path reads and path writes only. Peek and Poke travel as
-// one-bucket paths naming the bucket they touch; Stats touches no bucket.
+// Puts and Gets, then an adversary's at-rest inspect and tamper (Read and
+// Write) and Stats on one shard's memory — the wiretap sees path reads and
+// path writes only. Read and Write travel as one-bucket paths naming the
+// bucket they touch; Stats touches no bucket.
 func TestRemoteWireIsPathsOnly(t *testing.T) {
 	type touch struct {
 		op  byte
@@ -218,13 +220,15 @@ func TestRemoteWireIsPathsOnly(t *testing.T) {
 	var idx uint64
 	var raw []byte
 	for ; raw == nil && idx < 1<<13; idx++ {
-		raw = m.Peek(idx)
+		raw = adversary.Inspect(m, idx)
 	}
 	if raw == nil {
 		t.Fatal("shard 0 has no bucket below its treetop")
 	}
 	idx--
-	m.Poke(idx, raw)
+	if err := m.Write(idx, raw); err != nil {
+		t.Fatal(err)
+	}
 	if st := m.Stats(); st.Bytes == 0 {
 		t.Errorf("Stats reports %+v for a tree with buckets", st)
 	}

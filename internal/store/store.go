@@ -251,7 +251,7 @@ func (s *Store) ShardOf(addr uint64) int {
 var ErrOutOfRange = errors.New("address out of range")
 
 func (s *Store) check(addr uint64) error {
-	//oramlint:allow secretflow source: addr parameter; sink: bounds-check branch — store addresses are physical bucket indices the untrusted server sees on every request; the ORAM controller above randomizes them before they reach this layer
+	//oramlint:allow secretflow source: addr parameter; sink: bounds-check branch — the check compares against the public Blocks and refuses the request before any memory traffic, so it adds nothing to what the untrusted memory sees
 	if addr >= s.blocks {
 		return fmt.Errorf("store: %w: not in [0, %d)", ErrOutOfRange, s.blocks)
 	}
@@ -267,7 +267,7 @@ func (s *Store) submit(write bool, addr uint64, data []byte) *Future {
 		return resolvedFuture(nil, err)
 	}
 	si, inner := s.locate(addr)
-	//oramlint:allow secretflow source: addr parameter; sink: shard-slice index — the shard an op routes to is public infrastructure derived from the physical address the server observes anyway
+	//oramlint:allow secretflow source: addr parameter; sink: shard-slice index — a known leak of log2 S address bits per op (which of the S shards serves it), tracked by ROADMAP's shard-channel item
 	return s.shards[si].submit(request{write: write, inner: inner, data: data})
 }
 

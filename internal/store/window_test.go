@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"freecursive"
+	"freecursive/internal/adversary"
 	"freecursive/internal/bucketd"
 	"freecursive/internal/mem"
 )
@@ -390,17 +391,7 @@ func TestWindowFaultIntegrity(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer adv.Close()
-		garbled := 0
-		for idx := uint64(0); idx < 1<<8; idx++ {
-			if raw := adv.Peek(idx); raw != nil {
-				for j := range raw {
-					raw[j] ^= 0x5a
-				}
-				adv.Poke(idx, raw)
-				garbled++
-			}
-		}
-		if garbled == 0 {
+		if (adversary.Garbler{}).GarbleAll(adv, 1<<8) == 0 {
 			t.Fatal("nothing of shard 0 found on the bucketd to tamper with")
 		}
 	}, nil, -1, freecursive.ErrIntegrity)

@@ -49,8 +49,13 @@
 // and the entire batch failed for it) — are retried up to
 // Config.MaxRetries times, honoring the server's Retry-After hint (capped
 // at Config.MaxRetryWait).
-// Retrying is safe because both operations are idempotent: a put replaces
-// the block's contents. Per-operation failures are NOT retried
+// A retry is not always safe. A put is idempotent for one writer, but a
+// batch whose connection broke may already have been applied with only its
+// answer lost; retrying it can then overwrite a later put by another
+// client, which a third client may already have read — a history no single
+// point explains. Until that is fixed (ROADMAP, "Linearizable under
+// retries"), callers with several writers per address must treat a
+// retried put as possibly reordered. Per-operation failures are NOT retried
 // automatically: a 503 there means the address's shard is quarantined
 // after an integrity violation, which an operator has to resolve — the
 // client surfaces it as an *Error with Status 503 and the server's

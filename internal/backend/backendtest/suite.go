@@ -214,12 +214,11 @@ func runMaintenanceFault(t *testing.T, k Kind) {
 // frontend PMMAC's job (covered by RunSystemConformance).
 func runTamperSafety(t *testing.T, k Kind) {
 	g := Geom(t)
-	st := mem.NewStore()
-	b := k.New(t, g, Options{Encrypted: true, Store: st})
+	b := k.New(t, g, Options{Encrypted: true, Store: mem.NewStore()})
 	script := GenScript(19, 600, 48, g.Leaves(), g.BlockBytes)
 	RunScript(t, b, script, IdentityAddr)
 
-	if (adversary.Garbler{}).GarbleAll(st, 1<<20) == 0 {
+	if (adversary.Garbler{}).GarbleAll(layout(t, b)) == 0 {
 		t.Fatal("nothing materialized to corrupt")
 	}
 	for slot, leaf := range FinalLeaves(script) {

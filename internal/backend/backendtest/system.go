@@ -56,13 +56,19 @@ func BuildSystem(t testing.TB, kind string, n uint64) *core.System {
 // the adversary's attack surface, whichever construction is behind it.
 func BackendStore(t testing.TB, sys *core.System) (mem.Backend, uint64) {
 	t.Helper()
-	switch be := sys.Backends[0].(type) {
+	return layout(t, sys.Backends[0])
+}
+
+// layout returns a backend's untrusted store and its bucket count.
+func layout(t testing.TB, b backend.Backend) (mem.Backend, uint64) {
+	t.Helper()
+	switch be := b.(type) {
 	case *backend.PathORAM:
 		return be.Store(), be.Geometry().Buckets()
 	case *bhoram.BucketHash:
 		return be.Store(), be.TotalBuckets()
 	default:
-		t.Fatalf("backend 0 is %T; conformance systems are functional", sys.Backends[0])
+		t.Fatalf("backend is %T; conformance backends are functional", b)
 		return nil, 0
 	}
 }

@@ -19,8 +19,10 @@ type Op struct {
 // shard resolves only that operation's future with an error (wrapping
 // ErrOutOfRange, ErrQuarantined, ErrClosed or freecursive.ErrIntegrity),
 // and every other operation still executes. A read's future resolves to the
-// block's contents, a write's to its previous contents. The caller must not
-// modify a write's Data until its future resolves.
+// block's contents, a write's to nil data. On a shard whose memory is a
+// round trip away a write's future resolves once the write is ordered,
+// before its path read returns; losing it afterwards quarantines the shard.
+// The caller must not modify a write's Data until its future resolves.
 func (s *Store) SubmitBatch(ops []Op) []*Future {
 	futs := make([]*Future, len(ops))
 	for i, op := range ops {

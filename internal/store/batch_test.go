@@ -41,8 +41,8 @@ func waitAll(futs []*Future) ([][]byte, error) {
 
 // TestBatchMixedOps drives an interleaved get/put batch through one call:
 // per-shard FIFO order must make a write visible to the reads queued after
-// it, puts must resolve to previous contents, and reads before the write
-// must see the old value.
+// it, puts must resolve to nil data, and reads before the write must see
+// the old value.
 func TestBatchMixedOps(t *testing.T) {
 	s, err := New(lightCfg(4, 1<<9))
 	if err != nil {
@@ -57,12 +57,12 @@ func TestBatchMixedOps(t *testing.T) {
 
 	futs := s.SubmitBatch([]Op{
 		{Addr: 5},                        // reads v1
-		{Write: true, Addr: 5, Data: v2}, // prev is v1
+		{Write: true, Addr: 5, Data: v2}, // carries no data
 		{Addr: 5},                        // reads v2
-		{Write: true, Addr: 9, Data: v1}, // prev is zeros
+		{Write: true, Addr: 9, Data: v1}, // carries no data
 		{Addr: 9},                        // reads v1
 	})
-	want := [][]byte{v1, v1, v2, make([]byte, bb), v1}
+	want := [][]byte{v1, nil, v2, nil, v1}
 	for i, f := range futs {
 		got, err := f.Wait()
 		if err != nil {

@@ -34,6 +34,18 @@ import (
 // never queues behind another request's round trip. Whether two accesses
 // overlap depends on when requests arrive and how full the queue is —
 // timing the adversary already observes (§4.1) — never on an address.
+//
+// On such a shard a write is also *posted*: its future resolves as soon as
+// its Start succeeds, not when its path read comes back. Start orders a
+// write completely — the position map has advanced and the payload is
+// sealed — and every access started after it sees it, so the caller's
+// answer need not wait for the round trip that only finds and re-places
+// the old copy. The window depth bounds how many posted writes a shard
+// holds. Losing one is fail-stop: whatever error its Finish returns
+// quarantines the shard, so no later operation — a read of the same
+// address included — can answer with the value it replaced. Over local
+// memory Start and Finish run back to back and a write resolves after
+// Finish, errors and all.
 
 // result is what a request resolves to.
 type result struct {
@@ -52,7 +64,9 @@ type Future struct {
 }
 
 // Wait blocks until the request completes and returns its result: the
-// block's (previous) contents for gets and puts respectively, or an error.
+// block's contents for a get, nil for a put, or an error. A put on a
+// shard over remote memory completes once it is ordered, before its path
+// read returns (see the pipeline notes above).
 func (f *Future) Wait() ([]byte, error) {
 	f.once.Do(func() { f.res = <-f.ch })
 	return f.res.data, f.res.err
@@ -327,7 +341,8 @@ func (sh *shard) serve(req request) {
 
 // start begins req's ORAM access, first finishing the oldest access in
 // flight if the window is full. A read is entered in the window cache so
-// that duplicates arriving before it finishes can wait on it.
+// that duplicates arriving before it finishes can wait on it; a write on a
+// windowed shard is posted — its future resolves here.
 func (sh *shard) start(req request) {
 	for sh.flying == sh.depth {
 		sh.finish()
@@ -335,6 +350,11 @@ func (sh *shard) start(req request) {
 	if err := sh.oram.Start(req.inner, req.write, req.data); err != nil {
 		req.fut.resolve(nil, sh.noteError(err))
 		return
+	}
+	if req.write && sh.wake != nil {
+		// Posted: the flight finishes without a future.
+		req.fut.resolve(nil, nil)
+		req.fut = nil
 	}
 	if sh.flying > 0 {
 		sh.overlapped.Add(1)
@@ -348,7 +368,8 @@ func (sh *shard) start(req request) {
 	sh.occupancy.Store(int32(sh.flying))
 }
 
-// finish completes the oldest access in flight and resolves its futures.
+// finish completes the oldest access in flight and resolves its futures, if
+// it still has any.
 func (sh *shard) finish() {
 	slot := sh.first
 	fl := &sh.flights[slot]
@@ -357,11 +378,20 @@ func (sh *shard) finish() {
 	sh.occupancy.Store(int32(sh.flying))
 
 	v, err := sh.oram.Finish()
+	req := fl.req
+	fl.req = request{}
+	if req.fut == nil {
+		// A posted write: failing it loses a write already acknowledged,
+		// so any error, not only a storage or integrity fault, fail-stops
+		// the shard. The accesses begun behind it fail with it.
+		if err != nil {
+			sh.health.quarantine(err)
+		}
+		return
+	}
 	if err != nil {
 		err = sh.noteError(err)
 	}
-	req := fl.req
-	fl.req = request{}
 	// The window cache learns the value only if it still expects it from
 	// this flight: a write to the address, a control op or a new window
 	// since the read started all mean it must not.
@@ -376,6 +406,8 @@ func (sh *shard) finish() {
 	case expected:
 		sh.cache[req.inner] = cached{val: v}
 		req.fut.resolve(bytes.Clone(v), nil)
+	case req.write:
+		req.fut.resolve(nil, nil)
 	default:
 		req.fut.resolve(v, nil)
 	}
@@ -426,8 +458,9 @@ func (sh *shard) maintainStep() {
 // noteError inspects an ORAM error: an integrity violation or an untrusted-
 // memory I/O fault quarantines the shard (fail-stop, matching the
 // controller's own latch) and is rewrapped so callers see both
-// ErrQuarantined and the cause; anything else passes through as an
-// ordinary internal error.
+// ErrQuarantined and the cause. Any other error passes through as an
+// ordinary internal error, unless the shard is already quarantined — an
+// access abandoned behind a lost posted write reports the quarantine.
 //
 // Storage faults quarantine for the same reason integrity violations do:
 // after a failed page-file write or a bucketd connection lost with
@@ -438,6 +471,8 @@ func (sh *shard) maintainStep() {
 func (sh *shard) noteError(err error) error {
 	if errors.Is(err, freecursive.ErrIntegrity) || errors.Is(err, freecursive.ErrStorage) {
 		sh.health.quarantine(err)
+	}
+	if sh.health.State() == StateQuarantined {
 		return sh.health.err()
 	}
 	return err

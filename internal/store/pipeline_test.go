@@ -70,7 +70,7 @@ func TestCoalescingWindow(t *testing.T) {
 	})
 	release()
 
-	want := [][]byte{v1, v1, v1 /* put returns prev */, v2, v2}
+	want := [][]byte{v1, v1, nil /* a put carries no data */, v2, v2}
 	for i, f := range futs {
 		got, err := f.Wait()
 		if err != nil {
@@ -160,8 +160,7 @@ func TestBatchDuplicateAddresses(t *testing.T) {
 }
 
 // TestSubmitAPIBasics covers the Future surface: out-of-range fails
-// immediately, Wait is idempotent, put futures resolve to previous
-// contents.
+// immediately, Wait is idempotent, put futures resolve to nil data.
 func TestSubmitAPIBasics(t *testing.T) {
 	s, err := New(lightCfg(2, 64))
 	if err != nil {
@@ -175,8 +174,8 @@ func TestSubmitAPIBasics(t *testing.T) {
 	}
 	v := val(1, s.BlockBytes())
 	f := s.SubmitBatch([]Op{{Write: true, Addr: 9, Data: v}})[0]
-	if prev, err := f.Wait(); err != nil || !bytes.Equal(prev, make([]byte, s.BlockBytes())) {
-		t.Fatalf("first put prev = %x, %v", prev, err)
+	if got, err := f.Wait(); err != nil || got != nil {
+		t.Fatalf("first put = %x, %v; want nil data", got, err)
 	}
 	g := s.SubmitBatch([]Op{{Addr: 9}})[0]
 	for i := 0; i < 3; i++ { // Wait is idempotent

@@ -277,8 +277,13 @@ func (s *Store) Get(addr uint64) ([]byte, error) {
 	return s.submit(false, addr, nil).Wait()
 }
 
-// Put replaces the block at addr (shorter data is zero-padded) and returns
-// its previous contents.
+// Put replaces the block at addr (shorter data is zero-padded). Its data
+// result is always nil: the store does not report previous contents, and
+// the slice stays in the signature only for callers compiled against it
+// (the benchmark in bench/). On a shard whose memory is a round trip away,
+// Put returns once the write is ordered — every later operation sees it —
+// without waiting for its path read; if the write is lost after that, the
+// shard quarantines and no later operation returns what it replaced.
 func (s *Store) Put(addr uint64, data []byte) ([]byte, error) {
 	return s.submit(true, addr, data).Wait()
 }

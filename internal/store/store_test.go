@@ -157,13 +157,10 @@ func TestGetPutRoundTrip(t *testing.T) {
 			t.Fatalf("Get(%d) = %x, want %x", addr, got, val(addr, s.BlockBytes()))
 		}
 	}
-	// Put returns the previous contents.
-	prev, err := s.Put(7, val(99, s.BlockBytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(prev, val(7, s.BlockBytes())) {
-		t.Fatalf("Put(7) returned prev %x, want %x", prev, val(7, s.BlockBytes()))
+	// Put returns no data: the previous contents are not reported.
+	got, err = s.Put(7, val(99, s.BlockBytes()))
+	if err != nil || got != nil {
+		t.Fatalf("Put(7) = %x, %v; want nil data", got, err)
 	}
 }
 

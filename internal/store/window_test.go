@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math/rand/v2"
 	"net"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,6 +16,7 @@ import (
 	"freecursive"
 	"freecursive/internal/adversary"
 	"freecursive/internal/bucketd"
+	"freecursive/internal/bucketwire"
 	"freecursive/internal/mem"
 )
 
@@ -85,7 +88,7 @@ func TestWindowOverlapsRoundTrips(t *testing.T) {
 		{Addr: 1}, {Addr: 1}, {Addr: 3}, {Write: true, Addr: 2, Data: v1}, {Addr: 2},
 	})
 	release()
-	want := [][]byte{val(1, bb), v1, val(2, bb), v1, v2, v2, val(3, bb), val(2, bb), v1}
+	want := [][]byte{nil, v1, val(2, bb), nil, v2, v2, val(3, bb), nil, v1}
 	for i, f := range futs {
 		got, err := f.Wait()
 		if err != nil || !bytes.Equal(got, want[i]) {
@@ -108,7 +111,7 @@ func TestWindowCoalescesOntoFlight(t *testing.T) {
 	release := gateShard(t, s.shards[0])
 	futs := s.SubmitBatch([]Op{{Addr: 5}, {Addr: 5}, {Write: true, Addr: 5, Data: v2}, {Addr: 5}, {Addr: 5}})
 	release()
-	for i, want := range [][]byte{v1, v1, v1, v2, v2} {
+	for i, want := range [][]byte{v1, v1, nil, v2, v2} {
 		got, err := futs[i].Wait()
 		if err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("op %d: %x, %v; want %x", i, got, err, want)
@@ -119,6 +122,122 @@ func TestWindowCoalescesOntoFlight(t *testing.T) {
 	}
 	if got := s.ShardInfos()[0].CoalescedReads - coalesced; got != 2 {
 		t.Errorf("%d coalesced reads, want 2", got)
+	}
+}
+
+// TestWindowPostedReadYourWrites: a write's future resolves before its path
+// read returns, yet a read queued behind it sees it: W(a,v1) R(a) W(a,v2)
+// R(a) in one gated batch returns v1, then v2.
+func TestWindowPostedReadYourWrites(t *testing.T) {
+	s := remoteStore(t, startBucketd(t, bucketd.Config{RTT: 10 * time.Millisecond}), 1)
+	bb := s.BlockBytes()
+	v0, v1, v2 := val(0, bb), val(1, bb), val(2, bb)
+	if _, err := s.Put(5, v0); err != nil {
+		t.Fatal(err)
+	}
+	release := gateShard(t, s.shards[0])
+	futs := s.SubmitBatch([]Op{{Write: true, Addr: 5, Data: v1}, {Addr: 5}, {Write: true, Addr: 5, Data: v2}, {Addr: 5}})
+	release()
+	for i, want := range [][]byte{nil, v1, nil, v2} {
+		got, err := futs[i].Wait()
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("op %d: %x, %v; want %x", i, got, err, want)
+		}
+	}
+}
+
+// TestWindowPutIsPosted: a put into an empty window returns once it is
+// ordered, in well under the round trip its path read takes; a get still
+// pays that round trip.
+func TestWindowPutIsPosted(t *testing.T) {
+	const rtt = 100 * time.Millisecond
+	s := remoteStore(t, startBucketd(t, bucketd.Config{RTT: rtt}), 1)
+	bb := s.BlockBytes()
+	s.Stats() // a drain barrier: the window is empty
+	start := time.Now()
+	if _, err := s.Put(3, val(3, bb)); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d >= rtt/2 {
+		t.Errorf("a put took %v at %v per round trip: it waited for its path read", d, rtt)
+	}
+	start = time.Now()
+	if got, err := s.Get(3); err != nil || !bytes.Equal(got, val(3, bb)) {
+		t.Fatalf("get behind the put: %x, %v", got, err)
+	}
+	if d := time.Since(start); d < rtt {
+		t.Errorf("a get took %v at %v per round trip", d, rtt)
+	}
+}
+
+// TestWindowPostedTraceUnchanged: posting a write changes when the caller
+// hears back, not what memory sees. A fixed seeded stream driven one op at
+// a time puts the same path indices on the wire, readpaths and writepaths
+// each in the same order, and moves the same bytes, whether or not a drain
+// barrier after each put makes the next op wait for the put's access.
+func TestWindowPostedTraceUnchanged(t *testing.T) {
+	type wire struct{ reads, writes []uint64 }
+	run := func(barrier bool) (w wire, moved, overlapped uint64) {
+		var mu sync.Mutex
+		addr := startBucketd(t, bucketd.Config{RTT: 2 * time.Millisecond, Trace: func(op byte, _, idx uint64) {
+			mu.Lock()
+			defer mu.Unlock()
+			switch op {
+			case bucketwire.OpReadPath:
+				w.reads = append(w.reads, idx)
+			case bucketwire.OpWritePath:
+				w.writes = append(w.writes, idx)
+			}
+		}})
+		s := remoteStore(t, addr, 1)
+		bb := s.BlockBytes()
+		rng := rand.New(rand.NewPCG(5, 11))
+		shadow := map[uint64][]byte{}
+		for i := 0; i < 300; i++ {
+			a := rng.Uint64() % s.Blocks()
+			if rng.IntN(2) == 0 {
+				v := val(uint64(i)<<16|a, bb)
+				if _, err := s.Put(a, v); err != nil {
+					t.Fatal(err)
+				}
+				shadow[a] = v
+				if barrier {
+					s.Stats()
+				}
+				continue
+			}
+			want, ok := shadow[a]
+			if !ok {
+				want = make([]byte, bb)
+			}
+			if got, err := s.Get(a); err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("op %d: Get(%d) = %x, %v; want %x", i, a, got, err, want)
+			}
+		}
+		moved, overlapped = s.Stats().BytesMoved, s.ShardInfos()[0].OverlappedAccesses
+		if err := s.Close(); err != nil { // the last write-backs reach the tap
+			t.Fatal(err)
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		return w, moved, overlapped
+	}
+	posted, postedMoved, overlapped := run(false)
+	waited, waitedMoved, _ := run(true)
+	if len(posted.reads) == 0 {
+		t.Fatal("the stream reached bucketd untapped")
+	}
+	if overlapped == 0 {
+		t.Fatal("no op started while a posted write was in flight")
+	}
+	if !slices.Equal(posted.reads, waited.reads) {
+		t.Errorf("readpath indices differ: %d touches posted, %d with a barrier after each put", len(posted.reads), len(waited.reads))
+	}
+	if !slices.Equal(posted.writes, waited.writes) {
+		t.Errorf("writepath indices differ: %d touches posted, %d with a barrier after each put", len(posted.writes), len(waited.writes))
+	}
+	if postedMoved != waitedMoved {
+		t.Errorf("BytesMoved %d posted, %d with a barrier after each put", postedMoved, waitedMoved)
 	}
 }
 
@@ -223,47 +342,118 @@ func settleGoroutines(t *testing.T, baseline int) {
 	}
 }
 
-// windowFault is the frame every fault test below shares: a two-shard store
-// over a bucketd with a round trip long enough that a gated pile of reads
-// on shard 0 (a full window of them, or fewer) is fully in flight when
-// inject strikes. Every future of the
-// pile must resolve — with values up to the fault and typed errors from it
-// on — promptly, never after a hang; the shard must then fail fast, shard 1
-// must keep serving, Close must return and no goroutine may outlive it.
-//
-// wantOK is how many accesses of the pile complete before the fault, or -1
-// when that depends on what the tree happened to hold.
-func windowFault(t *testing.T, cfg bucketd.Config, pile int,
-	prepare func(s *Store, bucketdAddr string), inject func(proxy *cutProxy), wantOK int, wantErr error) {
-	baseline := runtime.NumGoroutine()
+// faultRig is the frame every fault test below shares: a two-shard store
+// over a bucketd, reached through a cutProxy, with a round trip long enough
+// that a gated pile of accesses on shard 0 is fully in flight when a fault
+// strikes. Set-up writes inFlightWindow addresses of shard 0 (mine) and
+// one of shard 1 (other) and waits until bucketd has served their frames.
+type faultRig struct {
+	t           *testing.T
+	s           *Store
+	srv         *bucketd.Server
+	bucketdAddr string // the server's own address, bypassing the proxy
+	served      chan struct{}
+	proxy       *cutProxy
+	mine, other []uint64
+	baseline    int
+}
+
+func newFaultRig(t *testing.T, cfg bucketd.Config) *faultRig {
+	r := &faultRig{t: t, baseline: runtime.NumGoroutine(), served: make(chan struct{})}
 	if cfg.RTT == 0 {
 		cfg.RTT = 30 * time.Millisecond
 	}
-	srv := bucketd.New(cfg)
+	r.srv = bucketd.New(cfg)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	served := make(chan struct{})
-	go func() { srv.Serve(ln); close(served) }()
-	proxy := startCutProxy(t, ln.Addr().String())
-	s := remoteStore(t, proxy.ln.Addr().String(), 2)
-	bb := s.BlockBytes()
-	mine, other := shardAddrs(s, 0, inFlightWindow), shardAddrs(s, 1, 1)
-	for _, a := range append(mine, other...) {
-		if _, err := s.Put(a, val(a, bb)); err != nil {
-			t.Fatal(err)
+	r.bucketdAddr = ln.Addr().String()
+	go func() { r.srv.Serve(ln); close(r.served) }()
+	r.proxy = startCutProxy(t, r.bucketdAddr)
+	r.s = remoteStore(t, r.proxy.ln.Addr().String(), 2)
+	r.mine, r.other = shardAddrs(r.s, 0, inFlightWindow), shardAddrs(r.s, 1, 1)
+	r.put(append(r.mine, r.other...))
+	return r
+}
+
+// put writes val(a) to every address and returns once bucketd has served
+// every frame of them (two per put). A put returns once it is ordered — its
+// path read and write-back still travelling — and shard 1's travel on a
+// connection of its own, so a drain barrier (Stats, a control op) finishes
+// the accesses and only the frame count then says their write-backs have
+// landed; without both, FailEvery could count a set-up frame after the
+// pile's first accesses and a tamperer could race a write-back.
+func (r *faultRig) put(addrs []uint64) {
+	r.t.Helper()
+	want := r.srv.FramesServed() + uint64(2*len(addrs))
+	for _, a := range addrs {
+		if _, err := r.s.Put(a, val(a, r.s.BlockBytes())); err != nil {
+			r.t.Fatal(err)
 		}
 	}
-	// A put returns with its write-back sent, not applied, and shard 1's
-	// travels on a connection of its own: wait until bucketd has counted
-	// every set-up frame (two per put), or FailEvery could count that
-	// write-back after the pile's first reads.
-	for srv.FramesServed() < uint64(2*(len(mine)+len(other))) {
+	r.s.Stats() // a control op: every shard's window drains
+	for r.srv.FramesServed() < want {
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// failStopped checks the aftermath of a fault on shard 0: the shard is
+// quarantined and fails fast, shard 1 keeps serving, nothing is left in
+// flight, Close returns and no goroutine outlives it.
+func (r *faultRig) failStopped() {
+	t, s := r.t, r.s
+	t.Helper()
+	if got := s.ShardState(0); got != StateQuarantined {
+		t.Fatalf("shard 0 is %v after the fault", got)
+	}
+	start := time.Now()
+	if _, err := s.Get(r.mine[0]); !errors.Is(err, ErrQuarantined) {
+		t.Fatalf("later op on the faulted shard: %v, want ErrQuarantined", err)
+	}
+	if d := time.Since(start); d > 10*time.Millisecond {
+		t.Errorf("later op on the faulted shard took %v: it did not fail fast", d)
+	}
+	if got, err := s.Get(r.other[0]); err != nil || !bytes.Equal(got, val(r.other[0], s.BlockBytes())) {
+		t.Fatalf("the other shard stopped serving: %x, %v", got, err)
+	}
+	if info := s.ShardInfos()[0]; info.InFlight != 0 {
+		t.Errorf("InFlight = %d on the faulted shard", info.InFlight)
+	}
+
+	closed := make(chan error, 1)
+	go func() { closed <- s.Close() }()
+	select {
+	case err := <-closed:
+		// The fault was reported where it struck. Close has nothing to add:
+		// in particular no read is left unanswered behind the accesses the
+		// controller gave up.
+		if err != nil {
+			t.Errorf("Store.Close after the fault: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Store.Close hangs after the fault")
+	}
+	r.proxy.close()
+	r.srv.Close()
+	<-r.served
+	settleGoroutines(t, r.baseline)
+}
+
+// windowFault runs a gated pile of reads of shard 0 (a full window of them,
+// or fewer) and strikes with inject once the whole pile is on the wire.
+// Every future of the pile must resolve — with values up to the fault and
+// typed errors from it on — promptly, never after a hang; then the rig must
+// have fail-stopped (faultRig.failStopped).
+//
+// wantOK is how many accesses of the pile complete before the fault, or -1
+// when that depends on what the tree happened to hold.
+func windowFault(t *testing.T, cfg bucketd.Config, pile int,
+	prepare func(r *faultRig), inject func(proxy *cutProxy), wantOK int, wantErr error) {
+	r := newFaultRig(t, cfg)
+	s, bb, mine := r.s, r.s.BlockBytes(), r.mine
 	if prepare != nil {
-		prepare(s, ln.Addr().String())
+		prepare(r)
 	}
 
 	release := gateShard(t, s.shards[0])
@@ -273,7 +463,7 @@ func windowFault(t *testing.T, cfg bucketd.Config, pile int,
 		time.Sleep(time.Millisecond) // until the whole pile is on the wire
 	}
 	if inject != nil {
-		inject(proxy)
+		inject(r.proxy)
 	}
 	resolved := make(chan struct{})
 	go func() {
@@ -301,41 +491,7 @@ func windowFault(t *testing.T, cfg bucketd.Config, pile int,
 	case <-time.After(5 * time.Second):
 		t.Fatal("futures of the accesses in flight never resolved")
 	}
-
-	if got := s.ShardState(0); got != StateQuarantined {
-		t.Fatalf("shard 0 is %v after the fault", got)
-	}
-	start := time.Now()
-	if _, err := s.Get(mine[0]); !errors.Is(err, ErrQuarantined) {
-		t.Fatalf("later op on the faulted shard: %v, want ErrQuarantined", err)
-	}
-	if d := time.Since(start); d > 10*time.Millisecond {
-		t.Errorf("later op on the faulted shard took %v: it did not fail fast", d)
-	}
-	if got, err := s.Get(other[0]); err != nil || !bytes.Equal(got, val(other[0], bb)) {
-		t.Fatalf("the other shard stopped serving: %x, %v", got, err)
-	}
-	if info := s.ShardInfos()[0]; info.InFlight != 0 {
-		t.Errorf("InFlight = %d on the faulted shard", info.InFlight)
-	}
-
-	closed := make(chan error, 1)
-	go func() { closed <- s.Close() }()
-	select {
-	case err := <-closed:
-		// The fault was reported where it struck. Close has nothing to add:
-		// in particular no read is left unanswered behind the accesses the
-		// controller gave up.
-		if err != nil {
-			t.Errorf("Store.Close after the fault: %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Store.Close hangs after the fault")
-	}
-	proxy.close()
-	srv.Close()
-	<-served
-	settleGoroutines(t, baseline)
+	r.failStopped()
 }
 
 // TestWindowFaultConnectionCut: the connection drops with a full window of
@@ -359,40 +515,107 @@ func TestWindowFaultSilentServer(t *testing.T) {
 	}
 }
 
+// setupFrames is how many data frames the rig's set-up puts cost: two each
+// (readpath, writepath), inFlightWindow on shard 0 and one on shard 1.
+// FailEvery counts every data frame, so the first frame after set-up is
+// number setupFrames+1.
+const setupFrames = 2 * (inFlightWindow + 1)
+
 // TestWindowFaultServerError: bucketd answers status 500 to the second read
 // of the window. The first access completes; the second fails with the
 // fault; the ones begun behind it planned around a write-back that will not
 // happen and fail with it.
 func TestWindowFaultServerError(t *testing.T) {
-	// Every data frame counts toward FailEvery. Set-up puts cost two each
-	// (readpath, writepath): inFlightWindow on shard 0 and one on shard 1.
-	// The pile's reads are the next frames, so its second read is frame
-	// 2·(inFlightWindow+1) + 2.
-	windowFault(t, bucketd.Config{FailEvery: 2*(inFlightWindow+1) + 2}, inFlightWindow, nil,
+	// The pile's reads are the next frames after set-up, so its second read
+	// is frame setupFrames + 2.
+	windowFault(t, bucketd.Config{FailEvery: setupFrames + 2}, inFlightWindow, nil,
 		nil, 1, freecursive.ErrStorage)
+}
+
+// garbleShard0 has an adversary garble shard 0's whole tree through a
+// connection of its own. It first flushes the shard's stash with more
+// puts — blocks still on chip are out of the adversary's reach — and
+// faultRig.put returns only once those puts have finished their accesses
+// (a drain barrier) and bucketd has served their write-backs: a returned
+// Put alone does not mean its access is over, and a garble racing a
+// write-back would be overwritten by it.
+func garbleShard0(r *faultRig) {
+	r.put(shardAddrs(r.s, 0, 80)[inFlightWindow:])
+	adv, err := mem.DialRemote(mem.RemoteConfig{Addr: r.bucketdAddr, Namespace: "store/shard-0000/tree-0"})
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	defer adv.Close()
+	if (adversary.Garbler{}).GarbleAll(adv, 1<<8) == 0 {
+		r.t.Fatal("nothing of shard 0 found on the bucketd to tamper with")
+	}
 }
 
 // TestWindowFaultIntegrity: PMMAC rejects what the first access of the
 // window fetched while the others are in flight; they fail with the latched
 // violation instead of trusting memory further.
 func TestWindowFaultIntegrity(t *testing.T) {
-	// A short round trip: the adversary below pays it per bucket.
-	windowFault(t, bucketd.Config{RTT: time.Millisecond}, inFlightWindow, func(s *Store, addr string) {
-		// The adversary garbles shard 0's whole tree through a connection
-		// of its own. Flush the shard's stash first: blocks still on chip
-		// are out of its reach.
-		for _, a := range shardAddrs(s, 0, 80)[inFlightWindow:] {
-			if _, err := s.Put(a, val(a, s.BlockBytes())); err != nil {
-				t.Fatal(err)
+	// A short round trip: the adversary pays it per bucket.
+	windowFault(t, bucketd.Config{RTT: time.Millisecond}, inFlightWindow, garbleShard0,
+		nil, -1, freecursive.ErrIntegrity)
+}
+
+// postedFault drives shard 0 one put and one get at a time — a put of a new
+// value, then a get of the same address — until a fault strikes a posted
+// write, one whose Put has already returned nil. Losing it must quarantine
+// the shard: the get fails with ErrQuarantined wrapping wantErr and never
+// returns the value the write replaced. With settle, a drain barrier
+// (Stats, a control op) between the two finishes the write first, and the
+// shard must be quarantined before the get is sent; without it the get is
+// started behind the write still in flight. Then the rig must have
+// fail-stopped (faultRig.failStopped).
+func postedFault(t *testing.T, cfg bucketd.Config, settle bool, prepare func(r *faultRig), wantErr error) {
+	r := newFaultRig(t, cfg)
+	s, bb := r.s, r.s.BlockBytes()
+	if prepare != nil {
+		prepare(r)
+	}
+	for _, a := range shardAddrs(s, 0, 80) {
+		v := val(a+1000, bb)
+		if got, err := s.Put(a, v); err != nil || got != nil {
+			t.Fatalf("Put(%d) = %x, %v; want nil data, no error", a, got, err)
+		}
+		quarantined := false
+		if settle {
+			s.Stats()
+			quarantined = s.ShardState(0) == StateQuarantined
+		}
+		got, err := s.Get(a)
+		if err == nil {
+			if quarantined || !bytes.Equal(got, v) {
+				t.Fatalf("Get(%d) after its Put = %x (shard quarantined: %v), want %x", a, got, quarantined, v)
 			}
+			continue
 		}
-		adv, err := mem.DialRemote(mem.RemoteConfig{Addr: addr, Namespace: "store/shard-0000/tree-0"})
-		if err != nil {
-			t.Fatal(err)
+		if !errors.Is(err, ErrQuarantined) || !errors.Is(err, wantErr) {
+			t.Fatalf("Get(%d) behind a lost posted write: %v, want ErrQuarantined wrapping %v", a, err, wantErr)
 		}
-		defer adv.Close()
-		if (adversary.Garbler{}).GarbleAll(adv, 1<<8) == 0 {
-			t.Fatal("nothing of shard 0 found on the bucketd to tamper with")
+		if settle && !quarantined {
+			t.Fatalf("Get(%d) failed (%v) after its write finished with the shard healthy", a, err)
 		}
-	}, nil, -1, freecursive.ErrIntegrity)
+		r.failStopped()
+		return
+	}
+	t.Fatal("no posted write was lost")
+}
+
+// TestWindowFaultPostedServerError: bucketd answers status 500 to a posted
+// write's path read, the first frame after set-up.
+func TestWindowFaultPostedServerError(t *testing.T) {
+	for _, settle := range []bool{false, true} {
+		postedFault(t, bucketd.Config{FailEvery: setupFrames + 1}, settle, nil, freecursive.ErrStorage)
+	}
+}
+
+// TestWindowFaultPostedIntegrity: PMMAC rejects a posted write's path — the
+// block it overwrites was garbled below the treetop.
+func TestWindowFaultPostedIntegrity(t *testing.T) {
+	for _, settle := range []bool{false, true} {
+		postedFault(t, bucketd.Config{RTT: time.Millisecond}, settle, garbleShard0, freecursive.ErrIntegrity)
+	}
 }
